@@ -22,7 +22,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .kernel import Monomial, ONE_MONOMIAL, QQ, as_scalar
+from .kernel import (
+    Monomial, ONE_MONOMIAL, QQ, SparseElement, add_into, add_term, as_scalar,
+)
 from .reports import CheckReport
 
 
@@ -362,7 +364,7 @@ class TensorPrimitiveBialgebra(Bialgebra):
         for mask in range(1 << n):
             left = tuple(key[i] for i in range(n) if mask >> i & 1)
             right = tuple(key[i] for i in range(n) if not mask >> i & 1)
-            out[(left, right)] = out.get((left, right), QQ(0)) + 1
+            add_term(out, (left, right), QQ(1))
         return out
 
     def counit_key(self, key):
@@ -485,11 +487,7 @@ def _convolve_pairs(t1, t2):
     for (a1, b1), c1 in t1.items():
         for (a2, b2), c2 in t2.items():
             key = (a1 * a2, b1 * b2) if isinstance(a1, Monomial) else (a1 + a2, b1 + b2)
-            s = out.get(key, QQ(0)) + c1 * c2
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            add_term(out, key, c1 * c2)
     return out
 
 
@@ -497,14 +495,21 @@ def _convolve_pairs(t1, t2):
 # sparse elements of B^(@n)
 # ---------------------------------------------------------------------------
 
-class TensorElement:
+def _tensor(parent, arity, terms):
+    """Wrap a dict with no stored zeros as an element of B^(@arity)."""
+    t = TensorElement.__new__(TensorElement)
+    t.parent, t.arity, t.terms = parent, arity, terms
+    return t
+
+
+class TensorElement(SparseElement):
     """A sparse element of B^(@n); arity 0 means a bare scalar.
 
     terms map n-tuples of basis keys to Fractions; zero coefficients are
     never stored.  Instances are immutable and may be shared freely.
     """
 
-    __slots__ = ("parent", "arity", "terms")
+    __slots__ = ("parent", "arity")
 
     def __init__(self, parent, arity, terms):
         if arity < 0:
@@ -514,29 +519,21 @@ class TensorElement:
             keys = tuple(keys)
             if len(keys) != arity:
                 raise ValueError("key tuple %r does not have arity %d" % (keys, arity))
-            c = as_scalar(c)
-            if c:
-                s = cleaned.get(keys, QQ(0)) + c
-                if s:
-                    cleaned[keys] = s
-                elif keys in cleaned:
-                    del cleaned[keys]
+            add_term(cleaned, keys, as_scalar(c))
         self.parent = parent
         self.arity = arity
         self.terms = cleaned
 
     # -- basics ---------------------------------------------------------------
+    def _like(self, terms):
+        return _tensor(self.parent, self.arity, terms)
+
     def _check_mate(self, other):
+        super()._check_mate(other)
         if self.parent is not other.parent:
             raise ValueError("tensor elements live over different bialgebras")
         if self.arity != other.arity:
             raise ValueError("arity mismatch: %d vs %d" % (self.arity, other.arity))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -552,40 +549,6 @@ class TensorElement:
 
     def __hash__(self):
         return hash((id(self.parent), self.arity, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        self._check_mate(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, QQ(0)) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        t = TensorElement.__new__(TensorElement)
-        t.parent, t.arity, t.terms = self.parent, self.arity, out
-        return t
-
-    def __neg__(self):
-        t = TensorElement.__new__(TensorElement)
-        t.parent, t.arity = self.parent, self.arity
-        t.terms = {k: -c for k, c in self.terms.items()}
-        return t
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = as_scalar(c)
-        t = TensorElement.__new__(TensorElement)
-        t.parent, t.arity = self.parent, self.arity
-        t.terms = {k: c * v for k, v in self.terms.items()} if c else {}
-        return t
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def __mul__(self, other):
         """Slotwise product for equal arities; scalars scale."""
@@ -609,12 +572,7 @@ class TensorElement:
                     if kc != 1:
                         c = c * kc
                 if keys is not None:
-                    keys = tuple(keys)
-                    s = out.get(keys, QQ(0)) + c
-                    if s:
-                        out[keys] = s
-                    elif keys in out:
-                        del out[keys]
+                    add_term(out, tuple(keys), c)
                     continue
                 # general sparse expansion (multi-term slot products)
                 partial = {(): c1 * c2}
@@ -622,18 +580,10 @@ class TensorElement:
                     grown = {}
                     for prefix, pc in partial.items():
                         for key, kc in B.product_keys(a, b).items():
-                            nk = prefix + (key,)
-                            grown[nk] = grown.get(nk, QQ(0)) + pc * kc
+                            add_term(grown, prefix + (key,), pc * kc)
                     partial = grown
-                for keys2, c3 in partial.items():
-                    s = out.get(keys2, QQ(0)) + c3
-                    if s:
-                        out[keys2] = s
-                    elif keys2 in out:
-                        del out[keys2]
-        t = TensorElement.__new__(TensorElement)
-        t.parent, t.arity, t.terms = B, self.arity, out
-        return t
+                add_into(out, partial)
+        return self._like(out)
 
     def one_like(self):
         return self.parent.one(self.arity)
@@ -649,9 +599,7 @@ class TensorElement:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 out[k1 + k2] = c1 * c2
-        t = TensorElement.__new__(TensorElement)
-        t.parent, t.arity, t.terms = self.parent, self.arity + other.arity, out
-        return t
+        return _tensor(self.parent, self.arity + other.arity, out)
 
     # -- structure maps on slots ----------------------------------------------
     def apply_coproduct(self, slot):
@@ -663,15 +611,8 @@ class TensorElement:
         i = slot - 1
         for keys, c in self.terms.items():
             for (a, b), c2 in B.coproduct_key(keys[i]).items():
-                nk = keys[:i] + (a, b) + keys[i + 1:]
-                s = out.get(nk, QQ(0)) + c * c2
-                if s:
-                    out[nk] = s
-                elif nk in out:
-                    del out[nk]
-        t = TensorElement.__new__(TensorElement)
-        t.parent, t.arity, t.terms = B, self.arity + 1, out
-        return t
+                add_term(out, keys[:i] + (a, b) + keys[i + 1:], c * c2)
+        return _tensor(B, self.arity + 1, out)
 
     def apply_counit(self, slot):
         """eps on slot i (1-based); arity shrinks by one."""
@@ -681,18 +622,8 @@ class TensorElement:
         out = {}
         i = slot - 1
         for keys, c in self.terms.items():
-            c2 = c * B.counit_key(keys[i])
-            if not c2:
-                continue
-            nk = keys[:i] + keys[i + 1:]
-            s = out.get(nk, QQ(0)) + c2
-            if s:
-                out[nk] = s
-            elif nk in out:
-                del out[nk]
-        t = TensorElement.__new__(TensorElement)
-        t.parent, t.arity, t.terms = B, self.arity - 1, out
-        return t
+            add_term(out, keys[:i] + keys[i + 1:], c * B.counit_key(keys[i]))
+        return _tensor(B, self.arity - 1, out)
 
     def permute(self, sigma):
         """Right action (u . sigma)_i = u_{sigma(i)}; sigma is a 1-based tuple."""
@@ -701,9 +632,7 @@ class TensorElement:
         out = {}
         for keys, c in self.terms.items():
             out[tuple(keys[s - 1] for s in sigma)] = c
-        t = TensorElement.__new__(TensorElement)
-        t.parent, t.arity, t.terms = self.parent, self.arity, out
-        return t
+        return self._like(out)
 
     def scalar_value(self):
         """The Fraction carried by an arity-0 element."""
@@ -718,13 +647,13 @@ class TensorElement:
         to this element's parent).
         """
         target = target or self.parent
-        out = target.zero(self.arity)
+        out = {}
         for keys, c in self.terms.items():
             piece = TensorElement(target, 0, {(): c})
             for k in keys:
                 piece = piece.outer(images(k))
-            out = out + piece
-        return out
+            add_into(out, piece.terms)
+        return _tensor(target, self.arity, out)
 
     def degree(self):
         """Largest total internal degree over the support."""
@@ -890,60 +819,3 @@ def check_cocommutative(B, cutoff=None):
         if d.permute((2, 1)) != d:
             return False, B.key_str(k)
     return True, None
-
-
-class _CoproductOverride(Bialgebra):
-    """A bialgebra with the coproduct of selected basis keys replaced.
-
-    Deliberately breaks the axioms; used to exercise the failure branches of
-    the checkers (everything else delegates to the wrapped bialgebra).
-    """
-
-    def __init__(self, base, overrides):
-        super().__init__(base.spec, base.cutoff)
-        self._base = base
-        self._overrides = dict(overrides)
-
-    @property
-    def unit_key(self):
-        return self._base.unit_key
-
-    def degree(self, key):
-        return self._base.degree(key)
-
-    def product_keys(self, k1, k2):
-        return self._base.product_keys(k1, k2)
-
-    def counit_key(self, key):
-        self.require_counit()
-        return self._base.counit_key(key)
-
-    def basis_keys(self, max_degree):
-        return self._base.basis_keys(max_degree)
-
-    def generator_key(self, name):
-        return self._base.generator_key(name)
-
-    def key_str(self, key):
-        return self._base.key_str(key)
-
-    def parse_key(self, text):
-        return self._base.parse_key(text)
-
-    def key_sort_key(self, key):
-        return self._base.key_sort_key(key)
-
-    def _coproduct_key(self, key):
-        hit = self._overrides.get(key)
-        if hit is not None:
-            return hit
-        return self._base._coproduct_key(key)
-
-
-def with_coproduct_override(B, overrides):
-    """Copy of B whose Delta is replaced on the given basis keys.
-
-    overrides: dict basis-key -> dict (key, key) -> coefficient.  The result
-    generally violates coassociativity or multiplicativity; that is the point.
-    """
-    return _CoproductOverride(B, overrides)

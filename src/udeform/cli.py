@@ -21,8 +21,13 @@ from importlib import resources
 import jsonschema
 
 from . import __version__
-from .kernel import Monomial, Polynomial, QQ, TruncSeries, as_scalar
-from .bialgebra import BialgebraSpec, construct_bialgebra
+from .kernel import Monomial, Polynomial, QQ, add_term, as_scalar
+from .bialgebra import (
+    BialgebraSpec,
+    CounitUnavailable,
+    CutoffError,
+    construct_bialgebra,
+)
 from .operad import (
     FLAVOR_ADDITIVE,
     FLAVOR_MULTIPLICATIVE,
@@ -38,7 +43,7 @@ from .twist import (
     make_exp_udf,
     series_from_orders,
 )
-from .cobar import check_oracle_agreement, h2 as cobar_h2
+from .cobar import check_oracle_agreement
 from .deform import (
     FiniteDimensionalAlgebra,
     PolynomialTruncatedAlgebra,
@@ -120,10 +125,10 @@ def _scalar(value, location):
 
 
 def _poly_from_doc(doc, location):
-    out = Polynomial()
+    out = {}
     for mono, coeff in doc.items():
-        out = out + Polynomial({Monomial.parse(mono): _scalar(coeff, location)})
-    return out
+        add_term(out, Monomial.parse(mono), _scalar(coeff, location))
+    return Polynomial(out)
 
 
 def _tensor_terms_degree(terms):
@@ -171,7 +176,7 @@ def parse_tensor(B, arity, terms, location):
         except KeyError as exc:
             raise JobError(loc, str(exc))
         c = _scalar(term.get("coeff", "1"), loc)
-        trm[keys] = trm.get(keys, QQ(0)) + c
+        add_term(trm, keys, c)
     return B.tensor(arity, trm)
 
 
@@ -373,8 +378,7 @@ def run_deform(inputs, params):
 def run_cobar_h2(inputs, params):
     D = params["cobar_cutoff"]
     B = build_bialgebra(inputs["bialgebra"], D, slot_degree=1)
-    report = check_oracle_agreement(B, D)
-    blocks = cobar_h2(B, D)
+    report, blocks = check_oracle_agreement(B, D)
     data = {
         "blocks": [b.to_json() for b in blocks],
         "total_dimension": sum(b.dim for b in blocks),
@@ -446,9 +450,7 @@ def run_ternary(inputs, params):
             for i, term in enumerate(terms):
                 tree = _tree_from_doc(term["tree"], "%s.%s[%d]" % (loc, pgen, i))
                 tree = _tree_to_indices(tree, P.generators, loc)
-                coords[tree] = coords.get(tree, QQ(0)) + _scalar(
-                    term.get("coeff", "1"), loc
-                )
+                add_term(coords, tree, _scalar(term.get("coeff", "1"), loc))
             gen_images[pgen] = P.element(coords)
         images[bgen] = gen_images
     try:
@@ -699,16 +701,15 @@ def run(job):
         report.elapsed = time.time() - t0
         return report, 0 if status == "pass" else 1
     except JobError as exc:
-        report = Report(
-            job.get("command", "?"),
-            {},
-            "error",
-            [],
-            {},
-            error={"location": exc.location, "message": exc.message},
-        )
-        report.elapsed = time.time() - t0
-        return report, 2
+        error = {"location": exc.location, "message": exc.message}
+    except (CutoffError, CounitUnavailable, ValueError) as exc:
+        # the inputs ask for more than they declare (a cutoff, a counit) or
+        # hold a value the library rejects: unrunnable, not a failed check
+        message = "%s: %s" % (type(exc).__name__, exc)
+        error = {"location": "inputs", "message": message}
+    report = Report(job.get("command", "?"), {}, "error", [], {}, error=error)
+    report.elapsed = time.time() - t0
+    return report, 2
 
 
 def _resolve_out(path):

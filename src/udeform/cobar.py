@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 
-from .kernel import QQ
+from .kernel import MINUS_ONE, QQ, add_into, add_term
 from .bialgebra import TensorElement
 from .linalg import Echelon, kernel_basis, quotient_representatives
 from .reports import CheckReport
@@ -51,7 +51,8 @@ def reduced_diagonal(u):
     if u.apply_counit(1).scalar_value() != 0:
         raise ValueError("reduced diagonal needs eps(u) = 0")
     out = u.apply_coproduct(1) - u.outer(B.one(1)) - B.one(1).outer(u)
-    assert is_reduced_member(out), "reduced diagonal left Bbar @ Bbar"
+    if not is_reduced_member(out):
+        raise AssertionError("reduced diagonal left Bbar @ Bbar")
     return out
 
 
@@ -60,19 +61,24 @@ def reduced_keys(B, max_degree):
     return [k for k in B.basis_keys(max_degree) if k != B.unit_key]
 
 
+def _counit_free(B, m):
+    """The arity-1 element m - eps(m)1."""
+    e = B.element({m: QQ(1)})
+    eps = B.counit_key(m)
+    if eps:
+        e = e - B.one(1).scale(eps)
+    return e
+
+
 def embed_reduced(B, coords, arity):
     """Expand reduced coordinates into B^(@arity) via m -> m - eps(m)1."""
-    out = B.zero(arity)
+    out = {}
     for keys, c in coords.items():
         piece = TensorElement(B, 0, {(): c})
         for k in keys:
-            e = B.element({k: QQ(1)})
-            eps = B.counit_key(k)
-            if eps:
-                e = e - B.one(1).scale(eps)
-            piece = piece.outer(e)
-        out = out + piece
-    return out
+            piece = piece.outer(_counit_free(B, k))
+        add_into(out, piece.terms)
+    return B.zero(arity)._like(out)
 
 
 def extract_reduced(T):
@@ -200,18 +206,13 @@ def _tuples_for_block(B, cutoff, label, arity, reduced):
 
 def _reduced_pair_coords(B, m):
     """Reduced coordinates of dbar(m - eps(m)1) as dict pair-of-keys -> c."""
-    e = B.element({m: QQ(1)})
-    eps = B.counit_key(m)
-    if eps:
-        e = e - B.one(1).scale(eps)
-    img = reduced_diagonal(e)
-    return extract_reduced(img)
+    return extract_reduced(reduced_diagonal(_counit_free(B, m)))
 
 
 class CobarComplex:
     """d1 and d2 of the cobar construction, sliced into finite blocks.
 
-    d2 o d1 = 0 is asserted per block at build time.
+    d2 o d1 = 0 is checked per block at build time.
     """
 
     def __init__(self, B, cutoff):
@@ -247,24 +248,18 @@ class CobarComplex:
         for (m, n) in pairs:
             col = {}
             for (a, b), c in dbar[m].items():
-                idx = triple_index[(a, b, n)]
-                col[idx] = col.get(idx, QQ(0)) + c
+                add_term(col, triple_index[(a, b, n)], c)
             for (a, b), c in dbar[n].items():
-                idx = triple_index[(m, a, b)]
-                col[idx] = col.get(idx, QQ(0)) - c
-            d2_cols.append({k: v for k, v in col.items() if v})
+                add_term(col, triple_index[(m, a, b)], -c)
+            d2_cols.append(col)
 
         # the complex property, blockwise
         for j, m in enumerate(keys1):
             acc = {}
             for pi, c in d1_cols[j].items():
-                for ti, c2 in d2_cols[pi].items():
-                    s = acc.get(ti, QQ(0)) + c * c2
-                    if s:
-                        acc[ti] = s
-                    elif ti in acc:
-                        del acc[ti]
-            assert not acc, "d2 o d1 != 0 at key %s" % (B.key_str(m),)
+                add_into(acc, d2_cols[pi], c)
+            if acc:
+                raise AssertionError("d2 o d1 != 0 at key %s" % (B.key_str(m),))
 
         return {
             "keys1": keys1,
@@ -286,33 +281,29 @@ def h2(B, cutoff):
     complex_ = CobarComplex(B, cutoff)
     out = []
     for label, blk in complex_.blocks.items():
-        npairs = len(blk["pairs"])
+        pairs = blk["pairs"]
         # rows of d2 as a matrix: one row per triple coordinate
         rows = {}
         for col, colvec in enumerate(blk["d2_cols"]):
             for ti, c in colvec.items():
                 rows.setdefault(ti, {})[col] = c
-        kernel = kernel_basis(list(rows.values()), npairs)
+        kernel = kernel_basis(list(rows.values()), len(pairs))
         image = [col for col in blk["d1_cols"] if col]
         reps = quotient_representatives(kernel, image)
-        dim = len(reps)
-        embedded = [
-            embed_reduced(B, {blk["pairs"][j]: c for j, c in vec.items()}, 2)
-            for vec in reps
-        ]
+
+        def embed(vecs):
+            return [
+                embed_reduced(B, {pairs[j]: c for j, c in vec.items()}, 2)
+                for vec in vecs
+            ]
+
         out.append(
             ModuliBlock(
                 label,
-                dim,
-                embedded,
-                solutions=[
-                    embed_reduced(B, {blk["pairs"][j]: c for j, c in vec.items()}, 2)
-                    for vec in kernel
-                ],
-                gauge=[
-                    embed_reduced(B, {blk["pairs"][j]: c for j, c in vec.items()}, 2)
-                    for vec in image
-                ],
+                len(reps),
+                embed(reps),
+                solutions=embed(kernel),
+                gauge=embed(image),
             )
         )
     return out
@@ -337,12 +328,7 @@ def twi_direct(B, cutoff):
         rows = {}
 
         def put(ti, col, c):
-            row = rows.setdefault(ti, {})
-            s = row.get(col, QQ(0)) + c
-            if s:
-                row[col] = s
-            elif col in row:
-                del row[col]
+            add_term(rows.setdefault(ti, {}), col, c)
 
         for col, (m, n) in enumerate(pairs):
             for (a, b), c in B.coproduct_key(m).items():
@@ -350,19 +336,17 @@ def twi_direct(B, cutoff):
             put(triple_index[(m, n, unit)], col, QQ(1))       # xi @ 1
             for (a, b), c in B.coproduct_key(n).items():
                 put(triple_index[(m, a, b)], col, -c)         # -(id @ Delta) xi
-            put(triple_index[(unit, m, n)], col, QQ(-1))      # -1 @ xi
+            put(triple_index[(unit, m, n)], col, MINUS_ONE)   # -1 @ xi
 
         kernel = kernel_basis(list(rows.values()), len(pairs))
 
         gauge_keys = _keys_for_block(B, cutoff, label, reduced=False)
         gauge_vecs = []
         for g in gauge_keys:
-            img = {}
-            for (a, b), c in B.coproduct_key(g).items():
-                img[(a, b)] = img.get((a, b), QQ(0)) + c
-            img[(unit, g)] = img.get((unit, g), QQ(0)) - 1
-            img[(g, unit)] = img.get((g, unit), QQ(0)) - 1
-            vec = {pair_index[p]: c for p, c in img.items() if c}
+            img = dict(B.coproduct_key(g))
+            add_term(img, (unit, g), MINUS_ONE)
+            add_term(img, (g, unit), MINUS_ONE)
+            vec = {pair_index[p]: c for p, c in img.items()}
             if vec:
                 gauge_vecs.append(vec)
 
@@ -371,7 +355,8 @@ def twi_direct(B, cutoff):
         for v in kernel:
             ech.add(v)
         for v in gauge_vecs:
-            assert ech.contains(v), "gauge image is not a solution"
+            if not ech.contains(v):
+                raise AssertionError("gauge image is not a solution")
 
         reps = quotient_representatives(kernel, gauge_vecs)
 
@@ -420,18 +405,10 @@ def corner_solutions_trivial(B, blocks):
 
 def gauge_equivalent(B, blk_a, blk_b):
     """Do two blocks present the same classes?  (Same span modulo gauge.)"""
-    def coords(T):
-        return {keys: c for keys, c in T.terms.items()}
-
     index = {}
 
     def vec(T):
-        out = {}
-        for keys, c in coords(T).items():
-            if keys not in index:
-                index[keys] = len(index)
-            out[index[keys]] = c
-        return out
+        return {index.setdefault(keys, len(index)): c for keys, c in T.terms.items()}
 
     span_a = Echelon()
     for g in blk_a.gauge + blk_b.gauge:
@@ -445,7 +422,10 @@ def gauge_equivalent(B, blk_a, blk_b):
 
 
 def check_oracle_agreement(B, cutoff):
-    """Compare h2 and twi_direct: profiles match, representatives agree."""
+    """Compare h2 and twi_direct: profiles match, representatives agree.
+
+    Returns (report, the h2 blocks), so callers reuse the blocks.
+    """
     report = CheckReport("moduli oracle agreement (%s)" % B.spec.kind)
     blocks_h2 = h2(B, cutoff)
     blocks_twi = twi_direct(B, cutoff)
@@ -474,4 +454,4 @@ def check_oracle_agreement(B, cutoff):
     report.add("representatives are gauge-equivalent", ok, witness)
     ok, witness = corner_solutions_trivial(B, blocks_twi)
     report.add("corner components of solutions are multiples of 1@1", ok, witness)
-    return report
+    return report, blocks_h2

@@ -19,7 +19,17 @@ import itertools
 from fractions import Fraction
 
 from .bialgebra import CutoffError
-from .kernel import Monomial, ONE_MONOMIAL, Polynomial, QQ, TruncSeries, as_scalar
+from .kernel import (
+    Monomial,
+    ONE_MONOMIAL,
+    Polynomial,
+    QQ,
+    SparseElement,
+    TruncSeries,
+    add_into,
+    add_term,
+    as_scalar,
+)
 from .linalg import solve as linalg_solve
 from .reports import CheckReport
 from .twist import UDF, constant_series
@@ -156,12 +166,7 @@ class FiniteDimensionalAlgebra(AlgebraSpec):
         out = {}
         for name, c in combo.items():
             tbl = self._table[(name, other)] if left else self._table[(other, name)]
-            for n2, c2 in tbl.items():
-                s = out.get(n2, QQ(0)) + c * c2
-                if s:
-                    out[n2] = s
-                elif n2 in out:
-                    del out[n2]
+            add_into(out, tbl, c)
         return out
 
     def unit_key(self):
@@ -183,24 +188,27 @@ class FiniteDimensionalAlgebra(AlgebraSpec):
         return "<finite-dimensional algebra on {%s}>" % ",".join(self.basis)
 
 
-class AlgebraElement:
+def _element(A, terms):
+    """Wrap a dict with no stored zeros as an element of A."""
+    e = AlgebraElement.__new__(AlgebraElement)
+    e.parent, e.terms = A, terms
+    return e
+
+
+class AlgebraElement(SparseElement):
     """Sparse element of an AlgebraSpec with exact coefficients."""
 
-    __slots__ = ("parent", "terms")
+    __slots__ = ("parent",)
 
     def __init__(self, parent, terms):
         cleaned = {}
         for k, c in terms.items():
-            c = as_scalar(c)
-            if c:
-                cleaned[k] = cleaned.get(k, QQ(0)) + c
-                if not cleaned[k]:
-                    del cleaned[k]
+            add_term(cleaned, k, as_scalar(c))
         self.parent = parent
         self.terms = cleaned
 
-    def __bool__(self):
-        return bool(self.terms)
+    def _like(self, terms):
+        return _element(self.parent, terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -216,46 +224,15 @@ class AlgebraElement:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, QQ(0)) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return AlgebraElement(self.parent, out)
-
-    def __neg__(self):
-        return AlgebraElement(self.parent, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = as_scalar(c)
-        if not c:
-            return AlgebraElement(self.parent, {})
-        return AlgebraElement(self.parent, {k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         out = {}
+        product_keys = self.parent.product_keys
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                for key, c3 in self.parent.product_keys(k1, k2).items():
-                    s = out.get(key, QQ(0)) + c1 * c2 * c3
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-        return AlgebraElement(self.parent, out)
+                add_into(out, product_keys(k1, k2), c1 * c2)
+        return self._like(out)
 
     def one_like(self):
         return self.parent.one()
@@ -355,7 +332,7 @@ class Derivation:
     def apply_key(self, key):
         A = self.parent
         if self.kind == "polynomial":
-            out = A.zero()
+            out = {}
             for name, coeff in self.coeffs.items():
                 part = _partial_monomial(key, name, A)
                 if not part:
@@ -368,15 +345,15 @@ class Derivation:
                                 "derivation output %s exceeds cutoff %d"
                                 % (prod, A.cutoff)
                             )
-                        out = out + AlgebraElement(A, {prod: c * c2})
-            return out
+                        add_term(out, prod, c * c2)
+            return _element(A, out)
         return self.images[key]
 
     def apply(self, elem):
-        out = self.parent.zero()
+        out = {}
         for k, c in elem.terms.items():
-            out = out + self.apply_key(k).scale(c)
-        return out
+            add_into(out, self.apply_key(k).terms, c)
+        return _element(self.parent, out)
 
     def commutes_with(self, other):
         """Exact commutation test on the generators (sufficient for derivations)."""
@@ -444,10 +421,10 @@ class AlgebraEndomorphism:
         return self.images[key]
 
     def apply(self, elem):
-        out = self.parent.zero()
+        out = {}
         for k, c in elem.terms.items():
-            out = out + self.apply_key(k).scale(c)
-        return out
+            add_into(out, self.apply_key(k).terms, c)
+        return _element(self.parent, out)
 
     def commutes_with(self, other):
         A = self.parent
@@ -570,10 +547,10 @@ class ModuleAction:
 
     def apply_element(self, belem, elem):
         """Action of an arity-1 tensor over B, extended linearly."""
-        out = self.A.zero()
+        out = {}
         for (bkey,), c in belem.terms.items():
-            out = out + self.apply_key(bkey, elem).scale(c)
-        return out
+            add_into(out, self.apply_key(bkey, elem).terms, c)
+        return _element(self.A, out)
 
 
 def action_from_derivations(B, A, images):
@@ -611,11 +588,11 @@ def check_module_algebra(action, cutoff=None):
                     continue
                 e1, e2 = A.element({k1: QQ(1)}), A.element({k2: QQ(1)})
                 lhs = action.apply_key(bk, e1 * e2)
-                rhs = A.zero()
+                rhs = {}
                 for (b1, b2), c in delta.items():
-                    rhs = rhs + (
-                        action.apply_key(b1, e1) * action.apply_key(b2, e2)
-                    ).scale(c)
+                    prod = action.apply_key(b1, e1) * action.apply_key(b2, e2)
+                    add_into(rhs, prod.terms, c)
+                rhs = _element(A, rhs)
                 if lhs != rhs:
                     bad = {
                         "b": B.key_str(bk),
@@ -663,13 +640,11 @@ class StarProduct:
 
     def _pair(self, k, x, y):
         """mu(F_k (x @ y)) for plain algebra elements x, y."""
-        A = self.action.A
-        out = A.zero()
+        act = self.action.apply_key
+        out = {}
         for c, b1, b2 in self.terms[k]:
-            out = out + (
-                self.action.apply_key(b1, x) * self.action.apply_key(b2, y)
-            ).scale(c)
-        return out
+            add_into(out, (act(b1, x) * act(b2, y)).terms, c)
+        return _element(self.action.A, out)
 
     def star(self, sa, sb):
         """Deformed product of two algebra-element series."""
@@ -680,14 +655,14 @@ class StarProduct:
             sb = constant_series(sb, self.order)
         out = []
         for n in range(self.order + 1):
-            acc = A.zero()
+            acc = {}
             for k in range(n + 1):
                 for i in range(n - k + 1):
                     x, y = sa.coeffs[i], sb.coeffs[n - k - i]
                     if not x or not y:
                         continue
-                    acc = acc + self._pair(k, x, y)
-            out.append(acc)
+                    add_into(acc, self._pair(k, x, y).terms)
+            out.append(_element(A, acc))
         return TruncSeries(out)
 
 
@@ -775,14 +750,14 @@ class HochschildCochain:
         return self._cache[keys]
 
     def evaluate(self, *elems):
-        out = self.parent.zero()
+        out = {}
         for combo in itertools.product(*(e.terms.items() for e in elems)):
             keys = tuple(k for k, _ in combo)
             c = QQ(1)
             for _, ci in combo:
                 c *= ci
-            out = out + self.on_keys(*keys).scale(c)
-        return out
+            add_into(out, self.on_keys(*keys).terms, c)
+        return _element(self.parent, out)
 
     def __sub__(self, other):
         if other.parent is not self.parent or other.degree != self.degree:
@@ -889,10 +864,10 @@ class PolynomialOperator1Cochain:
 
         def g(key):
             poly = Polynomial({key: QQ(1)})
-            out = Polynomial()
+            out = {}
             for mono, alpha, c in self.terms:
-                out = out + _apply_poly_operator(mono, alpha, poly).scale(c)
-            return AlgebraElement(A, dict(out.terms))
+                add_into(out, _apply_poly_operator(mono, alpha, poly).terms, c)
+            return _element(A, out)
 
         return HochschildCochain(A, 1, g)
 
@@ -929,12 +904,7 @@ def is_hochschild_coboundary(A, cochain, search_bound=2, coeff_degree=None):
         rhs_map = {}
 
         def put(eqkey, col, c):
-            row = rows.setdefault(eqkey, {})
-            s = row.get(col, QQ(0)) + c
-            if s:
-                row[col] = s
-            elif col in row:
-                del row[col]
+            add_term(rows.setdefault(eqkey, {}), col, c)
 
         for x in basis:
             for y in basis:
@@ -992,15 +962,6 @@ def is_hochschild_coboundary(A, cochain, search_bound=2, coeff_degree=None):
 
     rows = {}
     rhs_map = {}
-
-    def put(eqkey, col, c):
-        row = rows.setdefault(eqkey, {})
-        s = row.get(col, QQ(0)) + c
-        if s:
-            row[col] = s
-        elif col in row:
-            del row[col]
-
     pairs = []
     for x in A.basis_keys():
         for y in A.basis_keys():
@@ -1017,7 +978,7 @@ def is_hochschild_coboundary(A, cochain, search_bound=2, coeff_degree=None):
             gx = _apply_poly_operator(mono, alpha, px)
             delta = px * gy - gxy + gx * py
             for m, c in delta.terms.items():
-                put(((x, y), m), col, c)
+                add_term(rows.setdefault(((x, y), m), {}), col, c)
         for m, c in cochain.on_keys(x, y).terms.items():
             rhs_map[((x, y), m)] = c
 

@@ -21,11 +21,10 @@ Three generalizations of the twisting machinery live here.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .bialgebra import CutoffError, TensorElement
 from .deform import AlgebraElement, StarProduct, check_module_algebra
-from .kernel import QQ, TruncSeries, as_scalar
+from .kernel import QQ, SparseElement, TruncSeries, add_into, add_term, as_scalar
 from .linalg import ForwardSpan
 from .reports import CheckReport
 from .twist import (
@@ -136,12 +135,7 @@ class FreePAssAlgebra:
         def tree_vec(parts):
             vec = {}
             for tree, c in parts:
-                col = self._index[n][tree]
-                s = vec.get(col, QQ(0)) + c
-                if s:
-                    vec[col] = s
-                elif col in vec:
-                    del vec[col]
+                add_term(vec, self._index[n][tree], c)
             return vec
 
         seen_vecs = set()
@@ -254,16 +248,10 @@ class FreePAssAlgebra:
     def ternary(self, x, y, z):
         """The ternary product of three elements, reduced."""
         coords = {}
-        for tx, cx in x.coords.items():
-            for ty, cy in y.coords.items():
-                for tz, cz in z.coords.items():
-                    t = _node(tx, ty, tz, self.symmetric)
-                    c = cx * cy * cz
-                    s = coords.get(t, QQ(0)) + c
-                    if s:
-                        coords[t] = s
-                    elif t in coords:
-                        del coords[t]
+        for tx, cx in x.terms.items():
+            for ty, cy in y.terms.items():
+                for tz, cz in z.terms.items():
+                    add_term(coords, _node(tx, ty, tz, self.symmetric), cx * cy * cz)
         return PAssElement(self, coords)
 
     def structure_constants(self, t1, t2, t3):
@@ -273,7 +261,7 @@ class FreePAssAlgebra:
             self.element({t2: QQ(1)}),
             self.element({t3: QQ(1)}),
         )
-        return dict(prod.coords)
+        return dict(prod.terms)
 
     def tree_str(self, tree):
         if isinstance(tree, int):
@@ -300,10 +288,10 @@ def _compositions(total, parts):
     return out
 
 
-class PAssElement:
+class PAssElement(SparseElement):
     """A reduced element of the free pAss quotient, sparse on basis trees."""
 
-    __slots__ = ("parent", "coords")
+    __slots__ = ("parent",)
 
     def __init__(self, parent, coords):
         cleaned = {}
@@ -312,66 +300,35 @@ class PAssElement:
             if c:
                 cleaned[t] = c
         self.parent = parent
-        self.coords = parent.reduce_coords(cleaned) if cleaned else {}
+        self.terms = parent.reduce_coords(cleaned) if cleaned else {}
 
-    def __bool__(self):
-        return bool(self.coords)
+    def _like(self, terms):
+        el = PAssElement.__new__(PAssElement)
+        el.parent, el.terms = self.parent, terms
+        return el
 
     def __eq__(self, other):
         if isinstance(other, int) and other == 0:
-            return not self.coords
+            return not self.terms
         return (
             isinstance(other, PAssElement)
             and self.parent is other.parent
-            and self.coords == other.coords
+            and self.terms == other.terms
         )
-
-    def __add__(self, other):
-        out = dict(self.coords)
-        for t, c in other.coords.items():
-            s = out.get(t, QQ(0)) + c
-            if s:
-                out[t] = s
-            elif t in out:
-                del out[t]
-        el = PAssElement.__new__(PAssElement)
-        el.parent, el.coords = self.parent, out
-        return el
-
-    def __neg__(self):
-        el = PAssElement.__new__(PAssElement)
-        el.parent = self.parent
-        el.coords = {t: -c for t, c in self.coords.items()}
-        return el
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = as_scalar(c)
-        el = PAssElement.__new__(PAssElement)
-        el.parent = self.parent
-        el.coords = {t: c * v for t, v in self.coords.items()} if c else {}
-        return el
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def zero_like(self):
         return self.parent.zero()
 
     def leaf_counts(self):
-        return sorted({_leaves(t) for t in self.coords})
+        return sorted({_leaves(t) for t in self.terms})
 
     def render(self):
-        if not self.coords:
+        if not self.terms:
             return "0"
         P = self.parent
         bits = []
-        for t in sorted(self.coords, key=_tree_key):
-            c = self.coords[t]
+        for t in sorted(self.terms, key=_tree_key):
+            c = self.terms[t]
             name = P.tree_str(t)
             if c == 1:
                 bits.append(name)
@@ -433,10 +390,10 @@ class TernaryDerivation:
         return out
 
     def apply(self, elem):
-        out = self.parent.zero()
-        for t, c in elem.coords.items():
-            out = out + self.apply_tree(t).scale(c)
-        return out
+        out = {}
+        for t, c in elem.terms.items():
+            add_into(out, self.apply_tree(t).terms, c)
+        return self.parent.zero()._like(out)
 
     def commutes_with(self, other):
         P = self.parent
@@ -539,10 +496,10 @@ class TwistedTernaryProduct:
     def _triple(self, k, x, y, z):
         P = self.action.algebra
         act = self.action.apply_key
-        out = P.zero()
+        out = {}
         for c, b1, b2, b3 in self.terms[k]:
-            out = out + P.ternary(act(b1, x), act(b2, y), act(b3, z)).scale(c)
-        return out
+            add_into(out, P.ternary(act(b1, x), act(b2, y), act(b3, z)).terms, c)
+        return P.zero()._like(out)
 
     def product(self, sa, sb, sc):
         """Deformed product of three element series, truncated."""
@@ -555,7 +512,7 @@ class TwistedTernaryProduct:
             sc = constant_series(sc, self.order)
         out = []
         for n in range(self.order + 1):
-            acc = P.zero()
+            acc = {}
             for k in range(n + 1):
                 for i in range(n - k + 1):
                     for j in range(n - k - i + 1):
@@ -564,8 +521,8 @@ class TwistedTernaryProduct:
                         z = sc.coeffs[n - k - i - j]
                         if not x or not y or not z:
                             continue
-                        acc = acc + self._triple(k, x, y, z)
-            out.append(acc)
+                        add_into(acc, self._triple(k, x, y, z).terms)
+            out.append(P.zero()._like(acc))
         return TruncSeries(out)
 
 
@@ -696,10 +653,10 @@ class AlgebraMorphism:
         return out
 
     def apply(self, elem):
-        out = self.target.zero()
+        out = {}
         for k, c in elem.terms.items():
-            out = out + self.apply_key(k).scale(c)
-        return out
+            add_into(out, self.apply_key(k).terms, c)
+        return self.target.zero()._like(out)
 
     def apply_series(self, s):
         return s.map_coeffs(self.apply)
@@ -947,13 +904,13 @@ def h_twisted_series(sa, arrow, src, G, order):
     """h(G .) applied to an algebra-element series, order by order."""
     out = []
     for n in range(order + 1):
-        acc = arrow.h.target.zero()
+        acc = {}
         for k in range(n + 1):
             x = sa.coeffs[n - k]
             if not x:
                 continue
-            acc = acc + arrow.h.apply(src.action.apply_element(G.coeffs[k], x))
-        out.append(acc)
+            add_into(acc, arrow.h.apply(src.action.apply_element(G.coeffs[k], x)).terms)
+        out.append(arrow.h.target.zero()._like(acc))
     return TruncSeries(out)
 
 

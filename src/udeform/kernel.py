@@ -1,14 +1,26 @@
 """Exact scalar, polynomial, and truncated-power-series arithmetic.
 
 Everything here is exact: scalars are arbitrary-precision rationals, and no
-operation ever stores a zero coefficient or an unreduced fraction.  The series
-layer is generic over its coefficient space -- any objects with +, -, * and
-scalar multiplication by Fraction will do (rationals, polynomials, tensors),
-so one code path serves scalar series and tensor-valued series alike.
+operation ever stores a zero coefficient or an unreduced fraction.
+
+There is one representation of a sparse linear combination in the package: a
+dict basis key -> nonzero Fraction.  `add_term` and `add_into` are the one
+accumulator over it; they update a dict in place and drop every coefficient
+that reaches zero.  `SparseElement` wraps such a dict as `terms` and supplies
+the linear structure (+, -, negation, scaling) once; `Polynomial` here and the
+tensor, algebra and pAss elements elsewhere subclass it and add only their own
+product, equality, hashing and rendering.  The linear algebra in `linalg` runs
+on the same dicts with the same accumulator.
+
+The series layer is generic over its coefficient space -- any objects with
++, -, * and scalar multiplication by Fraction will do (rationals, polynomials,
+tensors), so one code path serves scalar series and tensor-valued series
+alike.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 QQ = Fraction
@@ -17,9 +29,14 @@ __all__ = [
     "QQ",
     "Monomial",
     "Polynomial",
+    "SparseElement",
     "TruncSeries",
+    "add_into",
+    "add_term",
     "series_bilinear",
 ]
+
+MINUS_ONE = QQ(-1)
 
 
 def as_scalar(x):
@@ -31,6 +48,103 @@ def as_scalar(x):
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError("not an exact scalar: %r" % (x,))
+
+
+# ---------------------------------------------------------------------------
+# sparse linear combinations
+# ---------------------------------------------------------------------------
+
+def add_term(acc, key, c):
+    """acc[key] += c in place; a zero is never stored."""
+    old = acc.get(key)
+    if old is None:
+        if c:
+            acc[key] = c
+        return
+    c = old + c
+    if c:
+        acc[key] = c
+    else:
+        del acc[key]
+
+
+def add_into(acc, terms, c=1):
+    """acc += c * terms in place, both dicts key -> coefficient; returns acc.
+
+    Keys new to acc are appended in the order of terms, and a key whose sum
+    is zero is deleted, so the result equals (key order included) a fresh
+    copy of acc with the terms added one at a time.
+    """
+    if not c:
+        return acc
+    scaled = c != 1
+    get = acc.get
+    for key, x in terms.items():
+        if scaled:
+            x = c * x
+        old = get(key)
+        if old is None:
+            if x:
+                acc[key] = x
+            continue
+        x = old + x
+        if x:
+            acc[key] = x
+        else:
+            del acc[key]
+    return acc
+
+
+class SparseElement:
+    """A sparse linear combination: `terms` maps basis keys to nonzero Fractions.
+
+    The linear structure lives here once.  A subclass supplies `_like(terms)`,
+    which wraps a dict as a sibling of self (same class, parent and arity,
+    terms taken as given), and may extend `_check_mate`, which rejects a
+    summand from another space.  Instances are immutable once built.
+    """
+
+    __slots__ = ("terms",)
+
+    def _like(self, terms):
+        raise NotImplementedError
+
+    def _check_mate(self, other):
+        if type(other) is not type(self):
+            raise TypeError(
+                "cannot combine %s with %s"
+                % (type(self).__name__, type(other).__name__)
+            )
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        if not isinstance(other, SparseElement):
+            return NotImplemented
+        self._check_mate(other)
+        return self._like(add_into(dict(self.terms), other.terms))
+
+    def __sub__(self, other):
+        if not isinstance(other, SparseElement):
+            return NotImplemented
+        self._check_mate(other)
+        return self._like(add_into(dict(self.terms), other.terms, MINUS_ONE))
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = as_scalar(c)
+        return self._like({k: c * v for k, v in self.terms.items()} if c else {})
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
 
 
 # ---------------------------------------------------------------------------
@@ -115,26 +229,24 @@ class Monomial:
 ONE_MONOMIAL = Monomial()
 
 
-class Polynomial:
+class Polynomial(SparseElement):
     """Sparse multivariate polynomial with Fraction coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         cleaned = {}
         if terms:
             for mono, c in terms.items():
-                c = as_scalar(c)
                 if not isinstance(mono, Monomial):
                     mono = Monomial(mono)
-                if c:
-                    acc = cleaned.get(mono)
-                    c = c if acc is None else acc + c
-                    if c:
-                        cleaned[mono] = c
-                    elif mono in cleaned:
-                        del cleaned[mono]
+                add_term(cleaned, mono, as_scalar(c))
         self.terms = cleaned
+
+    def _like(self, terms):
+        p = Polynomial.__new__(Polynomial)
+        p.terms = terms
+        return p
 
     @staticmethod
     def constant(c):
@@ -145,18 +257,9 @@ class Polynomial:
     def variable(name):
         return Polynomial({Monomial({name: 1}): QQ(1)})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
     @property
     def degree(self):
         return max((m.degree for m in self.terms), default=0)
-
-    def constant_term(self):
-        return self.terms.get(ONE_MONOMIAL, QQ(0))
 
     def one_like(self):
         return Polynomial({ONE_MONOMIAL: QQ(1)})
@@ -164,54 +267,14 @@ class Polynomial:
     def zero_like(self):
         return Polynomial()
 
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, QQ(0)) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
-
-    def __neg__(self):
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = m1 * m2
-                s = out.get(m, QQ(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
-
-    def __rmul__(self, other):
-        if isinstance(other, (Fraction, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c):
-        c = as_scalar(c)
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {} if not c else {m: c * v for m, v in self.terms.items()}
-        return p
+                add_term(out, m1 * m2, c1 * c2)
+        return self._like(out)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -222,7 +285,8 @@ class Polynomial:
         return hash(frozenset(self.terms.items()))
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("polynomial powers need an int exponent >= 0")
         out = Polynomial.constant(1)
         base = self
         while n:
@@ -234,7 +298,7 @@ class Polynomial:
 
     def substitute_linear(self, images):
         """Substitute each variable by a Polynomial (e.g. u1 -> u1 + u2)."""
-        out = Polynomial()
+        out = {}
         for mono, c in self.terms.items():
             term = Polynomial.constant(c)
             for name, e in mono.exps:
@@ -242,8 +306,8 @@ class Polynomial:
                 if img is None:
                     img = Polynomial.variable(name)
                 term = term * img ** e
-            out = out + term
-        return out
+            add_into(out, term.terms)
+        return self._like(out)
 
     def partial(self, name):
         """Exact partial derivative with respect to one variable."""
@@ -257,15 +321,8 @@ class Polynomial:
                 del d[name]
             else:
                 d[name] = e - 1
-            m = Monomial(d)
-            s = out.get(m, QQ(0)) + c * e
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+            add_term(out, Monomial(d), c * e)
+        return self._like(out)
 
     def __repr__(self):
         if not self.terms:
@@ -360,30 +417,11 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._require_same_order(other)
-        n = self.order
-        out = []
-        for k in range(n + 1):
-            acc = None
-            for i in range(k + 1):
-                a, b = self.coeffs[i], other.coeffs[k - i]
-                if _is_zero(a) or _is_zero(b):
-                    continue
-                term = a * b
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = self.coeffs[0] * other.coeffs[0]
-                acc = acc - acc  # typed zero
-            out.append(acc)
-        return TruncSeries(out)
+        return series_bilinear(operator.mul, self, other)
 
     def scale(self, c):
         c = as_scalar(c)
         return TruncSeries([c * a for a in self.coeffs])
-
-    def shift(self, k):
-        """Multiply by t^k, truncating."""
-        zero = self.coeffs[0] - self.coeffs[0]
-        return TruncSeries(([zero] * k + list(self.coeffs))[: self.order + 1])
 
     def map_coeffs(self, fn):
         return TruncSeries([fn(a) for a in self.coeffs])

@@ -1,35 +1,24 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts column-index -> Fraction with no stored zeros; matrices are
-lists of such rows.  Elimination pivots on the smallest available column
-index, so echelon forms, ranks, kernels and representatives are deterministic
-functions of the input order -- required for reproducible reports.
+Vectors are the package's one sparse representation, dicts column-index ->
+nonzero Fraction (see `kernel`); matrices are lists of such rows.  Every
+elimination step is `kernel.add_into`, updating a row in place.  Elimination
+pivots on the smallest available column index, so echelon forms, ranks,
+kernels and representatives are deterministic functions of the input order --
+required for reproducible reports.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-QQ = Fraction
-
-
-def vec_add(u, v, c=QQ(1)):
-    """u + c*v as sparse dicts."""
-    out = dict(u)
-    for j, x in v.items():
-        s = out.get(j, QQ(0)) + c * x
-        if s:
-            out[j] = s
-        elif j in out:
-            del out[j]
-    return out
-
-def vec_scale(u, c):
-    return {j: c * x for j, x in u.items()} if c else {}
+from .kernel import QQ, add_into
 
 
 class Echelon:
-    """Row-echelon accumulator with unit pivots and full back-substitution."""
+    """Row-echelon accumulator with unit pivots and full back-substitution.
+
+    Row dicts are owned by the accumulator and updated in place; callers
+    only read `rows`.
+    """
 
     def __init__(self):
         self.rows = {}  # pivot column -> reduced row (dict), row[pivot] == 1
@@ -39,29 +28,38 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, vec):
-        """Residual of vec modulo the row space (fully reduced)."""
+        """Residual of vec modulo the row space; its support avoids every
+        pivot column, so it is the canonical representative of the coset."""
         vec = dict(vec)
+        rows = self.rows
         while True:
             hit = None
             for j in vec:
-                if j in self.rows:
-                    if hit is None or j < hit:
-                        hit = j
+                if j in rows and (hit is None or j < hit):
+                    hit = j
             if hit is None:
                 return vec
-            vec = vec_add(vec, self.rows[hit], -vec[hit])
+            add_into(vec, rows[hit], -vec[hit])
+
+    def _new_row(self, vec):
+        """(pivot, unit-pivot residual row) of vec, or (None, None)."""
+        res = self.reduce(vec)
+        if not res:
+            return None, None
+        piv = min(res)
+        inv = 1 / res[piv]
+        return piv, {j: inv * x for j, x in res.items()}
 
     def add(self, vec):
         """Insert vec; returns the pivot column or None if dependent."""
-        res = self.reduce(vec)
-        if not res:
+        piv, row = self._new_row(vec)
+        if piv is None:
             return None
-        piv = min(res)
-        row = vec_scale(res, 1 / res[piv])
         # keep earlier rows fully reduced against the new pivot
-        for p, r in list(self.rows.items()):
-            if piv in r:
-                self.rows[p] = vec_add(r, row, -r[piv])
+        for r in self.rows.values():
+            c = r.get(piv)
+            if c:
+                add_into(r, row, -c)
         self.rows[piv] = row
         return piv
 
@@ -69,49 +67,19 @@ class Echelon:
         return not self.reduce(vec)
 
 
-class ForwardSpan:
+class ForwardSpan(Echelon):
     """Echelon without back-substitution; cheaper for large relation spans.
 
-    Residuals of `reduce` are still canonical coset representatives (their
-    support avoids every pivot column), so membership tests and quotient
-    coordinates are deterministic.
+    Each row's pivot is the smallest column of its support, so `reduce`
+    still returns the canonical coset representative, and ranks, pivots and
+    residuals agree with `Echelon` on the same input.
     """
 
-    def __init__(self):
-        self.rows = {}
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def reduce(self, vec):
-        vec = dict(vec)
-        while True:
-            hit = None
-            for j in vec:
-                if j in self.rows and (hit is None or j < hit):
-                    hit = j
-            if hit is None:
-                return vec
-            vec = vec_add(vec, self.rows[hit], -vec[hit])
-
     def add(self, vec):
-        res = self.reduce(vec)
-        if not res:
-            return None
-        piv = min(res)
-        self.rows[piv] = vec_scale(res, 1 / res[piv])
+        piv, row = self._new_row(vec)
+        if piv is not None:
+            self.rows[piv] = row
         return piv
-
-    def contains(self, vec):
-        return not self.reduce(vec)
-
-
-def rank(rows):
-    ech = Echelon()
-    for r in rows:
-        ech.add(r)
-    return ech.rank
 
 
 def kernel_basis(rows, ncols):
@@ -155,17 +123,6 @@ def solve(rows, rhs, ncols):
         if c:
             sol[p] = -c
     return sol
-
-
-def quotient_dimension(space_vectors, sub_vectors):
-    """dim(span(space) / span(sub)); sub must lie inside span(space)."""
-    ech = Echelon()
-    for v in sub_vectors:
-        ech.add(v)
-    sub_rank = ech.rank
-    for v in space_vectors:
-        ech.add(v)
-    return ech.rank - sub_rank
 
 
 def quotient_representatives(space_vectors, sub_vectors):

@@ -19,7 +19,7 @@ import itertools
 import random
 
 from .bialgebra import CutoffError, TensorElement, iterated_coproduct
-from .kernel import QQ
+from .kernel import QQ, add_term
 from .reports import CheckReport
 
 FLAVOR_MULTIPLICATIVE = "multiplicative"
@@ -82,13 +82,12 @@ def circ_B(u, i, v):
     B = u.parent
     if B is not v.parent:
         raise ValueError("operands live over different bialgebras")
-    out = B.zero(m + n - 1)
+    out = {}
     for keys, c in u.terms.items():
         mid = iterated_coproduct(B.element({keys[i - 1]: QQ(1)}), n - 1) * v
         for mkeys, mc in mid.terms.items():
-            term = keys[: i - 1] + mkeys + keys[i:]
-            out = out + TensorElement(B, m + n - 1, {term: c * mc})
-    return out
+            add_term(out, keys[: i - 1] + mkeys + keys[i:], c * mc)
+    return B.zero(m + n - 1)._like(out)
 
 
 def circ_b(u, i, v):

@@ -24,7 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bialgebra import TensorElement
-from .kernel import Monomial, Polynomial, QQ, TruncSeries, as_scalar, series_bilinear
+from .kernel import (
+    Monomial, Polynomial, QQ, TruncSeries, add_term, as_scalar, series_bilinear,
+)
 from .linalg import solve as linalg_solve
 from .operad import circ_B
 from .reports import CheckReport
@@ -164,10 +166,10 @@ class GaugeElement:
 
     def inverse(self):
         if self._inverse is None:
-            self._inverse = self.series.inverse()
-            assert (self.series * self._inverse) == constant_series(
-                self.parent.one(1), self.order
-            )
+            inverse = self.series.inverse()
+            if self.series * inverse != constant_series(self.parent.one(1), self.order):
+                raise AssertionError("gauge inverse is not an inverse; this is a bug")
+            self._inverse = inverse
         return self._inverse
 
 
@@ -431,10 +433,7 @@ def first_order_gauge(F1, F2, degree_bound=None):
     sol = linalg_solve(rows, rhs, len(columns))
     if sol is None:
         return None
-    g = B.zero(1)
-    for col, c in sol.items():
-        g = g + B.element({gamma_keys[col]: c})
-    return g
+    return B.element({gamma_keys[col]: c for col, c in sol.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +454,12 @@ def to_bivariate(F, names=("u1", "u2")):
         raise ValueError("the bivariate dictionary needs one primitive generator")
 
     def convert(te):
-        out = Polynomial()
+        out = {}
         for (k1, k2), c in te.terms.items():
             e1 = dict(k1.exps).get(B.spec.generators[0], 0)
             e2 = dict(k2.exps).get(B.spec.generators[0], 0)
-            out = out + Polynomial({Monomial({names[0]: e1, names[1]: e2}): c})
-        return out
+            add_term(out, Monomial({names[0]: e1, names[1]: e2}), c)
+        return Polynomial()._like(out)
 
     return s.map_coeffs(convert)
 

@@ -1,0 +1,60 @@
+"""A deliberately broken bialgebra for exercising the checkers' failure branches."""
+
+from udeform.bialgebra import Bialgebra
+
+
+class _CoproductOverride(Bialgebra):
+    """A bialgebra with the coproduct of selected basis keys replaced.
+
+    Deliberately breaks the axioms; used to exercise the failure branches of
+    the checkers (everything else delegates to the wrapped bialgebra).
+    """
+
+    def __init__(self, base, overrides):
+        super().__init__(base.spec, base.cutoff)
+        self._base = base
+        self._overrides = dict(overrides)
+
+    @property
+    def unit_key(self):
+        return self._base.unit_key
+
+    def degree(self, key):
+        return self._base.degree(key)
+
+    def product_keys(self, k1, k2):
+        return self._base.product_keys(k1, k2)
+
+    def counit_key(self, key):
+        self.require_counit()
+        return self._base.counit_key(key)
+
+    def basis_keys(self, max_degree):
+        return self._base.basis_keys(max_degree)
+
+    def generator_key(self, name):
+        return self._base.generator_key(name)
+
+    def key_str(self, key):
+        return self._base.key_str(key)
+
+    def parse_key(self, text):
+        return self._base.parse_key(text)
+
+    def key_sort_key(self, key):
+        return self._base.key_sort_key(key)
+
+    def _coproduct_key(self, key):
+        hit = self._overrides.get(key)
+        if hit is not None:
+            return hit
+        return self._base._coproduct_key(key)
+
+
+def with_coproduct_override(B, overrides):
+    """Copy of B whose Delta is replaced on the given basis keys.
+
+    overrides: dict basis-key -> dict (key, key) -> coefficient.  The result
+    generally violates coassociativity or multiplicativity; that is the point.
+    """
+    return _CoproductOverride(B, overrides)

@@ -190,7 +190,7 @@ def test_criterion_04_oracle_equivalence(
     ]
     ok = True
     for B, cutoff in cases:
-        rep = check_oracle_agreement(B, cutoff)
+        rep, _ = check_oracle_agreement(B, cutoff)
         ok = ok and rep.passed
     report_line(
         4,

@@ -14,8 +14,9 @@ from udeform.bialgebra import (
     permute_factors,
     slot_apply,
     tensor_multiply,
-    with_coproduct_override,
 )
+
+from coproduct_override import with_coproduct_override
 
 
 class TestConstruction:

@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -224,3 +225,107 @@ def test_product_table_text_alignment(tmp_path):
     import re
 
     assert re.search(r"p\s+\*\s+q\s+=", text)
+
+
+# ---------------------------------------------------------------------------
+# library errors become exit 2, never a traceback
+# ---------------------------------------------------------------------------
+
+def _run_error(job):
+    report, code = run(job)
+    doc = report.to_json()
+    assert code == 2 and doc["status"] == "error"
+    assert doc["error"]["location"]
+    return doc["error"]
+
+
+def test_bialgebra_cutoff_overflow_exits_two():
+    job = copy.deepcopy(emit_example("moyal"))
+    job["inputs"]["bialgebra"]["degree_cutoff"] = 1
+    error = _run_error(job)
+    assert "key p1^2 exceeds degree cutoff 1" in error["message"]
+
+
+def test_algebra_cutoff_overflow_exits_two():
+    job = copy.deepcopy(emit_example("quantum-plane"))
+    job["inputs"]["action"]["p1"]["partials"]["p"] = {"p^2": "1"}
+    error = _run_error(job)
+    assert "derivation output p^2*q^3 exceeds cutoff 4" in error["message"]
+
+
+def test_cobar_job_computes_h2_once(monkeypatch):
+    import udeform
+    from udeform import cobar
+
+    original = cobar.h2
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # replace h2 under every name a udeform module holds it by
+    for name, module in list(sys.modules.items()):
+        if name == "udeform" or name.startswith("udeform."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    assert udeform.h2 is counting
+    job = {
+        "command": "cobar-h2",
+        "inputs": {
+            "bialgebra": {"kind": "polynomial-primitive", "generators": ["p1", "p2"]}
+        },
+        "parameters": {"cobar_cutoff": 3},
+    }
+    report, code = run(job)
+    assert code == 0
+    assert report.data["total_dimension"] == 1
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# invariants are explicit raises, so they hold under python -O
+# ---------------------------------------------------------------------------
+
+def test_library_has_no_assert_statements():
+    import ast
+    import pathlib
+
+    import udeform
+
+    package = pathlib.Path(udeform.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            "%s:%d" % (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []
+
+
+def test_optimized_interpreter_gives_identical_report(tmp_path):
+    import os
+    import pathlib
+
+    import udeform
+
+    path = write_job(tmp_path, emit_example("moyal"))
+    env = dict(os.environ)
+    src = str(pathlib.Path(udeform.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "udeform.cli", "run", "--job", path,
+             "--format", "json"],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

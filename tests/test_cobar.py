@@ -163,7 +163,7 @@ class TestOracleAgreement:
     )
     def test_every_shipped_counital_kind(self, fixture, cutoff, request):
         B = request.getfixturevalue(fixture)
-        rep = check_oracle_agreement(B, cutoff)
+        rep, _ = check_oracle_agreement(B, cutoff)
         assert rep.passed, rep.render_text()
 
     def test_profiles_match_for_k2(self, B2):

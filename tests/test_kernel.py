@@ -8,8 +8,11 @@ from udeform.kernel import (
     Polynomial,
     QQ,
     TruncSeries,
+    add_into,
+    add_term,
     series_bilinear,
 )
+from udeform.linalg import Echelon, ForwardSpan
 
 
 def S(values, order):
@@ -182,3 +185,72 @@ class TestPolynomial:
         p = Polynomial.variable("p")
         one = Polynomial.constant(1)
         assert (p + one) ** 2 == p * p + p.scale(2) + one
+
+
+# ---------------------------------------------------------------------------
+# the in-place accumulator and the two elimination classes
+# ---------------------------------------------------------------------------
+
+coefficients = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+sparse_vectors = st.dictionaries(
+    st.integers(0, 5), coefficients.filter(bool), max_size=5
+)
+
+
+def naive_sum(acc, terms, c):
+    """A fresh copy of acc with c * terms added one term at a time."""
+    out = dict(acc)
+    for key, x in terms.items():
+        s = out.get(key, QQ(0)) + c * x
+        if s:
+            out[key] = s
+        elif key in out:
+            del out[key]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_vectors, st.lists(st.tuples(sparse_vectors, coefficients), max_size=5))
+def test_add_into_is_the_naive_sum_in_place(acc, summands):
+    got, expected = dict(acc), dict(acc)
+    for terms, c in summands:
+        assert add_into(got, terms, c) is got
+        expected = naive_sum(expected, terms, c)
+        # same items in the same order, and never a stored zero
+        assert list(got.items()) == list(expected.items())
+        assert all(got.values())
+    # a summand and its negative cancel to nothing
+    assert add_into(dict(got), got, QQ(-1)) == {}
+    assert add_into(dict(got), got) == naive_sum(got, got, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_vectors, st.lists(st.tuples(st.integers(0, 5), coefficients), max_size=8))
+def test_add_term_never_stores_zero(acc, updates):
+    expected = dict(acc)
+    for key, c in updates:
+        add_term(acc, key, c)
+        expected = naive_sum(expected, {key: c}, 1)
+        assert list(acc.items()) == list(expected.items())
+        assert all(acc.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(sparse_vectors, max_size=8),
+    st.lists(st.tuples(coefficients, coefficients), max_size=3),
+    st.lists(sparse_vectors, max_size=4),
+)
+def test_forward_span_agrees_with_echelon(rows, mixes, probes):
+    # append combinations of the first two rows so that dependent rows occur
+    if len(rows) >= 2:
+        for a, b in mixes:
+            rows.append(naive_sum(naive_sum({}, rows[0], a), rows[1], b))
+    full, forward = Echelon(), ForwardSpan()
+    for row in rows:
+        assert full.add(row) == forward.add(row)
+    assert full.rank == forward.rank
+    assert set(full.rows) == set(forward.rows)
+    for vec in rows + probes:
+        assert full.contains(vec) == forward.contains(vec)
+        assert full.reduce(vec) == forward.reduce(vec)

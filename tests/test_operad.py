@@ -4,7 +4,6 @@ from udeform.kernel import QQ
 from udeform.bialgebra import (
     CounitUnavailable,
     TensorElement,
-    with_coproduct_override,
 )
 from udeform.operad import (
     FLAVOR_ADDITIVE,
@@ -19,6 +18,7 @@ from udeform.operad import (
 )
 
 from conftest import antisym
+from coproduct_override import with_coproduct_override
 
 
 class TestMultiplicativeComposition:
