@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .kernel import (
     Monomial, ONE_MONOMIAL, QQ, SparseElement, add_into, add_term, as_scalar,
+    monomials,
 )
 from .reports import CheckReport
 
@@ -148,6 +149,12 @@ class Bialgebra:
     def generator_key(self, name):
         raise NotImplementedError
 
+    def split_key(self, key):
+        """(g, rest) with key = g * rest for a non-unit basis key, where g
+        names a generator (an element, for a finite monoid) and rest is a
+        basis key; an action of key is g acting after rest."""
+        raise NotImplementedError
+
     def key_str(self, key):
         raise NotImplementedError
 
@@ -255,19 +262,12 @@ class _MonomialBasisMixin:
             raise KeyError("unknown generator %r" % (name,))
         return Monomial({name: 1})
 
+    def split_key(self, key):
+        return key.split()
+
     def basis_keys(self, max_degree):
-        names = self.spec.generators
-        out = []
-        for deg in range(max_degree + 1):
-            batch = []
-            for combo in itertools.combinations_with_replacement(names, deg):
-                d = {}
-                for n in combo:
-                    d[n] = d.get(n, 0) + 1
-                batch.append(Monomial(d))
-            batch.sort(key=Monomial.sort_key)
-            out.extend(batch)
-        return out
+        keys = monomials(self.spec.generators, max_degree)
+        return sorted(keys, key=Monomial.sort_key)
 
     def key_str(self, key):
         return repr(key)
@@ -353,6 +353,9 @@ class TensorPrimitiveBialgebra(Bialgebra):
 
     def generator_key(self, name):
         return (self.spec.generators.index(name),)
+
+    def split_key(self, key):
+        return self.spec.generators[key[0]], key[1:]
 
     def product_keys(self, k1, k2):
         return {self.check_cutoff(k1 + k2): QQ(1)}
@@ -457,6 +460,9 @@ class FiniteMonoidBialgebra(Bialgebra):
         if name not in self.elements:
             raise KeyError("unknown monoid element %r" % (name,))
         return name
+
+    def split_key(self, key):
+        return key, self.unit_name
 
     def product_keys(self, k1, k2):
         return {self._mul[(k1, k2)]: QQ(1)}

@@ -352,7 +352,7 @@ def run_deform(inputs, params):
     action = build_action(B, A, inputs["action"])
     F = parse_udf(B, inputs["udf"], order)
     rep_mod = check_module_algebra(action)
-    rep_assoc = check_associativity(F, action, cutoff=degree, order=order)
+    rep_assoc = check_associativity(F, action, cutoff=degree)
     table = []
     for k1 in A.basis_keys():
         for k2 in A.basis_keys():
@@ -393,8 +393,13 @@ def run_hochschild(inputs, params):
     A = build_algebra(inputs["algebra"])
     action = build_action(B, A, inputs["action"])
     F = parse_udf(B, inputs["udf"], order)
+    if order < 1:
+        raise JobError("parameters.order", "the order-t layer needs order >= 1")
     cutoff = getattr(A, "cutoff", 0) or 0
-    cochain = infinitesimal_cocycle(F, action, cutoff=cutoff)
+    try:
+        cochain = infinitesimal_cocycle(F, action, cutoff=cutoff)
+    except ValueError as exc:
+        raise JobError("inputs.udf", str(exc))
     report = CheckReport("infinitesimal layer")
     report.add("order-t cochain is a Hochschild cocycle", True)
     is_zero, zero_witness = cochain.zero_witness(cutoff)
@@ -448,7 +453,7 @@ def run_ternary(inputs, params):
         for pgen, terms in img_doc.items():
             coords = {}
             for i, term in enumerate(terms):
-                tree = _tree_from_doc(term["tree"], "%s.%s[%d]" % (loc, pgen, i))
+                tree = _tree_from_doc(term.get("tree"), "%s.%s[%d]" % (loc, pgen, i))
                 tree = _tree_to_indices(tree, P.generators, loc)
                 add_term(coords, tree, _scalar(term.get("coeff", "1"), loc))
             gen_images[pgen] = P.element(coords)
@@ -558,6 +563,8 @@ def run_diagram(inputs, params):
     outcomes = {"compat": rep_compat.passed}
     data = {}
     if "triple" in inputs:
+        if not D.arrows:
+            raise JobError("inputs.diagram.arrows", "a twisting triple needs an arrow")
         first_arrow = D.arrows[0]
         B1 = D.nodes[first_arrow.src].bialgebra
         tdoc = inputs["triple"]
@@ -575,7 +582,11 @@ def run_diagram(inputs, params):
         data["image_check"]["degree"] = inputs.get("image_degree", params["degree"])
     if "literal_action_variant" in inputs:
         var_doc = inputs["literal_action_variant"]
-        node_name = var_doc["node"]
+        node_name = var_doc.get("node")
+        if node_name not in D.nodes:
+            raise JobError(
+                "inputs.literal_action_variant.node", "unknown node %r" % (node_name,)
+            )
         base = D.nodes[node_name]
         variant_action = build_action(
             base.bialgebra,

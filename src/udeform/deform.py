@@ -7,7 +7,13 @@ B.  A twisting element F then deforms the product of A by
 
     a * b = mu_A( F (a @ b) ),
 
-computed order by order in t.  The infinitesimal layer extracts the t^1
+computed order by order in t.  There is one action layer, `KeyAction`: a
+B-basis key b = g * rest acts on a basis element a of the target as
+g(rest . a), each (b, a) is computed once and tabulated, and every action
+is the linear extension over that table.  The binary `ModuleAction` here
+and the ternary action of the `generalized` module share it, and every
+twisted product (`TwistedProduct`) is one `series_multilinear` over the
+twist series and its arguments.  The infinitesimal layer extracts the t^1
 Hochschild 2-cochain of a deformation, decides coboundary-ness inside a
 declared finite search space, and computes the wedge obstruction for pairs
 of derivations on free polynomial algebras.
@@ -16,6 +22,7 @@ of derivations on free polynomial algebras.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from .bialgebra import CutoffError
@@ -29,6 +36,8 @@ from .kernel import (
     add_into,
     add_term,
     as_scalar,
+    monomials,
+    series_multilinear,
 )
 from .linalg import solve as linalg_solve
 from .reports import CheckReport
@@ -56,6 +65,11 @@ class AlgebraSpec:
 
     def key_str(self, key):
         raise NotImplementedError
+
+    def generator_elements(self):
+        """Elements generating A as an algebra: the basis, unless a kind
+        knows a smaller set."""
+        return [self.element({k: QQ(1)}) for k in self.basis_keys()]
 
     def zero(self):
         return AlgebraElement(self, {})
@@ -96,20 +110,13 @@ class PolynomialTruncatedAlgebra(AlgebraSpec):
 
     def basis_keys(self, max_degree=None):
         top = self.cutoff if max_degree is None else min(max_degree, self.cutoff)
-        out = []
-        for deg in range(top + 1):
-            batch = []
-            for combo in itertools.combinations_with_replacement(self.variables, deg):
-                d = {}
-                for n in combo:
-                    d[n] = d.get(n, 0) + 1
-                batch.append(Monomial(d))
-            batch.sort(key=Monomial.sort_key)
-            out.extend(batch)
-        return out
+        return sorted(monomials(self.variables, top), key=Monomial.sort_key)
 
     def key_str(self, key):
         return repr(key)
+
+    def generator_elements(self):
+        return [self.variable(v) for v in self.variables]
 
     def variable(self, name):
         if name not in self.variables:
@@ -271,20 +278,40 @@ class AlgebraElement(SparseElement):
 # operators: derivations and endomorphisms
 # ---------------------------------------------------------------------------
 
-def _partial_monomial(key, name, parent):
-    """d/d(name) of a basis monomial as an AlgebraElement."""
-    d = dict(key.exps)
-    e = d.get(name, 0)
-    if not e:
-        return parent.zero()
-    if e == 1:
-        del d[name]
-    else:
-        d[name] = e - 1
-    return AlgebraElement(parent, {Monomial(d): QQ(e)})
+def _as_element(A, x):
+    return x if isinstance(x, AlgebraElement) else A.element(x)
 
 
-class Derivation:
+def _basis_images(A, data):
+    """Images of every basis element of a finite-dimensional A as elements;
+    zero where `data` names none."""
+    return {name: _as_element(A, data.get(name, A.zero())) for name in A.basis}
+
+
+class Operator:
+    """A linear operator on an algebra (`parent`), applied by `apply`.
+
+    Derivations and endomorphisms are fixed by their values on generators,
+    and so is the commutator of two of them, so commutation is tested on
+    the generators only.
+    """
+
+    def commutes_with(self, other):
+        """Exact commutation test on the generators of the algebra."""
+        return all(
+            self.apply(other.apply(x)) == other.apply(self.apply(x))
+            for x in self.parent.generator_elements()
+        )
+
+
+def require_commuting(ops, message):
+    """Raise ValueError(message) unless the operators commute pairwise."""
+    for op1, op2 in itertools.combinations(ops, 2):
+        if not op1.commutes_with(op2):
+            raise ValueError(message)
+
+
+class Derivation(Operator):
     """A derivation of A; the Leibniz rule is verified at construction.
 
     Polynomial kind: a polynomial coefficient per partial derivative
@@ -308,67 +335,40 @@ class Derivation:
                     self.coeffs[name] = poly
         elif isinstance(A, FiniteDimensionalAlgebra):
             self.kind = "matrix"
-            self.images = {}
-            for name in A.basis:
-                img = data.get(name, A.zero())
-                if not isinstance(img, AlgebraElement):
-                    img = A.element(img)
-                self.images[name] = img
+            self.images = _basis_images(A, data)
             self._verify_leibniz()
         else:
             raise ValueError("unsupported algebra kind for derivations")
 
     def _verify_leibniz(self):
         A = self.parent
-        for x in A.basis_keys():
-            ex = A.element({x: QQ(1)})
-            for y in A.basis_keys():
-                ey = A.element({y: QQ(1)})
-                if self.apply(ex * ey) != self.apply(ex) * ey + ex * self.apply(ey):
-                    raise ValueError(
-                        "Leibniz rule fails at (%s, %s)" % (A.key_str(x), A.key_str(y))
-                    )
+        for x, y in itertools.product(A.basis_keys(), repeat=2):
+            ex, ey = A.element({x: QQ(1)}), A.element({y: QQ(1)})
+            if self.apply(ex * ey) != self.apply(ex) * ey + ex * self.apply(ey):
+                raise ValueError(
+                    "Leibniz rule fails at (%s, %s)" % (A.key_str(x), A.key_str(y))
+                )
 
     def apply_key(self, key):
         A = self.parent
-        if self.kind == "polynomial":
-            out = {}
-            for name, coeff in self.coeffs.items():
-                part = _partial_monomial(key, name, A)
-                if not part:
-                    continue
-                for mono, c in coeff.terms.items():
-                    for k2, c2 in part.terms.items():
-                        prod = mono * k2
-                        if prod.degree > A.cutoff:
-                            raise CutoffError(
-                                "derivation output %s exceeds cutoff %d"
-                                % (prod, A.cutoff)
-                            )
-                        add_term(out, prod, c * c2)
-            return _element(A, out)
-        return self.images[key]
+        if self.kind != "polynomial":
+            return self.images[key]
+        single = Polynomial({key: QQ(1)})
+        out = {}
+        for name, coeff in self.coeffs.items():
+            for mono, c in (coeff * single.partial(name)).terms.items():
+                if mono.degree > A.cutoff:
+                    raise CutoffError(
+                        "derivation output %s exceeds cutoff %d" % (mono, A.cutoff)
+                    )
+                add_term(out, mono, c)
+        return _element(A, out)
 
     def apply(self, elem):
-        out = {}
-        for k, c in elem.terms.items():
-            add_into(out, self.apply_key(k).terms, c)
-        return _element(self.parent, out)
-
-    def commutes_with(self, other):
-        """Exact commutation test on the generators (sufficient for derivations)."""
-        A = self.parent
-        if self.kind == "polynomial":
-            probes = [A.variable(v) for v in A.variables]
-        else:
-            probes = [A.element({k: QQ(1)}) for k in A.basis_keys()]
-        for x in probes:
-            if self.apply(other.apply(x)) != other.apply(self.apply(x)):
-                return False
-        return True
+        return elem.map_terms(self.apply_key)
 
 
-class AlgebraEndomorphism:
+class AlgebraEndomorphism(Operator):
     """A unital algebra endomorphism of A, for monoid-bialgebra actions."""
 
     def __init__(self, A, data):
@@ -378,19 +378,12 @@ class AlgebraEndomorphism:
             self.var_images = {}
             for name in A.variables:
                 img = data.get(name)
-                if img is None:
-                    img = A.variable(name)
-                if not isinstance(img, AlgebraElement):
-                    img = A.element(img)
-                self.var_images[name] = img
+                self.var_images[name] = (
+                    A.variable(name) if img is None else _as_element(A, img)
+                )
         elif isinstance(A, FiniteDimensionalAlgebra):
             self.kind = "matrix"
-            self.images = {}
-            for name in A.basis:
-                img = data.get(name, A.zero())
-                if not isinstance(img, AlgebraElement):
-                    img = A.element(img)
-                self.images[name] = img
+            self.images = _basis_images(A, data)
             self._verify_morphism()
         else:
             raise ValueError("unsupported algebra kind for endomorphisms")
@@ -399,49 +392,70 @@ class AlgebraEndomorphism:
         A = self.parent
         if self.apply(A.one()) != A.one():
             raise ValueError("endomorphism does not fix the unit")
-        for x in A.basis_keys():
-            ex = A.element({x: QQ(1)})
-            for y in A.basis_keys():
-                ey = A.element({y: QQ(1)})
-                if self.apply(ex * ey) != self.apply(ex) * self.apply(ey):
-                    raise ValueError(
-                        "endomorphism is not multiplicative at (%s, %s)"
-                        % (A.key_str(x), A.key_str(y))
-                    )
+        for x, y in itertools.product(A.basis_keys(), repeat=2):
+            ex, ey = A.element({x: QQ(1)}), A.element({y: QQ(1)})
+            if self.apply(ex * ey) != self.apply(ex) * self.apply(ey):
+                raise ValueError(
+                    "endomorphism is not multiplicative at (%s, %s)"
+                    % (A.key_str(x), A.key_str(y))
+                )
 
     def apply_key(self, key):
-        A = self.parent
-        if self.kind == "polynomial":
-            out = A.one()
-            for name, e in key.exps:
-                img = self.var_images[name]
-                for _ in range(e):
-                    out = out * img
-            return out
-        return self.images[key]
+        if self.kind != "polynomial":
+            return self.images[key]
+        if key == ONE_MONOMIAL:
+            return self.parent.one()
+        name, rest = key.split()
+        return self.apply_key(rest) * self.var_images[name]
 
     def apply(self, elem):
-        out = {}
-        for k, c in elem.terms.items():
-            add_into(out, self.apply_key(k).terms, c)
-        return _element(self.parent, out)
-
-    def commutes_with(self, other):
-        A = self.parent
-        if self.kind == "polynomial":
-            probes = [A.variable(v) for v in A.variables]
-        else:
-            probes = [A.element({k: QQ(1)}) for k in A.basis_keys()]
-        return all(
-            self.apply(other.apply(x)) == other.apply(self.apply(x)) for x in probes
-        )
+        return elem.map_terms(self.apply_key)
 
 
 # ---------------------------------------------------------------------------
 # module actions
 # ---------------------------------------------------------------------------
 
-class ModuleAction:
+class KeyAction:
+    """B acting on a target algebra through one operator per generator of B.
+
+    `images` maps each generator name of B (each element, for a finite
+    monoid) to an operator with `apply`.  A basis key b = g * rest of B
+    (`Bialgebra.split_key`) acts on a basis element a of the target as
+    images[g](rest . a); each (b, a) is computed on first use and kept in a
+    table, and the action on an element is the linear extension over it.
+    Subclasses validate the images.
+    """
+
+    def __init__(self, B, images):
+        self.B = B
+        self.images = images
+        self._unit = B.unit_key
+        self._table = {}
+
+    def apply_key(self, bkey, elem):
+        """Action of a single B-basis key on an element of the target."""
+        if bkey == self._unit:
+            return elem
+        table = self._table
+
+        def image(akey):
+            hit = table.get((bkey, akey))
+            if hit is None:
+                g, rest = self.B.split_key(bkey)
+                basis = elem._like({akey: QQ(1)})
+                hit = self.images[g].apply(self.apply_key(rest, basis))
+                table[(bkey, akey)] = hit
+            return hit
+
+        return elem.map_terms(image)
+
+    def apply_element(self, belem, elem):
+        """Action of an arity-1 tensor over B, extended linearly."""
+        return belem.map_terms(lambda keys: self.apply_key(keys[0], elem), like=elem)
+
+
+class ModuleAction(KeyAction):
     """Assignment of B-generators to operators on A, inducing all of B.
 
     Validation is kind-dependent: polynomial-primitive needs pairwise
@@ -451,27 +465,19 @@ class ModuleAction:
     """
 
     def __init__(self, B, A, images):
-        self.B = B
+        super().__init__(B, dict(images))
         self.A = A
         kind = B.spec.kind
-        self.images = dict(images)
-        if kind == "polynomial-primitive":
+        if kind in ("polynomial-primitive", "tensor-primitive"):
             for name, op in self.images.items():
                 if not isinstance(op, Derivation):
                     raise ValueError("generator %r needs a derivation" % (name,))
             self._require_all_generators()
-            ops = [self.images[n] for n in B.spec.generators]
-            for i, op1 in enumerate(ops):
-                for op2 in ops[i + 1:]:
-                    if not op1.commutes_with(op2):
-                        raise ValueError(
-                            "derivations must commute for a polynomial-primitive action"
-                        )
-        elif kind == "tensor-primitive":
-            for name, op in self.images.items():
-                if not isinstance(op, Derivation):
-                    raise ValueError("generator %r needs a derivation" % (name,))
-            self._require_all_generators()
+            if kind == "polynomial-primitive":
+                require_commuting(
+                    [self.images[n] for n in B.spec.generators],
+                    "derivations must commute for a polynomial-primitive action",
+                )
         elif kind == "monoid":
             for name, op in self.images.items():
                 if not isinstance(op, AlgebraEndomorphism):
@@ -480,13 +486,10 @@ class ModuleAction:
                     )
             if B.spec.monoid_table is None:
                 self._require_all_generators()
-                ops = [self.images[n] for n in B.spec.generators]
-                for i, op1 in enumerate(ops):
-                    for op2 in ops[i + 1:]:
-                        if not op1.commutes_with(op2):
-                            raise ValueError(
-                                "endomorphisms must commute for a commutative monoid"
-                            )
+                require_commuting(
+                    [self.images[n] for n in B.spec.generators],
+                    "endomorphisms must commute for a commutative monoid",
+                )
             else:
                 for name in B.elements:
                     if name not in self.images:
@@ -496,18 +499,14 @@ class ModuleAction:
                     e = A.element({x: QQ(1)})
                     if unit_op.apply(e) != e:
                         raise ValueError("the monoid unit must act as the identity")
-                for x in B.elements:
-                    for y in B.elements:
-                        z = B.product_keys(x, y)
-                        (zkey,) = z
-                        for a in A.basis_keys():
-                            e = A.element({a: QQ(1)})
-                            lhs = self.images[x].apply(self.images[y].apply(e))
-                            rhs = self.images[zkey].apply(e)
-                            if lhs != rhs:
-                                raise ValueError(
-                                    "images are not multiplicative at (%s, %s)" % (x, y)
-                                )
+                ops = self.images
+                for x, y, a in itertools.product(B.elements, B.elements, A.basis_keys()):
+                    (z,) = B.product_keys(x, y)
+                    e = A.element({a: QQ(1)})
+                    if ops[x].apply(ops[y].apply(e)) != ops[z].apply(e):
+                        raise ValueError(
+                            "images are not multiplicative at (%s, %s)" % (x, y)
+                        )
         else:
             raise ValueError("no action support for bialgebra kind %r" % (kind,))
 
@@ -515,42 +514,6 @@ class ModuleAction:
         for name in self.B.spec.generators:
             if name not in self.images:
                 raise ValueError("missing image for generator %r" % (name,))
-
-    def operator_names(self):
-        return list(self.images)
-
-    def apply_key(self, bkey, elem):
-        """Action of a single B-basis key on an algebra element."""
-        B, kind = self.B, self.B.spec.kind
-        if kind in ("polynomial-primitive", "matrix-coordinate"):
-            out = elem
-            for name, e in bkey.exps:
-                op = self.images[name]
-                for _ in range(e):
-                    out = op.apply(out)
-            return out
-        if kind == "tensor-primitive":
-            out = elem
-            for idx in reversed(bkey):
-                out = self.images[B.spec.generators[idx]].apply(out)
-            return out
-        if kind == "monoid":
-            if B.spec.monoid_table is None:
-                out = elem
-                for name, e in bkey.exps:
-                    op = self.images[name]
-                    for _ in range(e):
-                        out = op.apply(out)
-                return out
-            return self.images[bkey].apply(elem)
-        raise AssertionError(kind)
-
-    def apply_element(self, belem, elem):
-        """Action of an arity-1 tensor over B, extended linearly."""
-        out = {}
-        for (bkey,), c in belem.terms.items():
-            add_into(out, self.apply_key(bkey, elem).terms, c)
-        return _element(self.A, out)
 
 
 def action_from_derivations(B, A, images):
@@ -580,30 +543,23 @@ def check_module_algebra(action, cutoff=None):
     akeys = A.basis_keys()
 
     bad = None
-    for bk in bkeys:
-        delta = B.coproduct_key(bk)
-        for k1 in akeys:
-            for k2 in akeys:
-                if cutoff is not None and A.degree(k1) + A.degree(k2) > cutoff:
-                    continue
-                e1, e2 = A.element({k1: QQ(1)}), A.element({k2: QQ(1)})
-                lhs = action.apply_key(bk, e1 * e2)
-                rhs = {}
-                for (b1, b2), c in delta.items():
-                    prod = action.apply_key(b1, e1) * action.apply_key(b2, e2)
-                    add_into(rhs, prod.terms, c)
-                rhs = _element(A, rhs)
-                if lhs != rhs:
-                    bad = {
-                        "b": B.key_str(bk),
-                        "pair": "%s , %s" % (A.key_str(k1), A.key_str(k2)),
-                        "lhs": lhs.render(),
-                        "rhs": rhs.render(),
-                    }
-                    break
-            if bad:
-                break
-        if bad:
+    for bk, k1, k2 in itertools.product(bkeys, akeys, akeys):
+        if cutoff is not None and A.degree(k1) + A.degree(k2) > cutoff:
+            continue
+        e1, e2 = A.element({k1: QQ(1)}), A.element({k2: QQ(1)})
+        lhs = action.apply_key(bk, e1 * e2)
+        rhs = {}
+        for (b1, b2), c in B.coproduct_key(bk).items():
+            prod = action.apply_key(b1, e1) * action.apply_key(b2, e2)
+            add_into(rhs, prod.terms, c)
+        rhs = _element(A, rhs)
+        if lhs != rhs:
+            bad = {
+                "b": B.key_str(bk),
+                "pair": "%s , %s" % (A.key_str(k1), A.key_str(k2)),
+                "lhs": lhs.render(),
+                "rhs": rhs.render(),
+            }
             break
     report.add("product is B-linear", bad is None, bad)
 
@@ -622,48 +578,46 @@ def check_module_algebra(action, cutoff=None):
 # twisted products
 # ---------------------------------------------------------------------------
 
-class StarProduct:
-    """The deformed product of one (F, action) pair, with F's terms unpacked."""
+class TwistedProduct:
+    """mu(F (x1 @ ... @ xm)) for an arity-m twist series F over B, acting on
+    the target through `action`; `multiply` is the m-ary product of the
+    target.  Subclasses check their twist and expose the product."""
+
+    def __init__(self, twist, action, multiply):
+        if twist.parent is not action.B:
+            raise ValueError("twist and action disagree on the bialgebra")
+        self.action = action
+        self.order = twist.order
+        self._multiply = multiply
+        # the twist series with each coefficient as its terms in basis order
+        self.terms = TruncSeries([c.sorted_terms() for c in twist.series.coeffs])
+
+    def _series(self, x):
+        return x if isinstance(x, TruncSeries) else constant_series(x, self.order)
+
+    def _value(self, terms, *elems):
+        """mu(T (x1 @ ... @ xm)) for one twist coefficient T, given as terms."""
+        act = self.action.apply_key
+        multiply = self._multiply
+        out = {}
+        for keys, c in terms:
+            add_into(out, multiply(*map(act, keys, elems)).terms, c)
+        return elems[0]._like(out)
+
+
+class StarProduct(TwistedProduct):
+    """The deformed product of one (F, action) pair."""
 
     def __init__(self, F, action):
         if not isinstance(F, UDF):
             raise ValueError("twisted products need a UDF")
-        if F.parent is not action.B:
-            raise ValueError("twist and action disagree on the bialgebra")
+        super().__init__(F, action, operator.mul)
         self.F = F
-        self.action = action
-        self.order = F.order
-        self.terms = []
-        for k in range(self.order + 1):
-            coeff = F.series.coeffs[k]
-            self.terms.append([(c, b1, b2) for (b1, b2), c in coeff.sorted_terms()])
-
-    def _pair(self, k, x, y):
-        """mu(F_k (x @ y)) for plain algebra elements x, y."""
-        act = self.action.apply_key
-        out = {}
-        for c, b1, b2 in self.terms[k]:
-            add_into(out, (act(b1, x) * act(b2, y)).terms, c)
-        return _element(self.action.A, out)
 
     def star(self, sa, sb):
         """Deformed product of two algebra-element series."""
-        A = self.action.A
-        if not isinstance(sa, TruncSeries):
-            sa = constant_series(sa, self.order)
-        if not isinstance(sb, TruncSeries):
-            sb = constant_series(sb, self.order)
-        out = []
-        for n in range(self.order + 1):
-            acc = {}
-            for k in range(n + 1):
-                for i in range(n - k + 1):
-                    x, y = sa.coeffs[i], sb.coeffs[n - k - i]
-                    if not x or not y:
-                        continue
-                    add_into(acc, self._pair(k, x, y).terms)
-            out.append(_element(A, acc))
-        return TruncSeries(out)
+        args = map(self._series, (sa, sb))
+        return series_multilinear(self._value, self.terms, *args)
 
 
 def twisted_product(F, action, a, b):
@@ -671,7 +625,7 @@ def twisted_product(F, action, a, b):
     return StarProduct(F, action).star(a, b)
 
 
-def check_associativity(F, action, cutoff=None, order=None):
+def check_associativity(F, action, cutoff=None):
     """(a*b)*c = a*(b*c) on basis triples within the cutoff, plus unitality.
 
     Reports localize the first failing t-order and the witness triple.
@@ -684,34 +638,25 @@ def check_associativity(F, action, cutoff=None, order=None):
 
     bad = None
     count = 0
-    for k1 in keys:
-        for k2 in keys:
-            for k3 in keys:
-                if A.degree(k1) + A.degree(k2) + A.degree(k3) > cutoff:
-                    continue
-                count += 1
-                x = A.element({k1: QQ(1)})
-                y = A.element({k2: QQ(1)})
-                z = A.element({k3: QQ(1)})
-                lhs = star.star(star.star(x, y), z)
-                rhs = star.star(x, star.star(y, z))
-                if lhs != rhs:
-                    failing = next(
-                        n
-                        for n in range(lhs.order + 1)
-                        if lhs.coeffs[n] != rhs.coeffs[n]
-                    )
-                    bad = {
-                        "triple": "(%s, %s, %s)"
-                        % (A.key_str(k1), A.key_str(k2), A.key_str(k3)),
-                        "first_failing_order": failing,
-                        "lhs": lhs.coeffs[failing].render(),
-                        "rhs": rhs.coeffs[failing].render(),
-                    }
-                    break
-            if bad:
-                break
-        if bad:
+    for k1, k2, k3 in itertools.product(keys, repeat=3):
+        if A.degree(k1) + A.degree(k2) + A.degree(k3) > cutoff:
+            continue
+        count += 1
+        x = A.element({k1: QQ(1)})
+        y = A.element({k2: QQ(1)})
+        z = A.element({k3: QQ(1)})
+        lhs = star.star(star.star(x, y), z)
+        rhs = star.star(x, star.star(y, z))
+        if lhs != rhs:
+            failing = next(
+                n for n in range(lhs.order + 1) if lhs.coeffs[n] != rhs.coeffs[n]
+            )
+            bad = {
+                "triple": "(%s, %s, %s)" % (A.key_str(k1), A.key_str(k2), A.key_str(k3)),
+                "first_failing_order": failing,
+                "lhs": lhs.coeffs[failing].render(),
+                "rhs": rhs.coeffs[failing].render(),
+            }
             break
     report.add("associativity on %d basis triples" % count, bad is None, bad)
 
@@ -810,19 +755,23 @@ def hochschild_differential(c):
 def infinitesimal_cocycle(F, action, cutoff=None):
     """The t^1 Hochschild 2-cochain mu_1(a,b) = mu(F_1(a@b)) of a UDF.
 
-    Its cocycle property is verified on basis triples within the cutoff.
+    Its cocycle property is verified on basis triples within the cutoff; a
+    failure means F is not a twist and raises ValueError.
     """
+    if F.order < 1:
+        raise ValueError("the order-t layer needs a twist of order >= 1")
     star = StarProduct(F, action)
     A = action.A
+    layer = star.terms.coeffs[1]
 
     def mu1(x, y):
-        return star._pair(1, A.element({x: QQ(1)}), A.element({y: QQ(1)}))
+        return star._value(layer, A.element({x: QQ(1)}), A.element({y: QQ(1)}))
 
     cochain = HochschildCochain(A, 2, mu1)
     bound = getattr(A, "cutoff", 0) or 0 if cutoff is None else cutoff
     ok, witness = hochschild_differential(cochain).zero_witness(bound)
     if not ok:
-        raise AssertionError(
+        raise ValueError(
             "the order-t layer of a UDF must be a Hochschild cocycle: %s" % witness
         )
     return cochain
@@ -831,14 +780,7 @@ def infinitesimal_cocycle(F, action, cutoff=None):
 # -- coboundary search -------------------------------------------------------
 
 def _multiindices(variables, max_order):
-    out = []
-    for total in range(max_order + 1):
-        for combo in itertools.combinations_with_replacement(variables, total):
-            d = {}
-            for v in combo:
-                d[v] = d.get(v, 0) + 1
-            out.append(tuple(sorted(d.items())))
-    return out
+    return [m.exps for m in monomials(variables, max_order)]
 
 
 def _apply_poly_operator(mono_coeff, alpha, poly):

@@ -8,6 +8,8 @@ passing job.
 
 from __future__ import annotations
 
+import copy
+
 SCHEMA_VERSION = "1"
 
 
@@ -210,4 +212,4 @@ def emit_example(name):
         raise KeyError(
             "unknown fixture %r (known: %s)" % (name, ", ".join(sorted(FIXTURES)))
         )
-    return FIXTURES[name]
+    return copy.deepcopy(FIXTURES[name])

@@ -23,8 +23,18 @@ from __future__ import annotations
 import itertools
 
 from .bialgebra import CutoffError, TensorElement
-from .deform import AlgebraElement, StarProduct, check_module_algebra
-from .kernel import QQ, SparseElement, TruncSeries, add_into, add_term, as_scalar
+from .deform import (
+    AlgebraElement,
+    KeyAction,
+    Operator,
+    StarProduct,
+    TwistedProduct,
+    check_module_algebra,
+    require_commuting,
+)
+from .kernel import (
+    ONE_MONOMIAL, QQ, SparseElement, add_term, as_scalar, series_multilinear,
+)
 from .linalg import ForwardSpan
 from .reports import CheckReport
 from .twist import (
@@ -206,6 +216,9 @@ class FreePAssAlgebra:
     def generator(self, name):
         return PAssElement(self, {self.generators.index(name): QQ(1)})
 
+    def generator_elements(self):
+        return [self.generator(name) for name in self.generators]
+
     def zero(self):
         return PAssElement(self, {})
 
@@ -351,7 +364,7 @@ def build_free_pass(generators, leaf_cutoff, symmetric):
 # ternary derivations and module actions
 # ---------------------------------------------------------------------------
 
-class TernaryDerivation:
+class TernaryDerivation(Operator):
     """A derivation for the ternary product: the three-slot Leibniz rule
 
         theta((a,b,c)) = (theta a, b, c) + (a, theta b, c) + (a, b, theta c)
@@ -390,29 +403,17 @@ class TernaryDerivation:
         return out
 
     def apply(self, elem):
-        out = {}
-        for t, c in elem.terms.items():
-            add_into(out, self.apply_tree(t).terms, c)
-        return self.parent.zero()._like(out)
-
-    def commutes_with(self, other):
-        P = self.parent
-        for idx in range(len(P.generators)):
-            g = P.element({idx: QQ(1)})
-            if self.apply(other.apply(g)) != other.apply(self.apply(g)):
-                return False
-        return True
+        return elem.map_terms(self.apply_tree)
 
 
-class TernaryAction:
+class TernaryAction(KeyAction):
     """B-generators acting by ternary derivations on a free pAss algebra."""
 
     def __init__(self, B, algebra, images):
         if B.spec.kind != "polynomial-primitive":
             raise ValueError("ternary actions ship for polynomial-primitive B")
-        self.B = B
+        super().__init__(B, {})
         self.algebra = algebra
-        self.images = {}
         for name in B.spec.generators:
             op = images.get(name)
             if op is None:
@@ -420,19 +421,10 @@ class TernaryAction:
             if not isinstance(op, TernaryDerivation):
                 op = TernaryDerivation(algebra, op)
             self.images[name] = op
-        ops = [self.images[n] for n in B.spec.generators]
-        for i, op1 in enumerate(ops):
-            for op2 in ops[i + 1:]:
-                if not op1.commutes_with(op2):
-                    raise ValueError("ternary derivations must commute")
-
-    def apply_key(self, bkey, elem):
-        out = elem
-        for name, e in bkey.exps:
-            op = self.images[name]
-            for _ in range(e):
-                out = op.apply(out)
-        return out
+        require_commuting(
+            [self.images[n] for n in B.spec.generators],
+            "ternary derivations must commute",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -477,53 +469,17 @@ def pass_udf(F):
     return TernaryTwist(h1)
 
 
-class TwistedTernaryProduct:
+class TwistedTernaryProduct(TwistedProduct):
     """The deformed ternary product (a,b,c) -> sum_i (H1_i a, H2_i b, H3_i c)."""
 
     def __init__(self, H, action):
-        if H.parent is not action.B:
-            raise ValueError("twist and action disagree on the bialgebra")
+        super().__init__(H, action, action.algebra.ternary)
         self.H = H
-        self.action = action
-        self.order = H.order
-        self.terms = []
-        for k in range(self.order + 1):
-            coeff = H.series.coeffs[k]
-            self.terms.append(
-                [(c, b1, b2, b3) for (b1, b2, b3), c in coeff.sorted_terms()]
-            )
-
-    def _triple(self, k, x, y, z):
-        P = self.action.algebra
-        act = self.action.apply_key
-        out = {}
-        for c, b1, b2, b3 in self.terms[k]:
-            add_into(out, P.ternary(act(b1, x), act(b2, y), act(b3, z)).terms, c)
-        return P.zero()._like(out)
 
     def product(self, sa, sb, sc):
         """Deformed product of three element series, truncated."""
-        P = self.action.algebra
-        if not isinstance(sa, TruncSeries):
-            sa = constant_series(sa, self.order)
-        if not isinstance(sb, TruncSeries):
-            sb = constant_series(sb, self.order)
-        if not isinstance(sc, TruncSeries):
-            sc = constant_series(sc, self.order)
-        out = []
-        for n in range(self.order + 1):
-            acc = {}
-            for k in range(n + 1):
-                for i in range(n - k + 1):
-                    for j in range(n - k - i + 1):
-                        x = sa.coeffs[i]
-                        y = sb.coeffs[j]
-                        z = sc.coeffs[n - k - i - j]
-                        if not x or not y or not z:
-                            continue
-                        add_into(acc, self._triple(k, x, y, z).terms)
-            out.append(P.zero()._like(acc))
-        return TruncSeries(out)
+        args = map(self._series, (sa, sb, sc))
+        return series_multilinear(self._value, self.terms, *args)
 
 
 def twisted_ternary(H, action, a, b, c):
@@ -645,21 +601,13 @@ class AlgebraMorphism:
             self.images[name] = img
 
     def apply_key(self, key):
-        out = self.target.one()
-        for name, e in key.exps:
-            img = self.images[name]
-            for _ in range(e):
-                out = out * img
-        return out
+        if key == ONE_MONOMIAL:
+            return self.target.one()
+        name, rest = key.split()
+        return self.apply_key(rest) * self.images[name]
 
     def apply(self, elem):
-        out = {}
-        for k, c in elem.terms.items():
-            add_into(out, self.apply_key(k).terms, c)
-        return self.target.zero()._like(out)
-
-    def apply_series(self, s):
-        return s.map_coeffs(self.apply)
+        return elem.map_terms(self.apply_key, like=self.target.zero())
 
 
 class BialgebraMorphism:
@@ -694,17 +642,10 @@ class BialgebraMorphism:
                     raise ValueError("images do not intertwine the counits at %r" % name)
 
     def apply_key(self, key):
-        src = self.source
-        out = self.target.one(1)
-        if src.spec.kind == "tensor-primitive":
-            for idx in key:
-                out = out * self.images[src.spec.generators[idx]]
-            return out
-        for name, e in key.exps:
-            img = self.images[name]
-            for _ in range(e):
-                out = out * img
-        return out
+        if key == self.source.unit_key:
+            return self.target.one(1)
+        name, rest = self.source.split_key(key)
+        return self.images[name] * self.apply_key(rest)
 
     def apply_tensor(self, T):
         return T.map_keys_linear(self.apply_key, self.target)
@@ -847,42 +788,28 @@ def diagram_twist_check(D, arrow_index, triple, order=None):
     star2 = StarProduct(F2, dst.action)
 
     def h_twisted(a):
-        ga = TruncSeries(
-            [src.action.apply_element(G.coeffs[k], a) for k in range(order + 1)]
-        )
-        return arrow.h.apply_series(ga)
+        return h_twisted_series(constant_series(a, order), arrow, src, G, order)
 
     bad = None
     keys = src.algebra.basis_keys()
     pair_bound = getattr(src.algebra, "cutoff", None)
-    for k1 in keys:
-        for k2 in keys:
-            if (
-                pair_bound is not None
-                and src.algebra.degree(k1) + src.algebra.degree(k2) > pair_bound
-            ):
-                continue
-            a = src.algebra.element({k1: QQ(1)})
-            b = src.algebra.element({k2: QQ(1)})
-            try:
-                left = h_twisted_series(star1.star(a, b), arrow, src, G, order)
-                right = star2.star(h_twisted(a), h_twisted(b))
-            except CutoffError as exc:
-                bad = {
-                    "pair": "%s , %s"
-                    % (src.algebra.key_str(k1), src.algebra.key_str(k2)),
-                    "error": str(exc),
-                }
-                break
-            if left != right:
-                failing = first_failing_order(left, right)
-                bad = {
-                    "pair": "%s , %s"
-                    % (src.algebra.key_str(k1), src.algebra.key_str(k2)),
-                    "first_failing_order": failing,
-                }
-                break
-        if bad:
+    for k1, k2 in itertools.product(keys, repeat=2):
+        if (
+            pair_bound is not None
+            and src.algebra.degree(k1) + src.algebra.degree(k2) > pair_bound
+        ):
+            continue
+        a = src.algebra.element({k1: QQ(1)})
+        b = src.algebra.element({k2: QQ(1)})
+        pair = "%s , %s" % (src.algebra.key_str(k1), src.algebra.key_str(k2))
+        try:
+            left = h_twisted_series(star1.star(a, b), arrow, src, G, order)
+            right = star2.star(h_twisted(a), h_twisted(b))
+        except CutoffError as exc:
+            bad = {"pair": pair, "error": str(exc)}
+            break
+        if left != right:
+            bad = {"pair": pair, "first_failing_order": first_failing_order(left, right)}
             break
     report.add("h(G .) is a morphism of twisted algebras", bad is None, bad)
 
@@ -901,17 +828,12 @@ def diagram_twist_check(D, arrow_index, triple, order=None):
 
 
 def h_twisted_series(sa, arrow, src, G, order):
-    """h(G .) applied to an algebra-element series, order by order."""
-    out = []
-    for n in range(order + 1):
-        acc = {}
-        for k in range(n + 1):
-            x = sa.coeffs[n - k]
-            if not x:
-                continue
-            add_into(acc, arrow.h.apply(src.action.apply_element(G.coeffs[k], x)).terms)
-        out.append(arrow.h.target.zero()._like(acc))
-    return TruncSeries(out)
+    """h(G .) applied to an algebra-element series of the given order."""
+    if sa.order != order:
+        raise ValueError("series of order %d, expected %d" % (sa.order, order))
+    return series_multilinear(
+        lambda g, x: arrow.h.apply(src.action.apply_element(g, x)), G, sa
+    )
 
 
 def morphism_image_check(D, arrow_index, triple, degree):

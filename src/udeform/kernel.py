@@ -20,6 +20,7 @@ alike.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction
 
@@ -33,7 +34,8 @@ __all__ = [
     "TruncSeries",
     "add_into",
     "add_term",
-    "series_bilinear",
+    "monomials",
+    "series_multilinear",
 ]
 
 MINUS_ONE = QQ(-1)
@@ -146,6 +148,17 @@ class SparseElement:
             return self.scale(other)
         return NotImplemented
 
+    def map_terms(self, image, like=None):
+        """The linear extension sum_k c_k image(k) over this element's terms.
+
+        `image(key)` returns a SparseElement; the sum is wrapped as a sibling
+        of `like` (default self), which names the space it lives in.
+        """
+        out = {}
+        for key, c in self.terms.items():
+            add_into(out, image(key).terms, c)
+        return (self if like is None else like)._like(out)
+
 
 # ---------------------------------------------------------------------------
 # sparse monomials and polynomials
@@ -202,6 +215,20 @@ class Monomial:
     def sort_key(self):
         return (self.degree, self.exps)
 
+    def split(self):
+        """(name, rest) with self = rest * name, name its last variable.
+
+        Acting by rest and then by name applies the variables in sorted
+        order, innermost first.
+        """
+        *head, (name, e) = self.exps
+        if e > 1:
+            head.append((name, e - 1))
+        rest = Monomial.__new__(Monomial)
+        rest.exps = tuple(head)
+        rest._hash = hash(rest.exps)
+        return name, rest
+
     def __repr__(self):
         if not self.exps:
             return "1"
@@ -227,6 +254,22 @@ class Monomial:
 
 
 ONE_MONOMIAL = Monomial()
+
+
+def monomials(names, max_degree):
+    """All monomials in `names` of total degree <= max_degree.
+
+    Degree by degree; within a degree in the order of
+    itertools.combinations_with_replacement over `names`.
+    """
+    out = []
+    for deg in range(max_degree + 1):
+        for combo in itertools.combinations_with_replacement(names, deg):
+            d = {}
+            for name in combo:
+                d[name] = d.get(name, 0) + 1
+            out.append(Monomial(d))
+    return out
 
 
 class Polynomial(SparseElement):
@@ -417,7 +460,7 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._require_same_order(other)
-        return series_bilinear(operator.mul, self, other)
+        return series_multilinear(operator.mul, self, other)
 
     def scale(self, c):
         c = as_scalar(c)
@@ -499,27 +542,31 @@ class TruncSeries:
         return " + ".join(bits) if bits else "0"
 
 
-def series_bilinear(fn, a, b):
-    """Extend a bilinear map over two series in the Cauchy pattern.
+def series_multilinear(fn, *series):
+    """Extend a multilinear map over series of one order in the Cauchy pattern.
 
-    Returns the series whose t^k slot is sum_{i+j=k} fn(a_i, b_j); used for
-    operadic compositions of series-valued tensors, which are bilinear but
-    not coefficientwise products.
+    Returns the series whose t^n slot is the sum of fn(a_i, b_j, ...) over
+    i + j + ... = n.  Only the nonzero slots of each series are visited, in
+    index order with the first series outermost; a slot that receives no
+    term holds the zero of fn's value space, taken from the t^0 slots.  Used
+    for products and for operadic compositions of series-valued tensors,
+    which are multilinear but not coefficientwise.
     """
-    if a.order != b.order:
+    n = series[0].order
+    if any(s.order != n for s in series):
         raise ValueError("truncation orders differ")
-    n = a.order
-    out = []
-    for k in range(n + 1):
-        acc = None
-        for i in range(k + 1):
-            x, y = a.coeffs[i], b.coeffs[k - i]
-            if _is_zero(x) or _is_zero(y):
-                continue
-            term = fn(x, y)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            probe = fn(a.coeffs[0], b.coeffs[0])
-            acc = probe - probe
-        out.append(acc)
-    return TruncSeries(out)
+    supports = [
+        [(i, c) for i, c in enumerate(s.coeffs) if not _is_zero(c)] for s in series
+    ]
+    slots = [None] * (n + 1)
+    for combo in itertools.product(*supports):
+        k = sum(i for i, _ in combo)
+        if k > n:
+            continue
+        term = fn(*(c for _, c in combo))
+        slots[k] = term if slots[k] is None else slots[k] + term
+    if any(x is None for x in slots):
+        probe = fn(*(s.coeffs[0] for s in series))
+        zero = probe - probe
+        slots = [zero if x is None else x for x in slots]
+    return TruncSeries(slots)

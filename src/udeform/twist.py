@@ -25,7 +25,8 @@ from fractions import Fraction
 
 from .bialgebra import TensorElement
 from .kernel import (
-    Monomial, Polynomial, QQ, TruncSeries, add_term, as_scalar, series_bilinear,
+    Monomial, Polynomial, QQ, TruncSeries, add_term, as_scalar,
+    series_multilinear,
 )
 from .linalg import solve as linalg_solve
 from .operad import circ_B
@@ -52,7 +53,7 @@ def series_from_orders(B, arity, order, coeffs):
 
 def series_outer(a, b):
     """Tensor-concatenation of two tensor-valued series (Cauchy pattern)."""
-    return series_bilinear(lambda x, y: x.outer(y), a, b)
+    return series_multilinear(lambda x, y: x.outer(y), a, b)
 
 def series_coproduct(s, slot):
     return s.map_coeffs(lambda c: c.apply_coproduct(slot))
@@ -65,7 +66,7 @@ def series_permute(s, sigma):
 
 def series_circ(a, i, b):
     """Multiplicative operadic composition extended over series (bilinear)."""
-    return series_bilinear(lambda x, y: circ_B(x, i, y), a, b)
+    return series_multilinear(lambda x, y: circ_B(x, i, y), a, b)
 
 def first_failing_order(a, b):
     """Index of the first differing coefficient of two series, or None."""

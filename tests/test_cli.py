@@ -329,3 +329,99 @@ def test_optimized_interpreter_gives_identical_report(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# no job document raises out of cli.run
+# ---------------------------------------------------------------------------
+
+def test_emit_example_returns_a_fresh_copy():
+    job = emit_example("moyal")
+    original = copy.deepcopy(job)
+    job["inputs"]["bialgebra"]["degree_cutoff"] = 1
+    del job["inputs"]["udf"]
+    assert emit_example("moyal") == original
+
+
+# the inputs each command cannot run without
+REQUIRED_INPUTS = {
+    "verify-twist": {"bialgebra", "udf"},
+    "operad-axioms": {"bialgebra"},
+    "deform": {"bialgebra", "algebra", "action", "udf"},
+    "cobar-h2": {"bialgebra"},
+    "hochschild": {"bialgebra", "algebra", "action", "udf"},
+    "ternary": {"bialgebra", "udf", "pass_algebra", "action"},
+    "interchange": {"bialgebra", "F1", "F2"},
+    "diagram": {"diagram"},
+}
+
+
+@pytest.mark.parametrize(
+    "name,key",
+    [
+        (name, key)
+        for name in sorted(FIXTURES)
+        for key in sorted(FIXTURES[name]["inputs"])
+    ],
+)
+def test_deleting_an_input_never_raises(name, key):
+    job = emit_example(name)
+    del job["inputs"][key]
+    report, code = run(job)
+    if key in REQUIRED_INPUTS[job["command"]]:
+        assert code == 2
+        assert report.error["location"] == "$.inputs"
+        assert repr(key) in report.error["message"]
+    else:
+        assert code in (0, 1, 2)
+
+
+def test_ternary_term_without_tree_exits_two():
+    job = emit_example("ternary-quantum-plane")
+    images = job["inputs"]["action"]["p1"]
+    pgen = sorted(images)[0]
+    del images[pgen][0]["tree"]
+    error = _run_error(job)
+    assert error["location"] == "inputs.action.p1.%s[0]" % pgen
+
+
+def test_diagram_triple_without_arrow_exits_two():
+    job = emit_example("diagram-power-map")
+    assert "triple" in job["inputs"]
+    job["inputs"]["diagram"]["arrows"] = []
+    job["inputs"].pop("literal_action_variant", None)
+    error = _run_error(job)
+    assert error["location"] == "inputs.diagram.arrows"
+
+
+def test_unknown_literal_variant_node_exits_two():
+    job = emit_example("diagram-power-map")
+    job["inputs"]["literal_action_variant"]["node"] = "no-such-node"
+    error = _run_error(job)
+    assert error["location"] == "inputs.literal_action_variant.node"
+
+
+def test_hochschild_at_order_zero_exits_two():
+    job = emit_example("nonsmooth-counterexample")
+    job["parameters"]["order"] = 0
+    error = _run_error(job)
+    assert error["location"] == "parameters.order"
+
+
+def test_hochschild_with_a_non_twist_exits_two():
+    # F = 1@1 + t p1@1: its order-t layer d(a) b is not a Hochschild cocycle
+    job = emit_example("nonsmooth-counterexample")
+    job["inputs"]["algebra"] = {
+        "kind": "polynomial-truncated", "variables": ["p", "q"], "degree_cutoff": 4,
+    }
+    job["inputs"]["action"] = {
+        "p1": {"type": "derivation", "partials": {"p": {"1": "1"}}},
+        "p2": {"type": "derivation", "partials": {"q": {"1": "1"}}},
+    }
+    job["inputs"]["udf"] = {"orders": [
+        [{"coeff": "1", "slots": ["1", "1"]}],
+        [{"coeff": "1", "slots": ["p1", "1"]}],
+    ]}
+    error = _run_error(job)
+    assert error["location"] == "inputs.udf"
+    assert "Hochschild cocycle" in error["message"]

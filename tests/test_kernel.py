@@ -10,7 +10,7 @@ from udeform.kernel import (
     TruncSeries,
     add_into,
     add_term,
-    series_bilinear,
+    series_multilinear,
 )
 from udeform.linalg import Echelon, ForwardSpan
 
@@ -140,9 +140,23 @@ def test_no_stored_zeros_or_unreduced_fractions(pair):
             assert isinstance(c, Fraction)  # always reduced, exact
 
 
-def test_series_bilinear_matches_product():
+def test_series_multilinear_matches_product():
     a, b = S([1, 2, 3], 2), S([4, 5, 6], 2)
-    assert series_bilinear(lambda x, y: x * y, a, b) == a * b
+    assert series_multilinear(lambda x, y: x * y, a, b) == a * b
+
+
+def test_series_multilinear_three_series_and_empty_slots():
+    a, b, c = S([1, 0, 3, 0], 3), S([0, 5, 0, 2], 3), S([2, 0, 0, 7], 3)
+    assert series_multilinear(lambda x, y, z: x * y * z, a, b, c) == (a * b) * c
+    # t^1 and t^3 receive no term: they hold the zero of the value space
+    p, q, zero = Polynomial.variable("p"), Polynomial.variable("q"), Polynomial()
+    sp = TruncSeries([p, zero, q, zero])
+    sq = TruncSeries([q, zero, zero, zero])
+    got = series_multilinear(lambda x, y, z: x * y * z, sp, sq, sp)
+    assert got == (sp * sq) * sp
+    for k in (1, 3):
+        assert isinstance(got.coeffs[k], Polynomial) and not got.coeffs[k]
+    assert got.coeffs[2] == p * q * q + q * q * p
 
 
 class TestPolynomial:
