@@ -61,23 +61,31 @@ def reduced_keys(B, max_degree):
     return [k for k in B.basis_keys(max_degree) if k != B.unit_key]
 
 
-def _counit_free(B, m):
-    """The arity-1 element m - eps(m)1."""
-    e = B.element({m: QQ(1)})
-    eps = B.counit_key(m)
-    if eps:
-        e = e - B.one(1).scale(eps)
-    return e
-
-
 def embed_reduced(B, coords, arity):
-    """Expand reduced coordinates into B^(@arity) via m -> m - eps(m)1."""
+    """Expand reduced coordinates into B^(@arity) via m -> m - eps(m)1.
+
+    Keys of `coords` have no unit slot.  Each slot of a key expands to m, and
+    to 1 with factor -eps(m) when eps(m) != 0; terms are accumulated key by
+    key with the first slot varying slowest, the order of the outer product
+    of the factors m - eps(m)1.
+    """
+    unit = B.unit_key
+    slots = {}  # key m -> its expansion ((m, 1),) or ((m, 1), (1, -eps(m)))
     out = {}
     for keys, c in coords.items():
-        piece = TensorElement(B, 0, {(): c})
+        choices = []
         for k in keys:
-            piece = piece.outer(_counit_free(B, k))
-        add_into(out, piece.terms)
+            choice = slots.get(k)
+            if choice is None:
+                eps = B.counit_key(k)
+                choice = slots[k] = ((k, 1), (unit, -eps)) if eps else ((k, 1),)
+            choices.append(choice)
+        for combo in itertools.product(*choices):
+            x = c
+            for _, f in combo:
+                if f != 1:
+                    x = x * f
+            add_term(out, tuple(k for k, _ in combo), x)
     return B.zero(arity)._like(out)
 
 
@@ -206,7 +214,7 @@ def _tuples_for_block(B, cutoff, label, arity, reduced):
 
 def _reduced_pair_coords(B, m):
     """Reduced coordinates of dbar(m - eps(m)1) as dict pair-of-keys -> c."""
-    return extract_reduced(reduced_diagonal(_counit_free(B, m)))
+    return extract_reduced(reduced_diagonal(embed_reduced(B, {(m,): QQ(1)}, 1)))
 
 
 class CobarComplex:

@@ -20,6 +20,7 @@ Three generalizations of the twisting machinery live here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .bialgebra import CutoffError, TensorElement
@@ -55,16 +56,22 @@ MAX_PUBLIC_LEAVES = 7
 
 TAU_1324 = (1, 3, 2, 4)
 
+# trees are immutable tuples, so their leaf counts and sort keys are memoized;
+# the bound keeps a long-lived process from growing without limit
+TREE_CACHE_SIZE = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # ternary trees and the free partially associative algebra
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=TREE_CACHE_SIZE)
 def _leaves(tree):
     if isinstance(tree, int):
         return 1
     return sum(_leaves(c) for c in tree)
 
+@functools.lru_cache(maxsize=TREE_CACHE_SIZE)
 def _tree_key(tree):
     if isinstance(tree, int):
         return (1, 0, tree)

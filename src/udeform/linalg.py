@@ -1,36 +1,92 @@
-"""Sparse exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the rationals, eliminated in the integers.
 
 Vectors are the package's one sparse representation, dicts column-index ->
-nonzero Fraction (see `kernel`); matrices are lists of such rows.  Every
-elimination step is `kernel.add_into`, updating a row in place.  Elimination
-pivots on the smallest available column index, so echelon forms, ranks,
-kernels and representatives are deterministic functions of the input order --
-required for reproducible reports.
+nonzero coefficient (see `kernel`); matrices are lists of such rows.
+
+`Echelon` stores each row as a primitive integer dict whose pivot entry is
+positive.  A rational input is first cleared by the lcm of its denominators;
+every elimination step is vec = (p/g) vec - (a/g) row with p the row's pivot
+entry, a the entry of vec in that column and g = gcd(p, a), and a new row is
+divided by its content before it is stored -- fraction-free elimination in
+the sense of Bareiss (Math. Comp. 22, 1968), with no `Fraction` arithmetic.
+
+`Echelon.add` does forward elimination only: the leading column of the
+incoming vector is cleared until it is no pivot, and no stored row changes.
+The one back-substitution pass, `Echelon.reduced_rows`, runs in place when a
+caller needs the reduced row echelon form (`kernel_basis`, `solve`);
+`Fraction`s are built only for the vectors handed back.
+
+Elimination pivots on the smallest available column index.  Pivot columns
+and the reduced row echelon form depend only on the row space, so echelon
+forms, ranks, kernels, solutions, residuals and representatives are the ones
+a `Fraction` Gauss-Jordan elimination in the same pivot order gives:
+deterministic functions of the input order, as reproducible reports need.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .kernel import QQ, add_into
+
+ONE = QQ(1)
+
+
+def _integral(vec):
+    """(integer dict, d): d * vec in the integers, d the lcm of denominators."""
+    terms = [(j, x.numerator, x.denominator) for j, x in vec.items()]
+    den = lcm(*[d for _, _, d in terms])
+    return {j: n * (den // d) for j, n, d in terms if n}, den
+
+
+def _eliminate(vec, row, col):
+    """Clear column col of vec against row, whose pivot is col, in place.
+
+    vec becomes (p/g) vec - (a/g) row; returns the factor p/g.
+    """
+    p = row[col]
+    a = vec[col]
+    g = gcd(p, a)
+    p //= g
+    if p != 1:
+        for j in vec:
+            vec[j] *= p
+    add_into(vec, row, -(a // g))
+    return p
+
+
+def _primitive(vec, col):
+    """vec divided by its content, signed so that vec[col] > 0, in place."""
+    g = gcd(*vec.values())
+    if vec[col] < 0:
+        g = -g
+    if g != 1:
+        for j in vec:
+            vec[j] //= g
+    return vec
 
 
 class Echelon:
-    """Row-echelon accumulator with unit pivots and full back-substitution.
+    """Forward row-echelon accumulator over primitive integer rows.
 
-    Row dicts are owned by the accumulator and updated in place; callers
-    only read `rows`.
+    Row dicts are owned by the accumulator; callers only read `rows`.
     """
 
     def __init__(self):
-        self.rows = {}  # pivot column -> reduced row (dict), row[pivot] == 1
+        # pivot column -> primitive integer row, row[pivot] > 0 and pivot the
+        # smallest column of its support; in insertion order.  Back-
+        # substitution (`reduced_rows`) changes neither pivots nor row space.
+        self.rows = {}
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        """Residual of vec modulo the row space; its support avoids every
-        pivot column, so it is the canonical representative of the coset."""
-        vec = dict(vec)
+    def _reduce_integral(self, vec):
+        """(r, s): r = s * (vec reduced modulo the row space), all in the
+        integers; r avoids every pivot column."""
+        vec, scale = _integral(vec)
         rows = self.rows
         while True:
             hit = None
@@ -38,71 +94,77 @@ class Echelon:
                 if j in rows and (hit is None or j < hit):
                     hit = j
             if hit is None:
-                return vec
-            add_into(vec, rows[hit], -vec[hit])
+                return vec, scale
+            scale *= _eliminate(vec, rows[hit], hit)
 
-    def _new_row(self, vec):
-        """(pivot, unit-pivot residual row) of vec, or (None, None)."""
-        res = self.reduce(vec)
-        if not res:
-            return None, None
-        piv = min(res)
-        inv = 1 / res[piv]
-        return piv, {j: inv * x for j, x in res.items()}
+    def reduce(self, vec):
+        """Residual of vec modulo the row space, as Fractions; its support
+        avoids every pivot column, so it is the canonical representative of
+        the coset."""
+        res, scale = self._reduce_integral(vec)
+        return {j: Fraction(x, scale) for j, x in res.items()}
+
+    def contains(self, vec):
+        return not self._reduce_integral(vec)[0]
 
     def add(self, vec):
         """Insert vec; returns the pivot column or None if dependent."""
-        piv, row = self._new_row(vec)
-        if piv is None:
-            return None
-        # keep earlier rows fully reduced against the new pivot
-        for r in self.rows.values():
-            c = r.get(piv)
-            if c:
-                add_into(r, row, -c)
-        self.rows[piv] = row
-        return piv
+        vec = _integral(vec)[0]
+        rows = self.rows
+        while vec:
+            piv = min(vec)
+            row = rows.get(piv)
+            if row is None:
+                rows[piv] = _primitive(vec, piv)
+                return piv
+            _eliminate(vec, row, piv)
+        return None
 
-    def contains(self, vec):
-        return not self.reduce(vec)
+    def reduced_rows(self):
+        """Back-substitute the rows in place and return them: the reduced row
+        echelon form, each row a primitive integer row with a positive pivot
+        entry and no entry in another pivot column, in insertion order.
+        Divide a row by its pivot entry for the unit-pivot row."""
+        rows = self.rows
+        for piv in sorted(rows, reverse=True):
+            row = rows[piv]
+            # the rows of later pivots are reduced already, so clearing one
+            # of their pivot columns brings in no other pivot column
+            for col in [j for j in row if j != piv and j in rows]:
+                _eliminate(row, rows[col], col)
+            _primitive(row, piv)
+        return rows
 
 
 class ForwardSpan(Echelon):
-    """Echelon without back-substitution; cheaper for large relation spans.
+    """A relation span: its rows are only reduced against, never solved for.
 
-    Each row's pivot is the smallest column of its support, so `reduce`
-    still returns the canonical coset representative, and ranks, pivots and
-    residuals agree with `Echelon` on the same input.
+    The elimination is `Echelon`'s.  `add` is bound in this class as well,
+    so that insertions into relation spans are timed and counted apart from
+    insertions into equation systems.
     """
 
-    def add(self, vec):
-        piv, row = self._new_row(vec)
-        if piv is not None:
-            self.rows[piv] = row
-        return piv
+    add = Echelon.add
 
 
 def kernel_basis(rows, ncols):
     """Basis of the right kernel {x : A x = 0}, deterministic order.
 
     `rows` are the equations (rows of A); columns 0..ncols-1 are unknowns.
+    Free column j gives x_j = 1, with the pivot variables read off the
+    reduced rows.
     """
     ech = Echelon()
     for r in rows:
         ech.add(r)
-    pivots = set(ech.rows)
-    basis = []
-    for j in range(ncols):
-        if j in pivots:
-            continue
-        # free column j: x_j = 1, pivot variables solved from reduced rows
-        vec = {j: QQ(1)}
-        for p, row in ech.rows.items():
-            c = row.get(j)
-            if c:
-                vec[p] = -c
-        basis.append(vec)
-    return basis
+    reduced = ech.reduced_rows()
+    basis = {j: {j: ONE} for j in range(ncols) if j not in reduced}
+    for p, row in reduced.items():
+        lead = row[p]
+        for j, x in row.items():
+            if j != p:
+                basis[j][p] = Fraction(-x, lead)
+    return list(basis.values())
 
 
 def solve(rows, rhs, ncols):
@@ -118,10 +180,10 @@ def solve(rows, rhs, ncols):
     if aug in ech.rows:
         return None
     sol = {}
-    for p, row in ech.rows.items():
-        c = row.get(aug)
-        if c:
-            sol[p] = -c
+    for p, row in ech.reduced_rows().items():
+        x = row.get(aug)
+        if x:
+            sol[p] = Fraction(-x, row[p])
     return sol
 
 

@@ -425,3 +425,35 @@ def test_hochschild_with_a_non_twist_exits_two():
     error = _run_error(job)
     assert error["location"] == "inputs.udf"
     assert "Hochschild cocycle" in error["message"]
+
+
+def _bialgebra_paths(job):
+    """Paths in job["inputs"] of every bialgebra object of a job."""
+    inputs = job["inputs"]
+    paths = [("bialgebra",)] if "bialgebra" in inputs else []
+    for i, _ in enumerate(inputs.get("diagram", {}).get("nodes", [])):
+        paths.append(("diagram", "nodes", i, "bialgebra"))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "name,path",
+    [
+        (name, path)
+        for name in sorted(FIXTURES)
+        for path in _bialgebra_paths(FIXTURES[name])
+    ],
+    ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+@pytest.mark.parametrize("field", ["kind", "generators", "flags", "degree_cutoff"])
+def test_mistyped_bialgebra_field_never_raises(name, path, field):
+    for value in (None, 0, "x", [], {}):
+        job = emit_example(name)
+        doc = job["inputs"]
+        for part in path:
+            doc = doc[part]
+        doc[field] = value
+        report, code = run(job)
+        assert code in (0, 1, 2), (field, value)
+        if code == 2:
+            assert "inputs" in report.error["location"], (field, value)

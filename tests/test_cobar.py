@@ -1,16 +1,21 @@
+import itertools
+from math import comb
+
 import pytest
 
-from udeform.kernel import Monomial, QQ
-from udeform.bialgebra import BialgebraSpec, construct_bialgebra
+from udeform.kernel import Monomial, QQ, add_into
+from udeform.bialgebra import BialgebraSpec, TensorElement, construct_bialgebra
 from udeform.cobar import (
     CobarCochain,
     CobarComplex,
     check_oracle_agreement,
     corner_solutions_trivial,
+    embed_reduced,
     h2,
     lambda_expected,
     profile,
     reduced_diagonal,
+    reduced_keys,
     twi_direct,
 )
 from udeform.linalg import Echelon
@@ -177,3 +182,87 @@ class TestOracleAgreement:
 def test_monoid_moduli_vanish(monoid_z2, monoid_idem, monoid_free):
     for B, cutoff in [(monoid_z2, 1), (monoid_idem, 1), (monoid_free, 3)]:
         assert sum(b.dim for b in h2(B, cutoff)) == 0
+
+
+# ---------------------------------------------------------------------------
+# embedding reduced coordinates
+# ---------------------------------------------------------------------------
+
+def outer_product_expansion(B, coords):
+    """Reference: each key expanded as the outer product of its slots'
+    arity-1 elements m - eps(m)1, accumulated key by key."""
+    out = {}
+    for keys, c in coords.items():
+        piece = TensorElement(B, 0, {(): c})
+        for k in keys:
+            e = B.element({k: QQ(1)})
+            eps = B.counit_key(k)
+            if eps:
+                e = e - B.one(1).scale(eps)
+            piece = piece.outer(e)
+        add_into(out, piece.terms)
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["matrixB", "monoid_free"])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_embed_reduced_matches_outer_product_expansion(fixture, arity, request):
+    B = request.getfixturevalue(fixture)
+    keys = reduced_keys(B, 2)[:6]
+    assert any(B.counit_key(k) for k in keys)  # eps(m) != 0 occurs
+    # coefficients of both signs, so corner terms cancel and come back
+    scalars = [QQ(1), QQ(-1), QQ(1, 2), QQ(-2, 3)]
+    coords = {
+        combo: scalars[i % len(scalars)]
+        for i, combo in enumerate(itertools.product(keys, repeat=arity))
+    }
+    got = embed_reduced(B, coords, arity)
+    assert got.arity == arity
+    assert list(got.terms.items()) == list(outer_product_expansion(B, coords).items())
+
+
+# ---------------------------------------------------------------------------
+# tensor-primitive H2 against Witt's necklace formula
+# ---------------------------------------------------------------------------
+
+def mobius(n):
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def free_lie_dims(k, top):
+    """Degree n -> dim of the free Lie algebra on k generators, n <= top:
+    Witt's necklace formula (1/n) sum over d | n of mu(d) k^(n/d)."""
+    return {
+        n: sum(mobius(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+        for n in range(1, top + 1)
+    }
+
+
+def exterior_square_dims(lie, top):
+    """Graded dimensions of the exterior square of a graded space in
+    degrees >= 1: pairs a < b of degrees plus 2-subsets within one degree."""
+    out = []
+    for D in range(top + 1):
+        dim = sum(lie[a] * lie[D - a] for a in range(1, (D + 1) // 2))
+        if D % 2 == 0 and D:
+            dim += comb(lie[D // 2], 2)
+        out.append(dim)
+    return out
+
+
+def test_tensor_h2_profile_is_the_exterior_square_of_free_lie():
+    top = 7
+    expected = exterior_square_dims(free_lie_dims(2, top), top)
+    assert expected == [0, 0, 1, 2, 4, 8, 16, 30]
+    B = construct_bialgebra(BialgebraSpec("tensor-primitive", ["e1", "e2"]), top)
+    for blocks in (h2(B, top), twi_direct(B, top)):
+        dims = dict(profile(blocks))
+        assert [dims.get(D, 0) for D in range(top + 1)] == expected

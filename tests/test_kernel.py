@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from udeform.kernel import (
     add_term,
     series_multilinear,
 )
-from udeform.linalg import Echelon, ForwardSpan
+from udeform.linalg import Echelon, ForwardSpan, kernel_basis, solve
 
 
 def S(values, order):
@@ -249,6 +250,116 @@ def test_add_term_never_stores_zero(acc, updates):
         assert all(acc.values())
 
 
+def with_dependent_rows(rows, mixes):
+    """rows plus combinations of its first two, so that dependent rows occur."""
+    if len(rows) >= 2:
+        for a, b in mixes:
+            rows.append(naive_sum(naive_sum({}, rows[0], a), rows[1], b))
+    return rows
+
+
+def gauss_jordan(rows):
+    """Reference elimination in Fractions, fully reduced after every row: the
+    pivot each row gets (None if dependent) and pivot -> unit-pivot row, in
+    insertion order.  The pivot is the smallest column of the residual."""
+    rref, pivots = {}, []
+    for vec in rows:
+        res = gauss_jordan_reduce(rref, vec)
+        if not res:
+            pivots.append(None)
+            continue
+        piv = min(res)
+        row = {j: x / res[piv] for j, x in res.items()}
+        for p, other in rref.items():
+            if piv in other:
+                rref[p] = naive_sum(other, row, -other[piv])
+        rref[piv] = row
+        pivots.append(piv)
+    return pivots, rref
+
+
+def gauss_jordan_reduce(rref, vec):
+    # rows of a reduced echelon form vanish in every other pivot column, so
+    # one pass over them clears every pivot column of vec
+    res = naive_sum({}, vec, 1)
+    for piv, row in rref.items():
+        if piv in res:
+            res = naive_sum(res, row, -res[piv])
+    return res
+
+
+def apply_rows(rows, x):
+    return [sum((c * x.get(j, 0) for j, c in row.items()), QQ(0)) for row in rows]
+
+
+NCOLS = 6  # sparse_vectors use columns 0..5
+
+
+def test_echelon_rows_are_primitive_integers():
+    ech = Echelon()
+    assert ech.add({3: QQ(-2, 3), 5: QQ(4, 9)}) == 3
+    assert ech.add({3: QQ(1), 4: QQ(1, 2), 5: QQ(-1, 3)}) == 4
+    assert ech.rows == {3: {3: 3, 5: -2}, 4: {4: 3, 5: 2}}
+    assert ech.reduce({4: QQ(1), 5: QQ(1)}) == {5: QQ(1, 3)}
+
+
+def test_solve_inconsistent_and_consistent():
+    rows = [{0: QQ(1), 1: QQ(1)}, {0: QQ(2), 1: QQ(2)}]
+    assert solve(rows, [QQ(1), QQ(3)], 2) is None
+    assert solve(rows, [QQ(1), QQ(2)], 2) == {0: QQ(1)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(sparse_vectors, max_size=8),
+    st.lists(st.tuples(coefficients, coefficients), max_size=3),
+    st.lists(sparse_vectors, max_size=4),
+    st.lists(coefficients, min_size=11, max_size=11),
+)
+def test_echelon_matches_fraction_gauss_jordan(rows, mixes, probes, rhs):
+    rows = with_dependent_rows(rows, mixes)
+    pivots, rref = gauss_jordan(rows)
+    ech = Echelon()
+    assert [ech.add(row) for row in rows] == pivots
+    assert list(ech.rows) == list(rref) and ech.rank == len(rref)
+    for piv, row in ech.rows.items():
+        assert all(type(x) is int for x in row.values())
+        assert min(row) == piv and row[piv] > 0
+        assert math.gcd(*row.values()) == 1
+    reduced = ech.reduced_rows()
+    assert list(reduced) == list(rref)
+    for piv, row in reduced.items():
+        assert all(type(x) is int for x in row.values())
+        assert {j: QQ(x, row[piv]) for j, x in row.items()} == rref[piv]
+    for vec in rows + probes:
+        residual = ech.reduce(vec)
+        assert residual == gauss_jordan_reduce(rref, vec)
+        assert all(type(x) is Fraction for x in residual.values())
+        assert ech.contains(vec) == (not residual)
+
+    kernel = kernel_basis(rows, NCOLS)
+    expected = []
+    for j in range(NCOLS):
+        if j not in rref:
+            vec = {j: QQ(1)}
+            for p, row in rref.items():
+                if j in row:
+                    vec[p] = -row[j]
+            expected.append(vec)
+    assert [list(v.items()) for v in kernel] == [list(v.items()) for v in expected]
+    assert all(not any(apply_rows(rows, v)) for v in kernel)
+
+    rhs = rhs[: len(rows)]
+    augmented = [naive_sum(row, {NCOLS: b}, -1) for row, b in zip(rows, rhs)]
+    _, aug_rref = gauss_jordan(augmented)
+    sol = solve(rows, rhs, NCOLS)
+    if NCOLS in aug_rref:
+        assert sol is None
+    else:
+        assert sol == {p: -row[NCOLS] for p, row in aug_rref.items() if NCOLS in row}
+        assert apply_rows(rows, sol) == rhs
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(sparse_vectors, max_size=8),
@@ -256,15 +367,12 @@ def test_add_term_never_stores_zero(acc, updates):
     st.lists(sparse_vectors, max_size=4),
 )
 def test_forward_span_agrees_with_echelon(rows, mixes, probes):
-    # append combinations of the first two rows so that dependent rows occur
-    if len(rows) >= 2:
-        for a, b in mixes:
-            rows.append(naive_sum(naive_sum({}, rows[0], a), rows[1], b))
+    # one elimination under two names: the same pivots, rows and residuals
+    rows = with_dependent_rows(rows, mixes)
     full, forward = Echelon(), ForwardSpan()
     for row in rows:
         assert full.add(row) == forward.add(row)
-    assert full.rank == forward.rank
-    assert set(full.rows) == set(forward.rows)
+    assert full.rows == forward.rows
     for vec in rows + probes:
         assert full.contains(vec) == forward.contains(vec)
         assert full.reduce(vec) == forward.reduce(vec)
