@@ -24,9 +24,9 @@ from fractions import Fraction
 
 from .kernel import (
     Monomial, ONE_MONOMIAL, QQ, SparseElement, add_into, add_term, as_scalar,
-    monomials,
+    bounded_product, monomials,
 )
-from .reports import CheckReport
+from .reports import CheckReport, first_witness
 
 
 class CutoffError(Exception):
@@ -135,10 +135,6 @@ class Bialgebra:
         """Sparse product of two basis keys, dict key -> Fraction."""
         raise NotImplementedError
 
-    def _coproduct_generator(self, name):
-        """Coproduct of a generator as dict (key, key) -> Fraction."""
-        raise NotImplementedError
-
     def counit_key(self, key):
         raise NotImplementedError
 
@@ -225,18 +221,14 @@ class Bialgebra:
         if hit is not None:
             return hit
         keys = self.basis_keys(cutoff)
-        ok = True
-        for k1, k2 in itertools.combinations(keys, 2):
-            if self.degree(k1) + self.degree(k2) > cutoff:
-                continue
-            if self.product_keys(k1, k2) != self.product_keys(k2, k1):
-                ok = False
-                break
-        self._flag_cache[("comm", cutoff)] = ok
-        return ok
 
-    def is_cocommutative(self, cutoff=None):
-        ok, _ = check_cocommutative(self, cutoff)
+        def noncommuting(k1, k2):
+            return self.product_keys(k1, k2) != self.product_keys(k2, k1) or None
+
+        bad, _ = first_witness(
+            bounded_product([keys, keys], self.degree, cutoff), noncommuting
+        )
+        self._flag_cache[("comm", cutoff)] = ok = bad is None
         return ok
 
     def __repr__(self):
@@ -756,72 +748,58 @@ def check_axioms(B, cutoff=None):
     cutoff = B.cutoff if cutoff is None else cutoff
     report = CheckReport("bialgebra axioms (%s)" % B.spec.kind)
     keys = B.basis_keys(cutoff)
+    singles = [(k,) for k in keys]
+    pairs = list(bounded_product([keys, keys], B.degree, cutoff))
 
-    bad = None
-    for k in keys:
-        e = B.element({k: QQ(1)})
-        lhs = e.apply_coproduct(1).apply_coproduct(1)
-        rhs = e.apply_coproduct(1).apply_coproduct(2)
+    def coassociative(k):
+        d = B.element({k: QQ(1)}).apply_coproduct(1)
+        lhs, rhs = d.apply_coproduct(1), d.apply_coproduct(2)
         if lhs != rhs:
-            bad = {"element": B.key_str(k), "lhs": lhs.render(), "rhs": rhs.render()}
-            break
+            return {"element": B.key_str(k), "lhs": lhs.render(), "rhs": rhs.render()}
+
+    def counit_law(k):
+        e = B.element({k: QQ(1)})
+        d = e.apply_coproduct(1)
+        if d.apply_counit(1) != e or d.apply_counit(2) != e:
+            return {"element": B.key_str(k)}
+
+    def pair(k1, k2):
+        return "%s , %s" % (B.key_str(k1), B.key_str(k2))
+
+    def coproduct_multiplicative(k1, k2):
+        e1, e2 = B.element({k1: QQ(1)}), B.element({k2: QQ(1)})
+        lhs = (e1 * e2).apply_coproduct(1)
+        rhs = e1.apply_coproduct(1) * e2.apply_coproduct(1)
+        if lhs != rhs:
+            return {"pair": pair(k1, k2), "lhs": lhs.render(), "rhs": rhs.render()}
+
+    def counit_multiplicative(k1, k2):
+        e1, e2 = B.element({k1: QQ(1)}), B.element({k2: QQ(1)})
+        lhs = (e1 * e2).apply_counit(1).scalar_value()
+        if lhs != B.counit_key(k1) * B.counit_key(k2):
+            return {"pair": pair(k1, k2)}
+
+    bad, _ = first_witness(singles, coassociative)
     report.add("coassociativity", bad is None, bad)
-
     if B.counital:
-        bad = None
-        for k in keys:
-            e = B.element({k: QQ(1)})
-            d = e.apply_coproduct(1)
-            if d.apply_counit(1) != e or d.apply_counit(2) != e:
-                bad = {"element": B.key_str(k)}
-                break
+        bad, _ = first_witness(singles, counit_law)
         report.add("counit law", bad is None, bad)
-
-    bad = None
-    for k1 in keys:
-        for k2 in keys:
-            if B.degree(k1) + B.degree(k2) > cutoff:
-                continue
-            e1 = B.element({k1: QQ(1)})
-            e2 = B.element({k2: QQ(1)})
-            lhs = (e1 * e2).apply_coproduct(1)
-            rhs = e1.apply_coproduct(1) * e2.apply_coproduct(1)
-            if lhs != rhs:
-                bad = {
-                    "pair": "%s , %s" % (B.key_str(k1), B.key_str(k2)),
-                    "lhs": lhs.render(),
-                    "rhs": rhs.render(),
-                }
-                break
-        if bad:
-            break
+    bad, _ = first_witness(pairs, coproduct_multiplicative)
     report.add("coproduct is an algebra morphism", bad is None, bad)
-
     if B.counital:
-        bad = None
-        for k1 in keys:
-            for k2 in keys:
-                if B.degree(k1) + B.degree(k2) > cutoff:
-                    continue
-                e1 = B.element({k1: QQ(1)})
-                e2 = B.element({k2: QQ(1)})
-                lhs = (e1 * e2).apply_counit(1).scalar_value()
-                rhs = B.counit_key(k1) * B.counit_key(k2)
-                if lhs != rhs:
-                    bad = {"pair": "%s , %s" % (B.key_str(k1), B.key_str(k2))}
-                    break
-            if bad:
-                break
+        bad, _ = first_witness(pairs, counit_multiplicative)
         report.add("counit is an algebra morphism", bad is None, bad)
-
     return report
 
 
 def check_cocommutative(B, cutoff=None):
-    """True iff tau.Delta = Delta on all basis keys within the cutoff."""
+    """(True, None) iff tau.Delta = Delta on all basis keys within the
+    cutoff, else (False, the first failing key)."""
     cutoff = B.cutoff if cutoff is None else cutoff
-    for k in B.basis_keys(cutoff):
+
+    def flipped(k):
         d = B.element({k: QQ(1)}).apply_coproduct(1)
-        if d.permute((2, 1)) != d:
-            return False, B.key_str(k)
-    return True, None
+        return B.key_str(k) if d.permute((2, 1)) != d else None
+
+    bad, _ = first_witness(((k,) for k in B.basis_keys(cutoff)), flipped)
+    return bad is None, bad

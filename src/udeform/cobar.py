@@ -24,7 +24,7 @@ import itertools
 from .kernel import MINUS_ONE, QQ, add_into, add_term
 from .bialgebra import TensorElement
 from .linalg import Echelon, kernel_basis, quotient_representatives
-from .reports import CheckReport
+from .reports import CheckReport, first_witness
 
 GRADED_KINDS = ("polynomial-primitive", "tensor-primitive")
 
@@ -195,17 +195,17 @@ def _keys_for_block(B, cutoff, label, reduced):
     return [k for k in pool if B.degree(k) == label]
 
 
-def _tuples_for_block(B, cutoff, label, arity, reduced):
-    """Key tuples of the given arity in one block, deterministically ordered."""
+def _pairs_for_block(B, cutoff, label, reduced):
+    """Key pairs in one block, deterministically ordered."""
     pool = reduced_keys(B, cutoff) if reduced else B.basis_keys(cutoff)
     if label is None:
-        return list(itertools.product(pool, repeat=arity))
+        return list(itertools.product(pool, repeat=2))
     by_degree = {}
     for k in pool:
         by_degree.setdefault(B.degree(k), []).append(k)
     degrees = sorted(by_degree)
     out = []
-    for combo in itertools.product(degrees, repeat=arity):
+    for combo in itertools.product(degrees, repeat=2):
         if sum(combo) != label:
             continue
         out.extend(itertools.product(*(by_degree[d] for d in combo)))
@@ -238,10 +238,8 @@ class CobarComplex:
     def _build_block(self, label):
         B = self.B
         keys1 = _keys_for_block(B, self.cutoff, label, reduced=True)
-        pairs = _tuples_for_block(B, self.cutoff, label, 2, reduced=True)
-        triples = _tuples_for_block(B, self.cutoff, label, 3, reduced=True)
+        pairs = _pairs_for_block(B, self.cutoff, label, reduced=True)
         pair_index = {p: i for i, p in enumerate(pairs)}
-        triple_index = {t: i for i, t in enumerate(triples)}
 
         dbar = self._dbar
 
@@ -252,13 +250,15 @@ class CobarComplex:
                 col[pair_index[(a, b)]] = c
             d1_cols.append(col)
 
+        # only the triples d2 reaches are built, numbered in order of first use
+        triple_ids = {}
         d2_cols = []
         for (m, n) in pairs:
             col = {}
             for (a, b), c in dbar[m].items():
-                add_term(col, triple_index[(a, b, n)], c)
+                add_term(col, triple_ids.setdefault((a, b, n), len(triple_ids)), c)
             for (a, b), c in dbar[n].items():
-                add_term(col, triple_index[(m, a, b)], -c)
+                add_term(col, triple_ids.setdefault((m, a, b), len(triple_ids)), -c)
             d2_cols.append(col)
 
         # the complex property, blockwise
@@ -272,9 +272,7 @@ class CobarComplex:
         return {
             "keys1": keys1,
             "pairs": pairs,
-            "triples": triples,
             "pair_index": pair_index,
-            "triple_index": triple_index,
             "d1_cols": d1_cols,
             "d2_cols": d2_cols,
         }
@@ -290,7 +288,7 @@ def h2(B, cutoff):
     out = []
     for label, blk in complex_.blocks.items():
         pairs = blk["pairs"]
-        # rows of d2 as a matrix: one row per triple coordinate
+        # rows of d2 as a matrix: one row per triple d2 reaches
         rows = {}
         for col, colvec in enumerate(blk["d2_cols"]):
             for ti, c in colvec.items():
@@ -327,24 +325,22 @@ def twi_direct(B, cutoff):
     B.require_counit()
     out = []
     for label in _block_labels(B, cutoff):
-        pairs = _tuples_for_block(B, cutoff, label, 2, reduced=False)
-        triples = _tuples_for_block(B, cutoff, label, 3, reduced=False)
+        pairs = _pairs_for_block(B, cutoff, label, reduced=False)
         pair_index = {p: i for i, p in enumerate(pairs)}
-        triple_index = {t: i for i, t in enumerate(triples)}
         unit = B.unit_key
 
-        rows = {}
+        rows = {}  # triple -> its row; only the triples the equation reaches
 
-        def put(ti, col, c):
-            add_term(rows.setdefault(ti, {}), col, c)
+        def put(triple, col, c):
+            add_term(rows.setdefault(triple, {}), col, c)
 
         for col, (m, n) in enumerate(pairs):
             for (a, b), c in B.coproduct_key(m).items():
-                put(triple_index[(a, b, n)], col, c)          # (Delta @ id) xi
-            put(triple_index[(m, n, unit)], col, QQ(1))       # xi @ 1
+                put((a, b, n), col, c)          # (Delta @ id) xi
+            put((m, n, unit), col, QQ(1))       # xi @ 1
             for (a, b), c in B.coproduct_key(n).items():
-                put(triple_index[(m, a, b)], col, -c)         # -(id @ Delta) xi
-            put(triple_index[(unit, m, n)], col, MINUS_ONE)   # -1 @ xi
+                put((m, a, b), col, -c)         # -(id @ Delta) xi
+            put((unit, m, n), col, MINUS_ONE)   # -1 @ xi
 
         kernel = kernel_basis(list(rows.values()), len(pairs))
 
@@ -402,13 +398,16 @@ def corner_solutions_trivial(B, blocks):
     part and what remains has to be proportional to 1@1.
     """
     unit = B.unit_key
-    for blk in blocks:
-        for sol in blk.solutions:
-            corner = sol - embed_reduced(B, extract_reduced(sol), 2)
-            for keys, c in corner.terms.items():
-                if keys != (unit, unit):
-                    return False, {"degree": blk.degree, "term": sol.render()}
-    return True, None
+
+    def nontrivial_corner(blk, sol):
+        corner = sol - embed_reduced(B, extract_reduced(sol), 2)
+        if any(keys != (unit, unit) for keys in corner.terms):
+            return {"degree": blk.degree, "term": sol.render()}
+
+    bad, _ = first_witness(
+        ((blk, sol) for blk in blocks for sol in blk.solutions), nontrivial_corner
+    )
+    return bad is None, bad
 
 
 def gauge_equivalent(B, blk_a, blk_b):
@@ -446,20 +445,16 @@ def check_oracle_agreement(B, cutoff):
         },
     )
     by_label_h2 = {b.degree: b for b in blocks_h2}
-    by_label_twi = {b.degree: b for b in blocks_twi}
-    ok = True
-    witness = None
-    for label, blk in by_label_twi.items():
+
+    def inequivalent(label, blk):
         other = by_label_h2.get(label)
-        if other is None:
-            if blk.dim:
-                ok, witness = False, {"degree": label}
-                break
-            continue
-        if not gauge_equivalent(B, blk, other):
-            ok, witness = False, {"degree": label}
-            break
-    report.add("representatives are gauge-equivalent", ok, witness)
+        if blk.dim if other is None else not gauge_equivalent(B, blk, other):
+            return {"degree": label}
+
+    witness, _ = first_witness(
+        ((b.degree, b) for b in blocks_twi), inequivalent
+    )
+    report.add("representatives are gauge-equivalent", witness is None, witness)
     ok, witness = corner_solutions_trivial(B, blocks_twi)
     report.add("corner components of solutions are multiples of 1@1", ok, witness)
     return report, blocks_h2

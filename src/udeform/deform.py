@@ -36,12 +36,13 @@ from .kernel import (
     add_into,
     add_term,
     as_scalar,
+    bounded_product,
     monomials,
     series_multilinear,
 )
 from .linalg import solve as linalg_solve
-from .reports import CheckReport
-from .twist import UDF, constant_series
+from .reports import CheckReport, first_witness
+from .twist import UDF, constant_series, first_failing_order
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +543,9 @@ def check_module_algebra(action, cutoff=None):
     bkeys = [k for k in B.basis_keys(min(2, B.cutoff)) if B.degree(k) <= 2]
     akeys = A.basis_keys()
 
-    bad = None
-    for bk, k1, k2 in itertools.product(bkeys, akeys, akeys):
-        if cutoff is not None and A.degree(k1) + A.degree(k2) > cutoff:
-            continue
+    pairs = list(bounded_product([akeys, akeys], A.degree, cutoff))
+
+    def b_linear(bk, k1, k2):
         e1, e2 = A.element({k1: QQ(1)}), A.element({k2: QQ(1)})
         lhs = action.apply_key(bk, e1 * e2)
         rhs = {}
@@ -554,22 +554,23 @@ def check_module_algebra(action, cutoff=None):
             add_into(rhs, prod.terms, c)
         rhs = _element(A, rhs)
         if lhs != rhs:
-            bad = {
+            return {
                 "b": B.key_str(bk),
                 "pair": "%s , %s" % (A.key_str(k1), A.key_str(k2)),
                 "lhs": lhs.render(),
                 "rhs": rhs.render(),
             }
-            break
-    report.add("product is B-linear", bad is None, bad)
 
-    bad = None
-    for bk in bkeys:
+    def unital(bk):
         got = action.apply_key(bk, A.one())
-        want = A.one().scale(B.counit_key(bk))
-        if got != want:
-            bad = {"b": B.key_str(bk), "got": got.render()}
-            break
+        if got != A.one().scale(B.counit_key(bk)):
+            return {"b": B.key_str(bk), "got": got.render()}
+
+    bad, _ = first_witness(
+        ((bk, k1, k2) for bk in bkeys for k1, k2 in pairs), b_linear
+    )
+    report.add("product is B-linear", bad is None, bad)
+    bad, _ = first_witness(((bk,) for bk in bkeys), unital)
     report.add("unit condition b.1 = eps(b) 1", bad is None, bad)
     return report
 
@@ -636,40 +637,32 @@ def check_associativity(F, action, cutoff=None):
     report = CheckReport("twisted product associativity")
     keys = A.basis_keys()
 
-    bad = None
-    count = 0
-    for k1, k2, k3 in itertools.product(keys, repeat=3):
-        if A.degree(k1) + A.degree(k2) + A.degree(k3) > cutoff:
-            continue
-        count += 1
-        x = A.element({k1: QQ(1)})
-        y = A.element({k2: QQ(1)})
-        z = A.element({k3: QQ(1)})
+    def associative(k1, k2, k3):
+        x, y, z = (A.element({k: QQ(1)}) for k in (k1, k2, k3))
         lhs = star.star(star.star(x, y), z)
         rhs = star.star(x, star.star(y, z))
-        if lhs != rhs:
-            failing = next(
-                n for n in range(lhs.order + 1) if lhs.coeffs[n] != rhs.coeffs[n]
-            )
-            bad = {
+        failing = first_failing_order(lhs, rhs)
+        if failing is not None:
+            return {
                 "triple": "(%s, %s, %s)" % (A.key_str(k1), A.key_str(k2), A.key_str(k3)),
                 "first_failing_order": failing,
                 "lhs": lhs.coeffs[failing].render(),
                 "rhs": rhs.coeffs[failing].render(),
             }
-            break
-    report.add("associativity on %d basis triples" % count, bad is None, bad)
 
-    bad = None
     one = A.one()
-    for k in keys:
+
+    def unital(k):
         x = A.element({k: QQ(1)})
-        left = star.star(one, x)
-        right = star.star(x, one)
         expect = constant_series(x, star.order)
-        if left != expect or right != expect:
-            bad = {"element": A.key_str(k)}
-            break
+        if star.star(one, x) != expect or star.star(x, one) != expect:
+            return {"element": A.key_str(k)}
+
+    bad, count = first_witness(
+        bounded_product([keys] * 3, A.degree, cutoff), associative
+    )
+    report.add("associativity on %d basis triples" % count, bad is None, bad)
+    bad, _ = first_witness(((k,) for k in keys), unital)
     report.add("1 is a unit for the twisted product", bad is None, bad)
     return report
 
@@ -719,16 +712,17 @@ class HochschildCochain:
 
     def zero_witness(self, cutoff):
         A = self.parent
-        for keys in itertools.product(A.basis_keys(), repeat=self.degree):
-            if sum(A.degree(k) for k in keys) > cutoff:
-                continue
+
+        def nonzero(*keys):
             val = self.on_keys(*keys)
             if val:
-                return False, {
-                    "keys": [A.key_str(k) for k in keys],
-                    "value": val.render(),
-                }
-        return True, None
+                return {"keys": [A.key_str(k) for k in keys], "value": val.render()}
+
+        bad, _ = first_witness(
+            bounded_product([A.basis_keys()] * self.degree, A.degree, cutoff),
+            nonzero,
+        )
+        return bad is None, bad
 
 
 def hochschild_differential(c):
@@ -904,13 +898,8 @@ def is_hochschild_coboundary(A, cochain, search_bound=2, coeff_degree=None):
 
     rows = {}
     rhs_map = {}
-    pairs = []
-    for x in A.basis_keys():
-        for y in A.basis_keys():
-            if A.degree(x) + A.degree(y) <= A.cutoff:
-                pairs.append((x, y))
-
-    for (x, y) in pairs:
+    basis = A.basis_keys()
+    for x, y in bounded_product([basis, basis], A.degree, A.cutoff):
         px = Polynomial({x: QQ(1)})
         py = Polynomial({y: QQ(1)})
         pxy = px * py

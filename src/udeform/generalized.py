@@ -34,15 +34,16 @@ from .deform import (
     require_commuting,
 )
 from .kernel import (
-    ONE_MONOMIAL, QQ, SparseElement, add_term, as_scalar, series_multilinear,
+    ONE_MONOMIAL, QQ, SparseElement, TruncSeries, add_term, as_scalar,
+    bounded_product, series_multilinear,
 )
 from .linalg import ForwardSpan
-from .reports import CheckReport
+from .reports import CheckReport, first_witness
 from .twist import (
     UDF,
     GaugeElement,
     TwistingElement,
-    check_twisting,
+    _tensor_witness,
     constant_series,
     first_failing_order,
     gauge_transform,
@@ -508,31 +509,30 @@ def check_partial_assoc(product, cutoff, order=None):
     for n in range(1, cutoff + 1, 2):
         pools[n] = [P.element({t: QQ(1)}) for t in P.basis(n)]
 
-    bad = None
-    count = 0
-    for split in _compositions5_upto(cutoff):
-        for combo in itertools.product(*(pools[m] for m in split)):
-            a, b, c, d, e = combo
-            count += 1
-            total = (
-                product.product(a, b, product.product(c, d, e))
-                + product.product(a, product.product(b, c, d), e)
-                + product.product(product.product(a, b, c), d, e)
-            )
-            failing = None
-            for k in range(order + 1):
-                if total.coeffs[k]:
-                    failing = k
-                    break
-            if failing is not None:
-                bad = {
-                    "tuple": [x.render() for x in combo],
-                    "first_failing_order": failing,
-                    "value": total.coeffs[failing].render(),
-                }
-                break
-        if bad:
-            break
+    zero = TruncSeries([P.zero()] * (order + 1))
+
+    def relation(a, b, c, d, e):
+        total = (
+            product.product(a, b, product.product(c, d, e))
+            + product.product(a, product.product(b, c, d), e)
+            + product.product(product.product(a, b, c), d, e)
+        )
+        # zero comes first, so only the orders up to `order` are compared
+        failing = first_failing_order(zero, total)
+        if failing is not None:
+            return {
+                "tuple": [x.render() for x in (a, b, c, d, e)],
+                "first_failing_order": failing,
+                "value": total.coeffs[failing].render(),
+            }
+
+    bad, count = first_witness(
+        itertools.chain.from_iterable(
+            itertools.product(*(pools[m] for m in split))
+            for split in _compositions5_upto(cutoff)
+        ),
+        relation,
+    )
     report.add(
         "relation on %d basis 5-tuples (mod t^%d)" % (count, order + 1),
         bad is None,
@@ -577,12 +577,7 @@ def interchange_check(F1, F2):
     report.add(
         "tau_1324 identity in B^4",
         k is None,
-        None
-        if k is None
-        else {
-            "first_failing_order": k,
-            "difference": (lhs.coeffs[k] - rhs.coeffs[k]).render(),
-        },
+        None if k is None else _tensor_witness(k, lhs.coeffs[k] - rhs.coeffs[k]),
     )
     return report
 
@@ -718,29 +713,26 @@ def diagram_compat_check(D, cutoff=None):
         )
     for idx, arrow in enumerate(D.arrows):
         src, dst = D.nodes[arrow.src], D.nodes[arrow.dst]
-        bad = None
-        for gname in dst.bialgebra.spec.generators:
+
+        def compatible(gname, akey):
             bkey = dst.bialgebra.generator_key(gname)
             phi_b = arrow.phi.apply_key(bkey)
-            for akey in src.algebra.basis_keys():
-                a = src.algebra.element({akey: QQ(1)})
-                try:
-                    lhs = dst.action.apply_key(bkey, arrow.h.apply(a))
-                    rhs = arrow.h.apply(src.action.apply_element(phi_b, a))
-                except CutoffError as exc:
-                    bad = {"generator": gname, "a": src.algebra.key_str(akey),
-                           "error": str(exc)}
-                    break
-                if lhs != rhs:
-                    bad = {
-                        "generator": gname,
-                        "a": src.algebra.key_str(akey),
-                        "lhs": lhs.render(),
-                        "rhs": rhs.render(),
-                    }
-                    break
-            if bad:
-                break
+            a = src.algebra.element({akey: QQ(1)})
+            where = {"generator": gname, "a": src.algebra.key_str(akey)}
+            try:
+                lhs = dst.action.apply_key(bkey, arrow.h.apply(a))
+                rhs = arrow.h.apply(src.action.apply_element(phi_b, a))
+            except CutoffError as exc:
+                return dict(where, error=str(exc))
+            if lhs != rhs:
+                return dict(where, lhs=lhs.render(), rhs=rhs.render())
+
+        bad, _ = first_witness(
+            itertools.product(
+                dst.bialgebra.spec.generators, src.algebra.basis_keys()
+            ),
+            compatible,
+        )
         report.add(
             "arrow %d (%s -> %s): b h(a) = h(phi(b) a)"
             % (idx, arrow.src, arrow.dst),
@@ -783,12 +775,7 @@ def diagram_twist_check(D, arrow_index, triple, order=None):
     report.add(
         "triple condition Delta(G) F1 = (phi@phi)(F2) (G@G)",
         k is None,
-        None
-        if k is None
-        else {
-            "first_failing_order": k,
-            "difference": (lhs.coeffs[k] - rhs.coeffs[k]).render(),
-        },
+        None if k is None else _tensor_witness(k, lhs.coeffs[k] - rhs.coeffs[k]),
     )
 
     star1 = StarProduct(F1, src.action)
@@ -797,27 +784,24 @@ def diagram_twist_check(D, arrow_index, triple, order=None):
     def h_twisted(a):
         return h_twisted_series(constant_series(a, order), arrow, src, G, order)
 
-    bad = None
-    keys = src.algebra.basis_keys()
-    pair_bound = getattr(src.algebra, "cutoff", None)
-    for k1, k2 in itertools.product(keys, repeat=2):
-        if (
-            pair_bound is not None
-            and src.algebra.degree(k1) + src.algebra.degree(k2) > pair_bound
-        ):
-            continue
-        a = src.algebra.element({k1: QQ(1)})
-        b = src.algebra.element({k2: QQ(1)})
-        pair = "%s , %s" % (src.algebra.key_str(k1), src.algebra.key_str(k2))
+    A = src.algebra
+    keys = A.basis_keys()
+
+    def morphism(k1, k2):
+        a, b = A.element({k1: QQ(1)}), A.element({k2: QQ(1)})
+        pair = "%s , %s" % (A.key_str(k1), A.key_str(k2))
         try:
             left = h_twisted_series(star1.star(a, b), arrow, src, G, order)
             right = star2.star(h_twisted(a), h_twisted(b))
         except CutoffError as exc:
-            bad = {"pair": pair, "error": str(exc)}
-            break
+            return {"pair": pair, "error": str(exc)}
         if left != right:
-            bad = {"pair": pair, "first_failing_order": first_failing_order(left, right)}
-            break
+            return {"pair": pair, "first_failing_order": first_failing_order(left, right)}
+
+    bad, _ = first_witness(
+        bounded_product([keys, keys], A.degree, getattr(A, "cutoff", None)),
+        morphism,
+    )
     report.add("h(G .) is a morphism of twisted algebras", bad is None, bad)
 
     if G.coeffs[0] == src.bialgebra.one(1):

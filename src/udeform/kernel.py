@@ -12,6 +12,11 @@ tensor, algebra and pAss elements elsewhere subclass it and add only their own
 product, equality, hashing and rendering.  The linear algebra in `linalg` runs
 on the same dicts with the same accumulator.
 
+`bounded_product` enumerates the basis tuples every checker sweeps: the
+tuples of a product of pools whose degrees sum to at most a bound, in
+product order, without building any tuple over the bound.  Together with
+`reports.first_witness` it is the one checker loop of the package.
+
 The series layer is generic over its coefficient space -- any objects with
 +, -, * and scalar multiplication by Fraction will do (rationals, polynomials,
 tensors), so one code path serves scalar series and tensor-valued series
@@ -34,6 +39,7 @@ __all__ = [
     "TruncSeries",
     "add_into",
     "add_term",
+    "bounded_product",
     "monomials",
     "series_multilinear",
 ]
@@ -270,6 +276,31 @@ def monomials(names, max_degree):
                 d[name] = d.get(name, 0) + 1
             out.append(Monomial(d))
     return out
+
+
+def bounded_product(pools, weight, bound):
+    """The tuples of itertools.product(*pools) whose weights sum to at most
+    `bound`, in the same order; every tuple when `bound` is None.
+
+    Weights are nonnegative and computed once per pool item, and a prefix
+    already over the bound is never extended.
+    """
+    if bound is None:
+        yield from itertools.product(*pools)
+        return
+    if bound < 0:
+        return
+    weighed = [[(x, weight(x)) for x in pool] for pool in pools]
+
+    def extend(d, prefix, total):
+        if d == len(weighed):
+            yield prefix
+            return
+        for x, w in weighed[d]:
+            if total + w <= bound:
+                yield from extend(d + 1, prefix + (x,), total + w)
+
+    yield from extend(0, (), 0)
 
 
 class Polynomial(SparseElement):

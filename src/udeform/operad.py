@@ -19,8 +19,8 @@ import itertools
 import random
 
 from .bialgebra import CutoffError, TensorElement, iterated_coproduct
-from .kernel import QQ, add_term
-from .reports import CheckReport
+from .kernel import QQ, add_term, bounded_product
+from .reports import CheckReport, first_witness
 
 FLAVOR_MULTIPLICATIVE = "multiplicative"
 FLAVOR_ADDITIVE = "additive"
@@ -124,10 +124,6 @@ def _unit_payload(flavor, B):
 # permutation helpers (right action, one-line notation, 1-based)
 # ---------------------------------------------------------------------------
 
-def compose_permutations(sigma, tau):
-    """sigma then tau in the right-action sense: u.(sigma tau) = (u.sigma).tau."""
-    return tuple(sigma[tau[k] - 1] for k in range(len(tau)))
-
 def inflate_inner(tau, i, m):
     """tau acting on the block [i, i+n-1] inside m+n-1 slots, identity outside."""
     n = len(tau)
@@ -185,7 +181,7 @@ def _sample_arity(rng, flavor, counital):
 # ---------------------------------------------------------------------------
 
 def _assoc_case_triples(a, b, c):
-    """Yield (case, j, i, checker) index data for the three associativity cases."""
+    """Yield (case, j, i) index data for the three associativity cases."""
     for j in range(1, a + 1):
         for i in range(1, j):
             yield 1, j, i
@@ -200,11 +196,11 @@ def _check_assoc_on(flavor, u, v, w, tested, skipped):
 
     Instances whose intermediate products leave the tabulated degree range
     cannot be decided inside the truncation and are counted as skipped."""
-    a, b, c = u.arity, v.arity, w.arity
-    for case, j, i in _assoc_case_triples(a, b, c):
+    b, c = v.arity, w.arity
+
+    def instance(case, j, i):
         try:
-            uv = _compose(flavor, u, j, v)
-            lhs = _compose(flavor, uv, i, w)
+            lhs = _compose(flavor, _compose(flavor, u, j, v), i, w)
             if case == 1:
                 rhs = _compose(flavor, _compose(flavor, u, i, w), j + c - 1, v)
             elif case == 2:
@@ -213,23 +209,24 @@ def _check_assoc_on(flavor, u, v, w, tested, skipped):
                 rhs = _compose(flavor, _compose(flavor, u, i - b + 1, w), j, v)
         except CutoffError:
             skipped[case] += 1
-            continue
+            return None
         tested[case] += 1
         if lhs != rhs:
             return case, j, i, lhs, rhs
-    return None
+
+    bad, _ = first_witness(_assoc_case_triples(u.arity, b, c), instance)
+    return bad
 
 
 def _exhaustive_low_degree_elements(B, flavor, total_degree=2, max_arity=2):
     """Single-term tensors on basis keys; used for the exhaustive sweeps."""
-    out = []
     keys = B.basis_keys(total_degree)
     lo = 0 if (flavor == FLAVOR_MULTIPLICATIVE and B.counital) else 1
-    for arity in range(max(lo, 1), max_arity + 1):
-        for tup in itertools.product(keys, repeat=arity):
-            deg = sum(B.degree(k) for k in tup)
-            if deg <= total_degree:
-                out.append(TensorElement(B, arity, {tup: QQ(1)}))
+    out = [
+        TensorElement(B, arity, {tup: QQ(1)})
+        for arity in range(max(lo, 1), max_arity + 1)
+        for tup in bounded_product([keys] * arity, B.degree, total_degree)
+    ]
     if lo == 0:
         out.append(TensorElement(B, 0, {(): QQ(1)}))
     return out
@@ -272,14 +269,10 @@ def check_assoc_cases(flavor, B, samples=50, cutoff=None, seed=0):
         run(u, v, w)
 
     basis_elements = _exhaustive_low_degree_elements(B, flavor)
-    for u in basis_elements:
-        if u.arity == 0:
-            continue
-        for v in basis_elements:
-            for w in basis_elements:
-                if u.degree() + v.degree() + w.degree() > 2:
-                    continue
-                run(u, v, w)
+    outer = [u for u in basis_elements if u.arity]
+    pools = [outer, basis_elements, basis_elements]
+    for u, v, w in bounded_product(pools, TensorElement.degree, 2):
+        run(u, v, w)
 
     for case in (1, 2, 3):
         label = "associativity case %d (%d instances)" % (case, tested[case])
@@ -298,8 +291,6 @@ def check_equivariance(B, samples=50, seed=0):
     """
     report = CheckReport("operad equivariance (%s)" % B.spec.kind)
     rng = random.Random(seed)
-    bad_inner = None
-    bad_outer = None
 
     def perms(n):
         return list(itertools.permutations(range(1, n + 1)))
@@ -314,43 +305,37 @@ def check_equivariance(B, samples=50, seed=0):
         g = B.generator(name)
         cases.append((g, B.one(2)))
 
-    for u, v in cases:
-        m, n = u.arity, v.arity
-        for i in range(1, m + 1):
-            for tau in perms(n):
-                try:
-                    lhs = circ_B(u, i, v.permute(tau))
-                    rhs = circ_B(u, i, v).permute(inflate_inner(tau, i, m))
-                except CutoffError:
-                    continue
-                if lhs != rhs and bad_inner is None:
-                    bad_inner = {
-                        "u": u.render(),
-                        "v": v.render(),
-                        "i": i,
-                        "tau": list(tau),
-                        "lhs": lhs.render(),
-                        "rhs": rhs.render(),
-                    }
-        for sigma in perms(m):
-            for i in range(1, m + 1):
-                try:
-                    lhs = circ_B(u.permute(sigma), i, v)
-                    rhs = circ_B(u, sigma[i - 1], v).permute(
-                        inflate_outer(sigma, i, n)
-                    )
-                except CutoffError:
-                    continue
-                if lhs != rhs and bad_outer is None:
-                    bad_outer = {
-                        "u": u.render(),
-                        "v": v.render(),
-                        "i": i,
-                        "sigma": list(sigma),
-                        "lhs": lhs.render(),
-                        "rhs": rhs.render(),
-                    }
+    # an instance outside the tabulated degree range is undecidable and passes
+    def inner(u, v, i, tau):
+        try:
+            lhs = circ_B(u, i, v.permute(tau))
+            rhs = circ_B(u, i, v).permute(inflate_inner(tau, i, u.arity))
+        except CutoffError:
+            return None
+        if lhs != rhs:
+            return {"u": u.render(), "v": v.render(), "i": i, "tau": list(tau),
+                    "lhs": lhs.render(), "rhs": rhs.render()}
 
+    def outer(u, v, sigma, i):
+        try:
+            lhs = circ_B(u.permute(sigma), i, v)
+            rhs = circ_B(u, sigma[i - 1], v).permute(inflate_outer(sigma, i, v.arity))
+        except CutoffError:
+            return None
+        if lhs != rhs:
+            return {"u": u.render(), "v": v.render(), "i": i, "sigma": list(sigma),
+                    "lhs": lhs.render(), "rhs": rhs.render()}
+
+    bad_inner, _ = first_witness(
+        ((u, v, i, tau) for u, v in cases
+         for i in range(1, u.arity + 1) for tau in perms(v.arity)),
+        inner,
+    )
+    bad_outer, _ = first_witness(
+        ((u, v, sigma, i) for u, v in cases
+         for sigma in perms(u.arity) for i in range(1, u.arity + 1)),
+        outer,
+    )
     report.add("inner equivariance u o (v.tau)", bad_inner is None, bad_inner)
     report.add("outer equivariance (u.sigma) o v", bad_outer is None, bad_outer)
     return report
@@ -361,23 +346,32 @@ def check_unit(flavor, B, samples=50, seed=0):
     report = CheckReport("operad unit laws (%s over %s)" % (flavor, B.spec.kind))
     rng = random.Random(seed)
     unit = _unit_payload(flavor, B)
-    bad_left = None
-    bad_right = None
     elements = [random_tensor(B, rng, rng.randint(1, 3), 2) for _ in range(samples)]
     elements.extend(
         e for e in _exhaustive_low_degree_elements(B, flavor) if e.arity >= 1
     )
-    for v in elements:
+
+    # a composition outside the tabulated degree range is undecidable and passes
+    def left(v):
         try:
             got = _compose(flavor, unit, 1, v)
-            if got != v and bad_left is None:
-                bad_left = {"v": v.render(), "got": got.render()}
-            for i in range(1, v.arity + 1):
-                got = _compose(flavor, v, i, unit)
-                if got != v and bad_right is None:
-                    bad_right = {"u": v.render(), "i": i, "got": got.render()}
         except CutoffError:
-            continue
+            return None
+        if got != v:
+            return {"v": v.render(), "got": got.render()}
+
+    def right(v, i):
+        try:
+            got = _compose(flavor, v, i, unit)
+        except CutoffError:
+            return None
+        if got != v:
+            return {"u": v.render(), "i": i, "got": got.render()}
+
+    bad_left, _ = first_witness(((v,) for v in elements), left)
+    bad_right, _ = first_witness(
+        ((v, i) for v in elements for i in range(1, v.arity + 1)), right
+    )
     report.add("unit o_1 v = v", bad_left is None, bad_left)
     report.add("u o_i unit = u", bad_right is None, bad_right)
     return report
@@ -391,38 +385,32 @@ def reconstruct_bialgebra_check(B, cutoff=2):
     component) and confirms it agrees with the declared structure maps.
     """
     report = CheckReport("bialgebra reconstruction from the operad (%s)" % B.spec.kind)
-    keys = [k for k in B.basis_keys(cutoff)]
+    keys = B.basis_keys(cutoff)
+    singles = [(k,) for k in keys]
+    scalar_one = TensorElement(B, 0, {(): QQ(1)})
 
-    bad = None
-    for k1 in keys:
-        for k2 in keys:
-            if B.degree(k1) + B.degree(k2) > B.cutoff:
-                continue
-            e1, e2 = B.element({k1: QQ(1)}), B.element({k2: QQ(1)})
-            if circ_B(e1, 1, e2) != e1 * e2:
-                bad = {"pair": "%s , %s" % (B.key_str(k1), B.key_str(k2))}
-                break
-        if bad:
-            break
-    report.add("product recovered by o_1", bad is None, bad)
+    def product(k1, k2):
+        e1, e2 = B.element({k1: QQ(1)}), B.element({k2: QQ(1)})
+        if circ_B(e1, 1, e2) != e1 * e2:
+            return {"pair": "%s , %s" % (B.key_str(k1), B.key_str(k2))}
 
-    bad = None
-    for k in keys:
+    def coproduct(k):
         e = B.element({k: QQ(1)})
         if circ_B(e, 1, B.one(2)) != e.apply_coproduct(1):
-            bad = {"element": B.key_str(k)}
-            break
+            return {"element": B.key_str(k)}
+
+    def counit(k):
+        got = circ_B(B.element({k: QQ(1)}), 1, scalar_one).scalar_value()
+        if got != B.counit_key(k):
+            return {"element": B.key_str(k)}
+
+    bad, _ = first_witness(
+        bounded_product([keys, keys], B.degree, B.cutoff), product
+    )
+    report.add("product recovered by o_1", bad is None, bad)
+    bad, _ = first_witness(singles, coproduct)
     report.add("coproduct recovered by b o_1 (1@1)", bad is None, bad)
-
     if B.counital:
-        bad = None
-        scalar_one = TensorElement(B, 0, {(): QQ(1)})
-        for k in keys:
-            e = B.element({k: QQ(1)})
-            got = circ_B(e, 1, scalar_one).scalar_value()
-            if got != B.counit_key(k):
-                bad = {"element": B.key_str(k)}
-                break
+        bad, _ = first_witness(singles, counit)
         report.add("counit recovered by the arity-0 slot", bad is None, bad)
-
     return report

@@ -1,4 +1,10 @@
-"""Pass/fail reports with witnesses, rendered as text or canonical JSON."""
+"""Pass/fail reports with witnesses, rendered as text or canonical JSON.
+
+`first_witness` is where every basis-sweep checker stops: it runs the
+checker's per-case witness function over its cases (basis tuples from
+`kernel.bounded_product`) and returns the first failure's witness with the
+number of cases tried.  Together they are the one checker loop.
+"""
 
 from __future__ import annotations
 
@@ -27,13 +33,6 @@ class CheckReport:
 
     def add(self, label, ok, witness=None):
         self.entries.append(CheckEntry(label, ok, witness))
-        return self
-
-    def extend(self, other):
-        for e in other.entries:
-            self.entries.append(
-                CheckEntry("%s: %s" % (other.name, e.label), e.ok, e.witness)
-            )
         return self
 
     @property
@@ -66,3 +65,15 @@ class CheckReport:
             self.name,
             "pass" if self.passed else "FAIL",
         )
+
+
+def first_witness(cases, witness):
+    """The first non-None witness(*case) over `cases`, with the number of
+    cases tried up to and including it; (None, all cases) when none fails."""
+    tried = 0
+    for case in cases:
+        tried += 1
+        found = witness(*case)
+        if found is not None:
+            return found, tried
+    return None, tried

@@ -105,9 +105,6 @@ class TwistingElement:
     def order(self):
         return self.series.order
 
-    def coefficient(self, k):
-        return self.series.coeffs[k]
-
     def check(self, counital=True, symmetric=False):
         key = (self.order, bool(counital), bool(symmetric))
         hit = self._verdicts.get(key)
@@ -488,19 +485,15 @@ def check_functional_equation(F, names=("u1", "u2", "u3")):
         lambda p: sub(p, v2, v3)
     )
     report = CheckReport("functional equation")
-    k = None
+    k = first_failing_order(lhs, rhs)
     witness = None
-    for idx in range(F.order + 1):
-        if lhs.coeffs[idx] != rhs.coeffs[idx]:
-            k = idx
-            diff = lhs.coeffs[idx] - rhs.coeffs[idx]
-            first = sorted(diff.terms, key=Monomial.sort_key)[0]
-            witness = {
-                "first_failing_order": idx,
-                "monomial": repr(first),
-                "difference": repr(diff),
-            }
-            break
+    if k is not None:
+        diff = lhs.coeffs[k] - rhs.coeffs[k]
+        witness = {
+            "first_failing_order": k,
+            "monomial": repr(min(diff.terms, key=Monomial.sort_key)),
+            "difference": repr(diff),
+        }
     report.add("three-variable identity", k is None, witness)
 
     one = Polynomial.constant(1)

@@ -35,6 +35,9 @@ class _CoproductOverride(Bialgebra):
     def generator_key(self, name):
         return self._base.generator_key(name)
 
+    def split_key(self, key):
+        return self._base.split_key(key)
+
     def key_str(self, key):
         return self._base.key_str(key)
 

@@ -457,3 +457,45 @@ def test_mistyped_bialgebra_field_never_raises(name, path, field):
         assert code in (0, 1, 2), (field, value)
         if code == 2:
             assert "inputs" in report.error["location"], (field, value)
+
+
+def _tensor_series_paths(job):
+    """Paths in job["inputs"] at or below every tensor series of a job."""
+    inputs = job["inputs"]
+    roots = [(key,) for key in ("udf", "F1", "F2") if key in inputs]
+    roots += [("triple", key) for key in ("F1", "G", "F2") if key in inputs.get("triple", {})]
+
+    def walk(doc, path):
+        yield path
+        if isinstance(doc, dict):
+            children = doc.items()
+        elif isinstance(doc, list):
+            children = enumerate(doc)
+        else:
+            children = ()
+        for key, child in children:
+            yield from walk(child, path + (key,))
+
+    paths = []
+    for root in roots:
+        doc = inputs
+        for part in root:
+            doc = doc[part]
+        paths.extend(walk(doc, root))
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_mistyped_tensor_series_never_raises(name):
+    paths = _tensor_series_paths(FIXTURES[name])
+    for path in paths:
+        for value in (None, 0, "x", [], {}):
+            job = emit_example(name)
+            doc = job["inputs"]
+            for part in path[:-1]:
+                doc = doc[part]
+            doc[path[-1]] = value
+            report, code = run(job)
+            assert code in (0, 1, 2), (path, value)
+            if code == 2:
+                assert "inputs" in report.error["location"], (path, value)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from udeform.kernel import (
     TruncSeries,
     add_into,
     add_term,
+    bounded_product,
     series_multilinear,
 )
 from udeform.linalg import Echelon, ForwardSpan, kernel_basis, solve
@@ -158,6 +160,44 @@ def test_series_multilinear_three_series_and_empty_slots():
     for k in (1, 3):
         assert isinstance(got.coeffs[k], Polynomial) and not got.coeffs[k]
     assert got.coeffs[2] == p * q * q + q * q * p
+
+
+# items are (label, weight) pairs, so items of equal weight stay distinct
+weighted_pools = st.lists(
+    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 4)), max_size=4),
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_pools, st.integers(-1, 8))
+def test_bounded_product_is_the_filtered_product(pools, bound):
+    weighed = []
+
+    def weight(item):
+        weighed.append(item)
+        return item[1]
+
+    got = list(bounded_product(pools, weight, bound))
+    want = [
+        tup for tup in itertools.product(*pools)
+        if sum(w for _, w in tup) <= bound
+    ]
+    assert got == want
+    assert len(weighed) <= sum(map(len, pools))
+
+
+def test_bounded_product_edge_cases():
+    def weight(x):
+        return x
+
+    assert list(bounded_product([[0, 0], [0]], weight, 0)) == [(0, 0), (0, 0)]
+    assert list(bounded_product([[1, 2], []], weight, 5)) == []
+    assert list(bounded_product([[3, 1, 2]], weight, 2)) == [(1,), (2,)]
+    assert list(bounded_product([[2, 0], [1, 0]], weight, 0)) == [(0, 0)]
+    assert list(bounded_product([], weight, 0)) == [()]
+    assert list(bounded_product([], weight, -1)) == []
+    assert list(bounded_product([[5], [1, 2]], weight, None)) == [(5, 1), (5, 2)]
 
 
 class TestPolynomial:

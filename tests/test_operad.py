@@ -174,6 +174,26 @@ class TestAxiomCheckers:
         assert lhs != rhs
 
 
+def test_exhaustive_sweep_weighs_each_element_once(matrixB, monkeypatch):
+    # the sweep visits (u, v, w) of total degree <= 2 among all single-term
+    # basis tensors; their degrees are computed once per element, not once
+    # per candidate triple (over 200,000 here)
+    from udeform.operad import _exhaustive_low_degree_elements
+
+    calls = []
+    degree = TensorElement.degree
+
+    def counted(self):
+        calls.append(self)
+        return degree(self)
+
+    monkeypatch.setattr(TensorElement, "degree", counted)
+    rep = check_assoc_cases(FLAVOR_MULTIPLICATIVE, matrixB, samples=0)
+    assert rep.passed
+    elements = _exhaustive_low_degree_elements(matrixB, FLAVOR_MULTIPLICATIVE)
+    assert len(calls) <= 3 * len(elements)
+
+
 def test_reconstruction_diagnostic(B2, monoid_z2, matrixB):
     for B in (B2, monoid_z2, matrixB):
         rep = reconstruct_bialgebra_check(B, cutoff=2)
