@@ -23,8 +23,8 @@ import itertools
 from fractions import Fraction
 
 from .kernel import (
-    Monomial, ONE_MONOMIAL, QQ, SparseElement, add_into, add_term, as_scalar,
-    bounded_product, monomials,
+    Monomial, ONE_MONOMIAL, QQ, SparseElement, add_into, add_term,
+    bounded_product, clean_terms, monomials,
 )
 from .reports import CheckReport, first_witness
 
@@ -493,13 +493,6 @@ def _convolve_pairs(t1, t2):
 # sparse elements of B^(@n)
 # ---------------------------------------------------------------------------
 
-def _tensor(parent, arity, terms):
-    """Wrap a dict with no stored zeros as an element of B^(@arity)."""
-    t = TensorElement.__new__(TensorElement)
-    t.parent, t.arity, t.terms = parent, arity, terms
-    return t
-
-
 class TensorElement(SparseElement):
     """A sparse element of B^(@n); arity 0 means a bare scalar.
 
@@ -512,41 +505,34 @@ class TensorElement(SparseElement):
     def __init__(self, parent, arity, terms):
         if arity < 0:
             raise ValueError("arity must be >= 0")
-        cleaned = {}
-        for keys, c in terms.items():
+
+        def key_tuple(keys):
             keys = tuple(keys)
             if len(keys) != arity:
                 raise ValueError("key tuple %r does not have arity %d" % (keys, arity))
-            add_term(cleaned, keys, as_scalar(c))
+            return keys
+
         self.parent = parent
         self.arity = arity
-        self.terms = cleaned
+        self.terms = clean_terms(terms, key_tuple)
 
     # -- basics ---------------------------------------------------------------
-    def _like(self, terms):
-        return _tensor(self.parent, self.arity, terms)
+    def _like(self, terms, arity=None):
+        """Wrap a dict with no stored zeros over the same bialgebra, at this
+        element's arity unless another is given."""
+        t = TensorElement.__new__(TensorElement)
+        t.parent, t.terms = self.parent, terms
+        t.arity = self.arity if arity is None else arity
+        return t
 
-    def _check_mate(self, other):
-        super()._check_mate(other)
-        if self.parent is not other.parent:
-            raise ValueError("tensor elements live over different bialgebras")
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch: %d vs %d" % (self.arity, other.arity))
+    def _space(self):
+        return self.parent, self.arity
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return not self.terms
-            return self == other * self.parent.one(self.arity)
-        return (
-            isinstance(other, TensorElement)
-            and self.parent is other.parent
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
+    def _order(self, keys):
+        return tuple(map(self.parent.key_sort_key, keys))
 
-    def __hash__(self):
-        return hash((id(self.parent), self.arity, frozenset(self.terms.items())))
+    def _key_text(self, keys):
+        return "@".join(map(self.parent.key_str, keys)) if keys else "()"
 
     def __mul__(self, other):
         """Slotwise product for equal arities; scalars scale."""
@@ -586,9 +572,6 @@ class TensorElement(SparseElement):
     def one_like(self):
         return self.parent.one(self.arity)
 
-    def zero_like(self):
-        return self.parent.zero(self.arity)
-
     def outer(self, other):
         """Tensor-product concatenation u @ v of arities m and n."""
         if self.parent is not other.parent:
@@ -597,7 +580,7 @@ class TensorElement(SparseElement):
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 out[k1 + k2] = c1 * c2
-        return _tensor(self.parent, self.arity + other.arity, out)
+        return self._like(out, self.arity + other.arity)
 
     # -- structure maps on slots ----------------------------------------------
     def apply_coproduct(self, slot):
@@ -610,7 +593,7 @@ class TensorElement(SparseElement):
         for keys, c in self.terms.items():
             for (a, b), c2 in B.coproduct_key(keys[i]).items():
                 add_term(out, keys[:i] + (a, b) + keys[i + 1:], c * c2)
-        return _tensor(B, self.arity + 1, out)
+        return self._like(out, self.arity + 1)
 
     def apply_counit(self, slot):
         """eps on slot i (1-based); arity shrinks by one."""
@@ -621,7 +604,7 @@ class TensorElement(SparseElement):
         i = slot - 1
         for keys, c in self.terms.items():
             add_term(out, keys[:i] + keys[i + 1:], c * B.counit_key(keys[i]))
-        return _tensor(B, self.arity - 1, out)
+        return self._like(out, self.arity - 1)
 
     def permute(self, sigma):
         """Right action (u . sigma)_i = u_{sigma(i)}; sigma is a 1-based tuple."""
@@ -651,7 +634,7 @@ class TensorElement(SparseElement):
             for k in keys:
                 piece = piece.outer(images(k))
             add_into(out, piece.terms)
-        return _tensor(target, self.arity, out)
+        return target.zero(self.arity)._like(out)
 
     def degree(self):
         """Largest total internal degree over the support."""
@@ -660,43 +643,6 @@ class TensorElement(SparseElement):
             (sum(B.degree(k) for k in keys) for keys in self.terms),
             default=0,
         )
-
-    def homogeneous_parts(self):
-        """Split into internal-degree-homogeneous pieces, dict degree -> element."""
-        B = self.parent
-        buckets = {}
-        for keys, c in self.terms.items():
-            d = sum(B.degree(k) for k in keys)
-            buckets.setdefault(d, {})[keys] = c
-        return {
-            d: TensorElement(B, self.arity, terms) for d, terms in buckets.items()
-        }
-
-    def sorted_terms(self):
-        B = self.parent
-        return sorted(
-            self.terms.items(),
-            key=lambda item: tuple(B.key_sort_key(k) for k in item[0]),
-        )
-
-    def render(self):
-        """Canonical text form, terms in basis order."""
-        if not self.terms:
-            return "0"
-        B = self.parent
-        bits = []
-        for keys, c in self.sorted_terms():
-            body = "@".join(B.key_str(k) for k in keys) if keys else "()"
-            if c == 1:
-                bits.append(body)
-            elif c == -1:
-                bits.append("-" + body)
-            else:
-                bits.append("%s*%s" % (c, body))
-        return " + ".join(bits).replace("+ -", "- ")
-
-    def __repr__(self):
-        return self.render()
 
 
 # ---------------------------------------------------------------------------

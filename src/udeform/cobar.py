@@ -115,12 +115,6 @@ class CobarCochain:
         self.word_length = w
         self.value = value
 
-    def internal_degree(self):
-        parts = self.value.homogeneous_parts()
-        if len(parts) > 1:
-            raise ValueError("cochain is not internal-degree homogeneous")
-        return next(iter(parts), 0)
-
     def differential(self):
         """d1 = reduced diagonal; d2(x@y) = dbar(x)@y - x@dbar(y)."""
         if self.word_length >= 3:

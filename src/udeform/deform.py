@@ -37,6 +37,7 @@ from .kernel import (
     add_term,
     as_scalar,
     bounded_product,
+    clean_terms,
     monomials,
     series_multilinear,
 )
@@ -196,41 +197,29 @@ class FiniteDimensionalAlgebra(AlgebraSpec):
         return "<finite-dimensional algebra on {%s}>" % ",".join(self.basis)
 
 
-def _element(A, terms):
-    """Wrap a dict with no stored zeros as an element of A."""
-    e = AlgebraElement.__new__(AlgebraElement)
-    e.parent, e.terms = A, terms
-    return e
-
-
 class AlgebraElement(SparseElement):
     """Sparse element of an AlgebraSpec with exact coefficients."""
 
     __slots__ = ("parent",)
 
     def __init__(self, parent, terms):
-        cleaned = {}
-        for k, c in terms.items():
-            add_term(cleaned, k, as_scalar(c))
         self.parent = parent
-        self.terms = cleaned
+        self.terms = clean_terms(terms)
 
     def _like(self, terms):
-        return _element(self.parent, terms)
+        e = AlgebraElement.__new__(AlgebraElement)
+        e.parent, e.terms = self.parent, terms
+        return e
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return not self.terms
-            other = self.parent.one().scale(other)
-        return (
-            isinstance(other, AlgebraElement)
-            and self.parent is other.parent
-            and self.terms == other.terms
-        )
+    def _space(self):
+        return self.parent
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    def _order(self, key):
+        return self.parent.degree(key), self.parent.key_str(key)
+
+    def _key_text(self, key):
+        name = self.parent.key_str(key)
+        return "" if name == "1" else name
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -245,34 +234,8 @@ class AlgebraElement(SparseElement):
     def one_like(self):
         return self.parent.one()
 
-    def zero_like(self):
-        return self.parent.zero()
-
     def to_polynomial(self):
         return Polynomial(dict(self.terms))
-
-    def render(self):
-        if not self.terms:
-            return "0"
-        A = self.parent
-        def sort_key(k):
-            return (A.degree(k), A.key_str(k))
-        bits = []
-        for k in sorted(self.terms, key=sort_key):
-            c = self.terms[k]
-            name = A.key_str(k)
-            if name == "1":
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(name)
-            elif c == -1:
-                bits.append("-%s" % name)
-            else:
-                bits.append("%s*%s" % (c, name))
-        return " + ".join(bits).replace("+ -", "- ")
-
-    def __repr__(self):
-        return self.render()
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +326,7 @@ class Derivation(Operator):
                         "derivation output %s exceeds cutoff %d" % (mono, A.cutoff)
                     )
                 add_term(out, mono, c)
-        return _element(A, out)
+        return A.zero()._like(out)
 
     def apply(self, elem):
         return elem.map_terms(self.apply_key)
@@ -552,7 +515,7 @@ def check_module_algebra(action, cutoff=None):
         for (b1, b2), c in B.coproduct_key(bk).items():
             prod = action.apply_key(b1, e1) * action.apply_key(b2, e2)
             add_into(rhs, prod.terms, c)
-        rhs = _element(A, rhs)
+        rhs = A.zero()._like(rhs)
         if lhs != rhs:
             return {
                 "b": B.key_str(bk),
@@ -695,7 +658,7 @@ class HochschildCochain:
             for _, ci in combo:
                 c *= ci
             add_into(out, self.on_keys(*keys).terms, c)
-        return _element(self.parent, out)
+        return self.parent.zero()._like(out)
 
     def __sub__(self, other):
         if other.parent is not self.parent or other.degree != self.degree:
@@ -705,10 +668,6 @@ class HochschildCochain:
             self.degree,
             lambda *keys: self.on_keys(*keys) - other.on_keys(*keys),
         )
-
-    def is_zero_within(self, cutoff):
-        ok, _ = self.zero_witness(cutoff)
-        return ok
 
     def zero_witness(self, cutoff):
         A = self.parent
@@ -803,7 +762,7 @@ class PolynomialOperator1Cochain:
             out = {}
             for mono, alpha, c in self.terms:
                 add_into(out, _apply_poly_operator(mono, alpha, poly).terms, c)
-            return _element(A, out)
+            return A.zero()._like(out)
 
         return HochschildCochain(A, 1, g)
 

@@ -6,11 +6,31 @@ operation ever stores a zero coefficient or an unreduced fraction.
 There is one representation of a sparse linear combination in the package: a
 dict basis key -> nonzero Fraction.  `add_term` and `add_into` are the one
 accumulator over it; they update a dict in place and drop every coefficient
-that reaches zero.  `SparseElement` wraps such a dict as `terms` and supplies
-the linear structure (+, -, negation, scaling) once; `Polynomial` here and the
-tensor, algebra and pAss elements elsewhere subclass it and add only their own
-product, equality, hashing and rendering.  The linear algebra in `linalg` runs
-on the same dicts with the same accumulator.
+that reaches zero, and `clean_terms` builds such a dict from caller input.
+The linear algebra in `linalg` runs on the same dicts with the same
+accumulator.
+
+`SparseElement` wraps such a dict as `terms` and is the one element layer:
+`Polynomial` here and the tensor, algebra and pAss elements elsewhere
+subclass it.  A subclass supplies
+
+* `_like(terms)`: a sibling of self (same class and space) around a dict
+  taken as given;
+* `one_like()`: the unit of its space, if the space has one;
+* `_space()`: what two summands must share besides their class (the parent,
+  plus the arity for tensors; None for polynomials);
+* `_order(key)`: the sort key of a basis key, which fixes the basis order;
+* `_key_text(key)`: the text of a basis key, empty for an algebra unit;
+* its product.
+
+and inherits the linear structure (+, -, negation, scaling, `map_terms`),
+the check that summands share a space, `zero_like`, equality (with another
+element of the same space, with 0, and with a scalar c as c times
+`one_like()`; an element without a unit equals no nonzero scalar), a hash
+consistent with it, `sorted_terms` in basis order, and `render`/`repr`: the
+terms in basis order joined by " + ", a coefficient 1 or -1 shown as the
+sign only, and a key with empty text shown as its bare coefficient.  Every
+witness and report string passes through that one renderer.
 
 `bounded_product` enumerates the basis tuples every checker sweeps: the
 tuples of a product of pools whose degrees sum to at most a bound, in
@@ -40,6 +60,7 @@ __all__ = [
     "add_into",
     "add_term",
     "bounded_product",
+    "clean_terms",
     "monomials",
     "series_multilinear",
 ]
@@ -103,18 +124,36 @@ def add_into(acc, terms, c=1):
     return acc
 
 
+def clean_terms(terms, normalize=None):
+    """A fresh dict of `terms` with exact scalar coefficients, keys passed
+    through `normalize` when given, equal keys merged and zeros dropped."""
+    out = {}
+    for key, c in terms.items():
+        add_term(out, key if normalize is None else normalize(key), as_scalar(c))
+    return out
+
+
 class SparseElement:
     """A sparse linear combination: `terms` maps basis keys to nonzero Fractions.
 
-    The linear structure lives here once.  A subclass supplies `_like(terms)`,
-    which wraps a dict as a sibling of self (same class, parent and arity,
-    terms taken as given), and may extend `_check_mate`, which rejects a
-    summand from another space.  Instances are immutable once built.
+    The element policy lives here once; see the module docstring for what a
+    subclass supplies and what it inherits.  Instances are immutable once
+    built.
     """
 
     __slots__ = ("terms",)
 
     def _like(self, terms):
+        raise NotImplementedError
+
+    def _space(self):
+        """What two summands must share besides their class: None here."""
+        return None
+
+    def _order(self, key):
+        raise NotImplementedError
+
+    def _key_text(self, key):
         raise NotImplementedError
 
     def _check_mate(self, other):
@@ -123,12 +162,35 @@ class SparseElement:
                 "cannot combine %s with %s"
                 % (type(self).__name__, type(other).__name__)
             )
+        if other._space() != self._space():
+            raise ValueError(
+                "cannot combine %s over %r with one over %r"
+                % (type(self).__name__, self._space(), other._space())
+            )
 
     def __bool__(self):
         return bool(self.terms)
 
     def is_zero(self):
         return not self.terms
+
+    def zero_like(self):
+        return self._like({})
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return not self.terms
+            one_like = getattr(self, "one_like", None)
+            return one_like is not None and self.terms == one_like().scale(other).terms
+        return (
+            type(other) is type(self)
+            and other._space() == self._space()
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self._space(), frozenset(self.terms.items())))
 
     def __add__(self, other):
         if not isinstance(other, SparseElement):
@@ -164,6 +226,29 @@ class SparseElement:
         for key, c in self.terms.items():
             add_into(out, image(key).terms, c)
         return (self if like is None else like)._like(out)
+
+    def sorted_terms(self):
+        """The (key, coefficient) pairs in basis order."""
+        return sorted(self.terms.items(), key=lambda item: self._order(item[0]))
+
+    def render(self):
+        """Canonical text form, terms in basis order; a key with empty text
+        is the unit and shows as its bare coefficient."""
+        bits = []
+        for key, c in self.sorted_terms():
+            body = self._key_text(key)
+            if not body:
+                bits.append(str(c))
+            elif c == 1:
+                bits.append(body)
+            elif c == -1:
+                bits.append("-" + body)
+            else:
+                bits.append("%s*%s" % (c, body))
+        return " + ".join(bits).replace("+ -", "- ") if bits else "0"
+
+    def __repr__(self):
+        return self.render()
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +394,18 @@ class Polynomial(SparseElement):
     __slots__ = ()
 
     def __init__(self, terms=None):
-        cleaned = {}
-        if terms:
-            for mono, c in terms.items():
-                if not isinstance(mono, Monomial):
-                    mono = Monomial(mono)
-                add_term(cleaned, mono, as_scalar(c))
-        self.terms = cleaned
+        self.terms = clean_terms(terms, Monomial) if terms else {}
 
     def _like(self, terms):
         p = Polynomial.__new__(Polynomial)
         p.terms = terms
         return p
+
+    def _order(self, key):
+        return key.sort_key()
+
+    def _key_text(self, key):
+        return repr(key) if key.exps else ""
 
     @staticmethod
     def constant(c):
@@ -338,9 +423,6 @@ class Polynomial(SparseElement):
     def one_like(self):
         return Polynomial({ONE_MONOMIAL: QQ(1)})
 
-    def zero_like(self):
-        return Polynomial()
-
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
@@ -349,14 +431,6 @@ class Polynomial(SparseElement):
             for m2, c2 in other.terms.items():
                 add_term(out, m1 * m2, c1 * c2)
         return self._like(out)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        return isinstance(other, Polynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -397,23 +471,6 @@ class Polynomial(SparseElement):
                 d[name] = e - 1
             add_term(out, Monomial(d), c * e)
         return self._like(out)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono in sorted(self.terms, key=Monomial.sort_key):
-            c = self.terms[mono]
-            if mono == ONE_MONOMIAL:
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(repr(mono))
-            elif c == -1:
-                bits.append("-%s" % repr(mono))
-            else:
-                bits.append("%s*%s" % (c, repr(mono)))
-        s = " + ".join(bits)
-        return s.replace("+ -", "- ")
 
 
 # ---------------------------------------------------------------------------

@@ -198,11 +198,18 @@ class AdditiveTwist:
 # the checkers
 # ---------------------------------------------------------------------------
 
-def _tensor_witness(order, diff):
-    return {
-        "first_failing_order": order,
-        "difference": diff.render(),
-    }
+def add_series_identity(report, label, lhs, rhs):
+    """Add the entry lhs = rhs for two series to `report`; a failure names
+    the first failing t-order and the difference there."""
+    k = first_failing_order(lhs, rhs)
+    report.add(
+        label,
+        k is None,
+        None if k is None else {
+            "first_failing_order": k,
+            "difference": (lhs.coeffs[k] - rhs.coeffs[k]).render(),
+        },
+    )
 
 
 def check_twisting(F, counital=True, symmetric=False):
@@ -220,12 +227,7 @@ def check_twisting(F, counital=True, symmetric=False):
     one1 = constant_series(B.one(1), F.order)
     lhs = series_coproduct(s, 1) * series_outer(s, one1)
     rhs = series_coproduct(s, 2) * series_outer(one1, s)
-    k = first_failing_order(lhs, rhs)
-    report.add(
-        "(d1) cocycle identity",
-        k is None,
-        None if k is None else _tensor_witness(k, lhs.coeffs[k] - rhs.coeffs[k]),
-    )
+    add_series_identity(report, "(d1) cocycle identity", lhs, rhs)
 
     if counital:
         B.require_counit()
@@ -245,15 +247,7 @@ def check_twisting(F, counital=True, symmetric=False):
         )
 
     if symmetric:
-        flipped = series_permute(s, (2, 1))
-        k = first_failing_order(s, flipped)
-        report.add(
-            "symmetry F = tau F",
-            k is None,
-            None
-            if k is None
-            else _tensor_witness(k, s.coeffs[k] - flipped.coeffs[k]),
-        )
+        add_series_identity(report, "symmetry F = tau F", s, series_permute(s, (2, 1)))
 
     return report
 
@@ -300,12 +294,7 @@ def additive_twist_equation(f):
     lhs = series_coproduct(s, 1) + series_outer(s, one1)
     rhs = series_coproduct(s, 2) + series_outer(one1, s)
     report = CheckReport("additive twist equation")
-    k = first_failing_order(lhs, rhs)
-    report.add(
-        "additive cocycle identity",
-        k is None,
-        None if k is None else _tensor_witness(k, lhs.coeffs[k] - rhs.coeffs[k]),
-    )
+    add_series_identity(report, "additive cocycle identity", lhs, rhs)
     return report
 
 

@@ -1,11 +1,14 @@
 import copy
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
+import udeform
 from udeform.cli import DEFAULTS, main, run, validate_jobspec, JobError, _load_schema
 from udeform.fixtures import FIXTURES, emit_example
 
@@ -37,14 +40,29 @@ def test_emit_unknown_name():
     assert main(["emit", "nonexistent-fixture"]) == 2
 
 
+def _subprocess_env(**extra):
+    env = dict(os.environ, **extra)
+    src = str(pathlib.Path(udeform.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_reports_are_byte_identical(tmp_path):
-    path = write_job(tmp_path, emit_example("moyal"))
-    outs = []
-    for i in range(2):
-        out = tmp_path / ("r%d.json" % i)
-        main(["run", "--job", path, "--format", "json", "--out", str(out)])
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    # string hashing differs between the two interpreters, so no report
+    # may depend on the iteration order of a set or of hashed elements
+    for name in sorted(FIXTURES):
+        path = write_job(tmp_path, emit_example(name), name + ".json")
+        outs = []
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "udeform.cli", "run", "--job", path,
+                 "--format", "json"],
+                capture_output=True,
+                env=_subprocess_env(PYTHONHASHSEED=seed),
+            )
+            assert proc.returncode == 0, (name, proc.stderr)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], name
 
 
 def test_report_json_matches_schema(tmp_path):
@@ -307,17 +325,8 @@ def test_library_has_no_assert_statements():
 
 
 def test_optimized_interpreter_gives_identical_report(tmp_path):
-    import os
-    import pathlib
-
-    import udeform
-
     path = write_job(tmp_path, emit_example("moyal"))
-    env = dict(os.environ)
-    src = str(pathlib.Path(udeform.__file__).parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
+    env = _subprocess_env()
     outs = []
     for flags in ([], ["-O"]):
         proc = subprocess.run(
@@ -399,6 +408,27 @@ def test_unknown_literal_variant_node_exits_two():
     job["inputs"]["literal_action_variant"]["node"] = "no-such-node"
     error = _run_error(job)
     assert error["location"] == "inputs.literal_action_variant.node"
+
+
+def test_node_cutoff_overflow_fails_the_node():
+    # the literal (p^2/2) d/dp action on a cutoff-4 target overflows inside
+    # the node's module-algebra check; that is a failed node, not an error
+    job = emit_example("diagram-power-map")
+    inputs = job["inputs"]
+    v2 = inputs["diagram"]["nodes"][1]
+    v2["algebra"]["degree_cutoff"] = 4
+    v2["action"] = inputs["literal_action_variant"]["action"]
+    for key in ("triple", "literal_action_variant"):
+        del inputs[key]
+    del job["expect"]
+    report, code = run(job)
+    assert code == 1
+    entries = {e["label"]: e for e in report.to_json()["checks"][0]["entries"]}
+    assert entries["node v1 is a module algebra"]["ok"]
+    node = entries["node v2 is a module algebra"]
+    assert not node["ok"]
+    assert node["witness"] == {"error": "derivation output p^2*q^3 exceeds cutoff 4"}
+    assert not entries["arrow 0 (v1 -> v2): b h(a) = h(phi(b) a)"]["ok"]
 
 
 def test_hochschild_at_order_zero_exits_two():

@@ -60,7 +60,8 @@ class TestDifferential:
 
     def test_internal_degree(self, B2):
         c = CobarCochain(B2.generator("p1").outer(B2.generator("p2")))
-        assert c.internal_degree() == 2
+        degrees = {sum(map(B2.degree, keys)) for keys in c.value.terms}
+        assert degrees == {2}
 
     def test_complex_builds_for_every_shipped_counital_kind(
         self, B1, B2, tensorB, matrixB, monoid_free, monoid_z2, monoid_idem

@@ -270,14 +270,14 @@ class TestInfinitesimalLayer:
             B2, plane, {"p1": {"p": 1}, "p2": {"p": Polynomial.variable("q")}}
         )
         mu1 = infinitesimal_cocycle(moyal_udf, action)
-        assert mu1.is_zero_within(plane.cutoff)
+        assert mu1.zero_witness(plane.cutoff)[0]
 
     def test_square_zero_counterexample(self, B2, square_zero, moyal_udf):
         th1 = Derivation(square_zero, {"p": {"p": 1}})
         th2 = Derivation(square_zero, {"q": {"q": 1}})
         action = action_from_derivations(B2, square_zero, {"p1": th1, "p2": th2})
         mu1 = infinitesimal_cocycle(moyal_udf, action, cutoff=0)
-        assert mu1.is_zero_within(0)
+        assert mu1.zero_witness(0)[0]
 
     def test_moyal_class_is_not_a_coboundary(self, moyal_udf, moyal_action, plane):
         mu1 = infinitesimal_cocycle(moyal_udf, moyal_action)
@@ -309,7 +309,7 @@ class TestInfinitesimalLayer:
         zero = HochschildCochain(plane, 2, lambda x, y: plane.zero())
         g, _ = is_hochschild_coboundary(plane, zero, search_bound=1)
         assert g is not None
-        assert hochschild_differential(g).is_zero_within(plane.cutoff)
+        assert hochschild_differential(g).zero_witness(plane.cutoff)[0]
 
     def test_finite_dimensional_coboundary_search(self, square_zero, B2, moyal_udf):
         th1 = Derivation(square_zero, {"p": {"p": 1}})
@@ -321,7 +321,7 @@ class TestInfinitesimalLayer:
 
     def test_mu1_is_a_cocycle(self, moyal_udf, euler_action, plane):
         mu1 = infinitesimal_cocycle(moyal_udf, euler_action)
-        assert hochschild_differential(mu1).is_zero_within(plane.cutoff)
+        assert hochschild_differential(mu1).zero_witness(plane.cutoff)[0]
 
 
 class TestWedge:
