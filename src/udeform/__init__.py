@@ -16,9 +16,6 @@ from .bialgebra import (
     check_cocommutative,
     construct_bialgebra,
     iterated_coproduct,
-    permute_factors,
-    slot_apply,
-    tensor_multiply,
 )
 from .operad import (
     OperadElement,

@@ -6,6 +6,11 @@ construction.  Operations that would leave the tabulated range raise
 CutoffError instead of truncating -- silent truncation would corrupt the
 identity checks built on top of this module.
 
+A kind supplies a key basis, a key product, and Delta and eps on its
+generators.  Both are algebra morphisms, so the base class derives them on
+every key from `split_key` (a generator times a shorter key), and it decides
+commutativity on the generators.
+
 Shipped kinds:
 
 * ``polynomial-primitive`` -- k[p1,...,pk] with primitive generators,
@@ -47,6 +52,8 @@ KINDS = ("polynomial-primitive", "tensor-primitive", "monoid", "matrix-coordinat
 class BialgebraSpec:
     """Serializable description of a bialgebra presentation.
 
+    The kind fixes the key basis, the key product and Delta and eps on the
+    generators; Delta and eps on every other key follow from those.
     ``counital`` is structural (it switches eps off); commutativity and
     cocommutativity are never asserted here -- they are derived by the
     checkers up to the degree cutoff.
@@ -121,7 +128,6 @@ class Bialgebra:
         self.counital = spec.counital
         self._coproduct_cache = {}
         self._product_cache = {}
-        self._flag_cache = {}
 
     # -- kind-specific primitives ------------------------------------------
     @property
@@ -135,7 +141,11 @@ class Bialgebra:
         """Sparse product of two basis keys, dict key -> Fraction."""
         raise NotImplementedError
 
-    def counit_key(self, key):
+    def _generator_coproduct(self, g):
+        """Delta of a generator g from `split_key`, dict (key, key) -> Fraction."""
+        raise NotImplementedError
+
+    def _generator_counit(self, g):
         raise NotImplementedError
 
     def basis_keys(self, max_degree):
@@ -171,11 +181,9 @@ class Bialgebra:
     def coproduct_key(self, key):
         """Delta on a basis key, memoized, dict (key, key) -> Fraction."""
         hit = self._coproduct_cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._coproduct_key(key)
-        self._coproduct_cache[key] = out
-        return out
+        if hit is None:
+            hit = self._coproduct_cache[key] = self._coproduct_key(key)
+        return hit
 
     def product_single(self, k1, k2):
         """(key, coeff) when the product of two basis keys is one term, else
@@ -190,7 +198,20 @@ class Bialgebra:
         return None if hit is False else hit
 
     def _coproduct_key(self, key):
-        raise NotImplementedError
+        if key == self.unit_key:
+            return {(key, key): QQ(1)}
+        g, rest = self.split_key(key)
+        delta = self.tensor(2, self._generator_coproduct(g))
+        return (delta * self.tensor(2, self.coproduct_key(rest))).terms
+
+    def counit_key(self, key):
+        """eps on a basis key: the product of its generators' counits."""
+        self.require_counit()
+        out = QQ(1)
+        while key != self.unit_key and out:
+            g, key = self.split_key(key)
+            out *= self._generator_counit(g)
+        return out
 
     def require_counit(self):
         if not self.counital:
@@ -216,11 +237,10 @@ class Bialgebra:
 
     # -- derived flags --------------------------------------------------------
     def is_commutative(self, cutoff=None):
+        """Whether products within the cutoff commute, checked on the keys
+        of degree <= 1: they generate B (a finite monoid's are all degree 0)."""
         cutoff = self.cutoff if cutoff is None else cutoff
-        hit = self._flag_cache.get(("comm", cutoff))
-        if hit is not None:
-            return hit
-        keys = self.basis_keys(cutoff)
+        keys = self.basis_keys(min(cutoff, 1))
 
         def noncommuting(k1, k2):
             return self.product_keys(k1, k2) != self.product_keys(k2, k1) or None
@@ -228,8 +248,7 @@ class Bialgebra:
         bad, _ = first_witness(
             bounded_product([keys, keys], self.degree, cutoff), noncommuting
         )
-        self._flag_cache[("comm", cutoff)] = ok = bad is None
-        return ok
+        return bad is None
 
     def __repr__(self):
         return "<Bialgebra %s on %s, cutoff %d>" % (
@@ -278,62 +297,51 @@ class _MonomialBasisMixin:
         return {self.check_cutoff(k1 * k2): QQ(1)}
 
 
-class PolynomialPrimitiveBialgebra(_MonomialBasisMixin, Bialgebra):
+class _PrimitiveGenerators:
+    """Delta(g) = g@1 + 1@g and eps(g) = 0 on every generator."""
+
+    def _generator_coproduct(self, g):
+        key, unit = self.generator_key(g), self.unit_key
+        return {(key, unit): QQ(1), (unit, key): QQ(1)}
+
+    def _generator_counit(self, g):
+        return QQ(0)
+
+
+class _GrouplikeGenerators:
+    """Delta(g) = g@g and eps(g) = 1 on every generator."""
+
+    def _generator_coproduct(self, g):
+        key = self.generator_key(g)
+        return {(key, key): QQ(1)}
+
+    def _generator_counit(self, g):
+        return QQ(1)
+
+
+class PolynomialPrimitiveBialgebra(_PrimitiveGenerators, _MonomialBasisMixin, Bialgebra):
     """k[p1,...,pk], Delta(p) = p@1 + 1@p, eps(p) = 0."""
-
-    def _coproduct_key(self, key):
-        # product of binomial expansions, one generator at a time
-        out = {(ONE_MONOMIAL, ONE_MONOMIAL): QQ(1)}
-        for name, e in key.exps:
-            binom = {}
-            c = 1
-            for i in range(e + 1):
-                binom[(Monomial({name: i}), Monomial({name: e - i}))] = QQ(c)
-                c = c * (e - i) // (i + 1)
-            out = _convolve_pairs(out, binom)
-        return out
-
-    def counit_key(self, key):
-        self.require_counit()
-        return QQ(1) if key == ONE_MONOMIAL else QQ(0)
 
 
 class MatrixCoordinateBialgebra(_MonomialBasisMixin, Bialgebra):
     """Coordinate bialgebra of 2x2 matrices on generators (a, b, c, d).
 
-    Delta is the matrix-comultiplication Delta(x_ij) = sum_k x_ik @ x_kj;
-    commutative, counital, and visibly not cocommutative.
+    Delta is the matrix-comultiplication Delta(x_ij) = sum_k x_ik @ x_kj and
+    eps(x_ij) = [i == j]; commutative, counital, and visibly not
+    cocommutative.
     """
 
-    def _generator_tables(self):
-        a, b, c, d = (Monomial({n: 1}) for n in self.spec.generators)
-        one = QQ(1)
-        return {
-            self.spec.generators[0]: {(a, a): one, (b, c): one},
-            self.spec.generators[1]: {(a, b): one, (b, d): one},
-            self.spec.generators[2]: {(c, a): one, (d, c): one},
-            self.spec.generators[3]: {(c, b): one, (d, d): one},
-        }
+    def _generator_coproduct(self, g):
+        x = [self.generator_key(name) for name in self.spec.generators]
+        i, j = divmod(self.spec.generators.index(g), 2)
+        return {(x[2 * i + k], x[2 * k + j]): QQ(1) for k in range(2)}
 
-    def _coproduct_key(self, key):
-        tables = self._generator_tables()
-        out = {(ONE_MONOMIAL, ONE_MONOMIAL): QQ(1)}
-        for name, e in key.exps:
-            for _ in range(e):
-                out = _convolve_pairs(out, tables[name])
-        return out
-
-    def counit_key(self, key):
-        self.require_counit()
-        # eps(a) = eps(d) = 1, eps(b) = eps(c) = 0, extended multiplicatively
-        ga, gb, gc, gd = self.spec.generators
-        for name, _ in key.exps:
-            if name in (gb, gc):
-                return QQ(0)
-        return QQ(1)
+    def _generator_counit(self, g):
+        i, j = divmod(self.spec.generators.index(g), 2)
+        return QQ(1) if i == j else QQ(0)
 
 
-class TensorPrimitiveBialgebra(Bialgebra):
+class TensorPrimitiveBialgebra(_PrimitiveGenerators, Bialgebra):
     """Tensor algebra T(X) on a word basis with primitive generators."""
 
     @property
@@ -351,20 +359,6 @@ class TensorPrimitiveBialgebra(Bialgebra):
 
     def product_keys(self, k1, k2):
         return {self.check_cutoff(k1 + k2): QQ(1)}
-
-    def _coproduct_key(self, key):
-        # Delta(e_i1 ... e_in) = sum over subsets, order preserved in each slot
-        out = {}
-        n = len(key)
-        for mask in range(1 << n):
-            left = tuple(key[i] for i in range(n) if mask >> i & 1)
-            right = tuple(key[i] for i in range(n) if not mask >> i & 1)
-            add_term(out, (left, right), QQ(1))
-        return out
-
-    def counit_key(self, key):
-        self.require_counit()
-        return QQ(1) if not key else QQ(0)
 
     def basis_keys(self, max_degree):
         out = []
@@ -387,22 +381,15 @@ class TensorPrimitiveBialgebra(Bialgebra):
         return (len(key), key)
 
 
-class FreeCommutativeMonoidBialgebra(_MonomialBasisMixin, Bialgebra):
+class FreeCommutativeMonoidBialgebra(_GrouplikeGenerators, _MonomialBasisMixin, Bialgebra):
     """k[M] for the free commutative monoid on named generators.
 
     Basis elements are grouplike: Delta(m) = m@m and eps(m) = 1; word length
     is the internal degree.
     """
 
-    def _coproduct_key(self, key):
-        return {(key, key): QQ(1)}
 
-    def counit_key(self, key):
-        self.require_counit()
-        return QQ(1)
-
-
-class FiniteMonoidBialgebra(Bialgebra):
+class FiniteMonoidBialgebra(_GrouplikeGenerators, Bialgebra):
     """k[M] for a finite monoid given by an explicit multiplication table."""
 
     def __init__(self, spec, cutoff):
@@ -459,13 +446,6 @@ class FiniteMonoidBialgebra(Bialgebra):
     def product_keys(self, k1, k2):
         return {self._mul[(k1, k2)]: QQ(1)}
 
-    def _coproduct_key(self, key):
-        return {(key, key): QQ(1)}
-
-    def counit_key(self, key):
-        self.require_counit()
-        return QQ(1)
-
     def basis_keys(self, max_degree):
         return list(self.elements)
 
@@ -477,16 +457,6 @@ class FiniteMonoidBialgebra(Bialgebra):
 
     def key_sort_key(self, key):
         return (0, self.elements.index(key))
-
-
-def _convolve_pairs(t1, t2):
-    """Product of two sparse B@B tables whose keys multiply to single keys."""
-    out = {}
-    for (a1, b1), c1 in t1.items():
-        for (a2, b2), c2 in t2.items():
-            key = (a1 * a2, b1 * b2) if isinstance(a1, Monomial) else (a1 + a2, b1 + b2)
-            add_term(out, key, c1 * c2)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -648,28 +618,6 @@ class TensorElement(SparseElement):
 # ---------------------------------------------------------------------------
 # module-level operation entry points
 # ---------------------------------------------------------------------------
-
-def tensor_multiply(u, v):
-    """Slotwise product on B^(@n)."""
-    return u * v
-
-
-def slot_apply(map_name, slot, u):
-    """Apply Delta, eps or id to one slot of a tensor."""
-    if map_name == "delta":
-        return u.apply_coproduct(slot)
-    if map_name == "eps":
-        return u.apply_counit(slot)
-    if map_name == "id":
-        if not 1 <= slot <= u.arity:
-            raise ValueError("slot %d out of range for arity %d" % (slot, u.arity))
-        return u
-    raise ValueError("map must be one of delta/eps/id, got %r" % (map_name,))
-
-
-def permute_factors(sigma, u):
-    return u.permute(tuple(sigma))
-
 
 def iterated_coproduct(b, k):
     """Delta^k sending B to B^(@(k+1)); Delta^0 = id and Delta^(-1) = eps."""

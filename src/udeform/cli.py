@@ -281,23 +281,6 @@ def build_action(B, A, doc, location="inputs.action"):
         raise JobError(location, str(exc))
 
 
-def _tree_from_doc(doc, location):
-    if isinstance(doc, str):
-        return doc
-    if isinstance(doc, list) and len(doc) == 3:
-        return tuple(_tree_from_doc(c, location) for c in doc)
-    raise JobError(location, "a tree is a generator name or a list of 3 trees")
-
-
-def _tree_to_indices(tree, generators, location):
-    if isinstance(tree, str):
-        try:
-            return generators.index(tree)
-        except ValueError:
-            raise JobError(location, "unknown generator %r" % (tree,))
-    return tuple(_tree_to_indices(c, generators, location) for c in tree)
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (check reports, outcomes, data)
 # ---------------------------------------------------------------------------
@@ -453,8 +436,10 @@ def run_ternary(inputs, params):
         for pgen, terms in img_doc.items():
             coords = {}
             for i, term in enumerate(terms):
-                tree = _tree_from_doc(term.get("tree"), "%s.%s[%d]" % (loc, pgen, i))
-                tree = _tree_to_indices(tree, P.generators, loc)
+                try:
+                    tree = P.parse_tree(term["tree"])
+                except (KeyError, ValueError) as exc:
+                    raise JobError("%s.%s[%d]" % (loc, pgen, i), exc.args[0])
                 add_term(coords, tree, _scalar(term.get("coeff", "1"), loc))
             gen_images[pgen] = P.element(coords)
         images[bgen] = gen_images

@@ -219,7 +219,7 @@ class AlgebraElement(SparseElement):
 
     def _key_text(self, key):
         name = self.parent.key_str(key)
-        return "" if name == "1" else name
+        return "" if name == "1" and key == self.parent.unit_key() else name
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -231,9 +231,7 @@ class FreePAssAlgebra:
         return PAssElement(self, {})
 
     def element(self, coords):
-        return PAssElement(
-            self, {self.parse_tree(t): c for t, c in coords.items()}
-        )
+        return PAssElement(self, clean_terms(coords, self.parse_tree))
 
     def parse_tree(self, tree):
         """Normalize a tree given by generator names or indices; children of

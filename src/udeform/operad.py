@@ -48,16 +48,13 @@ class OperadElement:
 
     @staticmethod
     def unit(flavor, B):
-        if flavor == FLAVOR_MULTIPLICATIVE:
-            return OperadElement(flavor, B.one(1))
-        return OperadElement(flavor, B.zero(1))
+        return OperadElement(flavor, _unit_payload(flavor, B))
 
     def compose(self, i, other):
         if self.flavor != other.flavor:
             raise ValueError("cannot compose across operad flavors")
-        if self.flavor == FLAVOR_MULTIPLICATIVE:
-            return OperadElement(self.flavor, circ_B(self.payload, i, other.payload))
-        return OperadElement(self.flavor, circ_b(self.payload, i, other.payload))
+        payload = _compose(self.flavor, self.payload, i, other.payload)
+        return OperadElement(self.flavor, payload)
 
     def __eq__(self, other):
         return (

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 
@@ -11,11 +12,9 @@ from udeform.bialgebra import (
     check_cocommutative,
     construct_bialgebra,
     iterated_coproduct,
-    permute_factors,
-    slot_apply,
-    tensor_multiply,
 )
 
+from conftest import IDEMPOTENT_TABLE, Z2_TABLE
 from coproduct_override import with_coproduct_override
 
 
@@ -69,7 +68,10 @@ class TestConstruction:
         p = B1.generator("p")
         high = B1.element({Monomial({"p": 6}): QQ(1)})
         with pytest.raises(CutoffError):
-            tensor_multiply(p, high)
+            p * high
+        over = B1.element({Monomial({"p": 7}): QQ(1)})
+        with pytest.raises(CutoffError):  # Delta(p^7) is built from p * p^6
+            over.apply_coproduct(1)
 
     def test_spec_json_roundtrip(self, B2, monoid_z2):
         for B in (B2, monoid_z2):
@@ -116,43 +118,45 @@ class TestTensorOps:
     def test_slotwise_product(self, B2):
         p1, p2 = B2.generator("p1"), B2.generator("p2")
         one = B2.one(1)
-        assert tensor_multiply(p1.outer(one), one.outer(p1)) == p1.outer(p1)
+        assert p1.outer(one) * one.outer(p1) == p1.outer(p1)
         u = p1.outer(p2)
-        assert tensor_multiply(B2.one(2), u) == u
-        sq = tensor_multiply(u, u)
+        assert B2.one(2) * u == u
+        sq = u * u
         assert sq == B2.tensor(
             2, {(Monomial({"p1": 2}), Monomial({"p2": 2})): QQ(1)}
         )
 
     def test_arity_mismatch(self, B2):
         with pytest.raises(ValueError):
-            tensor_multiply(B2.one(2), B2.one(3))
+            B2.one(2) * B2.one(3)
 
     def test_slot_apply_counit(self, B2):
-        assert slot_apply("eps", 1, B2.one(2)) == B2.one(1)
+        assert B2.one(2).apply_counit(1) == B2.one(1)
         p1 = B2.generator("p1")
-        assert slot_apply("eps", 2, p1.outer(p1)).is_zero()
+        assert p1.outer(p1).apply_counit(2).is_zero()
 
     def test_slot_apply_coproduct(self, B2):
         p1, p2 = B2.generator("p1"), B2.generator("p2")
         one = B2.one(1)
-        got = slot_apply("delta", 1, p1.outer(p2))
+        got = p1.outer(p2).apply_coproduct(1)
         assert got == p1.outer(one).outer(p2) + one.outer(p1).outer(p2)
 
     def test_slot_out_of_range(self, B2):
         with pytest.raises(ValueError):
-            slot_apply("delta", 3, B2.one(2))
+            B2.one(2).apply_coproduct(3)
+        with pytest.raises(ValueError):
+            B2.one(2).apply_counit(0)
 
     def test_permute_transposition(self, B2):
         p1, p2 = B2.generator("p1"), B2.generator("p2")
-        assert permute_factors((2, 1), p1.outer(p2)) == p2.outer(p1)
+        assert p1.outer(p2).permute((2, 1)) == p2.outer(p1)
         u = p1.outer(p2) + p2.outer(p2)
-        assert permute_factors((1, 2), u) == u
+        assert u.permute((1, 2)) == u
 
     def test_permute_1324(self, monoid_free):
         a, b, c, d = (monoid_free.generator(x) for x in "abcd")
         u = a.outer(b).outer(c).outer(d)
-        got = permute_factors((1, 3, 2, 4), u)
+        got = u.permute((1, 3, 2, 4))
         assert got == a.outer(c).outer(b).outer(d)
 
     def test_permutation_right_action(self, B2):
@@ -162,9 +166,7 @@ class TestTensorOps:
         for sigma in itertools.permutations((1, 2, 3)):
             for tau in itertools.permutations((1, 2, 3)):
                 composed = tuple(sigma[tau[k] - 1] for k in range(3))
-                assert permute_factors(tau, permute_factors(sigma, u)) == (
-                    permute_factors(composed, u)
-                )
+                assert u.permute(sigma).permute(tau) == u.permute(composed)
 
 
 class TestAxiomCheckers:
@@ -222,3 +224,117 @@ def test_iterated_coproduct_composition_identity(B2):
                 for _ in range(c - 1):
                     rhs = rhs.apply_coproduct(i)
                 assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# Delta and eps derived from generator data, against closed forms per kind
+# ---------------------------------------------------------------------------
+
+LEFT_ZERO_TABLE = {  # a unit adjoined to the left-zero semigroup: ab = a, ba = b
+    "elements": ["1", "a", "b"],
+    "unit": "1",
+    "table": [["1", "a", "b"], ["a", "a", "a"], ["b", "b", "b"]],
+}
+
+
+def _binomial_coproduct(key):
+    out = {}
+    names = [name for name, _ in key.exps]
+    for split in itertools.product(*(range(e + 1) for _, e in key.exps)):
+        left = Monomial(dict(zip(names, split)))
+        right = Monomial({n: e - i for (n, e), i in zip(key.exps, split)})
+        c = 1
+        for (_, e), i in zip(key.exps, split):
+            c *= comb(e, i)
+        out[(left, right)] = c
+    return out
+
+
+def _shuffle_coproduct(word):
+    out = {}
+    n = len(word)
+    for mask in range(1 << n):
+        left = tuple(word[i] for i in range(n) if mask >> i & 1)
+        right = tuple(word[i] for i in range(n) if not mask >> i & 1)
+        out[(left, right)] = out.get((left, right), 0) + 1
+    return out
+
+
+def _grouplike_coproduct(key):
+    return {(key, key): 1}
+
+
+MATRIX_LETTERS = {
+    "a": (("a", "a"), ("b", "c")),
+    "b": (("a", "b"), ("b", "d")),
+    "c": (("c", "a"), ("d", "c")),
+    "d": (("c", "b"), ("d", "d")),
+}
+
+
+def _matrix_coproduct(key):
+    letters = [name for name, e in key.exps for _ in range(e)]
+    out = {}
+    for choice in itertools.product(*(MATRIX_LETTERS[x] for x in letters)):
+        left = Monomial({})
+        right = Monomial({})
+        for l, r in choice:
+            left, right = left * Monomial({l: 1}), right * Monomial({r: 1})
+        out[(left, right)] = out.get((left, right), 0) + 1
+    return out
+
+
+def _reference_kinds():
+    """name -> (bialgebra at cutoff 5, reference Delta, reference eps)."""
+    def build(*args, **kwargs):
+        return construct_bialgebra(BialgebraSpec(*args, **kwargs), 5)
+
+    def primitive_eps(B):
+        return lambda key: 1 if key == B.unit_key else 0
+
+    poly = build("polynomial-primitive", ["p", "q"])
+    tensor = build("tensor-primitive", ["e1", "e2"])
+    matrix = build("matrix-coordinate")
+    kinds = {
+        "polynomial": (poly, _binomial_coproduct, primitive_eps(poly)),
+        "tensor": (tensor, _shuffle_coproduct, primitive_eps(tensor)),
+        "matrix": (
+            matrix,
+            _matrix_coproduct,
+            lambda key: 0 if {"b", "c"} & {n for n, _ in key.exps} else 1,
+        ),
+        "free monoid": (build("monoid", ["a", "b"]), _grouplike_coproduct, lambda k: 1),
+    }
+    for name, table in (
+        ("z2", Z2_TABLE), ("idempotent", IDEMPOTENT_TABLE), ("left zero", LEFT_ZERO_TABLE)
+    ):
+        kinds[name] = (build("monoid", monoid_table=table), _grouplike_coproduct,
+                       lambda k: 1)
+    return kinds
+
+
+REFERENCE_KINDS = _reference_kinds()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_KINDS))
+def test_structure_maps_match_closed_forms(name):
+    B, delta, eps = REFERENCE_KINDS[name]
+    for key in B.basis_keys(5):
+        assert B.coproduct_key(key) == delta(key), B.key_str(key)
+        assert B.counit_key(key) == eps(key), B.key_str(key)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_KINDS))
+def test_commutativity_matches_full_sweep(name):
+    B = REFERENCE_KINDS[name][0]
+    for cutoff in range(1, 5):
+        keys = B.basis_keys(cutoff)
+        full = all(
+            B.product_keys(k1, k2) == B.product_keys(k2, k1)
+            for k1 in keys
+            for k2 in keys
+            if B.degree(k1) + B.degree(k2) <= cutoff
+        )
+        assert B.is_commutative(cutoff) == full, cutoff
+    expected = name not in ("tensor", "left zero")
+    assert B.is_commutative(4) == expected

@@ -324,6 +324,27 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_runtime_dependencies_stay_at_jsonschema():
+    import ast
+
+    package = pathlib.Path(udeform.__file__).parent
+    foreign = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                "%s:%d %s" % (path.name, node.lineno, name)
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | {"jsonschema"}
+            ]
+    assert foreign == []
+
+
 def test_optimized_interpreter_gives_identical_report(tmp_path):
     path = write_job(tmp_path, emit_example("moyal"))
     env = _subprocess_env()
@@ -392,6 +413,23 @@ def test_ternary_term_without_tree_exits_two():
     del images[pgen][0]["tree"]
     error = _run_error(job)
     assert error["location"] == "inputs.action.p1.%s[0]" % pgen
+
+
+@pytest.mark.parametrize(
+    "tree,location,message",
+    [
+        (["p", 0, "p"], "$.inputs.action.p1.p[0].tree", "not valid"),
+        (["p", "p"], "$.inputs.action.p1.p[0].tree", "not valid"),
+        (["p", "p", "z"], "inputs.action.p1.p[0]", "unknown generator 'z'"),
+    ],
+    ids=["integer leaf", "two children", "unknown generator"],
+)
+def test_malformed_ternary_tree_exits_two(tree, location, message):
+    job = emit_example("ternary-quantum-plane")
+    job["inputs"]["action"]["p1"]["p"][0]["tree"] = tree
+    error = _run_error(job)
+    assert error["location"] == location
+    assert message in error["message"]
 
 
 def test_diagram_triple_without_arrow_exits_two():

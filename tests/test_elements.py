@@ -26,6 +26,7 @@ def cases():
     plane = PolynomialTruncatedAlgebra(["p", "q"], 4)
     dual_1 = FiniteDimensionalAlgebra(["1", "x"], "1", {("x", "x"): {}})
     dual_e = FiniteDimensionalAlgebra(["e", "x"], "e", {("x", "x"): {}})
+    one_not_unit = FiniteDimensionalAlgebra(["e", "1"], "e", {("1", "1"): {}})
     P = build_free_pass(["x", "y"], 3, symmetric=False)
     x, y = P.generator("x"), P.generator("y")
     return {
@@ -67,6 +68,7 @@ def cases():
         "unit named e, two": dual_e.one().scale(2),
         "unit named e, minus one": dual_e.one().scale(-1),
         "unit named e, mixed": dual_e.element({"x": 2, "e": -1}),
+        "key named 1, not the unit, two": one_not_unit.element({"1": 2}),
         "pass zero": P.zero(),
         "pass generator": x,
         "pass minus generator": -x,
@@ -105,6 +107,7 @@ RENDERED = {
     "unit named e, two": "2*e",
     "unit named e, minus one": "-e",
     "unit named e, mixed": "-e + 2*x",
+    "key named 1, not the unit, two": "2*1",
     "pass zero": "0",
     "pass generator": "x",
     "pass minus generator": "-x",

@@ -86,6 +86,12 @@ class TestFreePAss:
         sc = dict(P.ternary(p, p, p).terms)
         assert list(sc.values()) == [QQ(1)]
 
+    def test_element_merges_trees_that_normalize_alike(self):
+        P = build_free_pass(["x", "y"], 3, True)
+        merged = P.element({("x", "y", "x"): 1, ("y", "x", "x"): 1})
+        assert merged.render() == "2*(x,x,y)"
+        assert P.element({"x": 1, 0: 1}).render() == "2*x"
+
 
 class TestPassUdf:
     def test_trivial(self, B2):
