@@ -45,6 +45,8 @@ from .twist import (
 )
 from .cobar import check_oracle_agreement
 from .deform import (
+    AlgebraEndomorphism,
+    Derivation,
     FiniteDimensionalAlgebra,
     PolynomialTruncatedAlgebra,
     action_from_derivations,
@@ -154,7 +156,7 @@ def build_bialgebra(doc, order, location="inputs.bialgebra", slot_degree=1):
     try:
         spec = BialgebraSpec.from_json(doc)
     except (KeyError, ValueError) as exc:
-        raise JobError(location, str(exc))
+        raise JobError(location, exc.args[0])
     cutoff = doc.get("degree_cutoff")
     if cutoff is None:
         cutoff = max(1, order * slot_degree)
@@ -174,7 +176,7 @@ def parse_tensor(B, arity, terms, location):
         try:
             keys = tuple(B.parse_key(s) for s in slots)
         except KeyError as exc:
-            raise JobError(loc, str(exc))
+            raise JobError(loc, exc.args[0])
         c = _scalar(term.get("coeff", "1"), loc)
         add_term(trm, keys, c)
     return B.tensor(arity, trm)
@@ -209,74 +211,48 @@ def parse_udf(B, doc, order, location="inputs.udf"):
 
 
 def build_algebra(doc, location="inputs.algebra"):
-    kind = doc.get("kind")
     try:
-        if kind == "polynomial-truncated":
-            return PolynomialTruncatedAlgebra(
-                doc["variables"], doc["degree_cutoff"]
-            )
-        if kind == "finite-dimensional":
-            products = {}
-            for pair, row in doc.get("products", {}).items():
-                left, _, right = pair.partition("|")
-                products[(left, right)] = {
-                    name: _scalar(c, location) for name, c in row.items()
-                }
-            return FiniteDimensionalAlgebra(doc["basis"], doc["unit"], products)
-    except (KeyError, ValueError) as exc:
-        raise JobError(location, str(exc))
-    raise JobError(location, "unknown algebra kind %r" % (kind,))
+        if doc["kind"] == "polynomial-truncated":
+            return PolynomialTruncatedAlgebra(doc["variables"], doc["degree_cutoff"])
+        products = {}
+        for pair, row in doc.get("products", {}).items():
+            left, _, right = pair.partition("|")
+            products[(left, right)] = {
+                name: _scalar(c, location) for name, c in row.items()
+            }
+        return FiniteDimensionalAlgebra(doc["basis"], doc["unit"], products)
+    except ValueError as exc:
+        raise JobError(location, exc.args[0])
 
 
 def build_action(B, A, doc, location="inputs.action"):
-    images = {}
+    """The schema guarantees each operator's type and one of its image maps."""
+    operators = {}
     for name, op_doc in doc.items():
         loc = "%s.%s" % (location, name)
-        kind = op_doc.get("type")
-        if kind == "derivation":
-            if "partials" in op_doc:
-                data = {
-                    var: _poly_from_doc(poly, loc)
-                    for var, poly in op_doc["partials"].items()
-                }
-            elif "images" in op_doc:
-                data = {
-                    key: {k: _scalar(c, loc) for k, c in img.items()}
-                    for key, img in op_doc["images"].items()
-                }
-            else:
-                raise JobError(loc, "derivation needs 'partials' or 'images'")
-        elif kind == "endomorphism":
-            if "variables" in op_doc:
-                data = {
-                    var: A.element(
-                        {
-                            Monomial.parse(m): _scalar(c, loc)
-                            for m, c in img.items()
-                        }
-                    )
-                    for var, img in op_doc["variables"].items()
-                }
-            elif "images" in op_doc:
-                data = {
-                    key: {k: _scalar(c, loc) for k, c in img.items()}
-                    for key, img in op_doc["images"].items()
-                }
-            else:
-                raise JobError(loc, "endomorphism needs 'variables' or 'images'")
+        derivation = op_doc["type"] == "derivation"
+        if derivation and "partials" in op_doc:
+            data = {
+                var: _poly_from_doc(poly, loc)
+                for var, poly in op_doc["partials"].items()
+            }
+        elif not derivation and "variables" in op_doc:
+            data = {
+                var: A.element(
+                    {Monomial.parse(m): _scalar(c, loc) for m, c in img.items()}
+                )
+                for var, img in op_doc["variables"].items()
+            }
         else:
-            raise JobError(loc, "operator type must be derivation or endomorphism")
-        images[name] = (kind, data)
+            data = {
+                key: {k: _scalar(c, loc) for k, c in img.items()}
+                for key, img in op_doc["images"].items()
+            }
+        operators[name] = (Derivation if derivation else AlgebraEndomorphism, data)
     try:
-        from .deform import AlgebraEndomorphism, Derivation
-
-        wrapped = {}
-        for name, (kind, data) in images.items():
-            if kind == "derivation":
-                wrapped[name] = Derivation(A, data)
-            else:
-                wrapped[name] = AlgebraEndomorphism(A, data)
-        return action_from_derivations(B, A, wrapped)
+        return action_from_derivations(
+            B, A, {name: op(A, data) for name, (op, data) in operators.items()}
+        )
     except ValueError as exc:
         raise JobError(location, str(exc))
 
@@ -399,8 +375,6 @@ def run_hochschild(inputs, params):
     if g is not None and hasattr(g, "operator"):
         data["coboundary_witness"] = g.operator.describe()
     outcomes = {"cocycle_zero": is_zero, "coboundary": g is not None}
-    from .deform import Derivation
-
     gens = B.spec.generators
     if (
         isinstance(A, PolynomialTruncatedAlgebra)
@@ -510,8 +484,10 @@ def _build_diagram(doc, order, location="inputs.diagram"):
     for i, arrow_doc in enumerate(doc.get("arrows", [])):
         loc = "%s.arrows[%d]" % (location, i)
         try:
-            src = node_map[arrow_doc["from"]]
-            dst = node_map[arrow_doc["to"]]
+            src, dst = (node_map[arrow_doc[end]] for end in ("from", "to"))
+        except KeyError as exc:
+            raise JobError(loc, "unknown node %r" % (exc.args[0],))
+        try:
             h = AlgebraMorphism(
                 src.algebra,
                 dst.algebra,
@@ -531,7 +507,7 @@ def _build_diagram(doc, order, location="inputs.diagram"):
                 },
             )
         except (KeyError, ValueError) as exc:
-            raise JobError(loc, str(exc))
+            raise JobError(loc, exc.args[0])
         arrows.append(DiagramArrow(arrow_doc["from"], arrow_doc["to"], h, phi))
     try:
         return DiagramSpec(nodes, arrows)

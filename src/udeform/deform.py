@@ -17,6 +17,14 @@ twist series and its arguments.  The infinitesimal layer extracts the t^1
 Hochschild 2-cochain of a deformation, decides coboundary-ness inside a
 declared finite search space, and computes the wedge obstruction for pairs
 of derivations on free polynomial algebras.
+
+The coboundary search is one `linalg.solve` over candidate 1-cochains g,
+each column the values delta(g)(x, y) = x g(y) - g(xy) + g(x) y on the
+degree-bounded basis pairs, with g evaluated once per basis key.  The kind
+picks only the candidates: the elementary maps src -> dst of a
+finite-dimensional basis, or the operators m * d^alpha (deg m <= cutoff,
+|alpha| <= search bound) of a truncated polynomial algebra, applied and
+multiplied in the untruncated `Polynomial` ring.
 """
 
 from __future__ import annotations
@@ -732,10 +740,6 @@ def infinitesimal_cocycle(F, action, cutoff=None):
 
 # -- coboundary search -------------------------------------------------------
 
-def _multiindices(variables, max_order):
-    return [m.exps for m in monomials(variables, max_order)]
-
-
 def _apply_poly_operator(mono_coeff, alpha, poly):
     """(mono_coeff * d^alpha) applied to an untruncated polynomial."""
     out = poly
@@ -780,113 +784,81 @@ class PolynomialOperator1Cochain:
         return " + ".join(bits) if bits else "0"
 
 
-def is_hochschild_coboundary(A, cochain, search_bound=2, coeff_degree=None):
-    """Solve cochain = delta(g) inside a declared finite search space.
+def is_hochschild_coboundary(A, cochain, search_bound=2):
+    """Solve cochain = delta(g) over the kind's candidate 1-cochains with
+    one `linalg.solve` (see the module docstring).
 
     Returns (g, info): g is a 1-cochain witness or None, info echoes the
     searched space (a negative verdict is only as strong as that space).
     """
     if cochain.degree != 2:
         raise ValueError("coboundary search is for 2-cochains")
-
+    basis = A.basis_keys()
     if isinstance(A, FiniteDimensionalAlgebra):
-        info = {"search_space": "all linear maps on the %d-dim basis" % len(A.basis)}
-        basis = A.basis_keys()
-        unknown = {(src, dst): i for i, (src, dst) in enumerate(
-            itertools.product(basis, basis)
-        )}
-        rows = {}
-        rhs_map = {}
+        info = {"search_space": "all linear maps on the %d-dim basis" % len(basis)}
+        candidates = list(itertools.product(basis, basis))
 
-        def put(eqkey, col, c):
-            add_term(rows.setdefault(eqkey, {}), col, c)
+        def lift(key):
+            return A.element({key: QQ(1)})
 
-        for x in basis:
-            for y in basis:
-                ex, ey = A.element({x: QQ(1)}), A.element({y: QQ(1)})
-                # delta g (x, y) = x g(y) - g(xy) + g(x) y
-                for dst in basis:
-                    img = ex * A.element({dst: QQ(1)})
-                    for k, c in img.terms.items():
-                        put(((x, y), k), unknown[(y, dst)], c)
-                for pk, pc in (ex * ey).terms.items():
-                    for dst in basis:
-                        put(((x, y), dst), unknown[(pk, dst)], -pc)
-                for dst in basis:
-                    img = A.element({dst: QQ(1)}) * ey
-                    for k, c in img.terms.items():
-                        put(((x, y), k), unknown[(x, dst)], c)
-                for k, c in cochain.on_keys(x, y).terms.items():
-                    rhs_map[((x, y), k)] = c
+        def value(cand, key):
+            return lift(cand[1]) if key == cand[0] else A.zero()
+    elif isinstance(A, PolynomialTruncatedAlgebra):
+        info = {
+            "search_space": "differential operators",
+            "operator_order": search_bound,
+            "coefficient_degree": A.cutoff,
+        }
+        candidates = [
+            (mono, m.exps)
+            for m in monomials(A.variables, search_bound)
+            for mono in basis
+        ]
 
-        eqkeys = sorted(set(rows) | set(rhs_map), key=repr)
-        row_list = [rows.get(k, {}) for k in eqkeys]
-        rhs = [rhs_map.get(k, QQ(0)) for k in eqkeys]
-        sol = linalg_solve(row_list, rhs, len(unknown))
-        if sol is None:
-            return None, info
-        images = {}
-        for (src, dst), col in unknown.items():
-            c = sol.get(col, QQ(0))
-            if c:
-                images.setdefault(src, {})[dst] = c
-        g_images = {k: A.element(v) for k, v in images.items()}
+        # untruncated: A's product raises CutoffError above the cutoff
+        def lift(key):
+            return Polynomial({key: QQ(1)})
 
-        def g(key):
-            return g_images.get(key, A.zero())
-
-        return HochschildCochain(A, 1, g), info
-
-    if not isinstance(A, PolynomialTruncatedAlgebra):
+        def value(cand, key):
+            return _apply_poly_operator(*cand, lift(key))
+    else:
         raise ValueError("unsupported algebra kind for the coboundary search")
 
-    coeff_degree = A.cutoff if coeff_degree is None else coeff_degree
-    info = {
-        "search_space": "differential operators",
-        "operator_order": search_bound,
-        "coefficient_degree": coeff_degree,
+    lifted = {k: lift(k) for k in basis}
+    pairs = bounded_product([basis, basis], A.degree, getattr(A, "cutoff", None))
+    products = {(x, y): lifted[x] * lifted[y] for x, y in pairs}
+    columns = []
+    for cand in candidates:
+        g = {k: value(cand, k) for k in basis}
+        column = {}
+        for (x, y), xy in products.items():
+            gxy = xy.map_terms(g.__getitem__)
+            delta = lifted[x] * g[y] - gxy + g[x] * lifted[y]
+            for k, c in delta.terms.items():
+                column[(x, y), k] = c
+        columns.append(column)
+    target = {
+        (pair, k): c
+        for pair in products
+        for k, c in cochain.on_keys(*pair).terms.items()
     }
-    alphas = _multiindices(A.variables, search_bound)
-    coeff_monos = [
-        m for m in A.basis_keys(coeff_degree)
-    ]
-    unknown = {}
-    for alpha in alphas:
-        for mono in coeff_monos:
-            unknown[(mono, alpha)] = len(unknown)
-
-    rows = {}
-    rhs_map = {}
-    basis = A.basis_keys()
-    for x, y in bounded_product([basis, basis], A.degree, A.cutoff):
-        px = Polynomial({x: QQ(1)})
-        py = Polynomial({y: QQ(1)})
-        pxy = px * py
-        for (mono, alpha), col in unknown.items():
-            gy = _apply_poly_operator(mono, alpha, py)
-            gxy = _apply_poly_operator(mono, alpha, pxy)
-            gx = _apply_poly_operator(mono, alpha, px)
-            delta = px * gy - gxy + gx * py
-            for m, c in delta.terms.items():
-                add_term(rows.setdefault(((x, y), m), {}), col, c)
-        for m, c in cochain.on_keys(x, y).terms.items():
-            rhs_map[((x, y), m)] = c
-
-    eqkeys = sorted(set(rows) | set(rhs_map), key=repr)
-    row_list = [rows.get(k, {}) for k in eqkeys]
-    rhs = [rhs_map.get(k, QQ(0)) for k in eqkeys]
-    sol = linalg_solve(row_list, rhs, len(unknown))
+    sol = linalg_solve(columns, target)
     if sol is None:
         return None, info
-    terms = []
-    for (mono, alpha), col in unknown.items():
-        c = sol.get(col, QQ(0))
-        if c:
-            terms.append((mono, alpha, c))
-    op = PolynomialOperator1Cochain(A, terms)
-    witness = op.as_cochain()
-    witness.operator = op
-    return witness, info
+    chosen = [(candidates[j], c) for j, c in sorted(sol.items())]
+
+    def witness(key):
+        out = {}
+        for cand, c in chosen:
+            add_into(out, value(cand, key).terms, c)
+        return A.zero()._like(out)
+
+    found = HochschildCochain(A, 1, witness)
+    if isinstance(A, PolynomialTruncatedAlgebra):
+        found.operator = PolynomialOperator1Cochain(
+            A, [(mono, alpha, c) for (mono, alpha), c in chosen]
+        )
+    return found, info
 
 
 def wedge_over_A(theta1, theta2):

@@ -1,7 +1,10 @@
 """Sparse exact linear algebra over the rationals, eliminated in the integers.
 
 Vectors are the package's one sparse representation, dicts column-index ->
-nonzero coefficient (see `kernel`); matrices are lists of such rows.
+nonzero coefficient (see `kernel`); matrices are lists of such rows.  The
+image search `solve(columns, target)` takes columns instead, sparse vectors
+keyed by any hashable row label, and groups them into rows by label; the
+order of those rows is free (see the last paragraph).
 
 `Echelon` stores each row as a primitive integer dict whose pivot entry is
 positive.  A rational input is first cleared by the lcm of its denominators;
@@ -167,15 +170,19 @@ def kernel_basis(rows, ncols):
     return list(basis.values())
 
 
-def solve(rows, rhs, ncols):
-    """One solution x of A x = b, or None.  rhs is a list aligned with rows."""
+def solve(columns, target):
+    """{j: x_j} with sum_j x_j columns[j] = target (free x_j are 0), or None.
+
+    The columns and the target are sparse vectors keyed by row labels.
+    """
+    aug = len(columns)  # the extra column carries the negated target
+    rows = {}
+    for j, col in enumerate(columns + [{k: -c for k, c in target.items()}]):
+        for label, c in col.items():
+            rows.setdefault(label, {})[j] = c
     ech = Echelon()
-    aug = ncols  # the extra column carries the (negated) right-hand side
-    for r, b in zip(rows, rhs):
-        v = dict(r)
-        if b:
-            v[aug] = -b
-        ech.add(v)
+    for r in rows.values():
+        ech.add(r)
     # a pivot in the augmented column means the system forces 0 = 1
     if aug in ech.rows:
         return None

@@ -392,32 +392,12 @@ def first_order_gauge(F1, F2, degree_bound=None):
     target = s2.coeffs[1] - s1.coeffs[1]
 
     gamma_keys = B.basis_keys(bound)
-    pair_index = {}
-    rows_by_pair = {}
-
-    def pair_col(keys):
-        if keys not in pair_index:
-            pair_index[keys] = len(pair_index)
-        return pair_index[keys]
-
+    one = B.one(1)
     columns = []
     for k in gamma_keys:
         e = B.element({k: QQ(1)})
-        img = e.apply_coproduct(1) - B.one(1).outer(e) - e.outer(B.one(1))
-        columns.append(img)
-    # assemble rows: one equation per tensor pair appearing anywhere
-    for img in columns + [target]:
-        for keys in img.terms:
-            pair_col(keys)
-    nrows = len(pair_index)
-    rows = [dict() for _ in range(nrows)]
-    rhs = [QQ(0)] * nrows
-    for col, img in enumerate(columns):
-        for keys, c in img.terms.items():
-            rows[pair_index[keys]][col] = c
-    for keys, c in target.terms.items():
-        rhs[pair_index[keys]] = c
-    sol = linalg_solve(rows, rhs, len(columns))
+        columns.append((e.apply_coproduct(1) - one.outer(e) - e.outer(one)).terms)
+    sol = linalg_solve(columns, target.terms)
     if sol is None:
         return None
     return B.element({gamma_keys[col]: c for col, c in sol.items()})

@@ -567,3 +567,96 @@ def test_mistyped_tensor_series_never_raises(name):
             assert code in (0, 1, 2), (path, value)
             if code == 2:
                 assert "inputs" in report.error["location"], (path, value)
+
+
+def test_unknown_generator_message_is_bare():
+    job = emit_example("moyal")
+    job["inputs"]["udf"]["exp_of"][0]["slots"][0] = "z"
+    error = _run_error(job)
+    assert error["location"] == "inputs.udf.exp_of[0]"
+    assert error["message"] == "unknown generator 'z'"
+
+
+def test_unknown_arrow_endpoint_names_the_node():
+    job = emit_example("diagram-power-map")
+    job["inputs"]["diagram"]["arrows"][0]["from"] = "nope"
+    error = _run_error(job)
+    assert error["location"] == "inputs.diagram.arrows[0]"
+    assert error["message"] == "unknown node 'nope'"
+
+
+def _algebra_action_option_paths(job):
+    """Paths in job["inputs"] at or below every target algebra, binary
+    action, option block, image degree and compatibility cutoff of a job."""
+    inputs = job["inputs"]
+    roots = [(key,) for key in ("algebra", "options", "image_degree") if key in inputs]
+    if "algebra" in inputs:
+        roots.append(("action",))  # the ternary action has no algebra beside it
+    for i, node in enumerate(inputs.get("diagram", {}).get("nodes", [])):
+        roots += [("diagram", "nodes", i, key) for key in ("algebra", "action") if key in node]
+    variant = inputs.get("literal_action_variant", {})
+    roots += [
+        ("literal_action_variant", key)
+        for key in ("action", "compat_cutoff") if key in variant
+    ]
+
+    def walk(doc, path):
+        yield path
+        if isinstance(doc, dict):
+            children = doc.items()
+        elif isinstance(doc, list):
+            children = enumerate(doc)
+        else:
+            children = ()
+        for key, child in children:
+            yield from walk(child, path + (key,))
+
+    paths = []
+    for root in roots:
+        doc = inputs
+        for part in root:
+            doc = doc[part]
+        paths.extend(walk(doc, root))
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_mistyped_algebra_action_or_option_never_raises(name):
+    for path in _algebra_action_option_paths(FIXTURES[name]):
+        for value in (None, 0, "x", [], {}):
+            job = emit_example(name)
+            doc = job["inputs"]
+            for part in path[:-1]:
+                doc = doc[part]
+            doc[path[-1]] = value
+            report, code = run(job)
+            assert code in (0, 1, 2), (path, value)
+            if code == 2:
+                # an emptied option block drops the outcome its expect names
+                location = report.error["location"]
+                assert "inputs" in location or location == "expect", (path, value)
+
+
+def _schema_refs(doc):
+    if isinstance(doc, dict):
+        if "$ref" in doc:
+            yield doc["$ref"]
+        for value in doc.values():
+            yield from _schema_refs(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _schema_refs(value)
+
+
+def test_schemas_are_valid_and_every_definition_is_used():
+    for name in ("jobspec.schema.json", "report.schema.json"):
+        jsonschema.Draft7Validator.check_schema(_load_schema(name))
+    schema = _load_schema("jobspec.schema.json")
+    refs = set(_schema_refs(schema))
+    for ref in refs:
+        assert ref.startswith("#/"), ref
+        target = schema
+        for part in ref[2:].split("/"):
+            assert isinstance(target, dict) and part in target, ref
+            target = target[part]
+    assert refs == {"#/definitions/%s" % name for name in schema["definitions"]}

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from udeform.kernel import Monomial, Polynomial, QQ, TruncSeries
 from udeform.bialgebra import BialgebraSpec, CutoffError, construct_bialgebra
 from udeform.twist import GaugeElement, constant_series, gauge_transform, make_exp_udf, series_from_orders
+from udeform.twist import UDF, first_order_gauge
 from udeform.deform import (
     AlgebraEndomorphism,
     Derivation,
@@ -322,6 +325,111 @@ class TestInfinitesimalLayer:
     def test_mu1_is_a_cocycle(self, moyal_udf, euler_action, plane):
         mu1 = infinitesimal_cocycle(moyal_udf, euler_action)
         assert hochschild_differential(mu1).zero_witness(plane.cutoff)[0]
+
+
+class TestOneCoboundarySearch:
+    """Both algebra kinds and the first-order gauge search build columns
+    for one `linalg.solve`; the answers are pinned to output recorded from
+    the per-kind hand-assembled systems they replaced."""
+
+    PLANE = {
+        "roundtrip": [None, "2*q*dp*dq + -1*1*dp^2", "2*q*dp*dq + -1*1*dp^2"],
+        "zero": ["0", "0", "0"],
+        "moyal": [None, None, None],
+        "euler": [None, None, None],
+    }
+
+    FINITE = {
+        "dual": (
+            (["1", "e"], {("e", "e"): {}}),
+            {"1": "-2*e", "e": "-1"},
+            ("e", "e", "1"),
+        ),
+        "square-zero": (
+            (["1", "p", "q"], {}),
+            {"1": "1 + p + 3*q", "p": "1", "q": "1"},
+            ("p", "q", "1"),
+        ),
+        "x3": (
+            (["1", "x", "x2"], {("x", "x"): {"x2": 1}}),
+            {"1": "-1 - 2/3*x - x2", "x": "1/3 - 11/6*x", "x2": "1/2"},
+            ("x", "x2", "1"),
+        ),
+        "exterior": (
+            (["1", "a", "b", "ab"], {("a", "b"): {"ab": 1}, ("b", "a"): {"ab": -1}}),
+            {"1": "-1 - ab - 3/2*b", "a": "-1 + 7/2*a", "ab": "2/3 + 1/2*a + b", "b": "1"},
+            ("a", "b", "1"),
+        ),
+    }
+
+    def test_polynomial_search(self, plane, moyal_udf, moyal_action, euler_action):
+        g0 = PolynomialOperator1Cochain(
+            plane,
+            [
+                (M("p"), (("q", 1),), QQ(3, 2)),
+                (Monomial(), (("p", 2),), QQ(-1)),
+                (M("q"), (("p", 1), ("q", 1)), QQ(2)),
+            ],
+        )
+        cochains = {
+            "roundtrip": hochschild_differential(g0.as_cochain()),
+            "zero": HochschildCochain(plane, 2, lambda x, y: plane.zero()),
+            "moyal": infinitesimal_cocycle(moyal_udf, moyal_action),
+            "euler": infinitesimal_cocycle(moyal_udf, euler_action),
+        }
+        for name, cochain in cochains.items():
+            for bound, expected in zip((1, 2, 3), self.PLANE[name]):
+                g, info = is_hochschild_coboundary(plane, cochain, search_bound=bound)
+                assert (None if g is None else g.operator.describe()) == expected
+                assert info == {
+                    "search_space": "differential operators",
+                    "operator_order": bound,
+                    "coefficient_degree": plane.cutoff,
+                }
+
+    @pytest.mark.parametrize("name", sorted(FINITE))
+    def test_finite_dimensional_search(self, name):
+        (basis, products), expected, (x0, y0, value) = self.FINITE[name]
+        A = FiniteDimensionalAlgebra(basis, "1", products)
+        rng = random.Random(name)
+        images = {
+            k: A.element({d: QQ(rng.randint(-3, 3), rng.randint(1, 3)) for d in basis})
+            for k in basis
+        }
+        cases = [
+            (hochschild_differential(HochschildCochain(A, 1, images.__getitem__)), expected),
+            (HochschildCochain(A, 2, lambda x, y: A.zero()), dict.fromkeys(basis, "0")),
+            (HochschildCochain(
+                A, 2,
+                lambda x, y: A.element({value: QQ(1)}) if (x, y) == (x0, y0) else A.zero(),
+            ), None),
+        ]
+        for cochain, want in cases:
+            g, info = is_hochschild_coboundary(A, cochain)
+            assert info == {"search_space": "all linear maps on the %d-dim basis" % len(basis)}
+            if want is None:
+                assert g is None
+                continue
+            assert {k: repr(g.on_keys(k)) for k in basis} == want
+            d = hochschild_differential(g)
+            for x in basis:
+                for y in basis:
+                    assert d.on_keys(x, y) == cochain.on_keys(x, y)
+
+    def test_first_order_gauge(self, B2, moyal_udf):
+        B = construct_bialgebra(BialgebraSpec("polynomial-primitive", ["p"]), 9)
+        p = B.generator("p")
+        for order in (2, 3):
+            F = make_exp_udf(p.outer(p), order=order)
+            g1 = (p * p).scale(QQ(1, 3)) + p.scale(QQ(-2)) + (p * p * p).scale(QQ(1, 5))
+            G = GaugeElement(series_from_orders(B, 1, order, {0: B.one(1), 1: g1}))
+            F2 = gauge_transform(F, G)
+            found = [first_order_gauge(F, F2, degree_bound=d) for d in (2, 3, 4)]
+            assert [None if g is None else repr(g) for g in found] == [
+                None, "1/3*p^2 + 1/5*p^3", "1/3*p^2 + 1/5*p^3",
+            ]
+        trivial = UDF(constant_series(B2.one(2), moyal_udf.order))
+        assert first_order_gauge(trivial, moyal_udf, degree_bound=4) is None
 
 
 class TestWedge:

@@ -343,10 +343,15 @@ def test_echelon_rows_are_primitive_integers():
     assert ech.reduce({4: QQ(1), 5: QQ(1)}) == {5: QQ(1, 3)}
 
 
+def columns_of(rows, ncols):
+    """The columns of a list of rows, each keyed by row index."""
+    return [{i: r[j] for i, r in enumerate(rows) if j in r} for j in range(ncols)]
+
+
 def test_solve_inconsistent_and_consistent():
-    rows = [{0: QQ(1), 1: QQ(1)}, {0: QQ(2), 1: QQ(2)}]
-    assert solve(rows, [QQ(1), QQ(3)], 2) is None
-    assert solve(rows, [QQ(1), QQ(2)], 2) == {0: QQ(1)}
+    columns = [{0: QQ(1), 1: QQ(2)}, {0: QQ(1), 1: QQ(2)}]
+    assert solve(columns, {0: QQ(1), 1: QQ(3)}) is None
+    assert solve(columns, {0: QQ(1), 1: QQ(2)}) == {0: QQ(1)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -392,7 +397,7 @@ def test_echelon_matches_fraction_gauss_jordan(rows, mixes, probes, rhs):
     rhs = rhs[: len(rows)]
     augmented = [naive_sum(row, {NCOLS: b}, -1) for row, b in zip(rows, rhs)]
     _, aug_rref = gauss_jordan(augmented)
-    sol = solve(rows, rhs, NCOLS)
+    sol = solve(columns_of(rows, NCOLS), dict(enumerate(rhs)))
     if NCOLS in aug_rref:
         assert sol is None
     else:
