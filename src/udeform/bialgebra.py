@@ -9,7 +9,18 @@ identity checks built on top of this module.
 A kind supplies a key basis, a key product, and Delta and eps on its
 generators.  Both are algebra morphisms, so the base class derives them on
 every key from `split_key` (a generator times a shorter key), and it decides
-commutativity on the generators.
+commutativity on the generators.  The key product is one key with
+coefficient 1: `product_keys(k1, k2)` returns a one-term dict {k1*k2: 1}.
+The commutative monomial kinds also supply a `KeyPacking`, which packs a key
+tuple into one int and unpacks it.
+
+The product of tensor elements is one integer kernel (`TensorElement.__mul__`):
+each operand becomes (code, integer numerator) pairs over one common
+denominator, and the double loop multiplies and adds plain ints.  A code is
+the packed key tuple where the kind packs, so that the slotwise product is one
+addition, and the key tuple itself elsewhere, multiplied slot by slot through
+`product_single`.  Fractions appear only at the kernel boundary, one per
+output term.
 
 Shipped kinds:
 
@@ -26,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .kernel import (
     Monomial, ONE_MONOMIAL, QQ, SparseElement, add_into, add_term,
@@ -128,6 +140,7 @@ class Bialgebra:
         self.counital = spec.counital
         self._coproduct_cache = {}
         self._product_cache = {}
+        self._packings = {}
 
     # -- kind-specific primitives ------------------------------------------
     @property
@@ -138,8 +151,14 @@ class Bialgebra:
         raise NotImplementedError
 
     def product_keys(self, k1, k2):
-        """Sparse product of two basis keys, dict key -> Fraction."""
+        """The product of two basis keys as a one-term dict {k1*k2: 1};
+        raises CutoffError when k1*k2 passes the cutoff."""
         raise NotImplementedError
+
+    def packing(self, arity):
+        """The `KeyPacking` of key tuples of this arity, or None when the kind
+        multiplies slot by slot through `product_single`."""
+        return None
 
     def _generator_coproduct(self, g):
         """Delta of a generator g from `split_key`, dict (key, key) -> Fraction."""
@@ -186,16 +205,20 @@ class Bialgebra:
         return hit
 
     def product_single(self, k1, k2):
-        """(key, coeff) when the product of two basis keys is one term, else
-        None; memoized.  Every shipped kind is single-term, which makes this
-        the fast path of the slotwise tensor product."""
+        """The key k1*k2, memoized; a product that is not one key with
+        coefficient 1 breaks the kind contract and raises ValueError."""
         pair = (k1, k2)
         hit = self._product_cache.get(pair)
         if hit is None:
             table = self.product_keys(k1, k2)
-            hit = next(iter(table.items())) if len(table) == 1 else False
+            if len(table) != 1 or 1 not in table.values():
+                raise ValueError(
+                    "product of basis keys %s and %s is not one key with "
+                    "coefficient 1" % (self.key_str(k1), self.key_str(k2))
+                )
+            (hit,) = table
             self._product_cache[pair] = hit
-        return None if hit is False else hit
+        return hit
 
     def _coproduct_key(self, key):
         if key == self.unit_key:
@@ -295,6 +318,95 @@ class _MonomialBasisMixin:
 
     def product_keys(self, k1, k2):
         return {self.check_cutoff(k1 * k2): QQ(1)}
+
+    def packing(self, arity):
+        hit = self._packings.get(arity)
+        if hit is None:
+            hit = self._packings[arity] = KeyPacking(self, arity)
+        return hit
+
+
+class KeyPacking:
+    """Kronecker codes of the key tuples of one arity over a commutative
+    monomial basis: the code of a tuple is the sum of its slots' codes, so
+    the code of a slotwise product is the sum of the factors' codes.
+
+    A slot holds one b-bit field per generator exponent and, above them,
+    one for the degree, b = cutoff.bit_length() + 1; slot s sits s slot
+    widths up.  A field of a key within the cutoff is at most the cutoff,
+    and a sum of two is below 2**b, so no field carries into the next.
+    Adding `bias` (2**(b-1) - 1 - cutoff in every degree field) to a sum
+    sets the top bit of a degree field, a bit of `guard`, exactly when that
+    slot passes the cutoff.  Both tables, key -> slot code and slot code ->
+    key, fill as keys are met, so decoded keys are shared objects.
+    """
+
+    __slots__ = ("cutoff", "place", "top", "shifts", "mask", "bias", "guard",
+                 "codes", "keys")
+
+    def __init__(self, B, arity):
+        b = B.cutoff.bit_length() + 1
+        self.cutoff = B.cutoff
+        self.place = {name: b * i for i, name in enumerate(B.spec.generators)}
+        top = self.top = b * len(self.place)
+        width = top + b
+        self.shifts = tuple(range(0, arity * width, width))
+        self.mask = (1 << width) - 1
+        self.bias = sum(((1 << (b - 1)) - 1 - B.cutoff) << (top + s) for s in self.shifts)
+        self.guard = sum(1 << (top + b - 1 + s) for s in self.shifts)
+        self.codes = {}
+        self.keys = _SlotKeys(self.place, b)
+
+    def _tabulate(self, key):
+        """Enter one key in both tables; False when it is past the cutoff or
+        names a foreign generator."""
+        if key in self.codes:
+            return True
+        place = self.place
+        if key.degree > self.cutoff or any(n not in place for n, _ in key.exps):
+            return False
+        code = sum(e << place[n] for n, e in key.exps) + (key.degree << self.top)
+        self.codes[key] = code
+        self.keys.setdefault(code, key)
+        return True
+
+    def pack(self, key_tuples):
+        """The codes of key tuples, or None when some key is past the cutoff
+        or names a foreign generator."""
+        codes, shifts, out = self.codes, self.shifts, []
+        try:
+            for keys in key_tuples:
+                code = 0
+                for key, shift in zip(keys, shifts):
+                    code += codes[key] << shift
+                out.append(code)
+        except KeyError:
+            if not all(self._tabulate(key) for keys in key_tuples for key in keys):
+                return None
+            return self.pack(key_tuples)
+        return out
+
+    def unpack(self, codes):
+        """The key tuples of a list of codes, decoded slot by slot."""
+        if not self.shifts:
+            return [()] * len(codes)
+        keys, mask = self.keys, self.mask
+        return list(zip(*[[keys[c >> s & mask] for c in codes] for s in self.shifts]))
+
+
+class _SlotKeys(dict):
+    """Slot code -> Monomial, decoding a code on its first lookup."""
+
+    def __init__(self, place, b):
+        super().__init__()
+        self.place, self.field = place, (1 << b) - 1
+
+    def __missing__(self, code):
+        field = self.field
+        key = self[code] = Monomial(
+            {name: code >> at & field for name, at in self.place.items()}
+        )
+        return key
 
 
 class _PrimitiveGenerators:
@@ -463,6 +575,15 @@ class FiniteMonoidBialgebra(_GrouplikeGenerators, Bialgebra):
 # sparse elements of B^(@n)
 # ---------------------------------------------------------------------------
 
+def _numerators(terms):
+    """(numerators, d): the coefficients of terms over their least common
+    denominator d, in term order."""
+    coeffs = terms.values()
+    dens = [c.denominator for c in coeffs]
+    d = lcm(*dens)
+    return [c.numerator if e == d else c.numerator * (d // e) for c, e in zip(coeffs, dens)], d
+
+
 class TensorElement(SparseElement):
     """A sparse element of B^(@n); arity 0 means a bare scalar.
 
@@ -505,39 +626,62 @@ class TensorElement(SparseElement):
         return "@".join(map(self.parent.key_str, keys)) if keys else "()"
 
     def __mul__(self, other):
-        """Slotwise product for equal arities; scalars scale."""
+        """Slotwise product for equal arities; scalars scale.
+
+        The one integer kernel of the product (see the module docstring).
+        The result is the dict that adding the term products one at a time
+        gives, insertion order and cancellations included.  A product with a
+        key the packing does not cover runs on key tuples, and a packed sum
+        that hits the guard reruns that pair slot by slot, so CutoffError
+        comes from `check_cutoff` at the first slot past the cutoff.
+        """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_mate(other)
         B = self.parent
         single = B.product_single
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                c = c1 * c2
-                keys = []
-                for a, b in zip(k1, k2):
-                    hit = single(a, b)
-                    if hit is None:
-                        keys = None
-                        break
-                    key, kc = hit
-                    keys.append(key)
-                    if kc != 1:
-                        c = c * kc
-                if keys is not None:
-                    add_term(out, tuple(keys), c)
+        nums1, d1 = _numerators(self.terms)
+        nums2, d2 = _numerators(other.terms)
+        packing = B.packing(self.arity)
+        if packing is not None:
+            codes1, codes2 = packing.pack(self.terms), packing.pack(other.terms)
+            if codes1 is None or codes2 is None:
+                packing = None
+        if packing is None:
+            codes1, codes2 = list(self.terms), list(other.terms)
+        else:
+            bias, guard = packing.bias, packing.guard
+        acc = {}
+        get = acc.get
+        for c1, n1 in zip(codes1, nums1):
+            for c2, n2 in zip(codes2, nums2):
+                if packing is None:
+                    code = tuple(map(single, c1, c2))
+                else:
+                    code = c1 + c2
+                    if code + bias & guard:
+                        tuple(map(single, *packing.unpack([c1, c2])))
+                        raise RuntimeError("packed guard hit with no slot past the cutoff")
+                n = n1 * n2
+                old = get(code)
+                if old is None:
+                    acc[code] = n
                     continue
-                # general sparse expansion (multi-term slot products)
-                partial = {(): c1 * c2}
-                for a, b in zip(k1, k2):
-                    grown = {}
-                    for prefix, pc in partial.items():
-                        for key, kc in B.product_keys(a, b).items():
-                            add_term(grown, prefix + (key,), pc * kc)
-                    partial = grown
-                add_into(out, partial)
-        return self._like(out)
+                n += old
+                if n:
+                    acc[code] = n
+                else:
+                    del acc[code]
+        # one Fraction per distinct numerator, shared by the terms that carry it
+        d, rationals, coeffs = d1 * d2, {}, []
+        for n in acc.values():
+            c = rationals.get(n)
+            if c is None:
+                c = rationals[n] = Fraction(n, d)
+            coeffs.append(c)
+        keys = list(acc) if packing is None else packing.unpack(list(acc))
+        del acc, get  # the int-keyed dict goes before the output dict is built
+        return self._like(dict(zip(keys, coeffs)))
 
     def one_like(self):
         return self.parent.one(self.arity)

@@ -487,6 +487,17 @@ def _build_diagram(doc, order, location="inputs.diagram"):
             src, dst = (node_map[arrow_doc[end]] for end in ("from", "to"))
         except KeyError as exc:
             raise JobError(loc, "unknown node %r" % (exc.args[0],))
+        for node in (src, dst):
+            if not isinstance(node.algebra, PolynomialTruncatedAlgebra):
+                raise JobError(loc, "node %r: an arrow needs a polynomial-truncated "
+                                    "algebra" % (node.name,))
+        for field, names, what in (
+            ("h", src.algebra.variables, "variable of node %r" % (src.name,)),
+            ("phi", dst.bialgebra.spec.generators, "generator of node %r" % (dst.name,)),
+        ):
+            for name in arrow_doc[field]:
+                if name not in names:
+                    raise JobError("%s.%s.%s" % (loc, field, name), "not a %s" % (what,))
         try:
             h = AlgebraMorphism(
                 src.algebra,

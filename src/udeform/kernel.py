@@ -32,6 +32,13 @@ terms in basis order joined by " + ", a coefficient 1 or -1 shown as the
 sign only, and a key with empty text shown as its bare coefficient.  Every
 witness and report string passes through that one renderer.
 
+The product of `TensorElement` (in `bialgebra`) is an integer kernel over
+these dicts.  For it a bialgebra kind supplies the product of two basis keys
+as one key with coefficient 1, and the commutative monomial kinds also pack
+a key tuple into one int and unpack it.  The kernel multiplies and adds
+integer numerators over one common denominator per operand; Fractions appear
+only at its boundary, where each output term gets one.
+
 `bounded_product` enumerates the basis tuples every checker sweeps: the
 tuples of a product of pools whose degrees sum to at most a bound, in
 product order, without building any tuple over the bound.  Together with

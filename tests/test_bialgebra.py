@@ -2,8 +2,9 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from udeform.kernel import Monomial, QQ
+from udeform.kernel import Monomial, QQ, add_term
 from udeform.bialgebra import (
     BialgebraSpec,
     CounitUnavailable,
@@ -338,3 +339,114 @@ def test_commutativity_matches_full_sweep(name):
         assert B.is_commutative(cutoff) == full, cutoff
     expected = name not in ("tensor", "left zero")
     assert B.is_commutative(4) == expected
+
+
+# ---------------------------------------------------------------------------
+# the product kernel against a slotwise reference
+# ---------------------------------------------------------------------------
+
+def _reference_product(u, v):
+    """u * v term by term from `product_keys`, accumulated with `add_term`."""
+    B = u.parent
+    out = {}
+    for k1, c1 in u.terms.items():
+        for k2, c2 in v.terms.items():
+            keys, c = [], c1 * c2
+            for a, b in zip(k1, k2):
+                ((key, kc),) = B.product_keys(a, b).items()
+                keys.append(key)
+                c *= kc
+            add_term(out, tuple(keys), c)
+    return out
+
+
+def _product_bialgebras():
+    """Every kind at cutoffs on both sides of a packed-field boundary; the
+    pools hold the basis keys plus keys the packing does not cover."""
+    out = []
+    for cutoff in (1, 3, 4):
+        for args, kwargs in (
+            (("polynomial-primitive", ["p", "q"]), {}),
+            (("matrix-coordinate",), {}),
+            (("monoid", ["a", "b"]), {}),
+            (("tensor-primitive", ["e1", "e2"]), {}),
+            (("monoid",), {"monoid_table": LEFT_ZERO_TABLE}),
+        ):
+            B = construct_bialgebra(BialgebraSpec(*args, **kwargs), cutoff)
+            pool = B.basis_keys(cutoff)
+            if B.spec.kind == "tensor-primitive":
+                pool.append((0,) * (cutoff + 1))
+            elif B.spec.monoid_table is None:
+                g = B.spec.generators[0]
+                pool += [Monomial({g: cutoff + 1}), Monomial({"zz": 1})]
+            out.append((B, pool))
+    return out
+
+
+PRODUCT_BIALGEBRAS = _product_bialgebras()
+COEFFS = [QQ(1), QQ(-1), QQ(2), QQ(1, 2), QQ(-1, 2), QQ(-2, 3), QQ(5, 6)]
+
+
+@st.composite
+def _product_operands(draw):
+    B, pool = draw(st.sampled_from(PRODUCT_BIALGEBRAS))
+    arity = draw(st.integers(1, 3))
+    # few keys per slot make products collide, so terms merge and cancel
+    slots = [
+        draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        for _ in range(arity)
+    ]
+    keys = st.tuples(*(st.sampled_from(slot) for slot in slots))
+    u, v = (
+        B.tensor(arity, draw(st.dictionaries(keys, st.sampled_from(COEFFS), max_size=6)))
+        for _ in range(2)
+    )
+    return u, v
+
+
+@settings(max_examples=400, deadline=None)
+@given(_product_operands())
+def test_product_kernel_matches_slotwise_reference(operands):
+    u, v = operands
+    try:
+        want = _reference_product(u, v)
+    except CutoffError as exc:
+        with pytest.raises(CutoffError) as got:
+            u * v
+        assert str(got.value) == str(exc)
+        return
+    assert list((u * v).terms.items()) == list(want.items())
+
+
+def test_product_kernel_cancels_and_reinserts_in_order(B2):
+    p1, one = B2.generator("p1"), B2.one(1)
+    u = p1.outer(one) + one.outer(p1) + one.outer(one)
+    v = p1.outer(one) - one.outer(p1) + p1.outer(p1)
+    # p1@p1 appears (-1), cancels (+1) and comes back last (+1), as with
+    # adding the term products one at a time
+    got = u * v
+    assert list(got.terms.items()) == list(_reference_product(u, v).items())
+    m1, m2, m0 = Monomial({"p1": 1}), Monomial({"p1": 2}), Monomial({})
+    assert list(got.terms.items()) == [
+        ((m2, m0), 1), ((m2, m1), 1), ((m0, m2), -1), ((m1, m2), 1),
+        ((m1, m0), 1), ((m0, m1), -1), ((m1, m1), 1),
+    ]
+
+
+@pytest.mark.parametrize("kind,generators", [
+    ("polynomial-primitive", ["p", "q"]),
+    ("matrix-coordinate", []),
+    ("monoid", ["a", "b"]),
+])
+def test_monomial_kinds_multiply_packed(kind, generators, monkeypatch):
+    B = construct_bialgebra(BialgebraSpec(kind, generators), 4)
+    x = B.generator(B.spec.generators[0])
+    u = x.outer(B.one(1)) + B.one(1).outer(x)
+
+    def slotwise(k1, k2):
+        raise AssertionError("slotwise product of %r and %r" % (k1, k2))
+
+    monkeypatch.setattr(B, "product_single", slotwise)
+    assert (u * u * u).degree() == 3  # packed codes add; no slotwise product
+    with pytest.raises(AssertionError, match="slotwise"):
+        u * u * u * u * u  # past the cutoff, the guard reruns the pair slotwise

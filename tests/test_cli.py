@@ -585,6 +585,49 @@ def test_unknown_arrow_endpoint_names_the_node():
     assert error["message"] == "unknown node 'nope'"
 
 
+@pytest.mark.parametrize(
+    "field,value,location",
+    [
+        ("h", "x", "$.inputs.diagram.arrows[0].h"),
+        ("phi", "x", "$.inputs.diagram.arrows[0].phi"),
+        ("phi", {"p1": "x"}, "$.inputs.diagram.arrows[0].phi.p1"),
+    ],
+    ids=["h string", "phi string", "phi image string"],
+)
+def test_mistyped_arrow_map_exits_two(field, value, location):
+    job = emit_example("diagram-power-map")
+    job["inputs"]["diagram"]["arrows"][0][field] = value
+    error = _run_error(job)
+    assert error["location"] == location
+
+
+@pytest.mark.parametrize(
+    "field,image,message",
+    [
+        ("h", {"p": "1"}, "not a variable of node 'v1'"),
+        ("phi", [{"coeff": "1", "slots": ["p1"]}], "not a generator of node 'v2'"),
+    ],
+)
+def test_unknown_arrow_entry_exits_two(field, image, message):
+    job = emit_example("diagram-power-map")
+    job["inputs"]["diagram"]["arrows"][0][field]["zz"] = image
+    error = _run_error(job)
+    assert error["location"] == "inputs.diagram.arrows[0].%s.zz" % field
+    assert error["message"] == message
+
+
+def test_arrow_between_finite_dimensional_nodes_exits_two():
+    job = emit_example("diagram-power-map")
+    for node in job["inputs"]["diagram"]["nodes"]:
+        node["algebra"] = {"kind": "finite-dimensional", "basis": ["1", "x"],
+                           "unit": "1", "products": {"x*x": {"x": "1"}}}
+        node["action"] = {g: {"type": "derivation", "images": {}}
+                          for g in node["bialgebra"]["generators"]}
+    error = _run_error(job)
+    assert error["location"] == "inputs.diagram.arrows[0]"
+    assert "polynomial-truncated" in error["message"]
+
+
 def _algebra_action_option_paths(job):
     """Paths in job["inputs"] at or below every target algebra, binary
     action, option block, image degree and compatibility cutoff of a job."""
