@@ -401,7 +401,7 @@ def run_ternary(inputs, params):
             pass_doc["leaf_cutoff"],
             pass_doc.get("symmetric", True),
         )
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise JobError("inputs.pass_algebra", str(exc))
     images = {}
     for bgen, img_doc in inputs["action"].items():

@@ -11,12 +11,16 @@ computed order by order in t.  There is one action layer, `KeyAction`: a
 B-basis key b = g * rest acts on a basis element a of the target as
 g(rest . a), each (b, a) is computed once and tabulated, and every action
 is the linear extension over that table.  The binary `ModuleAction` here
-and the ternary action of the `generalized` module share it, and every
-twisted product (`TwistedProduct`) is one `series_multilinear` over the
-twist series and its arguments.  The infinitesimal layer extracts the t^1
-Hochschild 2-cochain of a deformation, decides coboundary-ness inside a
-declared finite search space, and computes the wedge obstruction for pairs
-of derivations on free polynomial algebras.
+and the ternary action of the `generalized` module share it.  Every twisted
+product (`TwistedProduct`, binary or ternary) is a contraction over its
+structure constants mu(T_l (b_k1 @ ... @ b_km)), one per tuple of basis keys
+and t-order l, tabulated lazily per (twist, action) pair: each is computed
+on first use, and only for an order the truncation reaches.
+
+The infinitesimal layer extracts the t^1 Hochschild 2-cochain of a
+deformation, decides coboundary-ness inside a declared finite search space,
+and computes the wedge obstruction for pairs of derivations on free
+polynomial algebras.
 
 The coboundary search is one `linalg.solve` over candidate 1-cochains g,
 each column the values delta(g)(x, y) = x g(y) - g(xy) + g(x) y on the
@@ -30,6 +34,7 @@ multiplied in the untruncated `Polynomial` ring.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -551,9 +556,18 @@ def check_module_algebra(action, cutoff=None):
 # ---------------------------------------------------------------------------
 
 class TwistedProduct:
-    """mu(F (x1 @ ... @ xm)) for an arity-m twist series F over B, acting on
-    the target through `action`; `multiply` is the m-ary product of the
-    target.  Subclasses check their twist and expose the product."""
+    """mu(T (x1 @ ... @ xm)) for an arity-m twist series T = sum_l T_l t^l
+    over B, acting on the target through `action`; `multiply` is the m-ary
+    product of the target.  Subclasses check their twist and expose the
+    product.
+
+    The product is a contraction over the structure constants of the pair
+    (T, action): `_table` maps (keys, l), for a tuple of m basis keys of the
+    target, to the terms of mu(T_l (b_k1 @ ... @ b_km)).  An entry is
+    computed by `_value` on first use, and only for an order l that the
+    truncation reaches -- a higher twist order raises pAss leaf counts, so
+    an entry nothing needs could force quotient builds nothing else does.
+    """
 
     def __init__(self, twist, action, multiply):
         if twist.parent is not action.B:
@@ -563,6 +577,7 @@ class TwistedProduct:
         self._multiply = multiply
         # the twist series with each coefficient as its terms in basis order
         self.terms = TruncSeries([c.sorted_terms() for c in twist.series.coeffs])
+        self._table = {}
 
     def _series(self, x):
         return x if isinstance(x, TruncSeries) else constant_series(x, self.order)
@@ -576,6 +591,45 @@ class TwistedProduct:
             add_into(out, multiply(*map(act, keys, elems)).terms, c)
         return elems[0]._like(out)
 
+    def _contract(self, *args):
+        """The product of m element series (or elements) mod t^(N+1).
+
+        For nonzero slots i_1..i_m of the arguments with i = i_1 + ... + i_m
+        <= N, every choice of one term from each slot adds the product of
+        their coefficients times table[(keys, l)] into slot i + l, l <= N - i.
+        """
+        series = [self._series(x) for x in args]
+        n = self.order
+        if any(s.order != n for s in series):
+            raise ValueError("truncation orders differ")
+        table = self._table
+        supports = [[(i, c) for i, c in enumerate(s.coeffs) if c] for s in series]
+        slots = [{} for _ in range(n + 1)]
+        try:
+            for combo in itertools.product(*supports):
+                low = sum(i for i, _ in combo)
+                if low > n:
+                    continue
+                elems = [x for _, x in combo]
+                for chosen in itertools.product(*(x.terms.items() for x in elems)):
+                    keys = tuple(k for k, _ in chosen)
+                    c = math.prod(a for _, a in chosen)
+                    for l in range(n - low + 1):
+                        entry = table.get((keys, l))
+                        if entry is None:
+                            basis = [x._like({k: QQ(1)}) for x, k in zip(elems, keys)]
+                            entry = self._value(self.terms.coeffs[l], *basis).terms
+                            table[keys, l] = entry
+                        if entry:
+                            add_into(slots[low + l], entry, c)
+        except CutoffError:
+            # a basis term can pass a cutoff inside a sum whose images
+            # cancel; the route over whole arguments decides, and raises
+            # the error it always raised
+            return series_multilinear(self._value, self.terms, *series)
+        like = series[0].coeffs[0]
+        return TruncSeries([like._like(s) for s in slots])
+
 
 class StarProduct(TwistedProduct):
     """The deformed product of one (F, action) pair."""
@@ -588,8 +642,7 @@ class StarProduct(TwistedProduct):
 
     def star(self, sa, sb):
         """Deformed product of two algebra-element series."""
-        args = map(self._series, (sa, sb))
-        return series_multilinear(self._value, self.terms, *args)
+        return self._contract(sa, sb)
 
 
 def twisted_product(F, action, a, b):

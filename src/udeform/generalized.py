@@ -217,10 +217,6 @@ class FreePAssAlgebra:
         self._ensure(leaf_count)
         return len(self._trees[leaf_count]) - self._span[leaf_count].rank
 
-    def raw_tree_count(self, leaf_count):
-        self._ensure(leaf_count)
-        return len(self._trees[leaf_count])
-
     def generator(self, name):
         return PAssElement(self, {self.generators.index(name): QQ(1)})
 
@@ -446,8 +442,7 @@ class TwistedTernaryProduct(TwistedProduct):
 
     def product(self, sa, sb, sc):
         """Deformed product of three element series, truncated."""
-        args = map(self._series, (sa, sb, sc))
-        return series_multilinear(self._value, self.terms, *args)
+        return self._contract(sa, sb, sc)
 
 
 def twisted_ternary(H, action, a, b, c):

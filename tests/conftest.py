@@ -1,9 +1,15 @@
+import importlib.util
+import itertools
+from pathlib import Path
+
 import pytest
 
 from udeform.kernel import QQ, Polynomial
 from udeform.bialgebra import BialgebraSpec, construct_bialgebra
 from udeform.twist import make_exp_udf
 from udeform.deform import PolynomialTruncatedAlgebra, action_from_derivations
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 Z2_TABLE = {
@@ -100,3 +106,30 @@ def euler_action(B2, plane):
         plane,
         {"p1": {"p": Polynomial.variable("p")}, "p2": {"q": Polynomial.variable("q")}},
     )
+
+
+def raw_tree_count(generators, leaf_count, symmetric):
+    """Ternary trees on `generators` with `leaf_count` leaves, before the
+    pAss relation, counted apart from the library: a planar tree is a triple
+    of trees, a symmetric one a multiset of three."""
+    trees = {1: set(generators)}
+    for n in range(3, leaf_count + 1, 2):
+        level = set()
+        for a in range(1, n - 1, 2):
+            for b in range(1, n - a, 2):
+                for t in itertools.product(trees[a], trees[b], trees[n - a - b]):
+                    level.add(tuple(sorted(t, key=repr)) if symmetric else t)
+        trees[n] = level
+    return len(trees[leaf_count])
+
+
+def bench_job(name):
+    """The document of one benchmark job, as `bench/jobs.py` builds it."""
+    spec = importlib.util.spec_from_file_location("bench_jobs", BENCH / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    for workload in jobs.WORKLOADS.values():
+        for job in workload(0):
+            if job.name == name:
+                return job.doc
+    raise KeyError(name)

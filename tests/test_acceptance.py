@@ -57,7 +57,7 @@ from udeform.generalized import (
     pass_udf,
 )
 
-from conftest import antisym
+from conftest import antisym, raw_tree_count
 from test_generalized import power_map_diagram
 
 
@@ -309,7 +309,7 @@ def test_criterion_08_ternary():
     assoc_ok = check_partial_assoc(prod, cutoff=7, order=1).passed
 
     planar = build_free_pass(["x"], 5, symmetric=False)
-    dim_ok = planar.raw_tree_count(5) == 3 and planar.dimension(5) == 2
+    dim_ok = raw_tree_count(["x"], 5, symmetric=False) == 3 and planar.dimension(5) == 2
     ok = bracket_ok and assoc_ok and dim_ok
     report_line(
         8,

@@ -432,6 +432,32 @@ def test_malformed_ternary_tree_exits_two(tree, location, message):
     assert message in error["message"]
 
 
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("pass_algebra",),
+        ("pass_algebra", "generators"),
+        ("pass_algebra", "leaf_cutoff"),
+        ("pass_algebra", "symmetric"),
+        ("action",),
+        ("action", "p1"),
+        ("action", "p1", "p"),
+    ],
+    ids=".".join,
+)
+def test_mistyped_ternary_input_never_raises(path):
+    for value in (None, 0, "x", [], {}, 4, -1, ["p", 1]):
+        job = emit_example("ternary-quantum-plane")
+        doc = job["inputs"]
+        for part in path[:-1]:
+            doc = doc[part]
+        doc[path[-1]] = value
+        report, code = run(job)
+        assert code in (0, 1, 2), (path, value)
+        if code == 2:
+            assert "inputs" in report.error["location"], (path, value)
+
+
 def test_diagram_triple_without_arrow_exits_two():
     job = emit_example("diagram-power-map")
     assert "triple" in job["inputs"]

@@ -1,8 +1,10 @@
+import collections
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from udeform.kernel import Monomial, Polynomial, QQ, TruncSeries
+from udeform.kernel import Monomial, Polynomial, QQ, TruncSeries, series_multilinear
 from udeform.bialgebra import BialgebraSpec, CutoffError, construct_bialgebra
 from udeform.twist import GaugeElement, constant_series, gauge_transform, make_exp_udf, series_from_orders
 from udeform.twist import UDF, first_order_gauge
@@ -14,6 +16,7 @@ from udeform.deform import (
     PolynomialOperator1Cochain,
     PolynomialTruncatedAlgebra,
     StarProduct,
+    TwistedProduct,
     action_from_derivations,
     check_associativity,
     check_module_algebra,
@@ -24,7 +27,15 @@ from udeform.deform import (
     wedge_over_A,
 )
 
-from conftest import antisym
+from udeform.generalized import (
+    TernaryAction,
+    TwistedTernaryProduct,
+    build_free_pass,
+    pass_udf,
+)
+from udeform import cli
+
+from conftest import antisym, bench_job
 
 
 def M(text):
@@ -260,6 +271,128 @@ def series_from_orders_like(series, coeffs):
     return TruncSeries(
         [coeffs.get(k, zero) for k in range(series.order + 1)]
     )
+
+
+# ---------------------------------------------------------------------------
+# twisted products as contractions over their structure constants
+# ---------------------------------------------------------------------------
+
+def _contraction_cases():
+    """(product, argument key pools, zero element) for each kind of target:
+    Moyal and Euler actions on the truncated plane, a finite-dimensional
+    algebra, and the planar and symmetric free pAss algebras."""
+    B = construct_bialgebra(BialgebraSpec("polynomial-primitive", ["p1", "p2"]), 6)
+    F = make_exp_udf(antisym(B).scale(QQ(1, 2)), order=4)
+    plane = PolynomialTruncatedAlgebra(["p", "q"], 4)
+    low = plane.basis_keys(2)  # two factors stay inside the cutoff
+    moyal = action_from_derivations(B, plane, {"p1": {"p": 1}, "p2": {"q": 1}})
+    euler = action_from_derivations(
+        B,
+        plane,
+        {"p1": {"p": Polynomial.variable("p")}, "p2": {"q": Polynomial.variable("q")}},
+    )
+    dual = FiniteDimensionalAlgebra(
+        ["1", "x", "y", "xy"], "1", {("x", "y"): {"xy": 1}, ("y", "x"): {"xy": 1}}
+    )
+    weights = action_from_derivations(
+        B,
+        dual,
+        {
+            "p1": Derivation(dual, {"x": {"x": 1}, "xy": {"xy": 1}}),
+            "p2": Derivation(dual, {"y": {"y": 1}, "xy": {"xy": 1}}),
+        },
+    )
+    cases = [
+        (StarProduct(F, moyal), [low, low], plane.zero()),
+        (StarProduct(F, euler), [low, low], plane.zero()),
+        (StarProduct(F, weights), [dual.basis_keys()] * 2, dual.zero()),
+    ]
+    H = pass_udf(make_exp_udf(antisym(B), order=2))
+    for symmetric in (False, True):
+        P = build_free_pass(["p", "q"], 5, symmetric)
+        # leaf-count preserving derivations keep every product at <= 5 leaves
+        action = TernaryAction(B, P, {"p1": {"p": {"p": 1}}, "p2": {"q": {"q": 1}}})
+        pools = [P.basis(1) + P.basis(3), P.basis(1), P.basis(1)]
+        cases.append((TwistedTernaryProduct(H, action), pools, P.zero()))
+    return cases
+
+
+CONTRACTION_CASES = _contraction_cases()
+COEFFS = [QQ(1), QQ(-1), QQ(2), QQ(1, 2), QQ(-1, 2), QQ(-2, 3)]
+
+
+@st.composite
+def _contraction_arguments(draw):
+    product, pools, zero = draw(st.sampled_from(CONTRACTION_CASES))
+    n = product.order
+    args = []
+    for pool in pools:
+        slots = [zero] * (n + 1)
+        # any slots up to t^N, so some combinations sum past the truncation
+        for i in draw(st.lists(st.integers(0, n), max_size=3, unique=True)):
+            terms = draw(st.dictionaries(
+                st.sampled_from(pool), st.sampled_from(COEFFS), min_size=1, max_size=3
+            ))
+            slots[i] = zero._like(terms)
+        args.append(TruncSeries(slots))
+    return product, args
+
+
+@settings(max_examples=300, deadline=None)
+@given(_contraction_arguments())
+def test_contraction_matches_the_route_over_whole_arguments(case):
+    product, args = case
+    # the products share their tables across examples, so entries filled
+    # by one example are reused by later ones
+    multiply = product.star if isinstance(product, StarProduct) else product.product
+    got = multiply(*args)
+    want = series_multilinear(product._value, product.terms, *args)
+    assert [c.sorted_terms() for c in got.coeffs] == [
+        c.sorted_terms() for c in want.coeffs
+    ]
+
+
+def test_basis_overflow_that_cancels_defers_to_whole_arguments(B1):
+    A = PolynomialTruncatedAlgebra(["x", "y"], 2)
+    y2 = Polynomial({M("y^2"): 1})
+    action = action_from_derivations(B1, A, {"p": {"x": y2, "y": y2}})
+    p = B1.generator("p")
+    star = StarProduct(make_exp_udf(p.outer(p), order=1), action)
+    x, y = A.variable("x"), A.variable("y")
+    # theta x = theta y = y^2: the t^1 slot of (x - y) * x is theta(x - y)
+    # theta(x) = 0, though the basis constant theta(x) theta(x) = y^4 passes
+    # the cutoff
+    assert star.star(x - y, x) == TruncSeries([x * x - y * x, A.zero()])
+    with pytest.raises(CutoffError, match=r"y\^4 exceeds the degree cutoff 2"):
+        star.star(x, x)
+
+
+def test_moyal_d6_evaluates_each_structure_constant_once(monkeypatch):
+    job = bench_job("moyal-d6")
+    inputs, order = job["inputs"], job["parameters"]["order"]
+    slot_degree = cli._udf_doc_degree(inputs["udf"])
+    B = cli.build_bialgebra(inputs["bialgebra"], order, slot_degree=slot_degree)
+    A = cli.build_algebra(inputs["algebra"])
+    action = cli.build_action(B, A, inputs["action"])
+    F = cli.parse_udf(B, inputs["udf"], order)
+    calls = collections.Counter()
+    original = TwistedProduct._value
+
+    def counting(self, terms, *elems):
+        l = next(l for l, t in enumerate(self.terms.coeffs) if t is terms)
+        calls[tuple(e.render() for e in elems), l] += 1
+        return original(self, terms, *elems)
+
+    monkeypatch.setattr(TwistedProduct, "_value", counting)
+    rep = check_associativity(F, action, cutoff=job["parameters"]["degree"])
+    assert rep.passed
+    assert calls and max(calls.values()) == 1
+    # arguments that start at t^N reach only the t^0 constants
+    calls.clear()
+    p = A.variable("p")
+    late = TruncSeries([A.zero()] * order + [p])
+    StarProduct(F, action).star(late, p)
+    assert calls == {(("p", "p"), 0): 1}
 
 
 class TestInfinitesimalLayer:

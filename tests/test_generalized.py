@@ -10,12 +10,14 @@ from udeform.twist import (
     series_from_orders,
 )
 from udeform.deform import PolynomialTruncatedAlgebra, action_from_derivations
+from udeform import cli
 from udeform.generalized import (
     AlgebraMorphism,
     BialgebraMorphism,
     DiagramArrow,
     DiagramNode,
     DiagramSpec,
+    FreePAssAlgebra,
     TernaryAction,
     TernaryDerivation,
     TernaryTwist,
@@ -31,7 +33,7 @@ from udeform.generalized import (
     twisted_ternary,
 )
 
-from conftest import antisym
+from conftest import antisym, bench_job, raw_tree_count
 
 
 class TestFreePAss:
@@ -39,7 +41,7 @@ class TestFreePAss:
         P = build_free_pass(["x"], 7, symmetric=False)
         assert P.dimension(1) == 1
         assert P.dimension(3) == 1
-        assert P.raw_tree_count(5) == 3
+        assert raw_tree_count(["x"], 5, symmetric=False) == 3
         assert P.dimension(5) == 2
 
     def test_symmetric_two_generators_multisets(self):
@@ -50,7 +52,7 @@ class TestFreePAss:
         # all three bracketings of equal arguments coincide, so the single
         # relation instance reads 3T = 0 and the quotient dies at 5 leaves
         P = build_free_pass(["x"], 5, symmetric=True)
-        assert P.raw_tree_count(5) == 1
+        assert raw_tree_count(["x"], 5, symmetric=True) == 1
         assert P.dimension(5) == 0
 
     def test_resource_guard(self):
@@ -452,3 +454,26 @@ def test_planar_two_generator_dimension_profile():
     assert P.dimension(3) == 8
     assert P.dimension(5) == 2 * 2 ** 5
     assert P.dimension(7) == 4 * 2 ** 7
+
+
+# the pAss quotients the two ternary bench jobs build: the t^1 coefficient of
+# H acts on two slots and each cubing derivation adds two leaves, so products
+# reach 9 leaves; a twist order past the truncation would add four more
+BUILT_LEAF_COUNTS = {1, 3, 5, 7, 9}
+
+
+@pytest.mark.parametrize("name", ["ternary-planar-5", "ternary-sym-7"])
+def test_ternary_bench_job_builds_only_the_leaf_counts_it_needs(name, monkeypatch):
+    original = FreePAssAlgebra._build_count
+    built = set()
+
+    def guarded(self, n):
+        # stop before an unneeded build, which can run for minutes
+        assert n in BUILT_LEAF_COUNTS, "built the %d-leaf quotient" % n
+        built.add(n)
+        return original(self, n)
+
+    monkeypatch.setattr(FreePAssAlgebra, "_build_count", guarded)
+    report, code = cli.run(bench_job(name))
+    assert code == 0, report.to_json()
+    assert built == BUILT_LEAF_COUNTS
