@@ -9,7 +9,9 @@ identity checks built on top of this module.
 A kind supplies a key basis, a key product, and Delta and eps on its
 generators.  Both are algebra morphisms, so the base class derives them on
 every key from `split_key` (a generator times a shorter key), and it decides
-commutativity on the generators.  The key product is one key with
+commutativity on the generators.  The iterated coproducts Delta^k of a key
+are tabulated next to Delta (`iterated_coproduct_key`); both operads compose
+through that table.  The key product is one key with
 coefficient 1: `product_keys(k1, k2)` returns a one-term dict {k1*k2: 1}.
 The commutative monomial kinds also supply a `KeyPacking`, which packs a key
 tuple into one int and unpacks it.
@@ -139,6 +141,7 @@ class Bialgebra:
         self.cutoff = cutoff
         self.counital = spec.counital
         self._coproduct_cache = {}
+        self._iterated_cache = {}
         self._product_cache = {}
         self._packings = {}
 
@@ -202,6 +205,22 @@ class Bialgebra:
         hit = self._coproduct_cache.get(key)
         if hit is None:
             hit = self._coproduct_cache[key] = self._coproduct_key(key)
+        return hit
+
+    def iterated_coproduct_key(self, key, k):
+        """Delta^k on a basis key, memoized, dict (k+1)-tuple -> Fraction:
+        Delta^(-1) = eps, Delta^0 = id and Delta^k = (Delta @ id) Delta^(k-1)."""
+        hit = self._iterated_cache.get((key, k))
+        if hit is None:
+            if k == -1:
+                eps = self.counit_key(key)
+                hit = {(): eps} if eps else {}
+            elif k == 0:
+                hit = {(key,): QQ(1)}
+            else:
+                prev = self.tensor(k, self.iterated_coproduct_key(key, k - 1))
+                hit = prev.apply_coproduct(1).terms
+            self._iterated_cache[key, k] = hit
         return hit
 
     def product_single(self, k1, k2):
@@ -769,12 +788,10 @@ def iterated_coproduct(b, k):
         raise ValueError("iterated coproduct starts from an arity-1 element")
     if k < -1:
         raise ValueError("k must be >= -1")
-    if k == -1:
-        return b.apply_counit(1)
-    out = b
-    for _ in range(k):
-        out = out.apply_coproduct(1)
-    return out
+    B, out = b.parent, {}
+    for (key,), c in b.terms.items():
+        add_into(out, B.iterated_coproduct_key(key, k), c)
+    return b._like(out, k + 1)
 
 
 # ---------------------------------------------------------------------------

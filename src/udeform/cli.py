@@ -49,12 +49,12 @@ from .deform import (
     Derivation,
     FiniteDimensionalAlgebra,
     PolynomialTruncatedAlgebra,
+    StarProduct,
     action_from_derivations,
     check_associativity,
     check_module_algebra,
     infinitesimal_cocycle,
     is_hochschild_coboundary,
-    twisted_product,
     wedge_over_A,
 )
 from .generalized import (
@@ -311,15 +311,14 @@ def run_deform(inputs, params):
     action = build_action(B, A, inputs["action"])
     F = parse_udf(B, inputs["udf"], order)
     rep_mod = check_module_algebra(action)
-    rep_assoc = check_associativity(F, action, cutoff=degree)
+    star = StarProduct(F, action)
+    rep_assoc = check_associativity(F, action, cutoff=degree, star=star)
     table = []
     for k1 in A.basis_keys():
         for k2 in A.basis_keys():
             if A.degree(k1) + A.degree(k2) > min(2, degree):
                 continue
-            prod = twisted_product(
-                F, action, A.element({k1: QQ(1)}), A.element({k2: QQ(1)})
-            )
+            prod = star.star(A.element({k1: QQ(1)}), A.element({k2: QQ(1)}))
             table.append(
                 {
                     "left": A.key_str(k1),
@@ -468,15 +467,10 @@ def _build_diagram(doc, order, location="inputs.diagram"):
     node_map = {}
     for i, node_doc in enumerate(doc.get("nodes", [])):
         loc = "%s.nodes[%d]" % (location, i)
-        try:
-            name = node_doc["name"]
-            B = build_bialgebra(
-                node_doc["bialgebra"], order, location=loc + ".bialgebra"
-            )
-            A = build_algebra(node_doc["algebra"], location=loc + ".algebra")
-            action = build_action(B, A, node_doc["action"], location=loc + ".action")
-        except KeyError as exc:
-            raise JobError(loc, "missing %s" % (exc,))
+        name = node_doc["name"]
+        B = build_bialgebra(node_doc["bialgebra"], order, location=loc + ".bialgebra")
+        A = build_algebra(node_doc["algebra"], location=loc + ".algebra")
+        action = build_action(B, A, node_doc["action"], location=loc + ".action")
         node = DiagramNode(name, B, A, action)
         nodes.append(node)
         node_map[name] = node
@@ -554,7 +548,7 @@ def run_diagram(inputs, params):
         data["image_check"]["degree"] = inputs.get("image_degree", params["degree"])
     if "literal_action_variant" in inputs:
         var_doc = inputs["literal_action_variant"]
-        node_name = var_doc.get("node")
+        node_name = var_doc["node"]
         if node_name not in D.nodes:
             raise JobError(
                 "inputs.literal_action_variant.node", "unknown node %r" % (node_name,)

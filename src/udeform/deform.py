@@ -650,12 +650,14 @@ def twisted_product(F, action, a, b):
     return StarProduct(F, action).star(a, b)
 
 
-def check_associativity(F, action, cutoff=None):
+def check_associativity(F, action, cutoff=None, star=None):
     """(a*b)*c = a*(b*c) on basis triples within the cutoff, plus unitality.
 
-    Reports localize the first failing t-order and the witness triple.
+    Reports localize the first failing t-order and the witness triple.  A
+    caller that goes on multiplying passes its `StarProduct` of (F, action)
+    as `star`, so that both share one table of structure constants.
     """
-    star = StarProduct(F, action)
+    star = StarProduct(F, action) if star is None else star
     A = action.A
     cutoff = getattr(A, "cutoff", 0) or 0 if cutoff is None else cutoff
     report = CheckReport("twisted product associativity")

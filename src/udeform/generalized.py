@@ -4,9 +4,11 @@ Three generalizations of the twisting machinery live here.
 
 * Partially associative ternary algebras: a twisting element F induces an
   arity-3 twist H = F o_1 F, and a bialgebra acting by ternary derivations
-  deforms the ternary product slotwise.  The free (symmetric) partially
+  deforms the ternary product slotwise.  The free planar partially
   associative algebra is built by explicit tree enumeration and exact
-  relation-span elimination, leaf count by leaf count.
+  relation-span elimination, leaf count by leaf count.  The free symmetric
+  one is zero from 5 leaves on, because the symmetric pAss operad vanishes
+  in arity 5 (checked once per process), so it is built up to 3 leaves.
 
 * Interchange algebras: a pair (F', F'') twists the two operations when the
   middle-interchange coherence identity holds in B^(@4); grouplike pairs in
@@ -84,6 +86,40 @@ def _node(a, b, c, symmetric):
         children = tuple(sorted(children, key=_tree_key))
     return children
 
+def _relation(t1, t2, t3, t4, t5, symmetric):
+    """The three trees whose sum is one relation instance."""
+    return (
+        _node(t1, t2, _node(t3, t4, t5, symmetric), symmetric),
+        _node(t1, _node(t2, t3, t4, symmetric), t5, symmetric),
+        _node(_node(t1, t2, t3, symmetric), t4, t5, symmetric),
+    )
+
+
+@functools.cache
+def _symmetric_operad_vanishes_from_five():
+    """True, or RuntimeError: the symmetric pAss operad is 0 in arity 5.
+
+    Its arity-5 component is spanned by the 10 two-node trees on five
+    distinct leaves, and the 120 relation instances on them reach rank 10.
+    Every tree with 5 or more leaves has a node with an internal child, so
+    it is such a tree with subtrees grafted at its leaves; the relations form
+    an operadic ideal, so the operad is 0 in every arity >= 5, and so is each
+    free symmetric algebra there, S(P)(V) = sum_n P(n) @_(S_n) V^(@n)
+    (Loday-Vallette, Algebraic Operads, 5.2).  Checked once per process.
+    """
+    index, span = {}, ForwardSpan()
+    for leaves in itertools.permutations(range(5)):
+        vec = {}
+        for tree in _relation(*leaves, symmetric=True):
+            add_term(vec, index.setdefault(tree, len(index)), QQ(1))
+        span.add(vec)
+    if span.rank != len(index):
+        raise RuntimeError(
+            "the symmetric pAss operad has dimension %d in arity 5, not 0"
+            % (len(index) - span.rank)
+        )
+    return True
+
 
 class FreePAssAlgebra:
     """Free (optionally symmetric) partially associative ternary algebra.
@@ -92,7 +128,9 @@ class FreePAssAlgebra:
 
         (a,b,(c,d,e)) + (a,(b,c,d),e) + ((a,b,c),d,e) = 0,
 
-    eliminated exactly per leaf count.  The public basis stops at the
+    eliminated exactly per leaf count.  A symmetric algebra is zero from 5
+    leaves on (`_symmetric_operad_vanishes_from_five`), so it builds and
+    eliminates nothing there.  The public basis stops at the
     construction cutoff, but the carrier extends itself on demand -- the
     twisted product raises leaf counts, and truncating silently would
     corrupt the relation checks.
@@ -170,13 +208,9 @@ class FreePAssAlgebra:
         # direct relation instances on lower trees
         for split in _compositions(n, 5):
             pools = [self._trees[m] for m in split]
-            for t1, t2, t3, t4, t5 in itertools.product(*pools):
-                parts = [
-                    (_node(t1, t2, _node(t3, t4, t5, self.symmetric), self.symmetric), QQ(1)),
-                    (_node(t1, _node(t2, t3, t4, self.symmetric), t5, self.symmetric), QQ(1)),
-                    (_node(_node(t1, t2, t3, self.symmetric), t4, t5, self.symmetric), QQ(1)),
-                ]
-                feed(tree_vec(parts))
+            for leaves in itertools.product(*pools):
+                trees = _relation(*leaves, symmetric=self.symmetric)
+                feed(tree_vec([(tree, QQ(1)) for tree in trees]))
 
         # relation consequences wrapped one node deeper
         for m in range(5, n - 1, 2):
@@ -202,9 +236,15 @@ class FreePAssAlgebra:
                                     )
                                 feed(tree_vec(parts))
 
+    def _vanishes(self, n):
+        """Whether the quotient at n leaves is zero without building it."""
+        return self.symmetric and n >= 5 and _symmetric_operad_vanishes_from_five()
+
     # -- public surface ---------------------------------------------------------
     def basis(self, leaf_count):
         """Canonical quotient basis trees at one leaf count."""
+        if self._vanishes(leaf_count):
+            return []
         self._ensure(leaf_count)
         span = self._span[leaf_count]
         return [
@@ -214,6 +254,8 @@ class FreePAssAlgebra:
         ]
 
     def dimension(self, leaf_count):
+        if self._vanishes(leaf_count):
+            return 0
         self._ensure(leaf_count)
         return len(self._trees[leaf_count]) - self._span[leaf_count].rank
 
@@ -253,6 +295,8 @@ class FreePAssAlgebra:
             by_count.setdefault(_leaves(tree), {})[tree] = c
         out = {}
         for n, part in by_count.items():
+            if self._vanishes(n):
+                continue
             self._ensure(n)
             vec = {self._index[n][t]: c for t, c in part.items() if c}
             res = self._span[n].reduce(vec)

@@ -1,12 +1,18 @@
 """The two operads a bialgebra generates, and executable axiom checkers.
 
-For a bialgebra B the multiplicative operad has n-th component B^(@n) and
-grafts v into slot i of u by multiplying the (n-1)-times iterated coproduct
-of the i-th factor into v.  The additive ("logarithmic") operad has the same
-components but composes by adding a coproduct-expanded copy of u to a
-unit-padded copy of v; it never touches the product of B, so it makes sense
-for a bare coalgebra with a grouplike unit.  The operad unit is 1 in the
-multiplicative flavor and 0 in the additive one.
+For a bialgebra B both operads have n-th component B^(@n), and both graft v
+(arity n) into slot i of u (arity m) by one rule,
+
+    u o_i v = E * P,   E = Delta_i^(n-1) u,   P = 1^(@(i-1)) @ v @ 1^(@(m-i)),
+
+two tensors of arity m+n-1: E replaces slot i of each term of u by the
+terms of Delta^(n-1) of its key, read from the bialgebra's memoized table
+`iterated_coproduct_key`, and P pads v with units.  The multiplicative
+operad takes * to be the slotwise product, one call of the product kernel;
+the additive ("logarithmic") operad takes * to be +, so it never touches
+the product of B and makes sense for a bare coalgebra with a grouplike
+unit.  The operad unit is 1 in the multiplicative flavor and 0 in the
+additive one.
 
 The axioms are theorems, so the checkers here exist to catch implementation
 bugs: they combine fixed-seed random sweeps with exhaustive low-degree
@@ -19,7 +25,7 @@ import itertools
 import random
 
 from .bialgebra import CutoffError, TensorElement, iterated_coproduct
-from .kernel import QQ, add_term, bounded_product
+from .kernel import QQ, add_into, add_term, bounded_product
 from .reports import CheckReport, first_witness
 
 FLAVOR_MULTIPLICATIVE = "multiplicative"
@@ -70,43 +76,90 @@ class OperadElement:
 def circ_B(u, i, v):
     """Multiplicative partial composition of tensors u (arity m), v (arity n).
 
-    Slot i of u is replaced by Delta^(n-1)(u_i) multiplied slotwise into v,
-    extended bilinearly.  Arity-0 v uses the counit (our Delta^(-1)).
+    u o_i v = E . P, one slotwise product in B^(@(m+n-1)) (see
+    `_expanded`), extended bilinearly.  Arity-0 v uses the counit (our
+    Delta^(-1)).  When building E cancels a term, or E . P raises
+    CutoffError, the composition reruns one term of u at a time, so the
+    compositions that raise and their messages are those of the termwise
+    definition: a term that cancels in E may still pass the cutoff there.
     """
-    m, n = u.arity, v.arity
-    if not 1 <= i <= m:
-        raise ValueError("composition slot %d out of range for arity %d" % (i, m))
-    B = u.parent
-    if B is not v.parent:
-        raise ValueError("operands live over different bialgebras")
-    out = {}
-    for keys, c in u.terms.items():
-        mid = iterated_coproduct(B.element({keys[i - 1]: QQ(1)}), n - 1) * v
-        for mkeys, mc in mid.terms.items():
-            add_term(out, keys[: i - 1] + mkeys + keys[i:], c * mc)
-    return B.zero(m + n - 1)._like(out)
+    m, n = _check_slot(u, i, v)
+    try:
+        E, cancelled = _expanded(u, i, n)
+        if not cancelled:
+            return u._like(E, m + n - 1) * _padded(u, i, v)
+    except CutoffError:
+        pass
+    return _circ_B_termwise(u, i, v)
 
 
 def circ_b(u, i, v):
     """Additive partial composition; touches only the coproduct and unit of B.
 
-    Result is (u with slot i coproduct-expanded to arity n) plus
-    (v padded by operadic units 1 on both sides).  The product of B must
-    never be invoked here; a regression test pins that down.
+    u o_i v = E + P (see `_expanded`).  The product of B is never invoked
+    here; a regression test pins that down.
     """
-    m, n = u.arity, v.arity
-    if m < 1 or n < 1:
+    if u.arity < 1 or v.arity < 1:
         raise ValueError("the additive operad is indexed from arity 1")
+    m, n = _check_slot(u, i, v)
+    E, _ = _expanded(u, i, n)
+    return u._like(add_into(E, _padded(u, i, v).terms), m + n - 1)
+
+
+def _check_slot(u, i, v):
+    m = u.arity
     if not 1 <= i <= m:
         raise ValueError("composition slot %d out of range for arity %d" % (i, m))
-    B = u.parent
-    if B is not v.parent:
+    if u.parent is not v.parent:
         raise ValueError("operands live over different bialgebras")
-    expanded = u
-    for _ in range(n - 1):
-        expanded = expanded.apply_coproduct(i)
-    padded = B.one(i - 1).outer(v).outer(B.one(m - i))
-    return expanded + padded
+    return m, v.arity
+
+
+def _expanded(u, i, n):
+    """(E, cancelled): the terms of E = Delta_i^(n-1) u, slot i of each term
+    of u replaced by the terms of Delta^(n-1) of its key, read from the
+    bialgebra's memoized table; `cancelled` tells whether two terms of u
+    cancelled in E."""
+    table = u.parent.iterated_coproduct_key
+    out, cancelled = {}, False
+    get = out.get
+    for keys, c in u.terms.items():
+        left, right = keys[: i - 1], keys[i:]
+        cn = c.numerator if c.denominator == 1 else None
+        for mid, mc in table(keys[i - 1], n - 1).items():
+            key = left + mid + right
+            # integer products skip Fraction's gcds
+            x = QQ(cn * mc.numerator) if cn is not None and mc.denominator == 1 else c * mc
+            old = get(key)
+            if old is None:
+                out[key] = x
+                continue
+            x += old
+            if x:
+                out[key] = x
+            else:
+                del out[key]
+                cancelled = True
+    return out, cancelled
+
+
+def _padded(u, i, v):
+    """P = 1^(@(i-1)) @ v @ 1^(@(m-i)) for u of arity m."""
+    unit = u.parent.unit_key
+    left, right = (unit,) * (i - 1), (unit,) * (u.arity - i)
+    return v._like({left + keys + right: c for keys, c in v.terms.items()},
+                   u.arity + v.arity - 1)
+
+
+def _circ_B_termwise(u, i, v):
+    """circ_B one term of u at a time: Delta^(n-1)(u_i) . v per term."""
+    B, m, n = u.parent, u.arity, v.arity
+    out = {}
+    for keys, c in u.terms.items():
+        mid = iterated_coproduct(B.element({keys[i - 1]: QQ(1)}), n - 1) * v
+        for mkeys, mc in mid.terms.items():
+            add_term(out, keys[: i - 1] + mkeys + keys[i:], c * mc)
+    return u._like(out, m + n - 1)
 
 
 def _compose(flavor, u, i, v):

@@ -458,6 +458,49 @@ def test_mistyped_ternary_input_never_raises(path):
             assert "inputs" in report.error["location"], (path, value)
 
 
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("diagram",),
+        ("diagram", "nodes"),
+        ("diagram", "nodes", 0),
+        ("diagram", "nodes", 1),
+        ("diagram", "nodes", 0, "name"),
+        ("diagram", "arrows"),
+        ("diagram", "arrows", 0),
+        ("diagram", "arrows", 0, "from"),
+        ("triple",),
+        ("triple", "F1"),
+        ("triple", "G"),
+        ("literal_action_variant",),
+        ("literal_action_variant", "node"),
+        ("m",),
+        ("n",),
+    ],
+    ids=lambda path: ".".join(map(str, path)),
+)
+def test_mistyped_diagram_input_never_raises(path):
+    for value in (None, 0, "x", [], {}, -1, 4, ["p", 1]):
+        job = emit_example("diagram-power-map")
+        doc = job["inputs"]
+        for part in path[:-1]:
+            doc = doc[part]
+        doc[path[-1]] = value
+        report, code = run(job)
+        assert code in (0, 1, 2), (path, value)
+        if code == 2:
+            assert "inputs" in report.error["location"], (path, value)
+
+
+def test_diagram_node_without_a_field_exits_two_at_the_node():
+    for field in ("name", "bialgebra", "algebra", "action"):
+        job = emit_example("diagram-power-map")
+        del job["inputs"]["diagram"]["nodes"][1][field]
+        error = _run_error(job)
+        assert error["location"] == "$.inputs.diagram.nodes[1]", field
+        assert repr(field) in error["message"]
+
+
 def test_diagram_triple_without_arrow_exits_two():
     job = emit_example("diagram-power-map")
     assert "triple" in job["inputs"]

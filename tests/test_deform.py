@@ -395,6 +395,23 @@ def test_moyal_d6_evaluates_each_structure_constant_once(monkeypatch):
     assert calls == {(("p", "p"), 0): 1}
 
 
+def test_deform_job_shares_one_table_with_its_product_table(monkeypatch):
+    # run_deform tabulates products with the StarProduct the associativity
+    # check filled, so no structure constant is evaluated twice per job
+    calls = collections.Counter()
+    original = TwistedProduct._value
+
+    def counting(self, terms, *elems):
+        calls[id(self), id(terms), tuple(e.render() for e in elems)] += 1
+        return original(self, terms, *elems)
+
+    monkeypatch.setattr(TwistedProduct, "_value", counting)
+    report, code = cli.run(bench_job("moyal-d6"))
+    assert code == 0, report.to_json()
+    assert calls and max(calls.values()) == 1
+    assert len({key[0] for key in calls}) == 1
+
+
 class TestInfinitesimalLayer:
     def test_moyal_cocycle_values(self, moyal_udf, moyal_action, plane):
         mu1 = infinitesimal_cocycle(moyal_udf, moyal_action)

@@ -457,23 +457,46 @@ def test_planar_two_generator_dimension_profile():
 
 
 # the pAss quotients the two ternary bench jobs build: the t^1 coefficient of
-# H acts on two slots and each cubing derivation adds two leaves, so products
-# reach 9 leaves; a twist order past the truncation would add four more
-BUILT_LEAF_COUNTS = {1, 3, 5, 7, 9}
+# H acts on two slots and each cubing derivation adds two leaves, so planar
+# products reach 9 leaves (a twist order past the truncation would add four
+# more); a symmetric quotient is zero from 5 leaves and is never built there
+BUILT_LEAF_COUNTS = {"ternary-planar-5": {1, 3, 5, 7, 9}, "ternary-sym-7": {1, 3}}
 
 
-@pytest.mark.parametrize("name", ["ternary-planar-5", "ternary-sym-7"])
+@pytest.mark.parametrize("name", sorted(BUILT_LEAF_COUNTS))
 def test_ternary_bench_job_builds_only_the_leaf_counts_it_needs(name, monkeypatch):
     original = FreePAssAlgebra._build_count
     built = set()
 
     def guarded(self, n):
         # stop before an unneeded build, which can run for minutes
-        assert n in BUILT_LEAF_COUNTS, "built the %d-leaf quotient" % n
+        assert n in BUILT_LEAF_COUNTS[name], "built the %d-leaf quotient" % n
         built.add(n)
         return original(self, n)
 
     monkeypatch.setattr(FreePAssAlgebra, "_build_count", guarded)
     report, code = cli.run(bench_job(name))
     assert code == 0, report.to_json()
-    assert built == BUILT_LEAF_COUNTS
+    assert built == BUILT_LEAF_COUNTS[name]
+
+
+@pytest.mark.parametrize(
+    "generators,leaves",
+    [(g, 5) for g in range(1, 5)] + [(g, 7) for g in (2, 3)],
+)
+def test_symmetric_shortcut_matches_the_elimination(generators, leaves):
+    # the shortcut reports a zero quotient from 5 leaves on without building
+    # it; the labeled-tree elimination it replaces reaches full rank there
+    names = ["x%d" % k for k in range(generators)]
+    P = build_free_pass(names, leaves, symmetric=True)
+    eliminated = FreePAssAlgebra(names, leaves, symmetric=True)
+    for n in range(1, leaves + 1, 2):
+        eliminated._build_count(n)
+        trees, span = eliminated._trees[n], eliminated._span[n]
+        assert len(trees) == raw_tree_count(names, n, symmetric=True)
+        assert P.dimension(n) == len(trees) - span.rank
+        assert P.basis(n) == [t for i, t in enumerate(trees) if i not in span.rows]
+    top = eliminated._trees[leaves]
+    assert top and P.dimension(leaves) == 0 and P.basis(leaves) == []
+    assert P.element({t: QQ(k + 1) for k, t in enumerate(top)}) == 0
+    assert leaves not in P._trees  # answered without building the trees

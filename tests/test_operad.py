@@ -1,9 +1,15 @@
-import pytest
+import itertools
 
-from udeform.kernel import QQ
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from udeform.kernel import QQ, Monomial, add_term
 from udeform.bialgebra import (
+    BialgebraSpec,
     CounitUnavailable,
+    CutoffError,
     TensorElement,
+    construct_bialgebra,
 )
 from udeform.operad import (
     FLAVOR_ADDITIVE,
@@ -17,7 +23,7 @@ from udeform.operad import (
     reconstruct_bialgebra_check,
 )
 
-from conftest import antisym
+from conftest import IDEMPOTENT_TABLE, antisym
 from coproduct_override import with_coproduct_override
 
 
@@ -218,3 +224,170 @@ class TestBlockPermutations:
 
         assert inflate_inner((2, 1), 2, 3) == (1, 3, 2, 4)
         assert inflate_inner((3, 1, 2), 1, 2) == (3, 1, 2, 4)
+
+
+# ---------------------------------------------------------------------------
+# the one composition rule against the termwise definition
+# ---------------------------------------------------------------------------
+
+def _delta_steps(b, k):
+    """Delta^k of an arity-1 element by k steps of Delta on the first slot."""
+    if k == -1:
+        return b.apply_counit(1)
+    for _ in range(k):
+        b = b.apply_coproduct(1)
+    return b
+
+
+def _termwise_circ_B(u, i, v):
+    """The multiplicative composition one term of u at a time, through
+    n-1 coproduct steps and one product per term."""
+    B, n = u.parent, v.arity
+    out = {}
+    for keys, c in u.terms.items():
+        mid = _delta_steps(B.element({keys[i - 1]: QQ(1)}), n - 1) * v
+        for mkeys, mc in mid.terms.items():
+            add_term(out, keys[: i - 1] + mkeys + keys[i:], c * mc)
+    return u._like(out, u.arity + n - 1)
+
+
+def _stepwise_circ_b(u, i, v):
+    B, expanded = u.parent, u
+    for _ in range(v.arity - 1):
+        expanded = expanded.apply_coproduct(i)
+    return expanded + B.one(i - 1).outer(v).outer(B.one(u.arity - i))
+
+
+def _composition_bialgebras():
+    """All five kinds at small cutoffs; the pools add keys past the cutoff."""
+    out = []
+    for cutoff in (2, 3):
+        for args, kwargs in (
+            (("polynomial-primitive", ["p", "q"]), {}),
+            (("tensor-primitive", ["x", "y"]), {}),
+            (("matrix-coordinate",), {}),
+            (("monoid", ["a", "b"]), {}),
+            (("monoid",), {"monoid_table": IDEMPOTENT_TABLE}),
+        ):
+            B = construct_bialgebra(BialgebraSpec(*args, **kwargs), cutoff)
+            pool = B.basis_keys(cutoff)
+            if B.spec.kind == "tensor-primitive":
+                pool.append((0,) * (cutoff + 1))
+            elif B.spec.monoid_table is None:
+                pool.append(Monomial({B.spec.generators[0]: cutoff + 1}))
+            # distinct keys whose coproducts share a term, as xy and yx do
+            twins = [
+                (k1, k2) for k1, k2 in itertools.combinations(B.basis_keys(cutoff), 2)
+                if set(B.coproduct_key(k1)) & set(B.coproduct_key(k2))
+            ]
+            out.append((B, pool, twins))
+    return out
+
+
+COMPOSITION_BIALGEBRAS = _composition_bialgebras()
+COEFFS = [QQ(1), QQ(-1), QQ(2), QQ(-1, 2), QQ(2, 3)]
+
+
+@st.composite
+def _tensors(draw, B, pool, arity):
+    # few keys per slot, so that terms of u share slots and their
+    # expansions merge and cancel
+    slots = [
+        draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        for _ in range(arity)
+    ]
+    keys = st.tuples(*(st.sampled_from(slot) for slot in slots))
+    return B.tensor(arity, draw(st.dictionaries(keys, st.sampled_from(COEFFS), max_size=4)))
+
+
+@st.composite
+def _compositions(draw):
+    B, pool, twins = draw(st.sampled_from(COMPOSITION_BIALGEBRAS))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    u, i = draw(_tensors(B, pool, m)), draw(st.integers(1, m))
+    if twins and u and draw(st.booleans()):
+        # c (keys with k1 at slot i) - c (keys with k2 at slot i): the shared
+        # terms of their expansions cancel in E
+        keys, c = draw(st.sampled_from(sorted(u.terms.items(), key=repr)))
+        k1, k2 = draw(st.sampled_from(twins))
+        terms = dict(u.terms)
+        terms[keys[: i - 1] + (k1,) + keys[i:]] = c
+        terms[keys[: i - 1] + (k2,) + keys[i:]] = -c
+        u = B.tensor(m, terms)
+    return u, i, draw(_tensors(B, pool, n))
+
+
+def _same_outcome(got, want, *args):
+    try:
+        expected = want(*args)
+    except CutoffError as exc:
+        with pytest.raises(CutoffError) as raised:
+            got(*args)
+        assert str(raised.value) == str(exc)
+        return
+    assert got(*args) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(_compositions())
+def test_compositions_match_the_termwise_definition(case):
+    u, i, v = case
+    _same_outcome(circ_B, _termwise_circ_B, u, i, v)
+    if v.arity:
+        _same_outcome(circ_b, _stepwise_circ_b, u, i, v)
+
+
+def test_cancelling_expansion_reruns_termwise(monkeypatch):
+    # in tensor-primitive, Delta(xy) and Delta(yx) share x@y and y@x, so
+    # u = a@xy - a@yx loses them in E; next to the cutoff the value, and
+    # past it the error message, must still be the termwise ones
+    import udeform.operad as operad
+
+    B = construct_bialgebra(BialgebraSpec("tensor-primitive", ["x", "y"]), 3)
+    x, y = B.generator("x"), B.generator("y")
+    u = x.outer(x * y) - x.outer(y * x)
+    reruns = []
+    termwise = operad._circ_B_termwise
+
+    def spy(*args):
+        reruns.append(args)
+        return termwise(*args)
+
+    monkeypatch.setattr(operad, "_circ_B_termwise", spy)
+    for v in (y.outer(B.one(1)), y.outer(y), (x * y).outer(y)):
+        _same_outcome(circ_B, _termwise_circ_B, u, 2, v)
+        _same_outcome(circ_b, _stepwise_circ_b, u, 2, v)
+    assert len(reruns) == 3
+    with pytest.raises(CutoffError, match="exceeds degree cutoff 3"):
+        circ_B(u, 2, (x * y).outer(y))
+
+
+def test_iterated_coproduct_table_steps_once_per_entry(monkeypatch):
+    B = construct_bialgebra(BialgebraSpec("matrix-coordinate"), 3)
+    steps = []
+    apply_coproduct = TensorElement.apply_coproduct
+
+    def counted(self, slot):
+        steps.append((tuple(self.terms), slot))
+        return apply_coproduct(self, slot)
+
+    monkeypatch.setattr(TensorElement, "apply_coproduct", counted)
+    keys = B.basis_keys(2)
+    for _ in range(2):
+        for key in keys:
+            for k in (3, -1, 0, 1, 2):
+                B.iterated_coproduct_key(key, k)
+    # one step per (key, k >= 1), each on a different element
+    assert len(steps) == 3 * len(keys)
+    assert len(set(steps)) == len(steps)
+    u, v = B.generator("a").outer(B.generator("b")), B.one(3)
+    steps.clear()
+    for i in (1, 2):
+        circ_B(u, i, v)
+        circ_b(u, i, v)
+    assert not steps  # every Delta^2 the compositions need is tabulated
+    monkeypatch.undo()
+    for key in keys:
+        for k in (-1, 0, 1, 2, 3):
+            want = _delta_steps(B.element({key: QQ(1)}), k)
+            assert list(B.iterated_coproduct_key(key, k).items()) == list(want.terms.items())
