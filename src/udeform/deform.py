@@ -259,9 +259,24 @@ def _as_element(A, x):
     return x if isinstance(x, AlgebraElement) else A.element(x)
 
 
+def _require_variables(A, names, monomials=()):
+    """ValueError unless every name, and every variable of the monomials,
+    is a variable of the polynomial algebra A."""
+    variables = (v for mono in monomials for v, _ in mono.exps)
+    for name in itertools.chain(names, variables):
+        if name not in A.variables:
+            raise ValueError("unknown variable %r" % (name,))
+
+
 def _basis_images(A, data):
     """Images of every basis element of a finite-dimensional A as elements;
-    zero where `data` names none."""
+    zero where `data` names none.  A name outside the basis, as an argument
+    or inside an image, is a ValueError."""
+    for name, img in data.items():
+        named = () if isinstance(img, AlgebraElement) else img
+        for key in itertools.chain((name,), named):
+            if key not in A.basis:
+                raise ValueError("unknown basis element %r" % (key,))
     return {name: _as_element(A, data.get(name, A.zero())) for name in A.basis}
 
 
@@ -302,12 +317,11 @@ class Derivation(Operator):
             self.kind = "polynomial"
             self.coeffs = {}
             for name, poly in data.items():
-                if name not in A.variables:
-                    raise ValueError("unknown variable %r" % (name,))
                 if isinstance(poly, AlgebraElement):
                     poly = poly.to_polynomial()
                 if not isinstance(poly, Polynomial):
                     poly = Polynomial.constant(poly)
+                _require_variables(A, (name,), poly.terms)
                 if poly:
                     self.coeffs[name] = poly
         elif isinstance(A, FiniteDimensionalAlgebra):
@@ -353,6 +367,8 @@ class AlgebraEndomorphism(Operator):
         if isinstance(A, PolynomialTruncatedAlgebra):
             self.kind = "polynomial"
             self.var_images = {}
+            images = [_as_element(A, img) for img in data.values() if img is not None]
+            _require_variables(A, data, (mono for img in images for mono in img.terms))
             for name in A.variables:
                 img = data.get(name)
                 self.var_images[name] = (

@@ -501,6 +501,59 @@ def test_diagram_node_without_a_field_exits_two_at_the_node():
         assert repr(field) in error["message"]
 
 
+_SQUARE_ZERO = {"kind": "finite-dimensional", "basis": ["1", "p", "q"], "unit": "1",
+                "products": {"p|p": {}, "p|q": {}, "q|p": {}, "q|q": {}}}
+
+
+@pytest.mark.parametrize(
+    "op_type,bialgebra,images",
+    [
+        ("derivation", None, {"p": {"zz": "1"}}),
+        ("derivation", None, {"zz": {"p": "1"}}),
+        ("endomorphism", {"kind": "monoid", "generators": ["g"]}, {"p": {"zz": "1"}}),
+    ],
+    ids=["derivation-image", "derivation-argument", "endomorphism-image"],
+)
+def test_unknown_basis_element_in_images_exits_two(op_type, bialgebra, images):
+    # a diagram node over a finite-dimensional algebra
+    job = emit_example("diagram-power-map")
+    node = job["inputs"]["diagram"]["nodes"][1]
+    node["algebra"] = copy.deepcopy(_SQUARE_ZERO)
+    if bialgebra is not None:
+        node["bialgebra"] = bialgebra
+    names = bialgebra["generators"] if bialgebra else ["p1", "p2"]
+    node["action"] = {name: {"type": op_type, "images": images} for name in names}
+    error = _run_error(job)
+    assert error["location"] == "inputs.diagram.nodes[1].action"
+    assert "unknown basis element 'zz'" in error["message"]
+    # the same action in a top-level job
+    job = emit_example("nonsmooth-counterexample")
+    if bialgebra is not None:
+        job["inputs"]["bialgebra"] = bialgebra
+    job["inputs"]["action"] = node["action"]
+    error = _run_error(job)
+    assert error["location"] == "inputs.action"
+    assert "unknown basis element 'zz'" in error["message"]
+
+
+def test_unknown_variable_in_a_derivation_exits_two():
+    # a coefficient naming no variable of the algebra: the top-level job used
+    # to pass, and on a diagram node it raised KeyError out of the compat check
+    action = {"p1": {"type": "derivation", "partials": {"p": {"z": "1"}}},
+              "p2": {"type": "derivation", "partials": {"q": {"q": "1"}}}}
+    job = emit_example("quantum-plane")
+    job["inputs"]["action"] = copy.deepcopy(action)
+    error = _run_error(job)
+    assert error["location"] == "inputs.action"
+    assert "unknown variable 'z'" in error["message"]
+    for i in (0, 1):
+        job = emit_example("diagram-power-map")
+        job["inputs"]["diagram"]["nodes"][i]["action"] = copy.deepcopy(action)
+        error = _run_error(job)
+        assert error["location"] == "inputs.diagram.nodes[%d].action" % i
+        assert "unknown variable 'z'" in error["message"]
+
+
 def test_diagram_triple_without_arrow_exits_two():
     job = emit_example("diagram-power-map")
     assert "triple" in job["inputs"]

@@ -88,6 +88,20 @@ class TestOperators:
         with pytest.raises(ValueError):
             AlgebraEndomorphism(square_zero, {"1": {"p": 1}, "p": {}, "q": {}})
 
+    def test_names_outside_the_algebra_rejected(self, plane, square_zero):
+        z = plane.element({M("z"): 1})
+        for op, A, data, name in (
+            (Derivation, plane, {"z": 1}, "variable 'z'"),
+            (Derivation, plane, {"p": z.to_polynomial()}, "variable 'z'"),
+            (AlgebraEndomorphism, plane, {"z": plane.element({M("p"): 1})}, "variable 'z'"),
+            (AlgebraEndomorphism, plane, {"p": z}, "variable 'z'"),
+            (Derivation, square_zero, {"z": {"p": 1}}, "basis element 'z'"),
+            (Derivation, square_zero, {"p": {"z": 1}}, "basis element 'z'"),
+            (AlgebraEndomorphism, square_zero, {"p": {"z": 1}}, "basis element 'z'"),
+        ):
+            with pytest.raises(ValueError, match="unknown " + name):
+                op(A, data)
+
     def test_commutation_probe(self, plane):
         d_p = Derivation(plane, {"p": 1})
         p_dp = Derivation(plane, {"p": Polynomial.variable("p")})
