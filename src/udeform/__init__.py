@@ -71,10 +71,10 @@ from .generalized import (
     DiagramArrow,
     DiagramNode,
     DiagramSpec,
+    FreePAssAlgebra,
     TernaryAction,
     TernaryTwist,
     TwistTriple,
-    build_free_pass,
     check_partial_assoc,
     diagram_compat_check,
     diagram_twist_check,

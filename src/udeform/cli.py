@@ -63,10 +63,10 @@ from .generalized import (
     DiagramArrow,
     DiagramNode,
     DiagramSpec,
+    FreePAssAlgebra,
     TernaryAction,
     TwistTriple,
     TwistedTernaryProduct,
-    build_free_pass,
     check_partial_assoc,
     diagram_compat_check,
     diagram_twist_check,
@@ -395,7 +395,7 @@ def run_ternary(inputs, params):
     F = parse_udf(B, inputs["udf"], order)
     pass_doc = inputs["pass_algebra"]
     try:
-        P = build_free_pass(
+        P = FreePAssAlgebra(
             pass_doc["generators"],
             pass_doc["leaf_cutoff"],
             pass_doc.get("symmetric", True),

@@ -4,11 +4,12 @@ Three generalizations of the twisting machinery live here.
 
 * Partially associative ternary algebras: a twisting element F induces an
   arity-3 twist H = F o_1 F, and a bialgebra acting by ternary derivations
-  deforms the ternary product slotwise.  The free planar partially
-  associative algebra is built by explicit tree enumeration and exact
-  relation-span elimination, leaf count by leaf count.  The free symmetric
-  one is zero from 5 leaves on, because the symmetric pAss operad vanishes
-  in arity 5 (checked once per process), so it is built up to 3 leaves.
+  deforms the ternary product slotwise.  The relations of the free planar
+  partially associative algebra keep the leaf word, so its quotient is
+  eliminated once per leaf count over tree shapes (every leaf labeled 0), and
+  a labeled tree reduces through its shape with its word carried along.  The
+  free symmetric one is zero from 5 leaves on, because the symmetric pAss
+  operad vanishes in arity 5, and has no relation below that.
 
 * Interchange algebras: a pair (F', F'') twists the two operations when the
   middle-interchange coherence identity holds in B^(@4); grouplike pairs in
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from .bialgebra import CutoffError, TensorElement
 from .deform import (
@@ -86,39 +88,29 @@ def _node(a, b, c, symmetric):
         children = tuple(sorted(children, key=_tree_key))
     return children
 
-def _relation(t1, t2, t3, t4, t5, symmetric):
-    """The three trees whose sum is one relation instance."""
+def _relation(t1, t2, t3, t4, t5):
+    """The three planar trees whose sum is one relation instance."""
+    return ((t1, t2, (t3, t4, t5)), (t1, (t2, t3, t4), t5), ((t1, t2, t3), t4, t5))
+
+
+@functools.lru_cache(maxsize=TREE_CACHE_SIZE)
+def _split(tree):
+    """(shape, word): the tree with every leaf labeled 0, and its leaf labels
+    in planar order."""
+    if isinstance(tree, int):
+        return 0, (tree,)
+    parts = [_split(c) for c in tree]
     return (
-        _node(t1, t2, _node(t3, t4, t5, symmetric), symmetric),
-        _node(t1, _node(t2, t3, t4, symmetric), t5, symmetric),
-        _node(_node(t1, t2, t3, symmetric), t4, t5, symmetric),
+        tuple(shape for shape, _ in parts),
+        tuple(itertools.chain.from_iterable(word for _, word in parts)),
     )
 
-
-@functools.cache
-def _symmetric_operad_vanishes_from_five():
-    """True, or RuntimeError: the symmetric pAss operad is 0 in arity 5.
-
-    Its arity-5 component is spanned by the 10 two-node trees on five
-    distinct leaves, and the 120 relation instances on them reach rank 10.
-    Every tree with 5 or more leaves has a node with an internal child, so
-    it is such a tree with subtrees grafted at its leaves; the relations form
-    an operadic ideal, so the operad is 0 in every arity >= 5, and so is each
-    free symmetric algebra there, S(P)(V) = sum_n P(n) @_(S_n) V^(@n)
-    (Loday-Vallette, Algebraic Operads, 5.2).  Checked once per process.
-    """
-    index, span = {}, ForwardSpan()
-    for leaves in itertools.permutations(range(5)):
-        vec = {}
-        for tree in _relation(*leaves, symmetric=True):
-            add_term(vec, index.setdefault(tree, len(index)), QQ(1))
-        span.add(vec)
-    if span.rank != len(index):
-        raise RuntimeError(
-            "the symmetric pAss operad has dimension %d in arity 5, not 0"
-            % (len(index) - span.rank)
-        )
-    return True
+def _fill(shape, labels):
+    """The tree of `shape` whose leaves take the labels of an iterator in
+    planar order."""
+    if isinstance(shape, int):
+        return next(labels)
+    return tuple(_fill(c, labels) for c in shape)
 
 
 class FreePAssAlgebra:
@@ -126,14 +118,19 @@ class FreePAssAlgebra:
 
     Basis classes are canonical trees modulo the graded relation span
 
-        (a,b,(c,d,e)) + (a,(b,c,d),e) + ((a,b,c),d,e) = 0,
+        (a,b,(c,d,e)) + (a,(b,c,d),e) + ((a,b,c),d,e) = 0.
 
-    eliminated exactly per leaf count.  A symmetric algebra is zero from 5
-    leaves on (`_symmetric_operad_vanishes_from_five`), so it builds and
-    eliminates nothing there.  The public basis stops at the
-    construction cutoff, but the carrier extends itself on demand -- the
-    twisted product raises leaf counts, and truncating silently would
-    corrupt the relation checks.
+    A relation keeps the leaf word, so the planar span is eliminated once per
+    leaf count over shapes, trees whose leaves all carry label 0: a tree
+    reduces as its shape with its word put back, and the basis is each basis
+    shape filled with each word, S(P)(V) = sum_n P(n) @ V^(@n)
+    (Loday-Vallette, Algebraic Operads, 5.2).  A symmetric algebra has no
+    relation below 5 leaves and is zero from 5 leaves on: the 120 relation
+    instances on five distinct leaves span all 10 two-node trees, so the
+    symmetric operad, whose relations form an operadic ideal, vanishes in
+    every arity >= 5.  The public basis stops at the construction cutoff,
+    but the carrier extends itself on demand -- the twisted product raises
+    leaf counts, and truncating silently would corrupt the relation checks.
     """
 
     def __init__(self, generators, leaf_cutoff, symmetric):
@@ -149,9 +146,9 @@ class FreePAssAlgebra:
         self.generators = list(generators)
         self.leaf_cutoff = leaf_cutoff
         self.symmetric = bool(symmetric)
-        self._trees = {}      # leaf count -> sorted list of canonical trees
-        self._span = {}       # leaf count -> ForwardSpan over tree indices
-        self._index = {}      # leaf count -> dict tree -> column
+        self._shapes = {}     # leaf count -> sorted list of planar shapes
+        self._span = {}       # leaf count -> ForwardSpan over shape indices
+        self._index = {}      # leaf count -> dict shape -> column
         self._built = 0
 
     # -- construction ---------------------------------------------------------
@@ -164,100 +161,66 @@ class FreePAssAlgebra:
 
     def _build_count(self, n):
         if n == 1:
-            trees = list(range(len(self.generators)))
+            shapes = [0]
         else:
-            seen = set()
-            trees = []
-            for a_leaves in range(1, n - 1, 2):
-                for b_leaves in range(1, n - a_leaves, 2):
-                    c_leaves = n - a_leaves - b_leaves
-                    if c_leaves < 1 or c_leaves % 2 == 0:
-                        continue
-                    for a in self._trees[a_leaves]:
-                        for b in self._trees[b_leaves]:
-                            for c in self._trees[c_leaves]:
-                                t = _node(a, b, c, self.symmetric)
-                                if t not in seen:
-                                    seen.add(t)
-                                    trees.append(t)
-            trees.sort(key=_tree_key)
-        self._trees[n] = trees
-        self._index[n] = {t: i for i, t in enumerate(trees)}
-        span = ForwardSpan()
-        self._span[n] = span
-        if n < 5:
-            return
-
-        def tree_vec(parts):
-            vec = {}
-            for tree, c in parts:
-                add_term(vec, self._index[n][tree], c)
-            return vec
-
-        seen_vecs = set()
-
-        def feed(vec):
-            if not vec:
-                return
-            frozen = frozenset(vec.items())
-            if frozen in seen_vecs:
-                return
-            seen_vecs.add(frozen)
-            span.add(vec)
-
-        # direct relation instances on lower trees
+            shapes = sorted(
+                (
+                    (a, b, c)
+                    for split in _compositions(n, 3)
+                    for a, b, c in itertools.product(*(self._shapes[m] for m in split))
+                ),
+                key=_tree_key,
+            )
+        self._shapes[n] = shapes
+        index = self._index[n] = {s: i for i, s in enumerate(shapes)}
+        span = self._span[n] = ForwardSpan()
+        # direct relation instances on lower shapes; a planar instance has
+        # three distinct trees, so it is never zero
         for split in _compositions(n, 5):
-            pools = [self._trees[m] for m in split]
-            for leaves in itertools.product(*pools):
-                trees = _relation(*leaves, symmetric=self.symmetric)
-                feed(tree_vec([(tree, QQ(1)) for tree in trees]))
-
+            for leaves in itertools.product(*(self._shapes[m] for m in split)):
+                span.add({index[s]: QQ(1) for s in _relation(*leaves)})
         # relation consequences wrapped one node deeper
         for m in range(5, n - 1, 2):
-            lower = self._span[m]
-            if not lower.rows:
-                continue
-            rest = n - m
-            for u_leaves in range(1, rest, 2):
-                v_leaves = rest - u_leaves
-                if v_leaves < 1 or v_leaves % 2 == 0:
-                    continue
-                for row in lower.rows.values():
-                    terms = [(self._trees[m][col], c) for col, c in row.items()]
-                    for u in self._trees[u_leaves]:
-                        for v in self._trees[v_leaves]:
-                            for slot in range(3):
-                                parts = []
-                                for tree, c in terms:
-                                    args = [u, v]
-                                    args.insert(slot, tree)
-                                    parts.append(
-                                        (_node(*args, symmetric=self.symmetric), c)
-                                    )
-                                feed(tree_vec(parts))
+            lower = self._shapes[m]
+            for u_leaves, v_leaves in _compositions(n - m, 2):
+                for row in self._span[m].rows.values():
+                    pairs = itertools.product(
+                        self._shapes[u_leaves], self._shapes[v_leaves]
+                    )
+                    for uv, slot in itertools.product(pairs, range(3)):
+                        span.add({
+                            index[uv[:slot] + (lower[col],) + uv[slot:]]: c
+                            for col, c in row.items()
+                        })
 
-    def _vanishes(self, n):
-        """Whether the quotient at n leaves is zero without building it."""
-        return self.symmetric and n >= 5 and _symmetric_operad_vanishes_from_five()
+    def _basis_shapes(self, n):
+        """Quotient basis shapes at n leaves."""
+        if self.symmetric and n >= 5:
+            return []
+        self._ensure(n)
+        span = self._span[n]
+        return [s for i, s in enumerate(self._shapes[n]) if i not in span.rows]
+
+    def _words(self, n):
+        labels = range(len(self.generators))
+        if self.symmetric:
+            # a symmetric tree below 5 leaves is a generator or a multiset
+            return itertools.combinations_with_replacement(labels, n)
+        return itertools.product(labels, repeat=n)
 
     # -- public surface ---------------------------------------------------------
     def basis(self, leaf_count):
         """Canonical quotient basis trees at one leaf count."""
-        if self._vanishes(leaf_count):
-            return []
-        self._ensure(leaf_count)
-        span = self._span[leaf_count]
-        return [
-            t
-            for i, t in enumerate(self._trees[leaf_count])
-            if i not in span.rows
-        ]
+        shapes = self._basis_shapes(leaf_count)
+        return sorted(
+            (_fill(s, iter(w)) for s in shapes for w in self._words(leaf_count)),
+            key=_tree_key,
+        )
 
     def dimension(self, leaf_count):
-        if self._vanishes(leaf_count):
-            return 0
-        self._ensure(leaf_count)
-        return len(self._trees[leaf_count]) - self._span[leaf_count].rank
+        g, n = len(self.generators), leaf_count
+        words = math.comb(g + n - 1, n) if self.symmetric else g ** n
+        return len(self._basis_shapes(n)) * words
 
     def generator(self, name):
         return PAssElement(self, {self.generators.index(name): QQ(1)})
@@ -290,18 +253,20 @@ class FreePAssAlgebra:
 
     def reduce_coords(self, coords):
         """Canonical quotient coordinates of a tree combination."""
-        by_count = {}
+        out, by_word = {}, {}
         for tree, c in coords.items():
-            by_count.setdefault(_leaves(tree), {})[tree] = c
-        out = {}
-        for n, part in by_count.items():
-            if self._vanishes(n):
+            n = _leaves(tree)
+            if self.symmetric:
+                if n < 5 and c:
+                    out[tree] = c
                 continue
+            shape, word = _split(tree)
+            by_word.setdefault((n, word), {})[shape] = c
+        for (n, word), part in by_word.items():
             self._ensure(n)
-            vec = {self._index[n][t]: c for t, c in part.items() if c}
-            res = self._span[n].reduce(vec)
-            for col, c in res.items():
-                out[self._trees[n][col]] = c
+            vec = {self._index[n][s]: c for s, c in part.items() if c}
+            for col, c in self._span[n].reduce(vec).items():
+                out[_fill(self._shapes[n][col], iter(word))] = c
         return out
 
     def ternary(self, x, y, z):
@@ -361,11 +326,6 @@ class PAssElement(SparseElement):
 
     def _key_text(self, tree):
         return self.parent.tree_str(tree)
-
-
-def build_free_pass(generators, leaf_cutoff, symmetric):
-    """Free pAss algebra with basis classes up to the (odd, <= 7) leaf cutoff."""
-    return FreePAssAlgebra(generators, leaf_cutoff, symmetric)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import math
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,9 @@ from udeform.kernel import QQ, Polynomial
 from udeform.bialgebra import BialgebraSpec, construct_bialgebra
 from udeform.twist import make_exp_udf
 from udeform.deform import PolynomialTruncatedAlgebra, action_from_derivations
+from udeform.generalized import FreePAssAlgebra, _compositions, _node, _tree_key
+from udeform.kernel import add_term
+from udeform.linalg import ForwardSpan
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -121,6 +125,97 @@ def raw_tree_count(generators, leaf_count, symmetric):
                     level.add(tuple(sorted(t, key=repr)) if symmetric else t)
         trees[n] = level
     return len(trees[leaf_count])
+
+
+def labeled_relation(t1, t2, t3, t4, t5, symmetric):
+    """The three canonical labeled trees whose sum is one pAss relation."""
+    return (
+        _node(t1, t2, _node(t3, t4, t5, symmetric), symmetric),
+        _node(t1, _node(t2, t3, t4, symmetric), t5, symmetric),
+        _node(_node(t1, t2, t3, symmetric), t4, t5, symmetric),
+    )
+
+
+def labeled_quotient(generators, leaf_count, symmetric):
+    """The free pAss quotient eliminated over labeled trees, the route apart
+    from the library's shape reduction: {n: (trees, span)} for each odd
+    n <= leaf_count, `trees` the canonical trees on `generators` labels in
+    basis order and `span` the relation span over their indices."""
+    trees, spans = {}, {}
+    for n in range(1, leaf_count + 1, 2):
+        if n == 1:
+            level = list(range(generators))
+        else:
+            level = sorted(
+                {
+                    _node(a, b, c, symmetric)
+                    for split in _compositions(n, 3)
+                    for a, b, c in itertools.product(*(trees[m] for m in split))
+                },
+                key=_tree_key,
+            )
+        index = {t: i for i, t in enumerate(level)}
+        span = ForwardSpan()
+        trees[n], spans[n] = level, span
+        if n < 5:
+            continue
+        seen = set()
+
+        def feed(parts):
+            vec = {}
+            for tree, c in parts:
+                add_term(vec, index[tree], c)
+            frozen = frozenset(vec.items())
+            if vec and frozen not in seen:
+                seen.add(frozen)
+                span.add(vec)
+
+        # direct relation instances on lower trees
+        for split in _compositions(n, 5):
+            for leaves in itertools.product(*(trees[m] for m in split)):
+                feed((t, QQ(1)) for t in labeled_relation(*leaves, symmetric))
+        # relation consequences wrapped one node deeper
+        for m in range(5, n - 1, 2):
+            for u_leaves, v_leaves in _compositions(n - m, 2):
+                for row in spans[m].rows.values():
+                    terms = [(trees[m][col], c) for col, c in row.items()]
+                    for u, v in itertools.product(trees[u_leaves], trees[v_leaves]):
+                        for slot in range(3):
+                            parts = []
+                            for tree, c in terms:
+                                args = [u, v]
+                                args.insert(slot, tree)
+                                parts.append((_node(*args, symmetric), c))
+                            feed(parts)
+    return {n: (trees[n], spans[n]) for n in trees}
+
+
+def fuss_catalan(leaf_count):
+    """Planar ternary tree shapes with `leaf_count` leaves: C(3k, k)/(2k+1)
+    for k = (leaf_count - 1)/2 nodes."""
+    k = (leaf_count - 1) // 2
+    return math.comb(3 * k, k) // (2 * k + 1)
+
+
+def guard_shape_builds(monkeypatch, allowed=None):
+    """Wrap `FreePAssAlgebra._build_count` so that every build holds at most
+    the Fuss-Catalan count of trees at its leaf count (a labeled build fails
+    already at one leaf), and, with `allowed`, only builds those leaf counts.
+    Returns the set of leaf counts built."""
+    original = FreePAssAlgebra._build_count
+    built = set()
+
+    def guarded(self, n):
+        # stop before an unneeded build, which can run for minutes
+        assert allowed is None or n in allowed, "built the %d-leaf quotient" % n
+        original(self, n)
+        assert len(self._shapes[n]) <= fuss_catalan(n), (
+            "the %d-leaf build holds %d trees" % (n, len(self._shapes[n]))
+        )
+        built.add(n)
+
+    monkeypatch.setattr(FreePAssAlgebra, "_build_count", guarded)
+    return built
 
 
 def bench_job(name):

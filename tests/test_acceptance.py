@@ -44,10 +44,10 @@ from udeform.deform import (
     wedge_over_A,
 )
 from udeform.generalized import (
+    FreePAssAlgebra,
     TernaryAction,
     TwistTriple,
     TwistedTernaryProduct,
-    build_free_pass,
     check_partial_assoc,
     constant_series as _cs,
     diagram_compat_check,
@@ -299,7 +299,7 @@ def test_criterion_08_ternary():
     )
     bracket_ok = H.series.coeffs[1] == bracket
 
-    P = build_free_pass(["p", "q"], 7, symmetric=True)
+    P = FreePAssAlgebra(["p", "q"], 7, symmetric=True)
     action = TernaryAction(
         B,
         P,
@@ -308,7 +308,7 @@ def test_criterion_08_ternary():
     prod = TwistedTernaryProduct(H, action)
     assoc_ok = check_partial_assoc(prod, cutoff=7, order=1).passed
 
-    planar = build_free_pass(["x"], 5, symmetric=False)
+    planar = FreePAssAlgebra(["x"], 5, symmetric=False)
     dim_ok = raw_tree_count(["x"], 5, symmetric=False) == 3 and planar.dimension(5) == 2
     ok = bracket_ok and assoc_ok and dim_ok
     report_line(

@@ -24,11 +24,11 @@ from udeform.deform import (
     is_hochschild_coboundary,
 )
 from udeform.generalized import (
+    FreePAssAlgebra,
     TernaryAction,
     TernaryTwist,
     TwistTriple,
     TwistedTernaryProduct,
-    build_free_pass,
     check_partial_assoc,
     diagram_compat_check,
     diagram_twist_check,
@@ -146,7 +146,7 @@ def _deform_reports():
 
 def _generalized_reports():
     ternaryB = _bialgebra("polynomial-primitive", ["p1", "p2"], 4)
-    P = build_free_pass(["p", "q"], 5, symmetric=False)
+    P = FreePAssAlgebra(["p", "q"], 5, symmetric=False)
     action = TernaryAction(ternaryB, P, {"p1": {"p": {"p": 1}}, "p2": {"q": {"q": 1}}})
     H = pass_udf(make_exp_udf(antisym(ternaryB), order=1))
     gp1, gp2 = ternaryB.generator("p1"), ternaryB.generator("p2")

@@ -28,9 +28,9 @@ from udeform.deform import (
 )
 
 from udeform.generalized import (
+    FreePAssAlgebra,
     TernaryAction,
     TwistedTernaryProduct,
-    build_free_pass,
     pass_udf,
 )
 from udeform import cli
@@ -323,7 +323,7 @@ def _contraction_cases():
     ]
     H = pass_udf(make_exp_udf(antisym(B), order=2))
     for symmetric in (False, True):
-        P = build_free_pass(["p", "q"], 5, symmetric)
+        P = FreePAssAlgebra(["p", "q"], 5, symmetric)
         # leaf-count preserving derivations keep every product at <= 5 leaves
         action = TernaryAction(B, P, {"p1": {"p": {"p": 1}}, "p2": {"q": {"q": 1}}})
         pools = [P.basis(1) + P.basis(3), P.basis(1), P.basis(1)]

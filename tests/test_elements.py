@@ -13,7 +13,7 @@ from udeform.bialgebra import BialgebraSpec, TensorElement, construct_bialgebra
 from udeform.deform import (
     AlgebraElement, FiniteDimensionalAlgebra, PolynomialTruncatedAlgebra,
 )
-from udeform.generalized import PAssElement, build_free_pass
+from udeform.generalized import FreePAssAlgebra, PAssElement
 from udeform.kernel import QQ, Monomial, Polynomial, SparseElement
 
 M = Monomial.parse
@@ -27,7 +27,7 @@ def cases():
     dual_1 = FiniteDimensionalAlgebra(["1", "x"], "1", {("x", "x"): {}})
     dual_e = FiniteDimensionalAlgebra(["e", "x"], "e", {("x", "x"): {}})
     one_not_unit = FiniteDimensionalAlgebra(["e", "1"], "e", {("1", "1"): {}})
-    P = build_free_pass(["x", "y"], 3, symmetric=False)
+    P = FreePAssAlgebra(["x", "y"], 3, symmetric=False)
     x, y = P.generator("x"), P.generator("y")
     return {
         "poly zero": Polynomial(),

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from udeform.kernel import Monomial, Polynomial, QQ, TruncSeries
@@ -11,6 +13,9 @@ from udeform.twist import (
 )
 from udeform.deform import PolynomialTruncatedAlgebra, action_from_derivations
 from udeform import cli
+from udeform.fixtures import emit_example
+from udeform.kernel import add_term
+from udeform.linalg import ForwardSpan
 from udeform.generalized import (
     AlgebraMorphism,
     BialgebraMorphism,
@@ -23,7 +28,6 @@ from udeform.generalized import (
     TernaryTwist,
     TwistTriple,
     TwistedTernaryProduct,
-    build_free_pass,
     check_partial_assoc,
     diagram_compat_check,
     diagram_twist_check,
@@ -33,36 +37,43 @@ from udeform.generalized import (
     twisted_ternary,
 )
 
-from conftest import antisym, bench_job, raw_tree_count
+from conftest import (
+    antisym,
+    bench_job,
+    guard_shape_builds,
+    labeled_quotient,
+    labeled_relation,
+    raw_tree_count,
+)
 
 
 class TestFreePAss:
     def test_planar_one_generator_dimensions(self):
-        P = build_free_pass(["x"], 7, symmetric=False)
+        P = FreePAssAlgebra(["x"], 7, symmetric=False)
         assert P.dimension(1) == 1
         assert P.dimension(3) == 1
         assert raw_tree_count(["x"], 5, symmetric=False) == 3
         assert P.dimension(5) == 2
 
     def test_symmetric_two_generators_multisets(self):
-        P = build_free_pass(["p", "q"], 3, symmetric=True)
+        P = FreePAssAlgebra(["p", "q"], 3, symmetric=True)
         assert P.dimension(3) == 4  # multisets {ppp, ppq, pqq, qqq}
 
     def test_symmetric_collapses_in_characteristic_zero(self):
         # all three bracketings of equal arguments coincide, so the single
         # relation instance reads 3T = 0 and the quotient dies at 5 leaves
-        P = build_free_pass(["x"], 5, symmetric=True)
+        P = FreePAssAlgebra(["x"], 5, symmetric=True)
         assert raw_tree_count(["x"], 5, symmetric=True) == 1
         assert P.dimension(5) == 0
 
     def test_resource_guard(self):
         with pytest.raises(ValueError):
-            build_free_pass(["x"], 9, symmetric=False)
+            FreePAssAlgebra(["x"], 9, symmetric=False)
         with pytest.raises(ValueError):
-            build_free_pass(["x"], 4, symmetric=False)
+            FreePAssAlgebra(["x"], 4, symmetric=False)
 
     def test_relations_are_leaf_homogeneous(self):
-        P = build_free_pass(["p", "q"], 5, symmetric=False)
+        P = FreePAssAlgebra(["p", "q"], 5, symmetric=False)
         x, q = P.generator("p"), P.generator("q")
         elem = P.ternary(x, q, P.ternary(x, x, x)) + x.scale(2)
 
@@ -72,7 +83,7 @@ class TestFreePAss:
         assert sorted({leaves(t) for t in elem.terms}) == [1, 5]
 
     def test_quotient_reduction_is_canonical(self):
-        P = build_free_pass(["x"], 5, symmetric=False)
+        P = FreePAssAlgebra(["x"], 5, symmetric=False)
         x = P.generator("x")
         cube = P.ternary(x, x, x)
         t1 = P.ternary(cube, x, x)
@@ -83,13 +94,13 @@ class TestFreePAss:
         assert P.dimension(5) == 2
 
     def test_structure_constants(self):
-        P = build_free_pass(["p", "q"], 3, symmetric=True)
+        P = FreePAssAlgebra(["p", "q"], 3, symmetric=True)
         p = P.generator("p")
         sc = dict(P.ternary(p, p, p).terms)
         assert list(sc.values()) == [QQ(1)]
 
     def test_element_merges_trees_that_normalize_alike(self):
-        P = build_free_pass(["x", "y"], 3, True)
+        P = FreePAssAlgebra(["x", "y"], 3, True)
         merged = P.element({("x", "y", "x"): 1, ("y", "x", "x"): 1})
         assert merged.render() == "2*(x,x,y)"
         assert P.element({"x": 1, 0: 1}).render() == "2*x"
@@ -158,7 +169,7 @@ def ternaryB():
 
 @pytest.fixture(scope="module")
 def cubing_action(ternaryB):
-    P = build_free_pass(["p", "q"], 7, symmetric=True)
+    P = FreePAssAlgebra(["p", "q"], 7, symmetric=True)
     action = TernaryAction(
         ternaryB,
         P,
@@ -183,7 +194,7 @@ class TestTernaryDerivations:
         # on the planar carrier theta2(theta1(p)) = (p,(q,q,q),q) + (p,q,(q,q,q))
         # survives while theta1(theta2(p)) = 0 (on the symmetric carrier both
         # sides collapse to zero, so the planar algebra is the honest probe)
-        P = build_free_pass(["p", "q"], 5, symmetric=False)
+        P = FreePAssAlgebra(["p", "q"], 5, symmetric=False)
         with pytest.raises(ValueError, match="commute"):
             TernaryAction(
                 ternaryB,
@@ -226,7 +237,7 @@ class TestTwistedTernary:
     def test_planar_euler_twist_mod_t2(self, ternaryB):
         # leaf-counting derivations keep leaf counts fixed, so the planar
         # (nondegenerate) carrier stays within the public cutoff
-        P = build_free_pass(["p", "q"], 7, symmetric=False)
+        P = FreePAssAlgebra(["p", "q"], 7, symmetric=False)
         action = TernaryAction(
             ternaryB,
             P,
@@ -242,7 +253,7 @@ class TestTwistedTernary:
         assert rep.passed, rep.render_text()
 
     def test_corrupted_twist_fails_with_witness(self, ternaryB):
-        P = build_free_pass(["p", "q"], 5, symmetric=False)
+        P = FreePAssAlgebra(["p", "q"], 5, symmetric=False)
         action = TernaryAction(
             ternaryB,
             P,
@@ -448,12 +459,33 @@ def test_symmetric_dimension_profile_regression(cubing_action):
     assert {n: P.dimension(n) for n in (1, 3, 5, 7)} == {1: 2, 3: 4, 5: 0, 7: 0}
 
 
+# dim P(n) of the planar pAss operad at 1, 3, ..., 13 leaves, the values the
+# one-generator labeled elimination gives; a labeling multiplies by g^n
+PLANAR_OPERAD_DIMENSIONS = {1: 1, 3: 1, 5: 2, 7: 4, 9: 5, 11: 6, 13: 7}
+
+
 def test_planar_two_generator_dimension_profile():
-    P = build_free_pass(["p", "q"], 7, symmetric=False)
-    # labelings factor through the one-generator quotient positionally
-    assert P.dimension(3) == 8
-    assert P.dimension(5) == 2 * 2 ** 5
-    assert P.dimension(7) == 4 * 2 ** 7
+    cases = [(g, n) for g in (1, 2) for n in PLANAR_OPERAD_DIMENSIONS] + [(3, 7)]
+    for generators, leaves in cases:
+        P = FreePAssAlgebra(["x%d" % k for k in range(generators)], 7, False)
+        expected = PLANAR_OPERAD_DIMENSIONS[leaves] * generators ** leaves
+        assert P.dimension(leaves) == expected, (generators, leaves)
+    assert FreePAssAlgebra(["x", "y", "z"], 7, False).dimension(7) == 8748
+
+
+@pytest.mark.parametrize("generators,leaves", [(2, 5), (2, 7), (3, 5), (3, 7)])
+def test_shape_quotient_matches_the_labeled_elimination(generators, leaves):
+    # the library reduces a tree through its shape and carries its word; the
+    # labeled-tree elimination must pick the same basis and representatives
+    P = FreePAssAlgebra(["x%d" % k for k in range(generators)], leaves, False)
+    for n, (trees, span) in labeled_quotient(generators, leaves, False).items():
+        assert P.dimension(n) == len(trees) - span.rank
+        assert P.basis(n) == [t for i, t in enumerate(trees) if i not in span.rows]
+        for i, tree in enumerate(trees):
+            rep = span.reduce({i: QQ(1)})
+            assert P.reduce_coords({tree: QQ(1)}) == {
+                trees[col]: c for col, c in rep.items()
+            }
 
 
 # the pAss quotients the two ternary bench jobs build: the t^1 coefficient of
@@ -465,19 +497,21 @@ BUILT_LEAF_COUNTS = {"ternary-planar-5": {1, 3, 5, 7, 9}, "ternary-sym-7": {1, 3
 
 @pytest.mark.parametrize("name", sorted(BUILT_LEAF_COUNTS))
 def test_ternary_bench_job_builds_only_the_leaf_counts_it_needs(name, monkeypatch):
-    original = FreePAssAlgebra._build_count
-    built = set()
-
-    def guarded(self, n):
-        # stop before an unneeded build, which can run for minutes
-        assert n in BUILT_LEAF_COUNTS[name], "built the %d-leaf quotient" % n
-        built.add(n)
-        return original(self, n)
-
-    monkeypatch.setattr(FreePAssAlgebra, "_build_count", guarded)
+    built = guard_shape_builds(monkeypatch, BUILT_LEAF_COUNTS[name])
     report, code = cli.run(bench_job(name))
     assert code == 0, report.to_json()
     assert built == BUILT_LEAF_COUNTS[name]
+
+
+def test_planar_ternary_fixture_builds_shapes_only(monkeypatch):
+    # the twisted products of the fixture reach 11 leaves, past the public
+    # cutoff; a build over labeled trees fails the guard at one leaf
+    doc = emit_example("ternary-quantum-plane")
+    doc["inputs"]["pass_algebra"]["symmetric"] = False
+    built = guard_shape_builds(monkeypatch)
+    report, code = cli.run(doc)
+    assert code == 0, report.to_json()
+    assert max(built) == 11
 
 
 @pytest.mark.parametrize(
@@ -485,18 +519,25 @@ def test_ternary_bench_job_builds_only_the_leaf_counts_it_needs(name, monkeypatc
     [(g, 5) for g in range(1, 5)] + [(g, 7) for g in (2, 3)],
 )
 def test_symmetric_shortcut_matches_the_elimination(generators, leaves):
-    # the shortcut reports a zero quotient from 5 leaves on without building
-    # it; the labeled-tree elimination it replaces reaches full rank there
+    # the symmetric pAss operad is 0 in arity 5: its 10 two-node trees on
+    # five distinct leaves are spanned by the 120 relation instances on them
+    index, arity5 = {}, ForwardSpan()
+    for labels in itertools.permutations(range(5)):
+        vec = {}
+        for tree in labeled_relation(*labels, symmetric=True):
+            add_term(vec, index.setdefault(tree, len(index)), QQ(1))
+        arity5.add(vec)
+    assert len(index) == arity5.rank == 10
+    # so the library reports a zero quotient from 5 leaves on without
+    # building it, where the labeled-tree elimination reaches full rank
     names = ["x%d" % k for k in range(generators)]
-    P = build_free_pass(names, leaves, symmetric=True)
-    eliminated = FreePAssAlgebra(names, leaves, symmetric=True)
-    for n in range(1, leaves + 1, 2):
-        eliminated._build_count(n)
-        trees, span = eliminated._trees[n], eliminated._span[n]
+    P = FreePAssAlgebra(names, leaves, symmetric=True)
+    quotient = labeled_quotient(generators, leaves, symmetric=True)
+    for n, (trees, span) in quotient.items():
         assert len(trees) == raw_tree_count(names, n, symmetric=True)
         assert P.dimension(n) == len(trees) - span.rank
         assert P.basis(n) == [t for i, t in enumerate(trees) if i not in span.rows]
-    top = eliminated._trees[leaves]
+    top = quotient[leaves][0]
     assert top and P.dimension(leaves) == 0 and P.basis(leaves) == []
     assert P.element({t: QQ(k + 1) for k, t in enumerate(top)}) == 0
-    assert leaves not in P._trees  # answered without building the trees
+    assert leaves not in P._shapes  # answered without building the trees
