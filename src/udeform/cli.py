@@ -35,14 +35,7 @@ from .operad import (
     check_equivariance,
     check_unit,
 )
-from .twist import (
-    UDF,
-    TwistingElement,
-    check_twisting,
-    constant_series,
-    make_exp_udf,
-    series_from_orders,
-)
+from .twist import UDF, make_exp_udf, series_from_orders
 from .cobar import check_oracle_agreement
 from .deform import (
     AlgebraEndomorphism,
@@ -353,7 +346,7 @@ def run_hochschild(inputs, params):
     F = parse_udf(B, inputs["udf"], order)
     if order < 1:
         raise JobError("parameters.order", "the order-t layer needs order >= 1")
-    cutoff = getattr(A, "cutoff", 0) or 0
+    cutoff = A.cutoff or 0
     try:
         cochain = infinitesimal_cocycle(F, action, cutoff=cutoff)
     except ValueError as exc:

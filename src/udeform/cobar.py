@@ -11,6 +11,16 @@ Their agreement (identical block dimensions, gauge-equivalent
 representatives) is a theorem and doubles as the oracle test for both
 implementations.
 
+The reduced diagonal of m - eps(m)1 is read off Delta(m) as the terms with
+no unit slot: every other term of Delta(m) - m@1 - 1@m + eps(m)1@1 has one.
+Both routes end in the same step, a kernel basis modulo a subspace that must
+lie inside it (`linalg.quotient_representatives`).  The kernel vectors are
+independent, so that elimination checks the inclusion as
+rank(sub + kernel) = dim kernel: for ``h2`` the subspace is im d1 and the
+identity is d2 o d1 = 0; for ``twi_direct`` it is the gauge span and the
+identity is that the gauge span lies in the solutions.  A failure raises
+AssertionError, under python -O as well.
+
 Blocks: primitively generated kinds are sliced by internal degree (their
 coproduct is degree-graded).  Grouplike-flavored kinds (monoid,
 matrix-coordinate) are not graded that way, but every degree-<=D truncation
@@ -21,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 
-from .kernel import MINUS_ONE, QQ, add_into, add_term
+from .kernel import MINUS_ONE, QQ, add_term
 from .bialgebra import TensorElement
 from .linalg import Echelon, kernel_basis, quotient_representatives
 from .reports import CheckReport, first_witness
@@ -206,90 +216,73 @@ def _pairs_for_block(B, cutoff, label, reduced):
     return out
 
 
-def _reduced_pair_coords(B, m):
-    """Reduced coordinates of dbar(m - eps(m)1) as dict pair-of-keys -> c."""
-    return extract_reduced(reduced_diagonal(embed_reduced(B, {(m,): QQ(1)}, 1)))
-
-
 class CobarComplex:
     """d1 and d2 of the cobar construction, sliced into finite blocks.
 
-    d2 o d1 = 0 is checked per block at build time.
+    dbar(m) is read off Delta(m) as its terms with no unit slot.  Per block,
+    d1 is kept as its nonzero columns and d2 as rows, one per triple d2
+    reaches; `h2` checks d2 o d1 = 0 in its quotient step.
     """
 
     def __init__(self, B, cutoff):
         B.require_counit()
         self.B = B
         self.cutoff = cutoff
-        self.graded = _is_graded(B)
-        self._dbar = {}  # key -> reduced pair coords, shared across blocks
-        for m in reduced_keys(B, cutoff):
-            self._dbar[m] = _reduced_pair_coords(B, m)
-        self.blocks = {}
-        for label in _block_labels(B, cutoff):
-            self.blocks[label] = self._build_block(label)
+        unit = B.unit_key
+        self._dbar = {  # key -> reduced pair coords, shared across blocks
+            m: {p: c for p, c in B.coproduct_key(m).items() if unit not in p}
+            for m in reduced_keys(B, cutoff)
+        }
+        self.blocks = {
+            label: self._build_block(label) for label in _block_labels(B, cutoff)
+        }
 
     def _build_block(self, label):
         B = self.B
-        keys1 = _keys_for_block(B, self.cutoff, label, reduced=True)
         pairs = _pairs_for_block(B, self.cutoff, label, reduced=True)
         pair_index = {p: i for i, p in enumerate(pairs)}
-
         dbar = self._dbar
 
         d1_cols = []
-        for m in keys1:
-            col = {}
-            for (a, b), c in dbar[m].items():
-                col[pair_index[(a, b)]] = c
-            d1_cols.append(col)
+        for m in _keys_for_block(B, self.cutoff, label, reduced=True):
+            col = {pair_index[p]: c for p, c in dbar[m].items()}
+            if col:
+                d1_cols.append(col)
 
-        # only the triples d2 reaches are built, numbered in order of first use
-        triple_ids = {}
-        d2_cols = []
-        for (m, n) in pairs:
-            col = {}
+        rows = {}  # triple -> its row of d2; only the triples d2 reaches
+        for col, (m, n) in enumerate(pairs):
             for (a, b), c in dbar[m].items():
-                add_term(col, triple_ids.setdefault((a, b, n), len(triple_ids)), c)
+                add_term(rows.setdefault((a, b, n), {}), col, c)
             for (a, b), c in dbar[n].items():
-                add_term(col, triple_ids.setdefault((m, a, b), len(triple_ids)), -c)
-            d2_cols.append(col)
+                add_term(rows.setdefault((m, a, b), {}), col, -c)
 
-        # the complex property, blockwise
-        for j, m in enumerate(keys1):
-            acc = {}
-            for pi, c in d1_cols[j].items():
-                add_into(acc, d2_cols[pi], c)
-            if acc:
-                raise AssertionError("d2 o d1 != 0 at key %s" % (B.key_str(m),))
+        return {"pairs": pairs, "d1_cols": d1_cols, "d2_rows": list(rows.values())}
 
-        return {
-            "keys1": keys1,
-            "pairs": pairs,
-            "pair_index": pair_index,
-            "d1_cols": d1_cols,
-            "d2_cols": d2_cols,
-        }
+
+def _quotient(kernel, sub, failure, label):
+    """Representatives of span(kernel)/span(sub), where sub must lie in the
+    kernel: the elimination checks that as rank(sub + kernel) = dim kernel.
+    A failure raises AssertionError with the text `failure` and the block."""
+    try:
+        return quotient_representatives(kernel, sub)
+    except ValueError:
+        block = "the single block" if label is None else "block %d" % label
+        raise AssertionError("%s in %s" % (failure, block)) from None
 
 
 def h2(B, cutoff):
     """Second cohomology of the cobar construction, per block.
 
-    Per block: dim ker d2 - rank d1, with representatives embedded back into
+    Per block: ker d2 modulo im d1, with representatives embedded back into
     B@B and chosen deterministically.
     """
     complex_ = CobarComplex(B, cutoff)
     out = []
     for label, blk in complex_.blocks.items():
         pairs = blk["pairs"]
-        # rows of d2 as a matrix: one row per triple d2 reaches
-        rows = {}
-        for col, colvec in enumerate(blk["d2_cols"]):
-            for ti, c in colvec.items():
-                rows.setdefault(ti, {})[col] = c
-        kernel = kernel_basis(list(rows.values()), len(pairs))
-        image = [col for col in blk["d1_cols"] if col]
-        reps = quotient_representatives(kernel, image)
+        kernel = kernel_basis(blk["d2_rows"], len(pairs))
+        image = blk["d1_cols"]
+        reps = _quotient(kernel, image, "d2 o d1 != 0", label)
 
         def embed(vecs):
             return [
@@ -297,15 +290,7 @@ def h2(B, cutoff):
                 for vec in vecs
             ]
 
-        out.append(
-            ModuliBlock(
-                label,
-                len(reps),
-                embed(reps),
-                solutions=embed(kernel),
-                gauge=embed(image),
-            )
-        )
+        out.append(ModuliBlock(label, len(reps), embed(reps), gauge=embed(image)))
     return out
 
 
@@ -348,15 +333,7 @@ def twi_direct(B, cutoff):
             if vec:
                 gauge_vecs.append(vec)
 
-        # every gauge vector solves the equation; a failure here is a bug
-        ech = Echelon()
-        for v in kernel:
-            ech.add(v)
-        for v in gauge_vecs:
-            if not ech.contains(v):
-                raise AssertionError("gauge image is not a solution")
-
-        reps = quotient_representatives(kernel, gauge_vecs)
+        reps = _quotient(kernel, gauge_vecs, "gauge image is not a solution", label)
 
         def to_tensor(vec):
             return TensorElement(B, 2, {pairs[j]: c for j, c in vec.items()})

@@ -56,7 +56,7 @@ from .kernel import (
 )
 from .linalg import solve as linalg_solve
 from .reports import CheckReport, first_witness
-from .twist import UDF, constant_series, first_failing_order
+from .twist import UDF, first_failing_order
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +146,7 @@ class FiniteDimensionalAlgebra(AlgebraSpec):
     """Explicit basis and structure constants; associativity is asserted."""
 
     kind = "finite-dimensional"
+    cutoff = None  # no degree truncation
 
     def __init__(self, basis, unit, products):
         """products maps (x, y) -> dict name -> coefficient; missing pairs
@@ -526,11 +527,10 @@ def action_from_derivations(B, A, images):
 def check_module_algebra(action, cutoff=None):
     """B-linearity of the product plus the unit condition, on basis data."""
     B, A = action.B, action.A
-    own = getattr(A, "cutoff", None)
     if cutoff is None:
-        cutoff = own
-    elif own is not None:
-        cutoff = min(cutoff, own)
+        cutoff = A.cutoff
+    elif A.cutoff is not None:
+        cutoff = min(cutoff, A.cutoff)
     report = CheckReport("module-algebra compatibility")
     bkeys = [k for k in B.basis_keys(min(2, B.cutoff)) if B.degree(k) <= 2]
     akeys = A.basis_keys()
@@ -596,7 +596,7 @@ class TwistedProduct:
         self._table = {}
 
     def _series(self, x):
-        return x if isinstance(x, TruncSeries) else constant_series(x, self.order)
+        return x if isinstance(x, TruncSeries) else TruncSeries.constant(x, self.order)
 
     def _value(self, terms, *elems):
         """mu(T (x1 @ ... @ xm)) for one twist coefficient T, given as terms."""
@@ -675,7 +675,7 @@ def check_associativity(F, action, cutoff=None, star=None):
     """
     star = StarProduct(F, action) if star is None else star
     A = action.A
-    cutoff = getattr(A, "cutoff", 0) or 0 if cutoff is None else cutoff
+    cutoff = A.cutoff or 0 if cutoff is None else cutoff
     report = CheckReport("twisted product associativity")
     keys = A.basis_keys()
 
@@ -696,7 +696,7 @@ def check_associativity(F, action, cutoff=None, star=None):
 
     def unital(k):
         x = A.element({k: QQ(1)})
-        expect = constant_series(x, star.order)
+        expect = TruncSeries.constant(x, star.order)
         if star.star(one, x) != expect or star.star(x, one) != expect:
             return {"element": A.key_str(k)}
 
@@ -800,7 +800,7 @@ def infinitesimal_cocycle(F, action, cutoff=None):
         return star._value(layer, A.element({x: QQ(1)}), A.element({y: QQ(1)}))
 
     cochain = HochschildCochain(A, 2, mu1)
-    bound = getattr(A, "cutoff", 0) or 0 if cutoff is None else cutoff
+    bound = A.cutoff or 0 if cutoff is None else cutoff
     ok, witness = hochschild_differential(cochain).zero_witness(bound)
     if not ok:
         raise ValueError(
@@ -896,7 +896,7 @@ def is_hochschild_coboundary(A, cochain, search_bound=2):
         raise ValueError("unsupported algebra kind for the coboundary search")
 
     lifted = {k: lift(k) for k in basis}
-    pairs = bounded_product([basis, basis], A.degree, getattr(A, "cutoff", None))
+    pairs = bounded_product([basis, basis], A.degree, A.cutoff)
     products = {(x, y): lifted[x] * lifted[y] for x, y in pairs}
     columns = []
     for cand in candidates:

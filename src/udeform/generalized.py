@@ -48,7 +48,6 @@ from .twist import (
     GaugeElement,
     TwistingElement,
     add_series_identity,
-    constant_series,
     first_failing_order,
     gauge_transform,
     series_circ,
@@ -520,9 +519,9 @@ def interchange_check(F1, F2):
     s1 = F1.series if isinstance(F1, TwistingElement) else F1
     s2 = F2.series if isinstance(F2, TwistingElement) else F2
     if isinstance(s1, TensorElement):
-        s1 = constant_series(s1, 0)
+        s1 = TruncSeries.constant(s1, 0)
     if isinstance(s2, TensorElement):
-        s2 = constant_series(s2, 0)
+        s2 = TruncSeries.constant(s2, 0)
     if s1.order != s2.order:
         raise ValueError("truncation orders differ")
 
@@ -738,7 +737,7 @@ def diagram_twist_check(D, arrow_index, triple, order=None):
     star2 = StarProduct(F2, dst.action)
 
     def h_twisted(a):
-        return h_twisted_series(constant_series(a, order), arrow, src, G, order)
+        return h_twisted_series(TruncSeries.constant(a, order), arrow, src, G, order)
 
     A = src.algebra
     keys = A.basis_keys()
@@ -755,7 +754,7 @@ def diagram_twist_check(D, arrow_index, triple, order=None):
             return {"pair": pair, "first_failing_order": first_failing_order(left, right)}
 
     bad, _ = first_witness(
-        bounded_product([keys, keys], A.degree, getattr(A, "cutoff", None)),
+        bounded_product([keys, keys], A.degree, A.cutoff),
         morphism,
     )
     report.add("h(G .) is a morphism of twisted algebras", bad is None, bad)

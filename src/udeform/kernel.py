@@ -526,7 +526,8 @@ class TruncSeries:
 
     @staticmethod
     def constant(value, order):
-        zero = value - value  # zero of the same coefficient space
+        # the zero of the same coefficient space, without walking the terms
+        zero = value.zero_like() if isinstance(value, SparseElement) else value - value
         return TruncSeries([value] + [zero] * order)
 
     def _require_same_order(self, other):

@@ -195,12 +195,16 @@ def solve(columns, target):
 
 
 def quotient_representatives(space_vectors, sub_vectors):
-    """Representatives of a basis of span(space)/span(sub), deterministically."""
+    """Representatives of a basis of span(space)/span(sub), deterministically.
+
+    The space vectors are independent and span(sub) lies in their span.  The
+    one elimination checks both as rank(sub + space) = len(space) and raises
+    ValueError when that fails.
+    """
     ech = Echelon()
     for v in sub_vectors:
         ech.add(v)
-    reps = []
-    for v in space_vectors:
-        if ech.add(v) is not None:
-            reps.append(v)
+    reps = [v for v in space_vectors if ech.add(v) is not None]
+    if ech.rank != len(space_vectors):
+        raise ValueError("the subspace does not lie in the span of the space")
     return reps

@@ -21,8 +21,6 @@ polynomials and a functional equation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .bialgebra import TensorElement
 from .kernel import (
     Monomial, Polynomial, QQ, TruncSeries, add_term, as_scalar,
@@ -38,10 +36,6 @@ DEFAULT_ORDER = 6
 # ---------------------------------------------------------------------------
 # series-of-tensors helpers
 # ---------------------------------------------------------------------------
-
-def constant_series(te, order):
-    """The tensor te regarded as a series concentrated in t^0."""
-    return TruncSeries([te] + [te.zero_like()] * order)
 
 def series_from_orders(B, arity, order, coeffs):
     """Series with prescribed tensor coefficients, dict t-order -> tensor."""
@@ -95,7 +89,7 @@ class TwistingElement:
 
     @staticmethod
     def from_tensor(te, order=0):
-        return TwistingElement(constant_series(te, order))
+        return TwistingElement(TruncSeries.constant(te, order))
 
     @property
     def parent(self):
@@ -165,7 +159,7 @@ class GaugeElement:
     def inverse(self):
         if self._inverse is None:
             inverse = self.series.inverse()
-            if self.series * inverse != constant_series(self.parent.one(1), self.order):
+            if self.series * inverse != TruncSeries.constant(self.parent.one(1), self.order):
                 raise AssertionError("gauge inverse is not an inverse; this is a bug")
             self._inverse = inverse
         return self._inverse
@@ -224,14 +218,14 @@ def check_twisting(F, counital=True, symmetric=False):
     s = F.series
     report = CheckReport("twisting element over %s" % B.spec.kind)
 
-    one1 = constant_series(B.one(1), F.order)
+    one1 = TruncSeries.constant(B.one(1), F.order)
     lhs = series_coproduct(s, 1) * series_outer(s, one1)
     rhs = series_coproduct(s, 2) * series_outer(one1, s)
     add_series_identity(report, "(d1) cocycle identity", lhs, rhs)
 
     if counital:
         B.require_counit()
-        target = constant_series(B.one(1), F.order)
+        target = TruncSeries.constant(B.one(1), F.order)
         left = series_counit(s, 1)
         right = series_counit(s, 2)
         k = first_failing_order(left, target)
@@ -290,7 +284,7 @@ def additive_twist_equation(f):
     """Check (Delta@id)f + f@1 = (id@Delta)f + 1@f; returns a report."""
     s = f.series if isinstance(f, AdditiveTwist) else f
     B = s.coeffs[0].parent
-    one1 = constant_series(B.one(1), s.order)
+    one1 = TruncSeries.constant(B.one(1), s.order)
     lhs = series_coproduct(s, 1) + series_outer(s, one1)
     rhs = series_coproduct(s, 2) + series_outer(one1, s)
     report = CheckReport("additive twist equation")
@@ -341,7 +335,7 @@ def additive_gauge(f, g):
     _require_log_trick(B, f.order)
     if gs.coeffs[0]:
         raise ValueError("additive gauge elements have zero t^0 part")
-    one1 = constant_series(B.one(1), f.order)
+    one1 = TruncSeries.constant(B.one(1), f.order)
     shift = series_coproduct(gs, 1) - series_outer(one1, gs) - series_outer(gs, one1)
     return AdditiveTwist(f.series + shift)
 
@@ -415,7 +409,7 @@ def to_bivariate(F, names=("u1", "u2")):
     """
     s = F.series if isinstance(F, TwistingElement) else F
     if isinstance(s, TensorElement):
-        s = constant_series(s, 0)
+        s = TruncSeries.constant(s, 0)
     B = s.coeffs[0].parent
     if B.spec.kind != "polynomial-primitive" or len(B.spec.generators) != 1:
         raise ValueError("the bivariate dictionary needs one primitive generator")

@@ -1,6 +1,7 @@
 """A deliberately broken bialgebra for exercising the checkers' failure branches."""
 
-from udeform.bialgebra import Bialgebra
+from udeform.bialgebra import Bialgebra, BialgebraSpec, construct_bialgebra
+from udeform.kernel import QQ
 
 
 class _CoproductOverride(Bialgebra):
@@ -61,3 +62,17 @@ def with_coproduct_override(B, overrides):
     generally violates coassociativity or multiplicativity; that is the point.
     """
     return _CoproductOverride(B, overrides)
+
+
+def noncoassociative_cube(cutoff=4):
+    """k[p] at the cutoff, with Delta(p^3) = p^3@1 + 1@p^3 + 3 p@p^2 + 2 p^2@p.
+
+    The primitive coproduct has 3 p^2@p there, so coassociativity fails at
+    p^3: d2 o d1 != 0 on p^3, and the gauge image of p^3 solves no twist
+    equation.
+    """
+    B = construct_bialgebra(BialgebraSpec("polynomial-primitive", ["p"]), cutoff)
+    p, p2, p3 = (B.parse_key(text) for text in ("p", "p^2", "p^3"))
+    one = B.unit_key
+    delta = {(p3, one): QQ(1), (one, p3): QQ(1), (p, p2): QQ(3), (p2, p): QQ(2)}
+    return with_coproduct_override(B, {p3: delta})

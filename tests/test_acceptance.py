@@ -24,7 +24,6 @@ from udeform.twist import (
     AdditiveTwist,
     GaugeElement,
     additive_twist_equation,
-    constant_series,
     from_additive,
     gauge_transform,
     make_exp_udf,
@@ -49,7 +48,6 @@ from udeform.generalized import (
     TwistTriple,
     TwistedTernaryProduct,
     check_partial_assoc,
-    constant_series as _cs,
     diagram_compat_check,
     diagram_twist_check,
     interchange_check,
@@ -327,7 +325,7 @@ def test_criterion_09_interchange(monoid_free, B2):
 
     p1, p2 = B2.generator("p1"), B2.generator("p2")
     pert_F1 = series_from_orders(B2, 2, 2, {0: B2.one(2), 1: p1.outer(p2)})
-    pert_F2 = constant_series(B2.one(2), 2)
+    pert_F2 = TruncSeries.constant(B2.one(2), 2)
     rep = interchange_check(pert_F1, pert_F2)
     witness = rep.entries[0].witness
     perturbed_ok = (not rep.passed) and witness["first_failing_order"] == 1
@@ -344,14 +342,14 @@ def test_criterion_10_diagram():
     B, D = power_map_diagram(2, 3, order=4, corrected=True)
     compat_ok = diagram_compat_check(D).passed
     F = make_exp_udf(antisym(B), order=4)
-    triple = TwistTriple(F, constant_series(B.one(1), 4), F)
+    triple = TwistTriple(F, TruncSeries.constant(B.one(1), 4), F)
     triple_rep = diagram_twist_check(D, 0, triple, order=4)
     triple_ok = triple_rep.passed
 
     image_23 = morphism_image_check(D, 0, triple, degree=2)
     B11, D11 = power_map_diagram(1, 1, order=2, corrected=True, a2_cutoff=2)
     F11 = make_exp_udf(antisym(B11), order=2)
-    triple11 = TwistTriple(F11, constant_series(B11.one(1), 2), F11)
+    triple11 = TwistTriple(F11, TruncSeries.constant(B11.one(1), 2), F11)
     image_11 = morphism_image_check(D11, 0, triple11, degree=2)
     image_ok = (
         image_23 == {"injective": True, "surjective": False}

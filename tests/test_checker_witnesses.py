@@ -45,7 +45,7 @@ from udeform.operad import (
     reconstruct_bialgebra_check,
 )
 from udeform.twist import (
-    UDF, check_functional_equation, constant_series, make_exp_udf,
+    UDF, check_functional_equation, make_exp_udf,
     series_from_orders,
 )
 
@@ -160,17 +160,17 @@ def _generalized_reports():
     B2 = _bialgebra("polynomial-primitive", ["p1", "p2"], 6)
     p1, p2 = B2.generator("p1"), B2.generator("p2")
     perturbed = series_from_orders(B2, 2, 2, {0: B2.one(2), 1: p1.outer(p2)})
-    trivial = constant_series(B2.one(2), 2)
+    trivial = TruncSeries.constant(B2.one(2), 2)
 
     B, literal = power_map_diagram(2, 3, order=4, corrected=False)
     _, tight = power_map_diagram(2, 3, order=4, corrected=True, a2_cutoff=5)
     Bc, corrected = power_map_diagram(2, 3, order=2, corrected=True)
     F = make_exp_udf(antisym(Bc), order=2)
     half = make_exp_udf(antisym(Bc).scale(QQ(1, 2)), order=2)
-    G = constant_series(Bc.one(1), 2)
+    G = TruncSeries.constant(Bc.one(1), 2)
     Bs, small = power_map_diagram(2, 3, order=2, corrected=True, a2_cutoff=5)
     Fs = make_exp_udf(antisym(Bs), order=2)
-    Gs = constant_series(Bs.one(1), 2)
+    Gs = TruncSeries.constant(Bs.one(1), 2)
     return {
         "partial-assoc/corrupted": check_partial_assoc(prod, cutoff=5, order=1).to_json(),
         "partial-assoc/order0": check_partial_assoc(prod, cutoff=5, order=0).to_json(),

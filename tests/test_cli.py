@@ -324,6 +324,32 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_has_no_unused_module_imports():
+    import ast
+
+    package = pathlib.Path(udeform.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the public names
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            "%s:%d %s" % (path.name, line, name)
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert unused == []
+
+
 def test_runtime_dependencies_stay_at_jsonschema():
     import ast
 

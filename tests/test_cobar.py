@@ -1,13 +1,18 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 from math import comb
 
 import pytest
 
+import udeform
+from udeform import cobar
 from udeform.kernel import Monomial, QQ, add_into
 from udeform.bialgebra import BialgebraSpec, TensorElement, construct_bialgebra
 from udeform.cobar import (
     CobarCochain,
-    CobarComplex,
     check_oracle_agreement,
     corner_solutions_trivial,
     embed_reduced,
@@ -19,6 +24,8 @@ from udeform.cobar import (
     twi_direct,
 )
 from udeform.linalg import Echelon
+
+from coproduct_override import noncoassociative_cube
 
 
 class TestReducedDiagonal:
@@ -66,7 +73,7 @@ class TestDifferential:
     def test_complex_builds_for_every_shipped_counital_kind(
         self, B1, B2, tensorB, matrixB, monoid_free, monoid_z2, monoid_idem
     ):
-        # d2 o d1 = 0 is asserted inside the constructor
+        # d2 o d1 = 0 is checked in h2's quotient step
         for B, cutoff in [
             (B1, 6),
             (B2, 4),
@@ -76,7 +83,7 @@ class TestDifferential:
             (monoid_z2, 1),
             (monoid_idem, 1),
         ]:
-            CobarComplex(B, cutoff)
+            h2(B, cutoff)
 
 
 class TestLambdaExpected:
@@ -183,6 +190,41 @@ class TestOracleAgreement:
 def test_monoid_moduli_vanish(monoid_z2, monoid_idem, monoid_free):
     for B, cutoff in [(monoid_z2, 1), (monoid_idem, 1), (monoid_free, 3)]:
         assert sum(b.dim for b in h2(B, cutoff)) == 0
+
+
+# ---------------------------------------------------------------------------
+# both invariants raise on a noncoassociative coproduct, also under python -O
+# ---------------------------------------------------------------------------
+
+INVARIANT_FAILURES = [
+    ("h2", "d2 o d1 != 0 in block 3"),
+    ("twi_direct", "gauge image is not a solution in block 3"),
+]
+ROUTES = [route for route, _ in INVARIANT_FAILURES]
+
+
+@pytest.mark.parametrize("route,message", INVARIANT_FAILURES, ids=ROUTES)
+def test_noncoassociative_cube_fails_the_invariant(route, message):
+    with pytest.raises(AssertionError) as exc:
+        getattr(cobar, route)(noncoassociative_cube(), 4)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("route,message", INVARIANT_FAILURES, ids=ROUTES)
+def test_invariant_fails_under_the_optimized_interpreter(route, message):
+    src = pathlib.Path(udeform.__file__).parent.parent
+    tests = pathlib.Path(__file__).resolve().parent
+    code = (
+        "from coproduct_override import noncoassociative_cube\n"
+        "from udeform import cobar\n"
+        "cobar.%s(noncoassociative_cube(), 4)\n" % route
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith("AssertionError: " + message)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from udeform.kernel import Monomial, Polynomial, QQ, TruncSeries, series_multilinear
 from udeform.bialgebra import BialgebraSpec, CutoffError, construct_bialgebra
-from udeform.twist import GaugeElement, constant_series, gauge_transform, make_exp_udf, series_from_orders
+from udeform.twist import GaugeElement, gauge_transform, make_exp_udf, series_from_orders
 from udeform.twist import UDF, first_order_gauge
 from udeform.deform import (
     AlgebraEndomorphism,
@@ -240,9 +240,9 @@ class TestTwistedProducts:
     def test_unit_preserved(self, moyal_udf, moyal_action, plane):
         f = plane.element({M("p^2*q"): 3, M("q"): QQ(1, 2)})
         got = twisted_product(moyal_udf, moyal_action, plane.one(), f)
-        assert got == constant_series(f, moyal_udf.order)
+        assert got == TruncSeries.constant(f, moyal_udf.order)
         got = twisted_product(moyal_udf, moyal_action, f, plane.one())
-        assert got == constant_series(f, moyal_udf.order)
+        assert got == TruncSeries.constant(f, moyal_udf.order)
 
     def test_quantum_plane_relation(self, B2_wide, plane):
         F = make_exp_udf(antisym(B2_wide), order=8)
@@ -592,7 +592,7 @@ class TestOneCoboundarySearch:
             assert [None if g is None else repr(g) for g in found] == [
                 None, "1/3*p^2 + 1/5*p^3", "1/3*p^2 + 1/5*p^3",
             ]
-        trivial = UDF(constant_series(B2.one(2), moyal_udf.order))
+        trivial = UDF(TruncSeries.constant(B2.one(2), moyal_udf.order))
         assert first_order_gauge(trivial, moyal_udf, degree_bound=4) is None
 
 

@@ -6,7 +6,6 @@ from udeform.kernel import Monomial, Polynomial, QQ, TruncSeries
 from udeform.bialgebra import BialgebraSpec, construct_bialgebra
 from udeform.twist import (
     GaugeElement,
-    constant_series,
     gauge_transform,
     make_exp_udf,
     series_from_orders,
@@ -110,9 +109,9 @@ class TestPassUdf:
     def test_trivial(self, B2):
         from udeform.twist import UDF
 
-        F = UDF(constant_series(B2.one(2), 2))
+        F = UDF(TruncSeries.constant(B2.one(2), 2))
         H = pass_udf(F)
-        assert H.series == constant_series(B2.one(3), 2)
+        assert H.series == TruncSeries.constant(B2.one(3), 2)
 
     def test_order_t_exponent_matches_the_ternary_bracket(self, B2):
         F = make_exp_udf(antisym(B2), order=1)
@@ -220,7 +219,7 @@ class TestTernaryDerivations:
 
 class TestTwistedTernary:
     def test_trivial_twist_is_the_plain_product(self, ternaryB, cubing_action):
-        H = TernaryTwist(constant_series(ternaryB.one(3), 1))
+        H = TernaryTwist(TruncSeries.constant(ternaryB.one(3), 1))
         P = cubing_action.algebra
         p, q = P.generator("p"), P.generator("q")
         got = twisted_ternary(H, cubing_action, p, q, q)
@@ -301,7 +300,7 @@ class TestInterchange:
         p1, p2 = B2.generator("p1"), B2.generator("p2")
         one2 = B2.one(2)
         F1 = series_from_orders(B2, 2, 2, {0: one2, 1: p1.outer(p2)})
-        F2 = constant_series(one2, 2)
+        F2 = TruncSeries.constant(one2, 2)
         rep = interchange_check(F1, F2)
         assert not rep.passed
         witness = rep.entries[0].witness
@@ -397,15 +396,15 @@ class TestDiagrams:
         from udeform.twist import UDF
 
         order = 2
-        one_udf = UDF(constant_series(B2.one(2), order))
-        triple = TwistTriple(one_udf, constant_series(B2.one(1), order), one_udf)
+        one_udf = UDF(TruncSeries.constant(B2.one(2), order))
+        triple = TwistTriple(one_udf, TruncSeries.constant(B2.one(1), order), one_udf)
         rep = diagram_twist_check(D, 0, triple, order=order)
         assert rep.passed, rep.render_text()
 
     def test_power_map_triple_mod_t4(self):
         B, D = power_map_diagram(2, 3, order=4, corrected=True)
         F = make_exp_udf(antisym(B), order=4)
-        triple = TwistTriple(F, constant_series(B.one(1), 4), F)
+        triple = TwistTriple(F, TruncSeries.constant(B.one(1), 4), F)
         rep = diagram_twist_check(D, 0, triple, order=4)
         assert rep.passed, rep.render_text()
 
@@ -432,12 +431,12 @@ class TestDiagrams:
     def test_morphism_image_profile(self):
         B, D = power_map_diagram(2, 3, order=2, corrected=True)
         F = make_exp_udf(antisym(B), order=2)
-        triple = TwistTriple(F, constant_series(B.one(1), 2), F)
+        triple = TwistTriple(F, TruncSeries.constant(B.one(1), 2), F)
         out = morphism_image_check(D, 0, triple, degree=2)
         assert out == {"injective": True, "surjective": False}
         B1, D1 = power_map_diagram(1, 1, order=2, corrected=True, a2_cutoff=2)
         F1 = make_exp_udf(antisym(B1), order=2)
-        triple1 = TwistTriple(F1, constant_series(B1.one(1), 2), F1)
+        triple1 = TwistTriple(F1, TruncSeries.constant(B1.one(1), 2), F1)
         out1 = morphism_image_check(D1, 0, triple1, degree=2)
         assert out1 == {"injective": True, "surjective": True}
 

@@ -13,7 +13,6 @@ from udeform.twist import (
     additive_twist_equation,
     check_functional_equation,
     check_twisting,
-    constant_series,
     first_order_gauge,
     from_additive,
     gauge_transform,
@@ -58,7 +57,7 @@ class TestCheckTwisting:
         from udeform.twist import series_coproduct, series_outer
 
         s = F.series
-        lhs = series_coproduct(s, 1) * series_outer(s, constant_series(one, 2))
+        lhs = series_coproduct(s, 1) * series_outer(s, TruncSeries.constant(one, 2))
         p2 = p * p
         expected_t2 = (
             p2.outer(one).outer(p2).scale(QQ(1, 2))
@@ -113,7 +112,7 @@ def test_moyal_against_substitution_oracle(moyal_udf, B2):
     from udeform.twist import series_coproduct, series_outer
 
     s = moyal_udf.series
-    one1 = constant_series(B2.one(1), s.order)
+    one1 = TruncSeries.constant(B2.one(1), s.order)
     lhs = series_coproduct(s, 1) * series_outer(s, one1)
     rhs = series_coproduct(s, 2) * series_outer(one1, s)
     mine_lhs = sum(tensor_to_expr(lhs.coeffs[k]) * t**k for k in range(K + 1))
@@ -142,7 +141,7 @@ class TestMakeExpUdf:
 
     def test_zero_exponent(self, B2):
         F = make_exp_udf(B2.zero(2), order=4)
-        assert F.series == constant_series(B2.one(2), 4)
+        assert F.series == TruncSeries.constant(B2.one(2), 4)
 
     def test_noncommutative_refused(self, tensorB):
         r = tensorB.generator("e1").outer(tensorB.generator("e2"))
@@ -153,14 +152,14 @@ class TestMakeExpUdf:
         # (eps @ id)F = 1 = (id @ eps)F, order by order
         from udeform.twist import series_counit
 
-        one = constant_series(B2.one(1), moyal_udf.order)
+        one = TruncSeries.constant(B2.one(1), moyal_udf.order)
         assert series_counit(moyal_udf.series, 1) == one
         assert series_counit(moyal_udf.series, 2) == one
 
 
 class TestGauge:
     def test_identity_gauge(self, moyal_udf, B2):
-        G = GaugeElement(constant_series(B2.one(1), moyal_udf.order))
+        G = GaugeElement(TruncSeries.constant(B2.one(1), moyal_udf.order))
         assert gauge_transform(moyal_udf, G).series == moyal_udf.series
 
     def test_primitive_exponents_cancel(self, B1):
@@ -168,9 +167,9 @@ class TestGauge:
         p = B1.generator("p")
         order = 4
         G = GaugeElement(series_from_orders(B1, 1, order, {1: p}).exp())
-        F = UDF(constant_series(B1.one(2), order))
+        F = UDF(TruncSeries.constant(B1.one(2), order))
         got = gauge_transform(F, G)
-        assert got.series == constant_series(B1.one(2), order)
+        assert got.series == TruncSeries.constant(B1.one(2), order)
 
     def test_gauge_of_symmetric_twist_changes_it_but_stays_valid(self, B1):
         p = B1.generator("p")
@@ -210,7 +209,7 @@ class TestGauge:
 
 class TestAdditivePicture:
     def test_trivial(self, B2):
-        F = UDF(constant_series(B2.one(2), 4))
+        F = UDF(TruncSeries.constant(B2.one(2), 4))
         f = to_additive(F)
         assert f.series.is_zero()
 
@@ -232,9 +231,9 @@ class TestAdditivePicture:
 
     def test_noncommutative_requires_order_one(self, tensorB):
         one = tensorB.one(2)
-        F1 = UDF(constant_series(one, 1))
+        F1 = UDF(TruncSeries.constant(one, 1))
         assert to_additive(F1).series.is_zero()  # order 1: square-zero ideal
-        F2 = UDF(constant_series(one, 2))
+        F2 = UDF(TruncSeries.constant(one, 2))
         with pytest.raises(ValueError):
             to_additive(F2)
 
@@ -321,7 +320,7 @@ class TestFunctionalEquation:
     def test_dictionary_matches_check_twisting(self, B1):
         p = B1.generator("p")
         cases = [
-            (UDF(constant_series(B1.one(2), 4)), True),
+            (UDF(TruncSeries.constant(B1.one(2), 4)), True),
             (make_exp_udf(p.outer(p), order=4), True),
             (
                 UDF(series_from_orders(B1, 2, 4, {0: B1.one(2), 1: p.outer(B1.one(1))})),
@@ -351,7 +350,7 @@ class TestFirstOrderGauge:
         assert img == F2.series.coeffs[1] - F.series.coeffs[1]
 
     def test_no_gauge_between_inequivalent(self, B2, moyal_udf):
-        trivial = UDF(constant_series(B2.one(2), moyal_udf.order))
+        trivial = UDF(TruncSeries.constant(B2.one(2), moyal_udf.order))
         assert first_order_gauge(trivial, moyal_udf, degree_bound=4) is None
 
 
@@ -375,6 +374,6 @@ class TestNonCounitalVariant:
         B = construct_bialgebra(
             BialgebraSpec("polynomial-primitive", ["p"], counital=False), 4
         )
-        F = UDF(constant_series(B.one(2), 2))
+        F = UDF(TruncSeries.constant(B.one(2), 2))
         with pytest.raises(CounitUnavailable):
             check_twisting(F, counital=True)
