@@ -483,6 +483,8 @@ class TensorPrimitiveBialgebra(_PrimitiveGenerators, Bialgebra):
         return len(key)
 
     def generator_key(self, name):
+        if name not in self.spec.generators:
+            raise KeyError("unknown generator %r" % (name,))
         return (self.spec.generators.index(name),)
 
     def split_key(self, key):
@@ -506,7 +508,7 @@ class TensorPrimitiveBialgebra(_PrimitiveGenerators, Bialgebra):
         text = text.strip()
         if text in ("", "1"):
             return ()
-        return tuple(self.spec.generators.index(f.strip()) for f in text.split("*"))
+        return tuple(self.generator_key(f.strip())[0] for f in text.split("*"))
 
     def key_sort_key(self, key):
         return (len(key), key)

@@ -12,6 +12,7 @@ the text rendering, never in the JSON payload.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -119,11 +120,26 @@ def _scalar(value, location):
         raise JobError(location, "not an exact scalar: %r (%s)" % (value, exc))
 
 
-def _poly_from_doc(doc, location):
+@contextlib.contextmanager
+def _located(location):
+    """Turn a KeyError or ValueError raised while the inputs become library
+    objects into a JobError at `location` carrying the library's message."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise JobError(location, exc.args[0])
+
+
+def _coefficients(doc, location, key=str):
+    """A {text: scalar} map as {key(text): Fraction}.  Texts that name the
+    same key add up; a zero sum keeps its key, so that the library's name
+    checks still see it."""
     out = {}
-    for mono, coeff in doc.items():
-        add_term(out, Monomial.parse(mono), _scalar(coeff, location))
-    return Polynomial(out)
+    for text, value in doc.items():
+        with _located(location):
+            k = key(text)
+        out[k] = out.get(k, QQ(0)) + _scalar(value, location)
+    return out
 
 
 def _tensor_terms_degree(terms):
@@ -132,7 +148,7 @@ def _tensor_terms_degree(terms):
         for slot in term.get("slots", []):
             try:
                 deg = max(deg, Monomial.parse(slot).degree)
-            except Exception:
+            except ValueError:
                 deg = max(deg, 1)
     return deg
 
@@ -146,17 +162,11 @@ def _udf_doc_degree(doc):
 
 
 def build_bialgebra(doc, order, location="inputs.bialgebra", slot_degree=1):
-    try:
-        spec = BialgebraSpec.from_json(doc)
-    except (KeyError, ValueError) as exc:
-        raise JobError(location, exc.args[0])
     cutoff = doc.get("degree_cutoff")
     if cutoff is None:
         cutoff = max(1, order * slot_degree)
-    try:
-        return construct_bialgebra(spec, cutoff)
-    except ValueError as exc:
-        raise JobError(location, str(exc))
+    with _located(location):
+        return construct_bialgebra(BialgebraSpec.from_json(doc), cutoff)
 
 
 def parse_tensor(B, arity, terms, location):
@@ -166,12 +176,9 @@ def parse_tensor(B, arity, terms, location):
         slots = term.get("slots", [])
         if len(slots) != arity:
             raise JobError(loc, "expected %d slots, got %d" % (arity, len(slots)))
-        try:
+        with _located(loc):
             keys = tuple(B.parse_key(s) for s in slots)
-        except KeyError as exc:
-            raise JobError(loc, exc.args[0])
-        c = _scalar(term.get("coeff", "1"), loc)
-        add_term(trm, keys, c)
+        add_term(trm, keys, _scalar(term.get("coeff", "1"), loc))
     return B.tensor(arity, trm)
 
 
@@ -193,29 +200,21 @@ def parse_tensor_series(B, arity, doc, order, location):
 def parse_udf(B, doc, order, location="inputs.udf"):
     if "exp_of" in doc:
         r = parse_tensor(B, 2, doc["exp_of"], location + ".exp_of")
-        try:
+        with _located(location):
             return make_exp_udf(r, order)
-        except ValueError as exc:
-            raise JobError(location, str(exc))
-    try:
+    with _located(location):
         return UDF(parse_tensor_series(B, 2, doc, order, location))
-    except ValueError as exc:
-        raise JobError(location, str(exc))
 
 
 def build_algebra(doc, location="inputs.algebra"):
-    try:
+    with _located(location):
         if doc["kind"] == "polynomial-truncated":
             return PolynomialTruncatedAlgebra(doc["variables"], doc["degree_cutoff"])
         products = {}
         for pair, row in doc.get("products", {}).items():
             left, _, right = pair.partition("|")
-            products[(left, right)] = {
-                name: _scalar(c, location) for name, c in row.items()
-            }
+            products[(left, right)] = _coefficients(row, location)
         return FiniteDimensionalAlgebra(doc["basis"], doc["unit"], products)
-    except ValueError as exc:
-        raise JobError(location, exc.args[0])
 
 
 def build_action(B, A, doc, location="inputs.action"):
@@ -226,28 +225,23 @@ def build_action(B, A, doc, location="inputs.action"):
         derivation = op_doc["type"] == "derivation"
         if derivation and "partials" in op_doc:
             data = {
-                var: _poly_from_doc(poly, loc)
+                var: Polynomial(_coefficients(poly, loc, Monomial.parse))
                 for var, poly in op_doc["partials"].items()
             }
         elif not derivation and "variables" in op_doc:
             data = {
-                var: A.element(
-                    {Monomial.parse(m): _scalar(c, loc) for m, c in img.items()}
-                )
+                var: A.element(_coefficients(img, loc, Monomial.parse))
                 for var, img in op_doc["variables"].items()
             }
         else:
             data = {
-                key: {k: _scalar(c, loc) for k, c in img.items()}
-                for key, img in op_doc["images"].items()
+                key: _coefficients(img, loc) for key, img in op_doc["images"].items()
             }
         operators[name] = (Derivation if derivation else AlgebraEndomorphism, data)
-    try:
+    with _located(location):
         return action_from_derivations(
             B, A, {name: op(A, data) for name, (op, data) in operators.items()}
         )
-    except ValueError as exc:
-        raise JobError(location, str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +341,8 @@ def run_hochschild(inputs, params):
     if order < 1:
         raise JobError("parameters.order", "the order-t layer needs order >= 1")
     cutoff = A.cutoff or 0
-    try:
+    with _located("inputs.udf"):
         cochain = infinitesimal_cocycle(F, action, cutoff=cutoff)
-    except ValueError as exc:
-        raise JobError("inputs.udf", str(exc))
     report = CheckReport("infinitesimal layer")
     report.add("order-t cochain is a Hochschild cocycle", True)
     is_zero, zero_witness = cochain.zero_witness(cutoff)
@@ -387,32 +379,25 @@ def run_ternary(inputs, params):
     B = build_bialgebra(inputs["bialgebra"], order, slot_degree=slot_degree)
     F = parse_udf(B, inputs["udf"], order)
     pass_doc = inputs["pass_algebra"]
-    try:
+    with _located("inputs.pass_algebra"):
         P = FreePAssAlgebra(
             pass_doc["generators"],
             pass_doc["leaf_cutoff"],
             pass_doc.get("symmetric", True),
         )
-    except ValueError as exc:
-        raise JobError("inputs.pass_algebra", str(exc))
     images = {}
     for bgen, img_doc in inputs["action"].items():
         loc = "inputs.action.%s" % bgen
-        gen_images = {}
+        gen_images = images[bgen] = {}
         for pgen, terms in img_doc.items():
             coords = {}
             for i, term in enumerate(terms):
-                try:
+                with _located("%s.%s[%d]" % (loc, pgen, i)):
                     tree = P.parse_tree(term["tree"])
-                except (KeyError, ValueError) as exc:
-                    raise JobError("%s.%s[%d]" % (loc, pgen, i), exc.args[0])
                 add_term(coords, tree, _scalar(term.get("coeff", "1"), loc))
             gen_images[pgen] = P.element(coords)
-        images[bgen] = gen_images
-    try:
+    with _located("inputs.action"):
         action = TernaryAction(B, P, images)
-    except ValueError as exc:
-        raise JobError("inputs.action", str(exc))
     report = CheckReport("ternary twist")
     try:
         H = pass_udf(F)
@@ -485,14 +470,12 @@ def _build_diagram(doc, order, location="inputs.diagram"):
             for name in arrow_doc[field]:
                 if name not in names:
                     raise JobError("%s.%s.%s" % (loc, field, name), "not a %s" % (what,))
-        try:
+        with _located(loc):
             h = AlgebraMorphism(
                 src.algebra,
                 dst.algebra,
                 {
-                    var: dst.algebra.element(
-                        {Monomial.parse(m): _scalar(c, loc) for m, c in img.items()}
-                    )
+                    var: dst.algebra.element(_coefficients(img, loc, Monomial.parse))
                     for var, img in arrow_doc["h"].items()
                 },
             )
@@ -504,13 +487,9 @@ def _build_diagram(doc, order, location="inputs.diagram"):
                     for gen, terms in arrow_doc["phi"].items()
                 },
             )
-        except (KeyError, ValueError) as exc:
-            raise JobError(loc, exc.args[0])
         arrows.append(DiagramArrow(arrow_doc["from"], arrow_doc["to"], h, phi))
-    try:
+    with _located(location):
         return DiagramSpec(nodes, arrows)
-    except ValueError as exc:
-        raise JobError(location, str(exc))
 
 
 def run_diagram(inputs, params):

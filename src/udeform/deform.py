@@ -150,11 +150,15 @@ class FiniteDimensionalAlgebra(AlgebraSpec):
 
     def __init__(self, basis, unit, products):
         """products maps (x, y) -> dict name -> coefficient; missing pairs
-        multiply to zero; products with the unit are implied."""
+        multiply to zero; products with the unit are implied; a pair naming
+        a non-basis element is a ValueError."""
         if len(set(basis)) != len(basis):
             raise ValueError("duplicate basis names")
         if unit not in basis:
             raise ValueError("unit %r is not a basis element" % (unit,))
+        for name in itertools.chain.from_iterable(products):
+            if name not in basis:
+                raise ValueError("unknown basis element %r" % (name,))
         self.basis = list(basis)
         self.unit = unit
         self._table = {}

@@ -34,6 +34,7 @@ from .deform import (
     Operator,
     StarProduct,
     TwistedProduct,
+    _require_variables,
     check_module_algebra,
     require_commuting,
 )
@@ -343,7 +344,7 @@ class TernaryDerivation(Operator):
         self.parent = algebra
         self.images = {}
         for name, img in generator_images.items():
-            idx = algebra.generators.index(name)
+            idx = algebra.parse_tree(name)
             if not isinstance(img, PAssElement):
                 img = algebra.element(img)
             self.images[idx] = img
@@ -541,7 +542,8 @@ def interchange_check(F1, F2):
 
 class AlgebraMorphism:
     """A unital algebra morphism between truncated polynomial algebras,
-    given by variable images (substitution is automatically multiplicative)."""
+    given by variable images (substitution is automatically multiplicative).
+    A variable of an image outside the target is a ValueError."""
 
     def __init__(self, source, target, var_images):
         self.source = source
@@ -554,6 +556,9 @@ class AlgebraMorphism:
             if not isinstance(img, AlgebraElement):
                 img = target.element(img)
             self.images[name] = img
+        _require_variables(
+            target, (), (mono for img in self.images.values() for mono in img.terms)
+        )
 
     def apply_key(self, key):
         if key == ONE_MONOMIAL:

@@ -339,16 +339,19 @@ class Monomial:
         if text in ("", "1"):
             return Monomial()
         d = {}
-        for factor in text.split("*"):
-            factor = factor.strip()
-            if factor == "1":
-                continue
-            if "^" in factor:
-                name, e = factor.split("^")
-                d[name.strip()] = d.get(name.strip(), 0) + int(e)
-            else:
-                d[factor] = d.get(factor, 0) + 1
-        return Monomial(d)
+        try:
+            for factor in text.split("*"):
+                factor = factor.strip()
+                if factor == "1":
+                    continue
+                if "^" in factor:
+                    name, e = factor.split("^")
+                    d[name.strip()] = d.get(name.strip(), 0) + int(e)
+                else:
+                    d[factor] = d.get(factor, 0) + 1
+            return Monomial(d)
+        except ValueError:
+            raise ValueError("malformed monomial %r" % (text,)) from None
 
 
 ONE_MONOMIAL = Monomial()

@@ -29,6 +29,12 @@ class TestConstruction:
         assert g.apply_coproduct(1) == g.outer(g)
         assert g.apply_counit(1).scalar_value() == 1
 
+    def test_tensor_primitive_unknown_generator(self, tensorB):
+        for lookup in (tensorB.generator_key, tensorB.parse_key):
+            with pytest.raises(KeyError, match="unknown generator 'zz'"):
+                lookup("zz")
+        assert tensorB.parse_key("e2*e1") == (1, 0)
+
     def test_tensor_primitive_words(self, tensorB):
         e1, e2 = tensorB.generator("e1"), tensorB.generator("e2")
         w = e1 * e2  # concatenation e1e2

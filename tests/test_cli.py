@@ -9,8 +9,20 @@ import jsonschema
 import pytest
 
 import udeform
-from udeform.cli import DEFAULTS, main, run, validate_jobspec, JobError, _load_schema
+from udeform.cli import (
+    DEFAULTS,
+    JobError,
+    _build_diagram,
+    _load_schema,
+    build_action,
+    build_algebra,
+    build_bialgebra,
+    main,
+    run,
+    validate_jobspec,
+)
 from udeform.fixtures import FIXTURES, emit_example
+from udeform.kernel import Monomial
 
 
 def write_job(tmp_path, doc, name="job.json"):
@@ -537,8 +549,9 @@ _SQUARE_ZERO = {"kind": "finite-dimensional", "basis": ["1", "p", "q"], "unit": 
         ("derivation", None, {"p": {"zz": "1"}}),
         ("derivation", None, {"zz": {"p": "1"}}),
         ("endomorphism", {"kind": "monoid", "generators": ["g"]}, {"p": {"zz": "1"}}),
+        ("derivation", None, {"p": {"zz": "0"}}),
     ],
-    ids=["derivation-image", "derivation-argument", "endomorphism-image"],
+    ids=["derivation-image", "derivation-argument", "endomorphism-image", "zero-coefficient"],
 )
 def test_unknown_basis_element_in_images_exits_two(op_type, bialgebra, images):
     # a diagram node over a finite-dimensional algebra
@@ -675,30 +688,36 @@ def test_mistyped_bialgebra_field_never_raises(name, path, field):
             assert "inputs" in report.error["location"], (field, value)
 
 
+def _walk(doc, path=()):
+    """(path, value) for `doc` and every value below it, depth first."""
+    yield path, doc
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _walk(child, path + (key,))
+
+
+def _at(doc, path):
+    for part in path:
+        doc = doc[part]
+    return doc
+
+
+def _paths_below(inputs, roots):
+    """Paths in `inputs` at or below each root path."""
+    return [path for root in roots for path, _ in _walk(_at(inputs, root), root)]
+
+
 def _tensor_series_paths(job):
     """Paths in job["inputs"] at or below every tensor series of a job."""
     inputs = job["inputs"]
     roots = [(key,) for key in ("udf", "F1", "F2") if key in inputs]
     roots += [("triple", key) for key in ("F1", "G", "F2") if key in inputs.get("triple", {})]
-
-    def walk(doc, path):
-        yield path
-        if isinstance(doc, dict):
-            children = doc.items()
-        elif isinstance(doc, list):
-            children = enumerate(doc)
-        else:
-            children = ()
-        for key, child in children:
-            yield from walk(child, path + (key,))
-
-    paths = []
-    for root in roots:
-        doc = inputs
-        for part in root:
-            doc = doc[part]
-        paths.extend(walk(doc, root))
-    return paths
+    return _paths_below(inputs, roots)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -718,11 +737,13 @@ def test_mistyped_tensor_series_never_raises(name):
 
 
 def test_unknown_generator_message_is_bare():
-    job = emit_example("moyal")
-    job["inputs"]["udf"]["exp_of"][0]["slots"][0] = "z"
-    error = _run_error(job)
-    assert error["location"] == "inputs.udf.exp_of[0]"
-    assert error["message"] == "unknown generator 'z'"
+    for kind in ("polynomial-primitive", "tensor-primitive"):
+        job = emit_example("moyal")
+        job["inputs"]["bialgebra"]["kind"] = kind
+        job["inputs"]["udf"]["exp_of"][0]["slots"][0] = "z"
+        error = _run_error(job)
+        assert error["location"] == "inputs.udf.exp_of[0]", kind
+        assert error["message"] == "unknown generator 'z'", kind
 
 
 def test_unknown_arrow_endpoint_names_the_node():
@@ -768,7 +789,7 @@ def test_arrow_between_finite_dimensional_nodes_exits_two():
     job = emit_example("diagram-power-map")
     for node in job["inputs"]["diagram"]["nodes"]:
         node["algebra"] = {"kind": "finite-dimensional", "basis": ["1", "x"],
-                           "unit": "1", "products": {"x*x": {"x": "1"}}}
+                           "unit": "1", "products": {"x|x": {"x": "1"}}}
         node["action"] = {g: {"type": "derivation", "images": {}}
                           for g in node["bialgebra"]["generators"]}
     error = _run_error(job)
@@ -790,25 +811,7 @@ def _algebra_action_option_paths(job):
         ("literal_action_variant", key)
         for key in ("action", "compat_cutoff") if key in variant
     ]
-
-    def walk(doc, path):
-        yield path
-        if isinstance(doc, dict):
-            children = doc.items()
-        elif isinstance(doc, list):
-            children = enumerate(doc)
-        else:
-            children = ()
-        for key, child in children:
-            yield from walk(child, path + (key,))
-
-    paths = []
-    for root in roots:
-        doc = inputs
-        for part in root:
-            doc = doc[part]
-        paths.extend(walk(doc, root))
-    return paths
+    return _paths_below(inputs, roots)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -826,6 +829,127 @@ def test_mistyped_algebra_action_or_option_never_raises(name):
                 # an emptied option block drops the outcome its expect names
                 location = report.error["location"]
                 assert "inputs" in location or location == "expect", (path, value)
+
+
+def _name_probe(name):
+    """The fixture with one string value or one key under its inputs
+    replaced by a name outside every algebra, then by a malformed monomial."""
+    for path, value in _walk(FIXTURES[name]["inputs"]):
+        for new in ("zz", "p^x"):
+            if isinstance(value, str):
+                job = emit_example(name)
+                _at(job["inputs"], path[:-1])[path[-1]] = new
+                yield (path, new), job
+            elif isinstance(value, dict):
+                for key in value:
+                    job = emit_example(name)
+                    doc = _at(job["inputs"], path)
+                    doc[new] = doc.pop(key)
+                    yield (path + (key,), new), job
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_unknown_or_malformed_name_exits_at_a_location(name):
+    for mutation, job in _name_probe(name):
+        report, code = run(job)
+        assert code in (0, 1, 2), mutation
+        if code == 2:
+            assert report.error["location"] != "inputs", (mutation, report.error)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {"elements": [["a"]], "unit": "a", "table": [["a"]]},
+        {"elements": ["a"], "unit": "a", "table": [1, 2]},
+    ],
+    ids=["nested elements", "flat table"],
+)
+def test_mistyped_monoid_table_exits_two(table):
+    job = {"command": "cobar-h2",
+           "inputs": {"bialgebra": {"kind": "monoid", "monoid_table": table}}}
+    error = _run_error(job)
+    assert error["location"].startswith("$.inputs.bialgebra.monoid_table")
+
+
+@pytest.mark.parametrize(
+    "path,key,typo,location",
+    [
+        (("udf", "exp_of", 0), "coeff", "coef", "$.inputs.udf.exp_of[0]"),
+        (("bialgebra", "flags"), "counital", "countal", "$.inputs.bialgebra.flags"),
+    ],
+    ids=["coeff", "counital"],
+)
+def test_misspelt_key_exits_two(path, key, typo, location):
+    # read as absent, either key would mean its default
+    job = emit_example("moyal")
+    doc = _at(job["inputs"], path)
+    doc[typo] = doc.pop(key)
+    error = _run_error(job)
+    assert error["location"] == location
+    assert "Additional properties are not allowed (%r was unexpected)" % typo in error["message"]
+
+
+def test_arrow_image_outside_the_target_exits_two():
+    job = emit_example("diagram-power-map")
+    job["inputs"]["diagram"]["arrows"][0]["h"]["p"] = {"zz": "1"}
+    error = _run_error(job)
+    assert error == {"location": "inputs.diagram.arrows[0]",
+                     "message": "unknown variable 'zz'"}
+
+
+@pytest.mark.parametrize("pair,name", [("p|zz", "zz"), ("pp", "pp")])
+def test_product_pair_outside_the_basis_exits_two(pair, name):
+    # such an entry used to be dropped, and the job passed
+    job = emit_example("nonsmooth-counterexample")
+    job["inputs"]["algebra"]["products"][pair] = {"q": "1"}
+    error = _run_error(job)
+    assert error == {"location": "inputs.algebra",
+                     "message": "unknown basis element %r" % name}
+
+
+def test_unknown_ternary_image_generator_message():
+    job = emit_example("ternary-quantum-plane")
+    images = job["inputs"]["action"]["p1"]
+    images["zz"] = images.pop("p")
+    error = _run_error(job)
+    assert error == {"location": "inputs.action", "message": "unknown generator 'zz'"}
+
+
+@pytest.mark.parametrize(
+    "name,path,location",
+    [
+        ("moyal", ("udf", "exp_of", 0, "slots"), "inputs.udf.exp_of[0]"),
+        ("quantum-plane", ("action", "p1", "partials", "p"), "inputs.action.p1"),
+        ("diagram-power-map", ("diagram", "arrows", 0, "h", "p"),
+         "inputs.diagram.arrows[0]"),
+    ],
+    ids=["tensor slot", "partials", "arrow image"],
+)
+def test_malformed_monomial_exits_two_at_its_map(name, path, location):
+    job = emit_example(name)
+    doc = _at(job["inputs"], path[:-1])
+    doc[path[-1]] = ["p^x", "1"] if path[-1] == "slots" else {"p^x": "1"}
+    error = _run_error(job)
+    assert error == {"location": location, "message": "malformed monomial 'p^x'"}
+
+
+def test_spellings_of_one_monomial_add_up():
+    split = {"p*q": "1", "q*p": "1"}
+    twice_pq = {Monomial.parse("p*q"): 2}
+    A = build_algebra({"kind": "polynomial-truncated", "variables": ["p", "q"],
+                       "degree_cutoff": 4})
+    for kind, op_type, field in (("polynomial-primitive", "derivation", "partials"),
+                                 ("monoid", "endomorphism", "variables")):
+        B = build_bialgebra({"kind": kind, "generators": ["g"]}, 2)
+        action = build_action(B, A, {"g": {"type": op_type, field: {"p": split}}})
+        op = action.images["g"]
+        image = op.coeffs["p"] if op_type == "derivation" else op.var_images["p"]
+        assert image.terms == twice_pq, field
+    job = emit_example("diagram-power-map")
+    job["inputs"]["diagram"]["arrows"][0]["h"]["p"] = split
+    D = _build_diagram(job["inputs"]["diagram"], 2)
+    assert D.arrows[0].h.images["p"].terms == twice_pq
 
 
 def _schema_refs(doc):

@@ -71,6 +71,10 @@ class TestAlgebraSpecs:
         with pytest.raises(ValueError):
             FiniteDimensionalAlgebra(["x"], "1", {})
 
+    def test_product_pairs_name_basis_elements(self):
+        with pytest.raises(ValueError, match="unknown basis element 'z'"):
+            FiniteDimensionalAlgebra(["1", "x"], "1", {("x", "z"): {"x": 1}})
+
 
 class TestOperators:
     def test_leibniz_holds_for_polynomial_derivations(self, plane):

@@ -189,6 +189,11 @@ class TestTernaryDerivations:
         ops = [cubing_action.images[n] for n in ("p1", "p2")]
         assert ops[0].commutes_with(ops[1])
 
+    def test_unknown_generator_rejected(self):
+        P = FreePAssAlgebra(["p", "q"], 3, symmetric=True)
+        with pytest.raises(KeyError, match="unknown generator 'zz'"):
+            TernaryDerivation(P, {"zz": {"p": 1}})
+
     def test_noncommuting_rejected(self, ternaryB):
         # on the planar carrier theta2(theta1(p)) = (p,(q,q,q),q) + (p,q,(q,q,q))
         # survives while theta1(theta2(p)) = 0 (on the symmetric carrier both
@@ -366,6 +371,11 @@ class TestDiagrams:
             [DiagramNode("v", B2, A, act)], [DiagramArrow("v", "v", h, phi)]
         )
         assert diagram_compat_check(D).passed
+
+    def test_morphism_image_outside_the_target_rejected(self):
+        A = PolynomialTruncatedAlgebra(["p", "q"], 3)
+        with pytest.raises(ValueError, match="unknown variable 'z'"):
+            AlgebraMorphism(A, A, {"p": A.variable("p"), "q": A.element({Monomial.parse("z"): 1})})
 
     def test_corrected_action_passes_compat(self):
         _, D = power_map_diagram(2, 3, order=4, corrected=True)

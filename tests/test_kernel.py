@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,11 @@ class TestPolynomial:
         assert m.degree == 3
         assert repr(m) == "p^2*q"
         assert Monomial.parse("1") == Monomial()
+
+    def test_malformed_monomial_is_named(self):
+        for text in ("p^x", "p^2^3", "p^-1"):
+            with pytest.raises(ValueError, match=re.escape("malformed monomial %r" % text)):
+                Monomial.parse(text)
 
     def test_partial_derivative(self):
         p = Polynomial.variable("p")
