@@ -10,19 +10,23 @@ A kind supplies a key basis, a key product, and Delta and eps on its
 generators.  Both are algebra morphisms, so the base class derives them on
 every key from `split_key` (a generator times a shorter key), and it decides
 commutativity on the generators.  The iterated coproducts Delta^k of a key
-are tabulated next to Delta (`iterated_coproduct_key`); both operads compose
+are tabulated next to Delta (`iterated_coproduct_code`); both operads compose
 through that table.  The key product is one key with
 coefficient 1: `product_keys(k1, k2)` returns a one-term dict {k1*k2: 1}.
-The commutative monomial kinds also supply a `KeyPacking`, which packs a key
-tuple into one int and unpacks it.
 
-The product of tensor elements is one integer kernel (`TensorElement.__mul__`):
-each operand becomes (code, integer numerator) pairs over one common
-denominator, and the double loop multiplies and adds plain ints.  A code is
-the packed key tuple where the kind packs, so that the slotwise product is one
-addition, and the key tuple itself elsewhere, multiplied slot by slot through
-`product_single`.  Fractions appear only at the kernel boundary, one per
-output term.
+A tensor element is stored in one integer form, as FLINT's fmpq_poly stores a
+polynomial: a dict {code: integer numerator} over one positive denominator,
+with no common factor left between them.  A code is a key tuple packed into
+one int by the bialgebra's `KeyCodec`: each key has a slot code, the unit 0,
+and slot s sits s slot widths up.  The commutative monomial kinds use
+Kronecker codes (`KeyPacking`), so the code of a slotwise product is the sum
+of the factors' codes, and a guard bit tells when a sum passes the cutoff;
+the other kinds number their keys (`KeyIndex`) and multiply slot by slot
+through a memoized table of codes.  Sums, scaling, products, the coproduct
+and counit on a slot (through per-key tables of codes), outer products,
+permutations, equality and hashing are then integer dict operations.  Key
+tuples and Fractions appear only at the boundary: the constructor, `terms`,
+`sorted_terms` and `render`.
 
 Shipped kinds:
 
@@ -39,10 +43,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 from .kernel import (
-    Monomial, ONE_MONOMIAL, QQ, SparseElement, add_into, add_term,
+    Monomial, ONE_MONOMIAL, QQ, SparseElement, add_into, add_term, as_scalar,
     bounded_product, clean_terms, monomials,
 )
 from .reports import CheckReport, first_witness
@@ -143,7 +147,7 @@ class Bialgebra:
         self._coproduct_cache = {}
         self._iterated_cache = {}
         self._product_cache = {}
-        self._packings = {}
+        self._codec = None
 
     # -- kind-specific primitives ------------------------------------------
     @property
@@ -158,10 +162,16 @@ class Bialgebra:
         raises CutoffError when k1*k2 passes the cutoff."""
         raise NotImplementedError
 
-    def packing(self, arity):
-        """The `KeyPacking` of key tuples of this arity, or None when the kind
-        multiplies slot by slot through `product_single`."""
-        return None
+    @property
+    def codec(self):
+        """The `KeyCodec` of this bialgebra's key tuples, built on first use."""
+        codec = self._codec
+        if codec is None:
+            codec = self._codec = self._make_codec()
+        return codec
+
+    def _make_codec(self):
+        return KeyIndex(self)
 
     def _generator_coproduct(self, g):
         """Delta of a generator g from `split_key`, dict (key, key) -> Fraction."""
@@ -207,20 +217,19 @@ class Bialgebra:
             hit = self._coproduct_cache[key] = self._coproduct_key(key)
         return hit
 
-    def iterated_coproduct_key(self, key, k):
-        """Delta^k on a basis key, memoized, dict (k+1)-tuple -> Fraction:
-        Delta^(-1) = eps, Delta^0 = id and Delta^k = (Delta @ id) Delta^(k-1)."""
-        hit = self._iterated_cache.get((key, k))
+    def iterated_coproduct_code(self, code, k):
+        """Delta^k on the key of slot code `code`, a packed element of arity
+        k+1, memoized: Delta^(-1) = eps, Delta^0 = id and
+        Delta^k = (Delta @ id) Delta^(k-1)."""
+        hit = self._iterated_cache.get((code, k))
         if hit is None:
             if k == -1:
-                eps = self.counit_key(key)
-                hit = {(): eps} if eps else {}
+                hit = self.codec.counit(code)
             elif k == 0:
-                hit = {(key,): QQ(1)}
+                hit = _packed(self, 1, {code: 1}, 1)
             else:
-                prev = self.tensor(k, self.iterated_coproduct_key(key, k - 1))
-                hit = prev.apply_coproduct(1).terms
-            self._iterated_cache[key, k] = hit
+                hit = self.iterated_coproduct_code(code, k - 1).apply_coproduct(1)
+            self._iterated_cache[code, k] = hit
         return hit
 
     def product_single(self, k1, k2):
@@ -263,10 +272,10 @@ class Bialgebra:
 
     # -- element constructors ------------------------------------------------
     def zero(self, arity=1):
-        return TensorElement(self, arity, {})
+        return _packed(self, arity, {}, 1)
 
     def one(self, arity=1):
-        return TensorElement(self, arity, {(self.unit_key,) * arity: QQ(1)})
+        return _packed(self, arity, {0: 1}, 1)
 
     def element(self, terms):
         return self.tensor(1, {(k,): c for k, c in terms.items()})
@@ -338,94 +347,8 @@ class _MonomialBasisMixin:
     def product_keys(self, k1, k2):
         return {self.check_cutoff(k1 * k2): QQ(1)}
 
-    def packing(self, arity):
-        hit = self._packings.get(arity)
-        if hit is None:
-            hit = self._packings[arity] = KeyPacking(self, arity)
-        return hit
-
-
-class KeyPacking:
-    """Kronecker codes of the key tuples of one arity over a commutative
-    monomial basis: the code of a tuple is the sum of its slots' codes, so
-    the code of a slotwise product is the sum of the factors' codes.
-
-    A slot holds one b-bit field per generator exponent and, above them,
-    one for the degree, b = cutoff.bit_length() + 1; slot s sits s slot
-    widths up.  A field of a key within the cutoff is at most the cutoff,
-    and a sum of two is below 2**b, so no field carries into the next.
-    Adding `bias` (2**(b-1) - 1 - cutoff in every degree field) to a sum
-    sets the top bit of a degree field, a bit of `guard`, exactly when that
-    slot passes the cutoff.  Both tables, key -> slot code and slot code ->
-    key, fill as keys are met, so decoded keys are shared objects.
-    """
-
-    __slots__ = ("cutoff", "place", "top", "shifts", "mask", "bias", "guard",
-                 "codes", "keys")
-
-    def __init__(self, B, arity):
-        b = B.cutoff.bit_length() + 1
-        self.cutoff = B.cutoff
-        self.place = {name: b * i for i, name in enumerate(B.spec.generators)}
-        top = self.top = b * len(self.place)
-        width = top + b
-        self.shifts = tuple(range(0, arity * width, width))
-        self.mask = (1 << width) - 1
-        self.bias = sum(((1 << (b - 1)) - 1 - B.cutoff) << (top + s) for s in self.shifts)
-        self.guard = sum(1 << (top + b - 1 + s) for s in self.shifts)
-        self.codes = {}
-        self.keys = _SlotKeys(self.place, b)
-
-    def _tabulate(self, key):
-        """Enter one key in both tables; False when it is past the cutoff or
-        names a foreign generator."""
-        if key in self.codes:
-            return True
-        place = self.place
-        if key.degree > self.cutoff or any(n not in place for n, _ in key.exps):
-            return False
-        code = sum(e << place[n] for n, e in key.exps) + (key.degree << self.top)
-        self.codes[key] = code
-        self.keys.setdefault(code, key)
-        return True
-
-    def pack(self, key_tuples):
-        """The codes of key tuples, or None when some key is past the cutoff
-        or names a foreign generator."""
-        codes, shifts, out = self.codes, self.shifts, []
-        try:
-            for keys in key_tuples:
-                code = 0
-                for key, shift in zip(keys, shifts):
-                    code += codes[key] << shift
-                out.append(code)
-        except KeyError:
-            if not all(self._tabulate(key) for keys in key_tuples for key in keys):
-                return None
-            return self.pack(key_tuples)
-        return out
-
-    def unpack(self, codes):
-        """The key tuples of a list of codes, decoded slot by slot."""
-        if not self.shifts:
-            return [()] * len(codes)
-        keys, mask = self.keys, self.mask
-        return list(zip(*[[keys[c >> s & mask] for c in codes] for s in self.shifts]))
-
-
-class _SlotKeys(dict):
-    """Slot code -> Monomial, decoding a code on its first lookup."""
-
-    def __init__(self, place, b):
-        super().__init__()
-        self.place, self.field = place, (1 << b) - 1
-
-    def __missing__(self, code):
-        field = self.field
-        key = self[code] = Monomial(
-            {name: code >> at & field for name, at in self.place.items()}
-        )
-        return key
+    def _make_codec(self):
+        return KeyPacking(self)
 
 
 class _PrimitiveGenerators:
@@ -593,26 +516,225 @@ class FiniteMonoidBialgebra(_GrouplikeGenerators, Bialgebra):
 
 
 # ---------------------------------------------------------------------------
+# slot codes
+# ---------------------------------------------------------------------------
+
+# Keys a codec holds outside the cutoff, or naming no generator: they get
+# codes of their own, and every product with one runs slot by slot.
+OUTSIDE_KEYS = 1 << 15
+
+
+class KeyCodec:
+    """The integer codes of one bialgebra's key tuples.
+
+    Every key has a slot code below 2**width, the unit 0.  The code of a
+    tuple holds slot s at s widths up, so the unit tuple of every arity is
+    0, slot s reads as code >> s*width & mask, and the code of u @ v is the
+    code of u or-ed with that of v shifted past u's slots.  `codes` maps a
+    key to its slot code and `keys` a slot code back to its key.
+
+    `slotwise` multiplies two tuple codes one slot at a time through a
+    memoized table (slot code, slot code) -> slot code, filled from
+    `product_single`, so CutoffError comes from `check_cutoff` at the first
+    slot past the cutoff.  The slot codes below `inside` are exactly those
+    of the keys within the cutoff.  `guard(arity)` gives (bias, guard): when
+    (c1 + c2 + bias) & guard is 0, c1 + c2 is already the code of the
+    product.  Delta and eps of a key are kept as packed elements, one table
+    each (`coproduct`, `counit`).
+    """
+
+    def __init__(self, B, width):
+        self.B = B
+        self.width = width
+        self.mask = (1 << width) - 1
+        self._products = {}
+        self._coproducts = {}
+        self._counits = {}
+
+    def slot(self, key):
+        code = self.codes.get(key)
+        return self._tabulate(key) if code is None else code
+
+    def encode(self, keys):
+        code = shift = 0
+        for key in keys:
+            code |= self.slot(key) << shift
+            shift += self.width
+        return code
+
+    def decode(self, code, arity):
+        keys, mask = self.keys, self.mask
+        width = self.width
+        return tuple(keys[code >> s & mask] for s in range(0, arity * width, width))
+
+    def guard(self, arity):
+        """Only the unit tuples multiply by adding their codes (0 + 0)."""
+        return 0, -1
+
+    def slotwise(self, c1, c2):
+        """The code of the slotwise product of the tuples of codes c1, c2;
+        the unit times a key within the cutoff is that key."""
+        width, mask, table, inside = self.width, self.mask, self._products, self.inside
+        out = shift = 0
+        while c1 or c2:
+            a, b = c1 & mask, c2 & mask
+            if not b and a < inside:
+                s = a
+            elif not a and b < inside:
+                s = b
+            else:
+                s = table.get(a << width | b)
+                if s is None:
+                    s = self.slot(self.B.product_single(self.keys[a], self.keys[b]))
+                    table[a << width | b] = s
+            out |= s << shift
+            c1 >>= width
+            c2 >>= width
+            shift += width
+        return out
+
+    def coproduct(self, code):
+        """Delta of the key of slot code `code`, an arity-2 element."""
+        hit = self._coproducts.get(code)
+        if hit is None:
+            B = self.B
+            hit = self._coproducts[code] = B.tensor(2, B.coproduct_key(self.keys[code]))
+        return hit
+
+    def counit(self, code):
+        """eps of the key of slot code `code`, an arity-0 element."""
+        hit = self._counits.get(code)
+        if hit is None:
+            B = self.B
+            hit = self._counits[code] = B.tensor(0, {(): B.counit_key(self.keys[code])})
+        return hit
+
+    def _outside(self, count):
+        if count >= OUTSIDE_KEYS:
+            raise ValueError(
+                "more than %d keys outside the degree cutoff %d"
+                % (OUTSIDE_KEYS, self.B.cutoff)
+            )
+
+
+class KeyIndex(KeyCodec):
+    """Slot codes that number the keys: the basis keys within the cutoff in
+    basis order after the unit, then other keys as they are met."""
+
+    def __init__(self, B):
+        unit = B.unit_key
+        self.keys = [unit] + [k for k in B.basis_keys(B.cutoff) if k != unit]
+        self.codes = {k: i for i, k in enumerate(self.keys)}
+        self.inside = len(self.keys)
+        super().__init__(B, (self.inside + OUTSIDE_KEYS).bit_length())
+
+    def _tabulate(self, key):
+        code = len(self.keys)
+        self._outside(code - self.inside)
+        self.keys.append(key)
+        self.codes[key] = code
+        return code
+
+
+class KeyPacking(KeyCodec):
+    """Kronecker codes over a commutative monomial basis.
+
+    A key within the cutoff has one b-bit field per generator exponent,
+    b = cutoff.bit_length() + 1, and above them a d-bit field for its
+    degree.  A field of such a key is at most the cutoff and a sum of two is
+    below 2**b, so the code of a slotwise product is the sum of the codes.
+    Adding the bias of `guard(arity)` (2**(d-1) - 1 - cutoff in every
+    degree field) to a sum sets the top bit of a degree field, a bit of the
+    guard, exactly when that slot passes the cutoff.  A key past the cutoff
+    or naming no generator gets degree field cutoff + 1, so every sum with
+    it hits the guard, and a number of its own in the low bits, below
+    OUTSIDE_KEYS; the low bits are at least 16 wide, and the degree field,
+    d = (cutoff + 1).bit_length() + 1, holds two such degrees with no
+    carry.  Slot codes of products decode on their first lookup.
+    """
+
+    def __init__(self, B):
+        cutoff = self.cutoff = B.cutoff
+        b = cutoff.bit_length() + 1
+        self.place = {name: b * i for i, name in enumerate(B.spec.generators)}
+        low = self.low = max(b * len(self.place), OUTSIDE_KEYS.bit_length())
+        d = (cutoff + 1).bit_length() + 1
+        super().__init__(B, low + d)
+        self.inside = cutoff + 1 << low
+        self._bias = ((1 << d - 1) - 1 - cutoff) << low
+        self._top = 1 << low + d - 1
+        self._guards = {}
+        self.codes = {}
+        self.keys = _SlotKeys(self.place, b)
+        self._count = 0
+
+    def guard(self, arity):
+        hit = self._guards.get(arity)
+        if hit is None:
+            shifts = range(0, arity * self.width, self.width)
+            hit = self._guards[arity] = (
+                sum(self._bias << s for s in shifts),
+                sum(self._top << s for s in shifts),
+            )
+        return hit
+
+    def _tabulate(self, key):
+        place = self.place
+        if key.degree <= self.cutoff and all(n in place for n, _ in key.exps):
+            code = sum(e << place[n] for n, e in key.exps) + (key.degree << self.low)
+        else:
+            self._outside(self._count)
+            code = self._count + (self.cutoff + 1 << self.low)
+            self._count += 1
+        self.codes[key] = code
+        self.keys.setdefault(code, key)
+        return code
+
+
+class _SlotKeys(dict):
+    """Slot code -> Monomial, decoding a code on its first lookup."""
+
+    def __init__(self, place, b):
+        super().__init__()
+        self.place, self.field = place, (1 << b) - 1
+
+    def __missing__(self, code):
+        field = self.field
+        key = self[code] = Monomial(
+            {name: code >> at & field for name, at in self.place.items()}
+        )
+        return key
+
+
+# ---------------------------------------------------------------------------
 # sparse elements of B^(@n)
 # ---------------------------------------------------------------------------
 
-def _numerators(terms):
-    """(numerators, d): the coefficients of terms over their least common
-    denominator d, in term order."""
-    coeffs = terms.values()
-    dens = [c.denominator for c in coeffs]
-    d = lcm(*dens)
-    return [c.numerator if e == d else c.numerator * (d // e) for c, e in zip(coeffs, dens)], d
+def _packed(parent, arity, codes, den):
+    """The element {code: numerator} / den, a dict with no stored zeros,
+    reduced so that den > 0 and the numerators have no common factor."""
+    if den != 1:
+        g = gcd(den, *codes.values())
+        if g != 1:
+            den //= g
+            codes = {code: n // g for code, n in codes.items()}
+    t = TensorElement.__new__(TensorElement)
+    t.parent, t.arity, t.codes, t.den = parent, arity, codes, den
+    return t
 
 
 class TensorElement(SparseElement):
     """A sparse element of B^(@n); arity 0 means a bare scalar.
 
-    terms map n-tuples of basis keys to Fractions; zero coefficients are
-    never stored.  Instances are immutable and may be shared freely.
+    Stored as `codes`, a dict from the codes of n-tuples of basis keys (the
+    parent's `codec`) to integer numerators, over the positive denominator
+    `den`; no zero is stored and den and the numerators have no common
+    factor, so equal elements store equal data.  Every operation runs on that form
+    (see the module docstring); `terms`, the dict n-tuple -> Fraction, is
+    decoded afresh on each read.  Instances are immutable and may be shared.
     """
 
-    __slots__ = ("parent", "arity")
+    __slots__ = ("parent", "arity", "codes", "den")
 
     def __init__(self, parent, arity, terms):
         if arity < 0:
@@ -624,21 +746,31 @@ class TensorElement(SparseElement):
                 raise ValueError("key tuple %r does not have arity %d" % (keys, arity))
             return keys
 
-        self.parent = parent
-        self.arity = arity
-        self.terms = clean_terms(terms, key_tuple)
+        terms = clean_terms(terms, key_tuple)
+        den = lcm(*[c.denominator for c in terms.values()])
+        encode = parent.codec.encode
+        self.parent, self.arity, self.den = parent, arity, den
+        self.codes = {
+            encode(keys): c.numerator * (den // c.denominator) for keys, c in terms.items()
+        }
+
+    @property
+    def terms(self):
+        """The dict n-tuple of keys -> Fraction, in the order of `codes`."""
+        decode, den, arity = self.parent.codec.decode, self.den, self.arity
+        return {decode(code, arity): Fraction(n, den) for code, n in self.codes.items()}
 
     # -- basics ---------------------------------------------------------------
-    def _like(self, terms, arity=None):
-        """Wrap a dict with no stored zeros over the same bialgebra, at this
-        element's arity unless another is given."""
-        t = TensorElement.__new__(TensorElement)
-        t.parent, t.terms = self.parent, terms
-        t.arity = self.arity if arity is None else arity
-        return t
+    def _like(self, codes, arity=None, den=1):
+        """The element codes / den over the same bialgebra, at this element's
+        arity unless another is given."""
+        return _packed(self.parent, self.arity if arity is None else arity, codes, den)
 
     def _space(self):
         return self.parent, self.arity
+
+    def _canonical(self):
+        return self.den, self.codes
 
     def _order(self, keys):
         return tuple(map(self.parent.key_sort_key, keys))
@@ -646,43 +778,51 @@ class TensorElement(SparseElement):
     def _key_text(self, keys):
         return "@".join(map(self.parent.key_str, keys)) if keys else "()"
 
+    def __bool__(self):
+        return bool(self.codes)
+
+    def _sum(self, other, sign):
+        d1, d2 = self.den, other.den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        f = den // d1
+        acc = dict(self.codes) if f == 1 else {c: n * f for c, n in self.codes.items()}
+        return self._like(add_into(acc, other.codes, sign * (den // d2)), den=den)
+
+    def __neg__(self):
+        return self._like({c: -n for c, n in self.codes.items()}, den=self.den)
+
+    def scale(self, c):
+        c = as_scalar(c)
+        if not c:
+            return self.zero_like()
+        p = c.numerator
+        codes = self.codes if p == 1 else {code: p * n for code, n in self.codes.items()}
+        return self._like(codes, den=self.den * c.denominator)
+
     def __mul__(self, other):
         """Slotwise product for equal arities; scalars scale.
 
         The one integer kernel of the product (see the module docstring).
         The result is the dict that adding the term products one at a time
-        gives, insertion order and cancellations included.  A product with a
-        key the packing does not cover runs on key tuples, and a packed sum
-        that hits the guard reruns that pair slot by slot, so CutoffError
-        comes from `check_cutoff` at the first slot past the cutoff.
+        gives, insertion order and cancellations included.  A pair whose
+        code sum hits the codec's guard is multiplied slot by slot, so
+        CutoffError comes from `check_cutoff` at the first slot past the
+        cutoff.
         """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_mate(other)
-        B = self.parent
-        single = B.product_single
-        nums1, d1 = _numerators(self.terms)
-        nums2, d2 = _numerators(other.terms)
-        packing = B.packing(self.arity)
-        if packing is not None:
-            codes1, codes2 = packing.pack(self.terms), packing.pack(other.terms)
-            if codes1 is None or codes2 is None:
-                packing = None
-        if packing is None:
-            codes1, codes2 = list(self.terms), list(other.terms)
-        else:
-            bias, guard = packing.bias, packing.guard
+        codec = self.parent.codec
+        bias, guard = codec.guard(self.arity)
+        slotwise = codec.slotwise
+        pairs = list(other.codes.items())
         acc = {}
         get = acc.get
-        for c1, n1 in zip(codes1, nums1):
-            for c2, n2 in zip(codes2, nums2):
-                if packing is None:
-                    code = tuple(map(single, c1, c2))
-                else:
-                    code = c1 + c2
-                    if code + bias & guard:
-                        tuple(map(single, *packing.unpack([c1, c2])))
-                        raise RuntimeError("packed guard hit with no slot past the cutoff")
+        for c1, n1 in self.codes.items():
+            for c2, n2 in pairs:
+                code = c1 + c2
+                if code + bias & guard:
+                    code = slotwise(c1, c2)
                 n = n1 * n2
                 old = get(code)
                 if old is None:
@@ -693,16 +833,7 @@ class TensorElement(SparseElement):
                     acc[code] = n
                 else:
                     del acc[code]
-        # one Fraction per distinct numerator, shared by the terms that carry it
-        d, rationals, coeffs = d1 * d2, {}, []
-        for n in acc.values():
-            c = rationals.get(n)
-            if c is None:
-                c = rationals[n] = Fraction(n, d)
-            coeffs.append(c)
-        keys = list(acc) if packing is None else packing.unpack(list(acc))
-        del acc, get  # the int-keyed dict goes before the output dict is built
-        return self._like(dict(zip(keys, coeffs)))
+        return self._like(acc, den=self.den * other.den)
 
     def one_like(self):
         return self.parent.one(self.arity)
@@ -711,71 +842,133 @@ class TensorElement(SparseElement):
         """Tensor-product concatenation u @ v of arities m and n."""
         if self.parent is not other.parent:
             raise ValueError("tensor elements live over different bialgebras")
+        shift = self.arity * self.parent.codec.width
+        pairs = list(other.codes.items())
         out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                out[k1 + k2] = c1 * c2
-        return self._like(out, self.arity + other.arity)
+        for c1, n1 in self.codes.items():
+            for c2, n2 in pairs:
+                out[c1 | c2 << shift] = n1 * n2
+        return self._like(out, self.arity + other.arity, self.den * other.den)
 
     # -- structure maps on slots ----------------------------------------------
+    def substitute(self, slot, image, arity):
+        """(codes, den, cancelled): slot `slot` (1-based) of each term
+        replaced by the terms of image(its slot code), a packed element of
+        the given arity, and the results added up in term order;
+        `cancelled` tells whether a sum reached zero."""
+        width, mask = self.parent.codec.width, self.parent.codec.mask
+        at = (slot - 1) * width
+        low = (1 << at) - 1
+        up = at + arity * width  # where the slots after `slot` move
+        parts = [
+            (code & low | code >> at + width << up, n, image(code >> at & mask))
+            for code, n in self.codes.items()
+        ]
+        den = lcm(*[e.den for _, _, e in parts])
+        acc, cancelled = {}, False
+        get = acc.get
+        for rest, n, e in parts:
+            if e.den != den:
+                n *= den // e.den
+            for code, m in e.codes.items():
+                code = rest | code << at
+                x = n * m
+                old = get(code)
+                if old is None:
+                    acc[code] = x
+                    continue
+                x += old
+                if x:
+                    acc[code] = x
+                else:
+                    del acc[code]
+                    cancelled = True
+        return acc, self.den * den, cancelled
+
     def apply_coproduct(self, slot):
         """Delta on slot i (1-based); arity grows by one."""
         if not 1 <= slot <= self.arity:
             raise ValueError("slot %d out of range for arity %d" % (slot, self.arity))
-        B = self.parent
-        out = {}
-        i = slot - 1
-        for keys, c in self.terms.items():
-            for (a, b), c2 in B.coproduct_key(keys[i]).items():
-                add_term(out, keys[:i] + (a, b) + keys[i + 1:], c * c2)
-        return self._like(out, self.arity + 1)
+        codes, den, _ = self.substitute(slot, self.parent.codec.coproduct, 2)
+        return self._like(codes, self.arity + 1, den)
 
     def apply_counit(self, slot):
         """eps on slot i (1-based); arity shrinks by one."""
         if not 1 <= slot <= self.arity:
             raise ValueError("slot %d out of range for arity %d" % (slot, self.arity))
-        B = self.parent
-        out = {}
-        i = slot - 1
-        for keys, c in self.terms.items():
-            add_term(out, keys[:i] + keys[i + 1:], c * B.counit_key(keys[i]))
-        return self._like(out, self.arity - 1)
+        codes, den, _ = self.substitute(slot, self.parent.codec.counit, 0)
+        return self._like(codes, self.arity - 1, den)
+
+    def insert_units(self, slot, count):
+        """This element with `count` unit slots inserted before slot `slot`
+        (1-based; arity + 1 appends them).  The unit's code is 0, so the
+        slots from `slot` on move `count` widths up."""
+        if not count:
+            return self
+        if slot > self.arity:  # units appended after the last slot move nothing
+            return self._like(self.codes, self.arity + count, self.den)
+        width = self.parent.codec.width
+        at = (slot - 1) * width
+        low, up = (1 << at) - 1, at + count * width
+        out = {code & low | code >> at << up: n for code, n in self.codes.items()}
+        return self._like(out, self.arity + count, self.den)
+
+    def nonunit_part(self):
+        """The terms of this element with no unit slot (no slot code 0)."""
+        codec = self.parent.codec
+        shifts = range(0, self.arity * codec.width, codec.width)
+        mask = codec.mask
+        out = {code: n for code, n in self.codes.items()
+               if all(code >> at & mask for at in shifts)}
+        return self._like(out, den=self.den)
 
     def permute(self, sigma):
         """Right action (u . sigma)_i = u_{sigma(i)}; sigma is a 1-based tuple."""
         if sorted(sigma) != list(range(1, self.arity + 1)):
             raise ValueError("%r is not a permutation of 1..%d" % (sigma, self.arity))
+        width, mask = self.parent.codec.width, self.parent.codec.mask
+        moves = [((s - 1) * width, i * width) for i, s in enumerate(sigma)]
         out = {}
-        for keys, c in self.terms.items():
-            out[tuple(keys[s - 1] for s in sigma)] = c
-        return self._like(out)
+        for code, n in self.codes.items():
+            out[sum((code >> src & mask) << dst for src, dst in moves)] = n
+        return self._like(out, den=self.den)
 
     def scalar_value(self):
         """The Fraction carried by an arity-0 element."""
         if self.arity != 0:
             raise ValueError("not an arity-0 element")
-        return self.terms.get((), QQ(0))
+        return Fraction(self.codes.get(0, 0), self.den)
 
     def map_keys_linear(self, images, target=None):
         """Apply phi@...@phi slotwise, phi given on basis keys by `images`.
 
         `images(key)` must return an arity-1 element over `target` (defaults
-        to this element's parent).
+        to this element's parent).  The terms are added term by term, each
+        as the outer product of its slots' images (first slot slowest).
         """
         target = target or self.parent
-        out = {}
-        for keys, c in self.terms.items():
-            piece = TensorElement(target, 0, {(): c})
-            for k in keys:
-                piece = piece.outer(images(k))
-            add_into(out, piece.terms)
-        return target.zero(self.arity)._like(out)
+        decode, width = self.parent.codec.decode, target.codec.width
+        shifts = range(0, self.arity * width, width)
+        parts = [(n, [images(k) for k in decode(code, self.arity)])
+                 for code, n in self.codes.items()]
+        den = lcm(*[prod(e.den for e in factors) for _, factors in parts])
+        acc = {}
+        for n, factors in parts:
+            n *= den // prod(e.den for e in factors)
+            for combo in itertools.product(*(e.codes.items() for e in factors)):
+                code, x = 0, n
+                for at, (c, m) in zip(shifts, combo):
+                    code |= c << at
+                    x *= m
+                add_term(acc, code, x)
+        return _packed(target, self.arity, acc, self.den * den)
 
     def degree(self):
         """Largest total internal degree over the support."""
         B = self.parent
+        decode = B.codec.decode
         return max(
-            (sum(B.degree(k) for k in keys) for keys in self.terms),
+            (sum(map(B.degree, decode(code, self.arity))) for code in self.codes),
             default=0,
         )
 
@@ -790,10 +983,9 @@ def iterated_coproduct(b, k):
         raise ValueError("iterated coproduct starts from an arity-1 element")
     if k < -1:
         raise ValueError("k must be >= -1")
-    B, out = b.parent, {}
-    for (key,), c in b.terms.items():
-        add_into(out, B.iterated_coproduct_key(key, k), c)
-    return b._like(out, k + 1)
+    B = b.parent
+    codes, den, _ = b.substitute(1, lambda code: B.iterated_coproduct_code(code, k), k + 1)
+    return b._like(codes, k + 1, den)
 
 
 # ---------------------------------------------------------------------------

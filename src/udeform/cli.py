@@ -213,7 +213,11 @@ def build_algebra(doc, location="inputs.algebra"):
         products = {}
         for pair, row in doc.get("products", {}).items():
             left, _, right = pair.partition("|")
-            products[(left, right)] = _coefficients(row, location)
+            row = products[(left, right)] = _coefficients(row, location)
+            with _located("%s.products.%s" % (location, pair)):
+                FiniteDimensionalAlgebra.check_unit_product(
+                    doc["basis"], doc["unit"], left, right, row
+                )
         return FiniteDimensionalAlgebra(doc["basis"], doc["unit"], products)
 
 
@@ -392,9 +396,10 @@ def run_ternary(inputs, params):
         for pgen, terms in img_doc.items():
             coords = {}
             for i, term in enumerate(terms):
-                with _located("%s.%s[%d]" % (loc, pgen, i)):
+                term_loc = "%s.%s[%d]" % (loc, pgen, i)
+                with _located(term_loc):
                     tree = P.parse_tree(term["tree"])
-                add_term(coords, tree, _scalar(term.get("coeff", "1"), loc))
+                add_term(coords, tree, _scalar(term.get("coeff", "1"), term_loc))
             gen_images[pgen] = P.element(coords)
     with _located("inputs.action"):
         action = TernaryAction(B, P, images)

@@ -74,41 +74,35 @@ def reduced_keys(B, max_degree):
 def embed_reduced(B, coords, arity):
     """Expand reduced coordinates into B^(@arity) via m -> m - eps(m)1.
 
-    Keys of `coords` have no unit slot.  Each slot of a key expands to m, and
-    to 1 with factor -eps(m) when eps(m) != 0; terms are accumulated key by
-    key with the first slot varying slowest, the order of the outer product
-    of the factors m - eps(m)1.
+    Keys of `coords` have no unit slot (see `_embed`).
     """
-    unit = B.unit_key
-    slots = {}  # key m -> its expansion ((m, 1),) or ((m, 1), (1, -eps(m)))
-    out = {}
-    for keys, c in coords.items():
-        choices = []
-        for k in keys:
-            choice = slots.get(k)
-            if choice is None:
-                eps = B.counit_key(k)
-                choice = slots[k] = ((k, 1), (unit, -eps)) if eps else ((k, 1),)
-            choices.append(choice)
-        for combo in itertools.product(*choices):
-            x = c
-            for _, f in combo:
-                if f != 1:
-                    x = x * f
-            add_term(out, tuple(k for k, _ in combo), x)
-    return B.zero(arity)._like(out)
+    return _embed(B.tensor(arity, coords))
 
 
-def extract_reduced(T):
-    """Coordinates of a (Bbar)^(@n) member: drop every unit-slot term."""
-    B = T.parent
-    unit = B.unit_key
-    return {keys: c for keys, c in T.terms.items() if unit not in keys}
+def _embed(R):
+    """m -> m - eps(m)1 on every slot of R, whose terms have no unit slot.
+
+    On the primitively generated kinds eps vanishes off the unit, so this is
+    the identity.  Elsewhere each term expands as the outer product of the
+    factors m - eps(m)1 of its slots, terms added in order.
+    """
+    B = R.parent
+    if _is_graded(B):
+        return R
+    factors = {}
+
+    def factor(m):
+        hit = factors.get(m)
+        if hit is None:
+            hit = factors[m] = B.element({m: QQ(1)}) - B.one(1).scale(B.counit_key(m))
+        return hit
+
+    return R.map_keys_linear(factor)
 
 
 def is_reduced_member(T):
     """Does T lie in the embedded (Bbar)^(@n) inside B^(@n)?"""
-    return embed_reduced(T.parent, extract_reduced(T), T.arity) == T
+    return _embed(T.nonunit_part()) == T
 
 
 class CobarCochain:
@@ -140,12 +134,7 @@ class CobarCochain:
 
 def _insert_unit(T, position):
     """Insert a unit tensor factor so it becomes slot `position` (1-based)."""
-    B = T.parent
-    out = {}
-    i = position - 1
-    for keys, c in T.terms.items():
-        out[keys[:i] + (B.unit_key,) + keys[i:]] = c
-    return TensorElement(B, T.arity + 1, out)
+    return T.insert_units(position, 1)
 
 
 def _reduced_coproduct_slot(T, slot):
@@ -371,7 +360,7 @@ def corner_solutions_trivial(B, blocks):
     unit = B.unit_key
 
     def nontrivial_corner(blk, sol):
-        corner = sol - embed_reduced(B, extract_reduced(sol), 2)
+        corner = sol - _embed(sol.nonunit_part())
         if any(keys != (unit, unit) for keys in corner.terms):
             return {"degree": blk.degree, "term": sol.render()}
 
@@ -385,8 +374,9 @@ def gauge_equivalent(B, blk_a, blk_b):
     """Do two blocks present the same classes?  (Same span modulo gauge.)"""
     index = {}
 
+    # numerators span the same lines as the coefficients
     def vec(T):
-        return {index.setdefault(keys, len(index)): c for keys, c in T.terms.items()}
+        return {index.setdefault(code, len(index)): n for code, n in T.codes.items()}
 
     span_a = Echelon()
     for g in blk_a.gauge + blk_b.gauge:

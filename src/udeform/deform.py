@@ -150,8 +150,9 @@ class FiniteDimensionalAlgebra(AlgebraSpec):
 
     def __init__(self, basis, unit, products):
         """products maps (x, y) -> dict name -> coefficient; missing pairs
-        multiply to zero; products with the unit are implied; a pair naming
-        a non-basis element is a ValueError."""
+        multiply to zero; products with the unit are implied, and a declared
+        one must agree (`check_unit_product`); a pair naming a non-basis
+        element is a ValueError."""
         if len(set(basis)) != len(basis):
             raise ValueError("duplicate basis names")
         if unit not in basis:
@@ -159,6 +160,8 @@ class FiniteDimensionalAlgebra(AlgebraSpec):
         for name in itertools.chain.from_iterable(products):
             if name not in basis:
                 raise ValueError("unknown basis element %r" % (name,))
+        for (x, y), row in products.items():
+            self.check_unit_product(basis, unit, x, y, row)
         self.basis = list(basis)
         self.unit = unit
         self._table = {}
@@ -189,6 +192,19 @@ class FiniteDimensionalAlgebra(AlgebraSpec):
                             % (x, y, z)
                         )
 
+    @staticmethod
+    def check_unit_product(basis, unit, x, y, row):
+        """A declared product x*y of basis elements with x or y the unit
+        must be the other factor; anything else is a ValueError."""
+        if unit not in (x, y) or x not in basis or y not in basis:
+            return
+        implied = y if x == unit else x
+        if {name: c for name, c in row.items() if as_scalar(c)} != {implied: 1}:
+            raise ValueError(
+                "declared product %s*%s contradicts the unit: it must be %s"
+                % (x, y, implied)
+            )
+
     def _compose(self, combo, other, left):
         out = {}
         for name, c in combo.items():
@@ -218,7 +234,7 @@ class FiniteDimensionalAlgebra(AlgebraSpec):
 class AlgebraElement(SparseElement):
     """Sparse element of an AlgebraSpec with exact coefficients."""
 
-    __slots__ = ("parent",)
+    __slots__ = ("parent", "terms")
 
     def __init__(self, parent, terms):
         self.parent = parent
@@ -832,18 +848,6 @@ class PolynomialOperator1Cochain:
     def __init__(self, A, terms):
         self.parent = A
         self.terms = terms  # list of (coeff_monomial, alpha, coefficient)
-
-    def as_cochain(self):
-        A = self.parent
-
-        def g(key):
-            poly = Polynomial({key: QQ(1)})
-            out = {}
-            for mono, alpha, c in self.terms:
-                add_into(out, _apply_poly_operator(mono, alpha, poly).terms, c)
-            return A.zero()._like(out)
-
-        return HochschildCochain(A, 1, g)
 
     def describe(self):
         bits = []

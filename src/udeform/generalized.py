@@ -306,7 +306,7 @@ def _compositions(total, parts):
 class PAssElement(SparseElement):
     """A reduced element of the free pAss quotient, sparse on basis trees."""
 
-    __slots__ = ("parent",)
+    __slots__ = ("parent", "terms")
 
     def __init__(self, parent, coords):
         self.parent = parent

@@ -3,19 +3,25 @@
 Everything here is exact: scalars are arbitrary-precision rationals, and no
 operation ever stores a zero coefficient or an unreduced fraction.
 
-There is one representation of a sparse linear combination in the package: a
-dict basis key -> nonzero Fraction.  `add_term` and `add_into` are the one
-accumulator over it; they update a dict in place and drop every coefficient
-that reaches zero, and `clean_terms` builds such a dict from caller input.
-The linear algebra in `linalg` runs on the same dicts with the same
-accumulator.
+A sparse linear combination is a dict with no zero values.  Polynomials,
+algebra and pAss elements map basis keys to Fractions.  Tensor elements (in
+`bialgebra`) map integer codes of key tuples to integer numerators over one
+positive denominator, the form FLINT's fmpq_poly uses for a polynomial, and
+decode to keys and Fractions only at their boundary.  `add_term` and
+`add_into` are the one accumulator over every such dict; they update it in
+place and drop every value that reaches zero, and `clean_terms` builds a
+Fraction dict from caller input.  The linear algebra in `linalg` runs on the
+same dicts with the same accumulator, eliminating in the integers.
 
-`SparseElement` wraps such a dict as `terms` and is the one element layer:
-`Polynomial` here and the tensor, algebra and pAss elements elsewhere
-subclass it.  A subclass supplies
+`SparseElement` is the one element layer: `Polynomial` here and the tensor,
+algebra and pAss elements elsewhere subclass it, and each reads its terms as
+`terms`, the dict basis key -> Fraction.  A subclass supplies
 
 * `_like(terms)`: a sibling of self (same class and space) around a dict
   taken as given;
+* `_canonical()`: what equality compares, (denominator, dict); by default
+  (1, terms);
+* `_sum(other, sign)`: self + sign * other, by default over `terms`;
 * `one_like()`: the unit of its space, if the space has one;
 * `_space()`: what two summands must share besides their class (the parent,
   plus the arity for tensors; None for polynomials);
@@ -32,12 +38,10 @@ terms in basis order joined by " + ", a coefficient 1 or -1 shown as the
 sign only, and a key with empty text shown as its bare coefficient.  Every
 witness and report string passes through that one renderer.
 
-The product of `TensorElement` (in `bialgebra`) is an integer kernel over
-these dicts.  For it a bialgebra kind supplies the product of two basis keys
-as one key with coefficient 1, and the commutative monomial kinds also pack
-a key tuple into one int and unpack it.  The kernel multiplies and adds
-integer numerators over one common denominator per operand; Fractions appear
-only at its boundary, where each output term gets one.
+A packed subclass also overrides `_sum`, negation, scaling and truth
+testing to run on its own dicts.  The product of `TensorElement` is one integer kernel:
+codes add (or multiply slot by slot through a table of codes) and
+numerators multiply, over the product of the two denominators.
 
 `bounded_product` enumerates the basis tuples every checker sweeps: the
 tuples of a product of pools whose degrees sum to at most a bound, in
@@ -148,7 +152,7 @@ class SparseElement:
     built.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def _like(self, terms):
         raise NotImplementedError
@@ -156,6 +160,10 @@ class SparseElement:
     def _space(self):
         """What two summands must share besides their class: None here."""
         return None
+
+    def _canonical(self):
+        """(denominator, dict): equal elements of one space give equal pairs."""
+        return 1, self.terms
 
     def _order(self, key):
         raise NotImplementedError
@@ -179,7 +187,7 @@ class SparseElement:
         return bool(self.terms)
 
     def is_zero(self):
-        return not self.terms
+        return not self
 
     def zero_like(self):
         return self._like({})
@@ -187,29 +195,36 @@ class SparseElement:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                return not self.terms
+                return not self
             one_like = getattr(self, "one_like", None)
-            return one_like is not None and self.terms == one_like().scale(other).terms
+            return (one_like is not None
+                    and self._canonical() == one_like().scale(other)._canonical())
         return (
             type(other) is type(self)
             and other._space() == self._space()
-            and self.terms == other.terms
+            and self._canonical() == other._canonical()
         )
 
     def __hash__(self):
-        return hash((self._space(), frozenset(self.terms.items())))
+        den, terms = self._canonical()
+        return hash((self._space(), den, frozenset(terms.items())))
 
     def __add__(self, other):
         if not isinstance(other, SparseElement):
             return NotImplemented
         self._check_mate(other)
-        return self._like(add_into(dict(self.terms), other.terms))
+        return self._sum(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, SparseElement):
             return NotImplemented
         self._check_mate(other)
-        return self._like(add_into(dict(self.terms), other.terms, MINUS_ONE))
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign):
+        """self + sign * other for a mate `other` and sign 1 or -1."""
+        c = MINUS_ONE if sign < 0 else 1
+        return self._like(add_into(dict(self.terms), other.terms, c))
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})
@@ -401,7 +416,7 @@ def bounded_product(pools, weight, bound):
 class Polynomial(SparseElement):
     """Sparse multivariate polynomial with Fraction coefficients."""
 
-    __slots__ = ()
+    __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = clean_terms(terms, Monomial) if terms else {}

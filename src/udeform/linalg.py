@@ -107,9 +107,6 @@ class Echelon:
         res, scale = self._reduce_integral(vec)
         return {j: Fraction(x, scale) for j, x in res.items()}
 
-    def contains(self, vec):
-        return not self._reduce_integral(vec)[0]
-
     def add(self, vec):
         """Insert vec; returns the pivot column or None if dependent."""
         vec = _integral(vec)[0]

@@ -7,7 +7,8 @@ For a bialgebra B both operads have n-th component B^(@n), and both graft v
 
 two tensors of arity m+n-1: E replaces slot i of each term of u by the
 terms of Delta^(n-1) of its key, read from the bialgebra's memoized table
-`iterated_coproduct_key`, and P pads v with units.  The multiplicative
+`iterated_coproduct_code`, and P pads v with units (the unit's code is 0).
+Both run on the packed codes of the tensor elements.  The multiplicative
 operad takes * to be the slotwise product, one call of the product kernel;
 the additive ("logarithmic") operad takes * to be +, so it never touches
 the product of B and makes sense for a bare coalgebra with a grouplike
@@ -24,8 +25,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .bialgebra import CutoffError, TensorElement, iterated_coproduct
-from .kernel import QQ, add_into, add_term, bounded_product
+from .bialgebra import CutoffError, TensorElement
+from .kernel import QQ, bounded_product
 from .reports import CheckReport, first_witness
 
 FLAVOR_MULTIPLICATIVE = "multiplicative"
@@ -83,11 +84,11 @@ def circ_B(u, i, v):
     compositions that raise and their messages are those of the termwise
     definition: a term that cancels in E may still pass the cutoff there.
     """
-    m, n = _check_slot(u, i, v)
+    _check_slot(u, i, v)
     try:
-        E, cancelled = _expanded(u, i, n)
+        E, cancelled = _expanded(u, i, v.arity)
         if not cancelled:
-            return u._like(E, m + n - 1) * _padded(u, i, v)
+            return E * _padded(u, i, v)
     except CutoffError:
         pass
     return _circ_B_termwise(u, i, v)
@@ -101,65 +102,48 @@ def circ_b(u, i, v):
     """
     if u.arity < 1 or v.arity < 1:
         raise ValueError("the additive operad is indexed from arity 1")
-    m, n = _check_slot(u, i, v)
-    E, _ = _expanded(u, i, n)
-    return u._like(add_into(E, _padded(u, i, v).terms), m + n - 1)
+    _check_slot(u, i, v)
+    E, _ = _expanded(u, i, v.arity)
+    return E + _padded(u, i, v)
 
 
 def _check_slot(u, i, v):
-    m = u.arity
-    if not 1 <= i <= m:
-        raise ValueError("composition slot %d out of range for arity %d" % (i, m))
+    if not 1 <= i <= u.arity:
+        raise ValueError("composition slot %d out of range for arity %d" % (i, u.arity))
     if u.parent is not v.parent:
         raise ValueError("operands live over different bialgebras")
-    return m, v.arity
 
 
 def _expanded(u, i, n):
-    """(E, cancelled): the terms of E = Delta_i^(n-1) u, slot i of each term
-    of u replaced by the terms of Delta^(n-1) of its key, read from the
+    """(E, cancelled): E = Delta_i^(n-1) u, slot i of each term of u
+    replaced by the terms of Delta^(n-1) of its key, read from the
     bialgebra's memoized table; `cancelled` tells whether two terms of u
     cancelled in E."""
-    table = u.parent.iterated_coproduct_key
-    out, cancelled = {}, False
-    get = out.get
-    for keys, c in u.terms.items():
-        left, right = keys[: i - 1], keys[i:]
-        cn = c.numerator if c.denominator == 1 else None
-        for mid, mc in table(keys[i - 1], n - 1).items():
-            key = left + mid + right
-            # integer products skip Fraction's gcds
-            x = QQ(cn * mc.numerator) if cn is not None and mc.denominator == 1 else c * mc
-            old = get(key)
-            if old is None:
-                out[key] = x
-                continue
-            x += old
-            if x:
-                out[key] = x
-            else:
-                del out[key]
-                cancelled = True
-    return out, cancelled
+    B = u.parent
+    codes, den, cancelled = u.substitute(
+        i, lambda code: B.iterated_coproduct_code(code, n - 1), n
+    )
+    return u._like(codes, u.arity + n - 1, den), cancelled
 
 
 def _padded(u, i, v):
     """P = 1^(@(i-1)) @ v @ 1^(@(m-i)) for u of arity m."""
-    unit = u.parent.unit_key
-    left, right = (unit,) * (i - 1), (unit,) * (u.arity - i)
-    return v._like({left + keys + right: c for keys, c in v.terms.items()},
-                   u.arity + v.arity - 1)
+    return v.insert_units(1, i - 1).insert_units(i + v.arity, u.arity - i)
 
 
 def _circ_B_termwise(u, i, v):
     """circ_B one term of u at a time: Delta^(n-1)(u_i) . v per term."""
-    B, m, n = u.parent, u.arity, v.arity
-    out = {}
-    for keys, c in u.terms.items():
-        mid = iterated_coproduct(B.element({keys[i - 1]: QQ(1)}), n - 1) * v
-        for mkeys, mc in mid.terms.items():
-            add_term(out, keys[: i - 1] + mkeys + keys[i:], c * mc)
-    return u._like(out, m + n - 1)
+    B, n = u.parent, v.arity
+    products = {}
+
+    def mid(code):
+        hit = products.get(code)
+        if hit is None:
+            hit = products[code] = B.iterated_coproduct_code(code, n - 1) * v
+        return hit
+
+    codes, den, _ = u.substitute(i, mid, n)
+    return u._like(codes, u.arity + n - 1, den)
 
 
 def _compose(flavor, u, i, v):

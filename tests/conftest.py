@@ -5,10 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from udeform.kernel import QQ, Polynomial
+from udeform.kernel import QQ, Polynomial, SparseElement, add_into
 from udeform.bialgebra import BialgebraSpec, construct_bialgebra
 from udeform.twist import make_exp_udf
-from udeform.deform import PolynomialTruncatedAlgebra, action_from_derivations
+from udeform.deform import (
+    HochschildCochain, PolynomialTruncatedAlgebra, _apply_poly_operator,
+    action_from_derivations,
+)
 from udeform.generalized import FreePAssAlgebra, _compositions, _node, _tree_key
 from udeform.kernel import add_term
 from udeform.linalg import ForwardSpan
@@ -110,6 +113,91 @@ def euler_action(B2, plane):
         plane,
         {"p1": {"p": Polynomial.variable("p")}, "p2": {"q": Polynomial.variable("q")}},
     )
+
+
+class ReferenceTensor(SparseElement):
+    """Tensor arithmetic on key tuples and Fractions, the route apart from
+    the library's packed codes: `terms` maps n-tuples of basis keys to
+    Fractions, products run slot by slot through `product_single`, and every
+    sum adds one term at a time with `add_term`.  The linear structure,
+    equality, hashing and the renderer are `SparseElement`'s."""
+
+    __slots__ = ("parent", "arity", "terms")
+
+    def __init__(self, parent, arity, terms):
+        self.parent, self.arity, self.terms = parent, arity, dict(terms)
+
+    @staticmethod
+    def of(t):
+        """The reference twin of a library tensor element."""
+        return ReferenceTensor(t.parent, t.arity, t.terms)
+
+    def _like(self, terms, arity=None):
+        return ReferenceTensor(self.parent, self.arity if arity is None else arity, terms)
+
+    def _space(self):
+        return self.parent, self.arity
+
+    def _order(self, keys):
+        return tuple(map(self.parent.key_sort_key, keys))
+
+    def _key_text(self, keys):
+        return "@".join(map(self.parent.key_str, keys)) if keys else "()"
+
+    def one_like(self):
+        return ReferenceTensor.of(self.parent.one(self.arity))
+
+    def __mul__(self, other):
+        single = self.parent.product_single
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                add_term(out, tuple(map(single, k1, k2)), c1 * c2)
+        return self._like(out)
+
+    def outer(self, other):
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                out[k1 + k2] = c1 * c2
+        return self._like(out, self.arity + other.arity)
+
+    def apply_coproduct(self, slot):
+        B, i, out = self.parent, slot - 1, {}
+        for keys, c in self.terms.items():
+            for (a, b), c2 in B.coproduct_key(keys[i]).items():
+                add_term(out, keys[:i] + (a, b) + keys[i + 1:], c * c2)
+        return self._like(out, self.arity + 1)
+
+    def apply_counit(self, slot):
+        B, i, out = self.parent, slot - 1, {}
+        for keys, c in self.terms.items():
+            add_term(out, keys[:i] + keys[i + 1:], c * B.counit_key(keys[i]))
+        return self._like(out, self.arity - 1)
+
+    def permute(self, sigma):
+        return self._like({tuple(keys[s - 1] for s in sigma): c
+                           for keys, c in self.terms.items()})
+
+
+def in_span(ech, vec):
+    """Does vec lie in the row space of the `Echelon` ech?"""
+    return not ech.reduce(vec)
+
+
+def operator_cochain(op):
+    """A `PolynomialOperator1Cochain` as the Hochschild 1-cochain
+    key -> op(key) on its algebra."""
+    A = op.parent
+
+    def g(key):
+        poly = Polynomial({key: QQ(1)})
+        out = {}
+        for mono, alpha, c in op.terms:
+            add_into(out, _apply_poly_operator(mono, alpha, poly).terms, c)
+        return A.zero()._like(out)
+
+    return HochschildCochain(A, 1, g)
 
 
 def raw_tree_count(generators, leaf_count, symmetric):

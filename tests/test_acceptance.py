@@ -55,7 +55,7 @@ from udeform.generalized import (
     pass_udf,
 )
 
-from conftest import antisym, raw_tree_count
+from conftest import antisym, in_span, raw_tree_count
 from test_generalized import power_map_diagram
 
 
@@ -158,10 +158,10 @@ def test_criterion_03_moduli_dimensions():
             ech = Echelon()
             for g in blk.gauge:
                 ech.add(vec(g))
-            nontrivial = not ech.contains(vec(wedge))
+            nontrivial = not in_span(ech, vec(wedge))
             for r in blk.representatives:
                 ech.add(vec(r))
-            reps_ok = nontrivial and ech.contains(vec(wedge))
+            reps_ok = nontrivial and in_span(ech, vec(wedge))
     elapsed = time.time() - t0
     ok = dims_ok and reps_ok and elapsed < 60.0
     report_line(

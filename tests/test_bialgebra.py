@@ -4,8 +4,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from udeform.kernel import Monomial, QQ, add_term
+from udeform.kernel import Monomial, QQ, clean_terms
 from udeform.bialgebra import (
+    OUTSIDE_KEYS,
     BialgebraSpec,
     CounitUnavailable,
     CutoffError,
@@ -15,8 +16,8 @@ from udeform.bialgebra import (
     iterated_coproduct,
 )
 
-from conftest import IDEMPOTENT_TABLE, Z2_TABLE
-from coproduct_override import with_coproduct_override
+from conftest import IDEMPOTENT_TABLE, ReferenceTensor, Z2_TABLE
+from coproduct_override import noncoassociative_cube, with_coproduct_override
 
 
 class TestConstruction:
@@ -352,18 +353,8 @@ def test_commutativity_matches_full_sweep(name):
 # ---------------------------------------------------------------------------
 
 def _reference_product(u, v):
-    """u * v term by term from `product_keys`, accumulated with `add_term`."""
-    B = u.parent
-    out = {}
-    for k1, c1 in u.terms.items():
-        for k2, c2 in v.terms.items():
-            keys, c = [], c1 * c2
-            for a, b in zip(k1, k2):
-                ((key, kc),) = B.product_keys(a, b).items()
-                keys.append(key)
-                c *= kc
-            add_term(out, tuple(keys), c)
-    return out
+    """u * v term by term on key tuples, accumulated with `add_term`."""
+    return (ReferenceTensor.of(u) * ReferenceTensor.of(v)).terms
 
 
 def _product_bialgebras():
@@ -456,3 +447,133 @@ def test_monomial_kinds_multiply_packed(kind, generators, monkeypatch):
     assert (u * u * u).degree() == 3  # packed codes add; no slotwise product
     with pytest.raises(AssertionError, match="slotwise"):
         u * u * u * u * u  # past the cutoff, the guard reruns the pair slotwise
+
+
+# ---------------------------------------------------------------------------
+# the packed elements against the reference route, term for term
+# ---------------------------------------------------------------------------
+
+def _packed_bialgebras():
+    """The five kinds and a coproduct override at cutoffs 2-4; the pools
+    hold the basis keys and a key past the cutoff."""
+    out = []
+    for cutoff in (2, 3, 4):
+        for B in (
+            construct_bialgebra(BialgebraSpec("polynomial-primitive", ["p", "q"]), cutoff),
+            construct_bialgebra(BialgebraSpec("tensor-primitive", ["e1", "e2"]), cutoff),
+            construct_bialgebra(BialgebraSpec("monoid", ["a", "b"]), cutoff),
+            construct_bialgebra(BialgebraSpec("monoid", monoid_table=LEFT_ZERO_TABLE),
+                                cutoff),
+            construct_bialgebra(BialgebraSpec("matrix-coordinate"), cutoff),
+            noncoassociative_cube(cutoff),
+        ):
+            pool = B.basis_keys(cutoff)
+            if B.spec.kind == "tensor-primitive":
+                pool.append((0,) * (cutoff + 1))
+            elif B.spec.monoid_table is None:
+                pool.append(Monomial({B.spec.generators[0]: cutoff + 1}))
+            out.append((B, pool))
+    return out
+
+
+PACKED_BIALGEBRAS = _packed_bialgebras()
+
+
+@st.composite
+def _packed_cases(draw):
+    B, pool = draw(st.sampled_from(PACKED_BIALGEBRAS))
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+
+    def terms(arity):
+        # few keys per slot make terms merge and cancel
+        slots = [
+            draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+            for _ in range(arity)
+        ]
+        keys = st.tuples(*(st.sampled_from(slot) for slot in slots))
+        return draw(st.dictionaries(keys, st.sampled_from(COEFFS + [QQ(0)]), max_size=5))
+
+    sigma = tuple(draw(st.permutations(range(1, m + 1))))
+    c = draw(st.sampled_from(COEFFS + [QQ(0)]))
+    return B, m, n, terms(m), terms(m), terms(n), c, sigma
+
+
+def _agree(got, want):
+    """Both routes give the same terms in the same order and the same text,
+    or the same CutoffError."""
+    try:
+        expected = want()
+    except CutoffError as exc:
+        with pytest.raises(CutoffError) as raised:
+            got()
+        assert str(raised.value) == str(exc)
+        return
+    value = got()
+    assert list(value.terms.items()) == list(expected.terms.items())
+    assert value.render() == expected.render()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_cases())
+def test_packed_elements_match_the_reference_route(case):
+    B, m, n, raw_u, raw_v, raw_w, c, sigma = case
+    u, v, w = B.tensor(m, raw_u), B.tensor(m, raw_v), B.tensor(n, raw_w)
+    ru, rv, rw = (ReferenceTensor(B, arity, clean_terms(raw))
+                  for arity, raw in ((m, raw_u), (m, raw_v), (n, raw_w)))
+    _agree(lambda: u, lambda: ru)
+    _agree(lambda: u * v, lambda: ru * rv)
+    _agree(lambda: u + v, lambda: ru + rv)
+    _agree(lambda: u - v, lambda: ru - rv)
+    _agree(lambda: u.scale(c), lambda: ru.scale(c))
+    _agree(lambda: u.outer(w), lambda: ru.outer(rw))
+    _agree(lambda: w.outer(u), lambda: rw.outer(ru))
+    _agree(lambda: u.permute(sigma), lambda: ru.permute(sigma))
+    for slot in range(1, m + 1):
+        _agree(lambda: u.apply_coproduct(slot), lambda: ru.apply_coproduct(slot))
+        _agree(lambda: u.apply_counit(slot), lambda: ru.apply_counit(slot))
+    assert (u == v) == (ru == rv)
+    for x in (0, 1, -1, 2, c):
+        assert (u == x) == (ru == x)
+    # equal elements built along different routes are equal and hash equal
+    for twin in (B.tensor(m, dict(reversed(list(raw_u.items())))),
+                 u.scale(3).scale(QQ(1, 3)), (u + v) - v,
+                 B.tensor(m, (ru + rv - rv).terms)):
+        assert twin == u and hash(twin) == hash(u)
+
+
+@pytest.mark.parametrize("kind,generators", [
+    ("polynomial-primitive", ["p"]), ("tensor-primitive", ["p"]),
+])
+def test_keys_outside_the_cutoff_have_codes_up_to_a_bound(kind, generators):
+    B = construct_bialgebra(BialgebraSpec(kind, generators), 2)
+
+    def outside(i):  # pairwise distinct keys past the cutoff or off the generators
+        return Monomial({"p": 3 + i}) if kind == "polynomial-primitive" else (1 + i,)
+
+    elements = [B.element({outside(i): QQ(1)}) for i in range(OUTSIDE_KEYS)]
+    assert len({code for e in elements for code in e.codes}) == OUTSIDE_KEYS
+    assert [list(e.terms) for e in elements[-2:]] == [
+        [(outside(i),)] for i in (OUTSIDE_KEYS - 2, OUTSIDE_KEYS - 1)
+    ]
+    message = "more than %d keys outside the degree cutoff 2" % OUTSIDE_KEYS
+    with pytest.raises(ValueError, match=message):
+        B.element({outside(OUTSIDE_KEYS): QQ(1)})
+
+
+def test_packed_structure_maps_cancel_like_the_reference():
+    # sums inside Delta and eps that reach zero drop their term and bring it
+    # back at the end, as adding one term at a time does
+    T = construct_bialgebra(BialgebraSpec("tensor-primitive", ["x", "y"]), 3)
+    x, y = T.generator("x"), T.generator("y")
+    u = (x * y - y * x).outer(x) + x.outer(y)
+    M = construct_bialgebra(BialgebraSpec("monoid", ["a", "b"]), 3)
+    a, b = M.generator("a"), M.generator("b")
+    w = a.outer(b) - b.outer(b) + a.outer(a)
+    for e, slot in ((u, 1), (u, 2), (w, 1), (w, 2)):
+        ref = ReferenceTensor.of(e)
+        assert list(e.apply_coproduct(slot).terms.items()) == list(
+            ref.apply_coproduct(slot).terms.items())
+        assert list(e.apply_counit(slot).terms.items()) == list(
+            ref.apply_counit(slot).terms.items())
+    assert not (x * y - y * x).apply_coproduct(1).nonunit_part()  # primitive
+    assert w.apply_counit(1) == a

@@ -908,6 +908,39 @@ def test_product_pair_outside_the_basis_exits_two(pair, name):
                      "message": "unknown basis element %r" % name}
 
 
+@pytest.mark.parametrize("pair,row", [("1|p", {"q": "1"}), ("p|1", {"p": "2"}),
+                                      ("1|1", {})])
+def test_declared_unit_product_that_contradicts_the_unit_exits_two(pair, row):
+    # the declared product used to be overwritten by the implied one
+    job = emit_example("nonsmooth-counterexample")
+    job["inputs"]["algebra"]["products"][pair] = row
+    left, _, right = pair.partition("|")
+    error = _run_error(job)
+    assert error == {
+        "location": "inputs.algebra.products.%s" % pair,
+        "message": "declared product %s*%s contradicts the unit: it must be %s"
+        % (left, right, right if left == "1" else left),
+    }
+
+
+def test_declared_unit_product_that_agrees_with_the_unit_runs():
+    job = emit_example("nonsmooth-counterexample")
+    want = run(job)
+    job["inputs"]["algebra"]["products"]["p|1"] = {"p": "1", "q": "0"}
+    job["inputs"]["algebra"]["products"]["1|q"] = {"q": "1"}
+    got = run(job)
+    assert got[1] == want[1] == 0
+    assert got[0].to_json()["checks"] == want[0].to_json()["checks"]
+
+
+def test_bad_ternary_term_coefficient_exits_two_at_its_term():
+    job = emit_example("ternary-quantum-plane")
+    job["inputs"]["action"]["p1"]["p"][0]["coeff"] = "x"
+    error = _run_error(job)
+    assert error["location"] == "inputs.action.p1.p[0]"
+    assert error["message"].startswith("not an exact scalar: 'x'")
+
+
 def test_unknown_ternary_image_generator_message():
     job = emit_example("ternary-quantum-plane")
     images = job["inputs"]["action"]["p1"]

@@ -35,7 +35,7 @@ from udeform.generalized import (
 )
 from udeform import cli
 
-from conftest import antisym, bench_job
+from conftest import antisym, bench_job, operator_cochain
 
 
 def M(text):
@@ -74,6 +74,14 @@ class TestAlgebraSpecs:
     def test_product_pairs_name_basis_elements(self):
         with pytest.raises(ValueError, match="unknown basis element 'z'"):
             FiniteDimensionalAlgebra(["1", "x"], "1", {("x", "z"): {"x": 1}})
+
+    def test_declared_unit_products_agree_with_the_unit(self):
+        with pytest.raises(ValueError, match="declared product 1\\*x contradicts the unit"):
+            FiniteDimensionalAlgebra(["1", "x"], "1", {("1", "x"): {"1": 1}})
+        with pytest.raises(ValueError, match="declared product x\\*1 contradicts"):
+            FiniteDimensionalAlgebra(["1", "x"], "1", {("x", "1"): {"x": 2}})
+        A = FiniteDimensionalAlgebra(["1", "x"], "1", {("x", "1"): {"x": 1, "1": 0}})
+        assert A.product_keys("x", "1") == {"x": 1}
 
 
 class TestOperators:
@@ -466,7 +474,7 @@ class TestInfinitesimalLayer:
                 (M("q"), (("p", 1), ("q", 1)), QQ(2)),
             ],
         )
-        c = hochschild_differential(g0.as_cochain())
+        c = hochschild_differential(operator_cochain(g0))
         g, info = is_hochschild_coboundary(plane, c, search_bound=2)
         assert g is not None
         d = hochschild_differential(g)
@@ -540,7 +548,7 @@ class TestOneCoboundarySearch:
             ],
         )
         cochains = {
-            "roundtrip": hochschild_differential(g0.as_cochain()),
+            "roundtrip": hochschild_differential(operator_cochain(g0)),
             "zero": HochschildCochain(plane, 2, lambda x, y: plane.zero()),
             "moyal": infinitesimal_cocycle(moyal_udf, moyal_action),
             "euler": infinitesimal_cocycle(moyal_udf, euler_action),

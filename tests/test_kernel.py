@@ -386,7 +386,6 @@ def test_echelon_matches_fraction_gauss_jordan(rows, mixes, probes, rhs):
         residual = ech.reduce(vec)
         assert residual == gauss_jordan_reduce(rref, vec)
         assert all(type(x) is Fraction for x in residual.values())
-        assert ech.contains(vec) == (not residual)
 
     kernel = kernel_basis(rows, NCOLS)
     expected = []
@@ -425,5 +424,4 @@ def test_forward_span_agrees_with_echelon(rows, mixes, probes):
         assert full.add(row) == forward.add(row)
     assert full.rows == forward.rows
     for vec in rows + probes:
-        assert full.contains(vec) == forward.contains(vec)
         assert full.reduce(vec) == forward.reduce(vec)

@@ -248,7 +248,7 @@ def _termwise_circ_B(u, i, v):
         mid = _delta_steps(B.element({keys[i - 1]: QQ(1)}), n - 1) * v
         for mkeys, mc in mid.terms.items():
             add_term(out, keys[: i - 1] + mkeys + keys[i:], c * mc)
-    return u._like(out, u.arity + n - 1)
+    return B.tensor(u.arity + n - 1, out)
 
 
 def _stepwise_circ_b(u, i, v):
@@ -373,10 +373,11 @@ def test_iterated_coproduct_table_steps_once_per_entry(monkeypatch):
 
     monkeypatch.setattr(TensorElement, "apply_coproduct", counted)
     keys = B.basis_keys(2)
+    codes = [B.codec.slot(key) for key in keys]
     for _ in range(2):
-        for key in keys:
+        for code in codes:
             for k in (3, -1, 0, 1, 2):
-                B.iterated_coproduct_key(key, k)
+                B.iterated_coproduct_code(code, k)
     # one step per (key, k >= 1), each on a different element
     assert len(steps) == 3 * len(keys)
     assert len(set(steps)) == len(steps)
@@ -387,7 +388,8 @@ def test_iterated_coproduct_table_steps_once_per_entry(monkeypatch):
         circ_b(u, i, v)
     assert not steps  # every Delta^2 the compositions need is tabulated
     monkeypatch.undo()
-    for key in keys:
+    for key, code in zip(keys, codes):
         for k in (-1, 0, 1, 2, 3):
             want = _delta_steps(B.element({key: QQ(1)}), k)
-            assert list(B.iterated_coproduct_key(key, k).items()) == list(want.terms.items())
+            got = B.iterated_coproduct_code(code, k)
+            assert list(got.terms.items()) == list(want.terms.items())

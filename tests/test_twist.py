@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from udeform.kernel import Monomial, Polynomial, QQ, TruncSeries
 from udeform.bialgebra import BialgebraSpec, construct_bialgebra
@@ -377,3 +378,88 @@ class TestNonCounitalVariant:
         F = UDF(TruncSeries.constant(B.one(2), 2))
         with pytest.raises(CounitUnavailable):
             check_twisting(F, counital=True)
+
+
+# ---------------------------------------------------------------------------
+# negative controls: a twist perturbed at order k fails first at order k
+# ---------------------------------------------------------------------------
+
+CONTROL_ORDER = 3
+
+
+def _control_twists():
+    """(B, F) for a Moyal twist over polynomial-primitive and the trivial
+    twist over tensor-primitive and matrix-coordinate, all mod t^4; each
+    cutoff holds every product the check forms with X of slot degree <= 2,
+    X * X at order 2k <= 3 included."""
+    P = construct_bialgebra(BialgebraSpec("polynomial-primitive", ["p1", "p2"]), 6)
+    T = construct_bialgebra(BialgebraSpec("tensor-primitive", ["x", "y"]), 4)
+    M = construct_bialgebra(BialgebraSpec("matrix-coordinate"), 4)
+    return [
+        (P, make_exp_udf(antisym(P).scale(QQ(1, 2)), order=CONTROL_ORDER).series),
+        (T, TruncSeries.constant(T.one(2), CONTROL_ORDER)),
+        (M, TruncSeries.constant(M.one(2), CONTROL_ORDER)),
+    ]
+
+
+CONTROL_TWISTS = _control_twists()
+
+
+@st.composite
+def _perturbations(draw):
+    B, F = draw(st.sampled_from(CONTROL_TWISTS))
+    keys = B.basis_keys(2)
+    terms = draw(st.dictionaries(
+        st.tuples(st.sampled_from(keys), st.sampled_from(keys)),
+        st.sampled_from([QQ(1), QQ(-1), QQ(2), QQ(1, 2), QQ(-3, 4)]),
+        min_size=1, max_size=4,
+    ))
+    return B, F, draw(st.integers(1, CONTROL_ORDER)), B.tensor(2, terms)
+
+
+def _perturbed(F, k, X):
+    coeffs = list(F.coeffs)
+    coeffs[k] = coeffs[k] + X
+    return TwistingElement(TruncSeries(coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_perturbations())
+def test_perturbed_twist_fails_d1_first_at_k_by_the_additive_operator(case):
+    # F' = F + t^k X: below order k F' is F, and at order k the two sides
+    # of (d1) differ by the additive twist operator applied to X
+    B, F, k, X = case
+    one = B.one(1)
+    predicted = X.apply_coproduct(1) + X.outer(one) - X.apply_coproduct(2) - one.outer(X)
+    assume(predicted)
+    d1 = check_twisting(_perturbed(F, k, X), counital=False).entries[0]
+    assert not d1.ok
+    assert d1.witness == {"first_failing_order": k, "difference": predicted.render()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_perturbations())
+def test_perturbed_twist_fails_d2_first_at_k_on_the_nonzero_side(case):
+    B, F, k, X = case
+    left, right = X.apply_counit(1), X.apply_counit(2)
+    d2 = check_twisting(_perturbed(F, k, X), counital=True).entries[1]
+    assert d2.label == "(d2) counit normalization"
+    if not (left or right):
+        assert d2.ok
+        return
+    assert not d2.ok
+    assert d2.witness == {"first_failing_order": k, "side": "left" if left else "right"}
+
+
+def test_perturbations_reach_both_branches():
+    # the controls are not vacuous: some X fail (d1) and each (d2) side
+    P, F = CONTROL_TWISTS[0][0], CONTROL_TWISTS[0][1]
+    p1, one = P.generator("p1"), P.one(1)
+    X = p1.outer(p1 * p1)  # the additive operator gives -2 p1@p1@p1
+    d1, d2 = check_twisting(_perturbed(F, 2, X), counital=True).entries[:2]
+    assert d1.witness == {"first_failing_order": 2, "difference": "-2*p1@p1@p1"}
+    assert d2.ok
+    d2 = check_twisting(_perturbed(F, 1, one.outer(p1)), counital=True).entries[1]
+    assert d2.witness == {"first_failing_order": 1, "side": "left"}
+    d2 = check_twisting(_perturbed(F, 3, p1.outer(one)), counital=True).entries[1]
+    assert d2.witness == {"first_failing_order": 3, "side": "right"}
