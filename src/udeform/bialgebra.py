@@ -852,10 +852,9 @@ class TensorElement(SparseElement):
 
     # -- structure maps on slots ----------------------------------------------
     def substitute(self, slot, image, arity):
-        """(codes, den, cancelled): slot `slot` (1-based) of each term
-        replaced by the terms of image(its slot code), a packed element of
-        the given arity, and the results added up in term order;
-        `cancelled` tells whether a sum reached zero."""
+        """This element with slot `slot` (1-based) of each term replaced by
+        the terms of image(its slot code), a packed element of the given
+        arity, and the results added up in term order."""
         width, mask = self.parent.codec.width, self.parent.codec.mask
         at = (slot - 1) * width
         low = (1 << at) - 1
@@ -865,7 +864,7 @@ class TensorElement(SparseElement):
             for code, n in self.codes.items()
         ]
         den = lcm(*[e.den for _, _, e in parts])
-        acc, cancelled = {}, False
+        acc = {}
         get = acc.get
         for rest, n, e in parts:
             if e.den != den:
@@ -882,22 +881,19 @@ class TensorElement(SparseElement):
                     acc[code] = x
                 else:
                     del acc[code]
-                    cancelled = True
-        return acc, self.den * den, cancelled
+        return self._like(acc, self.arity - 1 + arity, self.den * den)
 
     def apply_coproduct(self, slot):
         """Delta on slot i (1-based); arity grows by one."""
         if not 1 <= slot <= self.arity:
             raise ValueError("slot %d out of range for arity %d" % (slot, self.arity))
-        codes, den, _ = self.substitute(slot, self.parent.codec.coproduct, 2)
-        return self._like(codes, self.arity + 1, den)
+        return self.substitute(slot, self.parent.codec.coproduct, 2)
 
     def apply_counit(self, slot):
         """eps on slot i (1-based); arity shrinks by one."""
         if not 1 <= slot <= self.arity:
             raise ValueError("slot %d out of range for arity %d" % (slot, self.arity))
-        codes, den, _ = self.substitute(slot, self.parent.codec.counit, 0)
-        return self._like(codes, self.arity - 1, den)
+        return self.substitute(slot, self.parent.codec.counit, 0)
 
     def insert_units(self, slot, count):
         """This element with `count` unit slots inserted before slot `slot`
@@ -984,8 +980,7 @@ def iterated_coproduct(b, k):
     if k < -1:
         raise ValueError("k must be >= -1")
     B = b.parent
-    codes, den, _ = b.substitute(1, lambda code: B.iterated_coproduct_code(code, k), k + 1)
-    return b._like(codes, k + 1, den)
+    return b.substitute(1, lambda code: B.iterated_coproduct_code(code, k), k + 1)
 
 
 # ---------------------------------------------------------------------------

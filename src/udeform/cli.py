@@ -538,15 +538,11 @@ def run_diagram(inputs, params):
             location="inputs.literal_action_variant.action",
         )
         variant_nodes = [
-            DiagramNode(n.name, n.bialgebra, n.algebra, n.action)
-            if n.name != node_name
+            n if n.name != node_name
             else DiagramNode(n.name, base.bialgebra, base.algebra, variant_action)
             for n in D.nodes.values()
         ]
-        variant = DiagramSpec(
-            variant_nodes,
-            [DiagramArrow(a.src, a.dst, a.h, a.phi) for a in D.arrows],
-        )
+        variant = DiagramSpec(variant_nodes, D.arrows)
         rep_var = diagram_compat_check(
             variant, cutoff=var_doc.get("compat_cutoff", params["degree"])
         )

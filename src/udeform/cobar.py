@@ -132,17 +132,12 @@ class CobarCochain:
         return CobarCochain(out, self.word_length + 1)
 
 
-def _insert_unit(T, position):
-    """Insert a unit tensor factor so it becomes slot `position` (1-based)."""
-    return T.insert_units(position, 1)
-
-
 def _reduced_coproduct_slot(T, slot):
     """Apply the reduced diagonal to one slot of a (Bbar)-tensor."""
     return (
         T.apply_coproduct(slot)
-        - _insert_unit(T, slot + 1)
-        - _insert_unit(T, slot)
+        - T.insert_units(slot + 1, 1)
+        - T.insert_units(slot, 1)
     )
 
 

@@ -289,6 +289,15 @@ def _require_variables(A, names, monomials=()):
             raise ValueError("unknown variable %r" % (name,))
 
 
+def _monomial_image(key, images, target):
+    """The image of the monomial `key` under the unital algebra morphism
+    into `target` that sends each variable `name` to images[name]."""
+    if key == ONE_MONOMIAL:
+        return target.one()
+    name, rest = key.split()
+    return _monomial_image(rest, images, target) * images[name]
+
+
 def _basis_images(A, data):
     """Images of every basis element of a finite-dimensional A as elements;
     zero where `data` names none.  A name outside the basis, as an argument
@@ -417,10 +426,7 @@ class AlgebraEndomorphism(Operator):
     def apply_key(self, key):
         if self.kind != "polynomial":
             return self.images[key]
-        if key == ONE_MONOMIAL:
-            return self.parent.one()
-        name, rest = key.split()
-        return self.apply_key(rest) * self.var_images[name]
+        return _monomial_image(key, self.var_images, self.parent)
 
     def apply(self, elem):
         return elem.map_terms(self.apply_key)

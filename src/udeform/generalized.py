@@ -34,12 +34,13 @@ from .deform import (
     Operator,
     StarProduct,
     TwistedProduct,
+    _monomial_image,
     _require_variables,
     check_module_algebra,
     require_commuting,
 )
 from .kernel import (
-    ONE_MONOMIAL, QQ, SparseElement, TruncSeries, add_term, bounded_product,
+    QQ, SparseElement, TruncSeries, add_term, bounded_product,
     clean_terms, series_multilinear,
 )
 from .linalg import ForwardSpan
@@ -561,10 +562,7 @@ class AlgebraMorphism:
         )
 
     def apply_key(self, key):
-        if key == ONE_MONOMIAL:
-            return self.target.one()
-        name, rest = key.split()
-        return self.apply_key(rest) * self.images[name]
+        return _monomial_image(key, self.images, self.target)
 
     def apply(self, elem):
         return elem.map_terms(self.apply_key, like=self.target.zero())

@@ -451,7 +451,8 @@ EXPECTED = {'assoc/matrix-cutoff': {'entries': [{'label': 'associativity case 1 
                                            'generator': 'p1'}}],
                   'name': 'diagram compatibility',
                   'passed': False},
- 'equivariance/matrix': {'entries': [{'label': 'inner equivariance u o (v.tau)',
+ 'equivariance/matrix': {'entries': [{'label': 'inner equivariance u o (v.tau), '
+                                               '30 outside the degree range',
                                       'ok': False,
                                       'witness': {'i': 1,
                                                   'lhs': '-2*a*c@a*b^2@a*c - '
@@ -470,7 +471,8 @@ EXPECTED = {'assoc/matrix-cutoff': {'entries': [{'label': 'associativity case 1 
                                                   'tau': [1, 3, 2],
                                                   'u': '-c',
                                                   'v': '2*a@a@a*b + a@d@a^2'}},
-                                     {'label': 'outer equivariance (u.sigma) o v',
+                                     {'label': 'outer equivariance (u.sigma) o v, '
+                                               '62 outside the degree range',
                                       'ok': True}],
                          'name': 'operad equivariance (matrix-coordinate)',
                          'passed': False},
