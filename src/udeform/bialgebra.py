@@ -781,12 +781,14 @@ class TensorElement(SparseElement):
     def __bool__(self):
         return bool(self.codes)
 
-    def _sum(self, other, sign):
-        d1, d2 = self.den, other.den
-        den = d1 if d1 == d2 else lcm(d1, d2)
-        f = den // d1
+    def _sum(self, others, sign):
+        """The integer sum over the lcm of all the denominators."""
+        den = lcm(self.den, *[o.den for o in others])
+        f = den // self.den
         acc = dict(self.codes) if f == 1 else {c: n * f for c, n in self.codes.items()}
-        return self._like(add_into(acc, other.codes, sign * (den // d2)), den=den)
+        for other in others:
+            add_into(acc, other.codes, sign * (den // other.den))
+        return self._like(acc, den=den)
 
     def __neg__(self):
         return self._like({c: -n for c, n in self.codes.items()}, den=self.den)

@@ -35,6 +35,7 @@ from .kernel import MINUS_ONE, QQ, add_term
 from .bialgebra import TensorElement
 from .linalg import Echelon, kernel_basis, quotient_representatives
 from .reports import CheckReport, first_witness
+from .twist import coboundary
 
 GRADED_KINDS = ("polynomial-primitive", "tensor-primitive")
 
@@ -54,13 +55,12 @@ def lambda_expected(num_primitives):
 # ---------------------------------------------------------------------------
 
 def reduced_diagonal(u):
-    """Delta(u) - u@1 - 1@u for u with eps(u) = 0; lands in Bbar @ Bbar."""
+    """Delta(u) - 1@u - u@1 for u with eps(u) = 0; lands in Bbar @ Bbar."""
     if u.arity != 1:
         raise ValueError("the reduced diagonal acts on arity-1 elements")
-    B = u.parent
     if u.apply_counit(1).scalar_value() != 0:
         raise ValueError("reduced diagonal needs eps(u) = 0")
-    out = u.apply_coproduct(1) - u.outer(B.one(1)) - B.one(1).outer(u)
+    out = coboundary(u)
     if not is_reduced_member(out):
         raise AssertionError("reduced diagonal left Bbar @ Bbar")
     return out

@@ -48,14 +48,15 @@ from .reports import CheckReport, first_witness
 from .twist import (
     UDF,
     GaugeElement,
-    TwistingElement,
+    TensorSeries,
     add_series_identity,
+    cocycle_sides,
     first_failing_order,
     gauge_transform,
     series_circ,
-    series_coproduct,
     series_outer,
     series_permute,
+    tensor_series,
 )
 
 MAX_PUBLIC_LEAVES = 7
@@ -400,24 +401,16 @@ class TernaryAction(KeyAction):
 # the arity-3 twist
 # ---------------------------------------------------------------------------
 
-class TernaryTwist:
+class TernaryTwist(TensorSeries):
     """H = F o_1 F: the arity-3 twist induced by an ordinary UDF."""
 
+    arity = 3
+    kind = "ternary twists"
+
     def __init__(self, series):
-        first = series.coeffs[0]
-        if not isinstance(first, TensorElement) or first.arity != 3:
-            raise ValueError("ternary twists are arity-3 tensor series")
-        if first != first.parent.one(3):
+        super().__init__(series)
+        if series.coeffs[0] != self.parent.one(3):
             raise ValueError("a ternary twist starts at 1@1@1")
-        self.series = series
-
-    @property
-    def parent(self):
-        return self.series.coeffs[0].parent
-
-    @property
-    def order(self):
-        return self.series.order
 
 
 def pass_udf(F):
@@ -428,8 +421,7 @@ def pass_udf(F):
     """
     if not isinstance(F, UDF):
         raise ValueError("the ternary twist is induced by a UDF")
-    h1 = series_circ(F.series, 1, F.series)
-    h2 = series_circ(F.series, 2, F.series)
+    h1, h2 = cocycle_sides(F.series)
     k = first_failing_order(h1, h2)
     if k is not None:
         raise ValueError(
@@ -517,21 +509,16 @@ def interchange_check(F1, F2):
 
         tau_1324 [ (Delta@Delta)(F') (F''@F'') ] = (Delta@Delta)(F'') (F'@F')
 
-    in B^(@4), exactly or order by order for series."""
-    s1 = F1.series if isinstance(F1, TwistingElement) else F1
-    s2 = F2.series if isinstance(F2, TwistingElement) else F2
-    if isinstance(s1, TensorElement):
-        s1 = TruncSeries.constant(s1, 0)
-    if isinstance(s2, TensorElement):
-        s2 = TruncSeries.constant(s2, 0)
-    if s1.order != s2.order:
-        raise ValueError("truncation orders differ")
+    in B^(@4), exactly or order by order for series.  Each side is a double
+    composition in the operad of B: (Delta@Delta)(a) (b@b) = (a o_2 b) o_1 b.
+    """
+    s1, s2 = tensor_series(F1), tensor_series(F2)
 
-    def double_coproduct(s):
-        return series_coproduct(series_coproduct(s, 1), 3)
+    def grafted(a, b):
+        return series_circ(series_circ(a, 2, b), 1, b)
 
-    lhs = series_permute(double_coproduct(s1) * series_outer(s2, s2), TAU_1324)
-    rhs = double_coproduct(s2) * series_outer(s1, s1)
+    lhs = series_permute(grafted(s1, s2), TAU_1324)
+    rhs = grafted(s2, s1)
     report = CheckReport("interchange coherence")
     add_series_identity(report, "tau_1324 identity in B^4", lhs, rhs)
     return report
@@ -730,7 +717,7 @@ def diagram_twist_check(D, arrow_index, triple, order=None):
         F2.check().passed,
     )
 
-    lhs = series_coproduct(G, 1) * F1.series
+    lhs = series_circ(G, 1, F1.series)
     rhs = arrow.phi.apply_tensor_series(F2.series) * series_outer(G, G)
     add_series_identity(
         report, "triple condition Delta(G) F1 = (phi@phi)(F2) (G@G)", lhs, rhs

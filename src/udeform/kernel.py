@@ -21,7 +21,8 @@ algebra and pAss elements elsewhere subclass it, and each reads its terms as
   taken as given;
 * `_canonical()`: what equality compares, (denominator, dict); by default
   (1, terms);
-* `_sum(other, sign)`: self + sign * other, by default over `terms`;
+* `_sum(others, sign)`: self + sign * (the sum of `others`) in one pass,
+  by default over `terms`;
 * `one_like()`: the unit of its space, if the space has one;
 * `_space()`: what two summands must share besides their class (the parent,
   plus the arity for tensors; None for polynomials);
@@ -56,6 +57,7 @@ alike.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from fractions import Fraction
@@ -213,18 +215,22 @@ class SparseElement:
         if not isinstance(other, SparseElement):
             return NotImplemented
         self._check_mate(other)
-        return self._sum(other, 1)
+        return self._sum((other,), 1)
 
     def __sub__(self, other):
         if not isinstance(other, SparseElement):
             return NotImplemented
         self._check_mate(other)
-        return self._sum(other, -1)
+        return self._sum((other,), -1)
 
-    def _sum(self, other, sign):
-        """self + sign * other for a mate `other` and sign 1 or -1."""
+    def _sum(self, others, sign):
+        """self + sign * (the sum of the mates `others`), sign 1 or -1: what
+        adding them one at a time gives, key order included."""
         c = MINUS_ONE if sign < 0 else 1
-        return self._like(add_into(dict(self.terms), other.terms, c))
+        acc = dict(self.terms)
+        for other in others:
+            add_into(acc, other.terms, c)
+        return self._like(acc)
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})
@@ -672,15 +678,22 @@ def series_multilinear(fn, *series):
     supports = [
         [(i, c) for i, c in enumerate(s.coeffs) if not _is_zero(c)] for s in series
     ]
-    slots = [None] * (n + 1)
+    terms = [[] for _ in range(n + 1)]
     for combo in itertools.product(*supports):
         k = sum(i for i, _ in combo)
-        if k > n:
-            continue
-        term = fn(*(c for _, c in combo))
-        slots[k] = term if slots[k] is None else slots[k] + term
-    if any(x is None for x in slots):
+        if k <= n:
+            terms[k].append(fn(*(c for _, c in combo)))
+    if not all(terms):
         probe = fn(*(s.coeffs[0] for s in series))
         zero = probe - probe
-        slots = [zero if x is None else x for x in slots]
-    return TruncSeries(slots)
+    return TruncSeries([_sum_of(parts) if parts else zero for parts in terms])
+
+
+def _sum_of(parts):
+    """parts[0] + parts[1] + ..., in one pass for sparse elements."""
+    first, rest = parts[0], parts[1:]
+    if not rest or not isinstance(first, SparseElement):
+        return functools.reduce(operator.add, parts)
+    for other in rest:
+        first._check_mate(other)
+    return first._sum(rest, 1)

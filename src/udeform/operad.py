@@ -165,8 +165,10 @@ def inflate_outer(sigma, i, n):
 # sampling
 # ---------------------------------------------------------------------------
 
-def random_tensor(B, rng, arity, max_degree=2, max_terms=2):
-    keys = B.basis_keys(max_degree)
+def random_tensor(B, rng, arity, max_terms=2):
+    """The random samples of every checker.  Slot degree 2, lowered at small
+    cutoffs so that most sampled compositions stay in the degree range."""
+    keys = B.basis_keys(max(1, min(2, B.cutoff // 3)))
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         tup = tuple(rng.choice(keys) for _ in range(arity))
@@ -239,13 +241,12 @@ def _exhaustive_low_degree_elements(B, flavor, total_degree=2, max_arity=2):
     return out
 
 
-def check_assoc_cases(flavor, B, samples=50, cutoff=None, seed=0):
+def check_assoc_cases(flavor, B, samples=50, seed=0):
     """All three associativity cases on random and exhaustive triples."""
     if flavor not in FLAVORS:
         raise ValueError("unknown operad flavor %r" % (flavor,))
     report = CheckReport("operad associativity (%s over %s)" % (flavor, B.spec.kind))
     rng = random.Random(seed)
-    max_degree = 2 if cutoff is None else max(1, min(2, cutoff // 3))
 
     failures = {1: None, 2: None, 3: None}
     tested = {1: 0, 2: 0, 3: 0}
@@ -268,9 +269,9 @@ def check_assoc_cases(flavor, B, samples=50, cutoff=None, seed=0):
                 }
 
     for _ in range(samples):
-        u = random_tensor(B, rng, _sample_arity(rng, flavor, B.counital), max_degree)
-        v = random_tensor(B, rng, _sample_arity(rng, flavor, B.counital), max_degree)
-        w = random_tensor(B, rng, _sample_arity(rng, flavor, B.counital), max_degree)
+        u = random_tensor(B, rng, _sample_arity(rng, flavor, B.counital))
+        v = random_tensor(B, rng, _sample_arity(rng, flavor, B.counital))
+        w = random_tensor(B, rng, _sample_arity(rng, flavor, B.counital))
         if u.arity == 0:
             u = B.one(1)
         run(u, v, w)
@@ -308,8 +309,8 @@ def check_equivariance(B, samples=50, seed=0):
 
     cases = []
     for _ in range(samples):
-        u = random_tensor(B, rng, rng.randint(1, 3), 2)
-        v = random_tensor(B, rng, rng.randint(1, 3), 2)
+        u = random_tensor(B, rng, rng.randint(1, 3))
+        v = random_tensor(B, rng, rng.randint(1, 3))
         cases.append((u, v))
     # the decisive low-degree case: a generator against 1@1
     for name in B.spec.generators[:4]:
@@ -363,7 +364,7 @@ def check_unit(flavor, B, samples=50, seed=0):
     report = CheckReport("operad unit laws (%s over %s)" % (flavor, B.spec.kind))
     rng = random.Random(seed)
     unit = _unit_payload(flavor, B)
-    elements = [random_tensor(B, rng, rng.randint(1, 3), 2) for _ in range(samples)]
+    elements = [random_tensor(B, rng, rng.randint(1, 3)) for _ in range(samples)]
     elements.extend(
         e for e in _exhaustive_low_degree_elements(B, flavor) if e.arity >= 1
     )

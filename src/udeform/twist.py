@@ -1,19 +1,24 @@
 """Twisting elements and universal deformation formulas over Q[[t]]/t^(N+1).
 
 A twisting element is an arity-2 tensor F over a bialgebra subject to the
-hexagon-style condition
+cocycle condition
 
-    (d1)  [(Delta @ id)(F)] (F @ 1)  =  [(id @ Delta)(F)] (1 @ F)
+    (d1)  [(Delta @ id)(F)] (F @ 1)  =  [(id @ Delta)(F)] (1 @ F),
 
-and, in the counital variant,
+that is F o_1 F = F o_2 F in the operad the bialgebra generates
+(`operad.circ_B`), and, in the counital variant,
 
     (d2)  (eps @ id)(F) = 1 = (id @ eps)(F).
+
+Every twist identity here is such a composition: (d1) and the rescaling
+test compare F o_1 F with F o_2 F, a gauge G = 1 + (ideal part) acts by
+F -> (G o_1 F) (G^-1 @ G^-1) with G o_1 F = Delta(G) F, and an additive
+twist f solves f o_1 f = f o_2 f in the logarithmic operad (`operad.circ_b`).
 
 Everything t-dependent is carried as a TruncSeries whose coefficients are
 tensors, so the generic series arithmetic of the kernel module does all the
 order bookkeeping.  A UDF is a twisting element of the shape 1@1 + (ideal
-part); gauge elements G = 1 + (ideal part) act by F -> Delta(G) F (G^-1 @
-G^-1).  For commutative coefficients the formal logarithm turns all of this
+part).  For commutative coefficients the formal logarithm turns all of this
 into linear algebra (the additive picture), and over one-generator
 polynomial bialgebras there is a further dictionary into bivariate
 polynomials and a functional equation.
@@ -27,7 +32,7 @@ from .kernel import (
     series_multilinear,
 )
 from .linalg import solve as linalg_solve
-from .operad import circ_B
+from .operad import circ_B, circ_b
 from .reports import CheckReport
 
 DEFAULT_ORDER = 6
@@ -49,9 +54,6 @@ def series_outer(a, b):
     """Tensor-concatenation of two tensor-valued series (Cauchy pattern)."""
     return series_multilinear(lambda x, y: x.outer(y), a, b)
 
-def series_coproduct(s, slot):
-    return s.map_coeffs(lambda c: c.apply_coproduct(slot))
-
 def series_counit(s, slot):
     return s.map_coeffs(lambda c: c.apply_counit(slot))
 
@@ -61,6 +63,11 @@ def series_permute(s, sigma):
 def series_circ(a, i, b):
     """Multiplicative operadic composition extended over series (bilinear)."""
     return series_multilinear(lambda x, y: circ_B(x, i, y), a, b)
+
+def cocycle_sides(s):
+    """F o_1 F and F o_2 F for an arity-2 tensor series F, the two sides of
+    (d1): (Delta@id)(F) (F@1) = F o_1 F and (id@Delta)(F) (1@F) = F o_2 F."""
+    return series_circ(s, 1, s), series_circ(s, 2, s)
 
 def first_failing_order(a, b):
     """Index of the first differing coefficient of two series, or None."""
@@ -74,22 +81,21 @@ def first_failing_order(a, b):
 # twisting elements
 # ---------------------------------------------------------------------------
 
-class TwistingElement:
-    """An arity-2 tensor series; validity is established by check(), never assumed."""
+class TensorSeries:
+    """A series of arity-`arity` tensors over one bialgebra, held as
+    `series`; a subclass names its `arity` and, for messages, its `kind`."""
+
+    arity = 2
+    kind = "twisting elements"
 
     def __init__(self, series):
         first = series.coeffs[0]
-        if not isinstance(first, TensorElement) or first.arity != 2:
-            raise ValueError("twisting elements are arity-2 tensor series")
+        if not isinstance(first, TensorElement) or first.arity != self.arity:
+            raise ValueError("%s are arity-%d tensor series" % (self.kind, self.arity))
         for c in series.coeffs:
-            if c.parent is not first.parent or c.arity != 2:
+            if c.parent is not first.parent or c.arity != self.arity:
                 raise ValueError("series coefficients disagree on parent or arity")
         self.series = series
-        self._verdicts = {}
-
-    @staticmethod
-    def from_tensor(te, order=0):
-        return TwistingElement(TruncSeries.constant(te, order))
 
     @property
     def parent(self):
@@ -98,6 +104,24 @@ class TwistingElement:
     @property
     def order(self):
         return self.series.order
+
+
+def tensor_series(x):
+    """The tensor series behind a wrapper, a bare series, or a plain tensor
+    (taken as a series of order 0)."""
+    if isinstance(x, TensorSeries):
+        return x.series
+    if isinstance(x, TensorElement):
+        return TruncSeries.constant(x, 0)
+    return x
+
+
+class TwistingElement(TensorSeries):
+    """An arity-2 tensor series; validity is established by check(), never assumed."""
+
+    def __init__(self, series):
+        super().__init__(series)
+        self._verdicts = {}
 
     def check(self, counital=True, symmetric=False):
         key = (self.order, bool(counital), bool(symmetric))
@@ -123,7 +147,7 @@ class UDF(TwistingElement):
             raise ValueError("a UDF starts at 1@1 in the t^0 slot")
 
 
-class GaugeElement:
+class GaugeElement(TensorSeries):
     """G = 1 + (ideal part) in B[[t]]/t^(N+1), with its inverse cached.
 
     Over a counital bialgebra the ideal part must be counit-free: a gauge
@@ -132,29 +156,22 @@ class GaugeElement:
     preserve.
     """
 
+    arity = 1
+    kind = "gauge elements"
+
     def __init__(self, series):
-        first = series.coeffs[0]
-        if not isinstance(first, TensorElement) or first.arity != 1:
-            raise ValueError("gauge elements are arity-1 tensor series")
-        if first != first.parent.one(1):
+        super().__init__(series)
+        B = self.parent
+        if series.coeffs[0] != B.one(1):
             raise ValueError("a gauge element starts at 1 in the t^0 slot")
-        if first.parent.counital:
+        if B.counital:
             for k in range(1, series.order + 1):
                 if series.coeffs[k].apply_counit(1).scalar_value():
                     raise ValueError(
                         "gauge elements are counit-normalized: eps vanishes "
                         "on the ideal part (fails at order %d)" % k
                     )
-        self.series = series
         self._inverse = None
-
-    @property
-    def parent(self):
-        return self.series.coeffs[0].parent
-
-    @property
-    def order(self):
-        return self.series.order
 
     def inverse(self):
         if self._inverse is None:
@@ -165,24 +182,15 @@ class GaugeElement:
         return self._inverse
 
 
-class AdditiveTwist:
+class AdditiveTwist(TensorSeries):
     """Arity-2 tensor series with no t^0 part; the logarithmic picture."""
 
+    kind = "additive twists"
+
     def __init__(self, series):
-        first = series.coeffs[0]
-        if not isinstance(first, TensorElement) or first.arity != 2:
-            raise ValueError("additive twists are arity-2 tensor series")
-        if first:
+        super().__init__(series)
+        if series.coeffs[0]:
             raise ValueError("an additive twist has zero t^0 part")
-        self.series = series
-
-    @property
-    def parent(self):
-        return self.series.coeffs[0].parent
-
-    @property
-    def order(self):
-        return self.series.order
 
     def __eq__(self, other):
         return isinstance(other, AdditiveTwist) and self.series == other.series
@@ -213,27 +221,20 @@ def check_twisting(F, counital=True, symmetric=False):
     the offending difference tensor.
     """
     if isinstance(F, TensorElement):
-        F = TwistingElement.from_tensor(F)
+        F = TwistingElement(tensor_series(F))
     B = F.parent
     s = F.series
     report = CheckReport("twisting element over %s" % B.spec.kind)
 
-    one1 = TruncSeries.constant(B.one(1), F.order)
-    lhs = series_coproduct(s, 1) * series_outer(s, one1)
-    rhs = series_coproduct(s, 2) * series_outer(one1, s)
-    add_series_identity(report, "(d1) cocycle identity", lhs, rhs)
+    add_series_identity(report, "(d1) cocycle identity", *cocycle_sides(s))
 
     if counital:
         B.require_counit()
         target = TruncSeries.constant(B.one(1), F.order)
-        left = series_counit(s, 1)
-        right = series_counit(s, 2)
-        k = first_failing_order(left, target)
-        if k is None:
-            k = first_failing_order(right, target)
-            side = "right"
-        else:
-            side = "left"
+        for slot, side in ((1, "left"), (2, "right")):
+            k = first_failing_order(series_counit(s, slot), target)
+            if k is not None:
+                break
         report.add(
             "(d2) counit normalization",
             k is None,
@@ -264,32 +265,37 @@ def make_exp_udf(r, order=DEFAULT_ORDER):
 
 
 def gauge_transform(F, G):
-    """Delta(G) F (G^-1 @ G^-1); preserves (d1)-validity, which is re-verified."""
+    """Delta(G) F (G^-1 @ G^-1), with Delta(G) F = G o_1 F; preserves
+    (d1)-validity, which is re-verified."""
     if not isinstance(F, UDF):
         raise ValueError("gauge transforms act on UDFs")
     if F.parent is not G.parent:
         raise ValueError("UDF and gauge element live over different bialgebras")
-    if F.order != G.order:
-        raise ValueError("truncation orders differ")
     ginv = G.inverse()
-    out = series_coproduct(G.series, 1) * F.series * series_outer(ginv, ginv)
-    result = UDF(out)
-    d1_before = F.check(counital=False).passed
-    if d1_before and not result.check(counital=False).passed:
+    result = UDF(series_circ(G.series, 1, F.series) * series_outer(ginv, ginv))
+    if F.check(counital=False).passed and not result.check(counital=False).passed:
         raise AssertionError("gauge transform broke (d1); this is a bug")
     return result
 
 
 def additive_twist_equation(f):
-    """Check (Delta@id)f + f@1 = (id@Delta)f + 1@f; returns a report."""
-    s = f.series if isinstance(f, AdditiveTwist) else f
-    B = s.coeffs[0].parent
-    one1 = TruncSeries.constant(B.one(1), s.order)
-    lhs = series_coproduct(s, 1) + series_outer(s, one1)
-    rhs = series_coproduct(s, 2) + series_outer(one1, s)
+    """Check f o_1 f = f o_2 f in the additive operad, that is
+    (Delta@id)f + f@1 = (id@Delta)f + 1@f, one coefficient at a time (the
+    composition is not bilinear); returns a report."""
+    s = tensor_series(f)
+    lhs = s.map_coeffs(lambda c: circ_b(c, 1, c))
+    rhs = s.map_coeffs(lambda c: circ_b(c, 2, c))
     report = CheckReport("additive twist equation")
     add_series_identity(report, "additive cocycle identity", lhs, rhs)
     return report
+
+
+def coboundary(g):
+    """Delta(g) - 1@g - g@1 for an arity-1 tensor g: the additive gauge
+    shift, the map the first-order gauge search inverts, and cobar's
+    reduced diagonal."""
+    one = g.parent.one(1)
+    return g.apply_coproduct(1) - one.outer(g) - g.outer(one)
 
 
 def _require_log_trick(B, order):
@@ -307,8 +313,7 @@ def to_additive(F):
     """
     if not isinstance(F, UDF):
         raise ValueError("the logarithm is taken of a UDF")
-    B = F.parent
-    _require_log_trick(B, F.order)
+    _require_log_trick(F.parent, F.order)
     f = AdditiveTwist(F.series.log())
     mult_ok = F.check(counital=False).passed
     add_ok = additive_twist_equation(f).passed
@@ -321,8 +326,7 @@ def to_additive(F):
 
 def from_additive(f):
     """exp(f); inverse of to_additive under the same hypotheses."""
-    B = f.parent
-    _require_log_trick(B, f.order)
+    _require_log_trick(f.parent, f.order)
     return UDF(f.series.exp())
 
 
@@ -330,35 +334,28 @@ def additive_gauge(f, g):
     """f + Delta(g) - 1@g - g@1 for g an arity-1 series with zero t^0 part."""
     if not isinstance(g, TruncSeries):
         raise ValueError("g must be an arity-1 tensor series")
-    gs = g
-    B = f.parent
-    _require_log_trick(B, f.order)
-    if gs.coeffs[0]:
+    _require_log_trick(f.parent, f.order)
+    if g.coeffs[0]:
         raise ValueError("additive gauge elements have zero t^0 part")
-    one1 = TruncSeries.constant(B.one(1), f.order)
-    shift = series_coproduct(gs, 1) - series_outer(one1, gs) - series_outer(gs, one1)
-    return AdditiveTwist(f.series + shift)
+    return AdditiveTwist(f.series + g.map_coeffs(coboundary))
 
 
 def rescale(F, a):
     """Normalize a general morphism pair (F, a) by the literal 1/a rescaling.
 
-    Preconditions: F o_1 F = F o_2 F and a*(eps@id)F = 1 = a*(id@eps)F.
-    The rescaled twist (1/a)F is then validated against the counit
-    normalization; pairs whose rescaling fails it are rejected.
+    Preconditions: F o_1 F = F o_2 F, which is (d1) for F, and
+    a*(eps@id)F = 1 = a*(id@eps)F.  The rescaled twist (1/a)F is then
+    validated against the counit normalization; pairs whose rescaling fails
+    it are rejected.
     """
     a = as_scalar(a)
     if a == 0:
         raise ValueError("the arity-0 value must be nonzero")
     if not isinstance(F, TensorElement) or F.arity != 2:
         raise ValueError("rescale acts on plain arity-2 tensors")
-    B = F.parent
-    one3 = B.one(1)
-    d1_lhs = F.apply_coproduct(1) * F.outer(one3)
-    d1_rhs = F.apply_coproduct(2) * one3.outer(F)
-    if d1_lhs != d1_rhs:
+    if circ_B(F, 1, F) != circ_B(F, 2, F):
         raise ValueError("pair rejected: F does not satisfy the cocycle relation")
-    one = B.one(1)
+    one = F.parent.one(1)
     if a * F.apply_counit(1) != one or a * F.apply_counit(2) != one:
         raise ValueError("pair rejected: a*(eps@id)F = 1 fails")
     scaled = F.scale(1 / a)
@@ -379,18 +376,13 @@ def first_order_gauge(F1, F2, degree_bound=None):
     Only the t^1 layer is searched (a finite linear solve over the
     degree-bounded basis of B); higher orders are out of scope.
     """
-    s1 = F1.series if isinstance(F1, TwistingElement) else F1
-    s2 = F2.series if isinstance(F2, TwistingElement) else F2
+    s1, s2 = tensor_series(F1), tensor_series(F2)
     B = s1.coeffs[0].parent
     bound = B.cutoff if degree_bound is None else degree_bound
     target = s2.coeffs[1] - s1.coeffs[1]
 
     gamma_keys = B.basis_keys(bound)
-    one = B.one(1)
-    columns = []
-    for k in gamma_keys:
-        e = B.element({k: QQ(1)})
-        columns.append((e.apply_coproduct(1) - one.outer(e) - e.outer(one)).terms)
+    columns = [coboundary(B.element({k: QQ(1)})).terms for k in gamma_keys]
     sol = linalg_solve(columns, target.terms)
     if sol is None:
         return None
@@ -407,9 +399,7 @@ def to_bivariate(F, names=("u1", "u2")):
     p^a @ p^b goes to u1^a u2^b; only single-generator polynomial-primitive
     parents admit this dictionary.
     """
-    s = F.series if isinstance(F, TwistingElement) else F
-    if isinstance(s, TensorElement):
-        s = TruncSeries.constant(s, 0)
+    s = tensor_series(F)
     B = s.coeffs[0].parent
     if B.spec.kind != "polynomial-primitive" or len(B.spec.generators) != 1:
         raise ValueError("the bivariate dictionary needs one primitive generator")

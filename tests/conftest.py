@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from udeform.kernel import QQ, Polynomial, SparseElement, add_into
+from udeform.kernel import QQ, Polynomial, SparseElement, TruncSeries, add_into
 from udeform.bialgebra import BialgebraSpec, construct_bialgebra
-from udeform.twist import make_exp_udf
+from udeform.twist import make_exp_udf, series_outer
 from udeform.deform import (
     HochschildCochain, PolynomialTruncatedAlgebra, _apply_poly_operator,
     action_from_derivations,
@@ -178,6 +178,21 @@ class ReferenceTensor(SparseElement):
     def permute(self, sigma):
         return self._like({tuple(keys[s - 1] for s in sigma): c
                            for keys, c in self.terms.items()})
+
+
+def coproduct_series(s, slot):
+    """Delta on slot `slot` of every coefficient of a tensor series."""
+    return s.map_coeffs(lambda c: c.apply_coproduct(slot))
+
+
+def hand_cocycle_sides(s):
+    """The two sides of (d1) for an arity-2 tensor series F, built by hand
+    from the coproduct, the concatenation and the product:
+    (Delta@id)(F) (F@1) and (id@Delta)(F) (1@F).  The reference route for
+    the library's F o_1 F and F o_2 F."""
+    one = TruncSeries.constant(s.coeffs[0].parent.one(1), s.order)
+    return (coproduct_series(s, 1) * series_outer(s, one),
+            coproduct_series(s, 2) * series_outer(one, s))
 
 
 def in_span(ech, vec):

@@ -1,10 +1,12 @@
+import functools
 import itertools
+import operator
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from udeform.kernel import Monomial, QQ, clean_terms
+from udeform.kernel import Monomial, QQ, TruncSeries, clean_terms, series_multilinear
 from udeform.bialgebra import (
     OUTSIDE_KEYS,
     BialgebraSpec,
@@ -539,6 +541,31 @@ def test_packed_elements_match_the_reference_route(case):
                  u.scale(3).scale(QQ(1, 3)), (u + v) - v,
                  B.tensor(m, (ru + rv - rv).terms)):
         assert twin == u and hash(twin) == hash(u)
+
+
+@st.composite
+def _summands(draw):
+    B, pool = draw(st.sampled_from(PACKED_BIALGEBRAS))
+    keys = st.tuples(st.sampled_from(pool[:4]), st.sampled_from(pool[:4]))
+    coeffs = st.sampled_from(COEFFS + [QQ(3, 4), QQ(-1, 6)])
+    return [B.tensor(2, draw(st.dictionaries(keys, coeffs, max_size=4)))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_summands())
+def test_series_slots_add_up_as_repeated_sums(parts):
+    # with fn(x, y) = x and y = 1 in every slot, slot k of the Cauchy
+    # pattern is a_0 + ... + a_k: one pass over the lcm of the denominators
+    # must give what adding the nonzero a_i one at a time gives, key order
+    # included
+    a = TruncSeries(parts)
+    slots = series_multilinear(lambda x, _: x, a, TruncSeries([1] * len(parts)))
+    for k, slot in enumerate(slots.coeffs):
+        nonzero = [x for x in parts[:k + 1] if x]
+        want = functools.reduce(operator.add, nonzero, parts[0].zero_like())
+        assert list(slot.terms.items()) == list(want.terms.items())
+        assert slot.render() == want.render()
 
 
 @pytest.mark.parametrize("kind,generators", [

@@ -246,6 +246,40 @@ def test_udf_orders_form(tmp_path):
     assert main(["run", "--job", path]) == 0
 
 
+def test_non_twist_fails_d1_at_order_two():
+    # F = 1@1 + t p1@p2 + t^2 (1/2 p1^2@p2^2 + p1^2@1): the exponential of
+    # p1@p2 up to order 1, and at order 2 the extra p1^2@1 breaks (d1) by
+    # (Delta@id)(p1^2@1) + p1^2@1@1 - (id@Delta)(p1^2@1) - 1@p1^2@1
+    job = {
+        "command": "verify-twist",
+        "inputs": {
+            "bialgebra": {"kind": "polynomial-primitive", "generators": ["p1", "p2"]},
+            "udf": {
+                "orders": [
+                    [{"coeff": "1", "slots": ["1", "1"]}],
+                    [{"coeff": "1", "slots": ["p1", "p2"]}],
+                    [
+                        {"coeff": "1/2", "slots": ["p1^2", "p2^2"]},
+                        {"coeff": "1", "slots": ["p1^2", "1"]},
+                    ],
+                ]
+            },
+            "options": {"counital": False},
+        },
+        "parameters": {"order": 2},
+    }
+    report, code = run(job)
+    out = report.to_json()
+    assert out["data"]["outcomes"] == {"twist": False}
+    [check] = out["checks"]
+    assert check["entries"] == [{
+        "label": "(d1) cocycle identity",
+        "ok": False,
+        "witness": {"first_failing_order": 2, "difference": "2*p1@p1@1 + p1^2@1@1"},
+    }]
+    assert code == 1
+
+
 def test_product_table_text_alignment(tmp_path):
     path = write_job(tmp_path, emit_example("quantum-plane"))
     out = tmp_path / "r.txt"

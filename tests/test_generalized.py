@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from udeform.kernel import Monomial, Polynomial, QQ, TruncSeries
-from udeform.bialgebra import BialgebraSpec, construct_bialgebra
+from udeform.bialgebra import BialgebraSpec, CutoffError, construct_bialgebra
+from udeform.operad import circ_B
 from udeform.twist import (
     GaugeElement,
     gauge_transform,
@@ -39,6 +41,7 @@ from udeform.generalized import (
 from conftest import (
     antisym,
     bench_job,
+    coproduct_series,
     guard_shape_builds,
     labeled_quotient,
     labeled_relation,
@@ -319,6 +322,43 @@ class TestInterchange:
         assert got_lhs_minus_rhs == expected.render()
 
 
+INTERCHANGE_BIALGEBRAS = [
+    construct_bialgebra(BialgebraSpec("tensor-primitive", ["x", "y"]), cutoff)
+    for cutoff in (3, 4)
+]
+
+
+@st.composite
+def _interchange_pairs(draw):
+    B = draw(st.sampled_from(INTERCHANGE_BIALGEBRAS))
+    pool = B.basis_keys(2)
+    keys = st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+    coeffs = st.sampled_from([QQ(1), QQ(-1), QQ(2), QQ(1, 2)])
+    a, b = (B.tensor(2, draw(st.dictionaries(keys, coeffs, max_size=3)))
+            for _ in range(2))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_interchange_pairs())
+def test_double_composition_is_the_hand_built_interchange_side(pair):
+    # (a o_2 b) o_1 b = (Delta@Delta)(a) (b@b), the route interchange_check
+    # takes for each side; the operad route forms every slot product of the
+    # hand route before any cancellation, so it raises wherever that does
+    a, b = pair
+    try:
+        want = a.apply_coproduct(1).apply_coproduct(3) * b.outer(b)
+    except CutoffError:
+        with pytest.raises(CutoffError):
+            circ_B(circ_B(a, 2, b), 1, b)
+        return
+    try:
+        got = circ_B(circ_B(a, 2, b), 1, b)
+    except CutoffError:
+        return
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # diagrams
 # ---------------------------------------------------------------------------
@@ -429,10 +469,10 @@ class TestDiagrams:
         # choose F1 so that condition (ii) holds by construction:
         # Delta(G) F1 (G^-1 @ G^-1) = F2, i.e. F1 = Delta(G^-1)-conjugate of F2
         ginv = GaugeElement(G).inverse()
-        from udeform.twist import UDF, series_coproduct, series_outer
+        from udeform.twist import UDF, series_outer
 
         F1 = UDF(
-            series_coproduct(ginv, 1) * F2.series * series_outer(G, G)
+            coproduct_series(ginv, 1) * F2.series * series_outer(G, G)
         )
         triple = TwistTriple(F1, G, F2)
         rep = diagram_twist_check(D, 0, triple, order=3)

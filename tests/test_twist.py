@@ -4,27 +4,32 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from udeform.kernel import Monomial, Polynomial, QQ, TruncSeries
-from udeform.bialgebra import BialgebraSpec, construct_bialgebra
+from udeform.bialgebra import BialgebraSpec, CutoffError, construct_bialgebra
+from udeform.reports import CheckReport
 from udeform.twist import (
     UDF,
     AdditiveTwist,
     GaugeElement,
     TwistingElement,
     additive_gauge,
+    add_series_identity,
     additive_twist_equation,
     check_functional_equation,
     check_twisting,
+    cocycle_sides,
     first_order_gauge,
     from_additive,
     gauge_transform,
     make_exp_udf,
     rescale,
+    series_circ,
     series_from_orders,
+    series_outer,
     to_additive,
     to_bivariate,
 )
 
-from conftest import antisym
+from conftest import IDEMPOTENT_TABLE, antisym, coproduct_series, hand_cocycle_sides
 
 
 def d1_passes(report):
@@ -55,10 +60,7 @@ class TestCheckTwisting:
         p = B1.generator("p")
         one = B1.one(1)
         F = make_exp_udf(p.outer(p), order=2)
-        from udeform.twist import series_coproduct, series_outer
-
-        s = F.series
-        lhs = series_coproduct(s, 1) * series_outer(s, TruncSeries.constant(one, 2))
+        lhs, rhs = cocycle_sides(F.series)
         p2 = p * p
         expected_t2 = (
             p2.outer(one).outer(p2).scale(QQ(1, 2))
@@ -69,6 +71,7 @@ class TestCheckTwisting:
             + p.outer(p2).outer(p)
         )
         assert lhs.coeffs[2] == expected_t2
+        assert rhs.coeffs[2] == expected_t2
 
     def test_non_twist_fails_with_order_witness(self, B1):
         p = B1.generator("p")
@@ -86,7 +89,7 @@ class TestCheckTwisting:
         assert moyal_udf.check() is first
 
 
-def test_moyal_against_substitution_oracle(moyal_udf, B2):
+def test_moyal_against_substitution_oracle(moyal_udf):
     """Independent oracle: the substitution picture over sympy.
 
     Slot i of the two-generator bialgebra maps to variables (x_i, y_i); the
@@ -110,12 +113,7 @@ def test_moyal_against_substitution_oracle(moyal_udf, B2):
             expr += term
         return sp.expand(expr)
 
-    from udeform.twist import series_coproduct, series_outer
-
-    s = moyal_udf.series
-    one1 = TruncSeries.constant(B2.one(1), s.order)
-    lhs = series_coproduct(s, 1) * series_outer(s, one1)
-    rhs = series_coproduct(s, 2) * series_outer(one1, s)
+    lhs, rhs = cocycle_sides(moyal_udf.series)
     mine_lhs = sum(tensor_to_expr(lhs.coeffs[k]) * t**k for k in range(K + 1))
     mine_rhs = sum(tensor_to_expr(rhs.coeffs[k]) * t**k for k in range(K + 1))
 
@@ -463,3 +461,88 @@ def test_perturbations_reach_both_branches():
     assert d2.witness == {"first_failing_order": 1, "side": "left"}
     d2 = check_twisting(_perturbed(F, 3, p1.outer(one)), counital=True).entries[1]
     assert d2.witness == {"first_failing_order": 3, "side": "right"}
+
+
+# ---------------------------------------------------------------------------
+# the twist identities through the operad against the hand-built route
+# ---------------------------------------------------------------------------
+
+def _operad_bialgebras():
+    """The five kinds at cutoffs 2 and 3; the pools hold the basis keys one
+    degree below the cutoff, so that some products pass it and most do not."""
+    out = []
+    for cutoff in (2, 3):
+        for args, kwargs in (
+            (("polynomial-primitive", ["p", "q"]), {}),
+            (("tensor-primitive", ["x", "y"]), {}),
+            (("matrix-coordinate",), {}),
+            (("monoid", ["a", "b"]), {}),
+            (("monoid",), {"monoid_table": IDEMPOTENT_TABLE}),
+        ):
+            B = construct_bialgebra(BialgebraSpec(*args, **kwargs), cutoff)
+            out.append((B, B.basis_keys(cutoff - 1)))
+    return out
+
+
+OPERAD_BIALGEBRAS = _operad_bialgebras()
+SERIES_ORDER = 2
+
+
+@st.composite
+def _tensor_series(draw, B, pool, arity):
+    # few keys per slot, so that terms share slots and their products merge
+    # and cancel; a coefficient may be zero and the t^0 slot need not be 1
+    slots = [
+        draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        for _ in range(arity)
+    ]
+    keys = st.tuples(*(st.sampled_from(slot) for slot in slots))
+    coeffs = st.sampled_from([QQ(1), QQ(-1), QQ(2), QQ(-1, 2), QQ(2, 3)])
+    return TruncSeries([
+        B.tensor(arity, draw(st.dictionaries(keys, coeffs, max_size=3)))
+        for _ in range(SERIES_ORDER + 1)
+    ])
+
+
+@st.composite
+def _twist_cases(draw):
+    B, pool = draw(st.sampled_from(OPERAD_BIALGEBRAS))
+    return B, draw(_tensor_series(B, pool, 2)), draw(_tensor_series(B, pool, 1))
+
+
+def _agree_or_cutoff(new, hand):
+    """The operad route gives the hand-built value, or raises CutoffError:
+    it forms every slot product of the hand route before any cancellation,
+    so it raises wherever the hand route does, and may raise where that
+    route's cancellations avoid a product past the cutoff."""
+    try:
+        want = hand()
+    except CutoffError:
+        with pytest.raises(CutoffError):
+            new()
+        return
+    try:
+        got = new()
+    except CutoffError:
+        return
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_twist_cases())
+def test_twist_identities_through_the_operad_match_the_hand_route(case):
+    B, s, g = case
+    # (d1): F o_1 F and F o_2 F, in check_twisting and pass_udf; the t^0
+    # slot is the rescaling test's circ_B(F0, i, F0)
+    _agree_or_cutoff(lambda: cocycle_sides(s), lambda: hand_cocycle_sides(s))
+    # the gauge action and the triple condition: Delta(G) F = G o_1 F
+    _agree_or_cutoff(lambda: series_circ(g, 1, s), lambda: coproduct_series(g, 1) * s)
+    # the additive picture, with its witness: f o_1 f = f o_2 f in circ_b
+    one = TruncSeries.constant(B.one(1), SERIES_ORDER)
+    want = CheckReport("additive twist equation")
+    add_series_identity(
+        want, "additive cocycle identity",
+        coproduct_series(s, 1) + series_outer(s, one),
+        coproduct_series(s, 2) + series_outer(one, s),
+    )
+    assert additive_twist_equation(s).to_json() == want.to_json()
