@@ -44,11 +44,9 @@ from .twist import (
     to_bivariate,
 )
 from .cobar import (
-    CobarCochain,
     check_oracle_agreement,
     h2,
     lambda_expected,
-    reduced_diagonal,
     twi_direct,
 )
 from .deform import (

@@ -17,14 +17,18 @@ coefficient 1: `product_keys(k1, k2)` returns a one-term dict {k1*k2: 1}.
 A tensor element is stored in one integer form, as FLINT's fmpq_poly stores a
 polynomial: a dict {code: integer numerator} over one positive denominator,
 with no common factor left between them.  A code is a key tuple packed into
-one int by the bialgebra's `KeyCodec`: each key has a slot code, the unit 0,
-and slot s sits s slot widths up.  The commutative monomial kinds use
-Kronecker codes (`KeyPacking`), so the code of a slotwise product is the sum
-of the factors' codes, and a guard bit tells when a sum passes the cutoff;
-the other kinds number their keys (`KeyIndex`) and multiply slot by slot
-through a memoized table of codes.  Sums, scaling, products, the coproduct
-and counit on a slot (through per-key tables of codes), outer products,
-permutations, equality and hashing are then integer dict operations.  Key
+one int by the bialgebra's `KeyCodec`: each key within the cutoff has a slot
+code, the unit 0, and slot s sits s slot widths up.  A code is a key within
+the cutoff and nothing else: an element built on a key past the cutoff
+raises CutoffError from `check_cutoff`, and one on a key that names no
+generator raises KeyError, as `parse_key` does.  The commutative monomial
+kinds use Kronecker codes (`KeyPacking`), so the code of a slotwise product
+is the sum of the factors' codes, and a guard bit tells when a sum passes
+the cutoff; the other kinds number their basis (`KeyIndex`) and multiply
+slot by slot through a memoized table of codes.  Sums, scaling, products,
+the coproduct and counit on a slot (through per-key tables of codes), outer
+products, permutations, equality and hashing are then integer dict
+operations.  Key
 tuples and Fractions appear only at the boundary: the constructor, `terms`,
 `sorted_terms` and `render`.
 
@@ -202,6 +206,10 @@ class Bialgebra:
     def key_sort_key(self, key):
         raise NotImplementedError
 
+    def _named(self, key):
+        """The key, when each of its letters names a generator; else KeyError."""
+        raise NotImplementedError
+
     # -- derived structure --------------------------------------------------
     def check_cutoff(self, key):
         if self.degree(key) > self.cutoff:
@@ -209,6 +217,11 @@ class Bialgebra:
                 "key %s exceeds degree cutoff %d" % (self.key_str(key), self.cutoff)
             )
         return key
+
+    def check_key(self, key):
+        """The key, when it is a basis key within the cutoff: one that names
+        no generator raises KeyError, one past the cutoff CutoffError."""
+        return self.check_cutoff(self._named(key))
 
     def coproduct_key(self, key):
         """Delta on a basis key, memoized, dict (key, key) -> Fraction."""
@@ -219,13 +232,15 @@ class Bialgebra:
 
     def iterated_coproduct_code(self, code, k):
         """Delta^k on the key of slot code `code`, a packed element of arity
-        k+1, memoized: Delta^(-1) = eps, Delta^0 = id and
-        Delta^k = (Delta @ id) Delta^(k-1)."""
+        k+1, memoized: Delta^(-1) = eps and Delta^1 = Delta are the codec's
+        tables, Delta^0 = id and Delta^k = (Delta @ id) Delta^(k-1)."""
+        if k == -1:
+            return self.codec.counit(code)
+        if k == 1:
+            return self.codec.coproduct(code)
         hit = self._iterated_cache.get((code, k))
         if hit is None:
-            if k == -1:
-                hit = self.codec.counit(code)
-            elif k == 0:
+            if k == 0:
                 hit = _packed(self, 1, {code: 1}, 1)
             else:
                 hit = self.iterated_coproduct_code(code, k - 1).apply_coproduct(1)
@@ -320,9 +335,7 @@ class _MonomialBasisMixin:
         return key.degree
 
     def generator_key(self, name):
-        if name not in self.spec.generators:
-            raise KeyError("unknown generator %r" % (name,))
-        return Monomial({name: 1})
+        return self._named(Monomial({name: 1}))
 
     def split_key(self, key):
         return key.split()
@@ -334,12 +347,14 @@ class _MonomialBasisMixin:
     def key_str(self, key):
         return repr(key)
 
-    def parse_key(self, text):
-        key = Monomial.parse(text)
+    def _named(self, key):
         for name, _ in key.exps:
             if name not in self.spec.generators:
                 raise KeyError("unknown generator %r" % (name,))
         return key
+
+    def parse_key(self, text):
+        return self._named(Monomial.parse(text))
 
     def key_sort_key(self, key):
         return key.sort_key()
@@ -409,6 +424,12 @@ class TensorPrimitiveBialgebra(_PrimitiveGenerators, Bialgebra):
         if name not in self.spec.generators:
             raise KeyError("unknown generator %r" % (name,))
         return (self.spec.generators.index(name),)
+
+    def _named(self, key):
+        for letter in key:
+            if not 0 <= letter < len(self.spec.generators):
+                raise KeyError("unknown generator %r" % (letter,))
+        return key
 
     def split_key(self, key):
         return self.spec.generators[key[0]], key[1:]
@@ -496,6 +517,8 @@ class FiniteMonoidBialgebra(_GrouplikeGenerators, Bialgebra):
             raise KeyError("unknown monoid element %r" % (name,))
         return name
 
+    _named = generator_key
+
     def split_key(self, key):
         return key, self.unit_name
 
@@ -519,25 +542,21 @@ class FiniteMonoidBialgebra(_GrouplikeGenerators, Bialgebra):
 # slot codes
 # ---------------------------------------------------------------------------
 
-# Keys a codec holds outside the cutoff, or naming no generator: they get
-# codes of their own, and every product with one runs slot by slot.
-OUTSIDE_KEYS = 1 << 15
-
-
 class KeyCodec:
     """The integer codes of one bialgebra's key tuples.
 
-    Every key has a slot code below 2**width, the unit 0.  The code of a
-    tuple holds slot s at s widths up, so the unit tuple of every arity is
-    0, slot s reads as code >> s*width & mask, and the code of u @ v is the
-    code of u or-ed with that of v shifted past u's slots.  `codes` maps a
-    key to its slot code and `keys` a slot code back to its key.
+    A code is a key within the cutoff: every basis key within the cutoff has
+    a slot code below 2**width, the unit 0, and no other key has one
+    (`slot` raises for it, see `Bialgebra.check_key`).  The code of a tuple
+    holds slot s at s widths up, so the unit tuple of every arity is 0, slot
+    s reads as code >> s*width & mask, and the code of u @ v is the code of
+    u or-ed with that of v shifted past u's slots.  `codes` maps a key to its
+    slot code and `keys` a slot code back to its key.
 
     `slotwise` multiplies two tuple codes one slot at a time through a
     memoized table (slot code, slot code) -> slot code, filled from
     `product_single`, so CutoffError comes from `check_cutoff` at the first
-    slot past the cutoff.  The slot codes below `inside` are exactly those
-    of the keys within the cutoff.  `guard(arity)` gives (bias, guard): when
+    slot past the cutoff.  `guard(arity)` gives (bias, guard): when
     (c1 + c2 + bias) & guard is 0, c1 + c2 is already the code of the
     product.  Delta and eps of a key are kept as packed elements, one table
     each (`coproduct`, `counit`).
@@ -553,7 +572,7 @@ class KeyCodec:
 
     def slot(self, key):
         code = self.codes.get(key)
-        return self._tabulate(key) if code is None else code
+        return self._tabulate(self.B.check_key(key)) if code is None else code
 
     def encode(self, keys):
         code = shift = 0
@@ -573,14 +592,14 @@ class KeyCodec:
 
     def slotwise(self, c1, c2):
         """The code of the slotwise product of the tuples of codes c1, c2;
-        the unit times a key within the cutoff is that key."""
-        width, mask, table, inside = self.width, self.mask, self._products, self.inside
+        the unit times a key is that key."""
+        width, mask, table = self.width, self.mask, self._products
         out = shift = 0
         while c1 or c2:
             a, b = c1 & mask, c2 & mask
-            if not b and a < inside:
+            if not b:
                 s = a
-            elif not a and b < inside:
+            elif not a:
                 s = b
             else:
                 s = table.get(a << width | b)
@@ -609,64 +628,46 @@ class KeyCodec:
             hit = self._counits[code] = B.tensor(0, {(): B.counit_key(self.keys[code])})
         return hit
 
-    def _outside(self, count):
-        if count >= OUTSIDE_KEYS:
-            raise ValueError(
-                "more than %d keys outside the degree cutoff %d"
-                % (OUTSIDE_KEYS, self.B.cutoff)
-            )
-
 
 class KeyIndex(KeyCodec):
-    """Slot codes that number the keys: the basis keys within the cutoff in
-    basis order after the unit, then other keys as they are met."""
+    """Slot codes that number the basis within the cutoff: the unit 0, the
+    other basis keys after it in basis order.  The table is the whole key
+    space, so its width is len(keys).bit_length()."""
 
     def __init__(self, B):
         unit = B.unit_key
         self.keys = [unit] + [k for k in B.basis_keys(B.cutoff) if k != unit]
         self.codes = {k: i for i, k in enumerate(self.keys)}
-        self.inside = len(self.keys)
-        super().__init__(B, (self.inside + OUTSIDE_KEYS).bit_length())
+        super().__init__(B, len(self.keys).bit_length())
 
     def _tabulate(self, key):
-        code = len(self.keys)
-        self._outside(code - self.inside)
-        self.keys.append(key)
-        self.codes[key] = code
-        return code
+        raise KeyError("%r is not a basis key" % (key,))
 
 
 class KeyPacking(KeyCodec):
-    """Kronecker codes over a commutative monomial basis.
+    """Kronecker codes over a commutative monomial basis, one per key within
+    the cutoff.
 
-    A key within the cutoff has one b-bit field per generator exponent,
-    b = cutoff.bit_length() + 1, and above them a d-bit field for its
-    degree.  A field of such a key is at most the cutoff and a sum of two is
-    below 2**b, so the code of a slotwise product is the sum of the codes.
-    Adding the bias of `guard(arity)` (2**(d-1) - 1 - cutoff in every
-    degree field) to a sum sets the top bit of a degree field, a bit of the
-    guard, exactly when that slot passes the cutoff.  A key past the cutoff
-    or naming no generator gets degree field cutoff + 1, so every sum with
-    it hits the guard, and a number of its own in the low bits, below
-    OUTSIDE_KEYS; the low bits are at least 16 wide, and the degree field,
-    d = (cutoff + 1).bit_length() + 1, holds two such degrees with no
-    carry.  Slot codes of products decode on their first lookup.
+    A key has one b-bit field per generator exponent, b = cutoff.bit_length()
+    + 1, and above them a b-bit field for its degree.  A field is at most
+    the cutoff and a sum of two is below 2**b, so the code of a slotwise
+    product is the sum of the codes.  Adding the bias of `guard(arity)`
+    (2**(b-1) - 1 - cutoff in every degree field) to a sum sets the top bit
+    of a degree field, a bit of the guard, exactly when that slot passes the
+    cutoff.  A key gets its code on first use and a code its key on its
+    first lookup.
     """
 
     def __init__(self, B):
-        cutoff = self.cutoff = B.cutoff
-        b = cutoff.bit_length() + 1
+        b = B.cutoff.bit_length() + 1
         self.place = {name: b * i for i, name in enumerate(B.spec.generators)}
-        low = self.low = max(b * len(self.place), OUTSIDE_KEYS.bit_length())
-        d = (cutoff + 1).bit_length() + 1
-        super().__init__(B, low + d)
-        self.inside = cutoff + 1 << low
-        self._bias = ((1 << d - 1) - 1 - cutoff) << low
-        self._top = 1 << low + d - 1
+        low = self.low = b * len(self.place)
+        super().__init__(B, low + b)
+        self._bias = ((1 << b - 1) - 1 - B.cutoff) << low
+        self._top = 1 << low + b - 1
         self._guards = {}
         self.codes = {}
         self.keys = _SlotKeys(self.place, b)
-        self._count = 0
 
     def guard(self, arity):
         hit = self._guards.get(arity)
@@ -680,14 +681,8 @@ class KeyPacking(KeyCodec):
 
     def _tabulate(self, key):
         place = self.place
-        if key.degree <= self.cutoff and all(n in place for n, _ in key.exps):
-            code = sum(e << place[n] for n, e in key.exps) + (key.degree << self.low)
-        else:
-            self._outside(self._count)
-            code = self._count + (self.cutoff + 1 << self.low)
-            self._count += 1
+        code = sum(e << place[n] for n, e in key.exps) + (key.degree << self.low)
         self.codes[key] = code
-        self.keys.setdefault(code, key)
         return code
 
 

@@ -122,11 +122,11 @@ def _scalar(value, location):
 
 @contextlib.contextmanager
 def _located(location):
-    """Turn a KeyError or ValueError raised while the inputs become library
-    objects into a JobError at `location` carrying the library's message."""
+    """Turn a KeyError, ValueError or CutoffError raised while the inputs
+    become library objects into a JobError at `location` with its message."""
     try:
         yield
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, CutoffError) as exc:
         raise JobError(location, exc.args[0])
 
 
@@ -177,7 +177,7 @@ def parse_tensor(B, arity, terms, location):
         if len(slots) != arity:
             raise JobError(loc, "expected %d slots, got %d" % (arity, len(slots)))
         with _located(loc):
-            keys = tuple(B.parse_key(s) for s in slots)
+            keys = tuple(B.check_cutoff(B.parse_key(s)) for s in slots)
         add_term(trm, keys, _scalar(term.get("coeff", "1"), loc))
     return B.tensor(arity, trm)
 

@@ -11,11 +11,14 @@ Their agreement (identical block dimensions, gauge-equivalent
 representatives) is a theorem and doubles as the oracle test for both
 implementations.
 
-The reduced diagonal of m - eps(m)1 is read off Delta(m) as the terms with
-no unit slot: every other term of Delta(m) - m@1 - 1@m + eps(m)1@1 has one.
-Both routes end in the same step, a kernel basis modulo a subspace that must
-lie inside it (`linalg.quotient_representatives`).  The kernel vectors are
-independent, so that elimination checks the inclusion as
+`CobarComplex` is the one cobar differential: its blocks hold d1 (the
+reduced diagonal dbar) and d2(x@y) = dbar(x)@y - x@dbar(y) on the counit
+kernel.  dbar of m - eps(m)1 is read off Delta(m) as the terms with no unit
+slot: every other term of Delta(m) - m@1 - 1@m + eps(m)1@1 has one.  (On a
+whole element g the same map is `twist.coboundary`, the additive gauge
+shift.)  Both routes end in the same step, a kernel basis modulo a subspace
+that must lie inside it (`linalg.quotient_representatives`).  The kernel
+vectors are independent, so that elimination checks the inclusion as
 rank(sub + kernel) = dim kernel: for ``h2`` the subspace is im d1 and the
 identity is d2 o d1 = 0; for ``twi_direct`` it is the gauge span and the
 identity is that the gauge span lies in the solutions.  A failure raises
@@ -35,7 +38,6 @@ from .kernel import MINUS_ONE, QQ, add_term
 from .bialgebra import TensorElement
 from .linalg import Echelon, kernel_basis, quotient_representatives
 from .reports import CheckReport, first_witness
-from .twist import coboundary
 
 GRADED_KINDS = ("polynomial-primitive", "tensor-primitive")
 
@@ -51,20 +53,8 @@ def lambda_expected(num_primitives):
 
 
 # ---------------------------------------------------------------------------
-# the counit kernel and its reduced diagonal
+# the counit kernel
 # ---------------------------------------------------------------------------
-
-def reduced_diagonal(u):
-    """Delta(u) - 1@u - u@1 for u with eps(u) = 0; lands in Bbar @ Bbar."""
-    if u.arity != 1:
-        raise ValueError("the reduced diagonal acts on arity-1 elements")
-    if u.apply_counit(1).scalar_value() != 0:
-        raise ValueError("reduced diagonal needs eps(u) = 0")
-    out = coboundary(u)
-    if not is_reduced_member(out):
-        raise AssertionError("reduced diagonal left Bbar @ Bbar")
-    return out
-
 
 def reduced_keys(B, max_degree):
     """Non-unit basis keys; key m stands for the class of m - eps(m)1."""
@@ -98,47 +88,6 @@ def _embed(R):
         return hit
 
     return R.map_keys_linear(factor)
-
-
-def is_reduced_member(T):
-    """Does T lie in the embedded (Bbar)^(@n) inside B^(@n)?"""
-    return _embed(T.nonunit_part()) == T
-
-
-class CobarCochain:
-    """A cochain of word length 1, 2 or 3 with value in (Bbar)^(@w)."""
-
-    def __init__(self, value, word_length=None):
-        w = value.arity if word_length is None else word_length
-        if w not in (1, 2, 3):
-            raise ValueError("supported word lengths are 1, 2, 3")
-        if value.arity != w:
-            raise ValueError("value arity does not match the word length")
-        if not is_reduced_member(value):
-            raise ValueError("cochain values live in the counit kernel slots")
-        self.word_length = w
-        self.value = value
-
-    def differential(self):
-        """d1 = reduced diagonal; d2(x@y) = dbar(x)@y - x@dbar(y)."""
-        if self.word_length >= 3:
-            raise ValueError("only differentials out of word length <= 2 ship")
-        v = self.value
-        B = v.parent
-        if self.word_length == 1:
-            out = _reduced_coproduct_slot(v, 1)
-        else:
-            out = _reduced_coproduct_slot(v, 1) - _reduced_coproduct_slot(v, 2)
-        return CobarCochain(out, self.word_length + 1)
-
-
-def _reduced_coproduct_slot(T, slot):
-    """Apply the reduced diagonal to one slot of a (Bbar)-tensor."""
-    return (
-        T.apply_coproduct(slot)
-        - T.insert_units(slot + 1, 1)
-        - T.insert_units(slot, 1)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ and the ternary action of the `generalized` module share it.  Every twisted
 product (`TwistedProduct`, binary or ternary) is a contraction over its
 structure constants mu(T_l (b_k1 @ ... @ b_km)), one per tuple of basis keys
 and t-order l, tabulated lazily per (twist, action) pair: each is computed
-on first use, and only for an order the truncation reaches.
+on first use, and only for an order the truncation reaches; one past a
+cutoff raises at the first argument term that reaches it, cancelling or not.
 
 The infinitesimal layer extracts the t^1 Hochschild 2-cochain of a
 deformation, decides coboundary-ness inside a declared finite search space,
@@ -52,7 +53,6 @@ from .kernel import (
     bounded_product,
     clean_terms,
     monomials,
-    series_multilinear,
 )
 from .linalg import solve as linalg_solve
 from .reports import CheckReport, first_witness
@@ -639,6 +639,8 @@ class TwistedProduct:
         For nonzero slots i_1..i_m of the arguments with i = i_1 + ... + i_m
         <= N, every choice of one term from each slot adds the product of
         their coefficients times table[(keys, l)] into slot i + l, l <= N - i.
+        A constant past a cutoff raises CutoffError at the first term that
+        reaches it, even where the argument terms would cancel.
         """
         series = [self._series(x) for x in args]
         n = self.order
@@ -647,28 +649,22 @@ class TwistedProduct:
         table = self._table
         supports = [[(i, c) for i, c in enumerate(s.coeffs) if c] for s in series]
         slots = [{} for _ in range(n + 1)]
-        try:
-            for combo in itertools.product(*supports):
-                low = sum(i for i, _ in combo)
-                if low > n:
-                    continue
-                elems = [x for _, x in combo]
-                for chosen in itertools.product(*(x.terms.items() for x in elems)):
-                    keys = tuple(k for k, _ in chosen)
-                    c = math.prod(a for _, a in chosen)
-                    for l in range(n - low + 1):
-                        entry = table.get((keys, l))
-                        if entry is None:
-                            basis = [x._like({k: QQ(1)}) for x, k in zip(elems, keys)]
-                            entry = self._value(self.terms.coeffs[l], *basis).terms
-                            table[keys, l] = entry
-                        if entry:
-                            add_into(slots[low + l], entry, c)
-        except CutoffError:
-            # a basis term can pass a cutoff inside a sum whose images
-            # cancel; the route over whole arguments decides, and raises
-            # the error it always raised
-            return series_multilinear(self._value, self.terms, *series)
+        for combo in itertools.product(*supports):
+            low = sum(i for i, _ in combo)
+            if low > n:
+                continue
+            elems = [x for _, x in combo]
+            for chosen in itertools.product(*(x.terms.items() for x in elems)):
+                keys = tuple(k for k, _ in chosen)
+                c = math.prod(a for _, a in chosen)
+                for l in range(n - low + 1):
+                    entry = table.get((keys, l))
+                    if entry is None:
+                        basis = [x._like({k: QQ(1)}) for x, k in zip(elems, keys)]
+                        entry = self._value(self.terms.coeffs[l], *basis).terms
+                        table[keys, l] = entry
+                    if entry:
+                        add_into(slots[low + l], entry, c)
         like = series[0].coeffs[0]
         return TruncSeries([like._like(s) for s in slots])
 

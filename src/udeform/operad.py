@@ -228,8 +228,9 @@ def _check_assoc_on(flavor, u, v, w, tested, skipped):
 
 
 def _exhaustive_low_degree_elements(B, flavor, total_degree=2, max_arity=2):
-    """Single-term tensors on basis keys; used for the exhaustive sweeps."""
-    keys = B.basis_keys(total_degree)
+    """Single-term tensors on basis keys within the cutoff; used for the
+    exhaustive sweeps."""
+    keys = B.basis_keys(min(total_degree, B.cutoff))
     lo = 0 if (flavor == FLAVOR_MULTIPLICATIVE and B.counital) else 1
     out = [
         TensorElement(B, arity, {tup: QQ(1)})

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from udeform.kernel import Monomial, QQ, TruncSeries, clean_terms, series_multilinear
 from udeform.bialgebra import (
-    OUTSIDE_KEYS,
     BialgebraSpec,
     CounitUnavailable,
     CutoffError,
@@ -79,9 +78,8 @@ class TestConstruction:
         high = B1.element({Monomial({"p": 6}): QQ(1)})
         with pytest.raises(CutoffError):
             p * high
-        over = B1.element({Monomial({"p": 7}): QQ(1)})
-        with pytest.raises(CutoffError):  # Delta(p^7) is built from p * p^6
-            over.apply_coproduct(1)
+        with pytest.raises(CutoffError, match=r"key p\^7 exceeds degree cutoff 6"):
+            B1.element({Monomial({"p": 7}): QQ(1)})
 
     def test_spec_json_roundtrip(self, B2, monoid_z2):
         for B in (B2, monoid_z2):
@@ -361,7 +359,7 @@ def _reference_product(u, v):
 
 def _product_bialgebras():
     """Every kind at cutoffs on both sides of a packed-field boundary; the
-    pools hold the basis keys plus keys the packing does not cover."""
+    pools hold the basis keys, whose products still pass the cutoff."""
     out = []
     for cutoff in (1, 3, 4):
         for args, kwargs in (
@@ -372,13 +370,7 @@ def _product_bialgebras():
             (("monoid",), {"monoid_table": LEFT_ZERO_TABLE}),
         ):
             B = construct_bialgebra(BialgebraSpec(*args, **kwargs), cutoff)
-            pool = B.basis_keys(cutoff)
-            if B.spec.kind == "tensor-primitive":
-                pool.append((0,) * (cutoff + 1))
-            elif B.spec.monoid_table is None:
-                g = B.spec.generators[0]
-                pool += [Monomial({g: cutoff + 1}), Monomial({"zz": 1})]
-            out.append((B, pool))
+            out.append((B, B.basis_keys(cutoff)))
     return out
 
 
@@ -457,7 +449,7 @@ def test_monomial_kinds_multiply_packed(kind, generators, monkeypatch):
 
 def _packed_bialgebras():
     """The five kinds and a coproduct override at cutoffs 2-4; the pools
-    hold the basis keys and a key past the cutoff."""
+    hold the basis keys."""
     out = []
     for cutoff in (2, 3, 4):
         for B in (
@@ -469,12 +461,7 @@ def _packed_bialgebras():
             construct_bialgebra(BialgebraSpec("matrix-coordinate"), cutoff),
             noncoassociative_cube(cutoff),
         ):
-            pool = B.basis_keys(cutoff)
-            if B.spec.kind == "tensor-primitive":
-                pool.append((0,) * (cutoff + 1))
-            elif B.spec.monoid_table is None:
-                pool.append(Monomial({B.spec.generators[0]: cutoff + 1}))
-            out.append((B, pool))
+            out.append((B, B.basis_keys(cutoff)))
     return out
 
 
@@ -568,23 +555,34 @@ def test_series_slots_add_up_as_repeated_sums(parts):
         assert slot.render() == want.render()
 
 
-@pytest.mark.parametrize("kind,generators", [
-    ("polynomial-primitive", ["p"]), ("tensor-primitive", ["p"]),
-])
-def test_keys_outside_the_cutoff_have_codes_up_to_a_bound(kind, generators):
-    B = construct_bialgebra(BialgebraSpec(kind, generators), 2)
-
-    def outside(i):  # pairwise distinct keys past the cutoff or off the generators
-        return Monomial({"p": 3 + i}) if kind == "polynomial-primitive" else (1 + i,)
-
-    elements = [B.element({outside(i): QQ(1)}) for i in range(OUTSIDE_KEYS)]
-    assert len({code for e in elements for code in e.codes}) == OUTSIDE_KEYS
-    assert [list(e.terms) for e in elements[-2:]] == [
-        [(outside(i),)] for i in (OUTSIDE_KEYS - 2, OUTSIDE_KEYS - 1)
-    ]
-    message = "more than %d keys outside the degree cutoff 2" % OUTSIDE_KEYS
-    with pytest.raises(ValueError, match=message):
-        B.element({outside(OUTSIDE_KEYS): QQ(1)})
+@pytest.mark.parametrize("spec,past,unknown", [
+    (BialgebraSpec("polynomial-primitive", ["p"]), Monomial({"p": 3}), Monomial({"zz": 1})),
+    (BialgebraSpec("tensor-primitive", ["p"]), (0, 0, 0), (1,)),
+    (BialgebraSpec("monoid", ["p"]), Monomial({"p": 3}), Monomial({"zz": 1})),
+    (BialgebraSpec("monoid", monoid_table=LEFT_ZERO_TABLE), None, "zz"),
+    (BialgebraSpec("matrix-coordinate"), Monomial({"a": 3}), Monomial({"zz": 1})),
+], ids=["polynomial", "tensor", "free-monoid", "finite-monoid", "matrix"])
+def test_a_code_is_a_key_within_the_cutoff(spec, past, unknown):
+    B = construct_bialgebra(spec, 2)
+    keys = B.basis_keys(2)
+    codes = [B.codec.slot(key) for key in keys]
+    assert len(set(codes)) == len(keys)
+    assert [B.codec.decode(code, 1) for code in codes] == [(key,) for key in keys]
+    with pytest.raises(KeyError, match="unknown (generator|monoid element)"):
+        B.element({unknown: QQ(1)})
+    if past is None:  # a finite monoid has no key past the cutoff
+        return
+    # building an element on a key past the cutoff raises what the product
+    # that reaches it raises
+    g = B.generator(B.spec.generators[0])
+    with pytest.raises(CutoffError) as product:
+        g * g * g
+    with pytest.raises(CutoffError) as built:
+        B.element({past: QQ(1)})
+    assert str(built.value) == str(product.value) == "key %s exceeds degree cutoff 2" % (
+        B.key_str(past),)
+    with pytest.raises(CutoffError):
+        B.tensor(2, {(B.unit_key, past): QQ(1)})
 
 
 def test_packed_structure_maps_cancel_like_the_reference():

@@ -310,6 +310,18 @@ def test_bialgebra_cutoff_overflow_exits_two():
     assert "key p1^2 exceeds degree cutoff 1" in error["message"]
 
 
+def test_tensor_term_past_the_cutoff_exits_two_at_the_term():
+    job = copy.deepcopy(emit_example("quantum-plane"))
+    job["inputs"]["bialgebra"]["degree_cutoff"] = 2
+    job["inputs"]["udf"] = {
+        "orders": [[{"slots": ["1", "1"]}], [{"slots": ["p1^3", "p2"]}]],
+    }
+    assert _run_error(job) == {
+        "location": "inputs.udf.orders[1][0]",
+        "message": "key p1^3 exceeds degree cutoff 2",
+    }
+
+
 def test_algebra_cutoff_overflow_exits_two():
     job = copy.deepcopy(emit_example("quantum-plane"))
     job["inputs"]["action"]["p1"]["partials"]["p"] = {"p^2": "1"}
