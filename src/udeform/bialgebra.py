@@ -119,10 +119,33 @@ class BialgebraSpec:
         )
 
 
+MAX_INDEXED_KEYS = 1 << 17  # 2 generators at cutoff 16 hold 49 MB of words
+
+
+def check_key_space(spec, cutoff):
+    """Refuse, before any key is enumerated, a basis that `KeyIndex` would
+    number in full with more than MAX_INDEXED_KEYS keys: ValueError.  Only
+    the tensor-primitive word basis grows that way with the cutoff."""
+    if spec.kind != "tensor-primitive":
+        return
+    count, words = 0, 1
+    for _ in range(cutoff + 1):
+        count += words
+        if count > MAX_INDEXED_KEYS:
+            raise ValueError(
+                "the word basis on %d generators up to degree %d has more "
+                "than %d keys" % (len(spec.generators), cutoff, MAX_INDEXED_KEYS)
+            )
+        words *= len(spec.generators)
+        if not words:
+            return
+
+
 def construct_bialgebra(spec, degree_cutoff):
     """Build the lazily-tabulated structure maps for one presentation."""
     if degree_cutoff < 1:
         raise ValueError("degree cutoff must be >= 1")
+    check_key_space(spec, degree_cutoff)
     if spec.kind == "polynomial-primitive":
         return PolynomialPrimitiveBialgebra(spec, degree_cutoff)
     if spec.kind == "tensor-primitive":

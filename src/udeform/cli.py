@@ -27,6 +27,7 @@ from .bialgebra import (
     BialgebraSpec,
     CounitUnavailable,
     CutoffError,
+    check_key_space,
     construct_bialgebra,
 )
 from .operad import (
@@ -166,7 +167,11 @@ def build_bialgebra(doc, order, location="inputs.bialgebra", slot_degree=1):
     if cutoff is None:
         cutoff = max(1, order * slot_degree)
     with _located(location):
-        return construct_bialgebra(BialgebraSpec.from_json(doc), cutoff)
+        spec = BialgebraSpec.from_json(doc)
+    with _located(location + ".degree_cutoff"):
+        check_key_space(spec, cutoff)
+    with _located(location):
+        return construct_bialgebra(spec, cutoff)
 
 
 def parse_tensor(B, arity, terms, location):

@@ -24,6 +24,15 @@ identity is d2 o d1 = 0; for ``twi_direct`` it is the gauge span and the
 identity is that the gauge span lies in the solutions.  A failure raises
 AssertionError, under python -O as well.
 
+Both systems are integer from the start.  Delta is read from the codec's
+packed table (`KeyCodec.coproduct`, {pair code: int} over a denominator)
+and every entry is scaled by the lcm L of those denominators; L is 1 for
+every shipped kind.  A column is a pair code, a row is keyed by the code of
+the triple it stands for (the code of x@y@z holds z two slot widths up), and
+the rows go into `linalg.Echelon` as they are.  Its rows are primitive, so
+the scaling changes no pivot, kernel vector or representative.  Solution,
+gauge and representative tensors are packed straight from pair codes.
+
 Blocks: primitively generated kinds are sliced by internal degree (their
 coproduct is degree-graded).  Grouplike-flavored kinds (monoid,
 matrix-coordinate) are not graded that way, but every degree-<=D truncation
@@ -33,10 +42,11 @@ is a subcoalgebra, so they are handled as one finite block.
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
-from .kernel import MINUS_ONE, QQ, add_term
-from .bialgebra import TensorElement
-from .linalg import Echelon, kernel_basis, quotient_representatives
+from .kernel import QQ, add_term
+from .bialgebra import _packed
+from .linalg import Echelon, integral, kernel_basis, quotient_representatives
 from .reports import CheckReport, first_witness
 
 GRADED_KINDS = ("polynomial-primitive", "tensor-primitive")
@@ -61,15 +71,7 @@ def reduced_keys(B, max_degree):
     return [k for k in B.basis_keys(max_degree) if k != B.unit_key]
 
 
-def embed_reduced(B, coords, arity):
-    """Expand reduced coordinates into B^(@arity) via m -> m - eps(m)1.
-
-    Keys of `coords` have no unit slot (see `_embed`).
-    """
-    return _embed(B.tensor(arity, coords))
-
-
-def _embed(R):
+def embed_reduced(R):
     """m -> m - eps(m)1 on every slot of R, whose terms have no unit slot.
 
     On the primitively generated kinds eps vanishes off the unit, so this is
@@ -149,47 +151,85 @@ def _pairs_for_block(B, cutoff, label, reduced):
     return out
 
 
+def _coproduct_table(B, keys):
+    """({slot code: L Delta(key) as {pair code: int}}, L) over the keys, L the
+    lcm of the denominators of their coproducts; the dicts are read only."""
+    codec = B.codec
+    deltas = [codec.coproduct(codec.slot(k)) for k in keys]
+    L = lcm(1, *[d.den for d in deltas])
+    table = {
+        codec.slot(k): d.codes if d.den == L
+        else {pc: n * (L // d.den) for pc, n in d.codes.items()}
+        for k, d in zip(keys, deltas)
+    }
+    return table, L
+
+
+def _block_codes(B, cutoff, label, reduced):
+    """The key pairs of one block and their pair codes."""
+    pairs = _pairs_for_block(B, cutoff, label, reduced)
+    slot, width = B.codec.slot, B.codec.width
+    return pairs, [slot(m) | slot(n) << width for m, n in pairs]
+
+
+def _columns(codes, vectors):
+    """{pair code: c} vectors as {column: c}, columns indexed by `codes`;
+    empty vectors are dropped."""
+    col_of = {code: j for j, code in enumerate(codes)}
+    out = [{col_of[pc]: c for pc, c in vec.items()} for vec in vectors]
+    return [v for v in out if v]
+
+
+def _tensor(B, codes, vec):
+    """The element of B@B with coordinates vec over the pair codes."""
+    nums, den = integral(vec)
+    return _packed(B, 2, {codes[j]: n for j, n in nums.items()}, den)
+
+
 class CobarComplex:
     """d1 and d2 of the cobar construction, sliced into finite blocks.
 
-    dbar(m) is read off Delta(m) as its terms with no unit slot.  Per block,
-    d1 is kept as its nonzero columns and d2 as rows, one per triple d2
-    reaches; `h2` checks d2 o d1 = 0 in its quotient step.
+    dbar(m) is read off Delta(m) as its terms with no unit slot, scaled by
+    the lcm L of the denominators of Delta.  Per block, d1 is kept as its
+    nonzero columns and d2 as rows, one per triple code d2 reaches; `h2`
+    checks d2 o d1 = 0 in its quotient step.
     """
 
     def __init__(self, B, cutoff):
         B.require_counit()
         self.B = B
         self.cutoff = cutoff
-        unit = B.unit_key
-        self._dbar = {  # key -> reduced pair coords, shared across blocks
-            m: {p: c for p, c in B.coproduct_key(m).items() if unit not in p}
-            for m in reduced_keys(B, cutoff)
+        codec = B.codec
+        width, mask = codec.width, codec.mask
+        delta, _ = _coproduct_table(B, reduced_keys(B, cutoff))
+        self._dbar = {  # slot code -> L dbar, shared across blocks
+            m: {pc: c for pc, c in d.items() if pc & mask and pc >> width}
+            for m, d in delta.items()
         }
         self.blocks = {
             label: self._build_block(label) for label in _block_labels(B, cutoff)
         }
 
     def _build_block(self, label):
-        B = self.B
-        pairs = _pairs_for_block(B, self.cutoff, label, reduced=True)
-        pair_index = {p: i for i, p in enumerate(pairs)}
-        dbar = self._dbar
+        B, codec, dbar = self.B, self.B.codec, self._dbar
+        width, mask = codec.width, codec.mask
+        pairs, codes = _block_codes(B, self.cutoff, label, reduced=True)
+        keys = _keys_for_block(B, self.cutoff, label, reduced=True)
+        d1_cols = _columns(codes, (dbar[codec.slot(m)] for m in keys))
 
-        d1_cols = []
-        for m in _keys_for_block(B, self.cutoff, label, reduced=True):
-            col = {pair_index[p]: c for p, c in dbar[m].items()}
-            if col:
-                d1_cols.append(col)
+        rows = {}  # triple code -> its row of d2; only the triples d2 reaches
+        for col, code in enumerate(codes):
+            m, n = code & mask, code >> width
+            high = n << 2 * width
+            for pc, c in dbar[m].items():         # dbar(m) @ n
+                rows.setdefault(pc | high, {})[col] = c
+            for pc, c in dbar[n].items():         # -m @ dbar(n)
+                add_term(rows.setdefault(m | pc << width, {}), col, -c)
 
-        rows = {}  # triple -> its row of d2; only the triples d2 reaches
-        for col, (m, n) in enumerate(pairs):
-            for (a, b), c in dbar[m].items():
-                add_term(rows.setdefault((a, b, n), {}), col, c)
-            for (a, b), c in dbar[n].items():
-                add_term(rows.setdefault((m, a, b), {}), col, -c)
-
-        return {"pairs": pairs, "d1_cols": d1_cols, "d2_rows": list(rows.values())}
+        return {
+            "pairs": pairs, "codes": codes,
+            "d1_cols": d1_cols, "d2_rows": list(rows.values()),
+        }
 
 
 def _quotient(kernel, sub, failure, label):
@@ -212,19 +252,49 @@ def h2(B, cutoff):
     complex_ = CobarComplex(B, cutoff)
     out = []
     for label, blk in complex_.blocks.items():
-        pairs = blk["pairs"]
-        kernel = kernel_basis(blk["d2_rows"], len(pairs))
+        codes = blk["codes"]
+        kernel = kernel_basis(blk["d2_rows"], len(codes))
         image = blk["d1_cols"]
         reps = _quotient(kernel, image, "d2 o d1 != 0", label)
 
         def embed(vecs):
-            return [
-                embed_reduced(B, {pairs[j]: c for j, c in vec.items()}, 2)
-                for vec in vecs
-            ]
+            return [embed_reduced(_tensor(B, codes, vec)) for vec in vecs]
 
         out.append(ModuliBlock(label, len(reps), embed(reps), gauge=embed(image)))
     return out
+
+
+def _twist_system(B, cutoff, label, delta, L):
+    """The additive twist equation of one block on the full B@B, scaled by L.
+
+    `delta, L` are `_coproduct_table` over the basis.  Returns (pair codes,
+    rows, gauge vectors): the rows are (Delta @ id) xi + xi @ 1
+    - (id @ Delta) xi - 1 @ xi, one per triple code the equation reaches,
+    and the gauge vectors Delta(g) - 1 @ g - g @ 1 over the keys g of the
+    block, all integer dicts over the columns of the pair codes.
+    """
+    codec = B.codec
+    width, mask = codec.width, codec.mask
+    _, codes = _block_codes(B, cutoff, label, reduced=False)
+    rows = {}  # triple code -> its row; only the triples the equation reaches
+    for col, code in enumerate(codes):
+        m, n = code & mask, code >> width
+        high = n << 2 * width
+        for pc, c in delta[m].items():            # (Delta @ id) xi
+            rows.setdefault(pc | high, {})[col] = c
+        add_term(rows.setdefault(code, {}), col, L)             # xi @ 1
+        for pc, c in delta[n].items():            # -(id @ Delta) xi
+            add_term(rows.setdefault(m | pc << width, {}), col, -c)
+        add_term(rows.setdefault(code << width, {}), col, -L)   # -1 @ xi
+
+    gauge = []
+    for key in _keys_for_block(B, cutoff, label, reduced=False):
+        g = codec.slot(key)
+        img = dict(delta[g])
+        add_term(img, g << width, -L)            # -1 @ g
+        add_term(img, g, -L)                     # -g @ 1
+        gauge.append(img)
+    return codes, list(rows.values()), _columns(codes, gauge)
 
 
 def twi_direct(B, cutoff):
@@ -235,51 +305,18 @@ def twi_direct(B, cutoff):
     gamma = 1.  Agreement with h2 is the Prop-style oracle equivalence.
     """
     B.require_counit()
+    delta, L = _coproduct_table(B, B.basis_keys(cutoff))
     out = []
     for label in _block_labels(B, cutoff):
-        pairs = _pairs_for_block(B, cutoff, label, reduced=False)
-        pair_index = {p: i for i, p in enumerate(pairs)}
-        unit = B.unit_key
-
-        rows = {}  # triple -> its row; only the triples the equation reaches
-
-        def put(triple, col, c):
-            add_term(rows.setdefault(triple, {}), col, c)
-
-        for col, (m, n) in enumerate(pairs):
-            for (a, b), c in B.coproduct_key(m).items():
-                put((a, b, n), col, c)          # (Delta @ id) xi
-            put((m, n, unit), col, QQ(1))       # xi @ 1
-            for (a, b), c in B.coproduct_key(n).items():
-                put((m, a, b), col, -c)         # -(id @ Delta) xi
-            put((unit, m, n), col, MINUS_ONE)   # -1 @ xi
-
-        kernel = kernel_basis(list(rows.values()), len(pairs))
-
-        gauge_keys = _keys_for_block(B, cutoff, label, reduced=False)
-        gauge_vecs = []
-        for g in gauge_keys:
-            img = dict(B.coproduct_key(g))
-            add_term(img, (unit, g), MINUS_ONE)
-            add_term(img, (g, unit), MINUS_ONE)
-            vec = {pair_index[p]: c for p, c in img.items()}
-            if vec:
-                gauge_vecs.append(vec)
-
+        codes, rows, gauge_vecs = _twist_system(B, cutoff, label, delta, L)
+        kernel = kernel_basis(rows, len(codes))
         reps = _quotient(kernel, gauge_vecs, "gauge image is not a solution", label)
 
-        def to_tensor(vec):
-            return TensorElement(B, 2, {pairs[j]: c for j, c in vec.items()})
+        def tensors(vecs):
+            return [_tensor(B, codes, vec) for vec in vecs]
 
-        out.append(
-            ModuliBlock(
-                label,
-                len(reps),
-                [to_tensor(v) for v in reps],
-                solutions=[to_tensor(v) for v in kernel],
-                gauge=[to_tensor(v) for v in gauge_vecs],
-            )
-        )
+        out.append(ModuliBlock(label, len(reps), tensors(reps),
+                               solutions=tensors(kernel), gauge=tensors(gauge_vecs)))
     return out
 
 
@@ -304,7 +341,7 @@ def corner_solutions_trivial(B, blocks):
     unit = B.unit_key
 
     def nontrivial_corner(blk, sol):
-        corner = sol - _embed(sol.nonunit_part())
+        corner = sol - embed_reduced(sol.nonunit_part())
         if any(keys != (unit, unit) for keys in corner.terms):
             return {"degree": blk.degree, "term": sol.render()}
 

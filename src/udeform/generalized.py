@@ -180,7 +180,7 @@ class FreePAssAlgebra:
         # three distinct trees, so it is never zero
         for split in _compositions(n, 5):
             for leaves in itertools.product(*(self._shapes[m] for m in split)):
-                span.add({index[s]: QQ(1) for s in _relation(*leaves)})
+                span.add({index[s]: 1 for s in _relation(*leaves)})
         # relation consequences wrapped one node deeper
         for m in range(5, n - 1, 2):
             lower = self._shapes[m]

@@ -1,22 +1,29 @@
 """Sparse exact linear algebra over the rationals, eliminated in the integers.
 
 Vectors are the package's one sparse representation, dicts column-index ->
-nonzero coefficient (see `kernel`); matrices are lists of such rows.  The
+nonzero coefficient (see `kernel`); matrices are lists of such rows.  Rows
+that enter an elimination are integer dicts: the moduli systems of `cobar`
+are integer from the start, and a row scaled by a nonzero integer spans the
+same line.  Callers that hold rationals (`solve`, the kernel vectors of
+`quotient_representatives`) clear denominators first (`integral`).  The
 image search `solve(columns, target)` takes columns instead, sparse vectors
 keyed by any hashable row label, and groups them into rows by label; the
 order of those rows is free (see the last paragraph).
 
 `Echelon` stores each row as a primitive integer dict whose pivot entry is
-positive.  A rational input is first cleared by the lcm of its denominators;
-every elimination step is vec = (p/g) vec - (a/g) row with p the row's pivot
-entry, a the entry of vec in that column and g = gcd(p, a), and a new row is
-divided by its content before it is stored -- fraction-free elimination in
-the sense of Bareiss (Math. Comp. 22, 1968), with no `Fraction` arithmetic.
+positive, so scaling an input row changes no stored row.  Every elimination
+step is vec = (p/g) vec - (a/g) row with p the row's pivot entry, a the
+entry of vec in that column and g = gcd(p, a), and a new row is divided by
+its content before it is stored -- fraction-free elimination in the sense
+of Bareiss (Math. Comp. 22, 1968), with no `Fraction` arithmetic.
 
-`Echelon.add` does forward elimination only: the leading column of the
-incoming vector is cleared until it is no pivot, and no stored row changes.
-The one back-substitution pass, `Echelon.reduced_rows`, runs in place when a
-caller needs the reduced row echelon form (`kernel_basis`, `solve`);
+Two accumulators share that step.  `Echelon.add` does forward elimination
+only: the leading column of the incoming row is cleared until it is no
+pivot, and no stored row changes; spans that are only reduced against
+(`quotient_representatives`, `ForwardSpan`) use it.  `ReducedEchelon` keeps
+its rows in reduced row echelon form as they are inserted; the systems that
+are solved (`kernel_basis`, `solve`) use it, and an incoming row that is
+mostly dependent is cleared in one pass over its pivot columns.
 `Fraction`s are built only for the vectors handed back.
 
 Elimination pivots on the smallest available column index.  Pivot columns
@@ -36,7 +43,7 @@ from .kernel import QQ, add_into
 ONE = QQ(1)
 
 
-def _integral(vec):
+def integral(vec):
     """(integer dict, d): d * vec in the integers, d the lcm of denominators."""
     terms = [(j, x.numerator, x.denominator) for j, x in vec.items()]
     den = lcm(*[d for _, _, d in terms])
@@ -78,8 +85,7 @@ class Echelon:
 
     def __init__(self):
         # pivot column -> primitive integer row, row[pivot] > 0 and pivot the
-        # smallest column of its support; in insertion order.  Back-
-        # substitution (`reduced_rows`) changes neither pivots nor row space.
+        # smallest column of its support; in insertion order
         self.rows = {}
 
     @property
@@ -89,7 +95,7 @@ class Echelon:
     def _reduce_integral(self, vec):
         """(r, s): r = s * (vec reduced modulo the row space), all in the
         integers; r avoids every pivot column."""
-        vec, scale = _integral(vec)
+        vec, scale = integral(vec)
         rows = self.rows
         while True:
             hit = None
@@ -108,32 +114,68 @@ class Echelon:
         return {j: Fraction(x, scale) for j, x in res.items()}
 
     def add(self, vec):
-        """Insert vec; returns the pivot column or None if dependent."""
-        vec = _integral(vec)[0]
+        """Insert the integer row vec (left unchanged); returns the pivot
+        column or None if dependent."""
+        vec = self._clear(dict(vec))
+        if not vec:
+            return None
+        piv = min(vec)
+        self._store(piv, _primitive(vec, piv))
+        return piv
+
+    def _clear(self, vec):
+        """vec with its leading column cleared until it is no pivot."""
         rows = self.rows
         while vec:
             piv = min(vec)
             row = rows.get(piv)
             if row is None:
-                rows[piv] = _primitive(vec, piv)
-                return piv
+                break
             _eliminate(vec, row, piv)
-        return None
+        return vec
 
-    def reduced_rows(self):
-        """Back-substitute the rows in place and return them: the reduced row
-        echelon form, each row a primitive integer row with a positive pivot
-        entry and no entry in another pivot column, in insertion order.
-        Divide a row by its pivot entry for the unit-pivot row."""
+    def _store(self, piv, row):
+        self.rows[piv] = row
+
+
+class ReducedEchelon(Echelon):
+    """An `Echelon` whose rows are kept reduced as they are inserted.
+
+    Every row is zero in every other pivot column, so an incoming row is
+    cleared in one pass over its pivot columns and brings in no fill-in
+    from unreduced rows; a new row is cleared from the rows that hold its
+    pivot column, found through an index column -> pivots.  Pivots and the
+    row space are `Echelon`'s, and `rows` is at every step the reduced row
+    echelon form, each row primitive with a positive pivot entry; divide a
+    row by that entry for the unit-pivot row.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._holders = {}  # non-pivot column -> pivots of rows with an entry
+
+    def _clear(self, vec):
         rows = self.rows
-        for piv in sorted(rows, reverse=True):
-            row = rows[piv]
-            # the rows of later pivots are reduced already, so clearing one
-            # of their pivot columns brings in no other pivot column
-            for col in [j for j in row if j != piv and j in rows]:
-                _eliminate(row, rows[col], col)
-            _primitive(row, piv)
-        return rows
+        # a reduced row has no entry in another pivot column
+        for j in [j for j in vec if j in rows]:
+            _eliminate(vec, rows[j], j)
+        return vec
+
+    def _store(self, piv, row):
+        rows, holders = self.rows, self._holders
+        for p in holders.pop(piv, ()):
+            other = rows[p]
+            before = other.keys() - {piv}
+            _eliminate(other, row, piv)
+            _primitive(other, p)
+            for j in other.keys() - before:
+                holders.setdefault(j, set()).add(p)
+            for j in before - other.keys():
+                holders[j].discard(p)
+        rows[piv] = row
+        for j in row:
+            if j != piv:
+                holders.setdefault(j, set()).add(piv)
 
 
 class ForwardSpan(Echelon):
@@ -150,14 +192,15 @@ class ForwardSpan(Echelon):
 def kernel_basis(rows, ncols):
     """Basis of the right kernel {x : A x = 0}, deterministic order.
 
-    `rows` are the equations (rows of A); columns 0..ncols-1 are unknowns.
+    `rows` are the equations (integer rows of A); columns 0..ncols-1 are
+    unknowns.
     Free column j gives x_j = 1, with the pivot variables read off the
     reduced rows.
     """
-    ech = Echelon()
+    ech = ReducedEchelon()
     for r in rows:
         ech.add(r)
-    reduced = ech.reduced_rows()
+    reduced = ech.rows  # reduced as inserted
     basis = {j: {j: ONE} for j in range(ncols) if j not in reduced}
     for p, row in reduced.items():
         lead = row[p]
@@ -177,14 +220,14 @@ def solve(columns, target):
     for j, col in enumerate(columns + [{k: -c for k, c in target.items()}]):
         for label, c in col.items():
             rows.setdefault(label, {})[j] = c
-    ech = Echelon()
+    ech = ReducedEchelon()
     for r in rows.values():
-        ech.add(r)
+        ech.add(integral(r)[0])
     # a pivot in the augmented column means the system forces 0 = 1
     if aug in ech.rows:
         return None
     sol = {}
-    for p, row in ech.reduced_rows().items():
+    for p, row in ech.rows.items():
         x = row.get(aug)
         if x:
             sol[p] = Fraction(-x, row[p])
@@ -194,14 +237,15 @@ def solve(columns, target):
 def quotient_representatives(space_vectors, sub_vectors):
     """Representatives of a basis of span(space)/span(sub), deterministically.
 
-    The space vectors are independent and span(sub) lies in their span.  The
-    one elimination checks both as rank(sub + space) = len(space) and raises
-    ValueError when that fails.
+    The space vectors are rational and independent, the sub vectors integer
+    rows, and span(sub) lies in span(space).  The one elimination checks
+    both as rank(sub + space) = len(space) and raises ValueError when that
+    fails.
     """
     ech = Echelon()
     for v in sub_vectors:
         ech.add(v)
-    reps = [v for v in space_vectors if ech.add(v) is not None]
+    reps = [v for v in space_vectors if ech.add(integral(v)[0]) is not None]
     if ech.rank != len(space_vectors):
         raise ValueError("the subspace does not lie in the span of the space")
     return reps

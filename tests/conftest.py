@@ -14,6 +14,7 @@ from udeform.deform import (
 )
 from udeform.generalized import FreePAssAlgebra, _compositions, _node, _tree_key
 from udeform.kernel import add_term
+from udeform import cobar
 from udeform.linalg import ForwardSpan
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -195,6 +196,14 @@ def hand_cocycle_sides(s):
             coproduct_series(s, 2) * series_outer(one, s))
 
 
+def integer_row(T, index):
+    """T as an integer row on its line: coefficients times the lcm of their
+    denominators, each key tuple at its column in `index` (new ones next)."""
+    den = math.lcm(*[c.denominator for c in T.terms.values()])
+    return {index.setdefault(keys, len(index)): int(c * den)
+            for keys, c in T.terms.items()}
+
+
 def in_span(ech, vec):
     """Does vec lie in the row space of the `Echelon` ech?"""
     return not ech.reduce(vec)
@@ -276,7 +285,7 @@ def labeled_quotient(generators, leaf_count, symmetric):
         # direct relation instances on lower trees
         for split in _compositions(n, 5):
             for leaves in itertools.product(*(trees[m] for m in split)):
-                feed((t, QQ(1)) for t in labeled_relation(*leaves, symmetric))
+                feed((t, 1) for t in labeled_relation(*leaves, symmetric))
         # relation consequences wrapped one node deeper
         for m in range(5, n - 1, 2):
             for u_leaves, v_leaves in _compositions(n - m, 2):
@@ -331,3 +340,59 @@ def bench_job(name):
             if job.name == name:
                 return job.doc
     raise KeyError(name)
+
+
+def reference_cobar_block(B, cutoff, label):
+    """One block of `cobar.CobarComplex` built on key tuples and Fractions,
+    the route apart from the library's integer codes: its key pairs, the
+    nonzero columns of d1 and the rows of d2, one per triple d2 reaches, in
+    the order the triples are first reached."""
+    unit = B.unit_key
+    dbar = {
+        m: {p: c for p, c in B.coproduct_key(m).items() if unit not in p}
+        for m in cobar.reduced_keys(B, cutoff)
+    }
+    pairs = cobar._pairs_for_block(B, cutoff, label, reduced=True)
+    pair_index = {p: i for i, p in enumerate(pairs)}
+    d1_cols = []
+    for m in cobar._keys_for_block(B, cutoff, label, reduced=True):
+        col = {pair_index[p]: c for p, c in dbar[m].items()}
+        if col:
+            d1_cols.append(col)
+    rows = {}
+    for col, (m, n) in enumerate(pairs):
+        for (a, b), c in dbar[m].items():
+            add_term(rows.setdefault((a, b, n), {}), col, c)
+        for (a, b), c in dbar[n].items():
+            add_term(rows.setdefault((m, a, b), {}), col, -c)
+    return {"pairs": pairs, "d1_cols": d1_cols, "d2_rows": list(rows.values())}
+
+
+def reference_twist_system(B, cutoff, label):
+    """The additive twist equation of one block built on key tuples and
+    Fractions: (key pairs, rows, gauge vectors), the rows in the order their
+    triples are first reached."""
+    unit = B.unit_key
+    pairs = cobar._pairs_for_block(B, cutoff, label, reduced=False)
+    pair_index = {p: i for i, p in enumerate(pairs)}
+    rows = {}
+
+    def put(triple, col, c):
+        add_term(rows.setdefault(triple, {}), col, c)
+
+    for col, (m, n) in enumerate(pairs):
+        for (a, b), c in B.coproduct_key(m).items():
+            put((a, b, n), col, c)          # (Delta @ id) xi
+        put((m, n, unit), col, QQ(1))       # xi @ 1
+        for (a, b), c in B.coproduct_key(n).items():
+            put((m, a, b), col, -c)         # -(id @ Delta) xi
+        put((unit, m, n), col, QQ(-1))      # -1 @ xi
+    gauge = []
+    for g in cobar._keys_for_block(B, cutoff, label, reduced=False):
+        img = dict(B.coproduct_key(g))
+        add_term(img, (unit, g), QQ(-1))
+        add_term(img, (g, unit), QQ(-1))
+        vec = {pair_index[p]: c for p, c in img.items()}
+        if vec:
+            gauge.append(vec)
+    return pairs, list(rows.values()), gauge

@@ -64,6 +64,20 @@ def with_coproduct_override(B, overrides):
     return _CoproductOverride(B, overrides)
 
 
+def halved_square(cutoff=3):
+    """k[p] at the cutoff, with Delta(p^2) = p^2@1 + 1@p^2 + 1/2 p@p.
+
+    p is primitive, so any multiple of p@p keeps Delta coassociative up to
+    p^3: both moduli routes run and agree, and their integer systems are
+    scaled by the denominator L = 2.
+    """
+    B = construct_bialgebra(BialgebraSpec("polynomial-primitive", ["p"]), cutoff)
+    p, p2 = B.parse_key("p"), B.parse_key("p^2")
+    one = B.unit_key
+    delta = {(p2, one): QQ(1), (one, p2): QQ(1), (p, p): QQ(1, 2)}
+    return with_coproduct_override(B, {p2: delta})
+
+
 def noncoassociative_cube(cutoff=4):
     """k[p] at the cutoff, with Delta(p^3) = p^3@1 + 1@p^3 + 3 p@p^2 + 2 p^2@p.
 

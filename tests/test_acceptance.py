@@ -55,7 +55,7 @@ from udeform.generalized import (
     pass_udf,
 )
 
-from conftest import antisym, in_span, raw_tree_count
+from conftest import antisym, in_span, integer_row, raw_tree_count
 from test_generalized import power_map_diagram
 
 
@@ -150,10 +150,7 @@ def test_criterion_03_moduli_dimensions():
             index = {}
 
             def vec(T):
-                out = {}
-                for keys, c in T.terms.items():
-                    out[index.setdefault(keys, len(index))] = c
-                return out
+                return integer_row(T, index)
 
             ech = Echelon()
             for g in blk.gauge:

@@ -21,8 +21,14 @@ from udeform.cli import (
     run,
     validate_jobspec,
 )
+from udeform.bialgebra import (
+    MAX_INDEXED_KEYS, BialgebraSpec, TensorPrimitiveBialgebra, check_key_space,
+    construct_bialgebra,
+)
 from udeform.fixtures import FIXTURES, emit_example
 from udeform.kernel import Monomial
+
+from conftest import bench_job
 
 
 def write_job(tmp_path, doc, name="job.json"):
@@ -308,6 +314,34 @@ def test_bialgebra_cutoff_overflow_exits_two():
     job["inputs"]["bialgebra"]["degree_cutoff"] = 1
     error = _run_error(job)
     assert "key p1^2 exceeds degree cutoff 1" in error["message"]
+
+
+def test_word_basis_past_the_key_bound_exits_two_before_it_is_built(monkeypatch):
+    # 2 generators at cutoff 30 are 2^31 - 1 words; the bound refuses them
+    # before any basis key is enumerated
+    def enumerated(self, max_degree):
+        raise AssertionError("enumerated the word basis to degree %d" % max_degree)
+
+    monkeypatch.setattr(TensorPrimitiveBialgebra, "basis_keys", enumerated)
+    job = bench_job("tensor-D5")
+    job["inputs"]["bialgebra"]["degree_cutoff"] = 30
+    error = _run_error(job)
+    assert error == {
+        "location": "inputs.bialgebra.degree_cutoff",
+        "message": "the word basis on 2 generators up to degree 30 has more "
+                   "than %d keys" % MAX_INDEXED_KEYS,
+    }
+    # the bound is the key count itself: 2^17 - 1 words at cutoff 16 pass it
+    check_key_space(BialgebraSpec("tensor-primitive", ["x", "y"]), 16)
+    with pytest.raises(ValueError):
+        check_key_space(BialgebraSpec("tensor-primitive", ["x", "y"]), 17)
+    check_key_space(BialgebraSpec("tensor-primitive", ["x"]), MAX_INDEXED_KEYS - 1)
+    with pytest.raises(ValueError):
+        check_key_space(BialgebraSpec("tensor-primitive", ["x"]), MAX_INDEXED_KEYS)
+    check_key_space(BialgebraSpec("tensor-primitive", []), 10 ** 9)
+    # the library refuses it too, not only the job runner
+    with pytest.raises(ValueError, match="more than %d keys" % MAX_INDEXED_KEYS):
+        construct_bialgebra(BialgebraSpec("tensor-primitive", ["x", "y"]), 30)
 
 
 def test_tensor_term_past_the_cutoff_exits_two_at_the_term():

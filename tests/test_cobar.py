@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -27,7 +28,10 @@ from udeform.cobar import (
 from udeform.linalg import Echelon
 from udeform.twist import coboundary
 
-from conftest import in_span
+from conftest import (
+    in_span, integer_row, reference_cobar_block, reference_twist_system,
+)
+import coproduct_override
 from coproduct_override import noncoassociative_cube
 
 
@@ -140,11 +144,7 @@ class TestPolynomialModuli:
         index = {}
 
         def vec(T):
-            out = {}
-            for keys, c in T.terms.items():
-                col = index.setdefault(keys, len(index))
-                out[col] = c
-            return out
+            return integer_row(T, index)
 
         for g in blk.gauge:
             ech.add(vec(g))
@@ -166,11 +166,7 @@ class TestPolynomialModuli:
         index = {}
 
         def vec(T):
-            out = {}
-            for keys, c in T.terms.items():
-                col = index.setdefault(keys, len(index))
-                out[col] = c
-            return out
+            return integer_row(T, index)
 
         ech = Echelon()
         for g in blk2.gauge:
@@ -258,6 +254,67 @@ def test_invariant_fails_under_the_optimized_interpreter(route, message):
 
 
 # ---------------------------------------------------------------------------
+# the integer systems against the key-tuple route
+# ---------------------------------------------------------------------------
+
+SYSTEMS = [
+    ("B2", 4),
+    ("tensorB", 3),
+    ("matrixB", 2),
+    ("monoid_free", 3),
+    ("monoid_z2", 1),
+    ("monoid_idem", 1),
+    ("halved_square", 3),
+]
+
+
+@pytest.fixture(scope="module")
+def halved_square():
+    return coproduct_override.halved_square()
+
+
+def assert_rows_on_lines(got, want):
+    """Row for row, each integer row is a nonzero rational multiple of the
+    reference row (an empty row of an empty one)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert all(type(x) is int for x in g.values())
+        assert list(g) == list(w)
+        ratios = {Fraction(g[j]) / w[j] for j in w}
+        assert len(ratios) <= 1 and 0 not in ratios, (g, w)
+
+
+@pytest.mark.parametrize("fixture,cutoff", SYSTEMS, ids=[f for f, _ in SYSTEMS])
+def test_integer_systems_match_the_key_tuple_route(fixture, cutoff, request):
+    B = request.getfixturevalue(fixture)
+    complex_ = CobarComplex(B, cutoff)
+    delta, L = cobar._coproduct_table(B, B.basis_keys(cutoff))
+    assert L == (2 if fixture == "halved_square" else 1)
+    reached = 0
+    for label, blk in complex_.blocks.items():
+        want = reference_cobar_block(B, cutoff, label)
+        assert blk["pairs"] == want["pairs"]
+        assert_rows_on_lines(blk["d1_cols"], want["d1_cols"])
+        assert_rows_on_lines(blk["d2_rows"], want["d2_rows"])
+        pairs, rows, gauge = reference_twist_system(B, cutoff, label)
+        codes, got_rows, got_gauge = cobar._twist_system(B, cutoff, label, delta, L)
+        assert codes == [B.codec.encode(p) for p in pairs]
+        assert_rows_on_lines(got_rows, rows)
+        assert_rows_on_lines(got_gauge, gauge)
+        reached += len(rows) + len(blk["d2_rows"])
+    assert reached
+
+
+def test_a_halved_coproduct_scales_both_systems_and_both_routes_agree(
+    halved_square,
+):
+    rep, blocks = check_oracle_agreement(halved_square, 3)
+    assert rep.passed, rep.render_text()
+    # dbar(p^2) = 1/2 p@p, so p@p is exact, as over k[p]
+    assert profile(blocks) == [(0, 0), (1, 0), (2, 0), (3, 0)]
+
+
+# ---------------------------------------------------------------------------
 # embedding reduced coordinates
 # ---------------------------------------------------------------------------
 
@@ -289,7 +346,7 @@ def test_embed_reduced_matches_outer_product_expansion(fixture, arity, request):
         combo: scalars[i % len(scalars)]
         for i, combo in enumerate(itertools.product(keys, repeat=arity))
     }
-    got = embed_reduced(B, coords, arity)
+    got = embed_reduced(B.tensor(arity, coords))
     assert got.arity == arity
     assert list(got.terms.items()) == list(outer_product_expansion(B, coords).items())
 

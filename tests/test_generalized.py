@@ -574,7 +574,7 @@ def test_symmetric_shortcut_matches_the_elimination(generators, leaves):
     for labels in itertools.permutations(range(5)):
         vec = {}
         for tree in labeled_relation(*labels, symmetric=True):
-            add_term(vec, index.setdefault(tree, len(index)), QQ(1))
+            add_term(vec, index.setdefault(tree, len(index)), 1)
         arity5.add(vec)
     assert len(index) == arity5.rank == 10
     # so the library reports a zero quotient from 5 leaves on without

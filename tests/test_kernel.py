@@ -16,7 +16,7 @@ from udeform.kernel import (
     bounded_product,
     series_multilinear,
 )
-from udeform.linalg import Echelon, ForwardSpan, kernel_basis, solve
+from udeform.linalg import Echelon, ForwardSpan, ReducedEchelon, kernel_basis, solve
 
 
 def S(values, order):
@@ -341,10 +341,17 @@ def apply_rows(rows, x):
 NCOLS = 6  # sparse_vectors use columns 0..5
 
 
+def cleared(row):
+    """row times the lcm of its denominators: an integer row on its line."""
+    den = math.lcm(*[x.denominator for x in row.values()])
+    return {j: int(x * den) for j, x in row.items()}
+
+
 def test_echelon_rows_are_primitive_integers():
     ech = Echelon()
-    assert ech.add({3: QQ(-2, 3), 5: QQ(4, 9)}) == 3
-    assert ech.add({3: QQ(1), 4: QQ(1, 2), 5: QQ(-1, 3)}) == 4
+    # 9 (-2/3, 4/9) and 6 (1, 1/2, -1/3): rows are stored primitive
+    assert ech.add({3: -6, 5: 4}) == 3
+    assert ech.add({3: 6, 4: 3, 5: -2}) == 4
     assert ech.rows == {3: {3: 3, 5: -2}, 4: {4: 3, 5: 2}}
     assert ech.reduce({4: QQ(1), 5: QQ(1)}) == {5: QQ(1, 3)}
 
@@ -370,24 +377,31 @@ def test_solve_inconsistent_and_consistent():
 def test_echelon_matches_fraction_gauss_jordan(rows, mixes, probes, rhs):
     rows = with_dependent_rows(rows, mixes)
     pivots, rref = gauss_jordan(rows)
+    # equation rows are integer: each rational row enters on its line
+    integer_rows = [cleared(row) for row in rows]
+    copies = [dict(row) for row in integer_rows]
     ech = Echelon()
-    assert [ech.add(row) for row in rows] == pivots
+    assert [ech.add(row) for row in integer_rows] == pivots
+    assert integer_rows == copies  # add leaves its input unchanged
     assert list(ech.rows) == list(rref) and ech.rank == len(rref)
     for piv, row in ech.rows.items():
         assert all(type(x) is int for x in row.values())
         assert min(row) == piv and row[piv] > 0
         assert math.gcd(*row.values()) == 1
-    reduced = ech.reduced_rows()
+    red = ReducedEchelon()
+    assert [red.add(row) for row in integer_rows] == pivots
+    assert integer_rows == copies
+    reduced = red.rows
     assert list(reduced) == list(rref)
     for piv, row in reduced.items():
         assert all(type(x) is int for x in row.values())
         assert {j: QQ(x, row[piv]) for j, x in row.items()} == rref[piv]
     for vec in rows + probes:
         residual = ech.reduce(vec)
-        assert residual == gauss_jordan_reduce(rref, vec)
+        assert residual == gauss_jordan_reduce(rref, vec) == red.reduce(vec)
         assert all(type(x) is Fraction for x in residual.values())
 
-    kernel = kernel_basis(rows, NCOLS)
+    kernel = kernel_basis(integer_rows, NCOLS)
     expected = []
     for j in range(NCOLS):
         if j not in rref:
@@ -414,13 +428,37 @@ def test_echelon_matches_fraction_gauss_jordan(rows, mixes, probes, rhs):
 @given(
     st.lists(sparse_vectors, max_size=8),
     st.lists(st.tuples(coefficients, coefficients), max_size=3),
+)
+def test_reduced_echelon_is_the_rref_after_every_row(rows, mixes):
+    rows = with_dependent_rows(rows, mixes)
+    red = ReducedEchelon()
+    for k, row in enumerate(rows):
+        pivots, rref = gauss_jordan(rows[: k + 1])
+        assert red.add(cleared(row)) == pivots[-1]
+        assert list(red.rows) == list(rref)
+        holders = {}
+        for piv, r in red.rows.items():
+            assert all(type(x) is int for x in r.values())
+            assert r[piv] > 0 and math.gcd(*r.values()) == 1
+            assert {j: QQ(x, r[piv]) for j, x in r.items()} == rref[piv]
+            for j in r:
+                if j != piv:
+                    holders.setdefault(j, set()).add(piv)
+        # the index column -> pivots names exactly the rows with an entry
+        assert {j: s for j, s in red._holders.items() if s} == holders
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(sparse_vectors, max_size=8),
+    st.lists(st.tuples(coefficients, coefficients), max_size=3),
     st.lists(sparse_vectors, max_size=4),
 )
 def test_forward_span_agrees_with_echelon(rows, mixes, probes):
     # one elimination under two names: the same pivots, rows and residuals
     rows = with_dependent_rows(rows, mixes)
     full, forward = Echelon(), ForwardSpan()
-    for row in rows:
+    for row in map(cleared, rows):
         assert full.add(row) == forward.add(row)
     assert full.rows == forward.rows
     for vec in rows + probes:
