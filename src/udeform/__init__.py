@@ -15,7 +15,6 @@ from .bialgebra import (
     check_axioms,
     check_cocommutative,
     construct_bialgebra,
-    iterated_coproduct,
 )
 from .operad import (
     OperadElement,
@@ -46,7 +45,6 @@ from .twist import (
 from .cobar import (
     check_oracle_agreement,
     h2,
-    lambda_expected,
     twi_direct,
 )
 from .deform import (
@@ -62,7 +60,6 @@ from .deform import (
     hochschild_differential,
     infinitesimal_cocycle,
     is_hochschild_coboundary,
-    twisted_product,
     wedge_over_A,
 )
 from .generalized import (
@@ -78,5 +75,4 @@ from .generalized import (
     diagram_twist_check,
     interchange_check,
     pass_udf,
-    twisted_ternary,
 )

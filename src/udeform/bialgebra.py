@@ -990,20 +990,6 @@ class TensorElement(SparseElement):
 
 
 # ---------------------------------------------------------------------------
-# module-level operation entry points
-# ---------------------------------------------------------------------------
-
-def iterated_coproduct(b, k):
-    """Delta^k sending B to B^(@(k+1)); Delta^0 = id and Delta^(-1) = eps."""
-    if b.arity != 1:
-        raise ValueError("iterated coproduct starts from an arity-1 element")
-    if k < -1:
-        raise ValueError("k must be >= -1")
-    B = b.parent
-    return b.substitute(1, lambda code: B.iterated_coproduct_code(code, k), k + 1)
-
-
-# ---------------------------------------------------------------------------
 # checkers
 # ---------------------------------------------------------------------------
 

@@ -52,16 +52,6 @@ from .reports import CheckReport, first_witness
 GRADED_KINDS = ("polynomial-primitive", "tensor-primitive")
 
 
-def lambda_expected(num_primitives):
-    """Expected total H^2 dimension for a primitively generated polynomial
-    bialgebra on k generators: the dimension k(k-1)/2 of the degree-2 part
-    of the exterior algebra on the primitives."""
-    k = num_primitives
-    if k < 0:
-        raise ValueError("the number of primitives is nonnegative")
-    return k * (k - 1) // 2
-
-
 # ---------------------------------------------------------------------------
 # the counit kernel
 # ---------------------------------------------------------------------------

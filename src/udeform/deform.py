@@ -683,11 +683,6 @@ class StarProduct(TwistedProduct):
         return self._contract(sa, sb)
 
 
-def twisted_product(F, action, a, b):
-    """a * b = mu(F(a @ b)) as a series over the truncation ring."""
-    return StarProduct(F, action).star(a, b)
-
-
 def check_associativity(F, action, cutoff=None, star=None):
     """(a*b)*c = a*(b*c) on basis triples within the cutoff, plus unitality.
 

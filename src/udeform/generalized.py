@@ -44,18 +44,18 @@ from .kernel import (
     clean_terms, series_multilinear,
 )
 from .linalg import ForwardSpan
+from .operad import circ_B
 from .reports import CheckReport, first_witness
 from .twist import (
     UDF,
     GaugeElement,
     TensorSeries,
     add_series_identity,
-    cocycle_sides,
+    first_failing_difference,
     first_failing_order,
     gauge_transform,
     series_circ,
     series_outer,
-    series_permute,
     tensor_series,
 )
 
@@ -417,15 +417,20 @@ def pass_udf(F):
     """The induced ternary twist H = F o_1 F, cross-checked against F o_2 F.
 
     The two composites agree exactly when F satisfies the cocycle identity,
-    so their equality is asserted here.
+    so their equality is asserted here, one t-order at a time: H is built
+    in full, F o_2 F never is.
     """
     if not isinstance(F, UDF):
         raise ValueError("the ternary twist is induced by a UDF")
-    h1, h2 = cocycle_sides(F.series)
-    k = first_failing_order(h1, h2)
-    if k is not None:
+    s = F.series
+    h1 = series_circ(s, 1, s)
+    failing = first_failing_difference(F.order, [
+        (lambda h: ((1, h),), h1),
+        (lambda x, y: ((-1, circ_B(x, 2, y)),), s, s),
+    ])
+    if failing is not None:
         raise ValueError(
-            "F o_1 F != F o_2 F at order %d; F is not a twisting element" % k
+            "F o_1 F != F o_2 F at order %d; F is not a twisting element" % failing[0]
         )
     return TernaryTwist(h1)
 
@@ -440,11 +445,6 @@ class TwistedTernaryProduct(TwistedProduct):
     def product(self, sa, sb, sc):
         """Deformed product of three element series, truncated."""
         return self._contract(sa, sb, sc)
-
-
-def twisted_ternary(H, action, a, b, c):
-    """One twisted ternary product value as a series."""
-    return TwistedTernaryProduct(H, action).product(a, b, c)
 
 
 def check_partial_assoc(product, cutoff, order=None):
@@ -511,16 +511,15 @@ def interchange_check(F1, F2):
 
     in B^(@4), exactly or order by order for series.  Each side is a double
     composition in the operad of B: (Delta@Delta)(a) (b@b) = (a o_2 b) o_1 b.
+    The inner compositions a o_2 b are built in full, the outer ones one
+    t-order at a time (`twist.first_failing_difference`).
     """
     s1, s2 = tensor_series(F1), tensor_series(F2)
-
-    def grafted(a, b):
-        return series_circ(series_circ(a, 2, b), 1, b)
-
-    lhs = series_permute(grafted(s1, s2), TAU_1324)
-    rhs = grafted(s2, s1)
     report = CheckReport("interchange coherence")
-    add_series_identity(report, "tau_1324 identity in B^4", lhs, rhs)
+    add_series_identity(report, "tau_1324 identity in B^4", s1.order, [
+        (lambda x, y: ((1, circ_B(x, 1, y).permute(TAU_1324)),), series_circ(s1, 2, s2), s2),
+        (lambda x, y: ((-1, circ_B(x, 1, y)),), series_circ(s2, 2, s1), s1),
+    ])
     return report
 
 
@@ -717,10 +716,12 @@ def diagram_twist_check(D, arrow_index, triple, order=None):
         F2.check().passed,
     )
 
-    lhs = series_circ(G, 1, F1.series)
-    rhs = arrow.phi.apply_tensor_series(F2.series) * series_outer(G, G)
     add_series_identity(
-        report, "triple condition Delta(G) F1 = (phi@phi)(F2) (G@G)", lhs, rhs
+        report, "triple condition Delta(G) F1 = (phi@phi)(F2) (G@G)", F1.order, [
+            (lambda g, f: ((1, circ_B(g, 1, f)),), G, F1.series),
+            (lambda f, gg: ((-1, f * gg),),
+             arrow.phi.apply_tensor_series(F2.series), series_outer(G, G)),
+        ],
     )
 
     star1 = StarProduct(F1, src.action)

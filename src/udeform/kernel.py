@@ -666,27 +666,52 @@ def series_multilinear(fn, *series):
     """Extend a multilinear map over series of one order in the Cauchy pattern.
 
     Returns the series whose t^n slot is the sum of fn(a_i, b_j, ...) over
-    i + j + ... = n.  Only the nonzero slots of each series are visited, in
-    index order with the first series outermost; a slot that receives no
-    term holds the zero of fn's value space, taken from the t^0 slots.  Used
-    for products and for operadic compositions of series-valued tensors,
-    which are multilinear but not coefficientwise.
+    i + j + ... = n.  The slots are summed one at a time: the products of
+    one t-slot are formed and summed before the next slot's are formed, so
+    only one slot's products are held at once.  Within a slot only the
+    nonzero slots of each series are visited, in index order with the first
+    series outermost; a slot that receives no term holds the zero of fn's
+    value space, taken from the t^0 slots.  Used for products and for
+    operadic compositions of series-valued tensors, which are multilinear
+    but not coefficientwise.
     """
     n = series[0].order
     if any(s.order != n for s in series):
         raise ValueError("truncation orders differ")
-    supports = [
-        [(i, c) for i, c in enumerate(s.coeffs) if not _is_zero(c)] for s in series
-    ]
-    terms = [[] for _ in range(n + 1)]
-    for combo in itertools.product(*supports):
-        k = sum(i for i, _ in combo)
-        if k <= n:
-            terms[k].append(fn(*(c for _, c in combo)))
-    if not all(terms):
-        probe = fn(*(s.coeffs[0] for s in series))
-        zero = probe - probe
-    return TruncSeries([_sum_of(parts) if parts else zero for parts in terms])
+    supports = slot_supports(series)
+    coeffs = []
+    zero = None
+    for k in range(n + 1):
+        parts = [fn(*combo) for combo in slot_combinations(supports, k)]
+        if not parts:
+            if zero is None:
+                probe = fn(*(s.coeffs[0] for s in series))
+                zero = probe - probe
+            parts = [zero]
+        coeffs.append(_sum_of(parts))
+    return TruncSeries(coeffs)
+
+
+def slot_supports(series):
+    """The nonzero slots of each series, as dicts t-order -> coefficient in
+    index order: what `slot_combinations` walks."""
+    return [{i: c for i, c in enumerate(s.coeffs) if not _is_zero(c)} for s in series]
+
+
+def slot_combinations(supports, k):
+    """The tuples (a_i, b_j, ...) of nonzero slots with i + j + ... = k, in
+    the order of itertools.product over the supports (first outermost)."""
+    if len(supports) == 1:
+        c = supports[0].get(k)
+        if c is not None:
+            yield (c,)
+        return
+    first, rest = supports[0], supports[1:]
+    for i, c in first.items():
+        if i > k:
+            return
+        for tail in slot_combinations(rest, k - i):
+            yield (c,) + tail
 
 
 def _sum_of(parts):

@@ -17,19 +17,31 @@ twist f solves f o_1 f = f o_2 f in the logarithmic operad (`operad.circ_b`).
 
 Everything t-dependent is carried as a TruncSeries whose coefficients are
 tensors, so the generic series arithmetic of the kernel module does all the
-order bookkeeping.  A UDF is a twisting element of the shape 1@1 + (ideal
-part).  For commutative coefficients the formal logarithm turns all of this
-into linear algebra (the additive picture), and over one-generator
-polynomial bialgebras there is a further dictionary into bivariate
-polynomials and a functional equation.
+order bookkeeping.  A two-sided identity between tensor series is decided
+one t-order at a time (`first_failing_difference`), the lazy-coefficient
+view of power series (M. D. McIlroy, "Power series, power serious",
+J. Funct. Programming 9(3), 1999): the t^k coefficient of lhs - rhs needs
+only the slots up to k, so it is formed as one signed integer sum, tested
+for zero and dropped; the comparison never builds either side in full.
+The check stops at the first failing order, and its witness is the
+difference there, the same tensor as the t^k coefficient of the full
+lhs - rhs.
+
+A UDF is a twisting element of the shape 1@1 + (ideal part).  For
+commutative coefficients the formal logarithm turns all of this into linear
+algebra (the additive picture), and over one-generator polynomial
+bialgebras there is a further dictionary into bivariate polynomials and a
+functional equation.
 """
 
 from __future__ import annotations
 
-from .bialgebra import TensorElement
+from math import lcm
+
+from .bialgebra import TensorElement, _packed
 from .kernel import (
-    Monomial, Polynomial, QQ, TruncSeries, add_term, as_scalar,
-    series_multilinear,
+    Monomial, Polynomial, QQ, TruncSeries, add_into, add_term, as_scalar,
+    series_multilinear, slot_combinations, slot_supports,
 )
 from .linalg import solve as linalg_solve
 from .operad import circ_B, circ_b
@@ -57,17 +69,9 @@ def series_outer(a, b):
 def series_counit(s, slot):
     return s.map_coeffs(lambda c: c.apply_counit(slot))
 
-def series_permute(s, sigma):
-    return s.map_coeffs(lambda c: c.permute(tuple(sigma)))
-
 def series_circ(a, i, b):
     """Multiplicative operadic composition extended over series (bilinear)."""
     return series_multilinear(lambda x, y: circ_B(x, i, y), a, b)
-
-def cocycle_sides(s):
-    """F o_1 F and F o_2 F for an arity-2 tensor series F, the two sides of
-    (d1): (Delta@id)(F) (F@1) = F o_1 F and (id@Delta)(F) (1@F) = F o_2 F."""
-    return series_circ(s, 1, s), series_circ(s, 2, s)
 
 def first_failing_order(a, b):
     """Index of the first differing coefficient of two series, or None."""
@@ -200,25 +204,75 @@ class AdditiveTwist(TensorSeries):
 # the checkers
 # ---------------------------------------------------------------------------
 
-def add_series_identity(report, label, lhs, rhs):
-    """Add the entry lhs = rhs for two series to `report`; a failure names
-    the first failing t-order and the difference there."""
-    k = first_failing_order(lhs, rhs)
+def first_failing_difference(order, terms):
+    """(k, D) for the first t-order k <= order at which lhs - rhs has a
+    nonzero coefficient D, or None: the identity lhs = rhs between tensor
+    series decided one order at a time.
+
+    lhs - rhs is given as `terms`, each (parts, *series) with the series of
+    one order: its t^k coefficient is, over the tuples of nonzero slots
+    (a_i, b_j, ...) with i + j + ... = k (`kernel.slot_combinations`), the
+    sum of the signed tensors `parts(a_i, b_j, ...)` yields as (sign,
+    tensor) pairs.  Each part is added into one packed {code: numerator}
+    dict over the running lcm of the denominators as soon as it is formed,
+    so parts that cancel do so early and no order's products are held; a
+    nonzero dict is reduced (`_packed`) into D.  Orders past the first
+    failing one are never formed.
+    """
+    supports = []
+    for parts, *series in terms:
+        if any(s.order != order for s in series):
+            raise ValueError("truncation orders differ")
+        supports.append((parts, slot_supports(series)))
+    for k in range(order + 1):
+        acc, den, mate = {}, 1, None
+        for parts, support in supports:
+            for combo in slot_combinations(support, k):
+                for sign, x in parts(*combo):
+                    if mate is None:
+                        mate = x
+                    else:
+                        mate._check_mate(x)
+                    d = x.den
+                    if den % d:
+                        grown = lcm(den, d)
+                        f = grown // den
+                        acc = {code: n * f for code, n in acc.items()}
+                        den = grown
+                    add_into(acc, x.codes, sign * (den // d))
+        if acc:
+            return k, _packed(mate.parent, mate.arity, acc, den)
+    return None
+
+
+def add_series_identity(report, label, order, terms):
+    """Add the entry lhs = rhs, given as `terms` (`first_failing_difference`),
+    to `report`; a failure names the first failing t-order and the
+    difference there."""
+    failing = first_failing_difference(order, terms)
     report.add(
         label,
-        k is None,
-        None if k is None else {
-            "first_failing_order": k,
-            "difference": (lhs.coeffs[k] - rhs.coeffs[k]).render(),
+        failing is None,
+        None if failing is None else {
+            "first_failing_order": failing[0],
+            "difference": failing[1].render(),
         },
     )
+
+
+def _cocycle_parts(x, y):
+    """F_i o_1 F_j, then minus F_i o_2 F_j: both sides of (d1) on one pair
+    of slots, the second formed once the first is added, so that the two
+    cancel as they go."""
+    yield 1, circ_B(x, 1, y)
+    yield -1, circ_B(x, 2, y)
 
 
 def check_twisting(F, counital=True, symmetric=False):
     """Verify (d1), optionally (d2) and the symmetry F = tau F, exactly.
 
-    Works order by order in t; the witness names the first failing order and
-    the offending difference tensor.
+    Works order by order in t and stops at the first failing order; the
+    witness names that order and the offending difference tensor.
     """
     if isinstance(F, TensorElement):
         F = TwistingElement(tensor_series(F))
@@ -226,7 +280,7 @@ def check_twisting(F, counital=True, symmetric=False):
     s = F.series
     report = CheckReport("twisting element over %s" % B.spec.kind)
 
-    add_series_identity(report, "(d1) cocycle identity", *cocycle_sides(s))
+    add_series_identity(report, "(d1) cocycle identity", F.order, [(_cocycle_parts, s, s)])
 
     if counital:
         B.require_counit()
@@ -242,7 +296,8 @@ def check_twisting(F, counital=True, symmetric=False):
         )
 
     if symmetric:
-        add_series_identity(report, "symmetry F = tau F", s, series_permute(s, (2, 1)))
+        add_series_identity(report, "symmetry F = tau F", F.order,
+                            [(lambda c: ((1, c), (-1, c.permute((2, 1)))), s)])
 
     return report
 
@@ -283,10 +338,11 @@ def additive_twist_equation(f):
     (Delta@id)f + f@1 = (id@Delta)f + 1@f, one coefficient at a time (the
     composition is not bilinear); returns a report."""
     s = tensor_series(f)
-    lhs = s.map_coeffs(lambda c: circ_b(c, 1, c))
-    rhs = s.map_coeffs(lambda c: circ_b(c, 2, c))
     report = CheckReport("additive twist equation")
-    add_series_identity(report, "additive cocycle identity", lhs, rhs)
+    add_series_identity(
+        report, "additive cocycle identity", s.order,
+        [(lambda c: ((1, circ_b(c, 1, c)), (-1, circ_b(c, 2, c))), s)],
+    )
     return report
 
 

@@ -7,12 +7,14 @@ import pytest
 
 from udeform.kernel import QQ, Polynomial, SparseElement, TruncSeries, add_into
 from udeform.bialgebra import BialgebraSpec, construct_bialgebra
-from udeform.twist import make_exp_udf, series_outer
+from udeform.twist import first_failing_order, make_exp_udf, series_circ, series_outer
 from udeform.deform import (
-    HochschildCochain, PolynomialTruncatedAlgebra, _apply_poly_operator,
+    HochschildCochain, PolynomialTruncatedAlgebra, StarProduct, _apply_poly_operator,
     action_from_derivations,
 )
-from udeform.generalized import FreePAssAlgebra, _compositions, _node, _tree_key
+from udeform.generalized import (
+    FreePAssAlgebra, TwistedTernaryProduct, _compositions, _node, _tree_key,
+)
 from udeform.kernel import add_term
 from udeform import cobar
 from udeform.linalg import ForwardSpan
@@ -181,6 +183,36 @@ class ReferenceTensor(SparseElement):
                            for keys, c in self.terms.items()})
 
 
+def iterated_coproduct(b, k):
+    """Delta^k sending B to B^(@(k+1)); Delta^0 = id and Delta^(-1) = eps."""
+    if b.arity != 1:
+        raise ValueError("iterated coproduct starts from an arity-1 element")
+    if k < -1:
+        raise ValueError("k must be >= -1")
+    B = b.parent
+    return b.substitute(1, lambda code: B.iterated_coproduct_code(code, k), k + 1)
+
+
+def twisted_product(F, action, a, b):
+    """a * b = mu(F(a @ b)) as a series over the truncation ring."""
+    return StarProduct(F, action).star(a, b)
+
+
+def twisted_ternary(H, action, a, b, c):
+    """One twisted ternary product value as a series."""
+    return TwistedTernaryProduct(H, action).product(a, b, c)
+
+
+def lambda_expected(num_primitives):
+    """Expected total H^2 dimension for a primitively generated polynomial
+    bialgebra on k generators: the dimension k(k-1)/2 of the degree-2 part
+    of the exterior algebra on the primitives."""
+    k = num_primitives
+    if k < 0:
+        raise ValueError("the number of primitives is nonnegative")
+    return k * (k - 1) // 2
+
+
 def coproduct_series(s, slot):
     """Delta on slot `slot` of every coefficient of a tensor series."""
     return s.map_coeffs(lambda c: c.apply_coproduct(slot))
@@ -194,6 +226,28 @@ def hand_cocycle_sides(s):
     one = TruncSeries.constant(s.coeffs[0].parent.one(1), s.order)
     return (coproduct_series(s, 1) * series_outer(s, one),
             coproduct_series(s, 2) * series_outer(one, s))
+
+
+def cocycle_sides(s):
+    """F o_1 F and F o_2 F for an arity-2 tensor series F, each built in
+    full: the two sides of (d1), (Delta@id)(F) (F@1) and (id@Delta)(F) (1@F).
+    The reference the library's order-by-order (d1) check is compared with."""
+    return series_circ(s, 1, s), series_circ(s, 2, s)
+
+
+def reference_series_identity(report, label, lhs, rhs):
+    """Add the entry lhs = rhs for two series built in full to `report`,
+    the witness read off the first differing coefficient: the reference
+    route of `twist.add_series_identity`."""
+    k = first_failing_order(lhs, rhs)
+    report.add(
+        label,
+        k is None,
+        None if k is None else {
+            "first_failing_order": k,
+            "difference": (lhs.coeffs[k] - rhs.coeffs[k]).render(),
+        },
+    )
 
 
 def integer_row(T, index):

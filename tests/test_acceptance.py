@@ -30,7 +30,7 @@ from udeform.twist import (
     series_from_orders,
     to_additive,
 )
-from udeform.cobar import check_oracle_agreement, h2, lambda_expected, twi_direct
+from udeform.cobar import check_oracle_agreement, h2, twi_direct
 from udeform.linalg import Echelon
 from udeform.deform import (
     Derivation,
@@ -55,7 +55,9 @@ from udeform.generalized import (
     pass_udf,
 )
 
-from conftest import antisym, in_span, integer_row, raw_tree_count
+from conftest import (
+    antisym, in_span, integer_row, lambda_expected, raw_tree_count, twisted_product,
+)
 from test_generalized import power_map_diagram
 
 
@@ -95,7 +97,6 @@ def test_criterion_02_twisted_products(B2, B2_wide, plane, moyal_udf, moyal_acti
     )
     rep_euler = check_associativity(F_euler6, euler_action6, cutoff=4)
 
-    from udeform.deform import twisted_product
 
     p, q = plane.variable("p"), plane.variable("q")
     commutator_ok = True

@@ -14,10 +14,9 @@ from udeform.bialgebra import (
     check_axioms,
     check_cocommutative,
     construct_bialgebra,
-    iterated_coproduct,
 )
 
-from conftest import IDEMPOTENT_TABLE, ReferenceTensor, Z2_TABLE
+from conftest import IDEMPOTENT_TABLE, ReferenceTensor, Z2_TABLE, iterated_coproduct
 from coproduct_override import noncoassociative_cube, with_coproduct_override
 
 

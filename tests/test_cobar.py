@@ -20,7 +20,6 @@ from udeform.cobar import (
     corner_solutions_trivial,
     embed_reduced,
     h2,
-    lambda_expected,
     profile,
     reduced_keys,
     twi_direct,
@@ -29,7 +28,7 @@ from udeform.linalg import Echelon
 from udeform.twist import coboundary
 
 from conftest import (
-    in_span, integer_row, reference_cobar_block, reference_twist_system,
+    in_span, integer_row, lambda_expected, reference_cobar_block, reference_twist_system,
 )
 import coproduct_override
 from coproduct_override import noncoassociative_cube

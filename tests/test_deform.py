@@ -23,7 +23,6 @@ from udeform.deform import (
     hochschild_differential,
     infinitesimal_cocycle,
     is_hochschild_coboundary,
-    twisted_product,
     wedge_over_A,
 )
 
@@ -35,7 +34,7 @@ from udeform.generalized import (
 )
 from udeform import cli
 
-from conftest import antisym, bench_job, operator_cochain
+from conftest import antisym, bench_job, operator_cochain, twisted_product
 
 
 def M(text):

@@ -35,7 +35,6 @@ from udeform.generalized import (
     interchange_check,
     morphism_image_check,
     pass_udf,
-    twisted_ternary,
 )
 
 from conftest import (
@@ -46,6 +45,7 @@ from conftest import (
     labeled_quotient,
     labeled_relation,
     raw_tree_count,
+    twisted_ternary,
 )
 
 

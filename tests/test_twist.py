@@ -1,22 +1,23 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from udeform.kernel import Monomial, Polynomial, QQ, TruncSeries
 from udeform.bialgebra import BialgebraSpec, CutoffError, construct_bialgebra
+from udeform.operad import circ_B
 from udeform.reports import CheckReport
+from udeform import twist
 from udeform.twist import (
     UDF,
     AdditiveTwist,
     GaugeElement,
     TwistingElement,
     additive_gauge,
-    add_series_identity,
     additive_twist_equation,
     check_functional_equation,
     check_twisting,
-    cocycle_sides,
     first_order_gauge,
     from_additive,
     gauge_transform,
@@ -29,7 +30,10 @@ from udeform.twist import (
     to_bivariate,
 )
 
-from conftest import IDEMPOTENT_TABLE, antisym, coproduct_series, hand_cocycle_sides
+from conftest import (
+    IDEMPOTENT_TABLE, antisym, cocycle_sides, coproduct_series, hand_cocycle_sides,
+    reference_series_identity,
+)
 
 
 def d1_passes(report):
@@ -464,6 +468,96 @@ def test_perturbations_reach_both_branches():
 
 
 # ---------------------------------------------------------------------------
+# (d1) order by order against both sides built in full
+# ---------------------------------------------------------------------------
+
+def _exp_bases():
+    """(B, exp(t r)) mod t^(N+1) for a few r over polynomial-primitive
+    (N = 4) and tensor-primitive (N = 3, r on one generator, so exp(t r) is
+    a twist there too); each cutoff holds every product (d1) forms once an
+    order-k coefficient, k >= 1, gains an X of slot degree <= 2."""
+    P = construct_bialgebra(BialgebraSpec("polynomial-primitive", ["p1", "p2"]), 6)
+    T = construct_bialgebra(BialgebraSpec("tensor-primitive", ["x", "y"]), 4)
+    p1, p2 = P.generator("p1"), P.generator("p2")
+    x = T.generator("x")
+    bases = [
+        (P, 4, antisym(P).scale(QQ(1, 2))),
+        (P, 4, p1.outer(p1) + p1.outer(p2).scale(QQ(2)) - p2.outer(p1)),
+        (T, 3, x.outer(x)),
+        (T, 3, x.outer(x).scale(QQ(-1, 3))),
+    ]
+    return [(B, series_from_orders(B, 2, N, {1: r}).exp()) for B, N, r in bases]
+
+
+EXP_BASES = _exp_bases()
+
+
+@st.composite
+def _exp_perturbations(draw):
+    # the order-k coefficient of exp(t r) plus a random X; X = 0 leaves a twist
+    B, s = draw(st.sampled_from(EXP_BASES))
+    keys = B.basis_keys(2)
+    X = B.tensor(2, draw(st.dictionaries(
+        st.tuples(st.sampled_from(keys), st.sampled_from(keys)),
+        st.sampled_from([QQ(1), QQ(-1), QQ(2), QQ(1, 2), QQ(-3, 4)]),
+        max_size=4,
+    )))
+    k = draw(st.integers(1, s.order))
+    coeffs = list(s.coeffs)
+    coeffs[k] = coeffs[k] + X
+    return TruncSeries(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exp_perturbations())
+def test_orderwise_d1_matches_both_sides_built_in_full(s):
+    want = CheckReport("twisting element")
+    reference_series_identity(want, "(d1) cocycle identity", *cocycle_sides(s))
+    want = want.entries[0]
+    # the t-order of every composition check_twisting forms
+    slot = {id(c): k for k, c in enumerate(s.coeffs) if c}
+    orders = []
+
+    def counted(u, i, v):
+        orders.append(slot[id(u)] + slot[id(v)])
+        return circ_B(u, i, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(twist, "circ_B", counted)
+        got = check_twisting(TwistingElement(s), counital=False).entries[0]
+    assert (got.ok, got.witness) == (want.ok, want.witness)
+    last = s.order if got.ok else got.witness["first_failing_order"]
+    assert max(orders) == last
+    pairs = sum(1 for i in slot.values() for j in slot.values() if i + j <= last)
+    assert len(orders) == 2 * pairs
+
+
+def test_d1_holds_one_order_not_both_sides(B3):
+    # the traced peak of the check stays below what the two full sides of
+    # (d1) hold once built; relative, so it holds on any machine
+    gens = B3.spec.generators
+    r = sum(
+        (B3.generator(a).outer(B3.generator(b)) - B3.generator(b).outer(B3.generator(a))
+         for i, a in enumerate(gens) for b in gens[i + 1:]),
+        B3.zero(2),
+    )
+    F = make_exp_udf(r.scale(QQ(1, 2)), order=6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert check_twisting(F, counital=False).passed
+        check_peak = tracemalloc.get_traced_memory()[1] - base
+        before = tracemalloc.get_traced_memory()[0]
+        sides = cocycle_sides(F.series)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sides[0] == sides[1]
+    assert check_peak < held
+
+
+# ---------------------------------------------------------------------------
 # the twist identities through the operad against the hand-built route
 # ---------------------------------------------------------------------------
 
@@ -540,7 +634,7 @@ def test_twist_identities_through_the_operad_match_the_hand_route(case):
     # the additive picture, with its witness: f o_1 f = f o_2 f in circ_b
     one = TruncSeries.constant(B.one(1), SERIES_ORDER)
     want = CheckReport("additive twist equation")
-    add_series_identity(
+    reference_series_identity(
         want, "additive cocycle identity",
         coproduct_series(s, 1) + series_outer(s, one),
         coproduct_series(s, 2) + series_outer(one, s),
