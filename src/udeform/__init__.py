@@ -12,12 +12,9 @@ from .bialgebra import (
     CounitUnavailable,
     CutoffError,
     TensorElement,
-    check_axioms,
-    check_cocommutative,
     construct_bialgebra,
 )
 from .operad import (
-    OperadElement,
     check_assoc_cases,
     check_equivariance,
     check_unit,

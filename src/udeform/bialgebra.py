@@ -1,4 +1,4 @@
-"""Bialgebra presentations, their tensor powers, and axiom checkers.
+"""Bialgebra presentations and their tensor powers.
 
 A Bialgebra object tabulates structure maps on a canonical basis, lazily and
 memoized, for all elements of internal degree up to a cutoff supplied at
@@ -53,7 +53,7 @@ from .kernel import (
     Monomial, ONE_MONOMIAL, QQ, SparseElement, add_into, add_term, as_scalar,
     bounded_product, clean_terms, monomials,
 )
-from .reports import CheckReport, first_witness
+from .reports import first_witness
 
 
 class CutoffError(Exception):
@@ -915,20 +915,6 @@ class TensorElement(SparseElement):
             raise ValueError("slot %d out of range for arity %d" % (slot, self.arity))
         return self.substitute(slot, self.parent.codec.counit, 0)
 
-    def insert_units(self, slot, count):
-        """This element with `count` unit slots inserted before slot `slot`
-        (1-based; arity + 1 appends them).  The unit's code is 0, so the
-        slots from `slot` on move `count` widths up."""
-        if not count:
-            return self
-        if slot > self.arity:  # units appended after the last slot move nothing
-            return self._like(self.codes, self.arity + count, self.den)
-        width = self.parent.codec.width
-        at = (slot - 1) * width
-        low, up = (1 << at) - 1, at + count * width
-        out = {code & low | code >> at << up: n for code, n in self.codes.items()}
-        return self._like(out, self.arity + count, self.den)
-
     def nonunit_part(self):
         """The terms of this element with no unit slot (no slot code 0)."""
         codec = self.parent.codec
@@ -987,69 +973,3 @@ class TensorElement(SparseElement):
             (sum(map(B.degree, decode(code, self.arity))) for code in self.codes),
             default=0,
         )
-
-
-# ---------------------------------------------------------------------------
-# checkers
-# ---------------------------------------------------------------------------
-
-def check_axioms(B, cutoff=None):
-    """Verify the bialgebra axioms on all basis elements within the cutoff."""
-    cutoff = B.cutoff if cutoff is None else cutoff
-    report = CheckReport("bialgebra axioms (%s)" % B.spec.kind)
-    keys = B.basis_keys(cutoff)
-    singles = [(k,) for k in keys]
-    pairs = list(bounded_product([keys, keys], B.degree, cutoff))
-
-    def coassociative(k):
-        d = B.element({k: QQ(1)}).apply_coproduct(1)
-        lhs, rhs = d.apply_coproduct(1), d.apply_coproduct(2)
-        if lhs != rhs:
-            return {"element": B.key_str(k), "lhs": lhs.render(), "rhs": rhs.render()}
-
-    def counit_law(k):
-        e = B.element({k: QQ(1)})
-        d = e.apply_coproduct(1)
-        if d.apply_counit(1) != e or d.apply_counit(2) != e:
-            return {"element": B.key_str(k)}
-
-    def pair(k1, k2):
-        return "%s , %s" % (B.key_str(k1), B.key_str(k2))
-
-    def coproduct_multiplicative(k1, k2):
-        e1, e2 = B.element({k1: QQ(1)}), B.element({k2: QQ(1)})
-        lhs = (e1 * e2).apply_coproduct(1)
-        rhs = e1.apply_coproduct(1) * e2.apply_coproduct(1)
-        if lhs != rhs:
-            return {"pair": pair(k1, k2), "lhs": lhs.render(), "rhs": rhs.render()}
-
-    def counit_multiplicative(k1, k2):
-        e1, e2 = B.element({k1: QQ(1)}), B.element({k2: QQ(1)})
-        lhs = (e1 * e2).apply_counit(1).scalar_value()
-        if lhs != B.counit_key(k1) * B.counit_key(k2):
-            return {"pair": pair(k1, k2)}
-
-    bad, _ = first_witness(singles, coassociative)
-    report.add("coassociativity", bad is None, bad)
-    if B.counital:
-        bad, _ = first_witness(singles, counit_law)
-        report.add("counit law", bad is None, bad)
-    bad, _ = first_witness(pairs, coproduct_multiplicative)
-    report.add("coproduct is an algebra morphism", bad is None, bad)
-    if B.counital:
-        bad, _ = first_witness(pairs, counit_multiplicative)
-        report.add("counit is an algebra morphism", bad is None, bad)
-    return report
-
-
-def check_cocommutative(B, cutoff=None):
-    """(True, None) iff tau.Delta = Delta on all basis keys within the
-    cutoff, else (False, the first failing key)."""
-    cutoff = B.cutoff if cutoff is None else cutoff
-
-    def flipped(k):
-        d = B.element({k: QQ(1)}).apply_coproduct(1)
-        return B.key_str(k) if d.permute((2, 1)) != d else None
-
-    bad, _ = first_witness(((k,) for k in B.basis_keys(cutoff)), flipped)
-    return bad is None, bad

@@ -756,15 +756,6 @@ class HochschildCochain:
             add_into(out, self.on_keys(*keys).terms, c)
         return self.parent.zero()._like(out)
 
-    def __sub__(self, other):
-        if other.parent is not self.parent or other.degree != self.degree:
-            raise ValueError("cochain mismatch")
-        return HochschildCochain(
-            self.parent,
-            self.degree,
-            lambda *keys: self.on_keys(*keys) - other.on_keys(*keys),
-        )
-
     def zero_witness(self, cutoff):
         A = self.parent
 

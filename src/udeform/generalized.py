@@ -197,6 +197,9 @@ class FreePAssAlgebra:
 
     def _basis_shapes(self, n):
         """Quotient basis shapes at n leaves."""
+        if n < 1 or n % 2 == 0:
+            raise ValueError(
+                "leaf counts of ternary trees are odd and positive, not %d" % n)
         if self.symmetric and n >= 5:
             return []
         self._ensure(n)
@@ -221,8 +224,8 @@ class FreePAssAlgebra:
 
     def dimension(self, leaf_count):
         g, n = len(self.generators), leaf_count
-        words = math.comb(g + n - 1, n) if self.symmetric else g ** n
-        return len(self._basis_shapes(n)) * words
+        shapes = self._basis_shapes(n)
+        return len(shapes) * (math.comb(g + n - 1, n) if self.symmetric else g ** n)
 
     def generator(self, name):
         return PAssElement(self, {self.generators.index(name): QQ(1)})

@@ -447,10 +447,6 @@ class Polynomial(SparseElement):
     def variable(name):
         return Polynomial({Monomial({name: 1}): QQ(1)})
 
-    @property
-    def degree(self):
-        return max((m.degree for m in self.terms), default=0)
-
     def one_like(self):
         return Polynomial({ONE_MONOMIAL: QQ(1)})
 

@@ -16,61 +16,28 @@ and 0 in the additive one.
 
 The axioms are theorems, so the checkers here exist to catch implementation
 bugs: they combine fixed-seed random sweeps with exhaustive low-degree
-sweeps and report witnesses on failure.
+sweeps and report witnesses on failure.  Every checker states its identity
+as the two sides at one case and hands them to one comparison step
+(`_compared`) under the package's one checker loop, `reports.first_witness`;
+the step counts a case whose compositions leave the tabulated degree range
+as skipped, since the truncation cannot decide it, and the report labels
+carry that count.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from functools import partial
 
-from .bialgebra import CutoffError, TensorElement
+from .bialgebra import CutoffError, TensorElement, _packed
 from .kernel import QQ, bounded_product
 from .reports import CheckReport, first_witness
 
 FLAVOR_MULTIPLICATIVE = "multiplicative"
 FLAVOR_ADDITIVE = "additive"
 FLAVORS = (FLAVOR_MULTIPLICATIVE, FLAVOR_ADDITIVE)
-
-
-class OperadElement:
-    """A flavored element: payload in B^(@n), n >= 1 for the additive flavor."""
-
-    __slots__ = ("flavor", "payload")
-
-    def __init__(self, flavor, payload):
-        if flavor not in FLAVORS:
-            raise ValueError("unknown operad flavor %r" % (flavor,))
-        if flavor == FLAVOR_ADDITIVE and payload.arity < 1:
-            raise ValueError("the additive operad has no arity-0 component")
-        if payload.arity == 0 and not payload.parent.counital:
-            raise ValueError("arity 0 needs a counital bialgebra")
-        self.flavor = flavor
-        self.payload = payload
-
-    @property
-    def arity(self):
-        return self.payload.arity
-
-    @staticmethod
-    def unit(flavor, B):
-        return OperadElement(flavor, _unit_payload(flavor, B))
-
-    def compose(self, i, other):
-        if self.flavor != other.flavor:
-            raise ValueError("cannot compose across operad flavors")
-        payload = _compose(self.flavor, self.payload, i, other.payload)
-        return OperadElement(self.flavor, payload)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OperadElement)
-            and self.flavor == other.flavor
-            and self.payload == other.payload
-        )
-
-    def __repr__(self):
-        return "<%s operad element %s>" % (self.flavor, self.payload.render())
 
 
 def circ_B(u, i, v):
@@ -109,7 +76,10 @@ def circ_b(u, i, v):
     _check_slot(u, i, v)
     B, n = u.parent, v.arity
     E = u.substitute(i, lambda code: B.iterated_coproduct_code(code, n - 1), n)
-    return E + v.insert_units(1, i - 1).insert_units(i + n, u.arity - i)
+    # the unit's slot code is 0, so P is v's codes shifted i - 1 slots up
+    at = (i - 1) * B.codec.width
+    P = {code << at: c for code, c in v.codes.items()}
+    return E + _packed(B, u.arity + n - 1, P, v.den)
 
 
 def _check_slot(u, i, v):
@@ -121,10 +91,6 @@ def _check_slot(u, i, v):
 
 def _compose(flavor, u, i, v):
     return circ_B(u, i, v) if flavor == FLAVOR_MULTIPLICATIVE else circ_b(u, i, v)
-
-
-def _unit_payload(flavor, B):
-    return B.one(1) if flavor == FLAVOR_MULTIPLICATIVE else B.zero(1)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +155,42 @@ def _sample_arity(rng, flavor, counital):
 # checkers
 # ---------------------------------------------------------------------------
 
+def _compared(sides, witness, tally):
+    """The witness function every checker here hands to `first_witness`.
+
+    `sides(*case)` gives the two sides of an identity at one case, and
+    `witness(*case, lhs, rhs)` the witness when they differ.  A case whose
+    compositions leave the tabulated degree range cannot be decided inside
+    the truncation: it counts as skipped in the Counter `tally`, and every
+    other case as decided."""
+
+    def step(*case):
+        try:
+            lhs, rhs = sides(*case)
+        except CutoffError:
+            tally["skipped"] += 1
+            return None
+        tally["decided"] += 1
+        if lhs != rhs:
+            return witness(*case, lhs, rhs)
+
+    return step
+
+
+def _labelled(label, tally):
+    """The check label, with the count of skipped cases when there are any."""
+    skipped = tally["skipped"]
+    return label + (", %d outside the degree range" % skipped if skipped else "")
+
+
+def _sweep(report, label, cases, sides, witness):
+    """Add the check `label` to `report`: the two sides compared over `cases`
+    up to the first witness."""
+    tally = Counter()
+    bad, _ = first_witness(cases, _compared(sides, witness, tally))
+    report.add(_labelled(label, tally), bad is None, bad)
+
+
 def _assoc_case_triples(a, b, c):
     """Yield (case, j, i) index data for the three associativity cases."""
     for j in range(1, a + 1):
@@ -200,30 +202,26 @@ def _assoc_case_triples(a, b, c):
             yield 3, j, i
 
 
-def _check_assoc_on(flavor, u, v, w, tested, skipped):
-    """Return (case, j, i, lhs, rhs) for the first failing case, else None.
+def _check_assoc_on(flavor, u, v, w, tallies):
+    """The witness of the first failing associativity instance on (u, v, w),
+    else None; each instance counts into the tally of its case."""
+    b, c, o = v.arity, w.arity, partial(_compose, flavor)
 
-    Instances whose intermediate products leave the tabulated degree range
-    cannot be decided inside the truncation and are counted as skipped."""
-    b, c = v.arity, w.arity
+    def sides(case, j, i):
+        lhs = o(o(u, j, v), i, w)
+        if case == 1:
+            return lhs, o(o(u, i, w), j + c - 1, v)
+        if case == 2:
+            return lhs, o(u, j, o(v, i - j + 1, w))
+        return lhs, o(o(u, i - b + 1, w), j, v)
 
-    def instance(case, j, i):
-        try:
-            lhs = _compose(flavor, _compose(flavor, u, j, v), i, w)
-            if case == 1:
-                rhs = _compose(flavor, _compose(flavor, u, i, w), j + c - 1, v)
-            elif case == 2:
-                rhs = _compose(flavor, u, j, _compose(flavor, v, i - j + 1, w))
-            else:
-                rhs = _compose(flavor, _compose(flavor, u, i - b + 1, w), j, v)
-        except CutoffError:
-            skipped[case] += 1
-            return None
-        tested[case] += 1
-        if lhs != rhs:
-            return case, j, i, lhs, rhs
+    def witness(case, j, i, lhs, rhs):
+        return {"case": case, "i": i, "j": j, "u": u.render(), "v": v.render(),
+                "w": w.render(), "lhs": lhs.render(), "rhs": rhs.render()}
 
-    bad, _ = first_witness(_assoc_case_triples(u.arity, b, c), instance)
+    steps = {case: _compared(sides, witness, tally) for case, tally in tallies.items()}
+    bad, _ = first_witness(_assoc_case_triples(u.arity, b, c),
+                           lambda case, j, i: steps[case](case, j, i))
     return bad
 
 
@@ -248,26 +246,13 @@ def check_assoc_cases(flavor, B, samples=50, seed=0):
         raise ValueError("unknown operad flavor %r" % (flavor,))
     report = CheckReport("operad associativity (%s over %s)" % (flavor, B.spec.kind))
     rng = random.Random(seed)
-
-    failures = {1: None, 2: None, 3: None}
-    tested = {1: 0, 2: 0, 3: 0}
-    skipped = {1: 0, 2: 0, 3: 0}
+    tallies = {1: Counter(), 2: Counter(), 3: Counter()}
+    failures = {}
 
     def run(u, v, w):
-        bad = _check_assoc_on(flavor, u, v, w, tested, skipped)
+        bad = _check_assoc_on(flavor, u, v, w, tallies)
         if bad is not None:
-            case, j, i, lhs, rhs = bad
-            if failures[case] is None:
-                failures[case] = {
-                    "case": case,
-                    "i": i,
-                    "j": j,
-                    "u": u.render(),
-                    "v": v.render(),
-                    "w": w.render(),
-                    "lhs": lhs.render(),
-                    "rhs": rhs.render(),
-                }
+            failures.setdefault(bad["case"], bad)
 
     for _ in range(samples):
         u = random_tensor(B, rng, _sample_arity(rng, flavor, B.counital))
@@ -283,16 +268,11 @@ def check_assoc_cases(flavor, B, samples=50, seed=0):
     for u, v, w in bounded_product(pools, TensorElement.degree, 2):
         run(u, v, w)
 
-    for case in (1, 2, 3):
-        label = "associativity case %d (%d instances)" % (case, tested[case])
-        report.add(_outside(label, skipped[case]), failures[case] is None, failures[case])
+    for case, tally in tallies.items():
+        label = "associativity case %d (%d instances)" % (case, tally["decided"])
+        bad = failures.get(case)
+        report.add(_labelled(label, tally), bad is None, bad)
     return report
-
-
-def _outside(label, skipped):
-    """The check label, with the count of instances that left the tabulated
-    degree range (undecidable inside the truncation) when there are any."""
-    return label + (", %d outside the degree range" % skipped if skipped else "")
 
 
 def check_equivariance(B, samples=50, seed=0):
@@ -318,45 +298,26 @@ def check_equivariance(B, samples=50, seed=0):
         g = B.generator(name)
         cases.append((g, B.one(2)))
 
-    # an instance outside the tabulated degree range is undecidable: counted
-    skipped = {"inner": 0, "outer": 0}
-
     def inner(u, v, i, tau):
-        try:
-            lhs = circ_B(u, i, v.permute(tau))
-            rhs = circ_B(u, i, v).permute(inflate_inner(tau, i, u.arity))
-        except CutoffError:
-            skipped["inner"] += 1
-            return None
-        if lhs != rhs:
-            return {"u": u.render(), "v": v.render(), "i": i, "tau": list(tau),
-                    "lhs": lhs.render(), "rhs": rhs.render()}
+        return (circ_B(u, i, v.permute(tau)),
+                circ_B(u, i, v).permute(inflate_inner(tau, i, u.arity)))
 
     def outer(u, v, sigma, i):
-        try:
-            lhs = circ_B(u.permute(sigma), i, v)
-            rhs = circ_B(u, sigma[i - 1], v).permute(inflate_outer(sigma, i, v.arity))
-        except CutoffError:
-            skipped["outer"] += 1
-            return None
-        if lhs != rhs:
-            return {"u": u.render(), "v": v.render(), "i": i, "sigma": list(sigma),
-                    "lhs": lhs.render(), "rhs": rhs.render()}
+        return (circ_B(u.permute(sigma), i, v),
+                circ_B(u, sigma[i - 1], v).permute(inflate_outer(sigma, i, v.arity)))
 
-    bad_inner, _ = first_witness(
-        ((u, v, i, tau) for u, v in cases
-         for i in range(1, u.arity + 1) for tau in perms(v.arity)),
-        inner,
-    )
-    bad_outer, _ = first_witness(
-        ((u, v, sigma, i) for u, v in cases
-         for sigma in perms(u.arity) for i in range(1, u.arity + 1)),
-        outer,
-    )
-    report.add(_outside("inner equivariance u o (v.tau)", skipped["inner"]),
-               bad_inner is None, bad_inner)
-    report.add(_outside("outer equivariance (u.sigma) o v", skipped["outer"]),
-               bad_outer is None, bad_outer)
+    _sweep(report, "inner equivariance u o (v.tau)",
+           ((u, v, i, tau) for u, v in cases
+            for i in range(1, u.arity + 1) for tau in perms(v.arity)),
+           inner, lambda u, v, i, tau, lhs, rhs: {
+               "u": u.render(), "v": v.render(), "i": i, "tau": list(tau),
+               "lhs": lhs.render(), "rhs": rhs.render()})
+    _sweep(report, "outer equivariance (u.sigma) o v",
+           ((u, v, sigma, i) for u, v in cases
+            for sigma in perms(u.arity) for i in range(1, u.arity + 1)),
+           outer, lambda u, v, sigma, i, lhs, rhs: {
+               "u": u.render(), "v": v.render(), "i": i, "sigma": list(sigma),
+               "lhs": lhs.render(), "rhs": rhs.render()})
     return report
 
 
@@ -364,39 +325,19 @@ def check_unit(flavor, B, samples=50, seed=0):
     """Unit laws: unit o_1 v = v and u o_i unit = u."""
     report = CheckReport("operad unit laws (%s over %s)" % (flavor, B.spec.kind))
     rng = random.Random(seed)
-    unit = _unit_payload(flavor, B)
+    unit = B.one(1) if flavor == FLAVOR_MULTIPLICATIVE else B.zero(1)
     elements = [random_tensor(B, rng, rng.randint(1, 3)) for _ in range(samples)]
     elements.extend(
         e for e in _exhaustive_low_degree_elements(B, flavor) if e.arity >= 1
     )
 
-    # a composition outside the tabulated degree range is undecidable: counted
-    skipped = {"left": 0, "right": 0}
-
-    def left(v):
-        try:
-            got = _compose(flavor, unit, 1, v)
-        except CutoffError:
-            skipped["left"] += 1
-            return None
-        if got != v:
-            return {"v": v.render(), "got": got.render()}
-
-    def right(v, i):
-        try:
-            got = _compose(flavor, v, i, unit)
-        except CutoffError:
-            skipped["right"] += 1
-            return None
-        if got != v:
-            return {"u": v.render(), "i": i, "got": got.render()}
-
-    bad_left, _ = first_witness(((v,) for v in elements), left)
-    bad_right, _ = first_witness(
-        ((v, i) for v in elements for i in range(1, v.arity + 1)), right
-    )
-    report.add(_outside("unit o_1 v = v", skipped["left"]), bad_left is None, bad_left)
-    report.add(_outside("u o_i unit = u", skipped["right"]), bad_right is None, bad_right)
+    _sweep(report, "unit o_1 v = v", ((v,) for v in elements),
+           lambda v: (_compose(flavor, unit, 1, v), v),
+           lambda v, got, _: {"v": v.render(), "got": got.render()})
+    _sweep(report, "u o_i unit = u",
+           ((v, i) for v in elements for i in range(1, v.arity + 1)),
+           lambda v, i: (_compose(flavor, v, i, unit), v),
+           lambda v, i, got, _: {"u": v.render(), "i": i, "got": got.render()})
     return report
 
 
@@ -414,26 +355,23 @@ def reconstruct_bialgebra_check(B, cutoff=2):
 
     def product(k1, k2):
         e1, e2 = B.element({k1: QQ(1)}), B.element({k2: QQ(1)})
-        if circ_B(e1, 1, e2) != e1 * e2:
-            return {"pair": "%s , %s" % (B.key_str(k1), B.key_str(k2))}
+        return circ_B(e1, 1, e2), e1 * e2
 
     def coproduct(k):
         e = B.element({k: QQ(1)})
-        if circ_B(e, 1, B.one(2)) != e.apply_coproduct(1):
-            return {"element": B.key_str(k)}
+        return circ_B(e, 1, B.one(2)), e.apply_coproduct(1)
 
     def counit(k):
-        got = circ_B(B.element({k: QQ(1)}), 1, scalar_one).scalar_value()
-        if got != B.counit_key(k):
-            return {"element": B.key_str(k)}
+        return (circ_B(B.element({k: QQ(1)}), 1, scalar_one).scalar_value(),
+                B.counit_key(k))
 
-    bad, _ = first_witness(
-        bounded_product([keys, keys], B.degree, B.cutoff), product
-    )
-    report.add("product recovered by o_1", bad is None, bad)
-    bad, _ = first_witness(singles, coproduct)
-    report.add("coproduct recovered by b o_1 (1@1)", bad is None, bad)
+    def element(k, *_):
+        return {"element": B.key_str(k)}
+
+    _sweep(report, "product recovered by o_1",
+           bounded_product([keys, keys], B.degree, B.cutoff), product,
+           lambda k1, k2, *_: {"pair": "%s , %s" % (B.key_str(k1), B.key_str(k2))})
+    _sweep(report, "coproduct recovered by b o_1 (1@1)", singles, coproduct, element)
     if B.counital:
-        bad, _ = first_witness(singles, counit)
-        report.add("counit recovered by the arity-0 slot", bad is None, bad)
+        _sweep(report, "counit recovered by the arity-0 slot", singles, counit, element)
     return report

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from udeform.kernel import QQ, Polynomial, SparseElement, TruncSeries, add_into
+from udeform.kernel import (
+    QQ, Polynomial, SparseElement, TruncSeries, add_into, bounded_product,
+)
 from udeform.bialgebra import BialgebraSpec, construct_bialgebra
+from udeform.reports import CheckReport, first_witness
 from udeform.twist import first_failing_order, make_exp_udf, series_circ, series_outer
 from udeform.deform import (
     HochschildCochain, PolynomialTruncatedAlgebra, StarProduct, _apply_poly_operator,
@@ -181,6 +184,73 @@ class ReferenceTensor(SparseElement):
     def permute(self, sigma):
         return self._like({tuple(keys[s - 1] for s in sigma): c
                            for keys, c in self.terms.items()})
+
+
+# The bialgebra axiom checkers.  No job runs them: the monoid and
+# finite-dimensional tables are validated at construction, and the other
+# kinds are bialgebras by construction.  Tests use them to tell a broken
+# coproduct override from a good one.
+
+def check_axioms(B, cutoff=None):
+    """Verify the bialgebra axioms on all basis elements within the cutoff."""
+    cutoff = B.cutoff if cutoff is None else cutoff
+    report = CheckReport("bialgebra axioms (%s)" % B.spec.kind)
+    keys = B.basis_keys(cutoff)
+    singles = [(k,) for k in keys]
+    pairs = list(bounded_product([keys, keys], B.degree, cutoff))
+
+    def coassociative(k):
+        d = B.element({k: QQ(1)}).apply_coproduct(1)
+        lhs, rhs = d.apply_coproduct(1), d.apply_coproduct(2)
+        if lhs != rhs:
+            return {"element": B.key_str(k), "lhs": lhs.render(), "rhs": rhs.render()}
+
+    def counit_law(k):
+        e = B.element({k: QQ(1)})
+        d = e.apply_coproduct(1)
+        if d.apply_counit(1) != e or d.apply_counit(2) != e:
+            return {"element": B.key_str(k)}
+
+    def pair(k1, k2):
+        return "%s , %s" % (B.key_str(k1), B.key_str(k2))
+
+    def coproduct_multiplicative(k1, k2):
+        e1, e2 = B.element({k1: QQ(1)}), B.element({k2: QQ(1)})
+        lhs = (e1 * e2).apply_coproduct(1)
+        rhs = e1.apply_coproduct(1) * e2.apply_coproduct(1)
+        if lhs != rhs:
+            return {"pair": pair(k1, k2), "lhs": lhs.render(), "rhs": rhs.render()}
+
+    def counit_multiplicative(k1, k2):
+        e1, e2 = B.element({k1: QQ(1)}), B.element({k2: QQ(1)})
+        lhs = (e1 * e2).apply_counit(1).scalar_value()
+        if lhs != B.counit_key(k1) * B.counit_key(k2):
+            return {"pair": pair(k1, k2)}
+
+    bad, _ = first_witness(singles, coassociative)
+    report.add("coassociativity", bad is None, bad)
+    if B.counital:
+        bad, _ = first_witness(singles, counit_law)
+        report.add("counit law", bad is None, bad)
+    bad, _ = first_witness(pairs, coproduct_multiplicative)
+    report.add("coproduct is an algebra morphism", bad is None, bad)
+    if B.counital:
+        bad, _ = first_witness(pairs, counit_multiplicative)
+        report.add("counit is an algebra morphism", bad is None, bad)
+    return report
+
+
+def check_cocommutative(B, cutoff=None):
+    """(True, None) iff tau.Delta = Delta on all basis keys within the
+    cutoff, else (False, the first failing key)."""
+    cutoff = B.cutoff if cutoff is None else cutoff
+
+    def flipped(k):
+        d = B.element({k: QQ(1)}).apply_coproduct(1)
+        return B.key_str(k) if d.permute((2, 1)) != d else None
+
+    bad, _ = first_witness(((k,) for k in B.basis_keys(cutoff)), flipped)
+    return bad is None, bad
 
 
 def iterated_coproduct(b, k):

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from udeform.kernel import Monomial, Polynomial, QQ, TruncSeries
-from udeform.bialgebra import BialgebraSpec, check_cocommutative, construct_bialgebra
+from udeform.bialgebra import BialgebraSpec, construct_bialgebra
 from udeform.operad import (
     FLAVOR_ADDITIVE,
     FLAVOR_MULTIPLICATIVE,

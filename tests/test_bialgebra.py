@@ -11,12 +11,13 @@ from udeform.bialgebra import (
     BialgebraSpec,
     CounitUnavailable,
     CutoffError,
-    check_axioms,
-    check_cocommutative,
     construct_bialgebra,
 )
 
-from conftest import IDEMPOTENT_TABLE, ReferenceTensor, Z2_TABLE, iterated_coproduct
+from conftest import (
+    IDEMPOTENT_TABLE, ReferenceTensor, Z2_TABLE, check_axioms, check_cocommutative,
+    iterated_coproduct,
+)
 from coproduct_override import noncoassociative_cube, with_coproduct_override
 
 

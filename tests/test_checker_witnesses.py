@@ -11,9 +11,7 @@ recorded from the hand-written loops they replaced.
 import json
 
 from udeform import cobar
-from udeform.bialgebra import (
-    BialgebraSpec, check_axioms, check_cocommutative, construct_bialgebra,
-)
+from udeform.bialgebra import BialgebraSpec, construct_bialgebra
 from udeform.deform import (
     FiniteDimensionalAlgebra,
     HochschildCochain,
@@ -49,7 +47,7 @@ from udeform.twist import (
     series_from_orders,
 )
 
-from conftest import antisym
+from conftest import antisym, check_axioms, check_cocommutative
 from coproduct_override import with_coproduct_override
 from test_generalized import power_map_diagram
 

@@ -74,6 +74,14 @@ class TestFreePAss:
         with pytest.raises(ValueError):
             FreePAssAlgebra(["x"], 4, symmetric=False)
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("leaves", [0, 2, 4, -1])
+    def test_even_or_nonpositive_leaf_count_rejected(self, leaves, symmetric):
+        P = FreePAssAlgebra(["p", "q"], 5, symmetric)
+        for query in (P.basis, P.dimension):
+            with pytest.raises(ValueError, match="not %d" % leaves):
+                query(leaves)
+
     def test_relations_are_leaf_homogeneous(self):
         P = FreePAssAlgebra(["p", "q"], 5, symmetric=False)
         x, q = P.generator("p"), P.generator("q")

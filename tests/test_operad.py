@@ -15,7 +15,6 @@ from udeform.bialgebra import (
 from udeform.operad import (
     FLAVOR_ADDITIVE,
     FLAVOR_MULTIPLICATIVE,
-    OperadElement,
     check_assoc_cases,
     check_equivariance,
     check_unit,
@@ -24,7 +23,7 @@ from udeform.operad import (
     reconstruct_bialgebra_check,
 )
 
-from conftest import IDEMPOTENT_TABLE, antisym
+from conftest import IDEMPOTENT_TABLE, antisym, check_cocommutative
 from coproduct_override import with_coproduct_override
 
 
@@ -82,6 +81,8 @@ class TestAdditiveComposition:
     def test_arity_one_is_addition(self, B2):
         u, v = B2.generator("p1"), B2.generator("p2")
         assert circ_b(u, 1, v) == u + v
+        with pytest.raises(ValueError, match="indexed from arity 1"):
+            circ_b(u, 1, TensorElement(B2, 0, {(): QQ(1)}))
 
     def test_zero_is_the_unit(self, B2):
         u = B2.generator("p1").outer(B2.generator("p2"))
@@ -117,16 +118,6 @@ class TestAdditiveComposition:
         circ_b(v, 1, u)
         assert not calls
 
-    def test_flavored_wrapper(self, B2):
-        u = OperadElement(FLAVOR_ADDITIVE, B2.generator("p1"))
-        v = OperadElement(FLAVOR_ADDITIVE, B2.generator("p2"))
-        got = u.compose(1, v)
-        assert got.payload == B2.generator("p1") + B2.generator("p2")
-        with pytest.raises(ValueError):
-            OperadElement(FLAVOR_ADDITIVE, TensorElement(B2, 0, {(): QQ(1)}))
-        with pytest.raises(ValueError):
-            u.compose(1, OperadElement(FLAVOR_MULTIPLICATIVE, B2.one(1)))
-
 
 class TestAxiomCheckers:
     @pytest.mark.parametrize("flavor", [FLAVOR_MULTIPLICATIVE, FLAVOR_ADDITIVE])
@@ -161,8 +152,6 @@ class TestAxiomCheckers:
     def test_equivariance_agrees_with_cocommutativity(
         self, B2, monoid_free, matrixB
     ):
-        from udeform.bialgebra import check_cocommutative
-
         for B in (B2, monoid_free, matrixB):
             rep = check_equivariance(B, samples=25, seed=0)
             assert rep.passed == check_cocommutative(B)[0]
