@@ -13,10 +13,17 @@ g(rest . a), each (b, a) is computed once and tabulated, and every action
 is the linear extension over that table.  The binary `ModuleAction` here
 and the ternary action of the `generalized` module share it.  Every twisted
 product (`TwistedProduct`, binary or ternary) is a contraction over its
-structure constants mu(T_l (b_k1 @ ... @ b_km)), one per tuple of basis keys
-and t-order l, tabulated lazily per (twist, action) pair: each is computed
-on first use, and only for an order the truncation reaches; one past a
-cutoff raises at the first argument term that reaches it, cancelling or not.
+structure constants C_l(k1..km) = mu(T_l (b_k1 @ ... @ b_km)), one per tuple
+of basis keys and t-order l, held in one packed table per (twist, action)
+pair: basis keys get integer codes, and each constant is a row of integer
+numerators on codes over one denominator, computed on first use and only
+for an order the truncation reaches; one past a cutoff raises at the first
+argument term that reaches it, cancelling or not.  Products sum rows in
+integers and decode to elements once at the end.  The associativity sweeps
+(`check_associativity` here, `check_partial_assoc` for ternary products)
+decide each basis tuple on the rows alone: both sides of an identity are
+contracted per t-order, inner product first, into one integer sum, and
+elements are decoded only for a witness.
 
 The infinitesimal layer extracts the t^1 Hochschild 2-cochain of a
 deformation, decides coboundary-ness inside a declared finite search space,
@@ -48,6 +55,7 @@ from .kernel import (
     SparseElement,
     TruncSeries,
     add_into,
+    add_rational,
     add_term,
     as_scalar,
     bounded_product,
@@ -56,7 +64,7 @@ from .kernel import (
 )
 from .linalg import solve as linalg_solve
 from .reports import CheckReport, first_witness
-from .twist import UDF, first_failing_order
+from .twist import UDF
 
 
 # ---------------------------------------------------------------------------
@@ -600,73 +608,139 @@ def check_module_algebra(action, cutoff=None):
 class TwistedProduct:
     """mu(T (x1 @ ... @ xm)) for an arity-m twist series T = sum_l T_l t^l
     over B, acting on the target through `action`; `multiply` is the m-ary
-    product of the target.  Subclasses check their twist and expose the
-    product.
+    product of the target and `zero` its zero element.  Subclasses check
+    their twist and expose the product.
 
     The product is a contraction over the structure constants of the pair
-    (T, action): `_table` maps (keys, l), for a tuple of m basis keys of the
-    target, to the terms of mu(T_l (b_k1 @ ... @ b_km)).  An entry is
-    computed by `_value` on first use, and only for an order l that the
+    (T, action), held in one packed table.  A basis key of the target gets
+    an integer code on first sight (`code`; `_keys` decodes), and `_rows`
+    maps (codes, l), for a tuple of m codes, to the row C_l(codes) =
+    mu(T_l (b_k1 @ ... @ b_km)) as (den, {code: integer numerator}).  A row
+    is formed on first use (`row`), and only for an order l that the
     truncation reaches -- a higher twist order raises pAss leaf counts, so
-    an entry nothing needs could force quotient builds nothing else does.
+    a row nothing needs could force quotient builds nothing else does.
+    Sums of rows are accumulated per t-order over a running lcm
+    (`kernel.add_rational`) and decoded to elements only at the end.
     """
 
-    def __init__(self, twist, action, multiply):
+    def __init__(self, twist, action, multiply, zero):
         if twist.parent is not action.B:
             raise ValueError("twist and action disagree on the bialgebra")
         self.action = action
         self.order = twist.order
         self._multiply = multiply
-        # the twist series with each coefficient as its terms in basis order
-        self.terms = TruncSeries([c.sorted_terms() for c in twist.series.coeffs])
-        self._table = {}
+        self._zero = zero
+        # each twist coefficient as its terms in basis order
+        self.terms = [c.sorted_terms() for c in twist.series.coeffs]
+        self._codes = {}
+        self._keys = []
+        self._rows = {}
 
-    def _series(self, x):
-        return x if isinstance(x, TruncSeries) else TruncSeries.constant(x, self.order)
+    def code(self, key):
+        """The integer code of a basis key of the target."""
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = len(self._keys)
+            self._keys.append(key)
+        return code
 
-    def _value(self, terms, *elems):
-        """mu(T (x1 @ ... @ xm)) for one twist coefficient T, given as terms."""
+    def _pack(self, terms):
+        """A Fraction dict on basis keys as (den, {code: numerator})."""
+        if not terms:
+            return 1, {}
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        code = self.code
+        return den, {code(k): c.numerator * (den // c.denominator)
+                     for k, c in terms.items()}
+
+    def _element(self, slot):
+        """The element of a packed (den, {code: numerator})."""
+        den, terms = slot
+        keys = self._keys
+        return self._zero._like({keys[c]: QQ(n, den) for c, n in terms.items()})
+
+    def row(self, codes, l):
+        """The row C_l(codes) of a tuple of codes, formed on first use."""
+        row = self._rows.get((codes, l))
+        if row is None:
+            row = self._rows[codes, l] = self._form(codes, l)
+        return row
+
+    def _form(self, codes, l):
+        """C_l(codes) = mu(T_l (b_k1 @ ... @ b_km)), packed."""
         act = self.action.apply_key
         multiply = self._multiply
+        basis = [self._zero._like({self._keys[c]: QQ(1)}) for c in codes]
         out = {}
-        for keys, c in terms:
-            add_into(out, multiply(*map(act, keys, elems)).terms, c)
-        return elems[0]._like(out)
+        for keys, c in self.terms[l]:
+            add_into(out, multiply(*map(act, keys, basis)).terms, c)
+        return self._pack(out)
+
+    def structure_constant(self, keys, l):
+        """mu(T_l (b_k1 @ ... @ b_km)) for a tuple of basis keys, as an
+        element, read from the table."""
+        return self._element(self.row(tuple(map(self.code, keys)), l))
+
+    def _composed(self, parts):
+        """Per t-order, the packed sum over `parts` of sign * x(..., y, ...),
+        each part (head, inner, tail, sign) of code tuples: the outer product
+        of head, the series y = the product of inner, and tail, mod t^(N+1).
+
+        The rows of `inner` are formed, then for each nonzero slot i of y
+        and each code m of it in order, the rows of head + (m,) + tail up to
+        order N - i: the order in which multiplying the basis elements
+        inside out reaches them.  Returns [den, {code: numerator}] per order.
+        """
+        n = self.order
+        row, get = self.row, self._rows.get
+        acc = [[1, {}] for _ in range(n + 1)]
+        for head, inner, tail, sign in parts:
+            for i, (d1, terms1) in enumerate([row(inner, l) for l in range(n + 1)]):
+                if not terms1:
+                    continue
+                for m, n1 in terms1.items():
+                    codes = head + (m,) + tail
+                    num = sign * n1
+                    for l in range(n - i + 1):
+                        d2, terms2 = get((codes, l)) or row(codes, l)
+                        if terms2:
+                            add_rational(acc[i + l], terms2, num, d1 * d2)
+        return acc
 
     def _contract(self, *args):
         """The product of m element series (or elements) mod t^(N+1).
 
         For nonzero slots i_1..i_m of the arguments with i = i_1 + ... + i_m
         <= N, every choice of one term from each slot adds the product of
-        their coefficients times table[(keys, l)] into slot i + l, l <= N - i.
-        A constant past a cutoff raises CutoffError at the first term that
-        reaches it, even where the argument terms would cancel.
+        their coefficients times the row C_l of their codes into slot i + l,
+        l <= N - i.  A row past a cutoff raises CutoffError at the first
+        term that reaches it, even where the argument terms would cancel.
         """
-        series = [self._series(x) for x in args]
         n = self.order
-        if any(s.order != n for s in series):
-            raise ValueError("truncation orders differ")
-        table = self._table
-        supports = [[(i, c) for i, c in enumerate(s.coeffs) if c] for s in series]
-        slots = [{} for _ in range(n + 1)]
+        supports = []
+        for x in args:
+            if not isinstance(x, TruncSeries):
+                supports.append([(0, self._pack(x.terms))] if x else [])
+                continue
+            if x.order != n:
+                raise ValueError("truncation orders differ")
+            supports.append(
+                [(i, self._pack(c.terms)) for i, c in enumerate(x.coeffs) if c]
+            )
+        acc = [[1, {}] for _ in range(n + 1)]
         for combo in itertools.product(*supports):
             low = sum(i for i, _ in combo)
             if low > n:
                 continue
-            elems = [x for _, x in combo]
-            for chosen in itertools.product(*(x.terms.items() for x in elems)):
-                keys = tuple(k for k, _ in chosen)
-                c = math.prod(a for _, a in chosen)
+            den = math.prod(d for _, (d, _) in combo)
+            for chosen in itertools.product(*(t.items() for _, (_, t) in combo)):
+                codes = tuple(c for c, _ in chosen)
+                num = math.prod(a for _, a in chosen)
                 for l in range(n - low + 1):
-                    entry = table.get((keys, l))
-                    if entry is None:
-                        basis = [x._like({k: QQ(1)}) for x, k in zip(elems, keys)]
-                        entry = self._value(self.terms.coeffs[l], *basis).terms
-                        table[keys, l] = entry
-                    if entry:
-                        add_into(slots[low + l], entry, c)
-        like = series[0].coeffs[0]
-        return TruncSeries([like._like(s) for s in slots])
+                    d2, terms2 = self.row(codes, l)
+                    if terms2:
+                        add_rational(acc[low + l], terms2, num, den * d2)
+        return TruncSeries([self._element(slot) for slot in acc])
 
 
 class StarProduct(TwistedProduct):
@@ -675,7 +749,7 @@ class StarProduct(TwistedProduct):
     def __init__(self, F, action):
         if not isinstance(F, UDF):
             raise ValueError("twisted products need a UDF")
-        super().__init__(F, action, operator.mul)
+        super().__init__(F, action, operator.mul, action.A.zero())
         self.F = F
 
     def star(self, sa, sb):
@@ -683,9 +757,22 @@ class StarProduct(TwistedProduct):
         return self._contract(sa, sb)
 
 
+def _first_nonzero(acc, order):
+    """The first t-order k <= order whose packed slot acc[k] is nonzero, or
+    None."""
+    for k in range(order + 1):
+        if acc[k][1]:
+            return k
+    return None
+
+
 def check_associativity(F, action, cutoff=None, star=None):
     """(a*b)*c = a*(b*c) on basis triples within the cutoff, plus unitality.
 
+    A triple (k1, k2, k3) is decided on the table's rows: per t-order,
+    lhs = sum C_l1(k1, k2)[m] C_l2(m, k3) and rhs = sum C_l1(k2, k3)[m]
+    C_l2(k1, m) over l1 + l2 = s, lhs - rhs summed in integers
+    (`TwistedProduct._composed`); both sides are decoded only for a witness.
     Reports localize the first failing t-order and the witness triple.  A
     caller that goes on multiplying passes its `StarProduct` of (F, action)
     as `star`, so that both share one table of structure constants.
@@ -695,26 +782,33 @@ def check_associativity(F, action, cutoff=None, star=None):
     cutoff = A.cutoff or 0 if cutoff is None else cutoff
     report = CheckReport("twisted product associativity")
     keys = A.basis_keys()
+    code, n = star.code, star.order
 
     def associative(k1, k2, k3):
-        x, y, z = (A.element({k: QQ(1)}) for k in (k1, k2, k3))
-        lhs = star.star(star.star(x, y), z)
-        rhs = star.star(x, star.star(y, z))
-        failing = first_failing_order(lhs, rhs)
+        c1, c2, c3 = code(k1), code(k2), code(k3)
+        left, right = ((), (c1, c2), (c3,)), ((c1,), (c2, c3), ())
+        failing = _first_nonzero(star._composed([left + (1,), right + (-1,)]), n)
         if failing is not None:
+            lhs, rhs = (
+                star._element(star._composed([part + (1,)])[failing]).render()
+                for part in (left, right)
+            )
             return {
                 "triple": "(%s, %s, %s)" % (A.key_str(k1), A.key_str(k2), A.key_str(k3)),
                 "first_failing_order": failing,
-                "lhs": lhs.coeffs[failing].render(),
-                "rhs": rhs.coeffs[failing].render(),
+                "lhs": lhs,
+                "rhs": rhs,
             }
 
-    one = A.one()
+    unit = code(A.unit_key())
+
+    def rows(codes):
+        return [star.row(codes, l) for l in range(n + 1)]
 
     def unital(k):
-        x = A.element({k: QQ(1)})
-        expect = TruncSeries.constant(x, star.order)
-        if star.star(one, x) != expect or star.star(x, one) != expect:
+        c = code(k)
+        expect = [(1, {c: 1})] + [(1, {})] * n
+        if rows((unit, c)) != expect or rows((c, unit)) != expect:
             return {"element": A.key_str(k)}
 
     bad, count = first_witness(
@@ -802,10 +896,9 @@ def infinitesimal_cocycle(F, action, cutoff=None):
         raise ValueError("the order-t layer needs a twist of order >= 1")
     star = StarProduct(F, action)
     A = action.A
-    layer = star.terms.coeffs[1]
 
     def mu1(x, y):
-        return star._value(layer, A.element({x: QQ(1)}), A.element({y: QQ(1)}))
+        return star.structure_constant((x, y), 1)
 
     cochain = HochschildCochain(A, 2, mu1)
     bound = A.cutoff or 0 if cutoff is None else cutoff

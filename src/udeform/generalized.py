@@ -34,6 +34,7 @@ from .deform import (
     Operator,
     StarProduct,
     TwistedProduct,
+    _first_nonzero,
     _monomial_image,
     _require_variables,
     check_module_algebra,
@@ -442,7 +443,7 @@ class TwistedTernaryProduct(TwistedProduct):
     """The deformed ternary product (a,b,c) -> sum_i (H1_i a, H2_i b, H3_i c)."""
 
     def __init__(self, H, action):
-        super().__init__(H, action, action.algebra.ternary)
+        super().__init__(H, action, action.algebra.ternary, action.algebra.zero())
         self.H = H
 
     def product(self, sa, sb, sc):
@@ -455,30 +456,37 @@ def check_partial_assoc(product, cutoff, order=None):
 
     `product` is a TwistedTernaryProduct (take the trivial twist for the
     undeformed structure); 5-tuples run over quotient basis trees with
-    total leaf count <= cutoff, checked mod t^(order+1).
+    total leaf count <= cutoff, checked mod t^(order+1), `order` at most the
+    product's order.  A tuple (a, b, c, d, e) is decided on the product's
+    rows: (a,b,(c,d,e)) + (a,(b,c,d),e) + ((a,b,c),d,e) is summed per
+    t-order in integers (`TwistedProduct._composed`), inner products first,
+    and decoded only for a witness.
     """
     P = product.action.algebra
-    order = product.order if order is None else order
-    report = CheckReport("partial associativity")
-    pools = {}
-    for n in range(1, cutoff + 1, 2):
-        pools[n] = [P.element({t: QQ(1)}) for t in P.basis(n)]
-
-    zero = TruncSeries([P.zero()] * (order + 1))
-
-    def relation(a, b, c, d, e):
-        total = (
-            product.product(a, b, product.product(c, d, e))
-            + product.product(a, product.product(b, c, d), e)
-            + product.product(product.product(a, b, c), d, e)
+    if order is None:
+        order = product.order
+    elif order > product.order:
+        raise ValueError(
+            "order %d exceeds the order %d of the twisted product"
+            % (order, product.order)
         )
-        # zero comes first, so only the orders up to `order` are compared
-        failing = first_failing_order(zero, total)
+    report = CheckReport("partial associativity")
+    pools = {n: P.basis(n) for n in range(1, cutoff + 1, 2)}
+    code = product.code
+
+    def relation(*trees):
+        a, b, c, d, e = map(code, trees)
+        total = product._composed([
+            ((a, b), (c, d, e), (), 1),
+            ((a,), (b, c, d), (e,), 1),
+            ((), (a, b, c), (d, e), 1),
+        ])
+        failing = _first_nonzero(total, order)
         if failing is not None:
             return {
-                "tuple": [x.render() for x in (a, b, c, d, e)],
+                "tuple": [P.tree_str(t) for t in trees],
                 "first_failing_order": failing,
-                "value": total.coeffs[failing].render(),
+                "value": product._element(total[failing]).render(),
             }
 
     bad, count = first_witness(

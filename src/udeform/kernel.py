@@ -7,10 +7,13 @@ A sparse linear combination is a dict with no zero values.  Polynomials,
 algebra and pAss elements map basis keys to Fractions.  Tensor elements (in
 `bialgebra`) map integer codes of key tuples to integer numerators over one
 positive denominator, the form FLINT's fmpq_poly uses for a polynomial, and
-decode to keys and Fractions only at their boundary.  `add_term` and
+decode to keys and Fractions only at their boundary; so do the rows of
+structure constants the twisted products of `deform` contract, whose
+results become algebra or pAss elements only at the end.  `add_term` and
 `add_into` are the one accumulator over every such dict; they update it in
-place and drop every value that reaches zero, and `clean_terms` builds a
-Fraction dict from caller input.  The linear algebra in `linalg` runs on the
+place and drop every value that reaches zero, `add_rational` adds a rational
+multiple into a packed sum kept over the running lcm of its denominators,
+and `clean_terms` builds a Fraction dict from caller input.  The linear algebra in `linalg` runs on the
 same dicts with the same accumulator, eliminating in the integers.
 
 `SparseElement` is the one element layer: `Polynomial` here and the tensor,
@@ -59,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -71,6 +75,7 @@ __all__ = [
     "SparseElement",
     "TruncSeries",
     "add_into",
+    "add_rational",
     "add_term",
     "bounded_product",
     "clean_terms",
@@ -135,6 +140,20 @@ def add_into(acc, terms, c=1):
         else:
             del acc[key]
     return acc
+
+
+def add_rational(slot, terms, num, den):
+    """slot += (num / den) * terms in place, for a packed sum slot =
+    [denominator, {key: integer numerator}] kept over the running lcm of the
+    denominators added into it: the dict is rescaled only when `den` does not
+    divide the slot's denominator, then `add_into` adds the integer multiple."""
+    have = slot[0]
+    if have % den:
+        grown = math.lcm(have, den)
+        f = grown // have
+        slot[1] = {key: n * f for key, n in slot[1].items()}
+        slot[0] = have = grown
+    add_into(slot[1], terms, num * (have // den))
 
 
 def clean_terms(terms, normalize=None):

@@ -36,11 +36,9 @@ functional equation.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .bialgebra import TensorElement, _packed
 from .kernel import (
-    Monomial, Polynomial, QQ, TruncSeries, add_into, add_term, as_scalar,
+    Monomial, Polynomial, QQ, TruncSeries, add_rational, add_term, as_scalar,
     series_multilinear, slot_combinations, slot_supports,
 )
 from .linalg import solve as linalg_solve
@@ -214,9 +212,9 @@ def first_failing_difference(order, terms):
     (a_i, b_j, ...) with i + j + ... = k (`kernel.slot_combinations`), the
     sum of the signed tensors `parts(a_i, b_j, ...)` yields as (sign,
     tensor) pairs.  Each part is added into one packed {code: numerator}
-    dict over the running lcm of the denominators as soon as it is formed,
-    so parts that cancel do so early and no order's products are held; a
-    nonzero dict is reduced (`_packed`) into D.  Orders past the first
+    dict over the running lcm of the denominators (`kernel.add_rational`)
+    as soon as it is formed, so parts that cancel do so early and no order's
+    products are held; a nonzero dict is reduced (`_packed`) into D.  Orders past the first
     failing one are never formed.
     """
     supports = []
@@ -225,7 +223,7 @@ def first_failing_difference(order, terms):
             raise ValueError("truncation orders differ")
         supports.append((parts, slot_supports(series)))
     for k in range(order + 1):
-        acc, den, mate = {}, 1, None
+        slot, mate = [1, {}], None
         for parts, support in supports:
             for combo in slot_combinations(support, k):
                 for sign, x in parts(*combo):
@@ -233,13 +231,8 @@ def first_failing_difference(order, terms):
                         mate = x
                     else:
                         mate._check_mate(x)
-                    d = x.den
-                    if den % d:
-                        grown = lcm(den, d)
-                        f = grown // den
-                        acc = {code: n * f for code, n in acc.items()}
-                        den = grown
-                    add_into(acc, x.codes, sign * (den // d))
+                    add_rational(slot, x.codes, sign, x.den)
+        den, acc = slot
         if acc:
             return k, _packed(mate.parent, mate.arity, acc, den)
     return None

@@ -273,6 +273,134 @@ def twisted_ternary(H, action, a, b, c):
     return TwistedTernaryProduct(H, action).product(a, b, c)
 
 
+class ReferenceTwistedProduct:
+    """A twisted product on Fraction dicts keyed by basis keys, the route
+    apart from the library's packed rows.  It takes the twist terms, the
+    action and the m-ary product of a library `TwistedProduct`, tabulates
+    mu(T_l (b_k1 @ ... @ b_km)) as Fraction dicts keyed by (keys, l), and
+    multiplies whole series: every argument (a basis element included) is
+    wrapped as a series, and every choice of argument terms adds its
+    coefficient times a table entry into a Fraction dict per t-order."""
+
+    def __init__(self, product):
+        self.product = product
+        self.order = product.order
+        self.table = {}
+
+    def value(self, terms, *elems):
+        """mu(T (x1 @ ... @ xm)) for one twist coefficient T, given as terms."""
+        act = self.product.action.apply_key
+        out = {}
+        for keys, c in terms:
+            add_into(out, self.product._multiply(*map(act, keys, elems)).terms, c)
+        return elems[0]._like(out)
+
+    def __call__(self, *args):
+        n = self.order
+        series = [x if isinstance(x, TruncSeries) else TruncSeries.constant(x, n)
+                  for x in args]
+        if any(s.order != n for s in series):
+            raise ValueError("truncation orders differ")
+        supports = [[(i, c) for i, c in enumerate(s.coeffs) if c] for s in series]
+        slots = [{} for _ in range(n + 1)]
+        for combo in itertools.product(*supports):
+            low = sum(i for i, _ in combo)
+            if low > n:
+                continue
+            elems = [x for _, x in combo]
+            for chosen in itertools.product(*(x.terms.items() for x in elems)):
+                keys = tuple(k for k, _ in chosen)
+                c = math.prod(a for _, a in chosen)
+                for l in range(n - low + 1):
+                    entry = self.table.get((keys, l))
+                    if entry is None:
+                        basis = [x._like({k: QQ(1)}) for x, k in zip(elems, keys)]
+                        entry = self.value(self.product.terms[l], *basis).terms
+                        self.table[keys, l] = entry
+                    if entry:
+                        add_into(slots[low + l], entry, c)
+        like = series[0].coeffs[0]
+        return TruncSeries([like._like(s) for s in slots])
+
+
+def reference_check_associativity(F, action, cutoff=None):
+    """`deform.check_associativity` on the reference route: both sides of
+    every basis triple multiplied out as series and compared slot by slot."""
+    star = ReferenceTwistedProduct(StarProduct(F, action))
+    A = action.A
+    cutoff = A.cutoff or 0 if cutoff is None else cutoff
+    report = CheckReport("twisted product associativity")
+    keys = A.basis_keys()
+
+    def associative(k1, k2, k3):
+        x, y, z = (A.element({k: QQ(1)}) for k in (k1, k2, k3))
+        lhs = star(star(x, y), z)
+        rhs = star(x, star(y, z))
+        failing = first_failing_order(lhs, rhs)
+        if failing is not None:
+            return {
+                "triple": "(%s, %s, %s)" % (A.key_str(k1), A.key_str(k2), A.key_str(k3)),
+                "first_failing_order": failing,
+                "lhs": lhs.coeffs[failing].render(),
+                "rhs": rhs.coeffs[failing].render(),
+            }
+
+    one = A.one()
+
+    def unital(k):
+        x = A.element({k: QQ(1)})
+        expect = TruncSeries.constant(x, star.order)
+        if star(one, x) != expect or star(x, one) != expect:
+            return {"element": A.key_str(k)}
+
+    bad, count = first_witness(
+        bounded_product([keys] * 3, A.degree, cutoff), associative
+    )
+    report.add("associativity on %d basis triples" % count, bad is None, bad)
+    bad, _ = first_witness(((k,) for k in keys), unital)
+    report.add("1 is a unit for the twisted product", bad is None, bad)
+    return report
+
+
+def reference_check_partial_assoc(product, cutoff, order):
+    """`generalized.check_partial_assoc` on the reference route: the three
+    products of every basis 5-tuple multiplied out as series and summed."""
+    P = product.action.algebra
+    prod = ReferenceTwistedProduct(product)
+    report = CheckReport("partial associativity")
+    pools = {n: [P.element({t: QQ(1)}) for t in P.basis(n)]
+             for n in range(1, cutoff + 1, 2)}
+    zero = TruncSeries([P.zero()] * (order + 1))
+
+    def relation(a, b, c, d, e):
+        total = (
+            prod(a, b, prod(c, d, e))
+            + prod(a, prod(b, c, d), e)
+            + prod(prod(a, b, c), d, e)
+        )
+        failing = first_failing_order(zero, total)
+        if failing is not None:
+            return {
+                "tuple": [x.render() for x in (a, b, c, d, e)],
+                "first_failing_order": failing,
+                "value": total.coeffs[failing].render(),
+            }
+
+    splits = [s for total in range(5, cutoff + 1, 2) for s in _compositions(total, 5)]
+    bad, count = first_witness(
+        itertools.chain.from_iterable(
+            itertools.product(*(pools[m] for m in split)) for split in splits
+        ),
+        relation,
+    )
+    report.add(
+        "relation on %d basis 5-tuples (mod t^%d)" % (count, order + 1),
+        bad is None,
+        bad,
+    )
+    return report
+
+
 def lambda_expected(num_primitives):
     """Expected total H^2 dimension for a primitively generated polynomial
     bialgebra on k generators: the dimension k(k-1)/2 of the degree-2 part

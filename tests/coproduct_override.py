@@ -55,6 +55,29 @@ class _CoproductOverride(Bialgebra):
         return self._base._coproduct_key(key)
 
 
+class _IdentityOverride(_CoproductOverride):
+    """A bialgebra whose Delta^0, the identity of B by convention, is
+    replaced on selected basis keys.  Of the operad unit laws only
+    u o_i unit = u reads Delta^0 of a key other than the unit, so this breaks
+    that law alone."""
+
+    def __init__(self, base, images):
+        super().__init__(base, {})
+        self._images = dict(images)
+
+    def iterated_coproduct_code(self, code, k):
+        image = self._images.get(self.codec.keys[code]) if k == 0 else None
+        if image is None:
+            return super().iterated_coproduct_code(code, k)
+        return self.element(image)
+
+
+def with_identity_override(B, images):
+    """Copy of B whose Delta^0 sends each key of `images` to the element
+    given there (a dict basis key -> coefficient) instead of to itself."""
+    return _IdentityOverride(B, images)
+
+
 def with_coproduct_override(B, overrides):
     """Copy of B whose Delta is replaced on the given basis keys.
 

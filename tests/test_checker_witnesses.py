@@ -48,7 +48,7 @@ from udeform.twist import (
 )
 
 from conftest import antisym, check_axioms, check_cocommutative
-from coproduct_override import with_coproduct_override
+from coproduct_override import with_coproduct_override, with_identity_override
 from test_generalized import power_map_diagram
 
 
@@ -66,6 +66,7 @@ def _bialgebra_reports():
     fat_unit = with_coproduct_override(
         B1, {one: {(one, one): QQ(1), (p, p): QQ(1)}}
     )
+    doubled_identity = with_identity_override(B1, {p: {p: QQ(2)}})
     tensorB = _bialgebra("tensor-primitive", ["e1", "e2"], 4)
     matrixB = construct_bialgebra(BialgebraSpec("matrix-coordinate"), 3)
     return {
@@ -86,6 +87,8 @@ def _bialgebra_reports():
         "equivariance/skewed": check_equivariance(skewed, samples=6, seed=3).to_json(),
         "unit/fat-unit": check_unit(FLAVOR_MULTIPLICATIVE, fat_unit, samples=8).to_json(),
         "unit/skewed-add": check_unit(FLAVOR_ADDITIVE, skewed, samples=8).to_json(),
+        "unit/doubled-identity": check_unit(
+            FLAVOR_MULTIPLICATIVE, doubled_identity, samples=4).to_json(),
         "reconstruct/skewed": reconstruct_bialgebra_check(skewed).to_json(),
         "reconstruct/fat-unit": reconstruct_bialgebra_check(fat_unit).to_json(),
     }
@@ -621,6 +624,15 @@ EXPECTED = {'assoc/matrix-cutoff': {'entries': [{'label': 'associativity case 1 
                                  'witness': {'first_failing_order': 1}}],
                     'name': 'twisting triple on arrow v1 -> v2',
                     'passed': False},
+ 'unit/doubled-identity': {'entries': [{'label': 'unit o_1 v = v', 'ok': True},
+                                       {'label': 'u o_i unit = u',
+                                        'ok': False,
+                                        'witness': {'got': '2*1@p + 4*p@p',
+                                                    'i': 1,
+                                                    'u': '2*1@p + 2*p@p'}}],
+                           'name': 'operad unit laws (multiplicative over '
+                                   'polynomial-primitive)',
+                           'passed': False},
  'unit/fat-unit': {'entries': [{'label': 'unit o_1 v = v',
                                 'ok': False,
                                 'witness': {'got': '2*1@p + 2*p@p + 2*p@p^2 + '

@@ -34,7 +34,9 @@ from udeform.generalized import (
 )
 from udeform import cli
 
-from conftest import antisym, bench_job, operator_cochain, twisted_product
+from conftest import (
+    ReferenceTwistedProduct, antisym, bench_job, operator_cochain, twisted_product,
+)
 
 
 def M(text):
@@ -371,7 +373,8 @@ def test_contraction_matches_the_route_over_whole_arguments(case):
     # by one example are reused by later ones
     multiply = product.star if isinstance(product, StarProduct) else product.product
     got = multiply(*args)
-    want = series_multilinear(product._value, product.terms, *args)
+    value = ReferenceTwistedProduct(product).value
+    want = series_multilinear(value, TruncSeries(product.terms), *args)
     assert [c.sorted_terms() for c in got.coeffs] == [
         c.sorted_terms() for c in want.coeffs
     ]
@@ -401,14 +404,13 @@ def test_moyal_d6_evaluates_each_structure_constant_once(monkeypatch):
     action = cli.build_action(B, A, inputs["action"])
     F = cli.parse_udf(B, inputs["udf"], order)
     calls = collections.Counter()
-    original = TwistedProduct._value
+    original = TwistedProduct._form
 
-    def counting(self, terms, *elems):
-        l = next(l for l, t in enumerate(self.terms.coeffs) if t is terms)
-        calls[tuple(e.render() for e in elems), l] += 1
-        return original(self, terms, *elems)
+    def counting(self, codes, l):
+        calls[tuple(str(self._keys[c]) for c in codes), l] += 1
+        return original(self, codes, l)
 
-    monkeypatch.setattr(TwistedProduct, "_value", counting)
+    monkeypatch.setattr(TwistedProduct, "_form", counting)
     rep = check_associativity(F, action, cutoff=job["parameters"]["degree"])
     assert rep.passed
     assert calls and max(calls.values()) == 1
@@ -424,13 +426,13 @@ def test_deform_job_shares_one_table_with_its_product_table(monkeypatch):
     # run_deform tabulates products with the StarProduct the associativity
     # check filled, so no structure constant is evaluated twice per job
     calls = collections.Counter()
-    original = TwistedProduct._value
+    original = TwistedProduct._form
 
-    def counting(self, terms, *elems):
-        calls[id(self), id(terms), tuple(e.render() for e in elems)] += 1
-        return original(self, terms, *elems)
+    def counting(self, codes, l):
+        calls[id(self), codes, l] += 1
+        return original(self, codes, l)
 
-    monkeypatch.setattr(TwistedProduct, "_value", counting)
+    monkeypatch.setattr(TwistedProduct, "_form", counting)
     report, code = cli.run(bench_job("moyal-d6"))
     assert code == 0, report.to_json()
     assert calls and max(calls.values()) == 1
