@@ -14,9 +14,9 @@ are tabulated next to Delta (`iterated_coproduct_code`); both operads compose
 through that table.  The key product is one key with
 coefficient 1: `product_keys(k1, k2)` returns a one-term dict {k1*k2: 1}.
 
-A tensor element is stored in one integer form, as FLINT's fmpq_poly stores a
-polynomial: a dict {code: integer numerator} over one positive denominator,
-with no common factor left between them.  A code is a key tuple packed into
+A tensor element has the packed form of every `SparseElement` (see
+`kernel`): a dict {code: integer numerator} over one positive denominator,
+with no common factor left between them.  Its code is a key tuple packed into
 one int by the bialgebra's `KeyCodec`: each key within the cutoff has a slot
 code, the unit 0, and slot s sits s slot widths up.  A code is a key within
 the cutoff and nothing else: an element built on a key past the cutoff
@@ -25,12 +25,12 @@ generator raises KeyError, as `parse_key` does.  The commutative monomial
 kinds use Kronecker codes (`KeyPacking`), so the code of a slotwise product
 is the sum of the factors' codes, and a guard bit tells when a sum passes
 the cutoff; the other kinds number their basis (`KeyIndex`) and multiply
-slot by slot through a memoized table of codes.  Sums, scaling, products,
-the coproduct and counit on a slot (through per-key tables of codes), outer
-products, permutations, equality and hashing are then integer dict
-operations.  Key
-tuples and Fractions appear only at the boundary: the constructor, `terms`,
-`sorted_terms` and `render`.
+slot by slot through a memoized table of codes.  The linear structure,
+equality and hashing are `SparseElement`'s; products, the coproduct and
+counit on a slot (through per-key tables of codes), outer products and
+permutations are integer dict operations here.  Key tuples and Fractions
+appear only at the boundary: the constructor, `terms`, `sorted_terms` and
+`render`.
 
 Shipped kinds:
 
@@ -47,11 +47,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from .kernel import (
-    Monomial, ONE_MONOMIAL, QQ, SparseElement, add_into, add_term, as_scalar,
-    bounded_product, clean_terms, monomials,
+    Monomial, ONE_MONOMIAL, QQ, SparseElement, add_term, bounded_product,
+    clean_terms, monomials, pack,
 )
 from .reports import first_witness
 
@@ -383,7 +383,7 @@ class _MonomialBasisMixin:
         return key.sort_key()
 
     def product_keys(self, k1, k2):
-        return {self.check_cutoff(k1 * k2): QQ(1)}
+        return {self.check_cutoff(k1 * k2): 1}
 
     def _make_codec(self):
         return KeyPacking(self)
@@ -458,7 +458,7 @@ class TensorPrimitiveBialgebra(_PrimitiveGenerators, Bialgebra):
         return self.spec.generators[key[0]], key[1:]
 
     def product_keys(self, k1, k2):
-        return {self.check_cutoff(k1 + k2): QQ(1)}
+        return {self.check_cutoff(k1 + k2): 1}
 
     def basis_keys(self, max_degree):
         out = []
@@ -546,7 +546,7 @@ class FiniteMonoidBialgebra(_GrouplikeGenerators, Bialgebra):
         return key, self.unit_name
 
     def product_keys(self, k1, k2):
-        return {self._mul[(k1, k2)]: QQ(1)}
+        return {self._mul[(k1, k2)]: 1}
 
     def basis_keys(self, max_degree):
         return list(self.elements)
@@ -729,30 +729,23 @@ class _SlotKeys(dict):
 # ---------------------------------------------------------------------------
 
 def _packed(parent, arity, codes, den):
-    """The element {code: numerator} / den, a dict with no stored zeros,
-    reduced so that den > 0 and the numerators have no common factor."""
-    if den != 1:
-        g = gcd(den, *codes.values())
-        if g != 1:
-            den //= g
-            codes = {code: n // g for code, n in codes.items()}
+    """The element codes / den of B^(@arity), reduced (`SparseElement._packed`)."""
     t = TensorElement.__new__(TensorElement)
-    t.parent, t.arity, t.codes, t.den = parent, arity, codes, den
-    return t
+    t.parent, t.arity = parent, arity
+    return t._packed(codes, den)
 
 
 class TensorElement(SparseElement):
     """A sparse element of B^(@n); arity 0 means a bare scalar.
 
-    Stored as `codes`, a dict from the codes of n-tuples of basis keys (the
-    parent's `codec`) to integer numerators, over the positive denominator
-    `den`; no zero is stored and den and the numerators have no common
-    factor, so equal elements store equal data.  Every operation runs on that form
-    (see the module docstring); `terms`, the dict n-tuple -> Fraction, is
-    decoded afresh on each read.  Instances are immutable and may be shared.
+    Its codes are the codes of n-tuples of basis keys (the parent's
+    `codec`), over the one reduced denominator every `SparseElement` holds.
+    Every operation runs on that form (see the module docstring); the key
+    tuples are decoded afresh on each read of `terms`.  Instances are
+    immutable and may be shared.
     """
 
-    __slots__ = ("parent", "arity", "codes", "den")
+    __slots__ = ("parent", "arity")
 
     def __init__(self, parent, arity, terms):
         if arity < 0:
@@ -764,22 +757,18 @@ class TensorElement(SparseElement):
                 raise ValueError("key tuple %r does not have arity %d" % (keys, arity))
             return keys
 
-        terms = clean_terms(terms, key_tuple)
-        den = lcm(*[c.denominator for c in terms.values()])
+        nums, den = pack(clean_terms(terms, key_tuple))
         encode = parent.codec.encode
-        self.parent, self.arity, self.den = parent, arity, den
-        self.codes = {
-            encode(keys): c.numerator * (den // c.denominator) for keys, c in terms.items()
-        }
+        self.parent, self.arity = parent, arity
+        self._packed({encode(keys): n for keys, n in nums.items()}, den)
 
-    @property
-    def terms(self):
-        """The dict n-tuple of keys -> Fraction, in the order of `codes`."""
-        decode, den, arity = self.parent.codec.decode, self.den, self.arity
-        return {decode(code, arity): Fraction(n, den) for code, n in self.codes.items()}
+    def _key_items(self):
+        """The (n-tuple of keys, numerator) pairs in code order."""
+        decode, arity = self.parent.codec.decode, self.arity
+        return [(decode(code, arity), n) for code, n in self.codes.items()]
 
     # -- basics ---------------------------------------------------------------
-    def _like(self, codes, arity=None, den=1):
+    def _like(self, codes, den=1, arity=None):
         """The element codes / den over the same bialgebra, at this element's
         arity unless another is given."""
         return _packed(self.parent, self.arity if arity is None else arity, codes, den)
@@ -787,37 +776,11 @@ class TensorElement(SparseElement):
     def _space(self):
         return self.parent, self.arity
 
-    def _canonical(self):
-        return self.den, self.codes
-
     def _order(self, keys):
         return tuple(map(self.parent.key_sort_key, keys))
 
     def _key_text(self, keys):
         return "@".join(map(self.parent.key_str, keys)) if keys else "()"
-
-    def __bool__(self):
-        return bool(self.codes)
-
-    def _sum(self, others, sign):
-        """The integer sum over the lcm of all the denominators."""
-        den = lcm(self.den, *[o.den for o in others])
-        f = den // self.den
-        acc = dict(self.codes) if f == 1 else {c: n * f for c, n in self.codes.items()}
-        for other in others:
-            add_into(acc, other.codes, sign * (den // other.den))
-        return self._like(acc, den=den)
-
-    def __neg__(self):
-        return self._like({c: -n for c, n in self.codes.items()}, den=self.den)
-
-    def scale(self, c):
-        c = as_scalar(c)
-        if not c:
-            return self.zero_like()
-        p = c.numerator
-        codes = self.codes if p == 1 else {code: p * n for code, n in self.codes.items()}
-        return self._like(codes, den=self.den * c.denominator)
 
     def __mul__(self, other):
         """Slotwise product for equal arities; scalars scale.
@@ -853,7 +816,7 @@ class TensorElement(SparseElement):
                     acc[code] = n
                 else:
                     del acc[code]
-        return self._like(acc, den=self.den * other.den)
+        return self._like(acc, self.den * other.den)
 
     def one_like(self):
         return self.parent.one(self.arity)
@@ -868,7 +831,7 @@ class TensorElement(SparseElement):
         for c1, n1 in self.codes.items():
             for c2, n2 in pairs:
                 out[c1 | c2 << shift] = n1 * n2
-        return self._like(out, self.arity + other.arity, self.den * other.den)
+        return self._like(out, self.den * other.den, self.arity + other.arity)
 
     # -- structure maps on slots ----------------------------------------------
     def substitute(self, slot, image, arity):
@@ -901,7 +864,7 @@ class TensorElement(SparseElement):
                     acc[code] = x
                 else:
                     del acc[code]
-        return self._like(acc, self.arity - 1 + arity, self.den * den)
+        return self._like(acc, self.den * den, self.arity - 1 + arity)
 
     def apply_coproduct(self, slot):
         """Delta on slot i (1-based); arity grows by one."""
@@ -922,7 +885,7 @@ class TensorElement(SparseElement):
         mask = codec.mask
         out = {code: n for code, n in self.codes.items()
                if all(code >> at & mask for at in shifts)}
-        return self._like(out, den=self.den)
+        return self._like(out, self.den)
 
     def permute(self, sigma):
         """Right action (u . sigma)_i = u_{sigma(i)}; sigma is a 1-based tuple."""
@@ -933,7 +896,7 @@ class TensorElement(SparseElement):
         out = {}
         for code, n in self.codes.items():
             out[sum((code >> src & mask) << dst for src, dst in moves)] = n
-        return self._like(out, den=self.den)
+        return self._like(out, self.den)
 
     def scalar_value(self):
         """The Fraction carried by an arity-0 element."""

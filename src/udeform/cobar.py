@@ -44,9 +44,8 @@ from __future__ import annotations
 import itertools
 from math import lcm
 
-from .kernel import QQ, add_term
-from .bialgebra import _packed
-from .linalg import Echelon, integral, kernel_basis, quotient_representatives
+from .kernel import QQ, add_term, pack
+from .linalg import Echelon, kernel_basis, quotient_representatives
 from .reports import CheckReport, first_witness
 
 GRADED_KINDS = ("polynomial-primitive", "tensor-primitive")
@@ -172,8 +171,8 @@ def _columns(codes, vectors):
 
 def _tensor(B, codes, vec):
     """The element of B@B with coordinates vec over the pair codes."""
-    nums, den = integral(vec)
-    return _packed(B, 2, {codes[j]: n for j, n in nums.items()}, den)
+    nums, den = pack(vec)
+    return B.zero(2)._like({codes[j]: n for j, n in nums.items()}, den)
 
 
 class CobarComplex:

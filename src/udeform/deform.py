@@ -18,12 +18,13 @@ of basis keys and t-order l, held in one packed table per (twist, action)
 pair: basis keys get integer codes, and each constant is a row of integer
 numerators on codes over one denominator, computed on first use and only
 for an order the truncation reaches; one past a cutoff raises at the first
-argument term that reaches it, cancelling or not.  Products sum rows in
-integers and decode to elements once at the end.  The associativity sweeps
-(`check_associativity` here, `check_partial_assoc` for ternary products)
-decide each basis tuple on the rows alone: both sides of an identity are
-contracted per t-order, inner product first, into one integer sum, and
-elements are decoded only for a witness.
+argument term that reaches it, cancelling or not.  Algebra elements are
+packed on their basis keys, so a row is an element's integer dict with its
+keys recoded, and products sum rows in integers and recode the sum to an
+element once at the end.  The associativity sweeps (`check_associativity` here, `check_partial_assoc` for
+ternary products) decide each basis tuple on the rows alone: both sides of
+an identity are contracted per t-order, inner product first, into one
+integer sum, and elements are recoded only for a witness.
 
 The infinitesimal layer extracts the t^1 Hochschild 2-cochain of a
 deformation, decides coboundary-ness inside a declared finite search space,
@@ -54,13 +55,12 @@ from .kernel import (
     QQ,
     SparseElement,
     TruncSeries,
-    add_into,
     add_rational,
-    add_term,
     as_scalar,
     bounded_product,
     clean_terms,
     monomials,
+    pack,
 )
 from .linalg import solve as linalg_solve
 from .reports import CheckReport, first_witness
@@ -81,6 +81,8 @@ class AlgebraSpec:
         raise NotImplementedError
 
     def product_keys(self, k1, k2):
+        """The product of two basis keys as a packed row ({key: numerator},
+        den)."""
         raise NotImplementedError
 
     def basis_keys(self, max_degree=None):
@@ -129,7 +131,7 @@ class PolynomialTruncatedAlgebra(AlgebraSpec):
             raise CutoffError(
                 "product %s exceeds the degree cutoff %d" % (key, self.cutoff)
             )
-        return {key: QQ(1)}
+        return {key: 1}, 1
 
     def basis_keys(self, max_degree=None):
         top = self.cutoff if max_degree is None else min(max_degree, self.cutoff)
@@ -176,29 +178,22 @@ class FiniteDimensionalAlgebra(AlgebraSpec):
         for x in basis:
             for y in basis:
                 if x == unit:
-                    self._table[(x, y)] = {y: QQ(1)}
+                    row = {y: 1}
                 elif y == unit:
-                    self._table[(x, y)] = {x: QQ(1)}
+                    row = {x: 1}
                 else:
-                    raw = products.get((x, y), {})
-                    row = {}
-                    for name, c in raw.items():
+                    row = products.get((x, y), {})
+                    for name in row:
                         if name not in basis:
                             raise ValueError("structure constant hits unknown %r" % name)
-                        c = as_scalar(c)
-                        if c:
-                            row[name] = c
-                    self._table[(x, y)] = row
-        for x in basis:
-            for y in basis:
-                for z in basis:
-                    lhs = self._compose(self._table[(x, y)], z, left=True)
-                    rhs = self._compose(self._table[(y, z)], x, left=False)
-                    if lhs != rhs:
-                        raise ValueError(
-                            "structure constants are not associative at (%s,%s,%s)"
-                            % (x, y, z)
-                        )
+                self._table[(x, y)] = pack(clean_terms(row))
+        e = {x: self.element({x: 1}) for x in basis}
+        for x, y, z in itertools.product(basis, repeat=3):
+            if (e[x] * e[y]) * e[z] != e[x] * (e[y] * e[z]):
+                raise ValueError(
+                    "structure constants are not associative at (%s,%s,%s)"
+                    % (x, y, z)
+                )
 
     @staticmethod
     def check_unit_product(basis, unit, x, y, row):
@@ -213,13 +208,6 @@ class FiniteDimensionalAlgebra(AlgebraSpec):
                 % (x, y, implied)
             )
 
-    def _compose(self, combo, other, left):
-        out = {}
-        for name, c in combo.items():
-            tbl = self._table[(name, other)] if left else self._table[(other, name)]
-            add_into(out, tbl, c)
-        return out
-
     def unit_key(self):
         return self.unit
 
@@ -227,7 +215,7 @@ class FiniteDimensionalAlgebra(AlgebraSpec):
         return 0
 
     def product_keys(self, k1, k2):
-        return dict(self._table[(k1, k2)])
+        return self._table[(k1, k2)]
 
     def basis_keys(self, max_degree=None):
         return list(self.basis)
@@ -240,18 +228,18 @@ class FiniteDimensionalAlgebra(AlgebraSpec):
 
 
 class AlgebraElement(SparseElement):
-    """Sparse element of an AlgebraSpec with exact coefficients."""
+    """Sparse element of an AlgebraSpec; its codes are its basis keys."""
 
-    __slots__ = ("parent", "terms")
+    __slots__ = ("parent",)
 
     def __init__(self, parent, terms):
         self.parent = parent
-        self.terms = clean_terms(terms)
+        self._packed(*pack(clean_terms(terms)))
 
-    def _like(self, terms):
+    def _like(self, codes, den=1):
         e = AlgebraElement.__new__(AlgebraElement)
-        e.parent, e.terms = self.parent, terms
-        return e
+        e.parent = self.parent
+        return e._packed(codes, den)
 
     def _space(self):
         return self.parent
@@ -266,18 +254,21 @@ class AlgebraElement(SparseElement):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out = {}
         product_keys = self.parent.product_keys
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                add_into(out, product_keys(k1, k2), c1 * c2)
-        return self._like(out)
+        pairs = list(other.codes.items())
+        slot = [1, {}]
+        for k1, n1 in self.codes.items():
+            for k2, n2 in pairs:
+                row, den = product_keys(k1, k2)
+                add_rational(slot, row, n1 * n2, den)
+        den, codes = slot
+        return self._like(codes, den * self.den * other.den)
 
     def one_like(self):
         return self.parent.one()
 
     def to_polynomial(self):
-        return Polynomial(dict(self.terms))
+        return Polynomial()._like(self.codes, self.den)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +350,7 @@ class Derivation(Operator):
                     poly = poly.to_polynomial()
                 if not isinstance(poly, Polynomial):
                     poly = Polynomial.constant(poly)
-                _require_variables(A, (name,), poly.terms)
+                _require_variables(A, (name,), poly.codes)
                 if poly:
                     self.coeffs[name] = poly
         elif isinstance(A, FiniteDimensionalAlgebra):
@@ -382,16 +373,18 @@ class Derivation(Operator):
         A = self.parent
         if self.kind != "polynomial":
             return self.images[key]
-        single = Polynomial({key: QQ(1)})
-        out = {}
+        single = Polynomial({key: 1})
+        slot = [1, {}]
         for name, coeff in self.coeffs.items():
-            for mono, c in (coeff * single.partial(name)).terms.items():
+            image = coeff * single.partial(name)
+            for mono in image.codes:
                 if mono.degree > A.cutoff:
                     raise CutoffError(
                         "derivation output %s exceeds cutoff %d" % (mono, A.cutoff)
                     )
-                add_term(out, mono, c)
-        return A.zero()._like(out)
+            add_rational(slot, image.codes, 1, image.den)
+        den, codes = slot
+        return A.zero()._like(codes, den)
 
     def apply(self, elem):
         return elem.map_terms(self.apply_key)
@@ -406,7 +399,7 @@ class AlgebraEndomorphism(Operator):
             self.kind = "polynomial"
             self.var_images = {}
             images = [_as_element(A, img) for img in data.values() if img is not None]
-            _require_variables(A, data, (mono for img in images for mono in img.terms))
+            _require_variables(A, data, (mono for img in images for mono in img.codes))
             for name in A.variables:
                 img = data.get(name)
                 self.var_images[name] = (
@@ -451,8 +444,8 @@ class KeyAction:
     monoid) to an operator with `apply`.  A basis key b = g * rest of B
     (`Bialgebra.split_key`) acts on a basis element a of the target as
     images[g](rest . a); each (b, a) is computed on first use and kept in a
-    table, and the action on an element is the linear extension over it.
-    Subclasses validate the images.
+    table (`on_basis`), and the action on an element is the linear extension
+    over it.  Subclasses validate the images.
     """
 
     def __init__(self, B, images):
@@ -465,18 +458,19 @@ class KeyAction:
         """Action of a single B-basis key on an element of the target."""
         if bkey == self._unit:
             return elem
-        table = self._table
+        return elem.map_terms(lambda akey: self.on_basis(bkey, akey, elem))
 
-        def image(akey):
-            hit = table.get((bkey, akey))
-            if hit is None:
-                g, rest = self.B.split_key(bkey)
-                basis = elem._like({akey: QQ(1)})
-                hit = self.images[g].apply(self.apply_key(rest, basis))
-                table[(bkey, akey)] = hit
-            return hit
-
-        return elem.map_terms(image)
+    def on_basis(self, bkey, akey, like):
+        """bkey . a for the basis element a of key akey, a sibling of
+        `like`: read from the table, or computed and kept there."""
+        if bkey == self._unit:
+            return like._like({akey: 1})
+        hit = self._table.get((bkey, akey))
+        if hit is None:
+            g, rest = self.B.split_key(bkey)
+            hit = self.images[g].apply(self.on_basis(rest, akey, like))
+            self._table[bkey, akey] = hit
+        return hit
 
     def apply_element(self, belem, elem):
         """Action of an arity-1 tensor over B, extended linearly."""
@@ -570,15 +564,16 @@ def check_module_algebra(action, cutoff=None):
     akeys = A.basis_keys()
 
     pairs = list(bounded_product([akeys, akeys], A.degree, cutoff))
+    basis = {k: A.element({k: 1}) for k in akeys}
 
     def b_linear(bk, k1, k2):
-        e1, e2 = A.element({k1: QQ(1)}), A.element({k2: QQ(1)})
+        e1, e2 = basis[k1], basis[k2]
         lhs = action.apply_key(bk, e1 * e2)
-        rhs = {}
+        slot = [1, {}]
         for (b1, b2), c in B.coproduct_key(bk).items():
-            prod = action.apply_key(b1, e1) * action.apply_key(b2, e2)
-            add_into(rhs, prod.terms, c)
-        rhs = A.zero()._like(rhs)
+            prod = action.on_basis(b1, k1, e1) * action.on_basis(b2, k2, e2)
+            add_rational(slot, prod.codes, c.numerator, c.denominator * prod.den)
+        rhs = e1._like(slot[1], slot[0])
         if lhs != rhs:
             return {
                 "b": B.key_str(bk),
@@ -620,7 +615,7 @@ class TwistedProduct:
     truncation reaches -- a higher twist order raises pAss leaf counts, so
     a row nothing needs could force quotient builds nothing else does.
     Sums of rows are accumulated per t-order over a running lcm
-    (`kernel.add_rational`) and decoded to elements only at the end.
+    (`kernel.add_rational`) and recoded to elements only at the end.
     """
 
     def __init__(self, twist, action, multiply, zero):
@@ -644,20 +639,16 @@ class TwistedProduct:
             self._keys.append(key)
         return code
 
-    def _pack(self, terms):
-        """A Fraction dict on basis keys as (den, {code: numerator})."""
-        if not terms:
-            return 1, {}
-        den = math.lcm(*(c.denominator for c in terms.values()))
+    def _pack(self, x):
+        """An element of the target as (den, {code: numerator})."""
         code = self.code
-        return den, {code(k): c.numerator * (den // c.denominator)
-                     for k, c in terms.items()}
+        return x.den, {code(k): n for k, n in x.codes.items()}
 
     def _element(self, slot):
         """The element of a packed (den, {code: numerator})."""
         den, terms = slot
         keys = self._keys
-        return self._zero._like({keys[c]: QQ(n, den) for c, n in terms.items()})
+        return self._zero._like({keys[c]: n for c, n in terms.items()}, den)
 
     def row(self, codes, l):
         """The row C_l(codes) of a tuple of codes, formed on first use."""
@@ -668,13 +659,14 @@ class TwistedProduct:
 
     def _form(self, codes, l):
         """C_l(codes) = mu(T_l (b_k1 @ ... @ b_km)), packed."""
-        act = self.action.apply_key
+        act, like = self.action.on_basis, self._zero
         multiply = self._multiply
-        basis = [self._zero._like({self._keys[c]: QQ(1)}) for c in codes]
-        out = {}
-        for keys, c in self.terms[l]:
-            add_into(out, multiply(*map(act, keys, basis)).terms, c)
-        return self._pack(out)
+        keys = [self._keys[c] for c in codes]
+        slot = [1, {}]
+        for bkeys, c in self.terms[l]:
+            x = multiply(*[act(b, k, like) for b, k in zip(bkeys, keys)])
+            add_rational(slot, x.codes, c.numerator, c.denominator * x.den)
+        return self._pack(like._like(slot[1], slot[0]))
 
     def structure_constant(self, keys, l):
         """mu(T_l (b_k1 @ ... @ b_km)) for a tuple of basis keys, as an
@@ -720,12 +712,12 @@ class TwistedProduct:
         supports = []
         for x in args:
             if not isinstance(x, TruncSeries):
-                supports.append([(0, self._pack(x.terms))] if x else [])
+                supports.append([(0, self._pack(x))] if x else [])
                 continue
             if x.order != n:
                 raise ValueError("truncation orders differ")
             supports.append(
-                [(i, self._pack(c.terms)) for i, c in enumerate(x.coeffs) if c]
+                [(i, self._pack(c)) for i, c in enumerate(x.coeffs) if c]
             )
         acc = [[1, {}] for _ in range(n + 1)]
         for combo in itertools.product(*supports):
@@ -768,6 +760,8 @@ def _first_nonzero(acc, order):
 
 def check_associativity(F, action, cutoff=None, star=None):
     """(a*b)*c = a*(b*c) on basis triples within the cutoff, plus unitality.
+    A cutoff past the algebra's is clamped to it, as in
+    `check_module_algebra`: no triple beyond it has a product in A.
 
     A triple (k1, k2, k3) is decided on the table's rows: per t-order,
     lhs = sum C_l1(k1, k2)[m] C_l2(m, k3) and rhs = sum C_l1(k2, k3)[m]
@@ -779,7 +773,10 @@ def check_associativity(F, action, cutoff=None, star=None):
     """
     star = StarProduct(F, action) if star is None else star
     A = action.A
-    cutoff = A.cutoff or 0 if cutoff is None else cutoff
+    if cutoff is None:
+        cutoff = A.cutoff or 0
+    elif A.cutoff is not None:
+        cutoff = min(cutoff, A.cutoff)
     report = CheckReport("twisted product associativity")
     keys = A.basis_keys()
     code, n = star.code, star.order
@@ -841,14 +838,12 @@ class HochschildCochain:
         return self._cache[keys]
 
     def evaluate(self, *elems):
-        out = {}
-        for combo in itertools.product(*(e.terms.items() for e in elems)):
-            keys = tuple(k for k, _ in combo)
-            c = QQ(1)
-            for _, ci in combo:
-                c *= ci
-            add_into(out, self.on_keys(*keys).terms, c)
-        return self.parent.zero()._like(out)
+        slot = [1, {}]
+        for combo in itertools.product(*(e.codes.items() for e in elems)):
+            value = self.on_keys(*(k for k, _ in combo))
+            add_rational(slot, value.codes, math.prod(n for _, n in combo), value.den)
+        den = slot[0] * math.prod(e.den for e in elems)
+        return self.parent.zero()._like(slot[1], den)
 
     def zero_witness(self, cutoff):
         A = self.parent
@@ -919,8 +914,9 @@ def _apply_poly_operator(mono_coeff, alpha, poly):
         for _ in range(order):
             out = out.partial(name)
             if not out:
-                return Polynomial()
-    return Polynomial({mono_coeff: QQ(1)}) * out
+                return out
+    # distinct monomials stay distinct times mono_coeff
+    return out._like({mono_coeff * m: n for m, n in out.codes.items()}, out.den)
 
 
 class PolynomialOperator1Cochain:
@@ -1008,10 +1004,11 @@ def is_hochschild_coboundary(A, cochain, search_bound=2):
     chosen = [(candidates[j], c) for j, c in sorted(sol.items())]
 
     def witness(key):
-        out = {}
+        slot = [1, {}]
         for cand, c in chosen:
-            add_into(out, value(cand, key).terms, c)
-        return A.zero()._like(out)
+            v = value(cand, key)
+            add_rational(slot, v.codes, c.numerator, c.denominator * v.den)
+        return A.zero()._like(slot[1], slot[0])
 
     found = HochschildCochain(A, 1, witness)
     if isinstance(A, PolynomialTruncatedAlgebra):

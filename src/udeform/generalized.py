@@ -7,9 +7,11 @@ Three generalizations of the twisting machinery live here.
   deforms the ternary product slotwise.  The relations of the free planar
   partially associative algebra keep the leaf word, so its quotient is
   eliminated once per leaf count over tree shapes (every leaf labeled 0), and
-  a labeled tree reduces through its shape with its word carried along.  The
-  free symmetric one is zero from 5 leaves on, because the symmetric pAss
-  operad vanishes in arity 5, and has no relation below that.
+  a labeled tree reduces through its shape with its word carried along.  A
+  pAss element holds integer numerators on its basis trees, and each word's
+  residual is an integer one (`Echelon._reduce_integral`).  The free
+  symmetric one is zero from 5 leaves on, because the symmetric pAss operad
+  vanishes in arity 5, and has no relation below that.
 
 * Interchange algebras: a pair (F', F'') twists the two operations when the
   middle-interchange coherence identity holds in B^(@4); grouplike pairs in
@@ -18,7 +20,8 @@ Three generalizations of the twisting machinery live here.
 * Diagrams of module algebras: a single arrow carries an algebra morphism h
   and a bialgebra morphism phi (in the opposite direction) subject to
   b h(a) = h(phi(b) a); a twisting triple (F1, G, F2) deforms both nodes so
-  that a -> h(G a) stays a morphism of the twisted algebras.
+  that a -> h(G a) stays a morphism of the twisted algebras.  Whether its
+  t^0 part is injective or surjective is decided by rank (`linalg.Echelon`).
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ from .deform import (
     require_commuting,
 )
 from .kernel import (
-    QQ, SparseElement, TruncSeries, add_term, bounded_product,
-    clean_terms, series_multilinear,
+    QQ, SparseElement, TruncSeries, add_rational, add_term, bounded_product,
+    clean_terms, pack, series_multilinear,
 )
-from .linalg import ForwardSpan
+from .linalg import Echelon, ForwardSpan
 from .operad import circ_B
 from .reports import CheckReport, first_witness
 from .twist import (
@@ -229,7 +232,7 @@ class FreePAssAlgebra:
         return len(shapes) * (math.comb(g + n - 1, n) if self.symmetric else g ** n)
 
     def generator(self, name):
-        return PAssElement(self, {self.generators.index(name): QQ(1)})
+        return PAssElement(self, {self.generators.index(name): 1})
 
     def generator_elements(self):
         return [self.generator(name) for name in self.generators]
@@ -257,32 +260,35 @@ class FreePAssAlgebra:
             return _node(a, b, c, self.symmetric)
         raise ValueError("a tree is a generator or a triple of trees: %r" % (tree,))
 
-    def reduce_coords(self, coords):
-        """Canonical quotient coordinates of a tree combination."""
-        out, by_word = {}, {}
-        for tree, c in coords.items():
-            n = _leaves(tree)
-            if self.symmetric:
-                if n < 5 and c:
-                    out[tree] = c
-                continue
+    def reduce_coords(self, codes, den):
+        """Canonical quotient coordinates (codes, den) of the tree
+        combination codes / den: each leaf count and word is reduced in the
+        integers, and the residuals are summed over the lcm of their scales."""
+        if self.symmetric:
+            return {t: n for t, n in codes.items() if _leaves(t) < 5}, den
+        by_word = {}
+        for tree, c in codes.items():
             shape, word = _split(tree)
-            by_word.setdefault((n, word), {})[shape] = c
+            by_word.setdefault((_leaves(tree), word), {})[shape] = c
+        slot = [1, {}]
         for (n, word), part in by_word.items():
             self._ensure(n)
-            vec = {self._index[n][s]: c for s, c in part.items() if c}
-            for col, c in self._span[n].reduce(vec).items():
-                out[_fill(self._shapes[n][col], iter(word))] = c
-        return out
+            index, shapes = self._index[n], self._shapes[n]
+            res, scale = self._span[n]._reduce_integral(
+                {index[s]: c for s, c in part.items()})
+            add_rational(slot, {_fill(shapes[col], iter(word)): x
+                                for col, x in res.items()}, 1, scale)
+        return slot[1], slot[0] * den
 
     def ternary(self, x, y, z):
         """The ternary product of three elements, reduced."""
         coords = {}
-        for tx, cx in x.terms.items():
-            for ty, cy in y.terms.items():
-                for tz, cz in z.terms.items():
-                    add_term(coords, _node(tx, ty, tz, self.symmetric), cx * cy * cz)
-        return PAssElement(self, coords)
+        pairs_y, pairs_z = list(y.codes.items()), list(z.codes.items())
+        for tx, nx in x.codes.items():
+            for ty, ny in pairs_y:
+                for tz, nz in pairs_z:
+                    add_term(coords, _node(tx, ty, tz, self.symmetric), nx * ny * nz)
+        return x._like(*self.reduce_coords(coords, x.den * y.den * z.den))
 
     def tree_str(self, tree):
         if isinstance(tree, int):
@@ -310,19 +316,19 @@ def _compositions(total, parts):
 
 
 class PAssElement(SparseElement):
-    """A reduced element of the free pAss quotient, sparse on basis trees."""
+    """A reduced element of the free pAss quotient; its codes are its basis
+    trees."""
 
-    __slots__ = ("parent", "terms")
+    __slots__ = ("parent",)
 
     def __init__(self, parent, coords):
         self.parent = parent
-        cleaned = clean_terms(coords)
-        self.terms = parent.reduce_coords(cleaned) if cleaned else {}
+        self._packed(*parent.reduce_coords(*pack(clean_terms(coords))))
 
-    def _like(self, terms):
+    def _like(self, codes, den=1):
         el = PAssElement.__new__(PAssElement)
-        el.parent, el.terms = self.parent, terms
-        return el
+        el.parent = self.parent
+        return el._packed(codes, den)
 
     def _space(self):
         return self.parent
@@ -365,9 +371,7 @@ class TernaryDerivation(Operator):
             out = self.images.get(tree, P.zero())
         else:
             a, b, c = tree
-            ea = P.element({a: QQ(1)})
-            eb = P.element({b: QQ(1)})
-            ec = P.element({c: QQ(1)})
+            ea, eb, ec = (P.element({t: 1}) for t in tree)
             out = (
                 P.ternary(self.apply_tree(a), eb, ec)
                 + P.ternary(ea, self.apply_tree(b), ec)
@@ -555,7 +559,7 @@ class AlgebraMorphism:
                 img = target.element(img)
             self.images[name] = img
         _require_variables(
-            target, (), (mono for img in self.images.values() for mono in img.terms)
+            target, (), (mono for img in self.images.values() for mono in img.codes)
         )
 
     def apply_key(self, key):
@@ -785,28 +789,22 @@ def h_twisted_series(sa, arrow, src, G, order):
 
 
 def morphism_image_check(D, arrow_index, triple, degree):
-    """Injectivity of the deformed morphism on the source basis, and
-    surjectivity of its t^0 image onto the degree-<= bound target basis."""
+    """Whether a -> h(G_0 a) is injective on the source basis (its images
+    are independent) and surjective onto the target basis of degree <=
+    `degree` (each such key reduces to zero modulo the span of the images),
+    both decided by rank (`linalg.Echelon`)."""
     arrow = D.arrows[arrow_index]
-    src = D.nodes[arrow.src]
-    images = {}
-    for key in src.algebra.basis_keys():
-        a = src.algebra.element({key: QQ(1)})
-        g0 = src.action.apply_element(triple.G.coeffs[0], a)
-        images[key] = arrow.h.apply(g0)
-    seen = {}
-    injective = True
-    for key, img in images.items():
-        sig = frozenset(img.terms.items())
-        if sig in seen:
-            injective = False
-            break
-        seen[sig] = key
-    covered = set()
-    for img in images.values():
-        covered.update(img.terms)
-    target_keys = [
-        k for k in arrow.h.target.basis_keys() if arrow.h.target.degree(k) <= degree
-    ]
-    surjective = all(k in covered for k in target_keys)
-    return {"injective": injective, "surjective": surjective}
+    src, target = D.nodes[arrow.src], arrow.h.target
+    column = {k: j for j, k in enumerate(target.basis_keys())}
+    keys = src.algebra.basis_keys()
+    span = Echelon()
+    for key in keys:
+        a = src.algebra.element({key: 1})
+        image = arrow.h.apply(src.action.apply_element(triple.G.coeffs[0], a))
+        span.add({column[k]: n for k, n in image.codes.items()})
+    return {
+        "injective": span.rank == len(keys),
+        "surjective": not any(
+            span.reduce({j: 1}) for k, j in column.items() if target.degree(k) <= degree
+        ),
+    }

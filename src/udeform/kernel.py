@@ -3,29 +3,28 @@
 Everything here is exact: scalars are arbitrary-precision rationals, and no
 operation ever stores a zero coefficient or an unreduced fraction.
 
-A sparse linear combination is a dict with no zero values.  Polynomials,
-algebra and pAss elements map basis keys to Fractions.  Tensor elements (in
-`bialgebra`) map integer codes of key tuples to integer numerators over one
-positive denominator, the form FLINT's fmpq_poly uses for a polynomial, and
-decode to keys and Fractions only at their boundary; so do the rows of
-structure constants the twisted products of `deform` contract, whose
-results become algebra or pAss elements only at the end.  `add_term` and
-`add_into` are the one accumulator over every such dict; they update it in
-place and drop every value that reaches zero, `add_rational` adds a rational
-multiple into a packed sum kept over the running lcm of its denominators,
-and `clean_terms` builds a Fraction dict from caller input.  The linear algebra in `linalg` runs on the
-same dicts with the same accumulator, eliminating in the integers.
+A sparse linear combination has one form, the one FLINT's fmpq_poly uses for
+a polynomial: a dict {code: nonzero integer numerator} over one positive
+denominator that shares no factor with the numerators, so equal combinations
+store equal data.  Polynomials, algebra elements and pAss elements use their
+basis keys (a `Monomial`, a basis name, a tree) as codes; tensor elements (in
+`bialgebra`) pack a tuple of keys into one integer.  `clean_terms` reads
+caller input into a dict of Fractions and `pack` turns such a dict into that
+form.  `add_term` and `add_into` are the one accumulator over integer dicts,
+and `add_rational` adds a rational multiple of one into a sum kept over the
+running lcm of its denominators; `deform`'s structure-constant rows and
+`linalg`'s eliminations use them too.  Every sum keeps the key order that
+adding the terms one at a time gives (new keys appended, cancelled keys
+deleted), whatever the scale of the integers: that order decides which
+`CutoffError` a later product raises first.
 
 `SparseElement` is the one element layer: `Polynomial` here and the tensor,
-algebra and pAss elements elsewhere subclass it, and each reads its terms as
-`terms`, the dict basis key -> Fraction.  A subclass supplies
+algebra and pAss elements elsewhere subclass it.  It holds `codes` and `den`,
+and `_packed`, the gcd reduction, is the one constructor.  A subclass supplies
 
-* `_like(terms)`: a sibling of self (same class and space) around a dict
-  taken as given;
-* `_canonical()`: what equality compares, (denominator, dict); by default
-  (1, terms);
-* `_sum(others, sign)`: self + sign * (the sum of `others`) in one pass,
-  by default over `terms`;
+* `_like(codes, den=1)`: a sibling of self (same class and space) around
+  codes / den, built through `_packed`;
+* `_key_items()`: the (basis key, numerator) pairs, when codes are not keys;
 * `one_like()`: the unit of its space, if the space has one;
 * `_space()`: what two summands must share besides their class (the parent,
   plus the arity for tensors; None for polynomials);
@@ -33,19 +32,16 @@ algebra and pAss elements elsewhere subclass it, and each reads its terms as
 * `_key_text(key)`: the text of a basis key, empty for an algebra unit;
 * its product.
 
-and inherits the linear structure (+, -, negation, scaling, `map_terms`),
-the check that summands share a space, `zero_like`, equality (with another
-element of the same space, with 0, and with a scalar c as c times
-`one_like()`; an element without a unit equals no nonzero scalar), a hash
-consistent with it, `sorted_terms` in basis order, and `render`/`repr`: the
-terms in basis order joined by " + ", a coefficient 1 or -1 shown as the
-sign only, and a key with empty text shown as its bare coefficient.  Every
-witness and report string passes through that one renderer.
-
-A packed subclass also overrides `_sum`, negation, scaling and truth
-testing to run on its own dicts.  The product of `TensorElement` is one integer kernel:
-codes add (or multiply slot by slot through a table of codes) and
-numerators multiply, over the product of the two denominators.
+and inherits, on the integer dicts, the linear structure (+, -, negation,
+scaling, `map_terms`), truth testing, the check that summands share a space,
+`zero_like`, equality (with another element of the same space, with 0, and
+with a scalar c as c times `one_like()`; an element without a unit equals no
+nonzero scalar) and a hash consistent with it.  Keys and Fractions appear
+only at the boundary: the decoded view `terms` (basis key -> Fraction, in
+code order), `sorted_terms` in basis order, and `render`/`repr`, the one
+renderer of every witness and report string: the terms in basis order joined
+by " + ", a coefficient 1 or -1 shown as the sign only, and a key with empty
+text shown as its bare coefficient.
 
 `bounded_product` enumerates the basis tuples every checker sweeps: the
 tuples of a product of pools whose degrees sum to at most a bound, in
@@ -80,11 +76,9 @@ __all__ = [
     "bounded_product",
     "clean_terms",
     "monomials",
+    "pack",
     "series_multilinear",
 ]
-
-MINUS_ONE = QQ(-1)
-
 
 def as_scalar(x):
     """Coerce ints/strings like '3/2' to Fraction; pass Fractions through."""
@@ -156,6 +150,16 @@ def add_rational(slot, terms, num, den):
     add_into(slot[1], terms, num * (have // den))
 
 
+def pack(terms):
+    """(codes, den): a dict of rationals (ints or Fractions) as integer
+    numerators over den, the lcm of their denominators, in the same key
+    order and with zeros dropped.  den > 0 shares no factor with the
+    numerators."""
+    items = [(key, x.numerator, x.denominator) for key, x in terms.items()]
+    den = math.lcm(*[d for _, _, d in items])
+    return {key: n * (den // d) for key, n, d in items if n}, den
+
+
 def clean_terms(terms, normalize=None):
     """A fresh dict of `terms` with exact scalar coefficients, keys passed
     through `normalize` when given, equal keys merged and zeros dropped."""
@@ -166,17 +170,40 @@ def clean_terms(terms, normalize=None):
 
 
 class SparseElement:
-    """A sparse linear combination: `terms` maps basis keys to nonzero Fractions.
+    """A sparse linear combination: `codes` maps codes of basis keys to
+    nonzero integer numerators over the positive denominator `den`, reduced.
 
     The element policy lives here once; see the module docstring for what a
     subclass supplies and what it inherits.  Instances are immutable once
-    built.
+    built, so results may share their dicts.
     """
 
-    __slots__ = ()
+    __slots__ = ("codes", "den")
 
-    def _like(self, terms):
+    def _like(self, codes, den=1):
         raise NotImplementedError
+
+    def _packed(self, codes, den):
+        """This new element, its space already set, around codes / den
+        reduced: den and the numerators are divided by their gcd.  Every
+        element is built here."""
+        if den != 1:
+            g = math.gcd(den, *codes.values())
+            if g != 1:
+                den //= g
+                codes = {code: n // g for code, n in codes.items()}
+        self.codes, self.den = codes, den
+        return self
+
+    def _key_items(self):
+        """The (basis key, numerator) pairs in code order."""
+        return self.codes.items()
+
+    @property
+    def terms(self):
+        """The decoded view: basis key -> Fraction, in code order."""
+        den = self.den
+        return {key: Fraction(n, den) for key, n in self._key_items()}
 
     def _space(self):
         """What two summands must share besides their class: None here."""
@@ -184,7 +211,7 @@ class SparseElement:
 
     def _canonical(self):
         """(denominator, dict): equal elements of one space give equal pairs."""
-        return 1, self.terms
+        return self.den, self.codes
 
     def _order(self, key):
         raise NotImplementedError
@@ -205,7 +232,7 @@ class SparseElement:
             )
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.codes)
 
     def is_zero(self):
         return not self
@@ -243,20 +270,26 @@ class SparseElement:
         return self._sum((other,), -1)
 
     def _sum(self, others, sign):
-        """self + sign * (the sum of the mates `others`), sign 1 or -1: what
-        adding them one at a time gives, key order included."""
-        c = MINUS_ONE if sign < 0 else 1
-        acc = dict(self.terms)
+        """self + sign * (the sum of the mates `others`), sign 1 or -1, as
+        one integer sum over the lcm of all the denominators: what adding
+        them one at a time gives, key order included."""
+        den = math.lcm(self.den, *[o.den for o in others])
+        f = den // self.den
+        acc = dict(self.codes) if f == 1 else {c: n * f for c, n in self.codes.items()}
         for other in others:
-            add_into(acc, other.terms, c)
-        return self._like(acc)
+            add_into(acc, other.codes, sign * (den // other.den))
+        return self._like(acc, den=den)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
+        return self._like({c: -n for c, n in self.codes.items()}, den=self.den)
 
     def scale(self, c):
         c = as_scalar(c)
-        return self._like({k: c * v for k, v in self.terms.items()} if c else {})
+        if not c:
+            return self.zero_like()
+        p = c.numerator
+        codes = self.codes if p == 1 else {code: p * n for code, n in self.codes.items()}
+        return self._like(codes, den=self.den * c.denominator)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -266,13 +299,16 @@ class SparseElement:
     def map_terms(self, image, like=None):
         """The linear extension sum_k c_k image(k) over this element's terms.
 
-        `image(key)` returns a SparseElement; the sum is wrapped as a sibling
-        of `like` (default self), which names the space it lives in.
+        `image(key)` returns a SparseElement; the integer sum over the
+        running lcm of the images' denominators is wrapped as a sibling of
+        `like` (default self), which names the space it lives in.
         """
-        out = {}
-        for key, c in self.terms.items():
-            add_into(out, image(key).terms, c)
-        return (self if like is None else like)._like(out)
+        slot = [1, {}]
+        for key, n in self._key_items():
+            img = image(key)
+            add_rational(slot, img.codes, n, img.den)
+        den, codes = slot
+        return (self if like is None else like)._like(codes, den=den * self.den)
 
     def sorted_terms(self):
         """The (key, coefficient) pairs in basis order."""
@@ -439,17 +475,16 @@ def bounded_product(pools, weight, bound):
 
 
 class Polynomial(SparseElement):
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial with rational coefficients; its codes
+    are its monomials."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        self.terms = clean_terms(terms, Monomial) if terms else {}
+        self._packed(*pack(clean_terms(terms, Monomial) if terms else {}))
 
-    def _like(self, terms):
-        p = Polynomial.__new__(Polynomial)
-        p.terms = terms
-        return p
+    def _like(self, codes, den=1):
+        return Polynomial.__new__(Polynomial)._packed(codes, den)
 
     def _order(self, key):
         return key.sort_key()
@@ -459,24 +494,24 @@ class Polynomial(SparseElement):
 
     @staticmethod
     def constant(c):
-        c = as_scalar(c)
-        return Polynomial({ONE_MONOMIAL: c} if c else {})
+        return Polynomial({ONE_MONOMIAL: c})
 
     @staticmethod
     def variable(name):
-        return Polynomial({Monomial({name: 1}): QQ(1)})
+        return Polynomial({Monomial({name: 1}): 1})
 
     def one_like(self):
-        return Polynomial({ONE_MONOMIAL: QQ(1)})
+        return Polynomial({ONE_MONOMIAL: 1})
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                add_term(out, m1 * m2, c1 * c2)
-        return self._like(out)
+        pairs = list(other.codes.items())
+        for m1, n1 in self.codes.items():
+            for m2, n2 in pairs:
+                add_term(out, m1 * m2, n1 * n2)
+        return self._like(out, den=self.den * other.den)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -492,21 +527,22 @@ class Polynomial(SparseElement):
 
     def substitute_linear(self, images):
         """Substitute each variable by a Polynomial (e.g. u1 -> u1 + u2)."""
-        out = {}
-        for mono, c in self.terms.items():
-            term = Polynomial.constant(c)
+        slot = [1, {}]
+        for mono, n in self.codes.items():
+            term = Polynomial.constant(n)
             for name, e in mono.exps:
                 img = images.get(name)
                 if img is None:
                     img = Polynomial.variable(name)
                 term = term * img ** e
-            add_into(out, term.terms)
-        return self._like(out)
+            add_rational(slot, term.codes, 1, term.den)
+        den, codes = slot
+        return self._like(codes, den=den * self.den)
 
     def partial(self, name):
         """Exact partial derivative with respect to one variable."""
         out = {}
-        for mono, c in self.terms.items():
+        for mono, n in self.codes.items():
             d = dict(mono.exps)
             e = d.get(name, 0)
             if not e:
@@ -515,8 +551,8 @@ class Polynomial(SparseElement):
                 del d[name]
             else:
                 d[name] = e - 1
-            add_term(out, Monomial(d), c * e)
-        return self._like(out)
+            add_term(out, Monomial(d), n * e)
+        return self._like(out, den=self.den)
 
 
 # ---------------------------------------------------------------------------

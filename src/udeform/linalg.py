@@ -1,11 +1,12 @@
 """Sparse exact linear algebra over the rationals, eliminated in the integers.
 
-Vectors are the package's one sparse representation, dicts column-index ->
-nonzero coefficient (see `kernel`); matrices are lists of such rows.  Rows
-that enter an elimination are integer dicts: the moduli systems of `cobar`
-are integer from the start, and a row scaled by a nonzero integer spans the
-same line.  Callers that hold rationals (`solve`, the kernel vectors of
-`quotient_representatives`) clear denominators first (`integral`).  The
+Vectors are sparse dicts column index -> nonzero coefficient; matrices are
+lists of such rows.  Rows that enter an elimination are integer dicts, the
+numerators of the package's one packed form (see `kernel`): the moduli
+systems of `cobar` and the pAss relations are integer from the start, and a
+row scaled by a nonzero integer spans the same line.  Callers that hold
+rationals (`solve`, the kernel vectors of `quotient_representatives`) pack
+them first (`kernel.pack`).  The
 image search `solve(columns, target)` takes columns instead, sparse vectors
 keyed by any hashable row label, and groups them into rows by label; the
 order of those rows is free (see the last paragraph).
@@ -20,7 +21,9 @@ of Bareiss (Math. Comp. 22, 1968), with no `Fraction` arithmetic.
 Two accumulators share that step.  `Echelon.add` does forward elimination
 only: the leading column of the incoming row is cleared until it is no
 pivot, and no stored row changes; spans that are only reduced against
-(`quotient_representatives`, `ForwardSpan`) use it.  `ReducedEchelon` keeps
+(`quotient_representatives`, `ForwardSpan`, the image check of
+`generalized`) use it; the pAss quotient reads its integer residuals
+(`_reduce_integral`).  `ReducedEchelon` keeps
 its rows in reduced row echelon form as they are inserted; the systems that
 are solved (`kernel_basis`, `solve`) use it, and an incoming row that is
 mostly dependent is cleared in one pass over its pivot columns.
@@ -36,18 +39,11 @@ deterministic functions of the input order, as reproducible reports need.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .kernel import QQ, add_into
+from .kernel import QQ, add_into, pack
 
 ONE = QQ(1)
-
-
-def integral(vec):
-    """(integer dict, d): d * vec in the integers, d the lcm of denominators."""
-    terms = [(j, x.numerator, x.denominator) for j, x in vec.items()]
-    den = lcm(*[d for _, _, d in terms])
-    return {j: n * (den // d) for j, n, d in terms if n}, den
 
 
 def _eliminate(vec, row, col):
@@ -93,9 +89,10 @@ class Echelon:
         return len(self.rows)
 
     def _reduce_integral(self, vec):
-        """(r, s): r = s * (vec reduced modulo the row space), all in the
-        integers; r avoids every pivot column."""
-        vec, scale = integral(vec)
+        """(r, s): r = s * (vec reduced modulo the row space) in the
+        integers, s > 0, for vec a dict of ints or Fractions (left
+        unchanged); r avoids every pivot column."""
+        vec, scale = pack(vec)
         rows = self.rows
         while True:
             hit = None
@@ -222,7 +219,7 @@ def solve(columns, target):
             rows.setdefault(label, {})[j] = c
     ech = ReducedEchelon()
     for r in rows.values():
-        ech.add(integral(r)[0])
+        ech.add(pack(r)[0])
     # a pivot in the augmented column means the system forces 0 = 1
     if aug in ech.rows:
         return None
@@ -245,7 +242,7 @@ def quotient_representatives(space_vectors, sub_vectors):
     ech = Echelon()
     for v in sub_vectors:
         ech.add(v)
-    reps = [v for v in space_vectors if ech.add(integral(v)[0]) is not None]
+    reps = [v for v in space_vectors if ech.add(pack(v)[0]) is not None]
     if ech.rank != len(space_vectors):
         raise ValueError("the subspace does not lie in the span of the space")
     return reps

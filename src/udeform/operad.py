@@ -31,7 +31,7 @@ import random
 from collections import Counter
 from functools import partial
 
-from .bialgebra import CutoffError, TensorElement, _packed
+from .bialgebra import CutoffError, TensorElement
 from .kernel import QQ, bounded_product
 from .reports import CheckReport, first_witness
 
@@ -79,7 +79,7 @@ def circ_b(u, i, v):
     # the unit's slot code is 0, so P is v's codes shifted i - 1 slots up
     at = (i - 1) * B.codec.width
     P = {code << at: c for code, c in v.codes.items()}
-    return E + _packed(B, u.arity + n - 1, P, v.den)
+    return E + u._like(P, v.den, u.arity + n - 1)
 
 
 def _check_slot(u, i, v):

@@ -36,7 +36,7 @@ functional equation.
 
 from __future__ import annotations
 
-from .bialgebra import TensorElement, _packed
+from .bialgebra import TensorElement
 from .kernel import (
     Monomial, Polynomial, QQ, TruncSeries, add_rational, add_term, as_scalar,
     series_multilinear, slot_combinations, slot_supports,
@@ -214,8 +214,9 @@ def first_failing_difference(order, terms):
     tensor) pairs.  Each part is added into one packed {code: numerator}
     dict over the running lcm of the denominators (`kernel.add_rational`)
     as soon as it is formed, so parts that cancel do so early and no order's
-    products are held; a nonzero dict is reduced (`_packed`) into D.  Orders past the first
-    failing one are never formed.
+    products are held; a nonzero dict becomes D through the first part's
+    `_like`, which reduces it.  Orders past the first failing one are never
+    formed.
     """
     supports = []
     for parts, *series in terms:
@@ -234,7 +235,7 @@ def first_failing_difference(order, terms):
                     add_rational(slot, x.codes, sign, x.den)
         den, acc = slot
         if acc:
-            return k, _packed(mate.parent, mate.arity, acc, den)
+            return k, mate._like(acc, den)
     return None
 
 
@@ -455,11 +456,11 @@ def to_bivariate(F, names=("u1", "u2")):
 
     def convert(te):
         out = {}
-        for (k1, k2), c in te.terms.items():
+        for (k1, k2), n in te._key_items():
             e1 = dict(k1.exps).get(B.spec.generators[0], 0)
             e2 = dict(k2.exps).get(B.spec.generators[0], 0)
-            add_term(out, Monomial({names[0]: e1, names[1]: e2}), c)
-        return Polynomial()._like(out)
+            add_term(out, Monomial({names[0]: e1, names[1]: e2}), n)
+        return Polynomial()._like(out, te.den)
 
     return s.map_coeffs(convert)
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from udeform.kernel import (
-    QQ, Polynomial, SparseElement, TruncSeries, add_into, bounded_product,
+    QQ, Polynomial, SparseElement, TruncSeries, add_into, as_scalar,
+    bounded_product, pack,
 )
 from udeform.bialgebra import BialgebraSpec, construct_bialgebra
 from udeform.reports import CheckReport, first_witness
@@ -16,7 +17,8 @@ from udeform.deform import (
     action_from_derivations,
 )
 from udeform.generalized import (
-    FreePAssAlgebra, TwistedTernaryProduct, _compositions, _node, _tree_key,
+    FreePAssAlgebra, TwistedTernaryProduct, _compositions, _fill, _leaves, _node,
+    _split, _tree_key,
 )
 from udeform.kernel import add_term
 from udeform import cobar
@@ -121,14 +123,123 @@ def euler_action(B2, plane):
     )
 
 
-class ReferenceTensor(SparseElement):
+def from_terms(like, terms):
+    """The sibling of the library element `like` with the given terms, a
+    dict basis key -> rational, taken as given (no reduction in a quotient)."""
+    return like._like(*pack(terms))
+
+
+class ReferenceElement(SparseElement):
+    """The linear structure on Fraction dicts, the route apart from the
+    library's packed integer form: `terms` maps basis keys to nonzero
+    Fractions, sums add one element at a time with `add_into`, and
+    `map_terms` adds each image's terms times its coefficient.  Equality,
+    hashing and the renderer stay `SparseElement`'s.  A subclass supplies
+    `_like(terms)` and the hooks of the element contract."""
+
+    __slots__ = ("terms",)
+
+    def _canonical(self):
+        return 1, self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _sum(self, others, sign):
+        c = QQ(-1) if sign < 0 else 1
+        acc = dict(self.terms)
+        for other in others:
+            add_into(acc, other.terms, c)
+        return self._like(acc)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = as_scalar(c)
+        return self._like({k: c * v for k, v in self.terms.items()} if c else {})
+
+    def map_terms(self, image, like=None):
+        out = {}
+        for key, c in self.terms.items():
+            add_into(out, image(key).terms, c)
+        return (self if like is None else like)._like(out)
+
+
+class ReferenceTwin(ReferenceElement):
+    """The reference twin of a library `Polynomial`, `AlgebraElement` or
+    `PAssElement`: the same space, basis order and key text over Fraction
+    terms, with the products those classes had on Fraction dicts."""
+
+    __slots__ = ("twin",)
+
+    def __init__(self, twin, terms):
+        self.twin, self.terms = twin, dict(terms)
+
+    def _like(self, terms):
+        return ReferenceTwin(self.twin, terms)
+
+    def _space(self):
+        return type(self.twin), self.twin._space()
+
+    def _order(self, key):
+        return self.twin._order(key)
+
+    def _key_text(self, key):
+        return self.twin._key_text(key)
+
+    def __mul__(self, other):
+        """The product of two polynomials or algebra elements, term by term."""
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                if isinstance(self.twin, Polynomial):
+                    add_term(out, k1 * k2, c1 * c2)
+                    continue
+                codes, den = self.twin.parent.product_keys(k1, k2)
+                add_into(out, {k: QQ(n, den) for k, n in codes.items()}, c1 * c2)
+        return self._like(out)
+
+    def ternary(self, y, z):
+        """The ternary product of three pAss elements, reduced in Fractions
+        (`reference_reduce_coords`)."""
+        P, coords = self.twin.parent, {}
+        for tx, cx in self.terms.items():
+            for ty, cy in y.terms.items():
+                for tz, cz in z.terms.items():
+                    add_term(coords, _node(tx, ty, tz, P.symmetric), cx * cy * cz)
+        return self._like(reference_reduce_coords(P, coords))
+
+
+def reference_reduce_coords(P, coords):
+    """Canonical quotient coordinates of a Fraction dict on trees, reduced
+    word by word through `Echelon.reduce`: the route apart from the
+    library's integer residuals."""
+    out, by_word = {}, {}
+    for tree, c in coords.items():
+        n = _leaves(tree)
+        if P.symmetric:
+            if n < 5 and c:
+                out[tree] = c
+            continue
+        shape, word = _split(tree)
+        by_word.setdefault((n, word), {})[shape] = c
+    for (n, word), part in by_word.items():
+        P._ensure(n)
+        vec = {P._index[n][s]: c for s, c in part.items() if c}
+        for col, c in P._span[n].reduce(vec).items():
+            out[_fill(P._shapes[n][col], iter(word))] = c
+    return out
+
+
+class ReferenceTensor(ReferenceElement):
     """Tensor arithmetic on key tuples and Fractions, the route apart from
     the library's packed codes: `terms` maps n-tuples of basis keys to
     Fractions, products run slot by slot through `product_single`, and every
-    sum adds one term at a time with `add_term`.  The linear structure,
-    equality, hashing and the renderer are `SparseElement`'s."""
+    sum adds one term at a time with `add_term`.  The linear structure is
+    `ReferenceElement`'s."""
 
-    __slots__ = ("parent", "arity", "terms")
+    __slots__ = ("parent", "arity")
 
     def __init__(self, parent, arity, terms):
         self.parent, self.arity, self.terms = parent, arity, dict(terms)
@@ -293,7 +404,7 @@ class ReferenceTwistedProduct:
         out = {}
         for keys, c in terms:
             add_into(out, self.product._multiply(*map(act, keys, elems)).terms, c)
-        return elems[0]._like(out)
+        return from_terms(elems[0], out)
 
     def __call__(self, *args):
         n = self.order
@@ -314,13 +425,13 @@ class ReferenceTwistedProduct:
                 for l in range(n - low + 1):
                     entry = self.table.get((keys, l))
                     if entry is None:
-                        basis = [x._like({k: QQ(1)}) for x, k in zip(elems, keys)]
+                        basis = [x._like({k: 1}) for x, k in zip(elems, keys)]
                         entry = self.value(self.product.terms[l], *basis).terms
                         self.table[keys, l] = entry
                     if entry:
                         add_into(slots[low + l], entry, c)
         like = series[0].coeffs[0]
-        return TruncSeries([like._like(s) for s in slots])
+        return TruncSeries([from_terms(like, s) for s in slots])
 
 
 def reference_check_associativity(F, action, cutoff=None):
@@ -328,7 +439,10 @@ def reference_check_associativity(F, action, cutoff=None):
     every basis triple multiplied out as series and compared slot by slot."""
     star = ReferenceTwistedProduct(StarProduct(F, action))
     A = action.A
-    cutoff = A.cutoff or 0 if cutoff is None else cutoff
+    if cutoff is None:
+        cutoff = A.cutoff or 0
+    elif A.cutoff is not None:
+        cutoff = min(cutoff, A.cutoff)
     report = CheckReport("twisted product associativity")
     keys = A.basis_keys()
 
@@ -471,7 +585,7 @@ def operator_cochain(op):
         out = {}
         for mono, alpha, c in op.terms:
             add_into(out, _apply_poly_operator(mono, alpha, poly).terms, c)
-        return A.zero()._like(out)
+        return from_terms(A.zero(), out)
 
     return HochschildCochain(A, 1, g)
 

@@ -363,6 +363,20 @@ def test_algebra_cutoff_overflow_exits_two():
     assert "derivation output p^2*q^3 exceeds cutoff 4" in error["message"]
 
 
+def test_associativity_sweep_is_clamped_to_the_algebra_cutoff():
+    # parameters.degree defaults to 4, past the algebra's cutoff 3: the sweep
+    # covers the C(9, 6) = 84 triples within the cutoff instead of exiting 2
+    job = copy.deepcopy(emit_example("quantum-plane"))
+    job["inputs"]["algebra"]["degree_cutoff"] = 3
+    del job["parameters"]["degree"]
+    report, code = run(job)
+    assert code == 0
+    doc = report.to_json()
+    assert doc["parameters"]["degree"] == 4
+    labels = [e["label"] for c in doc["checks"] for e in c["entries"]]
+    assert "associativity on 84 basis triples" in labels
+
+
 def test_cobar_job_computes_h2_once(monkeypatch):
     import udeform
     from udeform import cobar

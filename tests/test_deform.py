@@ -35,7 +35,8 @@ from udeform.generalized import (
 from udeform import cli
 
 from conftest import (
-    ReferenceTwistedProduct, antisym, bench_job, operator_cochain, twisted_product,
+    ReferenceTwistedProduct, antisym, bench_job, from_terms, operator_cochain,
+    twisted_product,
 )
 
 
@@ -82,7 +83,7 @@ class TestAlgebraSpecs:
         with pytest.raises(ValueError, match="declared product x\\*1 contradicts"):
             FiniteDimensionalAlgebra(["1", "x"], "1", {("x", "1"): {"x": 2}})
         A = FiniteDimensionalAlgebra(["1", "x"], "1", {("x", "1"): {"x": 1, "1": 0}})
-        assert A.product_keys("x", "1") == {"x": 1}
+        assert A.product_keys("x", "1") == ({"x": 1}, 1)
 
 
 class TestOperators:
@@ -360,7 +361,7 @@ def _contraction_arguments(draw):
             terms = draw(st.dictionaries(
                 st.sampled_from(pool), st.sampled_from(COEFFS), min_size=1, max_size=3
             ))
-            slots[i] = zero._like(terms)
+            slots[i] = from_terms(zero, terms)
         args.append(TruncSeries(slots))
     return product, args
 

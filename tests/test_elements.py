@@ -1,20 +1,29 @@
 """The element contract shared by every sparse element class.
 
-`SparseElement` owns equality, hashing, the zero, the basis order and the
-text form; `Polynomial`, `TensorElement`, `AlgebraElement` and `PAssElement`
-supply only their product and the small hooks the kernel docstring lists.
-The rendered strings below were recorded from the per-class renderers this
-contract replaced, so a change in any report byte shows up here first.
+`SparseElement` owns the packed form (integer numerators over one reduced
+denominator), the linear structure on it, equality, hashing, the zero, the
+decoded `terms`, the basis order and the text form; `Polynomial`,
+`TensorElement`, `AlgebraElement` and `PAssElement` supply only their product
+and the small hooks the kernel docstring lists.  The rendered strings below
+were recorded from the per-class renderers this contract replaced, so a
+change in any report byte shows up here first.  The linear structure and the
+products are compared, values and key order, with the route over Fraction
+dicts in `conftest.ReferenceTwin`.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from udeform.bialgebra import BialgebraSpec, TensorElement, construct_bialgebra
 from udeform.deform import (
     AlgebraElement, FiniteDimensionalAlgebra, PolynomialTruncatedAlgebra,
 )
 from udeform.generalized import FreePAssAlgebra, PAssElement
-from udeform.kernel import QQ, Monomial, Polynomial, SparseElement
+from udeform.kernel import QQ, Monomial, Polynomial, SparseElement, clean_terms, monomials
+
+from conftest import ReferenceTwin
 
 M = Monomial.parse
 
@@ -191,5 +200,79 @@ def test_sorted_terms_follow_the_basis_order(elements, name):
 )
 def test_element_policy_lives_only_in_the_base_class(cls):
     assert issubclass(cls, SparseElement)
-    policy = ("__eq__", "__hash__", "render", "__repr__", "zero_like", "sorted_terms")
+    policy = (
+        "__eq__", "__hash__", "render", "__repr__", "zero_like", "sorted_terms",
+        "_canonical", "__bool__", "_sum", "__neg__", "scale", "map_terms", "terms",
+    )
     assert [name for name in policy if name in cls.__dict__] == []
+
+
+@pytest.mark.parametrize("name", sorted(RENDERED))
+def test_elements_store_reduced_integer_numerators(elements, name):
+    e = elements[name]
+    numerators = list(e.codes.values())
+    assert all(type(n) is int and n != 0 for n in numerators)
+    assert type(e.den) is int and e.den > 0
+    assert math.gcd(e.den, *numerators) == 1
+
+
+def _spaces():
+    """(name, pool of basis keys, constructor from terms, product): one space
+    per element class the reference twin covers, the products staying inside
+    the cutoffs."""
+    plane = PolynomialTruncatedAlgebra(["p", "q"], 4)
+    quadratic = FiniteDimensionalAlgebra(
+        ["1", "x"], "1", {("x", "x"): {"1": QQ(-2, 3), "x": QQ(1, 2)}}
+    )
+    small = monomials(["p", "q"], 2)
+    spaces = [
+        ("polynomial", small, Polynomial, lambda a, b, c: a * b),
+        ("truncated", small, plane.element, lambda a, b, c: a * b),
+        ("finite-dimensional", quadratic.basis, quadratic.element, lambda a, b, c: a * b),
+    ]
+    for symmetric in (False, True):
+        P = FreePAssAlgebra(["x", "y"], 3, symmetric)
+        spaces.append((
+            "pass symmetric" if symmetric else "pass planar",
+            P.basis(1) + P.basis(3),
+            lambda terms, P=P: PAssElement(P, terms),
+            lambda a, b, c: a.ternary(b, c) if isinstance(a, ReferenceTwin)
+            else a.parent.ternary(a, b, c),
+        ))
+    return spaces
+
+
+SPACES = _spaces()
+COEFFS = [QQ(1), QQ(-1), QQ(2), QQ(1, 2), QQ(-3, 4), QQ(5, 6)]
+
+
+@st.composite
+def _operands(draw):
+    name, pool, build, product = draw(st.sampled_from(SPACES))
+    terms = [draw(st.dictionaries(st.sampled_from(pool), st.sampled_from(COEFFS), max_size=4))
+             for _ in range(3)]
+    scale = draw(st.sampled_from(COEFFS + [QQ(0)]))
+    return name, pool, build, product, terms, scale
+
+
+def _key_order(x):
+    return list(x.terms.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operands())
+def test_linear_structure_and_products_match_the_fraction_reference(case):
+    name, pool, build, product, terms, scale = case
+    got = [build(t) for t in terms]
+    want = [ReferenceTwin(x, clean_terms(t)) for x, t in zip(got, terms)]
+    for x, y in zip(got, want):
+        assert _key_order(x) == _key_order(y), name
+    for route in (got, want):
+        a, b, c = route
+        route.extend([
+            a + b, a - b, b - a + c, -a, a.scale(scale), product(a, b, c),
+            # each basis key goes to b or c, by its place in the pool
+            a.map_terms(lambda k: (b, c)[pool.index(k) % 2]),
+        ])
+    for x, y in zip(got, want):
+        assert _key_order(x) == _key_order(y), name

@@ -498,6 +498,45 @@ class TestDiagrams:
         out1 = morphism_image_check(D1, 0, triple1, degree=2)
         assert out1 == {"injective": True, "surjective": True}
 
+    @staticmethod
+    def _linear_image_check(B2, images, degree):
+        """morphism_image_check for h given by `images` between two planes of
+        cutoff 2 with the same action, G = 1 and the trivial twists."""
+        A1, A2 = (PolynomialTruncatedAlgebra(["p", "q"], 2) for _ in range(2))
+        moyal = {"p1": {"p": 1}, "p2": {"q": 1}}
+        h = AlgebraMorphism(A1, A2, {
+            name: A2.element({Monomial.parse(k): c for k, c in img.items()})
+            for name, img in images.items()
+        })
+        phi = BialgebraMorphism(
+            B2, B2, {"p1": B2.generator("p1"), "p2": B2.generator("p2")}
+        )
+        D = DiagramSpec(
+            [DiagramNode("v1", B2, A1, action_from_derivations(B2, A1, moyal)),
+             DiagramNode("v2", B2, A2, action_from_derivations(B2, A2, moyal))],
+            [DiagramArrow("v1", "v2", h, phi)],
+        )
+        from udeform.twist import UDF
+
+        one_udf = UDF(TruncSeries.constant(B2.one(2), 1))
+        triple = TwistTriple(one_udf, TruncSeries.constant(B2.one(1), 1), one_udf)
+        return morphism_image_check(D, 0, triple, degree=degree)
+
+    def test_morphism_image_with_dependent_images_is_not_injective(self, B2):
+        # the images of p and q are distinct but h(q) = 2 h(p)
+        out = self._linear_image_check(B2, {"p": {"p": 1}, "q": {"p": 2}}, 1)
+        assert out == {"injective": False, "surjective": False}
+
+    def test_morphism_image_that_misses_a_key_is_not_surjective(self, B2):
+        # every key of degree <= 1 appears in some image, but p is not in the
+        # span of 1, p + q, (p + q)^2, ...
+        out = self._linear_image_check(B2, {"p": {"p": 1, "q": 1}, "q": {"p": 2, "q": 2}}, 1)
+        assert out == {"injective": False, "surjective": False}
+
+    def test_morphism_image_of_a_change_of_variables_is_bijective(self, B2):
+        out = self._linear_image_check(B2, {"p": {"p": 1, "q": 1}, "q": {"p": 1, "q": -1}}, 2)
+        assert out == {"injective": True, "surjective": True}
+
 
 def test_cubing_action_fixes_the_pure_cube(ternaryB, cubing_action):
     # every order-t summand of the induced twist carries one p2-slot, which
@@ -540,7 +579,7 @@ def test_shape_quotient_matches_the_labeled_elimination(generators, leaves):
         assert P.basis(n) == [t for i, t in enumerate(trees) if i not in span.rows]
         for i, tree in enumerate(trees):
             rep = span.reduce({i: QQ(1)})
-            assert P.reduce_coords({tree: QQ(1)}) == {
+            assert P.zero()._like(*P.reduce_coords({tree: 1}, 1)).terms == {
                 trees[col]: c for col, c in rep.items()
             }
 

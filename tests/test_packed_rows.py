@@ -35,18 +35,23 @@ from udeform.generalized import (
     check_partial_assoc,
     pass_udf,
 )
-from udeform.kernel import QQ, Polynomial, TruncSeries
+from udeform.kernel import QQ, Monomial, Polynomial, TruncSeries
 from udeform.twist import UDF, make_exp_udf, series_from_orders
 
 from conftest import (
     ReferenceTwistedProduct,
     antisym,
+    from_terms,
     reference_check_associativity,
     reference_check_partial_assoc,
 )
 
 MOYAL = {"p1": {"p": 1}, "p2": {"q": 1}}
 EULER = {"p1": {"p": Polynomial.variable("p")}, "p2": {"q": Polynomial.variable("q")}}
+# p1 acts as p^2 d/dp, which raises degrees, so products inside the
+# algebra's cutoff still reach past it
+RAISING = {"p1": {"p": Polynomial({Monomial.parse("p^2"): 1})},
+           "p2": {"q": Polynomial.variable("q")}}
 
 
 def _B2():
@@ -84,6 +89,8 @@ def _associativity_case(name):
     """(F, action, cutoff) of one associativity case."""
     if name.startswith("moyal"):
         B, action, F = _plane_case(MOYAL, QQ(1, 2), 3)
+    elif name.startswith("raising"):
+        B, action, F = _plane_case(RAISING, QQ(1, 2), 3)
     elif name.startswith("qplane"):
         B, action, F = _plane_case(EULER, QQ(1), 3)
     else:
@@ -94,12 +101,12 @@ def _associativity_case(name):
     elif name.endswith("not-a-twist"):
         F = _not_a_twist(B)
     elif name.endswith("overflow"):
-        cutoff = 6  # triples past the algebra's cutoff 4
+        cutoff = 6  # past the algebra's cutoff 4, so the sweep is clamped to 4
     return F, action, cutoff
 
 
 ASSOCIATIVITY_CASES = [
-    "moyal", "moyal-no-t2", "moyal-not-a-twist", "moyal-overflow",
+    "moyal", "moyal-no-t2", "moyal-not-a-twist", "moyal-overflow", "raising",
     "qplane", "qplane-no-t2", "qplane-not-a-twist",
     "nonsmooth", "nonsmooth-not-a-twist",
 ]
@@ -120,7 +127,9 @@ def test_associativity_reports_match_the_reference(name):
     want = _outcome(reference_check_associativity, F, action, cutoff=cutoff)
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     if name.endswith("overflow"):
-        assert got.startswith("CutoffError: product")
+        assert got == _outcome(check_associativity, F, action) and got["passed"]
+    elif name == "raising":
+        assert got == "CutoffError: derivation output p^4*q exceeds cutoff 4"
     else:
         assert got["passed"] == (name in ("moyal", "qplane", "nonsmooth")), got
 
@@ -170,7 +179,7 @@ def test_partial_assoc_rejects_an_order_above_the_product():
 def _slots(zero, parts):
     """A series of order len(parts) - 1 whose slot i holds parts[i] (a dict
     key -> coefficient, possibly empty)."""
-    return TruncSeries([zero._like(dict(p)) for p in parts])
+    return TruncSeries([from_terms(zero, p) for p in parts])
 
 
 def _star_arguments(name):
