@@ -264,7 +264,7 @@ class Bialgebra:
         hit = self._iterated_cache.get((code, k))
         if hit is None:
             if k == 0:
-                hit = _packed(self, 1, {code: 1}, 1)
+                hit = self.zero()._like({code: 1})
             else:
                 hit = self.iterated_coproduct_code(code, k - 1).apply_coproduct(1)
             self._iterated_cache[code, k] = hit
@@ -310,10 +310,13 @@ class Bialgebra:
 
     # -- element constructors ------------------------------------------------
     def zero(self, arity=1):
-        return _packed(self, arity, {}, 1)
+        """A new zero of B^(@arity), the element every `_like` fills."""
+        z = TensorElement.__new__(TensorElement)
+        z.parent, z.arity, z.codes, z.den = self, arity, {}, 1
+        return z
 
     def one(self, arity=1):
-        return _packed(self, arity, {0: 1}, 1)
+        return self.zero(arity)._like({0: 1})
 
     def element(self, terms):
         return self.tensor(1, {(k,): c for k, c in terms.items()})
@@ -728,13 +731,6 @@ class _SlotKeys(dict):
 # sparse elements of B^(@n)
 # ---------------------------------------------------------------------------
 
-def _packed(parent, arity, codes, den):
-    """The element codes / den of B^(@arity), reduced (`SparseElement._packed`)."""
-    t = TensorElement.__new__(TensorElement)
-    t.parent, t.arity = parent, arity
-    return t._packed(codes, den)
-
-
 class TensorElement(SparseElement):
     """A sparse element of B^(@n); arity 0 means a bare scalar.
 
@@ -760,7 +756,7 @@ class TensorElement(SparseElement):
         nums, den = pack(clean_terms(terms, key_tuple))
         encode = parent.codec.encode
         self.parent, self.arity = parent, arity
-        self._packed({encode(keys): n for keys, n in nums.items()}, den)
+        self.codes, self.den = {encode(keys): n for keys, n in nums.items()}, den
 
     def _key_items(self):
         """The (n-tuple of keys, numerator) pairs in code order."""
@@ -771,7 +767,8 @@ class TensorElement(SparseElement):
     def _like(self, codes, den=1, arity=None):
         """The element codes / den over the same bialgebra, at this element's
         arity unless another is given."""
-        return _packed(self.parent, self.arity if arity is None else arity, codes, den)
+        arity = self.arity if arity is None else arity
+        return self.parent.zero(arity)._packed(codes, den)
 
     def _space(self):
         return self.parent, self.arity
@@ -926,7 +923,7 @@ class TensorElement(SparseElement):
                     code |= c << at
                     x *= m
                 add_term(acc, code, x)
-        return _packed(target, self.arity, acc, self.den * den)
+        return target.zero(self.arity)._like(acc, self.den * den)
 
     def degree(self):
         """Largest total internal degree over the support."""

@@ -170,9 +170,12 @@ def _columns(codes, vectors):
 
 
 def _tensor(B, codes, vec):
-    """The element of B@B with coordinates vec over the pair codes."""
+    """The element of B@B with coordinates vec over the pair codes; `pack`
+    already reduces them."""
     nums, den = pack(vec)
-    return B.zero(2)._like({codes[j]: n for j, n in nums.items()}, den)
+    t = B.zero(2)
+    t.codes, t.den = {codes[j]: n for j, n in nums.items()}, den
+    return t
 
 
 class CobarComplex:

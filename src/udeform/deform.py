@@ -59,6 +59,7 @@ from .kernel import (
     as_scalar,
     bounded_product,
     clean_terms,
+    combine,
     monomials,
     pack,
 )
@@ -80,9 +81,9 @@ class AlgebraSpec:
     def degree(self, key):
         raise NotImplementedError
 
-    def product_keys(self, k1, k2):
+    def product_row(self, k1, k2):
         """The product of two basis keys as a packed row ({key: numerator},
-        den)."""
+        den); a bialgebra's `product_keys` is a plain {key: 1} instead."""
         raise NotImplementedError
 
     def basis_keys(self, max_degree=None):
@@ -125,7 +126,7 @@ class PolynomialTruncatedAlgebra(AlgebraSpec):
     def degree(self, key):
         return key.degree
 
-    def product_keys(self, k1, k2):
+    def product_row(self, k1, k2):
         key = k1 * k2
         if key.degree > self.cutoff:
             raise CutoffError(
@@ -214,7 +215,7 @@ class FiniteDimensionalAlgebra(AlgebraSpec):
     def degree(self, key):
         return 0
 
-    def product_keys(self, k1, k2):
+    def product_row(self, k1, k2):
         return self._table[(k1, k2)]
 
     def basis_keys(self, max_degree=None):
@@ -234,7 +235,7 @@ class AlgebraElement(SparseElement):
 
     def __init__(self, parent, terms):
         self.parent = parent
-        self._packed(*pack(clean_terms(terms)))
+        self.codes, self.den = pack(clean_terms(terms))
 
     def _like(self, codes, den=1):
         e = AlgebraElement.__new__(AlgebraElement)
@@ -254,12 +255,12 @@ class AlgebraElement(SparseElement):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        product_keys = self.parent.product_keys
+        product_row = self.parent.product_row
         pairs = list(other.codes.items())
         slot = [1, {}]
         for k1, n1 in self.codes.items():
             for k2, n2 in pairs:
-                row, den = product_keys(k1, k2)
+                row, den = product_row(k1, k2)
                 add_rational(slot, row, n1 * n2, den)
         den, codes = slot
         return self._like(codes, den * self.den * other.den)
@@ -374,17 +375,17 @@ class Derivation(Operator):
         if self.kind != "polynomial":
             return self.images[key]
         single = Polynomial({key: 1})
-        slot = [1, {}]
-        for name, coeff in self.coeffs.items():
-            image = coeff * single.partial(name)
-            for mono in image.codes:
+
+        def image(name):
+            out = self.coeffs[name] * single.partial(name)
+            for mono in out.codes:
                 if mono.degree > A.cutoff:
                     raise CutoffError(
                         "derivation output %s exceeds cutoff %d" % (mono, A.cutoff)
                     )
-            add_rational(slot, image.codes, 1, image.den)
-        den, codes = slot
-        return A.zero()._like(codes, den)
+            return out
+
+        return combine(A.zero(), ((1, image(name)) for name in self.coeffs))
 
     def apply(self, elem):
         return elem.map_terms(self.apply_key)
@@ -569,11 +570,9 @@ def check_module_algebra(action, cutoff=None):
     def b_linear(bk, k1, k2):
         e1, e2 = basis[k1], basis[k2]
         lhs = action.apply_key(bk, e1 * e2)
-        slot = [1, {}]
-        for (b1, b2), c in B.coproduct_key(bk).items():
-            prod = action.on_basis(b1, k1, e1) * action.on_basis(b2, k2, e2)
-            add_rational(slot, prod.codes, c.numerator, c.denominator * prod.den)
-        rhs = e1._like(slot[1], slot[0])
+        rhs = combine(e1, (
+            (c, action.on_basis(b1, k1, e1) * action.on_basis(b2, k2, e2))
+            for (b1, b2), c in B.coproduct_key(bk).items()))
         if lhs != rhs:
             return {
                 "b": B.key_str(bk),
@@ -662,11 +661,9 @@ class TwistedProduct:
         act, like = self.action.on_basis, self._zero
         multiply = self._multiply
         keys = [self._keys[c] for c in codes]
-        slot = [1, {}]
-        for bkeys, c in self.terms[l]:
-            x = multiply(*[act(b, k, like) for b, k in zip(bkeys, keys)])
-            add_rational(slot, x.codes, c.numerator, c.denominator * x.den)
-        return self._pack(like._like(slot[1], slot[0]))
+        return self._pack(combine(like, (
+            (c, multiply(*[act(b, k, like) for b, k in zip(bkeys, keys)]))
+            for bkeys, c in self.terms[l])))
 
     def structure_constant(self, keys, l):
         """mu(T_l (b_k1 @ ... @ b_km)) for a tuple of basis keys, as an
@@ -838,12 +835,10 @@ class HochschildCochain:
         return self._cache[keys]
 
     def evaluate(self, *elems):
-        slot = [1, {}]
-        for combo in itertools.product(*(e.codes.items() for e in elems)):
-            value = self.on_keys(*(k for k, _ in combo))
-            add_rational(slot, value.codes, math.prod(n for _, n in combo), value.den)
-        den = slot[0] * math.prod(e.den for e in elems)
-        return self.parent.zero()._like(slot[1], den)
+        return combine(self.parent.zero(), (
+            (math.prod(n for _, n in combo), self.on_keys(*(k for k, _ in combo)))
+            for combo in itertools.product(*(e.codes.items() for e in elems))),
+            math.prod(e.den for e in elems))
 
     def zero_witness(self, cutoff):
         A = self.parent
@@ -1004,11 +999,7 @@ def is_hochschild_coboundary(A, cochain, search_bound=2):
     chosen = [(candidates[j], c) for j, c in sorted(sol.items())]
 
     def witness(key):
-        slot = [1, {}]
-        for cand, c in chosen:
-            v = value(cand, key)
-            add_rational(slot, v.codes, c.numerator, c.denominator * v.den)
-        return A.zero()._like(slot[1], slot[0])
+        return combine(A.zero(), ((c, value(cand, key)) for cand, c in chosen))
 
     found = HochschildCochain(A, 1, witness)
     if isinstance(A, PolynomialTruncatedAlgebra):

@@ -19,8 +19,10 @@ deleted), whatever the scale of the integers: that order decides which
 `CutoffError` a later product raises first.
 
 `SparseElement` is the one element layer: `Polynomial` here and the tensor,
-algebra and pAss elements elsewhere subclass it.  It holds `codes` and `den`,
-and `_packed`, the gcd reduction, is the one constructor.  A subclass supplies
+algebra and pAss elements elsewhere subclass it.  It holds `codes` and `den`;
+a constructor stores what `pack` returns as it is, and `_packed`, the gcd
+reduction, builds every other element.  `combine(like, pairs)` is the one
+rational linear combination of elements.  A subclass supplies
 
 * `_like(codes, den=1)`: a sibling of self (same class and space) around
   codes / den, built through `_packed`;
@@ -75,6 +77,7 @@ __all__ = [
     "add_term",
     "bounded_product",
     "clean_terms",
+    "combine",
     "monomials",
     "pack",
     "series_multilinear",
@@ -150,6 +153,16 @@ def add_rational(slot, terms, num, den):
     add_into(slot[1], terms, num * (have // den))
 
 
+def combine(like, pairs, den=1):
+    """The sum of c * x over the (c, x) pairs, divided by the integer den, as
+    a sibling of `like`: each c rational (int or Fraction) and each x an
+    element of like's space, added with `add_rational` in pair order."""
+    slot = [1, {}]
+    for c, x in pairs:
+        add_rational(slot, x.codes, c.numerator, c.denominator * x.den)
+    return like._like(slot[1], slot[0] * den)
+
+
 def pack(terms):
     """(codes, den): a dict of rationals (ints or Fractions) as integer
     numerators over den, the lcm of their denominators, in the same key
@@ -185,8 +198,7 @@ class SparseElement:
 
     def _packed(self, codes, den):
         """This new element, its space already set, around codes / den
-        reduced: den and the numerators are divided by their gcd.  Every
-        element is built here."""
+        reduced: den and the numerators are divided by their gcd."""
         if den != 1:
             g = math.gcd(den, *codes.values())
             if g != 1:
@@ -303,12 +315,8 @@ class SparseElement:
         running lcm of the images' denominators is wrapped as a sibling of
         `like` (default self), which names the space it lives in.
         """
-        slot = [1, {}]
-        for key, n in self._key_items():
-            img = image(key)
-            add_rational(slot, img.codes, n, img.den)
-        den, codes = slot
-        return (self if like is None else like)._like(codes, den=den * self.den)
+        return combine(self if like is None else like,
+                       ((n, image(key)) for key, n in self._key_items()), self.den)
 
     def sorted_terms(self):
         """The (key, coefficient) pairs in basis order."""
@@ -481,7 +489,7 @@ class Polynomial(SparseElement):
     __slots__ = ()
 
     def __init__(self, terms=None):
-        self._packed(*pack(clean_terms(terms, Monomial) if terms else {}))
+        self.codes, self.den = pack(clean_terms(terms, Monomial) if terms else {})
 
     def _like(self, codes, den=1):
         return Polynomial.__new__(Polynomial)._packed(codes, den)
@@ -527,17 +535,15 @@ class Polynomial(SparseElement):
 
     def substitute_linear(self, images):
         """Substitute each variable by a Polynomial (e.g. u1 -> u1 + u2)."""
-        slot = [1, {}]
-        for mono, n in self.codes.items():
-            term = Polynomial.constant(n)
+        def term(mono):
+            out = Polynomial.constant(1)
             for name, e in mono.exps:
                 img = images.get(name)
-                if img is None:
-                    img = Polynomial.variable(name)
-                term = term * img ** e
-            add_rational(slot, term.codes, 1, term.den)
-        den, codes = slot
-        return self._like(codes, den=den * self.den)
+                out = out * (Polynomial.variable(name) if img is None else img) ** e
+            return out
+
+        return combine(self, ((n, term(mono)) for mono, n in self.codes.items()),
+                       self.den)
 
     def partial(self, name):
         """Exact partial derivative with respect to one variable."""

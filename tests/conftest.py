@@ -196,7 +196,7 @@ class ReferenceTwin(ReferenceElement):
                 if isinstance(self.twin, Polynomial):
                     add_term(out, k1 * k2, c1 * c2)
                     continue
-                codes, den = self.twin.parent.product_keys(k1, k2)
+                codes, den = self.twin.parent.product_row(k1, k2)
                 add_into(out, {k: QQ(n, den) for k, n in codes.items()}, c1 * c2)
         return self._like(out)
 

@@ -83,7 +83,7 @@ class TestAlgebraSpecs:
         with pytest.raises(ValueError, match="declared product x\\*1 contradicts"):
             FiniteDimensionalAlgebra(["1", "x"], "1", {("x", "1"): {"x": 2}})
         A = FiniteDimensionalAlgebra(["1", "x"], "1", {("x", "1"): {"x": 1, "1": 0}})
-        assert A.product_keys("x", "1") == ({"x": 1}, 1)
+        assert A.product_row("x", "1") == ({"x": 1}, 1)
 
 
 class TestOperators:
