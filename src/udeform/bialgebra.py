@@ -9,10 +9,14 @@ identity checks built on top of this module.
 A kind supplies a key basis, a key product, and Delta and eps on its
 generators.  Both are algebra morphisms, so the base class derives them on
 every key from `split_key` (a generator times a shorter key), and it decides
-commutativity on the generators.  The iterated coproducts Delta^k of a key
-are tabulated next to Delta (`iterated_coproduct_code`); both operads compose
-through that table.  The key product is one key with
-coefficient 1: `product_keys(k1, k2)` returns a one-term dict {k1*k2: 1}.
+commutativity on the generators.  One memoized table holds Delta^k of a
+key for every k >= -1 as a packed element (`iterated_coproduct_code`):
+eps = Delta^(-1) and Delta = Delta^1 are products of the generators' images
+along `split_key`, Delta^0 is the identity and Delta^k = (Delta @ id)
+Delta^(k-1).  The slot maps, the cobar systems and both operads read that
+table; `coproduct_key` and `counit_key` are its decoded views.  The key
+product is one key with coefficient 1: `product_keys(k1, k2)` returns a
+one-term dict {k1*k2: 1}.
 
 A tensor element has the packed form of every `SparseElement` (see
 `kernel`): a dict {code: integer numerator} over one positive denominator,
@@ -27,10 +31,11 @@ is the sum of the factors' codes, and a guard bit tells when a sum passes
 the cutoff; the other kinds number their basis (`KeyIndex`) and multiply
 slot by slot through a memoized table of codes.  The linear structure,
 equality and hashing are `SparseElement`'s; products, the coproduct and
-counit on a slot (through per-key tables of codes), outer products and
+counit on a slot (through the Delta^k table), outer products and
 permutations are integer dict operations here.  Key tuples and Fractions
-appear only at the boundary: the constructor, `terms`, `sorted_terms` and
-`render`.
+appear only at the boundary: the constructor, `terms`, `sorted_terms`,
+`render`, `scalar_value` and the decoded views `coproduct_key` and
+`counit_key`.
 
 Shipped kinds:
 
@@ -205,6 +210,7 @@ class Bialgebra:
         raise NotImplementedError
 
     def _generator_counit(self, g):
+        """eps of a generator g from `split_key`, a Fraction."""
         raise NotImplementedError
 
     def basis_keys(self, max_degree):
@@ -247,28 +253,48 @@ class Bialgebra:
         return self.check_cutoff(self._named(key))
 
     def coproduct_key(self, key):
-        """Delta on a basis key, memoized, dict (key, key) -> Fraction."""
+        """Delta on a basis key, memoized, dict (key, key) -> Fraction: the
+        decoded view of the table."""
         hit = self._coproduct_cache.get(key)
         if hit is None:
-            hit = self._coproduct_cache[key] = self._coproduct_key(key)
+            hit = self._coproduct_cache[key] = self.iterated_coproduct_code(
+                self.codec.slot(key), 1).terms
         return hit
+
+    def counit_key(self, key):
+        """eps on a basis key, a Fraction: the decoded view of the table."""
+        return self.iterated_coproduct_code(self.codec.slot(key), -1).scalar_value()
 
     def iterated_coproduct_code(self, code, k):
         """Delta^k on the key of slot code `code`, a packed element of arity
-        k+1, memoized: Delta^(-1) = eps and Delta^1 = Delta are the codec's
-        tables, Delta^0 = id and Delta^k = (Delta @ id) Delta^(k-1)."""
-        if k == -1:
-            return self.codec.counit(code)
-        if k == 1:
-            return self.codec.coproduct(code)
+        k+1, for every k >= -1, memoized by (code, k): Delta^(-1) = eps and
+        Delta^1 = Delta from `_split_code`, Delta^0 = id and Delta^k =
+        (Delta @ id) Delta^(k-1)."""
         hit = self._iterated_cache.get((code, k))
         if hit is None:
             if k == 0:
                 hit = self.zero()._like({code: 1})
-            else:
+            elif k > 1:
                 hit = self.iterated_coproduct_code(code, k - 1).apply_coproduct(1)
+            else:
+                if k < 0:
+                    self.require_counit()
+                hit = self._split_code(code, k)
             self._iterated_cache[code, k] = hit
         return hit
+
+    def _split_code(self, code, k):
+        """Delta (k = 1) or eps (k = -1) on the key of slot code `code`, an
+        algebra morphism read along `split_key`: the unit goes to the unit of
+        B^(@(k+1)) and g * rest to image(g) . image(rest)."""
+        if not code:
+            return self.one(k + 1)
+        g, rest = self.split_key(self.codec.keys[code])
+        if k == 1:
+            image = self.tensor(2, self._generator_coproduct(g))
+        else:
+            image = self.tensor(0, {(): self._generator_counit(g)})
+        return image * self.iterated_coproduct_code(self.codec.slot(rest), k)
 
     def product_single(self, k1, k2):
         """The key k1*k2, memoized; a product that is not one key with
@@ -285,22 +311,6 @@ class Bialgebra:
             (hit,) = table
             self._product_cache[pair] = hit
         return hit
-
-    def _coproduct_key(self, key):
-        if key == self.unit_key:
-            return {(key, key): QQ(1)}
-        g, rest = self.split_key(key)
-        delta = self.tensor(2, self._generator_coproduct(g))
-        return (delta * self.tensor(2, self.coproduct_key(rest))).terms
-
-    def counit_key(self, key):
-        """eps on a basis key: the product of its generators' counits."""
-        self.require_counit()
-        out = QQ(1)
-        while key != self.unit_key and out:
-            g, key = self.split_key(key)
-            out *= self._generator_counit(g)
-        return out
 
     def require_counit(self):
         if not self.counital:
@@ -584,8 +594,8 @@ class KeyCodec:
     `product_single`, so CutoffError comes from `check_cutoff` at the first
     slot past the cutoff.  `guard(arity)` gives (bias, guard): when
     (c1 + c2 + bias) & guard is 0, c1 + c2 is already the code of the
-    product.  Delta and eps of a key are kept as packed elements, one table
-    each (`coproduct`, `counit`).
+    product.  The codec only codes keys and multiplies slot codes; Delta and
+    eps are the bialgebra's table (`Bialgebra.iterated_coproduct_code`).
     """
 
     def __init__(self, B, width):
@@ -593,8 +603,6 @@ class KeyCodec:
         self.width = width
         self.mask = (1 << width) - 1
         self._products = {}
-        self._coproducts = {}
-        self._counits = {}
 
     def slot(self, key):
         code = self.codes.get(key)
@@ -637,22 +645,6 @@ class KeyCodec:
             c2 >>= width
             shift += width
         return out
-
-    def coproduct(self, code):
-        """Delta of the key of slot code `code`, an arity-2 element."""
-        hit = self._coproducts.get(code)
-        if hit is None:
-            B = self.B
-            hit = self._coproducts[code] = B.tensor(2, B.coproduct_key(self.keys[code]))
-        return hit
-
-    def counit(self, code):
-        """eps of the key of slot code `code`, an arity-0 element."""
-        hit = self._counits.get(code)
-        if hit is None:
-            B = self.B
-            hit = self._counits[code] = B.tensor(0, {(): B.counit_key(self.keys[code])})
-        return hit
 
 
 class KeyIndex(KeyCodec):
@@ -867,13 +859,15 @@ class TensorElement(SparseElement):
         """Delta on slot i (1-based); arity grows by one."""
         if not 1 <= slot <= self.arity:
             raise ValueError("slot %d out of range for arity %d" % (slot, self.arity))
-        return self.substitute(slot, self.parent.codec.coproduct, 2)
+        table = self.parent.iterated_coproduct_code
+        return self.substitute(slot, lambda code: table(code, 1), 2)
 
     def apply_counit(self, slot):
         """eps on slot i (1-based); arity shrinks by one."""
         if not 1 <= slot <= self.arity:
             raise ValueError("slot %d out of range for arity %d" % (slot, self.arity))
-        return self.substitute(slot, self.parent.codec.counit, 0)
+        table = self.parent.iterated_coproduct_code
+        return self.substitute(slot, lambda code: table(code, -1), 0)
 
     def nonunit_part(self):
         """The terms of this element with no unit slot (no slot code 0)."""

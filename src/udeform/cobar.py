@@ -24,14 +24,17 @@ identity is d2 o d1 = 0; for ``twi_direct`` it is the gauge span and the
 identity is that the gauge span lies in the solutions.  A failure raises
 AssertionError, under python -O as well.
 
-Both systems are integer from the start.  Delta is read from the codec's
-packed table (`KeyCodec.coproduct`, {pair code: int} over a denominator)
-and every entry is scaled by the lcm L of those denominators; L is 1 for
-every shipped kind.  A column is a pair code, a row is keyed by the code of
-the triple it stands for (the code of x@y@z holds z two slot widths up), and
-the rows go into `linalg.Echelon` as they are.  Its rows are primitive, so
-the scaling changes no pivot, kernel vector or representative.  Solution,
-gauge and representative tensors are packed straight from pair codes.
+Both systems are integer from the start.  Delta is read from the
+bialgebra's packed table (`Bialgebra.iterated_coproduct_code`, {pair code:
+int} over a denominator) and every entry is scaled by the lcm L of those
+denominators; L is 1 for every shipped kind.  A column is a pair code, a row
+is keyed by the code of the triple it stands for (the code of x@y@z holds z
+two slot widths up), and the rows go into `linalg.Echelon` as they are.  Its
+rows are primitive, so the scaling changes no pivot, kernel vector or
+representative.  The kernel vectors come back from `linalg` packed,
+({column: int}, den), the image and gauge vectors are integer rows, and the
+solution, gauge and representative tensors take those numerators and
+denominators as they are, each column read as its pair code.
 
 Blocks: primitively generated kinds are sliced by internal degree (their
 coproduct is degree-graded).  Grouplike-flavored kinds (monoid,
@@ -44,7 +47,7 @@ from __future__ import annotations
 import itertools
 from math import lcm
 
-from .kernel import QQ, add_term, pack
+from .kernel import QQ, add_term
 from .linalg import Echelon, kernel_basis, quotient_representatives
 from .reports import CheckReport, first_witness
 
@@ -143,13 +146,13 @@ def _pairs_for_block(B, cutoff, label, reduced):
 def _coproduct_table(B, keys):
     """({slot code: L Delta(key) as {pair code: int}}, L) over the keys, L the
     lcm of the denominators of their coproducts; the dicts are read only."""
-    codec = B.codec
-    deltas = [codec.coproduct(codec.slot(k)) for k in keys]
+    slots = [B.codec.slot(k) for k in keys]
+    deltas = [B.iterated_coproduct_code(m, 1) for m in slots]
     L = lcm(1, *[d.den for d in deltas])
     table = {
-        codec.slot(k): d.codes if d.den == L
+        m: d.codes if d.den == L
         else {pc: n * (L // d.den) for pc, n in d.codes.items()}
-        for k, d in zip(keys, deltas)
+        for m, d in zip(slots, deltas)
     }
     return table, L
 
@@ -169,10 +172,9 @@ def _columns(codes, vectors):
     return [v for v in out if v]
 
 
-def _tensor(B, codes, vec):
-    """The element of B@B with coordinates vec over the pair codes; `pack`
-    already reduces them."""
-    nums, den = pack(vec)
+def _tensor(B, codes, nums, den=1):
+    """The element of B@B with the reduced coordinates nums / den over the
+    pair codes: a packed kernel vector or an integer row, taken as it is."""
     t = B.zero(2)
     t.codes, t.den = {codes[j]: n for j, n in nums.items()}, den
     return t
@@ -250,9 +252,10 @@ def h2(B, cutoff):
         reps = _quotient(kernel, image, "d2 o d1 != 0", label)
 
         def embed(vecs):
-            return [embed_reduced(_tensor(B, codes, vec)) for vec in vecs]
+            return [embed_reduced(_tensor(B, codes, *vec)) for vec in vecs]
 
-        out.append(ModuliBlock(label, len(reps), embed(reps), gauge=embed(image)))
+        out.append(ModuliBlock(label, len(reps), embed(reps),
+                               gauge=embed((v, 1) for v in image)))
     return out
 
 
@@ -305,10 +308,10 @@ def twi_direct(B, cutoff):
         reps = _quotient(kernel, gauge_vecs, "gauge image is not a solution", label)
 
         def tensors(vecs):
-            return [_tensor(B, codes, vec) for vec in vecs]
+            return [_tensor(B, codes, *vec) for vec in vecs]
 
-        out.append(ModuliBlock(label, len(reps), tensors(reps),
-                               solutions=tensors(kernel), gauge=tensors(gauge_vecs)))
+        out.append(ModuliBlock(label, len(reps), tensors(reps), solutions=tensors(kernel),
+                               gauge=[_tensor(B, codes, v) for v in gauge_vecs]))
     return out
 
 
@@ -330,11 +333,9 @@ def corner_solutions_trivial(B, blocks):
     B@B = (k@B + B@k) + (embedded Bbar@Bbar): subtract the embedded reduced
     part and what remains has to be proportional to 1@1.
     """
-    unit = B.unit_key
-
     def nontrivial_corner(blk, sol):
         corner = sol - embed_reduced(sol.nonunit_part())
-        if any(keys != (unit, unit) for keys in corner.terms):
+        if any(corner.codes):  # 1@1 is the pair code 0
             return {"degree": blk.degree, "term": sol.render()}
 
     bad, _ = first_witness(

@@ -33,7 +33,8 @@ polynomial algebras.
 
 The coboundary search is one `linalg.solve` over candidate 1-cochains g,
 each column the values delta(g)(x, y) = x g(y) - g(xy) + g(x) y on the
-degree-bounded basis pairs, with g evaluated once per basis key.  The kind
+degree-bounded basis pairs, with g evaluated once per basis key; a column
+and the target stack those packed values into one packed vector.  The kind
 picks only the candidates: the elementary maps src -> dst of a
 finite-dimensional basis, or the operators m * d^alpha (deg m <= cutoff,
 |alpha| <= search bound) of a truncated polynomial algebra, applied and
@@ -978,21 +979,21 @@ def is_hochschild_coboundary(A, cochain, search_bound=2):
     lifted = {k: lift(k) for k in basis}
     pairs = bounded_product([basis, basis], A.degree, A.cutoff)
     products = {(x, y): lifted[x] * lifted[y] for x, y in pairs}
+
+    def stacked(values):
+        """The elements values[pair] as one packed vector on (pair, key)."""
+        den = math.lcm(*[v.den for v in values.values()])
+        return {(pair, k): n * (den // v.den)
+                for pair, v in values.items() for k, n in v.codes.items()}, den
+
     columns = []
     for cand in candidates:
         g = {k: value(cand, k) for k in basis}
-        column = {}
-        for (x, y), xy in products.items():
-            gxy = xy.map_terms(g.__getitem__)
-            delta = lifted[x] * g[y] - gxy + g[x] * lifted[y]
-            for k, c in delta.terms.items():
-                column[(x, y), k] = c
-        columns.append(column)
-    target = {
-        (pair, k): c
-        for pair in products
-        for k, c in cochain.on_keys(*pair).terms.items()
-    }
+        columns.append(stacked({
+            (x, y): lifted[x] * g[y] - xy.map_terms(g.__getitem__) + g[x] * lifted[y]
+            for (x, y), xy in products.items()
+        }))
+    target = stacked({pair: cochain.on_keys(*pair) for pair in products})
     sol = linalg_solve(columns, target)
     if sol is None:
         return None, info

@@ -9,7 +9,7 @@ Three generalizations of the twisting machinery live here.
   eliminated once per leaf count over tree shapes (every leaf labeled 0), and
   a labeled tree reduces through its shape with its word carried along.  A
   pAss element holds integer numerators on its basis trees, and each word's
-  residual is an integer one (`Echelon._reduce_integral`).  The free
+  residual is an integer one over a scale (`Echelon.reduce`).  The free
   symmetric one is zero from 5 leaves on, because the symmetric pAss operad
   vanishes in arity 5, and has no relation below that.
 
@@ -274,7 +274,7 @@ class FreePAssAlgebra:
         for (n, word), part in by_word.items():
             self._ensure(n)
             index, shapes = self._index[n], self._shapes[n]
-            res, scale = self._span[n]._reduce_integral(
+            res, scale = self._span[n].reduce(
                 {index[s]: c for s, c in part.items()})
             add_rational(slot, {_fill(shapes[col], iter(word)): x
                                 for col, x in res.items()}, 1, scale)
@@ -805,6 +805,6 @@ def morphism_image_check(D, arrow_index, triple, degree):
     return {
         "injective": span.rank == len(keys),
         "surjective": not any(
-            span.reduce({j: 1}) for k, j in column.items() if target.degree(k) <= degree
+            span.reduce({j: 1})[0] for k, j in column.items() if target.degree(k) <= degree
         ),
     }

@@ -246,9 +246,6 @@ class SparseElement:
     def __bool__(self):
         return bool(self.codes)
 
-    def is_zero(self):
-        return not self
-
     def zero_like(self):
         return self._like({})
 
@@ -594,16 +591,6 @@ class TruncSeries:
     @property
     def order(self):
         return len(self.coeffs) - 1
-
-    @staticmethod
-    def scalar(values, order=None):
-        """Series with Fraction coefficients; pads with zeros up to order."""
-        vals = [as_scalar(v) for v in values]
-        if order is not None:
-            if len(vals) > order + 1:
-                raise ValueError("too many coefficients for requested order")
-            vals += [QQ(0)] * (order + 1 - len(vals))
-        return TruncSeries(vals)
 
     @staticmethod
     def constant(value, order):

@@ -1,33 +1,34 @@
 """Sparse exact linear algebra over the rationals, eliminated in the integers.
 
-Vectors are sparse dicts column index -> nonzero coefficient; matrices are
-lists of such rows.  Rows that enter an elimination are integer dicts, the
-numerators of the package's one packed form (see `kernel`): the moduli
-systems of `cobar` and the pAss relations are integer from the start, and a
-row scaled by a nonzero integer spans the same line.  Callers that hold
-rationals (`solve`, the kernel vectors of `quotient_representatives`) pack
-them first (`kernel.pack`).  The
-image search `solve(columns, target)` takes columns instead, sparse vectors
-keyed by any hashable row label, and groups them into rows by label; the
-order of those rows is free (see the last paragraph).
+Every vector that enters or leaves this module has the package's one packed
+form (see `kernel`): a sparse dict {column: nonzero int} of numerators over a
+positive denominator, the pair (nums, den).  A row of an elimination lives
+on its line, where a nonzero scale changes nothing, so rows (the equations
+of `kernel_basis`, the vectors a span is built from) are passed as their
+integer dicts alone, den 1: the moduli systems of `cobar` and the pAss
+relations are integer from the start.  `kernel_basis` returns reduced
+packed vectors, `quotient_representatives` takes and returns them as they
+are, `Echelon.reduce` returns an integer residual with its scale, and
+`solve(columns, target)` takes packed columns keyed by any hashable row
+label, groups them into rows by label (the order of those rows is free, see
+the last paragraph) and solves the integer system on the numerators.
+`Fraction`s are built only for the solution `solve` hands back.
 
 `Echelon` stores each row as a primitive integer dict whose pivot entry is
 positive, so scaling an input row changes no stored row.  Every elimination
 step is vec = (p/g) vec - (a/g) row with p the row's pivot entry, a the
 entry of vec in that column and g = gcd(p, a), and a new row is divided by
 its content before it is stored -- fraction-free elimination in the sense
-of Bareiss (Math. Comp. 22, 1968), with no `Fraction` arithmetic.
+of Bareiss (Math. Comp. 22, 1968).
 
 Two accumulators share that step.  `Echelon.add` does forward elimination
 only: the leading column of the incoming row is cleared until it is no
 pivot, and no stored row changes; spans that are only reduced against
-(`quotient_representatives`, `ForwardSpan`, the image check of
-`generalized`) use it; the pAss quotient reads its integer residuals
-(`_reduce_integral`).  `ReducedEchelon` keeps
-its rows in reduced row echelon form as they are inserted; the systems that
-are solved (`kernel_basis`, `solve`) use it, and an incoming row that is
-mostly dependent is cleared in one pass over its pivot columns.
-`Fraction`s are built only for the vectors handed back.
+(`quotient_representatives`, `ForwardSpan`, the pAss quotient and the image
+check of `generalized`) use it.  `ReducedEchelon` keeps its rows in reduced
+row echelon form as they are inserted; the systems that are solved
+(`kernel_basis`, `solve`) use it, and an incoming row that is mostly
+dependent is cleared in one pass over its pivot columns.
 
 Elimination pivots on the smallest available column index.  Pivot columns
 and the reduced row echelon form depend only on the row space, so echelon
@@ -39,11 +40,9 @@ deterministic functions of the input order, as reproducible reports need.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .kernel import QQ, add_into, pack
-
-ONE = QQ(1)
+from .kernel import add_into
 
 
 def _eliminate(vec, row, col):
@@ -88,11 +87,12 @@ class Echelon:
     def rank(self):
         return len(self.rows)
 
-    def _reduce_integral(self, vec):
+    def reduce(self, vec):
         """(r, s): r = s * (vec reduced modulo the row space) in the
-        integers, s > 0, for vec a dict of ints or Fractions (left
-        unchanged); r avoids every pivot column."""
-        vec, scale = pack(vec)
+        integers, s > 0, for the integer dict vec (left unchanged); r avoids
+        every pivot column, so r / s is the canonical representative of the
+        coset."""
+        vec, scale = dict(vec), 1
         rows = self.rows
         while True:
             hit = None
@@ -102,13 +102,6 @@ class Echelon:
             if hit is None:
                 return vec, scale
             scale *= _eliminate(vec, rows[hit], hit)
-
-    def reduce(self, vec):
-        """Residual of vec modulo the row space, as Fractions; its support
-        avoids every pivot column, so it is the canonical representative of
-        the coset."""
-        res, scale = self._reduce_integral(vec)
-        return {j: Fraction(x, scale) for j, x in res.items()}
 
     def add(self, vec):
         """Insert the integer row vec (left unchanged); returns the pivot
@@ -190,36 +183,49 @@ def kernel_basis(rows, ncols):
     """Basis of the right kernel {x : A x = 0}, deterministic order.
 
     `rows` are the equations (integer rows of A); columns 0..ncols-1 are
-    unknowns.
-    Free column j gives x_j = 1, with the pivot variables read off the
-    reduced rows.
+    unknowns.  Free column j gives x_j = 1, with the pivot variables read
+    off the reduced rows; each vector is packed and reduced, its entries
+    in the order j, then the pivots.
     """
     ech = ReducedEchelon()
     for r in rows:
         ech.add(r)
     reduced = ech.rows  # reduced as inserted
-    basis = {j: {j: ONE} for j in range(ncols) if j not in reduced}
+    parts = {j: [] for j in range(ncols) if j not in reduced}
     for p, row in reduced.items():
         lead = row[p]
         for j, x in row.items():
             if j != p:
-                basis[j][p] = Fraction(-x, lead)
-    return list(basis.values())
+                g = gcd(x, lead)
+                parts[j].append((p, -x // g, lead // g))  # x_p = -x / lead
+    basis = []
+    for j, part in parts.items():
+        den = lcm(1, *[d for _, _, d in part])
+        vec = {j: den}
+        for p, n, d in part:
+            vec[p] = n * (den // d)
+        basis.append((vec, den))
+    return basis
 
 
 def solve(columns, target):
     """{j: x_j} with sum_j x_j columns[j] = target (free x_j are 0), or None.
 
-    The columns and the target are sparse vectors keyed by row labels.
+    The columns and the target are packed vectors (nums, den) keyed by row
+    labels.  The system solved is the integer one sum_j y_j c_j = t on
+    their numerators, so x_j = y_j d_j / d_t; scaling a column changes no
+    pivot, so the solution is the one of the rational system.
     """
+    nums, den = target
     aug = len(columns)  # the extra column carries the negated target
     rows = {}
-    for j, col in enumerate(columns + [{k: -c for k, c in target.items()}]):
+    numerators = [c for c, _ in columns] + [{k: -n for k, n in nums.items()}]
+    for j, col in enumerate(numerators):
         for label, c in col.items():
             rows.setdefault(label, {})[j] = c
     ech = ReducedEchelon()
     for r in rows.values():
-        ech.add(pack(r)[0])
+        ech.add(r)
     # a pivot in the augmented column means the system forces 0 = 1
     if aug in ech.rows:
         return None
@@ -227,22 +233,22 @@ def solve(columns, target):
     for p, row in ech.rows.items():
         x = row.get(aug)
         if x:
-            sol[p] = Fraction(-x, row[p])
+            sol[p] = Fraction(-x * columns[p][1], row[p] * den)
     return sol
 
 
 def quotient_representatives(space_vectors, sub_vectors):
     """Representatives of a basis of span(space)/span(sub), deterministically.
 
-    The space vectors are rational and independent, the sub vectors integer
+    The space vectors are packed and independent, the sub vectors integer
     rows, and span(sub) lies in span(space).  The one elimination checks
     both as rank(sub + space) = len(space) and raises ValueError when that
-    fails.
+    fails; the representatives are space vectors, returned as they are.
     """
     ech = Echelon()
     for v in sub_vectors:
         ech.add(v)
-    reps = [v for v in space_vectors if ech.add(pack(v)[0]) is not None]
+    reps = [v for v in space_vectors if ech.add(v[0]) is not None]
     if ech.rank != len(space_vectors):
         raise ValueError("the subspace does not lie in the span of the space")
     return reps

@@ -2,8 +2,9 @@
 
 For a bialgebra B both operads have n-th component B^(@n), and both graft v
 (arity n) into slot i of u (arity m) through Delta^(n-1) of the keys in
-slot i of u, read from the bialgebra's memoized table
-`iterated_coproduct_code`; both run on the packed codes of the tensor
+slot i of u, read from the bialgebra's one memoized table of packed
+elements, `iterated_coproduct_code` (eps = Delta^(-1) for an arity-0 v,
+Delta itself for arity 2); both run on the packed codes of the tensor
 elements.  The multiplicative operad replaces slot i of each term of u by
 Delta^(n-1)(its key) . v, the slotwise product in B^(@n).  The additive
 ("logarithmic") operad takes

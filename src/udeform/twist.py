@@ -432,8 +432,8 @@ def first_order_gauge(F1, F2, degree_bound=None):
     target = s2.coeffs[1] - s1.coeffs[1]
 
     gamma_keys = B.basis_keys(bound)
-    columns = [coboundary(B.element({k: QQ(1)})).terms for k in gamma_keys]
-    sol = linalg_solve(columns, target.terms)
+    gammas = [coboundary(B.element({k: QQ(1)})) for k in gamma_keys]
+    sol = linalg_solve([(g.codes, g.den) for g in gammas], (target.codes, target.den))
     if sol is None:
         return None
     return B.element({gamma_keys[col]: c for col, c in sol.items()})

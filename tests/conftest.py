@@ -213,7 +213,7 @@ class ReferenceTwin(ReferenceElement):
 
 def reference_reduce_coords(P, coords):
     """Canonical quotient coordinates of a Fraction dict on trees, reduced
-    word by word through `Echelon.reduce`: the route apart from the
+    word by word in Fractions (`fraction_reduce`): the route apart from the
     library's integer residuals."""
     out, by_word = {}, {}
     for tree, c in coords.items():
@@ -227,7 +227,7 @@ def reference_reduce_coords(P, coords):
     for (n, word), part in by_word.items():
         P._ensure(n)
         vec = {P._index[n][s]: c for s, c in part.items() if c}
-        for col, c in P._span[n].reduce(vec).items():
+        for col, c in fraction_reduce(P._span[n], vec).items():
             out[_fill(P._shapes[n][col], iter(word))] = c
     return out
 
@@ -571,8 +571,22 @@ def integer_row(T, index):
 
 
 def in_span(ech, vec):
-    """Does vec lie in the row space of the `Echelon` ech?"""
-    return not ech.reduce(vec)
+    """Does the integer vector vec lie in the row space of the `Echelon` ech?"""
+    residual, _ = ech.reduce(vec)
+    return not residual
+
+
+def fraction_reduce(ech, vec):
+    """The Fraction dict vec modulo the row space of the `Echelon` ech, in
+    Fractions: the smallest pivot column left in vec is cleared by
+    subtracting vec[p] / row[p] times that row until none is left."""
+    vec, rows = dict(vec), ech.rows
+    while True:
+        hits = [j for j in vec if j in rows]
+        if not hits:
+            return vec
+        p = min(hits)
+        add_into(vec, rows[p], QQ(-vec[p], rows[p][p]))
 
 
 def operator_cochain(op):

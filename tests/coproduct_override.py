@@ -26,10 +26,6 @@ class _CoproductOverride(Bialgebra):
     def product_keys(self, k1, k2):
         return self._base.product_keys(k1, k2)
 
-    def counit_key(self, key):
-        self.require_counit()
-        return self._base.counit_key(key)
-
     def basis_keys(self, max_degree):
         return self._base.basis_keys(max_degree)
 
@@ -48,11 +44,13 @@ class _CoproductOverride(Bialgebra):
     def key_sort_key(self, key):
         return self._base.key_sort_key(key)
 
-    def _coproduct_key(self, key):
+    def _split_code(self, code, k):
+        # Delta from the overrides, else the base's Delta and eps on the key
+        key = self.codec.keys[code]
+        if k == -1:
+            return self.tensor(0, {(): self._base.counit_key(key)})
         hit = self._overrides.get(key)
-        if hit is not None:
-            return hit
-        return self._base._coproduct_key(key)
+        return self.tensor(2, self._base.coproduct_key(key) if hit is None else hit)
 
 
 class _IdentityOverride(_CoproductOverride):

@@ -109,7 +109,7 @@ def test_criterion_02_twisted_products(B2, B2_wide, plane, moyal_udf, moyal_acti
 
     pq = twisted_product(F_euler, euler_action8, p, q)
     qp = twisted_product(F_euler, euler_action8, q, p)
-    e2t = TruncSeries.scalar([0, 2], order=8).exp()
+    e2t = TruncSeries([QQ(0), QQ(2)] + [QQ(0)] * 7).exp()
     scaled = TruncSeries(
         [
             sum((e2t.coeffs[k] * qp.coeffs[n - k] for k in range(n + 1)), plane.zero())

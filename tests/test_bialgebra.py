@@ -141,7 +141,7 @@ class TestTensorOps:
     def test_slot_apply_counit(self, B2):
         assert B2.one(2).apply_counit(1) == B2.one(1)
         p1 = B2.generator("p1")
-        assert p1.outer(p1).apply_counit(2).is_zero()
+        assert not p1.outer(p1).apply_counit(2)
 
     def test_slot_apply_coproduct(self, B2):
         p1, p2 = B2.generator("p1"), B2.generator("p2")

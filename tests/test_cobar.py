@@ -37,7 +37,7 @@ from coproduct_override import noncoassociative_cube
 class TestReducedDiagonal:
     # on the counit kernel, twist.coboundary is cobar's reduced diagonal
     def test_primitive_dies(self, B1):
-        assert coboundary(B1.generator("p")).is_zero()
+        assert not coboundary(B1.generator("p"))
 
     def test_square_of_primitive(self, B1):
         p = B1.generator("p")

@@ -268,7 +268,7 @@ class TestTwistedProducts:
         p, q = plane.variable("p"), plane.variable("q")
         pq = twisted_product(F, action, p, q)
         qp = twisted_product(F, action, q, p)
-        e2t = TruncSeries.scalar([0, 2], order=8).exp()
+        e2t = TruncSeries([QQ(0), QQ(2)] + [QQ(0)] * 7).exp()
         scaled = TruncSeries(
             [
                 sum((e2t.coeffs[k] * qp.coeffs[n - k] for k in range(n + 1)), plane.zero())
@@ -670,7 +670,7 @@ def test_euler_star_matches_the_eigenvalue_closed_form(B2, plane, euler_action):
         y = plane.element({Monomial({"p": c, "q": d}): 1})
         got = twisted_product(F, euler_action, x, y)
         lam = a * d - b * c
-        scalar = TruncSeries.scalar([0, lam], order=6).exp()
+        scalar = TruncSeries([QQ(0), QQ(lam)] + [QQ(0)] * 5).exp()
         base = Monomial({"p": a + c, "q": b + d})
         expected = TruncSeries(
             [plane.element({base: coeff}) for coeff in scalar.coeffs]

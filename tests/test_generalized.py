@@ -578,9 +578,9 @@ def test_shape_quotient_matches_the_labeled_elimination(generators, leaves):
         assert P.dimension(n) == len(trees) - span.rank
         assert P.basis(n) == [t for i, t in enumerate(trees) if i not in span.rows]
         for i, tree in enumerate(trees):
-            rep = span.reduce({i: QQ(1)})
+            rep, scale = span.reduce({i: 1})
             assert P.zero()._like(*P.reduce_coords({tree: 1}, 1)).terms == {
-                trees[col]: c for col, c in rep.items()
+                trees[col]: QQ(x, scale) for col, x in rep.items()
             }
 
 

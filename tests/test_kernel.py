@@ -14,13 +14,15 @@ from udeform.kernel import (
     add_into,
     add_term,
     bounded_product,
+    pack,
     series_multilinear,
 )
 from udeform.linalg import Echelon, ForwardSpan, ReducedEchelon, kernel_basis, solve
 
 
 def S(values, order):
-    return TruncSeries.scalar(values, order=order)
+    """The series of the given Fraction coefficients, zero-padded to order."""
+    return TruncSeries([QQ(v) for v in values] + [QQ(0)] * (order + 1 - len(values)))
 
 
 class TestSeriesMul:
@@ -347,24 +349,59 @@ def cleared(row):
     return {j: int(x * den) for j, x in row.items()}
 
 
+def fractions(nums, den):
+    """The packed vector nums / den as a Fraction dict, in its key order."""
+    return {j: QQ(x, den) for j, x in nums.items()}
+
+
+def residual(ech, vec):
+    """The Fraction residual of the Fraction dict vec modulo ech's row space,
+    through the integer `Echelon.reduce` of its numerators."""
+    nums, den = pack(vec)
+    res, scale = ech.reduce(nums)
+    assert scale > 0 and all(type(x) is int for x in res.values())
+    assert res.keys().isdisjoint(ech.rows)
+    return fractions(res, scale * den)
+
+
 def test_echelon_rows_are_primitive_integers():
     ech = Echelon()
     # 9 (-2/3, 4/9) and 6 (1, 1/2, -1/3): rows are stored primitive
     assert ech.add({3: -6, 5: 4}) == 3
     assert ech.add({3: 6, 4: 3, 5: -2}) == 4
     assert ech.rows == {3: {3: 3, 5: -2}, 4: {4: 3, 5: 2}}
-    assert ech.reduce({4: QQ(1), 5: QQ(1)}) == {5: QQ(1, 3)}
+    vec = {4: 1, 5: 1}
+    assert ech.reduce(vec) == ({5: 1}, 3)  # (0, 1, 1) = (0, 1, 2/3) + (0, 0, 1/3)
+    assert vec == {4: 1, 5: 1}
 
 
 def columns_of(rows, ncols):
-    """The columns of a list of rows, each keyed by row index."""
-    return [{i: r[j] for i, r in enumerate(rows) if j in r} for j in range(ncols)]
+    """The packed columns of a list of Fraction rows, each keyed by row index."""
+    return [pack({i: r[j] for i, r in enumerate(rows) if j in r}) for j in range(ncols)]
 
 
 def test_solve_inconsistent_and_consistent():
-    columns = [{0: QQ(1), 1: QQ(2)}, {0: QQ(1), 1: QQ(2)}]
-    assert solve(columns, {0: QQ(1), 1: QQ(3)}) is None
-    assert solve(columns, {0: QQ(1), 1: QQ(2)}) == {0: QQ(1)}
+    columns = [({0: 1, 1: 2}, 1), ({0: 1, 1: 2}, 1)]
+    assert solve(columns, ({0: 1, 1: 3}, 1)) is None
+    assert solve(columns, ({0: 1, 1: 2}, 1)) == {0: QQ(1)}
+
+
+def test_solve_rescales_packed_columns():
+    # x0 (1/2, 1/3, 0) + x1 (1/5, 0, 1/4) = t = (137, 110, -35) / 770: the
+    # integer system on the numerators has y_j = x_j d_t / d_j
+    c0, c1 = {0: QQ(1, 2), 1: QQ(1, 3)}, {0: QQ(1, 5), 2: QQ(1, 4)}
+    x0, x1 = QQ(3, 7), QQ(-2, 11)
+    target = {j: x0 * c0.get(j, 0) + x1 * c1.get(j, 0) for j in range(3)}
+    columns = [pack(c0), pack(c1)]
+    assert [den for _, den in columns] == [6, 20]
+    assert pack(target) == ({0: 137, 1: 110, 2: -35}, 770)
+    assert solve(columns, pack(target)) == {0: x0, 1: x1}
+    # the reference: the same system in Fractions
+    _, aug_rref = gauss_jordan([{0: c0.get(i, 0), 1: c1.get(i, 0), 2: -target[i]}
+                                for i in range(3)])
+    assert {p: -row[2] for p, row in aug_rref.items() if 2 in row} == {0: x0, 1: x1}
+    target[1] += 1  # now off the column span
+    assert solve(columns, pack(target)) is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -397,10 +434,9 @@ def test_echelon_matches_fraction_gauss_jordan(rows, mixes, probes, rhs):
         assert all(type(x) is int for x in row.values())
         assert {j: QQ(x, row[piv]) for j, x in row.items()} == rref[piv]
     for vec in rows + probes:
-        residual = ech.reduce(vec)
-        assert residual == gauss_jordan_reduce(rref, vec) == red.reduce(vec)
-        assert all(type(x) is Fraction for x in residual.values())
+        assert residual(ech, vec) == gauss_jordan_reduce(rref, vec) == residual(red, vec)
 
+    # kernel vectors are packed and reduced, entries in the reference's order
     kernel = kernel_basis(integer_rows, NCOLS)
     expected = []
     for j in range(NCOLS):
@@ -410,13 +446,17 @@ def test_echelon_matches_fraction_gauss_jordan(rows, mixes, probes, rhs):
                 if j in row:
                     vec[p] = -row[j]
             expected.append(vec)
-    assert [list(v.items()) for v in kernel] == [list(v.items()) for v in expected]
-    assert all(not any(apply_rows(rows, v)) for v in kernel)
+    for nums, den in kernel:
+        assert den > 0 and all(type(x) is int for x in nums.values())
+        assert math.gcd(den, *nums.values()) == 1
+    assert ([list(fractions(*v).items()) for v in kernel]
+            == [list(v.items()) for v in expected])
+    assert all(not any(apply_rows(rows, fractions(*v))) for v in kernel)
 
     rhs = rhs[: len(rows)]
     augmented = [naive_sum(row, {NCOLS: b}, -1) for row, b in zip(rows, rhs)]
     _, aug_rref = gauss_jordan(augmented)
-    sol = solve(columns_of(rows, NCOLS), dict(enumerate(rhs)))
+    sol = solve(columns_of(rows, NCOLS), pack(dict(enumerate(rhs))))
     if NCOLS in aug_rref:
         assert sol is None
     else:
@@ -462,4 +502,5 @@ def test_forward_span_agrees_with_echelon(rows, mixes, probes):
         assert full.add(row) == forward.add(row)
     assert full.rows == forward.rows
     for vec in rows + probes:
-        assert full.reduce(vec) == forward.reduce(vec)
+        nums = pack(vec)[0]
+        assert full.reduce(nums) == forward.reduce(nums)

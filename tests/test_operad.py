@@ -23,7 +23,7 @@ from udeform.operad import (
     reconstruct_bialgebra_check,
 )
 
-from conftest import IDEMPOTENT_TABLE, antisym, check_cocommutative
+from conftest import IDEMPOTENT_TABLE, ReferenceTensor, antisym, check_cocommutative
 from coproduct_override import with_coproduct_override
 
 
@@ -378,12 +378,10 @@ def test_iterated_coproduct_table_steps_once_per_entry(monkeypatch):
         for code in codes:
             for k in (3, -1, 0, 1, 2):
                 B.iterated_coproduct_code(code, k)
-    # one step per (key, k >= 2), each on a different element; k = 1 is the
-    # codec's coproduct table
+    # one step per (key, k >= 2), each on a different element; k = 1 is a
+    # product along split_key and takes no step
     assert len(steps) == 2 * len(keys)
     assert len(set(steps)) == len(steps)
-    assert all(B.iterated_coproduct_code(code, 1) is B.codec.coproduct(code)
-               for code in codes)
     u, v = B.generator("a").outer(B.generator("b")), B.one(3)
     steps.clear()
     for i in (1, 2):
@@ -396,3 +394,17 @@ def test_iterated_coproduct_table_steps_once_per_entry(monkeypatch):
             want = _delta_steps(B.element({key: QQ(1)}), k)
             got = B.iterated_coproduct_code(code, k)
             assert list(got.terms.items()) == list(want.terms.items())
+    # every kind, k = -1..3, against the key-tuple route of the reference
+    # tensors; each entry is memoized, so a second call returns the same object
+    for B, pool, _ in COMPOSITION_BIALGEBRAS:
+        for key in pool:
+            code = B.codec.slot(key)
+            ref = ReferenceTensor.of(B.element({key: QQ(1)}))
+            wants = {-1: ref.apply_counit(1), 0: ref}
+            for k in (1, 2, 3):
+                wants[k] = wants[k - 1].apply_coproduct(1)
+            for k, want in wants.items():
+                got = B.iterated_coproduct_code(code, k)
+                assert got.arity == k + 1
+                assert list(got.terms.items()) == list(want.terms.items()), (key, k)
+                assert B.iterated_coproduct_code(code, k) is got
