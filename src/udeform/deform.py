@@ -19,12 +19,16 @@ pair: basis keys get integer codes, and each constant is a row of integer
 numerators on codes over one denominator, computed on first use and only
 for an order the truncation reaches; one past a cutoff raises at the first
 argument term that reaches it, cancelling or not.  Algebra elements are
-packed on their basis keys, so a row is an element's integer dict with its
-keys recoded, and products sum rows in integers and recode the sum to an
-element once at the end.  The associativity sweeps (`check_associativity` here, `check_partial_assoc` for
-ternary products) decide each basis tuple on the rows alone: both sides of
-an identity are contracted per t-order, inner product first, into one
-integer sum, and elements are recoded only for a witness.
+packed on their basis keys, so a row is formed in integers too: the action
+table's entries are packed rows, and the target's product multiplies
+packed rows (`multiply_rows` over `product_row`, or the pAss
+`ternary_row`).  Products sum rows in integers and recode the sum to an
+element once at the end.  The associativity sweeps (`check_associativity`
+here, `check_partial_assoc` for ternary products) decide each basis tuple
+on the rows alone: both sides of an identity are contracted per t-order,
+inner product first, into one integer sum, and elements are recoded only
+for a witness.  `check_module_algebra` compares b.(xy) with the sum of
+b1.x b2.y over B's packed Delta table the same way.
 
 The infinitesimal layer extracts the t^1 Hochschild 2-cochain of a
 deformation, decides coboundary-ness inside a declared finite search space,
@@ -33,12 +37,16 @@ polynomial algebras.
 
 The coboundary search is one `linalg.solve` over candidate 1-cochains g,
 each column the values delta(g)(x, y) = x g(y) - g(xy) + g(x) y on the
-degree-bounded basis pairs, with g evaluated once per basis key; a column
-and the target stack those packed values into one packed vector.  The kind
-picks only the candidates: the elementary maps src -> dst of a
-finite-dimensional basis, or the operators m * d^alpha (deg m <= cutoff,
-|alpha| <= search bound) of a truncated polynomial algebra, applied and
-multiplied in the untruncated `Polynomial` ring.
+degree-bounded basis pairs, stacked into one packed vector on (pair, key)
+and formed in integers; the target stacks the cochain's values the same
+way.  The kind picks the candidates: the elementary maps src -> dst of a
+finite-dimensional basis, whose columns are read from `product_row`, or the
+operators m * d^alpha (deg m <= cutoff, |alpha| <= search bound) of a
+truncated polynomial algebra.  There g of a monomial is at most one term,
+and the three terms of delta(g)(x, y) fall on one monomial, so each pair
+adds one integer to a column; a product past the cutoff is an entry like
+any other, as in the untruncated polynomial ring.  Elements are built only
+for the witness g.
 """
 
 from __future__ import annotations
@@ -84,7 +92,8 @@ class AlgebraSpec:
 
     def product_row(self, k1, k2):
         """The product of two basis keys as a packed row ({key: numerator},
-        den); a bialgebra's `product_keys` is a plain {key: 1} instead."""
+        den), which callers share and only read; a bialgebra's
+        `product_keys` is a plain {key: 1} instead."""
         raise NotImplementedError
 
     def basis_keys(self, max_degree=None):
@@ -120,6 +129,7 @@ class PolynomialTruncatedAlgebra(AlgebraSpec):
             raise ValueError("degree cutoff must be >= 1")
         self.variables = list(variables)
         self.cutoff = degree_cutoff
+        self._products = {}  # (k1, k2) -> row, for products inside the cutoff
 
     def unit_key(self):
         return ONE_MONOMIAL
@@ -128,12 +138,15 @@ class PolynomialTruncatedAlgebra(AlgebraSpec):
         return key.degree
 
     def product_row(self, k1, k2):
-        key = k1 * k2
-        if key.degree > self.cutoff:
-            raise CutoffError(
-                "product %s exceeds the degree cutoff %d" % (key, self.cutoff)
-            )
-        return {key: 1}, 1
+        row = self._products.get((k1, k2))
+        if row is None:
+            key = k1 * k2
+            if key.degree > self.cutoff:
+                raise CutoffError(
+                    "product %s exceeds the degree cutoff %d" % (key, self.cutoff)
+                )
+            row = self._products[k1, k2] = {key: 1}, 1
+        return row
 
     def basis_keys(self, max_degree=None):
         top = self.cutoff if max_degree is None else min(max_degree, self.cutoff)
@@ -229,6 +242,20 @@ class FiniteDimensionalAlgebra(AlgebraSpec):
         return "<finite-dimensional algebra on {%s}>" % ",".join(self.basis)
 
 
+def multiply_rows(product_row, x, y):
+    """The product of two packed rows x = ({key: numerator}, den) and y of
+    an algebra with `product_row`, as a packed row that is not reduced: the
+    rows of the key pairs, x's keys outermost, summed with `add_rational`.
+    A pair past a cutoff raises CutoffError in that order."""
+    pairs = list(y[0].items())
+    slot = [1, {}]
+    for k1, n1 in x[0].items():
+        for k2, n2 in pairs:
+            row, den = product_row(k1, k2)
+            add_rational(slot, row, n1 * n2, den)
+    return slot[1], slot[0] * x[1] * y[1]
+
+
 class AlgebraElement(SparseElement):
     """Sparse element of an AlgebraSpec; its codes are its basis keys."""
 
@@ -256,15 +283,8 @@ class AlgebraElement(SparseElement):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        product_row = self.parent.product_row
-        pairs = list(other.codes.items())
-        slot = [1, {}]
-        for k1, n1 in self.codes.items():
-            for k2, n2 in pairs:
-                row, den = product_row(k1, k2)
-                add_rational(slot, row, n1 * n2, den)
-        den, codes = slot
-        return self._like(codes, den * self.den * other.den)
+        return self._like(*multiply_rows(
+            self.parent.product_row, (self.codes, self.den), (other.codes, other.den)))
 
     def one_like(self):
         return self.parent.one()
@@ -465,12 +485,13 @@ class KeyAction:
     def on_basis(self, bkey, akey, like):
         """bkey . a for the basis element a of key akey, a sibling of
         `like`: read from the table, or computed and kept there."""
-        if bkey == self._unit:
-            return like._like({akey: 1})
         hit = self._table.get((bkey, akey))
         if hit is None:
-            g, rest = self.B.split_key(bkey)
-            hit = self.images[g].apply(self.on_basis(rest, akey, like))
+            if bkey == self._unit:
+                hit = like._like({akey: 1})
+            else:
+                g, rest = self.B.split_key(bkey)
+                hit = self.images[g].apply(self.on_basis(rest, akey, like))
             self._table[bkey, akey] = hit
         return hit
 
@@ -555,7 +576,13 @@ def action_from_derivations(B, A, images):
 
 
 def check_module_algebra(action, cutoff=None):
-    """B-linearity of the product plus the unit condition, on basis data."""
+    """B-linearity of the product plus the unit condition, on basis data.
+
+    b.(x y) = sum b1.x b2.y over Delta(b) is decided for each b and basis
+    pair on packed rows read from A's `product_row`, the action table
+    (`KeyAction.on_basis`) and B's packed Delta table; both sides are
+    compared in integers and become elements only for a witness.
+    """
     B, A = action.B, action.A
     if cutoff is None:
         cutoff = A.cutoff
@@ -566,20 +593,34 @@ def check_module_algebra(action, cutoff=None):
     akeys = A.basis_keys()
 
     pairs = list(bounded_product([akeys, akeys], A.degree, cutoff))
-    basis = {k: A.element({k: 1}) for k in akeys}
+    act, like, product_row = action.on_basis, A.zero(), A.product_row
+    coproducts = {}
+    for bk in bkeys:
+        delta = B.iterated_coproduct_code(B.codec.slot(bk), 1)
+        coproducts[bk] = [(*B.codec.decode(code, 2), n, delta.den)
+                          for code, n in delta.codes.items()]
+
+    def sides(bk, k1, k2):
+        """b.(x y) and sum b1.x b2.y as packed slots [den, {key: numerator}]."""
+        lhs, rhs = [1, {}], [1, {}]
+        terms, den = product_row(k1, k2)
+        for k, n in terms.items():
+            x = act(bk, k, like)
+            add_rational(lhs, x.codes, n, den * x.den)
+        for b1, b2, n, den in coproducts[bk]:
+            x, y = act(b1, k1, like), act(b2, k2, like)
+            terms, d = multiply_rows(product_row, (x.codes, x.den), (y.codes, y.den))
+            add_rational(rhs, terms, n, den * d)
+        return lhs, rhs
 
     def b_linear(bk, k1, k2):
-        e1, e2 = basis[k1], basis[k2]
-        lhs = action.apply_key(bk, e1 * e2)
-        rhs = combine(e1, (
-            (c, action.on_basis(b1, k1, e1) * action.on_basis(b2, k2, e2))
-            for (b1, b2), c in B.coproduct_key(bk).items()))
-        if lhs != rhs:
+        (dl, lhs), (dr, rhs) = sides(bk, k1, k2)
+        if lhs.keys() != rhs.keys() or any(n * dr != rhs[k] * dl for k, n in lhs.items()):
             return {
                 "b": B.key_str(bk),
                 "pair": "%s , %s" % (A.key_str(k1), A.key_str(k2)),
-                "lhs": lhs.render(),
-                "rhs": rhs.render(),
+                "lhs": like._like(lhs, dl).render(),
+                "rhs": like._like(rhs, dr).render(),
             }
 
     def unital(bk):
@@ -602,9 +643,9 @@ def check_module_algebra(action, cutoff=None):
 
 class TwistedProduct:
     """mu(T (x1 @ ... @ xm)) for an arity-m twist series T = sum_l T_l t^l
-    over B, acting on the target through `action`; `multiply` is the m-ary
-    product of the target and `zero` its zero element.  Subclasses check
-    their twist and expose the product.
+    over B, acting on the target through `action`; `zero` is the target's
+    zero element.  Subclasses check their twist, supply `_product`, the
+    m-ary product of the target on packed rows, and expose the product.
 
     The product is a contraction over the structure constants of the pair
     (T, action), held in one packed table.  A basis key of the target gets
@@ -613,17 +654,18 @@ class TwistedProduct:
     mu(T_l (b_k1 @ ... @ b_km)) as (den, {code: integer numerator}).  A row
     is formed on first use (`row`), and only for an order l that the
     truncation reaches -- a higher twist order raises pAss leaf counts, so
-    a row nothing needs could force quotient builds nothing else does.
+    a row nothing needs could force quotient builds nothing else does.  A
+    row is formed in integers too (`_form`): each twist term's factors are
+    read from the action table and multiplied by `_product`.
     Sums of rows are accumulated per t-order over a running lcm
     (`kernel.add_rational`) and recoded to elements only at the end.
     """
 
-    def __init__(self, twist, action, multiply, zero):
+    def __init__(self, twist, action, zero):
         if twist.parent is not action.B:
             raise ValueError("twist and action disagree on the bialgebra")
         self.action = action
         self.order = twist.order
-        self._multiply = multiply
         self._zero = zero
         # each twist coefficient as its terms in basis order
         self.terms = [c.sorted_terms() for c in twist.series.coeffs]
@@ -657,14 +699,26 @@ class TwistedProduct:
             row = self._rows[codes, l] = self._form(codes, l)
         return row
 
+    def _product(self, rows):
+        """The m-ary product of the target on m packed rows ({key:
+        numerator}, den), as a packed row that need not be reduced."""
+        raise NotImplementedError
+
     def _form(self, codes, l):
-        """C_l(codes) = mu(T_l (b_k1 @ ... @ b_km)), packed."""
+        """C_l(codes) = mu(T_l (b_k1 @ ... @ b_km)), packed: per term of T_l,
+        in basis order, the factors b_ki . a_i are read from the action
+        table and multiplied by `_product` (a zero factor adds nothing), the
+        products are summed with `add_rational`, and the sum is reduced as
+        `_like` reduces an element."""
         act, like = self.action.on_basis, self._zero
-        multiply = self._multiply
         keys = [self._keys[c] for c in codes]
-        return self._pack(combine(like, (
-            (c, multiply(*[act(b, k, like) for b, k in zip(bkeys, keys)]))
-            for bkeys, c in self.terms[l])))
+        slot = [1, {}]
+        for bkeys, c in self.terms[l]:
+            factors = [act(b, k, like) for b, k in zip(bkeys, keys)]
+            if all(factors):
+                terms, den = self._product([(x.codes, x.den) for x in factors])
+                add_rational(slot, terms, c.numerator, c.denominator * den)
+        return self._pack(like._like(slot[1], slot[0]))
 
     def structure_constant(self, keys, l):
         """mu(T_l (b_k1 @ ... @ b_km)) for a tuple of basis keys, as an
@@ -739,8 +793,12 @@ class StarProduct(TwistedProduct):
     def __init__(self, F, action):
         if not isinstance(F, UDF):
             raise ValueError("twisted products need a UDF")
-        super().__init__(F, action, operator.mul, action.A.zero())
+        super().__init__(F, action, action.A.zero())
         self.F = F
+
+    def _product(self, rows):
+        """The product of the two rows, one `product_row` per key pair."""
+        return multiply_rows(self.action.A.product_row, *rows)
 
     def star(self, sa, sb):
         """Deformed product of two algebra-element series."""
@@ -903,16 +961,17 @@ def infinitesimal_cocycle(F, action, cutoff=None):
 
 # -- coboundary search -------------------------------------------------------
 
-def _apply_poly_operator(mono_coeff, alpha, poly):
-    """(mono_coeff * d^alpha) applied to an untruncated polynomial."""
-    out = poly
+def _operator_value(A, mono, alpha, key):
+    """(mono * d^alpha)(key) for a monomial key, untruncated: zero or the one
+    term mono * key / v^alpha with coefficient the product of the falling
+    factorials perm(e_v, k_v), for alpha = ((v, k_v), ...) and e_v the
+    exponent of v in key."""
+    exps, n = dict(key.exps), 1
     for name, order in alpha:
-        for _ in range(order):
-            out = out.partial(name)
-            if not out:
-                return out
-    # distinct monomials stay distinct times mono_coeff
-    return out._like({mono_coeff * m: n for m, n in out.codes.items()}, out.den)
+        e = exps.get(name, 0)
+        n *= math.perm(e, order)
+        exps[name] = e - order
+    return A.zero()._like({Monomial(exps) * mono: n} if n else {})
 
 
 class PolynomialOperator1Cochain:
@@ -936,6 +995,105 @@ class PolynomialOperator1Cochain:
         return " + ".join(bits) if bits else "0"
 
 
+def _finite_columns(A, pairs, candidates):
+    """delta(g) of each elementary map g = (src -> dst) on the basis pairs,
+    a packed vector on (pair, key) read from `product_row`."""
+    row = A.product_row
+    products = [row(x, y) for x, y in pairs]
+    columns = []
+    for src, dst in candidates:
+        col = [1, {}]
+        for (x, y), (xy, den) in zip(pairs, products):
+            value = [1, {}]
+            if y == src:
+                terms, d = row(x, dst)
+                add_rational(value, terms, 1, d)
+            if src in xy:
+                add_rational(value, {dst: -xy[src]}, 1, den)
+            if x == src:
+                terms, d = row(dst, y)
+                add_rational(value, terms, 1, d)
+            add_rational(col, {((x, y), k): n for k, n in value[1].items()}, 1, value[0])
+        columns.append((col[1], col[0]))
+    return columns
+
+
+def _operator_columns(A, pairs, alphas):
+    """delta(g) of each operator g = m * d^alpha (alpha outer, m over the
+    basis inner) on the basis pairs, a packed vector on (pair, key).
+
+    For monomials x, y, m, the terms x g(y), g(xy) and g(x) y are all
+    multiples of the one monomial m x y / v^alpha (v the variables), so each
+    pair adds one integer perm(y) - perm(x y) + perm(x) (`_operator_value`),
+    independent of m.  Monomials are coded as exponent vectors in base
+    2 * cutoff + 1, where a product m x y of a basis key and a pair inside
+    the cutoff never carries, so dividing and multiplying them adds codes;
+    products past the cutoff are entries like any other."""
+    names, width = A.variables, 2 * A.cutoff + 1
+    place = {name: width ** i for i, name in enumerate(names)}
+    keys = {}
+
+    def code(mono):
+        return sum(e * place[name] for name, e in mono.exps)
+
+    def key(c):
+        mono = keys.get(c)
+        if mono is None:
+            mono = keys[c] = Monomial({name: c // p % width for name, p in place.items()})
+        return mono
+
+    basis = A.basis_keys()
+    codes = {k: code(k) for k in basis}
+    vectors = {k: [dict(k.exps).get(name, 0) for name in names] for k in basis}
+    columns = []
+    for alpha in alphas:
+        orders = [dict(alpha.exps).get(name, 0) for name in names]
+
+        def perm(exps):
+            return math.prod(map(math.perm, exps, orders))
+
+        entries, shift = [], code(alpha)
+        for x, y in pairs:
+            vx, vy = vectors[x], vectors[y]
+            n = perm(vy) - perm(map(operator.add, vx, vy)) + perm(vx)
+            if n:
+                entries.append(((x, y), codes[x] + codes[y] - shift, n))
+        for m in basis:
+            cm = codes[m]
+            columns.append(({(pair, key(c + cm)): n for pair, c, n in entries}, 1))
+    return columns
+
+
+def _coboundary_columns(A, pairs, search_bound):
+    """(info, candidates, columns, value) of the coboundary search on A over
+    the basis pairs: the searched space, the candidate 1-cochains, their
+    columns delta(g) in order, and value(candidate, key), g(key) as an
+    element, for the witness."""
+    basis = A.basis_keys()
+    if isinstance(A, FiniteDimensionalAlgebra):
+        info = {"search_space": "all linear maps on the %d-dim basis" % len(basis)}
+        candidates = list(itertools.product(basis, basis))
+
+        def value(cand, key):
+            return A.element({cand[1]: QQ(1)}) if key == cand[0] else A.zero()
+
+        return info, candidates, _finite_columns(A, pairs, candidates), value
+    if isinstance(A, PolynomialTruncatedAlgebra):
+        info = {
+            "search_space": "differential operators",
+            "operator_order": search_bound,
+            "coefficient_degree": A.cutoff,
+        }
+        alphas = monomials(A.variables, search_bound)
+        candidates = [(mono, m.exps) for m in alphas for mono in basis]
+
+        def value(cand, key):
+            return _operator_value(A, *cand, key)
+
+        return info, candidates, _operator_columns(A, pairs, alphas), value
+    raise ValueError("unsupported algebra kind for the coboundary search")
+
+
 def is_hochschild_coboundary(A, cochain, search_bound=2):
     """Solve cochain = delta(g) over the kind's candidate 1-cochains with
     one `linalg.solve` (see the module docstring).
@@ -946,54 +1104,12 @@ def is_hochschild_coboundary(A, cochain, search_bound=2):
     if cochain.degree != 2:
         raise ValueError("coboundary search is for 2-cochains")
     basis = A.basis_keys()
-    if isinstance(A, FiniteDimensionalAlgebra):
-        info = {"search_space": "all linear maps on the %d-dim basis" % len(basis)}
-        candidates = list(itertools.product(basis, basis))
-
-        def lift(key):
-            return A.element({key: QQ(1)})
-
-        def value(cand, key):
-            return lift(cand[1]) if key == cand[0] else A.zero()
-    elif isinstance(A, PolynomialTruncatedAlgebra):
-        info = {
-            "search_space": "differential operators",
-            "operator_order": search_bound,
-            "coefficient_degree": A.cutoff,
-        }
-        candidates = [
-            (mono, m.exps)
-            for m in monomials(A.variables, search_bound)
-            for mono in basis
-        ]
-
-        # untruncated: A's product raises CutoffError above the cutoff
-        def lift(key):
-            return Polynomial({key: QQ(1)})
-
-        def value(cand, key):
-            return _apply_poly_operator(*cand, lift(key))
-    else:
-        raise ValueError("unsupported algebra kind for the coboundary search")
-
-    lifted = {k: lift(k) for k in basis}
-    pairs = bounded_product([basis, basis], A.degree, A.cutoff)
-    products = {(x, y): lifted[x] * lifted[y] for x, y in pairs}
-
-    def stacked(values):
-        """The elements values[pair] as one packed vector on (pair, key)."""
-        den = math.lcm(*[v.den for v in values.values()])
-        return {(pair, k): n * (den // v.den)
-                for pair, v in values.items() for k, n in v.codes.items()}, den
-
-    columns = []
-    for cand in candidates:
-        g = {k: value(cand, k) for k in basis}
-        columns.append(stacked({
-            (x, y): lifted[x] * g[y] - xy.map_terms(g.__getitem__) + g[x] * lifted[y]
-            for (x, y), xy in products.items()
-        }))
-    target = stacked({pair: cochain.on_keys(*pair) for pair in products})
+    pairs = list(bounded_product([basis, basis], A.degree, A.cutoff))
+    info, candidates, columns, value = _coboundary_columns(A, pairs, search_bound)
+    values = {pair: cochain.on_keys(*pair) for pair in pairs}
+    den = math.lcm(*[v.den for v in values.values()])
+    target = {(pair, k): n * (den // v.den)
+              for pair, v in values.items() for k, n in v.codes.items()}, den
     sol = linalg_solve(columns, target)
     if sol is None:
         return None, info

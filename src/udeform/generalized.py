@@ -280,15 +280,21 @@ class FreePAssAlgebra:
                                 for col, x in res.items()}, 1, scale)
         return slot[1], slot[0] * den
 
-    def ternary(self, x, y, z):
-        """The ternary product of three elements, reduced."""
+    def ternary_row(self, x, y, z):
+        """The ternary product of three packed rows ({tree: numerator}, den)
+        as quotient coordinates (codes, den), not reduced by their gcd."""
         coords = {}
-        pairs_y, pairs_z = list(y.codes.items()), list(z.codes.items())
-        for tx, nx in x.codes.items():
+        pairs_y, pairs_z = list(y[0].items()), list(z[0].items())
+        for tx, nx in x[0].items():
             for ty, ny in pairs_y:
                 for tz, nz in pairs_z:
                     add_term(coords, _node(tx, ty, tz, self.symmetric), nx * ny * nz)
-        return x._like(*self.reduce_coords(coords, x.den * y.den * z.den))
+        return self.reduce_coords(coords, x[1] * y[1] * z[1])
+
+    def ternary(self, x, y, z):
+        """The ternary product of three elements, reduced."""
+        return x._like(*self.ternary_row(
+            (x.codes, x.den), (y.codes, y.den), (z.codes, z.den)))
 
     def tree_str(self, tree):
         if isinstance(tree, int):
@@ -447,8 +453,12 @@ class TwistedTernaryProduct(TwistedProduct):
     """The deformed ternary product (a,b,c) -> sum_i (H1_i a, H2_i b, H3_i c)."""
 
     def __init__(self, H, action):
-        super().__init__(H, action, action.algebra.ternary, action.algebra.zero())
+        super().__init__(H, action, action.algebra.zero())
         self.H = H
+
+    def _product(self, rows):
+        """The ternary product of the three rows in the pAss quotient."""
+        return self.action.algebra.ternary_row(*rows)
 
     def product(self, sa, sb, sc):
         """Deformed product of three element series, truncated."""

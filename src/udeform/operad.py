@@ -132,10 +132,16 @@ def inflate_outer(sigma, i, n):
 # sampling
 # ---------------------------------------------------------------------------
 
-def random_tensor(B, rng, arity, max_terms=2):
-    """The random samples of every checker.  Slot degree 2, lowered at small
-    cutoffs so that most sampled compositions stay in the degree range."""
-    keys = B.basis_keys(max(1, min(2, B.cutoff // 3)))
+def sample_keys(B):
+    """The basis keys random samples draw from: slot degree 2, lowered at
+    small cutoffs so that most sampled compositions stay in the degree
+    range.  A checker takes them once and passes them to `random_tensor`."""
+    return B.basis_keys(max(1, min(2, B.cutoff // 3)))
+
+
+def random_tensor(B, keys, rng, arity, max_terms=2):
+    """The random samples of every checker: up to max_terms tensors of
+    `keys` (`sample_keys`) with small integer coefficients."""
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         tup = tuple(rng.choice(keys) for _ in range(arity))
@@ -246,7 +252,7 @@ def check_assoc_cases(flavor, B, samples=50, seed=0):
     if flavor not in FLAVORS:
         raise ValueError("unknown operad flavor %r" % (flavor,))
     report = CheckReport("operad associativity (%s over %s)" % (flavor, B.spec.kind))
-    rng = random.Random(seed)
+    rng, keys = random.Random(seed), sample_keys(B)
     tallies = {1: Counter(), 2: Counter(), 3: Counter()}
     failures = {}
 
@@ -256,9 +262,9 @@ def check_assoc_cases(flavor, B, samples=50, seed=0):
             failures.setdefault(bad["case"], bad)
 
     for _ in range(samples):
-        u = random_tensor(B, rng, _sample_arity(rng, flavor, B.counital))
-        v = random_tensor(B, rng, _sample_arity(rng, flavor, B.counital))
-        w = random_tensor(B, rng, _sample_arity(rng, flavor, B.counital))
+        u = random_tensor(B, keys, rng, _sample_arity(rng, flavor, B.counital))
+        v = random_tensor(B, keys, rng, _sample_arity(rng, flavor, B.counital))
+        w = random_tensor(B, keys, rng, _sample_arity(rng, flavor, B.counital))
         if u.arity == 0:
             u = B.one(1)
         run(u, v, w)
@@ -284,15 +290,15 @@ def check_equivariance(B, samples=50, seed=0):
     coproduct is cocommutative.
     """
     report = CheckReport("operad equivariance (%s)" % B.spec.kind)
-    rng = random.Random(seed)
+    rng, keys = random.Random(seed), sample_keys(B)
 
     def perms(n):
         return list(itertools.permutations(range(1, n + 1)))
 
     cases = []
     for _ in range(samples):
-        u = random_tensor(B, rng, rng.randint(1, 3))
-        v = random_tensor(B, rng, rng.randint(1, 3))
+        u = random_tensor(B, keys, rng, rng.randint(1, 3))
+        v = random_tensor(B, keys, rng, rng.randint(1, 3))
         cases.append((u, v))
     # the decisive low-degree case: a generator against 1@1
     for name in B.spec.generators[:4]:
@@ -325,9 +331,9 @@ def check_equivariance(B, samples=50, seed=0):
 def check_unit(flavor, B, samples=50, seed=0):
     """Unit laws: unit o_1 v = v and u o_i unit = u."""
     report = CheckReport("operad unit laws (%s over %s)" % (flavor, B.spec.kind))
-    rng = random.Random(seed)
+    rng, keys = random.Random(seed), sample_keys(B)
     unit = B.one(1) if flavor == FLAVOR_MULTIPLICATIVE else B.zero(1)
-    elements = [random_tensor(B, rng, rng.randint(1, 3)) for _ in range(samples)]
+    elements = [random_tensor(B, keys, rng, rng.randint(1, 3)) for _ in range(samples)]
     elements.extend(
         e for e in _exhaustive_low_degree_elements(B, flavor) if e.arity >= 1
     )

@@ -233,9 +233,11 @@ def first_failing_difference(order, terms):
                     else:
                         mate._check_mate(x)
                     add_rational(slot, x.codes, sign, x.den)
-        den, acc = slot
-        if acc:
-            return k, mate._like(acc, den)
+        # read through slot, not unpacked: a name bound to an emptied sum
+        # would keep its dict, still at its peak table size, alive through
+        # the next order
+        if slot[1]:
+            return k, mate._like(slot[1], slot[0])
     return None
 
 

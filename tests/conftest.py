@@ -1,20 +1,21 @@
 import importlib.util
 import itertools
 import math
+import operator
 from pathlib import Path
 
 import pytest
 
 from udeform.kernel import (
     QQ, Polynomial, SparseElement, TruncSeries, add_into, as_scalar,
-    bounded_product, pack,
+    bounded_product, monomials, pack,
 )
 from udeform.bialgebra import BialgebraSpec, construct_bialgebra
 from udeform.reports import CheckReport, first_witness
 from udeform.twist import first_failing_order, make_exp_udf, series_circ, series_outer
 from udeform.deform import (
-    HochschildCochain, PolynomialTruncatedAlgebra, StarProduct, _apply_poly_operator,
-    action_from_derivations,
+    FiniteDimensionalAlgebra, HochschildCochain, PolynomialOperator1Cochain,
+    PolynomialTruncatedAlgebra, StarProduct, action_from_derivations,
 )
 from udeform.generalized import (
     FreePAssAlgebra, TwistedTernaryProduct, _compositions, _fill, _leaves, _node,
@@ -22,7 +23,7 @@ from udeform.generalized import (
 )
 from udeform.kernel import add_term
 from udeform import cobar
-from udeform.linalg import ForwardSpan
+from udeform.linalg import ForwardSpan, solve as linalg_solve
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -384,6 +385,13 @@ def twisted_ternary(H, action, a, b, c):
     return TwistedTernaryProduct(H, action).product(a, b, c)
 
 
+def element_product(product):
+    """The m-ary product of a library twisted product's target on elements:
+    the algebra product, or the ternary product of a free pAss algebra."""
+    algebra = getattr(product.action, "algebra", None)
+    return operator.mul if algebra is None else algebra.ternary
+
+
 class ReferenceTwistedProduct:
     """A twisted product on Fraction dicts keyed by basis keys, the route
     apart from the library's packed rows.  It takes the twist terms, the
@@ -396,6 +404,7 @@ class ReferenceTwistedProduct:
     def __init__(self, product):
         self.product = product
         self.order = product.order
+        self.multiply = element_product(product)
         self.table = {}
 
     def value(self, terms, *elems):
@@ -403,7 +412,7 @@ class ReferenceTwistedProduct:
         act = self.product.action.apply_key
         out = {}
         for keys, c in terms:
-            add_into(out, self.product._multiply(*map(act, keys, elems)).terms, c)
+            add_into(out, self.multiply(*map(act, keys, elems)).terms, c)
         return from_terms(elems[0], out)
 
     def __call__(self, *args):
@@ -474,6 +483,115 @@ def reference_check_associativity(F, action, cutoff=None):
     bad, _ = first_witness(((k,) for k in keys), unital)
     report.add("1 is a unit for the twisted product", bad is None, bad)
     return report
+
+
+def reference_check_module_algebra(action, cutoff=None):
+    """`deform.check_module_algebra` on the element route: both sides of
+    b.(x y) = sum b1.x b2.y built as elements, through the action's
+    `apply_key` and the decoded coproduct, and compared as elements."""
+    B, A = action.B, action.A
+    if cutoff is None:
+        cutoff = A.cutoff
+    elif A.cutoff is not None:
+        cutoff = min(cutoff, A.cutoff)
+    report = CheckReport("module-algebra compatibility")
+    bkeys = [k for k in B.basis_keys(min(2, B.cutoff)) if B.degree(k) <= 2]
+    akeys = A.basis_keys()
+
+    def b_linear(bk, k1, k2):
+        e1, e2 = A.element({k1: QQ(1)}), A.element({k2: QQ(1)})
+        lhs = action.apply_key(bk, e1 * e2)
+        rhs = A.zero()
+        for (b1, b2), c in B.coproduct_key(bk).items():
+            rhs = rhs + (action.apply_key(b1, e1) * action.apply_key(b2, e2)).scale(c)
+        if lhs != rhs:
+            return {
+                "b": B.key_str(bk),
+                "pair": "%s , %s" % (A.key_str(k1), A.key_str(k2)),
+                "lhs": lhs.render(),
+                "rhs": rhs.render(),
+            }
+
+    def unital(bk):
+        got = action.apply_key(bk, A.one())
+        if got != A.one().scale(B.counit_key(bk)):
+            return {"b": B.key_str(bk), "got": got.render()}
+
+    pairs = list(bounded_product([akeys, akeys], A.degree, cutoff))
+    bad, _ = first_witness(
+        ((bk, k1, k2) for bk in bkeys for k1, k2 in pairs), b_linear
+    )
+    report.add("product is B-linear", bad is None, bad)
+    bad, _ = first_witness(((bk,) for bk in bkeys), unital)
+    report.add("unit condition b.1 = eps(b) 1", bad is None, bad)
+    return report
+
+
+def reference_coboundary_columns(A, pairs, search_bound):
+    """(candidates, value, columns) of the coboundary search on the element
+    route: each candidate's values g(key) as elements -- an operator
+    m * d^alpha applied to untruncated Polynomials by repeated partial
+    derivatives (`apply_poly_operator`), an elementary map of a
+    finite-dimensional basis as A's elements -- and each column
+    delta(g)(x, y) = x g(y) - g(xy) + g(x) y multiplied out on every basis
+    pair, as a dict (pair, key) -> Fraction."""
+    basis = A.basis_keys()
+    if isinstance(A, FiniteDimensionalAlgebra):
+        candidates = list(itertools.product(basis, basis))
+
+        def lift(key):
+            return A.element({key: QQ(1)})
+
+        def value(cand, key):
+            return lift(cand[1]) if key == cand[0] else A.zero()
+    else:
+        candidates = [(mono, m.exps) for m in monomials(A.variables, search_bound)
+                      for mono in basis]
+
+        def lift(key):
+            return Polynomial({key: QQ(1)})
+
+        def value(cand, key):
+            return apply_poly_operator(*cand, lift(key))
+
+    lifted = {k: lift(k) for k in basis}
+    columns = []
+    for cand in candidates:
+        g = {k: value(cand, k) for k in basis}
+        column = {}
+        for x, y in pairs:
+            xy = lifted[x] * lifted[y]
+            v = lifted[x] * g[y] - xy.map_terms(g.__getitem__) + g[x] * lifted[y]
+            column.update({((x, y), k): c for k, c in v.terms.items()})
+        columns.append(column)
+    return candidates, value, columns
+
+
+def reference_coboundary_witness(A, cochain, search_bound):
+    """The witness of `deform.is_hochschild_coboundary` from the reference
+    columns: None, or (describe() of the operator, or None on a
+    finite-dimensional algebra; the rendered value g(key) per basis key)."""
+    basis = A.basis_keys()
+    pairs = list(bounded_product([basis, basis], A.degree, A.cutoff))
+    candidates, value, columns = reference_coboundary_columns(A, pairs, search_bound)
+    target = {}
+    for pair in pairs:
+        target.update({(pair, k): c for k, c in cochain.on_keys(*pair).terms.items()})
+    sol = linalg_solve([pack(col) for col in columns], pack(target))
+    if sol is None:
+        return None
+    chosen = [(candidates[j], c) for j, c in sorted(sol.items())]
+    values = {}
+    for key in basis:
+        out = A.zero()
+        for cand, c in chosen:
+            out = out + from_terms(A.zero(), value(cand, key).terms).scale(c)
+        values[key] = out.render()
+    if isinstance(A, FiniteDimensionalAlgebra):
+        return None, values
+    operator_ = PolynomialOperator1Cochain(
+        A, [(mono, alpha, c) for (mono, alpha), c in chosen])
+    return operator_.describe(), values
 
 
 def reference_check_partial_assoc(product, cutoff, order):
@@ -589,6 +707,19 @@ def fraction_reduce(ech, vec):
         add_into(vec, rows[p], QQ(-vec[p], rows[p][p]))
 
 
+def apply_poly_operator(mono_coeff, alpha, poly):
+    """(mono_coeff * d^alpha) applied to an untruncated polynomial, by
+    repeated partial derivatives."""
+    out = poly
+    for name, order in alpha:
+        for _ in range(order):
+            out = out.partial(name)
+            if not out:
+                return out
+    # distinct monomials stay distinct times mono_coeff
+    return out._like({mono_coeff * m: n for m, n in out.codes.items()}, out.den)
+
+
 def operator_cochain(op):
     """A `PolynomialOperator1Cochain` as the Hochschild 1-cochain
     key -> op(key) on its algebra."""
@@ -598,7 +729,7 @@ def operator_cochain(op):
         poly = Polynomial({key: QQ(1)})
         out = {}
         for mono, alpha, c in op.terms:
-            add_into(out, _apply_poly_operator(mono, alpha, poly).terms, c)
+            add_into(out, apply_poly_operator(mono, alpha, poly).terms, c)
         return from_terms(A.zero(), out)
 
     return HochschildCochain(A, 1, g)

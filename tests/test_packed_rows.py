@@ -10,21 +10,39 @@ key order included.  The targets are the Moyal and quantum-plane actions on
 the truncated plane, the square-zero algebra of the
 `nonsmooth-counterexample` fixture, and the planar and symmetric free pAss
 algebras.
+
+The rows themselves, the module-algebra check and the columns of the
+Hochschild coboundary search are formed in integers from the action table,
+`product_row` and the packed Delta table.  The last part compares them with
+the element route kept in `conftest` (elements through the action, the
+decoded coproduct, and untruncated `Polynomial` operators), on random
+derivation actions of a tensor-primitive bialgebra, on random polynomial
+search spaces and on finite-dimensional algebras: rows key order included,
+reports byte for byte, the CutoffError raised by either route, columns as
+rationals and the witness of a coboundary as its bytes.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from udeform import cli
 from udeform.bialgebra import BialgebraSpec, CutoffError, construct_bialgebra
 from udeform.deform import (
+    Derivation,
+    FiniteDimensionalAlgebra,
     HochschildCochain,
+    PolynomialOperator1Cochain,
     PolynomialTruncatedAlgebra,
     StarProduct,
+    _coboundary_columns,
     action_from_derivations,
     check_associativity,
+    check_module_algebra,
     hochschild_differential,
+    is_hochschild_coboundary,
 )
 from udeform.fixtures import emit_example
 from udeform.generalized import (
@@ -35,16 +53,21 @@ from udeform.generalized import (
     check_partial_assoc,
     pass_udf,
 )
-from udeform.kernel import QQ, Monomial, Polynomial, TruncSeries
+from udeform.kernel import QQ, Monomial, Polynomial, TruncSeries, bounded_product, monomials
 from udeform.twist import UDF, make_exp_udf, series_from_orders
 
 from conftest import (
     ReferenceTwistedProduct,
     antisym,
     from_terms,
+    operator_cochain,
     reference_check_associativity,
+    reference_check_module_algebra,
     reference_check_partial_assoc,
+    reference_coboundary_columns,
+    reference_coboundary_witness,
 )
+from coproduct_override import with_coproduct_override
 
 MOYAL = {"p1": {"p": 1}, "p2": {"q": 1}}
 EULER = {"p1": {"p": Polynomial.variable("p")}, "p2": {"q": Polynomial.variable("q")}}
@@ -266,3 +289,193 @@ def test_star_rejects_series_of_another_order():
     shorter = TruncSeries(a.coeffs[:-1])
     with pytest.raises(ValueError, match="truncation orders differ"):
         star.star(a, shorter)
+
+
+# ---------------------------------------------------------------------------
+# rows, module-algebra decisions and coboundary columns against the element
+# route
+# ---------------------------------------------------------------------------
+
+SMALL = [QQ(1), QQ(-1), QQ(2), QQ(1, 2), QQ(-2, 3)]
+TENSOR_B = construct_bialgebra(BialgebraSpec("tensor-primitive", ["p1", "p2"]), 4)
+
+
+def _square_zero():
+    return FiniteDimensionalAlgebra(["1", "p", "q"], "1", {})
+
+
+@st.composite
+def _derivation_actions(draw):
+    """A tensor-primitive B on {p1, p2}, which takes any derivations, acting
+    on the truncated plane (coefficients up to degree 2, so that some
+    actions leave the cutoff) or on the square-zero algebra (whose
+    derivations are the maps into span(p, q)); sometimes with Delta(p1)
+    replaced by p1 @ p1 or doubled, which breaks B-linearity (doubling on
+    the support of the true sides)."""
+    B = TENSOR_B
+    p1, one = B.generator_key("p1"), B.unit_key
+    delta = draw(st.sampled_from([
+        None, {(p1, p1): QQ(1)}, {(p1, one): QQ(2), (one, p1): QQ(2)}]))
+    if delta is not None:
+        B = with_coproduct_override(B, {p1: delta})
+    coeffs = st.sampled_from(SMALL)
+    if draw(st.booleans()):
+        A = PolynomialTruncatedAlgebra(["p", "q"], draw(st.integers(2, 4)))
+        monos = st.sampled_from(A.basis_keys(2))
+        images = {g: {v: Polynomial(draw(st.dictionaries(monos, coeffs, max_size=2)))
+                      for v in ("p", "q")} for g in ("p1", "p2")}
+    else:
+        A = _square_zero()
+        names = st.sampled_from(["p", "q"])
+        images = {g: Derivation(A, {x: draw(st.dictionaries(names, coeffs, max_size=2))
+                                    for x in ("p", "q")}) for g in ("p1", "p2")}
+    return action_from_derivations(B, A, images)
+
+
+def _raised(fn, *args):
+    """fn(*args), or the text of the CutoffError it raises."""
+    try:
+        return fn(*args)
+    except CutoffError as exc:
+        return "CutoffError: %s" % exc
+
+
+def _row_routes(product, keys, l):
+    """The row C_l(keys) of a library twisted product and of the element
+    route, each as its (key, coefficient) pairs in order, or the text of
+    the CutoffError it raises."""
+    def library():
+        return list(product.structure_constant(keys, l).terms.items())
+
+    def reference():
+        basis = [product._zero._like({k: 1}) for k in keys]
+        value = ReferenceTwistedProduct(product).value(product.terms[l], *basis)
+        return list(value.terms.items())
+
+    return _raised(library), _raised(reference)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_derivation_actions(), st.data())
+def test_rows_match_the_element_route(action, data):
+    B, A = action.B, action.A
+    keys = st.sampled_from(B.basis_keys(2))
+    twist = {0: B.one(2)}
+    for l in (1, 2):
+        twist[l] = B.tensor(2, data.draw(st.dictionaries(
+            st.tuples(keys, keys), st.sampled_from(SMALL), max_size=3)))
+    product = StarProduct(UDF(series_from_orders(B, 2, 2, twist)), action)
+    pool = st.sampled_from(A.basis_keys())
+    args = data.draw(st.tuples(pool, pool))
+    got, want = _row_routes(product, args, data.draw(st.integers(0, 2)))
+    assert got == want
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["planar", "symmetric"])
+@pytest.mark.parametrize("corrupted", [False, True], ids=["twist", "corrupted"])
+def test_ternary_rows_match_the_element_route(symmetric, corrupted):
+    P, product = _ternary_product(symmetric, corrupted, order=2)
+    # one factor of up to 3 leaves keeps every product at <= 5 leaves
+    pools = [P.basis(1) + P.basis(3), P.basis(1), P.basis(1)]
+    for keys in bounded_product(pools, lambda tree: 0, 0):
+        for l in range(3):
+            got, want = _row_routes(product, keys, l)
+            assert got == want and isinstance(got, list)
+
+
+def test_a_row_past_the_cutoff_raises_the_same_error_on_both_routes():
+    # p1 acts as p^2 d/dp: p1^2 . p^3 = 12 p^5 passes the cutoff 4, and
+    # the t^2 twist term p1^2 @ p2^2 reaches it
+    _, action, F = _plane_case(RAISING, QQ(1, 2), 3)
+    p3, q = Monomial.parse("p^3"), Monomial.parse("q")
+    got, want = _row_routes(StarProduct(F, action), (p3, q), 2)
+    assert got == want == "CutoffError: derivation output p^5 exceeds cutoff 4"
+
+
+@settings(max_examples=80, deadline=None)
+@given(_derivation_actions(), st.sampled_from([None, 1, 2]))
+def test_module_algebra_decisions_match_the_element_route(action, cutoff):
+    got = _outcome(check_module_algebra, action, cutoff=cutoff)
+    want = _outcome(reference_check_module_algebra, action, cutoff=cutoff)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_module_algebra_past_the_cutoff_raises_the_same_error_on_both_routes():
+    _, action, _ = _plane_case(RAISING, QQ(1, 2), 3)
+    got = _outcome(check_module_algebra, action)
+    assert got == _outcome(reference_check_module_algebra, action)
+    assert got.startswith("CutoffError: derivation output")
+
+
+@st.composite
+def _search_spaces(draw):
+    """A truncated polynomial algebra and an operator order small enough
+    for the element route."""
+    names = draw(st.sampled_from([["p"], ["p", "q"], ["x", "y", "z"]]))
+    cutoff = draw(st.integers(1, {1: 4, 2: 3, 3: 2}[len(names)]))
+    return PolynomialTruncatedAlgebra(names, cutoff), draw(st.integers(0, 2))
+
+
+def _pairs(A):
+    basis = A.basis_keys()
+    return list(bounded_product([basis, basis], A.degree, A.cutoff))
+
+
+def _assert_columns_match(A, bound):
+    pairs = _pairs(A)
+    _, candidates, columns, _ = _coboundary_columns(A, pairs, bound)
+    want_candidates, _, want = reference_coboundary_columns(A, pairs, bound)
+    assert candidates == want_candidates
+    assert [{label: Fraction(n, den) for label, n in nums.items()}
+            for nums, den in columns] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(_search_spaces())
+def test_operator_columns_match_the_element_route(space):
+    _assert_columns_match(*space)
+
+
+@st.composite
+def _operator_coboundaries(draw):
+    """delta(g) of a random operator g = sum c m d^alpha inside the search
+    space, with deg m <= |alpha| so that delta(g) stays inside the cutoff."""
+    A, bound = draw(_search_spaces())
+    alphas = st.sampled_from(monomials(A.variables, bound))
+    terms = []
+    for alpha in draw(st.lists(alphas, max_size=3)):
+        mono = draw(st.sampled_from(A.basis_keys(alpha.degree)))
+        terms.append((mono, alpha.exps, draw(st.sampled_from(SMALL))))
+    g = PolynomialOperator1Cochain(A, terms)
+    return A, bound, hochschild_differential(operator_cochain(g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_operator_coboundaries())
+def test_a_found_coboundary_keeps_the_element_route_witness(case):
+    A, bound, cochain = case
+    g, _ = is_hochschild_coboundary(A, cochain, search_bound=bound)
+    assert g is not None
+    values = {k: g.on_keys(k).render() for k in A.basis_keys()}
+    assert (g.operator.describe(), values) == reference_coboundary_witness(A, cochain, bound)
+
+
+FINITE_ALGEBRAS = {
+    "dual": (["1", "e"], {("e", "e"): {}}),
+    "square-zero": (["1", "p", "q"], {}),
+    "x3": (["1", "x", "x2"], {("x", "x"): {"x2": 1}}),
+    "exterior": (["1", "a", "b", "ab"], {("a", "b"): {"ab": 1}, ("b", "a"): {"ab": -1}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_ALGEBRAS))
+def test_finite_columns_and_witness_match_the_element_route(name):
+    basis, products = FINITE_ALGEBRAS[name]
+    A = FiniteDimensionalAlgebra(basis, "1", products)
+    _assert_columns_match(A, None)
+    images = {k: A.element({d: QQ(len(k) - i, 1 + i) for i, d in enumerate(basis)})
+              for k in basis}
+    cochain = hochschild_differential(HochschildCochain(A, 1, images.__getitem__))
+    g, _ = is_hochschild_coboundary(A, cochain)
+    values = {k: g.on_keys(k).render() for k in basis}
+    assert (None, values) == reference_coboundary_witness(A, cochain, None)
