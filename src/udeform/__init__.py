@@ -54,7 +54,6 @@ from .deform import (
     action_from_derivations,
     check_associativity,
     check_module_algebra,
-    hochschild_differential,
     infinitesimal_cocycle,
     is_hochschild_coboundary,
     wedge_over_A,

@@ -308,7 +308,7 @@ def run_deform(inputs, params):
     F = parse_udf(B, inputs["udf"], order)
     rep_mod = check_module_algebra(action)
     star = StarProduct(F, action)
-    rep_assoc = check_associativity(F, action, cutoff=degree, star=star)
+    rep_assoc = check_associativity(star, cutoff=degree)
     table = []
     for k1 in A.basis_keys():
         for k2 in A.basis_keys():

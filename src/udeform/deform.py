@@ -30,10 +30,14 @@ inner product first, into one integer sum, and elements are recoded only
 for a witness.  `check_module_algebra` compares b.(xy) with the sum of
 b1.x b2.y over B's packed Delta table the same way.
 
-The infinitesimal layer extracts the t^1 Hochschild 2-cochain of a
-deformation, decides coboundary-ness inside a declared finite search space,
-and computes the wedge obstruction for pairs of derivations on free
-polynomial algebras.
+The infinitesimal layer reads the t^1 Hochschild 2-cochain mu_1 of a
+deformation off the C_1 rows, decides coboundary-ness inside a declared
+finite search space, and computes the wedge obstruction for pairs of
+derivations on free polynomial algebras.  mu_1 is a cocycle exactly when
+mu_0 + t mu_1 is associative mod t^2, and the t^1 slot of the associator
+(x*y)*z - x*(y*z) is -delta(mu_1)(x, y, z), so `infinitesimal_cocycle`
+decides it on the rows of the twist truncated at t^1 with the associator
+that `check_associativity` contracts.
 
 The coboundary search is one `linalg.solve` over candidate 1-cochains g,
 each column the values delta(g)(x, y) = x g(y) - g(xy) + g(x) y on the
@@ -575,6 +579,15 @@ def action_from_derivations(B, A, images):
     return ModuleAction(B, A, wrapped)
 
 
+def _clamped(A, cutoff):
+    """The degree bound of a basis sweep on A: A's cutoff (0 for a
+    finite-dimensional A, whose keys all have degree 0) by default, and
+    never past A's cutoff, since no tuple beyond it has a product in A."""
+    if cutoff is None:
+        return A.cutoff or 0
+    return cutoff if A.cutoff is None else min(cutoff, A.cutoff)
+
+
 def check_module_algebra(action, cutoff=None):
     """B-linearity of the product plus the unit condition, on basis data.
 
@@ -584,10 +597,7 @@ def check_module_algebra(action, cutoff=None):
     compared in integers and become elements only for a witness.
     """
     B, A = action.B, action.A
-    if cutoff is None:
-        cutoff = A.cutoff
-    elif A.cutoff is not None:
-        cutoff = min(cutoff, A.cutoff)
+    cutoff = _clamped(A, cutoff)
     report = CheckReport("module-algebra compatibility")
     bkeys = [k for k in B.basis_keys(min(2, B.cutoff)) if B.degree(k) <= 2]
     akeys = A.basis_keys()
@@ -814,37 +824,39 @@ def _first_nonzero(acc, order):
     return None
 
 
-def check_associativity(F, action, cutoff=None, star=None):
-    """(a*b)*c = a*(b*c) on basis triples within the cutoff, plus unitality.
-    A cutoff past the algebra's is clamped to it, as in
-    `check_module_algebra`: no triple beyond it has a product in A.
+def _associator(star, c1, c2, c3, signs=(1, -1)):
+    """Per t-order, the packed sum [den, {code: numerator}] of
+    s1 (x*y)*z + s2 x*(y*z) for the basis elements x, y, z of codes c1, c2,
+    c3 and signs (s1, s2), contracted on the rows of `star`
+    (`TwistedProduct._composed`): the associator by default."""
+    parts = [((), (c1, c2), (c3,), signs[0]), ((c1,), (c2, c3), (), signs[1])]
+    return star._composed([part for part in parts if part[3]])
+
+
+def check_associativity(star, cutoff=None):
+    """(a*b)*c = a*(b*c) for a `StarProduct` on basis triples within the
+    cutoff, plus unitality.  A cutoff past the algebra's is clamped to it,
+    as in `check_module_algebra`: no triple beyond it has a product in A.
 
     A triple (k1, k2, k3) is decided on the table's rows: per t-order,
     lhs = sum C_l1(k1, k2)[m] C_l2(m, k3) and rhs = sum C_l1(k2, k3)[m]
     C_l2(k1, m) over l1 + l2 = s, lhs - rhs summed in integers
-    (`TwistedProduct._composed`); both sides are decoded only for a witness.
-    Reports localize the first failing t-order and the witness triple.  A
-    caller that goes on multiplying passes its `StarProduct` of (F, action)
-    as `star`, so that both share one table of structure constants.
+    (`_associator`); both sides are decoded only for a witness.  Reports
+    localize the first failing t-order and the witness triple.
     """
-    star = StarProduct(F, action) if star is None else star
-    A = action.A
-    if cutoff is None:
-        cutoff = A.cutoff or 0
-    elif A.cutoff is not None:
-        cutoff = min(cutoff, A.cutoff)
+    A = star.action.A
+    cutoff = _clamped(A, cutoff)
     report = CheckReport("twisted product associativity")
     keys = A.basis_keys()
     code, n = star.code, star.order
 
     def associative(k1, k2, k3):
-        c1, c2, c3 = code(k1), code(k2), code(k3)
-        left, right = ((), (c1, c2), (c3,)), ((c1,), (c2, c3), ())
-        failing = _first_nonzero(star._composed([left + (1,), right + (-1,)]), n)
+        codes = code(k1), code(k2), code(k3)
+        failing = _first_nonzero(_associator(star, *codes), n)
         if failing is not None:
             lhs, rhs = (
-                star._element(star._composed([part + (1,)])[failing]).render()
-                for part in (left, right)
+                star._element(_associator(star, *codes, signs)[failing]).render()
+                for signs in ((1, 0), (0, 1))
             )
             return {
                 "triple": "(%s, %s, %s)" % (A.key_str(k1), A.key_str(k2), A.key_str(k3)),
@@ -893,12 +905,6 @@ class HochschildCochain:
             self._cache[keys] = self._fn(*keys)
         return self._cache[keys]
 
-    def evaluate(self, *elems):
-        return combine(self.parent.zero(), (
-            (math.prod(n for _, n in combo), self.on_keys(*(k for k, _ in combo)))
-            for combo in itertools.product(*(e.codes.items() for e in elems))),
-            math.prod(e.den for e in elems))
-
     def zero_witness(self, cutoff):
         A = self.parent
 
@@ -914,49 +920,34 @@ class HochschildCochain:
         return bad is None, bad
 
 
-def hochschild_differential(c):
-    """The Hochschild coboundary of a 1- or 2-cochain."""
-    A = c.parent
-    if c.degree == 1:
-        def d(x, y):
-            ex, ey = A.element({x: QQ(1)}), A.element({y: QQ(1)})
-            return ex * c.on_keys(y) - c.evaluate(ex * ey) + c.on_keys(x) * ey
-        return HochschildCochain(A, 2, d)
-    if c.degree == 2:
-        def d3(x, y, z):
-            ex, ey, ez = (A.element({k: QQ(1)}) for k in (x, y, z))
-            return (
-                ex * c.on_keys(y, z)
-                - c.evaluate(ex * ey, ez)
-                + c.evaluate(ex, ey * ez)
-                - c.on_keys(x, y) * ez
-            )
-        return HochschildCochain(A, 3, d3)
-    raise ValueError("differentials ship for degrees 1 and 2 only")
-
-
 def infinitesimal_cocycle(F, action, cutoff=None):
     """The t^1 Hochschild 2-cochain mu_1(a,b) = mu(F_1(a@b)) of a UDF.
 
-    Its cocycle property is verified on basis triples within the cutoff; a
-    failure means F is not a twist and raises ValueError.
+    mu_1 is a cocycle exactly when mu_0 + t mu_1 is associative mod t^2:
+    the t^1 slot of the associator of the product of F truncated at t^1 is
+    -delta(mu_1)(x, y, z).  That slot is decided on basis triples within the
+    cutoff, clamped as in `check_associativity`; a nonzero one means F is
+    not a twist and raises ValueError with the triple and delta(mu_1) there.
     """
     if F.order < 1:
         raise ValueError("the order-t layer needs a twist of order >= 1")
-    star = StarProduct(F, action)
-    A = action.A
+    star = StarProduct(UDF(TruncSeries(F.series.coeffs[:2])), action)
+    A, code = action.A, star.code
 
-    def mu1(x, y):
-        return star.structure_constant((x, y), 1)
+    def cocycle(*keys):
+        den, terms = _associator(star, *map(code, keys))[1]
+        if terms:
+            delta = star._element((den, {c: -n for c, n in terms.items()}))
+            return {"keys": [A.key_str(k) for k in keys], "value": delta.render()}
 
-    cochain = HochschildCochain(A, 2, mu1)
-    bound = A.cutoff or 0 if cutoff is None else cutoff
-    ok, witness = hochschild_differential(cochain).zero_witness(bound)
-    if not ok:
+    bad, _ = first_witness(
+        bounded_product([A.basis_keys()] * 3, A.degree, _clamped(A, cutoff)), cocycle
+    )
+    if bad is not None:
         raise ValueError(
-            "the order-t layer of a UDF must be a Hochschild cocycle: %s" % witness
+            "the order-t layer of a UDF must be a Hochschild cocycle: %s" % bad
         )
-    return cochain
+    return HochschildCochain(A, 2, lambda x, y: star.structure_constant((x, y), 1))
 
 
 # -- coboundary search -------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from udeform.kernel import (
     QQ, Polynomial, SparseElement, TruncSeries, add_into, as_scalar,
-    bounded_product, monomials, pack,
+    bounded_product, combine, monomials, pack,
 )
 from udeform.bialgebra import BialgebraSpec, construct_bialgebra
 from udeform.reports import CheckReport, first_witness
@@ -733,6 +733,58 @@ def operator_cochain(op):
         return from_terms(A.zero(), out)
 
     return HochschildCochain(A, 1, g)
+
+
+def evaluate(c, *elems):
+    """A Hochschild cochain on elements, extended linearly from its values
+    on basis keys."""
+    return combine(c.parent.zero(), (
+        (math.prod(n for _, n in combo), c.on_keys(*(k for k, _ in combo)))
+        for combo in itertools.product(*(e.codes.items() for e in elems))),
+        math.prod(e.den for e in elems))
+
+
+def hochschild_differential(c):
+    """The Hochschild coboundary of a 1- or 2-cochain, on elements: the
+    reference the library's row route (`deform.infinitesimal_cocycle`) is
+    held to."""
+    A = c.parent
+    if c.degree == 1:
+        def d(x, y):
+            ex, ey = A.element({x: QQ(1)}), A.element({y: QQ(1)})
+            return ex * c.on_keys(y) - evaluate(c, ex * ey) + c.on_keys(x) * ey
+        return HochschildCochain(A, 2, d)
+    if c.degree == 2:
+        def d3(x, y, z):
+            ex, ey, ez = (A.element({k: QQ(1)}) for k in (x, y, z))
+            return (
+                ex * c.on_keys(y, z)
+                - evaluate(c, ex * ey, ez)
+                + evaluate(c, ex, ey * ez)
+                - c.on_keys(x, y) * ez
+            )
+        return HochschildCochain(A, 3, d3)
+    raise ValueError("differentials ship for degrees 1 and 2 only")
+
+
+def reference_infinitesimal_cocycle(F, action, cutoff=None):
+    """`deform.infinitesimal_cocycle` on the element route: mu_1 read from
+    the C_1 rows of the full-order product, and delta(mu_1) built as
+    elements by `hochschild_differential` on the basis triples within the
+    cutoff, clamped to the algebra's."""
+    star = StarProduct(F, action)
+    A = action.A
+    if cutoff is None:
+        cutoff = A.cutoff or 0
+    elif A.cutoff is not None:
+        cutoff = min(cutoff, A.cutoff)
+    cochain = HochschildCochain(A, 2, lambda x, y: star.structure_constant((x, y), 1))
+    ok, witness = hochschild_differential(cochain).zero_witness(cutoff)
+    if not ok:
+        raise ValueError(
+            "the order-t layer of a UDF must be a Hochschild cocycle: %s" % witness
+        )
+    return cochain
 
 
 def raw_tree_count(generators, leaf_count, symmetric):

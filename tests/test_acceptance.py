@@ -36,6 +36,7 @@ from udeform.deform import (
     Derivation,
     FiniteDimensionalAlgebra,
     PolynomialTruncatedAlgebra,
+    StarProduct,
     action_from_derivations,
     check_associativity,
     check_module_algebra,
@@ -81,7 +82,7 @@ def test_criterion_01_moyal_twisting_validity(B2):
 
 
 def test_criterion_02_twisted_products(B2, B2_wide, plane, moyal_udf, moyal_action):
-    rep_moyal = check_associativity(moyal_udf, moyal_action, cutoff=4)
+    rep_moyal = check_associativity(StarProduct(moyal_udf, moyal_action), cutoff=4)
 
     F_euler = make_exp_udf(antisym(B2_wide), order=8)
     euler_action8 = action_from_derivations(
@@ -95,7 +96,7 @@ def test_criterion_02_twisted_products(B2, B2_wide, plane, moyal_udf, moyal_acti
         plane,
         {"p1": {"p": Polynomial.variable("p")}, "p2": {"q": Polynomial.variable("q")}},
     )
-    rep_euler = check_associativity(F_euler6, euler_action6, cutoff=4)
+    rep_euler = check_associativity(StarProduct(F_euler6, euler_action6), cutoff=4)
 
 
     p, q = plane.variable("p"), plane.variable("q")

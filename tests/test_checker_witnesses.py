@@ -16,6 +16,7 @@ from udeform.deform import (
     FiniteDimensionalAlgebra,
     HochschildCochain,
     PolynomialTruncatedAlgebra,
+    StarProduct,
     action_from_derivations,
     check_associativity,
     check_module_algebra,
@@ -135,9 +136,10 @@ def _deform_reports():
         "module-algebra/broken-cutoff": check_module_algebra(broken, 2).to_json(),
         "module-algebra/finite": check_module_algebra(broken_fd).to_json(),
         "module-algebra/ok": check_module_algebra(action).to_json(),
-        "associativity/no-t2": check_associativity(no_t2, action, cutoff=4).to_json(),
+        "associativity/no-t2": check_associativity(
+            StarProduct(no_t2, action), cutoff=4).to_json(),
         "associativity/not-a-twist": check_associativity(
-            not_a_twist, action, cutoff=3).to_json(),
+            StarProduct(not_a_twist, action), cutoff=3).to_json(),
         "zero-witness/nonzero": list(nonzero.zero_witness(3)),
         "zero-witness/low": list(nonzero.zero_witness(1)),
         "coboundary/nonzero": coboundary(nonzero),

@@ -20,7 +20,6 @@ from udeform.deform import (
     action_from_derivations,
     check_associativity,
     check_module_algebra,
-    hochschild_differential,
     infinitesimal_cocycle,
     is_hochschild_coboundary,
     wedge_over_A,
@@ -35,8 +34,8 @@ from udeform.generalized import (
 from udeform import cli
 
 from conftest import (
-    ReferenceTwistedProduct, antisym, bench_job, from_terms, operator_cochain,
-    twisted_product,
+    ReferenceTwistedProduct, antisym, bench_job, from_terms, hochschild_differential,
+    operator_cochain, twisted_product,
 )
 
 
@@ -234,7 +233,8 @@ class TestActionLayer:
             return original(self, elem)
 
         monkeypatch.setattr(Derivation, "apply", counting)
-        rep = check_associativity(F, action, cutoff=job["parameters"]["degree"])
+        star = StarProduct(F, action)
+        rep = check_associativity(star, cutoff=job["parameters"]["degree"])
         assert rep.passed
         assert 0 < len(calls) <= len(B.basis_keys(B.cutoff)) * len(A.basis_keys())
 
@@ -278,7 +278,7 @@ class TestTwistedProducts:
         assert pq == scaled
 
     def test_moyal_associativity(self, moyal_udf, moyal_action):
-        rep = check_associativity(moyal_udf, moyal_action, cutoff=3)
+        rep = check_associativity(StarProduct(moyal_udf, moyal_action), cutoff=3)
         assert rep.passed, rep.render_text()
 
     def test_corrupted_twist_fails_localized(self, B2, moyal_action, plane, moyal_udf):
@@ -288,7 +288,7 @@ class TestTwistedProducts:
         from udeform.twist import UDF
 
         bad = UDF(TruncSeries([coeffs[k] for k in range(moyal_udf.order + 1)]))
-        rep = check_associativity(bad, moyal_action, cutoff=4)
+        rep = check_associativity(StarProduct(bad, moyal_action), cutoff=4)
         assert not rep.passed
         witness = rep.entries[0].witness
         assert witness["first_failing_order"] == 2
@@ -412,7 +412,8 @@ def test_moyal_d6_evaluates_each_structure_constant_once(monkeypatch):
         return original(self, codes, l)
 
     monkeypatch.setattr(TwistedProduct, "_form", counting)
-    rep = check_associativity(F, action, cutoff=job["parameters"]["degree"])
+    star = StarProduct(F, action)
+    rep = check_associativity(star, cutoff=job["parameters"]["degree"])
     assert rep.passed
     assert calls and max(calls.values()) == 1
     # arguments that start at t^N reach only the t^0 constants
@@ -503,6 +504,15 @@ class TestInfinitesimalLayer:
     def test_mu1_is_a_cocycle(self, moyal_udf, euler_action, plane):
         mu1 = infinitesimal_cocycle(moyal_udf, euler_action)
         assert hochschild_differential(mu1).zero_witness(plane.cutoff)[0]
+
+    def test_a_cutoff_past_the_algebra_is_clamped(self, B2, moyal_udf):
+        # as in check_associativity: no triple past the algebra's cutoff
+        # has a product in it, so cutoff 5 sweeps what cutoff 3 does
+        plane3 = PolynomialTruncatedAlgebra(["p", "q"], 3)
+        action = action_from_derivations(B2, plane3, {"p1": {"p": 1}, "p2": {"q": 1}})
+        mu1 = infinitesimal_cocycle(moyal_udf, action, cutoff=5)
+        assert mu1.on_keys(M("p"), M("q")) == plane3.one().scale(QQ(1, 2))
+        assert check_associativity(StarProduct(moyal_udf, action), cutoff=5).passed
 
 
 class TestOneCoboundarySearch:

@@ -19,7 +19,10 @@ decoded coproduct, and untruncated `Polynomial` operators), on random
 derivation actions of a tensor-primitive bialgebra, on random polynomial
 search spaces and on finite-dimensional algebras: rows key order included,
 reports byte for byte, the CutoffError raised by either route, columns as
-rationals and the witness of a coboundary as its bytes.
+rationals and the witness of a coboundary as its bytes.  The cocycle check
+of the order-t layer, decided on the t^1 slot of the associator, is held
+to delta(mu_1) built as elements (`conftest.hochschild_differential`): the
+verdict, the witness bytes, the CutoffError text and mu_1 itself.
 """
 
 import json
@@ -41,7 +44,7 @@ from udeform.deform import (
     action_from_derivations,
     check_associativity,
     check_module_algebra,
-    hochschild_differential,
+    infinitesimal_cocycle,
     is_hochschild_coboundary,
 )
 from udeform.fixtures import emit_example
@@ -60,12 +63,14 @@ from conftest import (
     ReferenceTwistedProduct,
     antisym,
     from_terms,
+    hochschild_differential,
     operator_cochain,
     reference_check_associativity,
     reference_check_module_algebra,
     reference_check_partial_assoc,
     reference_coboundary_columns,
     reference_coboundary_witness,
+    reference_infinitesimal_cocycle,
 )
 from coproduct_override import with_coproduct_override
 
@@ -146,11 +151,11 @@ def _outcome(check, *args, **kwargs):
 @pytest.mark.parametrize("name", ASSOCIATIVITY_CASES)
 def test_associativity_reports_match_the_reference(name):
     F, action, cutoff = _associativity_case(name)
-    got = _outcome(check_associativity, F, action, cutoff=cutoff)
+    got = _outcome(check_associativity, StarProduct(F, action), cutoff=cutoff)
     want = _outcome(reference_check_associativity, F, action, cutoff=cutoff)
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     if name.endswith("overflow"):
-        assert got == _outcome(check_associativity, F, action) and got["passed"]
+        assert got == _outcome(check_associativity, StarProduct(F, action)) and got["passed"]
     elif name == "raising":
         assert got == "CutoffError: derivation output p^4*q exceeds cutoff 4"
     else:
@@ -259,7 +264,7 @@ def test_counital_perturbation_fails_at_its_order_with_the_predicted_witness():
     coeffs[k] = coeffs[k] + c
     perturbed = UDF(TruncSeries(coeffs))
 
-    rep = check_associativity(perturbed, action)
+    rep = check_associativity(StarProduct(perturbed, action))
     assoc = rep.entries[0]
     assert not assoc.ok
     witness = assoc.witness
@@ -479,3 +484,106 @@ def test_finite_columns_and_witness_match_the_element_route(name):
     g, _ = is_hochschild_coboundary(A, cochain)
     values = {k: g.on_keys(k).render() for k in basis}
     assert (None, values) == reference_coboundary_witness(A, cochain, None)
+
+
+# ---------------------------------------------------------------------------
+# the cocycle check on the t^1 associator against the element route
+# ---------------------------------------------------------------------------
+
+PLANE_B = construct_bialgebra(BialgebraSpec("polynomial-primitive", ["p1", "p2"]), 4)
+
+
+@st.composite
+def _commuting_derivations(draw, A):
+    """Commuting derivations for p1, p2 of PLANE_B: diagonal ones on the
+    square-zero algebra; on the plane constant coefficients, the Euler
+    pair, or the degree-raising pair p^2 d/dp, q d/dq."""
+    coeffs = st.sampled_from(SMALL)
+    if A.cutoff is None:
+        return {"p1": Derivation(A, {"p": {"p": draw(coeffs)}}),
+                "p2": Derivation(A, {"q": {"q": draw(coeffs)}})}
+    constant = {g: {v: draw(coeffs) for v in ("p", "q")} for g in ("p1", "p2")}
+    return draw(st.sampled_from([constant, EULER, RAISING]))
+
+
+@st.composite
+def _cocycle_cases(draw):
+    """(F, action, cutoff) for the cocycle check.  B is tensor-primitive
+    with random derivations or polynomial-primitive with commuting ones,
+    acting on k[p,q] truncated at 2 or 3 or on the square-zero algebra.  F
+    is exp(t r) of order 1 or 2, a twist for r in a commutative span (c g @ g
+    over the tensor-primitive B, any sum of c p_i @ p_j over the
+    polynomial-primitive one), or 1@1 + t r for a random r of slot degree at
+    most 2, which need not be a twist."""
+    coeffs = st.sampled_from(SMALL)
+    if draw(st.integers(0, 3)):
+        A = PolynomialTruncatedAlgebra(["p", "q"], draw(st.integers(2, 3)))
+    else:
+        A = _square_zero()
+    gens = st.sampled_from(["p1", "p2"])
+    if draw(st.booleans()):
+        B = TENSOR_B
+        if A.cutoff is None:
+            names = st.sampled_from(["p", "q"])
+            images = {g: Derivation(A, {x: draw(st.dictionaries(names, coeffs, max_size=2))
+                                        for x in ("p", "q")}) for g in ("p1", "p2")}
+        else:
+            monos = st.sampled_from(A.basis_keys(2))
+            images = {g: {v: Polynomial(draw(st.dictionaries(monos, coeffs, max_size=2)))
+                          for v in ("p", "q")} for g in ("p1", "p2")}
+        g = B.generator(draw(gens))
+        r = g.outer(g).scale(draw(coeffs))
+    else:
+        B = PLANE_B
+        images = draw(_commuting_derivations(A))
+        r = B.zero(2)
+        for (g, h), c in draw(st.dictionaries(st.tuples(gens, gens), coeffs,
+                                              min_size=1, max_size=3)).items():
+            r = r + B.generator(g).outer(B.generator(h)).scale(c)
+    action = action_from_derivations(B, A, images)
+    order = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        F = UDF(series_from_orders(B, 2, order, {1: r}).exp())
+    else:
+        keys = st.sampled_from(B.basis_keys(2))
+        r = B.tensor(2, draw(st.dictionaries(st.tuples(keys, keys), coeffs,
+                                             min_size=1, max_size=3)))
+        F = UDF(series_from_orders(B, 2, order, {0: B.one(2), 1: r}))
+    return F, action, draw(st.sampled_from([None, 0, 1, 2, 3, 5]))
+
+
+def _cocycle_outcome(check, F, action, cutoff):
+    """The mu_1 a cocycle check returns, as the (key, coefficient) pairs
+    of its values on the basis pairs inside the algebra's cutoff, or the
+    text of the ValueError or CutoffError it raises."""
+    try:
+        mu1 = check(F, action, cutoff=cutoff)
+    except (ValueError, CutoffError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    A = action.A
+    pairs = bounded_product([A.basis_keys()] * 2, A.degree, A.cutoff)
+    return [_raised(lambda: list(mu1.on_keys(*pair).terms.items())) for pair in pairs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cocycle_cases())
+def test_cocycle_decisions_match_the_element_route(case):
+    # the reference reads mu_1 off the full-order product, so equal values
+    # also hold the truncated product's C_1 rows to structure_constant(., 1)
+    got = _cocycle_outcome(infinitesimal_cocycle, *case)
+    want = _cocycle_outcome(reference_infinitesimal_cocycle, *case)
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ["not-a-twist", "raising"])
+def test_cocycle_failures_keep_their_text(name):
+    B, action, F = _plane_case(RAISING if name == "raising" else MOYAL, QQ(1, 2), 2)
+    if name == "not-a-twist":
+        F = _not_a_twist(B)
+    got = _cocycle_outcome(infinitesimal_cocycle, F, action, None)
+    assert got == _cocycle_outcome(reference_infinitesimal_cocycle, F, action, None)
+    assert got == {
+        "not-a-twist": "ValueError: the order-t layer of a UDF must be a Hochschild "
+                       "cocycle: {'keys': ['p', 'p', '1'], 'value': '-2'}",
+        "raising": "CutoffError: derivation output p^2*q^3 exceeds cutoff 4",
+    }[name]
