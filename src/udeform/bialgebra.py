@@ -384,7 +384,7 @@ class _MonomialBasisMixin:
         return repr(key)
 
     def _named(self, key):
-        for name, _ in key.exps:
+        for name, _ in key:
             if name not in self.spec.generators:
                 raise KeyError("unknown generator %r" % (name,))
         return key
@@ -699,7 +699,7 @@ class KeyPacking(KeyCodec):
 
     def _tabulate(self, key):
         place = self.place
-        code = sum(e << place[n] for n, e in key.exps) + (key.degree << self.low)
+        code = sum(e << place[n] for n, e in key) + (key.degree << self.low)
         self.codes[key] = code
         return code
 

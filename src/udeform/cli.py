@@ -102,10 +102,18 @@ def _load_schema(name):
     return json.loads(text)
 
 
+# Draft 7 counts an integral float such as 2.0 as an integer, but the
+# library takes integer fields as ints (bit_length, range), so only an int
+# that is no bool passes as one.
+_JOBSPEC = jsonschema.validators.extend(
+    jsonschema.Draft7Validator,
+    type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)),
+)(_load_schema("jobspec.schema.json"))
+
+
 def validate_jobspec(doc):
-    schema = _load_schema("jobspec.schema.json")
-    validator = jsonschema.Draft7Validator(schema)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    errors = sorted(_JOBSPEC.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         e = errors[0]
         loc = "$" + "".join(

@@ -8,27 +8,29 @@ B.  A twisting element F then deforms the product of A by
     a * b = mu_A( F (a @ b) ),
 
 computed order by order in t.  There is one action layer, `KeyAction`: a
-B-basis key b = g * rest acts on a basis element a of the target as
+B-basis key b = g * rest acts on a basis element a of the target A as
 g(rest . a), each (b, a) is computed once and tabulated, and every action
 is the linear extension over that table.  The binary `ModuleAction` here
-and the ternary action of the `generalized` module share it.  Every twisted
-product (`TwistedProduct`, binary or ternary) is a contraction over its
-structure constants C_l(k1..km) = mu(T_l (b_k1 @ ... @ b_km)), one per tuple
-of basis keys and t-order l, held in one packed table per (twist, action)
-pair: basis keys get integer codes, and each constant is a row of integer
-numerators on codes over one denominator, computed on first use and only
-for an order the truncation reaches; one past a cutoff raises at the first
-argument term that reaches it, cancelling or not.  Algebra elements are
-packed on their basis keys, so a row is formed in integers too: the action
-table's entries are packed rows, and the target's product multiplies
-packed rows (`multiply_rows` over `product_row`, or the pAss
-`ternary_row`).  Products sum rows in integers and recode the sum to an
-element once at the end.  The associativity sweeps (`check_associativity`
-here, `check_partial_assoc` for ternary products) decide each basis tuple
-on the rows alone: both sides of an identity are contracted per t-order,
-inner product first, into one integer sum, and elements are recoded only
-for a witness.  `check_module_algebra` compares b.(xy) with the sum of
-b1.x b2.y over B's packed Delta table the same way.
+and the ternary action of the `generalized` module share it, and each owns
+its target as `A`.  Every twisted product (`TwistedProduct`, binary or
+ternary) is a contraction over its structure constants C_l(k1..km) =
+mu(T_l (b_k1 @ ... @ b_km)), one per tuple of basis keys and t-order l,
+held in one packed table per (twist, action) pair: basis keys get integer
+codes, and each constant is a row of integer numerators on codes over one
+denominator, computed on first use and only for an order the truncation
+reaches; one past a cutoff raises at the first argument term that reaches
+it, cancelling or not.  Algebra elements are packed on their basis keys,
+so a row is formed in integers too: the action table's entries are packed
+rows, and each target kind multiplies packed rows with its `multiply_rows`
+(over `product_row` for the binary kinds, in the pAss quotient for the
+ternary one), so a twisted product needs only its twist and its action.
+Products sum rows in integers and recode the sum to an element once at
+the end.  The associativity sweeps (`check_associativity` here,
+`check_partial_assoc` for ternary products) decide each basis tuple on the
+rows alone: both sides of an identity are contracted per t-order, inner
+product first, into one integer sum, and elements are recoded only for a
+witness.  `check_module_algebra` compares b.(xy) with the sum of b1.x b2.y
+over B's packed Delta table the same way.
 
 The infinitesimal layer reads the t^1 Hochschild 2-cochain mu_1 of a
 deformation off the C_1 rows, decides coboundary-ness inside a declared
@@ -105,6 +107,19 @@ class AlgebraSpec:
 
     def key_str(self, key):
         raise NotImplementedError
+
+    def multiply_rows(self, x, y):
+        """The product of two packed rows x = ({key: numerator}, den) and y
+        as a packed row that is not reduced: the rows of the key pairs, x's
+        keys outermost, summed with `add_rational`.  A pair past a cutoff
+        raises CutoffError in that order."""
+        pairs = list(y[0].items())
+        slot = [1, {}]
+        for k1, n1 in x[0].items():
+            for k2, n2 in pairs:
+                row, den = self.product_row(k1, k2)
+                add_rational(slot, row, n1 * n2, den)
+        return slot[1], slot[0] * x[1] * y[1]
 
     def generator_elements(self):
         """Elements generating A as an algebra: the basis, unless a kind
@@ -246,20 +261,6 @@ class FiniteDimensionalAlgebra(AlgebraSpec):
         return "<finite-dimensional algebra on {%s}>" % ",".join(self.basis)
 
 
-def multiply_rows(product_row, x, y):
-    """The product of two packed rows x = ({key: numerator}, den) and y of
-    an algebra with `product_row`, as a packed row that is not reduced: the
-    rows of the key pairs, x's keys outermost, summed with `add_rational`.
-    A pair past a cutoff raises CutoffError in that order."""
-    pairs = list(y[0].items())
-    slot = [1, {}]
-    for k1, n1 in x[0].items():
-        for k2, n2 in pairs:
-            row, den = product_row(k1, k2)
-            add_rational(slot, row, n1 * n2, den)
-    return slot[1], slot[0] * x[1] * y[1]
-
-
 class AlgebraElement(SparseElement):
     """Sparse element of an AlgebraSpec; its codes are its basis keys."""
 
@@ -287,8 +288,8 @@ class AlgebraElement(SparseElement):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        return self._like(*multiply_rows(
-            self.parent.product_row, (self.codes, self.den), (other.codes, other.den)))
+        return self._like(*self.parent.multiply_rows(
+            (self.codes, self.den), (other.codes, other.den)))
 
     def one_like(self):
         return self.parent.one()
@@ -308,7 +309,7 @@ def _as_element(A, x):
 def _require_variables(A, names, monomials=()):
     """ValueError unless every name, and every variable of the monomials,
     is a variable of the polynomial algebra A."""
-    variables = (v for mono in monomials for v, _ in mono.exps)
+    variables = (v for mono in monomials for v, _ in mono)
     for name in itertools.chain(names, variables):
         if name not in A.variables:
             raise ValueError("unknown variable %r" % (name,))
@@ -464,38 +465,42 @@ class AlgebraEndomorphism(Operator):
 # ---------------------------------------------------------------------------
 
 class KeyAction:
-    """B acting on a target algebra through one operator per generator of B.
+    """B acting on a target algebra A through one operator per generator of B.
 
     `images` maps each generator name of B (each element, for a finite
     monoid) to an operator with `apply`.  A basis key b = g * rest of B
-    (`Bialgebra.split_key`) acts on a basis element a of the target as
+    (`Bialgebra.split_key`) acts on a basis element a of A as
     images[g](rest . a); each (b, a) is computed on first use and kept in a
     table (`on_basis`), and the action on an element is the linear extension
-    over it.  Subclasses validate the images.
+    over it.  A is the one target every product over the action reads: its
+    `zero()` builds the unit entries, and its `multiply_rows` multiplies
+    packed rows.  Subclasses validate the images.
     """
 
-    def __init__(self, B, images):
+    def __init__(self, B, A, images):
         self.B = B
+        self.A = A
         self.images = images
+        self._zero = A.zero()
         self._unit = B.unit_key
         self._table = {}
 
     def apply_key(self, bkey, elem):
-        """Action of a single B-basis key on an element of the target."""
+        """Action of a single B-basis key on an element of A."""
         if bkey == self._unit:
             return elem
-        return elem.map_terms(lambda akey: self.on_basis(bkey, akey, elem))
+        return elem.map_terms(lambda akey: self.on_basis(bkey, akey))
 
-    def on_basis(self, bkey, akey, like):
-        """bkey . a for the basis element a of key akey, a sibling of
-        `like`: read from the table, or computed and kept there."""
+    def on_basis(self, bkey, akey):
+        """bkey . a for the basis element a of key akey: read from the
+        table, or computed and kept there."""
         hit = self._table.get((bkey, akey))
         if hit is None:
             if bkey == self._unit:
-                hit = like._like({akey: 1})
+                hit = self._zero._like({akey: 1})
             else:
                 g, rest = self.B.split_key(bkey)
-                hit = self.images[g].apply(self.on_basis(rest, akey, like))
+                hit = self.images[g].apply(self.on_basis(rest, akey))
             self._table[bkey, akey] = hit
         return hit
 
@@ -514,8 +519,7 @@ class ModuleAction(KeyAction):
     """
 
     def __init__(self, B, A, images):
-        super().__init__(B, dict(images))
-        self.A = A
+        super().__init__(B, A, dict(images))
         kind = B.spec.kind
         if kind in ("polynomial-primitive", "tensor-primitive"):
             for name, op in self.images.items():
@@ -592,18 +596,18 @@ def check_module_algebra(action, cutoff=None):
     """B-linearity of the product plus the unit condition, on basis data.
 
     b.(x y) = sum b1.x b2.y over Delta(b) is decided for each b and basis
-    pair on packed rows read from A's `product_row`, the action table
-    (`KeyAction.on_basis`) and B's packed Delta table; both sides are
-    compared in integers and become elements only for a witness.
+    pair on packed rows read from A's `product_row` and `multiply_rows`,
+    the action table (`KeyAction.on_basis`) and B's packed Delta table; both
+    sides are compared in integers and become elements only for a witness.
     """
     B, A = action.B, action.A
     cutoff = _clamped(A, cutoff)
     report = CheckReport("module-algebra compatibility")
-    bkeys = [k for k in B.basis_keys(min(2, B.cutoff)) if B.degree(k) <= 2]
+    bkeys = B.basis_keys(min(2, B.cutoff))
     akeys = A.basis_keys()
 
     pairs = list(bounded_product([akeys, akeys], A.degree, cutoff))
-    act, like, product_row = action.on_basis, A.zero(), A.product_row
+    act, zero = action.on_basis, A.zero()
     coproducts = {}
     for bk in bkeys:
         delta = B.iterated_coproduct_code(B.codec.slot(bk), 1)
@@ -613,13 +617,13 @@ def check_module_algebra(action, cutoff=None):
     def sides(bk, k1, k2):
         """b.(x y) and sum b1.x b2.y as packed slots [den, {key: numerator}]."""
         lhs, rhs = [1, {}], [1, {}]
-        terms, den = product_row(k1, k2)
+        terms, den = A.product_row(k1, k2)
         for k, n in terms.items():
-            x = act(bk, k, like)
+            x = act(bk, k)
             add_rational(lhs, x.codes, n, den * x.den)
         for b1, b2, n, den in coproducts[bk]:
-            x, y = act(b1, k1, like), act(b2, k2, like)
-            terms, d = multiply_rows(product_row, (x.codes, x.den), (y.codes, y.den))
+            x, y = act(b1, k1), act(b2, k2)
+            terms, d = A.multiply_rows((x.codes, x.den), (y.codes, y.den))
             add_rational(rhs, terms, n, den * d)
         return lhs, rhs
 
@@ -629,8 +633,8 @@ def check_module_algebra(action, cutoff=None):
             return {
                 "b": B.key_str(bk),
                 "pair": "%s , %s" % (A.key_str(k1), A.key_str(k2)),
-                "lhs": like._like(lhs, dl).render(),
-                "rhs": like._like(rhs, dr).render(),
+                "lhs": zero._like(lhs, dl).render(),
+                "rhs": zero._like(rhs, dr).render(),
             }
 
     def unital(bk):
@@ -653,9 +657,9 @@ def check_module_algebra(action, cutoff=None):
 
 class TwistedProduct:
     """mu(T (x1 @ ... @ xm)) for an arity-m twist series T = sum_l T_l t^l
-    over B, acting on the target through `action`; `zero` is the target's
-    zero element.  Subclasses check their twist, supply `_product`, the
-    m-ary product of the target on packed rows, and expose the product.
+    over B, acting on the target A = `action.A`, whose `multiply_rows` is
+    its m-ary product on packed rows.  Subclasses check their twist and
+    expose the product.
 
     The product is a contraction over the structure constants of the pair
     (T, action), held in one packed table.  A basis key of the target gets
@@ -666,17 +670,17 @@ class TwistedProduct:
     truncation reaches -- a higher twist order raises pAss leaf counts, so
     a row nothing needs could force quotient builds nothing else does.  A
     row is formed in integers too (`_form`): each twist term's factors are
-    read from the action table and multiplied by `_product`.
+    read from the action table and multiplied by A's `multiply_rows`.
     Sums of rows are accumulated per t-order over a running lcm
     (`kernel.add_rational`) and recoded to elements only at the end.
     """
 
-    def __init__(self, twist, action, zero):
+    def __init__(self, twist, action):
         if twist.parent is not action.B:
             raise ValueError("twist and action disagree on the bialgebra")
         self.action = action
         self.order = twist.order
-        self._zero = zero
+        self._zero = action.A.zero()
         # each twist coefficient as its terms in basis order
         self.terms = [c.sorted_terms() for c in twist.series.coeffs]
         self._codes = {}
@@ -709,26 +713,21 @@ class TwistedProduct:
             row = self._rows[codes, l] = self._form(codes, l)
         return row
 
-    def _product(self, rows):
-        """The m-ary product of the target on m packed rows ({key:
-        numerator}, den), as a packed row that need not be reduced."""
-        raise NotImplementedError
-
     def _form(self, codes, l):
         """C_l(codes) = mu(T_l (b_k1 @ ... @ b_km)), packed: per term of T_l,
         in basis order, the factors b_ki . a_i are read from the action
-        table and multiplied by `_product` (a zero factor adds nothing), the
-        products are summed with `add_rational`, and the sum is reduced as
-        `_like` reduces an element."""
-        act, like = self.action.on_basis, self._zero
+        table and multiplied by A's `multiply_rows` (a zero factor adds
+        nothing), the products are summed with `add_rational`, and the sum
+        is reduced as `_like` reduces an element."""
+        act, multiply = self.action.on_basis, self.action.A.multiply_rows
         keys = [self._keys[c] for c in codes]
         slot = [1, {}]
         for bkeys, c in self.terms[l]:
-            factors = [act(b, k, like) for b, k in zip(bkeys, keys)]
+            factors = [act(b, k) for b, k in zip(bkeys, keys)]
             if all(factors):
-                terms, den = self._product([(x.codes, x.den) for x in factors])
+                terms, den = multiply(*[(x.codes, x.den) for x in factors])
                 add_rational(slot, terms, c.numerator, c.denominator * den)
-        return self._pack(like._like(slot[1], slot[0]))
+        return self._pack(self._zero._like(slot[1], slot[0]))
 
     def structure_constant(self, keys, l):
         """mu(T_l (b_k1 @ ... @ b_km)) for a tuple of basis keys, as an
@@ -803,12 +802,8 @@ class StarProduct(TwistedProduct):
     def __init__(self, F, action):
         if not isinstance(F, UDF):
             raise ValueError("twisted products need a UDF")
-        super().__init__(F, action, action.A.zero())
+        super().__init__(F, action)
         self.F = F
-
-    def _product(self, rows):
-        """The product of the two rows, one `product_row` per key pair."""
-        return multiply_rows(self.action.A.product_row, *rows)
 
     def star(self, sa, sb):
         """Deformed product of two algebra-element series."""
@@ -957,7 +952,7 @@ def _operator_value(A, mono, alpha, key):
     term mono * key / v^alpha with coefficient the product of the falling
     factorials perm(e_v, k_v), for alpha = ((v, k_v), ...) and e_v the
     exponent of v in key."""
-    exps, n = dict(key.exps), 1
+    exps, n = dict(key), 1
     for name, order in alpha:
         e = exps.get(name, 0)
         n *= math.perm(e, order)
@@ -1025,7 +1020,7 @@ def _operator_columns(A, pairs, alphas):
     keys = {}
 
     def code(mono):
-        return sum(e * place[name] for name, e in mono.exps)
+        return sum(e * place[name] for name, e in mono)
 
     def key(c):
         mono = keys.get(c)
@@ -1035,10 +1030,10 @@ def _operator_columns(A, pairs, alphas):
 
     basis = A.basis_keys()
     codes = {k: code(k) for k in basis}
-    vectors = {k: [dict(k.exps).get(name, 0) for name in names] for k in basis}
+    vectors = {k: [dict(k).get(name, 0) for name in names] for k in basis}
     columns = []
     for alpha in alphas:
-        orders = [dict(alpha.exps).get(name, 0) for name in names]
+        orders = [dict(alpha).get(name, 0) for name in names]
 
         def perm(exps):
             return math.prod(map(math.perm, exps, orders))
@@ -1076,7 +1071,7 @@ def _coboundary_columns(A, pairs, search_bound):
             "coefficient_degree": A.cutoff,
         }
         alphas = monomials(A.variables, search_bound)
-        candidates = [(mono, m.exps) for m in alphas for mono in basis]
+        candidates = [(mono, m) for m in alphas for mono in basis]
 
         def value(cand, key):
             return _operator_value(A, *cand, key)

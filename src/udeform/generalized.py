@@ -280,7 +280,7 @@ class FreePAssAlgebra:
                                 for col, x in res.items()}, 1, scale)
         return slot[1], slot[0] * den
 
-    def ternary_row(self, x, y, z):
+    def multiply_rows(self, x, y, z):
         """The ternary product of three packed rows ({tree: numerator}, den)
         as quotient coordinates (codes, den), not reduced by their gcd."""
         coords = {}
@@ -293,7 +293,7 @@ class FreePAssAlgebra:
 
     def ternary(self, x, y, z):
         """The ternary product of three elements, reduced."""
-        return x._like(*self.ternary_row(
+        return x._like(*self.multiply_rows(
             (x.codes, x.den), (y.codes, y.den), (z.codes, z.den)))
 
     def tree_str(self, tree):
@@ -391,13 +391,13 @@ class TernaryDerivation(Operator):
 
 
 class TernaryAction(KeyAction):
-    """B-generators acting by ternary derivations on a free pAss algebra."""
+    """B-generators acting by ternary derivations on a free pAss algebra,
+    the action's target `A`."""
 
     def __init__(self, B, algebra, images):
         if B.spec.kind != "polynomial-primitive":
             raise ValueError("ternary actions ship for polynomial-primitive B")
-        super().__init__(B, {})
-        self.algebra = algebra
+        super().__init__(B, algebra, {})
         for name in B.spec.generators:
             op = images.get(name)
             if op is None:
@@ -453,12 +453,8 @@ class TwistedTernaryProduct(TwistedProduct):
     """The deformed ternary product (a,b,c) -> sum_i (H1_i a, H2_i b, H3_i c)."""
 
     def __init__(self, H, action):
-        super().__init__(H, action, action.algebra.zero())
+        super().__init__(H, action)
         self.H = H
-
-    def _product(self, rows):
-        """The ternary product of the three rows in the pAss quotient."""
-        return self.action.algebra.ternary_row(*rows)
 
     def product(self, sa, sb, sc):
         """Deformed product of three element series, truncated."""
@@ -476,7 +472,7 @@ def check_partial_assoc(product, cutoff, order=None):
     t-order in integers (`TwistedProduct._composed`), inner products first,
     and decoded only for a witness.
     """
-    P = product.action.algebra
+    P = product.action.A
     if order is None:
         order = product.order
     elif order > product.order:

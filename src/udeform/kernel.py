@@ -16,7 +16,10 @@ running lcm of its denominators; `deform`'s structure-constant rows and
 `linalg`'s eliminations use them too.  Every sum keeps the key order that
 adding the terms one at a time gives (new keys appended, cancelled keys
 deleted), whatever the scale of the integers: that order decides which
-`CutoffError` a later product raises first.
+`CutoffError` a later product raises first.  Every basis key is a tuple (a
+`Monomial` is the tuple of its sorted (name, exponent) pairs, a word a
+tuple of ints, a tree an int or nested tuples of them), a string or an int,
+so the memo tables keyed by them hash and compare keys in C.
 
 `SparseElement` is the one element layer: `Polynomial` here and the tensor,
 algebra and pAss elements elsewhere subclass it.  It holds `codes` and `den`;
@@ -343,56 +346,41 @@ class SparseElement:
 # sparse monomials and polynomials
 # ---------------------------------------------------------------------------
 
-class Monomial:
+class Monomial(tuple):
     """A sparse product of named variables with positive integer exponents.
 
-    Stored as a sorted tuple of (name, exponent) pairs; zero exponents are
-    never stored, so the empty monomial is the constant 1.
+    A tuple of its (name, exponent) pairs sorted by name, so hashing and
+    equality are the tuple's; zero exponents are never stored, so the empty
+    monomial, (), is the constant 1.  `sort_key` orders a basis by degree,
+    then lexicographically.
     """
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ()
 
-    def __init__(self, exps=()):
+    def __new__(cls, exps=()):
         if isinstance(exps, Monomial):
-            self.exps = exps.exps
-            self._hash = exps._hash
-            return
-        if isinstance(exps, dict):
-            items = exps.items()
-        else:
-            items = exps
+            return exps
         cleaned = {}
-        for name, e in items:
+        for name, e in exps.items() if isinstance(exps, dict) else exps:
             e = int(e)
             if e < 0:
                 raise ValueError("negative exponent in monomial")
             if e:
                 cleaned[name] = cleaned.get(name, 0) + e
-        self.exps = tuple(sorted(cleaned.items()))
-        self._hash = hash(self.exps)
+        return tuple.__new__(cls, sorted(cleaned.items()))
 
     @property
     def degree(self):
-        return sum(e for _, e in self.exps)
+        return sum(e for _, e in self)
 
     def __mul__(self, other):
-        d = dict(self.exps)
-        for name, e in other.exps:
+        d = dict(self)
+        for name, e in other:
             d[name] = d.get(name, 0) + e
         return Monomial(d)
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __lt__(self, other):
-        # degree-then-lexicographic; gives every basis a canonical order
-        return (self.degree, self.exps) < (other.degree, other.exps)
-
     def sort_key(self):
-        return (self.degree, self.exps)
+        return (self.degree, self)
 
     def split(self):
         """(name, rest) with self = rest * name, name its last variable.
@@ -400,18 +388,15 @@ class Monomial:
         Acting by rest and then by name applies the variables in sorted
         order, innermost first.
         """
-        *head, (name, e) = self.exps
+        *head, (name, e) = self
         if e > 1:
             head.append((name, e - 1))
-        rest = Monomial.__new__(Monomial)
-        rest.exps = tuple(head)
-        rest._hash = hash(rest.exps)
-        return name, rest
+        return name, tuple.__new__(Monomial, head)
 
     def __repr__(self):
-        if not self.exps:
+        if not self:
             return "1"
-        return "*".join(n if e == 1 else "%s^%d" % (n, e) for n, e in self.exps)
+        return "*".join(n if e == 1 else "%s^%d" % (n, e) for n, e in self)
 
     @staticmethod
     def parse(text):
@@ -495,7 +480,7 @@ class Polynomial(SparseElement):
         return key.sort_key()
 
     def _key_text(self, key):
-        return repr(key) if key.exps else ""
+        return repr(key) if key else ""
 
     @staticmethod
     def constant(c):
@@ -534,7 +519,7 @@ class Polynomial(SparseElement):
         """Substitute each variable by a Polynomial (e.g. u1 -> u1 + u2)."""
         def term(mono):
             out = Polynomial.constant(1)
-            for name, e in mono.exps:
+            for name, e in mono:
                 img = images.get(name)
                 out = out * (Polynomial.variable(name) if img is None else img) ** e
             return out
@@ -546,7 +531,7 @@ class Polynomial(SparseElement):
         """Exact partial derivative with respect to one variable."""
         out = {}
         for mono, n in self.codes.items():
-            d = dict(mono.exps)
+            d = dict(mono)
             e = d.get(name, 0)
             if not e:
                 continue

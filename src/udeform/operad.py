@@ -139,11 +139,11 @@ def sample_keys(B):
     return B.basis_keys(max(1, min(2, B.cutoff // 3)))
 
 
-def random_tensor(B, keys, rng, arity, max_terms=2):
-    """The random samples of every checker: up to max_terms tensors of
-    `keys` (`sample_keys`) with small integer coefficients."""
+def random_tensor(B, keys, rng, arity):
+    """The random samples of every checker: one or two tensors of `keys`
+    (`sample_keys`) with small integer coefficients."""
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 2)):
         tup = tuple(rng.choice(keys) for _ in range(arity))
         terms[tup] = terms.get(tup, 0) + rng.choice([-2, -1, 1, 2])
     return TensorElement(B, arity, {k: QQ(c) for k, c in terms.items() if c})
@@ -232,15 +232,15 @@ def _check_assoc_on(flavor, u, v, w, tallies):
     return bad
 
 
-def _exhaustive_low_degree_elements(B, flavor, total_degree=2, max_arity=2):
-    """Single-term tensors on basis keys within the cutoff; used for the
-    exhaustive sweeps."""
-    keys = B.basis_keys(min(total_degree, B.cutoff))
+def _exhaustive_low_degree_elements(B, flavor):
+    """Single-term tensors of arity at most 2 on basis keys within the
+    cutoff, of total degree at most 2; used for the exhaustive sweeps."""
+    keys = B.basis_keys(min(2, B.cutoff))
     lo = 0 if (flavor == FLAVOR_MULTIPLICATIVE and B.counital) else 1
     out = [
         TensorElement(B, arity, {tup: QQ(1)})
-        for arity in range(max(lo, 1), max_arity + 1)
-        for tup in bounded_product([keys] * arity, B.degree, total_degree)
+        for arity in range(max(lo, 1), 3)
+        for tup in bounded_product([keys] * arity, B.degree, 2)
     ]
     if lo == 0:
         out.append(TensorElement(B, 0, {(): QQ(1)}))

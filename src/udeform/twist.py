@@ -459,8 +459,8 @@ def to_bivariate(F, names=("u1", "u2")):
     def convert(te):
         out = {}
         for (k1, k2), n in te._key_items():
-            e1 = dict(k1.exps).get(B.spec.generators[0], 0)
-            e2 = dict(k2.exps).get(B.spec.generators[0], 0)
+            e1 = dict(k1).get(B.spec.generators[0], 0)
+            e2 = dict(k2).get(B.spec.generators[0], 0)
             add_term(out, Monomial({names[0]: e1, names[1]: e2}), n)
         return Polynomial()._like(out, te.den)
 

@@ -388,8 +388,8 @@ def twisted_ternary(H, action, a, b, c):
 def element_product(product):
     """The m-ary product of a library twisted product's target on elements:
     the algebra product, or the ternary product of a free pAss algebra."""
-    algebra = getattr(product.action, "algebra", None)
-    return operator.mul if algebra is None else algebra.ternary
+    A = product.action.A
+    return A.ternary if isinstance(A, FreePAssAlgebra) else operator.mul
 
 
 class ReferenceTwistedProduct:
@@ -545,7 +545,7 @@ def reference_coboundary_columns(A, pairs, search_bound):
         def value(cand, key):
             return lift(cand[1]) if key == cand[0] else A.zero()
     else:
-        candidates = [(mono, m.exps) for m in monomials(A.variables, search_bound)
+        candidates = [(mono, m) for m in monomials(A.variables, search_bound)
                       for mono in basis]
 
         def lift(key):
@@ -597,7 +597,7 @@ def reference_coboundary_witness(A, cochain, search_bound):
 def reference_check_partial_assoc(product, cutoff, order):
     """`generalized.check_partial_assoc` on the reference route: the three
     products of every basis 5-tuple multiplied out as series and summed."""
-    P = product.action.algebra
+    P = product.action.A
     prod = ReferenceTwistedProduct(product)
     report = CheckReport("partial associativity")
     pools = {n: [P.element({t: QQ(1)}) for t in P.basis(n)]

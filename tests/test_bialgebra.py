@@ -247,12 +247,12 @@ LEFT_ZERO_TABLE = {  # a unit adjoined to the left-zero semigroup: ab = a, ba = 
 
 def _binomial_coproduct(key):
     out = {}
-    names = [name for name, _ in key.exps]
-    for split in itertools.product(*(range(e + 1) for _, e in key.exps)):
+    names = [name for name, _ in key]
+    for split in itertools.product(*(range(e + 1) for _, e in key)):
         left = Monomial(dict(zip(names, split)))
-        right = Monomial({n: e - i for (n, e), i in zip(key.exps, split)})
+        right = Monomial({n: e - i for (n, e), i in zip(key, split)})
         c = 1
-        for (_, e), i in zip(key.exps, split):
+        for (_, e), i in zip(key, split):
             c *= comb(e, i)
         out[(left, right)] = c
     return out
@@ -281,7 +281,7 @@ MATRIX_LETTERS = {
 
 
 def _matrix_coproduct(key):
-    letters = [name for name, e in key.exps for _ in range(e)]
+    letters = [name for name, e in key for _ in range(e)]
     out = {}
     for choice in itertools.product(*(MATRIX_LETTERS[x] for x in letters)):
         left = Monomial({})
@@ -309,7 +309,7 @@ def _reference_kinds():
         "matrix": (
             matrix,
             _matrix_coproduct,
-            lambda key: 0 if {"b", "c"} & {n for n, _ in key.exps} else 1,
+            lambda key: 0 if {"b", "c"} & {n for n, _ in key} else 1,
         ),
         "free monoid": (build("monoid", ["a", "b"]), _grouplike_coproduct, lambda k: 1),
     }

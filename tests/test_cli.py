@@ -814,6 +814,49 @@ def _tensor_series_paths(job):
     return _paths_below(inputs, roots)
 
 
+def _one_document_per_command():
+    """A fixture for each command that has one, a benchmark job otherwise."""
+    docs = {}
+    for name in sorted(FIXTURES):
+        docs.setdefault(FIXTURES[name]["command"], FIXTURES[name])
+    docs["cobar-h2"] = bench_job("tensor-D5")
+    docs["operad-axioms"] = bench_job("operad-matrix")
+    return docs
+
+
+COMMAND_DOCUMENTS = _one_document_per_command()
+INTEGER_PARAMETERS = ("order", "degree", "cobar_cutoff", "seed", "search_bound", "samples")
+NESTED_INTEGERS = ("degree_cutoff", "leaf_cutoff", "image_degree", "compat_cutoff")
+
+
+def _integer_fields(job):
+    """Every integer parameter, read by the command or not, and every nested
+    integer field of the inputs."""
+    paths = [("parameters", name) for name in INTEGER_PARAMETERS]
+    return paths + [("inputs",) + path for path, _ in _walk(job["inputs"])
+                    if path and path[-1] in NESTED_INTEGERS]
+
+
+@pytest.mark.parametrize(
+    "command,path",
+    [(command, path) for command, job in sorted(COMMAND_DOCUMENTS.items())
+     for path in _integer_fields(job)],
+    ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v,
+)
+def test_integral_float_in_an_integer_field_exits_two(command, path):
+    job = copy.deepcopy(COMMAND_DOCUMENTS[command])
+    job.setdefault("parameters", {})
+    doc = _at(job, path[:-1])
+    doc[path[-1]] = value = float(doc.get(path[-1], 2))
+    report, code = run(job)
+    assert code == 2
+    assert report.error == {
+        "location": "$" + "".join(
+            "[%d]" % p if isinstance(p, int) else ".%s" % p for p in path),
+        "message": "%r is not of type 'integer'" % value,
+    }
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_mistyped_tensor_series_never_raises(name):
     paths = _tensor_series_paths(FIXTURES[name])

@@ -193,7 +193,7 @@ class TestActionLayer:
             for akey in plane.basis_keys():
                 e = plane.element({akey: 1})
                 want = e
-                for name, exp in bkey.exps:
+                for name, exp in bkey:
                     for _ in range(exp):
                         want = images[name].apply(want)
                 assert action.apply_key(bkey, e) == want, (bkey, akey)

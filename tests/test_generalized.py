@@ -221,7 +221,7 @@ class TestTernaryDerivations:
             )
 
     def test_three_slot_leibniz(self, cubing_action):
-        P = cubing_action.algebra
+        P = cubing_action.A
         theta = cubing_action.images["p1"]
         p, q = P.generator("p"), P.generator("q")
         lhs = theta.apply(P.ternary(p, q, p))
@@ -236,7 +236,7 @@ class TestTernaryDerivations:
 class TestTwistedTernary:
     def test_trivial_twist_is_the_plain_product(self, ternaryB, cubing_action):
         H = TernaryTwist(TruncSeries.constant(ternaryB.one(3), 1))
-        P = cubing_action.algebra
+        P = cubing_action.A
         p, q = P.generator("p"), P.generator("q")
         got = twisted_ternary(H, cubing_action, p, q, q)
         assert got.coeffs[0] == P.ternary(p, q, q)
@@ -543,7 +543,7 @@ def test_cubing_action_fixes_the_pure_cube(ternaryB, cubing_action):
     # kills anything built from p alone
     F = make_exp_udf(antisym(ternaryB), order=1)
     H = pass_udf(F)
-    P = cubing_action.algebra
+    P = cubing_action.A
     p = P.generator("p")
     got = twisted_ternary(H, cubing_action, p, p, p)
     assert got.coeffs[0] == P.ternary(p, p, p)
@@ -551,7 +551,7 @@ def test_cubing_action_fixes_the_pure_cube(ternaryB, cubing_action):
 
 
 def test_symmetric_dimension_profile_regression(cubing_action):
-    P = cubing_action.algebra
+    P = cubing_action.A
     assert {n: P.dimension(n) for n in (1, 3, 5, 7)} == {1: 2, 3: 4, 5: 0, 7: 0}
 
 

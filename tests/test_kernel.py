@@ -14,6 +14,7 @@ from udeform.kernel import (
     add_into,
     add_term,
     bounded_product,
+    monomials,
     pack,
     series_multilinear,
 )
@@ -214,6 +215,20 @@ class TestPolynomial:
         assert m.degree == 3
         assert repr(m) == "p^2*q"
         assert Monomial.parse("1") == Monomial()
+
+    def test_monomial_keys_hash_and_compare_as_tuples(self):
+        # the action table and the product rows are keyed by monomials, so
+        # their hashing and equality must stay the tuple's, in C
+        assert Monomial.__hash__ is tuple.__hash__
+        assert Monomial.__eq__ is tuple.__eq__
+        m = Monomial({"q": 1, "s": 0, "p": 2})
+        assert Monomial(m) is m
+        n = Monomial({"p": 2, "r": 0, "q": 1})
+        assert n == m and hash(n) == hash(m)
+        assert Monomial() == () and not Monomial()
+        got = sorted(monomials(["p", "q"], 3), key=Monomial.sort_key)
+        assert list(map(repr, got)) == [
+            "1", "p", "q", "p*q", "p^2", "q^2", "p*q^2", "p^2*q", "p^3", "q^3"]
 
     def test_malformed_monomial_is_named(self):
         for text in ("p^x", "p^2^3", "p^-1"):

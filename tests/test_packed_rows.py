@@ -450,7 +450,7 @@ def _operator_coboundaries(draw):
     terms = []
     for alpha in draw(st.lists(alphas, max_size=3)):
         mono = draw(st.sampled_from(A.basis_keys(alpha.degree)))
-        terms.append((mono, alpha.exps, draw(st.sampled_from(SMALL))))
+        terms.append((mono, alpha, draw(st.sampled_from(SMALL))))
     g = PolynomialOperator1Cochain(A, terms)
     return A, bound, hochschild_differential(operator_cochain(g))
 

@@ -112,7 +112,7 @@ def test_moyal_against_substitution_oracle(moyal_udf):
         for keys, c in T.terms.items():
             term = sp.Rational(c.numerator, c.denominator)
             for slot, key in enumerate(keys):
-                exps = dict(key.exps)
+                exps = dict(key)
                 term *= x[slot] ** exps.get("p1", 0) * y[slot] ** exps.get("p2", 0)
             expr += term
         return sp.expand(expr)
