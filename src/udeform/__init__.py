@@ -20,24 +20,14 @@ from .operad import (
     check_unit,
     circ_B,
     circ_b,
-    reconstruct_bialgebra_check,
 )
 from .twist import (
     UDF,
-    AdditiveTwist,
     GaugeElement,
     TwistingElement,
-    additive_gauge,
-    additive_twist_equation,
-    check_functional_equation,
     check_twisting,
-    first_order_gauge,
-    from_additive,
     gauge_transform,
     make_exp_udf,
-    rescale,
-    to_additive,
-    to_bivariate,
 )
 from .cobar import (
     check_oracle_agreement,

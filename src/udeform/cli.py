@@ -529,11 +529,11 @@ def run_diagram(inputs, params):
         F2 = parse_udf(B2, tdoc["F2"], order, "inputs.triple.F2")
         G = parse_tensor_series(B1, 1, tdoc["G"], order, "inputs.triple.G")
         triple = TwistTriple(F1, G, F2)
-        rep_triple = diagram_twist_check(D, 0, triple, order=order)
+        rep_triple = diagram_twist_check(D, triple)
         reports.append(rep_triple)
         outcomes["triple"] = rep_triple.passed
         data["image_check"] = morphism_image_check(
-            D, 0, triple, degree=inputs.get("image_degree", params["degree"])
+            D, triple, degree=inputs.get("image_degree", params["degree"])
         )
         data["image_check"]["degree"] = inputs.get("image_degree", params["degree"])
     if "literal_action_variant" in inputs:
@@ -670,7 +670,8 @@ def run(job):
         # hold a value the library rejects: unrunnable, not a failed check
         message = "%s: %s" % (type(exc).__name__, exc)
         error = {"location": "inputs", "message": message}
-    report = Report(job.get("command", "?"), {}, "error", [], {}, error=error)
+    command = job.get("command", "?") if isinstance(job, dict) else "?"
+    report = Report(command, {}, "error", [], {}, error=error)
     report.elapsed = time.time() - t0
     return report, 2
 
@@ -680,6 +681,18 @@ def _resolve_out(path):
     if base and not os.path.isabs(path):
         return os.path.join(base, path)
     return path
+
+
+def _write(path, text):
+    """Write `text` to the output path; 0, or 2 with a message on stderr if
+    the file cannot be written."""
+    try:
+        with open(_resolve_out(path), "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print("error: cannot write output file: %s" % exc, file=sys.stderr)
+        return 2
+    return 0
 
 
 def main(argv=None):
@@ -713,10 +726,8 @@ def main(argv=None):
             return 2
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         if args.out:
-            with open(_resolve_out(args.out), "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+            return _write(args.out, text)
+        sys.stdout.write(text)
         return 0
 
     try:
@@ -736,10 +747,12 @@ def main(argv=None):
         "cobar_cutoff": args.cobar_cutoff,
         "seed": args.seed,
     }
-    job.setdefault("parameters", {})
-    for key, value in overrides.items():
-        if value is not None:
-            job["parameters"][key] = value
+    # a job or parameters that is no object is left for run's validation
+    params = job.setdefault("parameters", {}) if isinstance(job, dict) else None
+    if isinstance(params, dict):
+        for key, value in overrides.items():
+            if value is not None:
+                params[key] = value
 
     report, code = run(job)
     if args.format == "json":
@@ -747,10 +760,8 @@ def main(argv=None):
     else:
         text = report.render_text() + "\n"
     if args.out:
-        with open(_resolve_out(args.out), "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return _write(args.out, text) or code
+    sys.stdout.write(text)
     return code
 
 

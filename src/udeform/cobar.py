@@ -15,9 +15,10 @@ implementations.
 reduced diagonal dbar) and d2(x@y) = dbar(x)@y - x@dbar(y) on the counit
 kernel.  dbar of m - eps(m)1 is read off Delta(m) as the terms with no unit
 slot: every other term of Delta(m) - m@1 - 1@m + eps(m)1@1 has one.  (On a
-whole element g the same map is `twist.coboundary`, the additive gauge
-shift.)  Both routes end in the same step, a kernel basis modulo a subspace
-that must lie inside it (`linalg.quotient_representatives`).  The kernel
+whole element g the same map is `coboundary` in `tests/formulations.py`,
+the additive gauge shift.)  Both routes end in the same step, a kernel
+basis modulo a subspace that must lie inside it
+(`linalg.quotient_representatives`).  The kernel
 vectors are independent, so that elimination checks the inclusion as
 rank(sub + kernel) = dim kernel: for ``h2`` the subspace is im d1 and the
 identity is d2 o d1 = 0; for ``twi_direct`` it is the gauge span and the

@@ -719,13 +719,14 @@ class TwistTriple:
         self.F2 = F2
 
 
-def diagram_twist_check(D, arrow_index, triple, order=None):
-    """All conditions of a twisting triple on one arrow, plus the deformed
-    morphism property and (for invertible G) the gauge reduction."""
-    arrow = D.arrows[arrow_index]
+def diagram_twist_check(D, triple):
+    """All conditions of a twisting triple on the diagram's first arrow, to
+    F1's order, plus the deformed morphism property and (for invertible G)
+    the gauge reduction."""
+    arrow = D.arrows[0]
     src, dst = D.nodes[arrow.src], D.nodes[arrow.dst]
     F1, G, F2 = triple.F1, triple.G, triple.F2
-    order = F1.order if order is None else order
+    order = F1.order
     report = CheckReport("twisting triple on arrow %s -> %s" % (arrow.src, arrow.dst))
 
     report.add(
@@ -794,12 +795,12 @@ def h_twisted_series(sa, arrow, src, G, order):
     )
 
 
-def morphism_image_check(D, arrow_index, triple, degree):
-    """Whether a -> h(G_0 a) is injective on the source basis (its images
-    are independent) and surjective onto the target basis of degree <=
-    `degree` (each such key reduces to zero modulo the span of the images),
-    both decided by rank (`linalg.Echelon`)."""
-    arrow = D.arrows[arrow_index]
+def morphism_image_check(D, triple, degree):
+    """Whether a -> h(G_0 a), along the diagram's first arrow, is injective
+    on the source basis (its images are independent) and surjective onto the
+    target basis of degree <= `degree` (each such key reduces to zero modulo
+    the span of the images), both decided by rank (`linalg.Echelon`)."""
+    arrow = D.arrows[0]
     src, target = D.nodes[arrow.src], arrow.h.target
     column = {k: j for j, k in enumerate(target.basis_keys())}
     keys = src.algebra.basis_keys()

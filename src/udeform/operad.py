@@ -346,39 +346,3 @@ def check_unit(flavor, B, samples=50, seed=0):
            lambda v, i: (_compose(flavor, v, i, unit), v),
            lambda v, i, got, _: {"u": v.render(), "i": i, "got": got.render()})
     return report
-
-
-def reconstruct_bialgebra_check(B, cutoff=2):
-    """Diagnostic for the bialgebra <-> operad dictionary, one direction.
-
-    Reads the bialgebra structure back off the multiplicative operad
-    (product = o_1 at arity one, Delta(b) = b o_1 (1@1), eps via the arity-0
-    component) and confirms it agrees with the declared structure maps.
-    """
-    report = CheckReport("bialgebra reconstruction from the operad (%s)" % B.spec.kind)
-    keys = B.basis_keys(cutoff)
-    singles = [(k,) for k in keys]
-    scalar_one = TensorElement(B, 0, {(): QQ(1)})
-
-    def product(k1, k2):
-        e1, e2 = B.element({k1: QQ(1)}), B.element({k2: QQ(1)})
-        return circ_B(e1, 1, e2), e1 * e2
-
-    def coproduct(k):
-        e = B.element({k: QQ(1)})
-        return circ_B(e, 1, B.one(2)), e.apply_coproduct(1)
-
-    def counit(k):
-        return (circ_B(B.element({k: QQ(1)}), 1, scalar_one).scalar_value(),
-                B.counit_key(k))
-
-    def element(k, *_):
-        return {"element": B.key_str(k)}
-
-    _sweep(report, "product recovered by o_1",
-           bounded_product([keys, keys], B.degree, B.cutoff), product,
-           lambda k1, k2, *_: {"pair": "%s , %s" % (B.key_str(k1), B.key_str(k2))})
-    _sweep(report, "coproduct recovered by b o_1 (1@1)", singles, coproduct, element)
-    if B.counital:
-        _sweep(report, "counit recovered by the arity-0 slot", singles, counit, element)
-    return report

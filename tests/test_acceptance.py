@@ -21,14 +21,10 @@ from udeform.operad import (
     circ_b,
 )
 from udeform.twist import (
-    AdditiveTwist,
     GaugeElement,
-    additive_twist_equation,
-    from_additive,
     gauge_transform,
     make_exp_udf,
     series_from_orders,
-    to_additive,
 )
 from udeform.cobar import check_oracle_agreement, h2, twi_direct
 from udeform.linalg import Echelon
@@ -59,6 +55,7 @@ from udeform.generalized import (
 from conftest import (
     antisym, in_span, integer_row, lambda_expected, raw_tree_count, twisted_product,
 )
+from formulations import AdditiveTwist, additive_twist_equation, from_additive, to_additive
 from test_generalized import power_map_diagram
 
 
@@ -342,14 +339,14 @@ def test_criterion_10_diagram():
     compat_ok = diagram_compat_check(D).passed
     F = make_exp_udf(antisym(B), order=4)
     triple = TwistTriple(F, TruncSeries.constant(B.one(1), 4), F)
-    triple_rep = diagram_twist_check(D, 0, triple, order=4)
+    triple_rep = diagram_twist_check(D, triple)
     triple_ok = triple_rep.passed
 
-    image_23 = morphism_image_check(D, 0, triple, degree=2)
+    image_23 = morphism_image_check(D, triple, degree=2)
     B11, D11 = power_map_diagram(1, 1, order=2, corrected=True, a2_cutoff=2)
     F11 = make_exp_udf(antisym(B11), order=2)
     triple11 = TwistTriple(F11, TruncSeries.constant(B11.one(1), 2), F11)
-    image_11 = morphism_image_check(D11, 0, triple11, degree=2)
+    image_11 = morphism_image_check(D11, triple11, degree=2)
     image_ok = (
         image_23 == {"injective": True, "surjective": False}
         and image_11 == {"injective": True, "surjective": True}

@@ -41,15 +41,12 @@ from udeform.operad import (
     check_assoc_cases,
     check_equivariance,
     check_unit,
-    reconstruct_bialgebra_check,
 )
-from udeform.twist import (
-    UDF, check_functional_equation, make_exp_udf,
-    series_from_orders,
-)
+from udeform.twist import UDF, make_exp_udf, series_from_orders
 
 from conftest import antisym, check_axioms, check_cocommutative
 from coproduct_override import with_coproduct_override, with_identity_override
+from formulations import check_functional_equation, reconstruct_bialgebra_check
 from test_generalized import power_map_diagram
 
 
@@ -181,9 +178,9 @@ def _generalized_reports():
         "compat/literal": diagram_compat_check(literal, cutoff=1).to_json(),
         "compat/tight": diagram_compat_check(tight).to_json(),
         "twist/mismatch": diagram_twist_check(
-            corrected, 0, TwistTriple(F, G, half), order=2).to_json(),
+            corrected, TwistTriple(F, G, half)).to_json(),
         "twist/cutoff": diagram_twist_check(
-            small, 0, TwistTriple(Fs, Gs, Fs), order=2).to_json(),
+            small, TwistTriple(Fs, Gs, Fs)).to_json(),
     }
 
 

@@ -109,6 +109,37 @@ def test_missing_file_exits_two(tmp_path):
     assert main(["run", "--job", str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize("doc", [[], "x", 1, None])
+@pytest.mark.parametrize("flags", [[], ["--order", "3"]])
+def test_job_that_is_not_an_object_exits_two(tmp_path, capsys, doc, flags):
+    path = write_job(tmp_path, doc)
+    assert main(["run", "--job", path, "--format", "json", *flags]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["location"] == "$"
+    assert "is not of type 'object'" in error["message"]
+
+
+@pytest.mark.parametrize("flag", [["--order", "3"], ["--seed", "1"]])
+def test_flag_over_parameters_that_are_no_object_exits_two(tmp_path, capsys, flag):
+    path = write_job(tmp_path, {"command": "deform", "parameters": []})
+    assert main(["run", "--job", path, "--format", "json", *flag]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error"
+    assert report["error"]["location"] in ("$", "$.parameters")
+
+
+@pytest.mark.parametrize("mode", ["emit", "run"])
+def test_unwritable_out_exits_two(tmp_path, capsys, mode):
+    out = str(tmp_path / "missing" / "x.json")
+    if mode == "emit":
+        argv = ["emit", "moyal", "--out", out]
+    else:
+        argv = ["run", "--job", write_job(tmp_path, emit_example("moyal")), "--out", out]
+    assert main(argv) == 2
+    assert "error: cannot write output file:" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_failing_job_exits_one(tmp_path):
     job = {
         "command": "operad-axioms",

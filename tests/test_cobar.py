@@ -25,17 +25,17 @@ from udeform.cobar import (
     twi_direct,
 )
 from udeform.linalg import Echelon
-from udeform.twist import coboundary
 
 from conftest import (
     in_span, integer_row, lambda_expected, reference_cobar_block, reference_twist_system,
 )
 import coproduct_override
 from coproduct_override import noncoassociative_cube
+from formulations import coboundary
 
 
 class TestReducedDiagonal:
-    # on the counit kernel, twist.coboundary is cobar's reduced diagonal
+    # on the counit kernel, the additive gauge shift is cobar's reduced diagonal
     def test_primitive_dies(self, B1):
         assert not coboundary(B1.generator("p"))
 

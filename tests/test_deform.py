@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from udeform.kernel import Monomial, Polynomial, QQ, TruncSeries, series_multilinear
 from udeform.bialgebra import BialgebraSpec, CutoffError, construct_bialgebra
-from udeform.twist import GaugeElement, gauge_transform, make_exp_udf, series_from_orders
-from udeform.twist import UDF, first_order_gauge
+from udeform.twist import UDF, GaugeElement, gauge_transform, make_exp_udf, series_from_orders
 from udeform.deform import (
     AlgebraEndomorphism,
     Derivation,
@@ -37,6 +36,7 @@ from conftest import (
     ReferenceTwistedProduct, antisym, bench_job, from_terms, hochschild_differential,
     operator_cochain, twisted_product,
 )
+from formulations import first_order_gauge
 
 
 def M(text):

@@ -456,14 +456,14 @@ class TestDiagrams:
         order = 2
         one_udf = UDF(TruncSeries.constant(B2.one(2), order))
         triple = TwistTriple(one_udf, TruncSeries.constant(B2.one(1), order), one_udf)
-        rep = diagram_twist_check(D, 0, triple, order=order)
+        rep = diagram_twist_check(D, triple)
         assert rep.passed, rep.render_text()
 
     def test_power_map_triple_mod_t4(self):
         B, D = power_map_diagram(2, 3, order=4, corrected=True)
         F = make_exp_udf(antisym(B), order=4)
         triple = TwistTriple(F, TruncSeries.constant(B.one(1), 4), F)
-        rep = diagram_twist_check(D, 0, triple, order=4)
+        rep = diagram_twist_check(D, triple)
         assert rep.passed, rep.render_text()
 
     def test_triple_with_nontrivial_gauge(self):
@@ -483,19 +483,19 @@ class TestDiagrams:
             coproduct_series(ginv, 1) * F2.series * series_outer(G, G)
         )
         triple = TwistTriple(F1, G, F2)
-        rep = diagram_twist_check(D, 0, triple, order=3)
+        rep = diagram_twist_check(D, triple)
         assert rep.passed, rep.render_text()
 
     def test_morphism_image_profile(self):
         B, D = power_map_diagram(2, 3, order=2, corrected=True)
         F = make_exp_udf(antisym(B), order=2)
         triple = TwistTriple(F, TruncSeries.constant(B.one(1), 2), F)
-        out = morphism_image_check(D, 0, triple, degree=2)
+        out = morphism_image_check(D, triple, degree=2)
         assert out == {"injective": True, "surjective": False}
         B1, D1 = power_map_diagram(1, 1, order=2, corrected=True, a2_cutoff=2)
         F1 = make_exp_udf(antisym(B1), order=2)
         triple1 = TwistTriple(F1, TruncSeries.constant(B1.one(1), 2), F1)
-        out1 = morphism_image_check(D1, 0, triple1, degree=2)
+        out1 = morphism_image_check(D1, triple1, degree=2)
         assert out1 == {"injective": True, "surjective": True}
 
     @staticmethod
@@ -520,7 +520,7 @@ class TestDiagrams:
 
         one_udf = UDF(TruncSeries.constant(B2.one(2), 1))
         triple = TwistTriple(one_udf, TruncSeries.constant(B2.one(1), 1), one_udf)
-        return morphism_image_check(D, 0, triple, degree=degree)
+        return morphism_image_check(D, triple, degree=degree)
 
     def test_morphism_image_with_dependent_images_is_not_injective(self, B2):
         # the images of p and q are distinct but h(q) = 2 h(p)

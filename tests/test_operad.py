@@ -20,11 +20,11 @@ from udeform.operad import (
     check_unit,
     circ_B,
     circ_b,
-    reconstruct_bialgebra_check,
 )
 
 from conftest import IDEMPOTENT_TABLE, ReferenceTensor, antisym, check_cocommutative
 from coproduct_override import with_coproduct_override
+from formulations import reconstruct_bialgebra_check
 
 
 class TestMultiplicativeComposition:

@@ -11,28 +11,30 @@ from udeform.reports import CheckReport
 from udeform import twist
 from udeform.twist import (
     UDF,
-    AdditiveTwist,
     GaugeElement,
     TwistingElement,
-    additive_gauge,
-    additive_twist_equation,
-    check_functional_equation,
     check_twisting,
-    first_order_gauge,
-    from_additive,
     gauge_transform,
     make_exp_udf,
-    rescale,
     series_circ,
     series_from_orders,
     series_outer,
-    to_additive,
-    to_bivariate,
 )
 
 from conftest import (
     IDEMPOTENT_TABLE, antisym, cocycle_sides, coproduct_series, hand_cocycle_sides,
     reference_series_identity,
+)
+from formulations import (
+    AdditiveTwist,
+    additive_gauge,
+    additive_twist_equation,
+    check_functional_equation,
+    first_order_gauge,
+    from_additive,
+    rescale,
+    to_additive,
+    to_bivariate,
 )
 
 
