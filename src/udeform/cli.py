@@ -19,8 +19,6 @@ import sys
 import time
 from importlib import resources
 
-import jsonschema
-
 from . import __version__
 from .kernel import Monomial, Polynomial, QQ, add_term, as_scalar
 from .bialgebra import (
@@ -102,18 +100,124 @@ def _load_schema(name):
     return json.loads(text)
 
 
-# Draft 7 counts an integral float such as 2.0 as an integer, but the
-# library takes integer fields as ints (bit_length, range), so only an int
-# that is no bool passes as one.
-_JOBSPEC = jsonschema.validators.extend(
-    jsonschema.Draft7Validator,
-    type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)),
-)(_load_schema("jobspec.schema.json"))
+# Job documents are validated in two stages.  The fast check `_conforms`
+# reads the shipped schema itself and decides the keywords it uses: `$ref`
+# to "#/definitions/NAME" (Draft 7 ignores its siblings), `type` (a name or
+# a list of names), `enum` and `const` over strings, `required`,
+# `properties`, `additionalProperties` (false or a schema), `items` (one
+# schema), `minItems`, `maxItems`, `minimum`, `if`/`then`/`else`, `anyOf`
+# and `allOf`; `$schema`, `$id`, `title` and `definitions` are annotations.
+# On plain JSON values (dicts with str keys, lists, str, int, float, bool,
+# None) its verdict is jsonschema's, with "integer" an int that is no bool.
+# Any other value, any other keyword or subschema form, and a
+# RecursionError leave it unsure.  When it is unsure, and on every
+# rejection, jsonschema decides and words the error, so a valid document
+# never imports jsonschema (about 0.1 s per job).
+_JOBSPEC_SCHEMA = _load_schema("jobspec.schema.json")
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
+               float: "number", bool: "boolean", type(None): "null"}
+_TYPE_NAMES = frozenset(_JSON_TYPES.values())
+# annotations, and the branches that `if` reads
+_SKIPPED = frozenset(["$schema", "$id", "title", "definitions", "then", "else"])
+_JOBSPEC = None  # the jsonschema validator, built on the first rejection
+
+
+class _Unsure(Exception):
+    """The fast check cannot promise jsonschema's verdict."""
+
+
+def _is_a(kind, name):
+    if name not in _TYPE_NAMES:
+        raise _Unsure
+    return kind == name or (name == "number" and kind == "integer")
+
+
+def _definition(ref):
+    head, _, name = ref.rpartition("/")
+    if head != "#/definitions" or name not in _JOBSPEC_SCHEMA["definitions"]:
+        raise _Unsure
+    return _JOBSPEC_SCHEMA["definitions"][name]
+
+
+def _conforms(x, schema):
+    """Whether the value x satisfies the subschema, as jsonschema decides;
+    raises _Unsure where that verdict is not certain."""
+    kind = _JSON_TYPES.get(type(x))
+    if kind is None or type(schema) is not dict:
+        raise _Unsure
+    if kind == "object" and not all(type(k) is str for k in x):
+        raise _Unsure
+    if "$ref" in schema:
+        return _conforms(x, _definition(schema["$ref"]))
+    for key, value in schema.items():
+        if key in _SKIPPED:
+            continue
+        if key == "type":
+            ok = any(_is_a(kind, name)
+                     for name in ([value] if type(value) is str else value))
+        elif key in ("enum", "const"):
+            options = value if key == "enum" else [value]
+            if not all(type(o) is str for o in options):
+                raise _Unsure
+            ok = kind == "string" and x in options
+        elif key == "required":
+            ok = kind != "object" or all(k in x for k in value)
+        elif key == "properties":
+            ok = kind != "object" or all(
+                _conforms(x[k], sub) for k, sub in value.items() if k in x)
+        elif key == "additionalProperties":
+            named = schema.get("properties", {})
+            extra = [v for k, v in x.items() if k not in named] if kind == "object" else []
+            ok = not extra if value is False else all(_conforms(v, value) for v in extra)
+        elif key == "items":
+            ok = kind != "array" or all(_conforms(v, value) for v in x)
+        elif key == "minItems":
+            ok = kind != "array" or len(x) >= value
+        elif key == "maxItems":
+            ok = kind != "array" or len(x) <= value
+        elif key == "minimum":
+            ok = kind not in ("integer", "number") or not x < value
+        elif key == "if":
+            branch = schema.get("then" if _conforms(x, value) else "else")
+            ok = branch is None or _conforms(x, branch)
+        elif key == "anyOf":
+            ok = any(_conforms(x, sub) for sub in value)
+        elif key == "allOf":
+            ok = all(_conforms(x, sub) for sub in value)
+        else:
+            raise _Unsure
+        if not ok:
+            return False
+    return True
+
+
+def _jobspec_validator():
+    global _JOBSPEC
+    if _JOBSPEC is None:
+        import jsonschema
+
+        # Draft 7 counts an integral float such as 2.0 as an integer, but
+        # the library takes integer fields as ints (bit_length, range), so
+        # only an int that is no bool passes as one.
+        _JOBSPEC = jsonschema.validators.extend(
+            jsonschema.Draft7Validator,
+            type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
+                "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)),
+        )(_JOBSPEC_SCHEMA)
+    return _JOBSPEC
 
 
 def validate_jobspec(doc):
-    errors = sorted(_JOBSPEC.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    try:
+        if _conforms(doc, _JOBSPEC_SCHEMA):
+            return
+    except (_Unsure, RecursionError):
+        pass
+    try:
+        errors = sorted(_jobspec_validator().iter_errors(doc),
+                        key=lambda e: list(e.absolute_path))
+    except RecursionError:
+        raise JobError("$", "document nested too deeply") from None
     if errors:
         e = errors[0]
         loc = "$" + "".join(

@@ -595,6 +595,19 @@ def test_malformed_ternary_tree_exits_two(tree, location, message):
     assert message in error["message"]
 
 
+@pytest.mark.parametrize("depth,code", [(100, 0), (400, 2)])
+def test_deeply_nested_tree_exits_without_a_traceback(tmp_path, capsys, depth, code):
+    job = emit_example("ternary-quantum-plane")
+    term = job["inputs"]["action"]["p1"]["p"][0]
+    for _ in range(depth):
+        term["tree"] = [term["tree"], "p", "p"]
+    path = write_job(tmp_path, job)
+    assert main(["run", "--job", path, "--format", "json"]) == code
+    report = json.loads(capsys.readouterr().out)
+    if code == 2:
+        assert report["error"] == {"location": "$", "message": "document nested too deeply"}
+
+
 @pytest.mark.parametrize(
     "path",
     [
