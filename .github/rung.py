@@ -51,6 +51,7 @@ RUNGS = {
     "twist3-N8": _twist3(8),
     "twist3-N10": _twist3(10),
     "twist3-N11": _twist3(11),
+    "twist3-N12": _twist3(12),
 }
 
 

@@ -16,7 +16,9 @@ along `split_key`, Delta^0 is the identity and Delta^k = (Delta @ id)
 Delta^(k-1).  The slot maps, the cobar systems and both operads read that
 table; `coproduct_key` and `counit_key` are its decoded views.  The key
 product is one key with coefficient 1: `product_keys(k1, k2)` returns a
-one-term dict {k1*k2: 1}.
+one-term dict {k1*k2: 1}.  A kind may name a grade of its keys that the key
+product and every term of Delta add (`grade`, 0 by default); the (d1) check
+decides one grade block at a time.
 
 A tensor element has the packed form of every `SparseElement` (see
 `kernel`): a dict {code: integer numerator} over one positive denominator,
@@ -56,7 +58,7 @@ from math import lcm, prod
 
 from .kernel import (
     Monomial, ONE_MONOMIAL, QQ, SparseElement, add_term, bounded_product,
-    clean_terms, monomials, pack,
+    clean_terms, denominator_factor, monomials, pack,
 )
 from .reports import first_witness
 
@@ -238,6 +240,13 @@ class Bialgebra:
     def _named(self, key):
         """The key, when each of its letters names a generator; else KeyError."""
         raise NotImplementedError
+
+    def grade(self, code):
+        """The grade of the key of slot code `code`: an integer that the
+        key product and every term of Delta add, so the grade of a key
+        tuple, the sum over its slots, splits each structure map into
+        blocks.  A kind with no such grading keeps the default 0."""
+        return 0
 
     # -- derived structure --------------------------------------------------
     def check_cutoff(self, key):
@@ -427,6 +436,10 @@ class _GrouplikeGenerators:
 class PolynomialPrimitiveBialgebra(_PrimitiveGenerators, _MonomialBasisMixin, Bialgebra):
     """k[p1,...,pk], Delta(p) = p@1 + 1@p, eps(p) = 0."""
 
+    def grade(self, code):
+        """The exponent of the first generator, the lowest Kronecker field."""
+        return code & self.codec.keys.field
+
 
 class MatrixCoordinateBialgebra(_MonomialBasisMixin, Bialgebra):
     """Coordinate bialgebra of 2x2 matrices on generators (a, b, c, d).
@@ -469,6 +482,10 @@ class TensorPrimitiveBialgebra(_PrimitiveGenerators, Bialgebra):
 
     def split_key(self, key):
         return self.spec.generators[key[0]], key[1:]
+
+    def grade(self, code):
+        """The number of letters of the word that name the first generator."""
+        return self.codec.keys[code].count(0)
 
     def product_keys(self, k1, k2):
         return {self.check_cutoff(k1 + k2): 1}
@@ -827,6 +844,15 @@ class TensorElement(SparseElement):
         """This element with slot `slot` (1-based) of each term replaced by
         the terms of image(its slot code), a packed element of the given
         arity, and the results added up in term order."""
+        acc = [1, {}]
+        self.substitute_into(acc, 1, slot, image, arity)
+        return self._like(acc[1], acc[0], self.arity - 1 + arity)
+
+    def substitute_into(self, acc, num, slot, image, arity):
+        """acc += num * self.substitute(slot, image, arity) in place, for a
+        packed sum acc kept over the running lcm of its denominators
+        (`kernel.denominator_factor`): the terms go straight into acc's
+        dict, in the order `substitute` adds them."""
         width, mask = self.parent.codec.width, self.parent.codec.mask
         at = (slot - 1) * width
         low = (1 << at) - 1
@@ -836,9 +862,11 @@ class TensorElement(SparseElement):
             for code, n in self.codes.items()
         ]
         den = lcm(*[e.den for _, _, e in parts])
-        acc = {}
+        f = num * denominator_factor(acc, self.den * den)
+        acc = acc[1]
         get = acc.get
         for rest, n, e in parts:
+            n *= f
             if e.den != den:
                 n *= den // e.den
             for code, m in e.codes.items():
@@ -853,7 +881,6 @@ class TensorElement(SparseElement):
                     acc[code] = x
                 else:
                     del acc[code]
-        return self._like(acc, self.den * den, self.arity - 1 + arity)
 
     def apply_coproduct(self, slot):
         """Delta on slot i (1-based); arity grows by one."""

@@ -81,6 +81,7 @@ __all__ = [
     "bounded_product",
     "clean_terms",
     "combine",
+    "denominator_factor",
     "monomials",
     "pack",
     "series_multilinear",
@@ -142,18 +143,27 @@ def add_into(acc, terms, c=1):
     return acc
 
 
-def add_rational(slot, terms, num, den):
-    """slot += (num / den) * terms in place, for a packed sum slot =
-    [denominator, {key: integer numerator}] kept over the running lcm of the
-    denominators added into it: the dict is rescaled only when `den` does not
-    divide the slot's denominator, then `add_into` adds the integer multiple."""
+def denominator_factor(slot, den):
+    """slot[0] // den, once the packed sum slot = [denominator, {key: integer
+    numerator}] is kept over a multiple of den: its dict is rescaled (a new
+    dict) only when `den` does not divide its denominator."""
     have = slot[0]
     if have % den:
         grown = math.lcm(have, den)
         f = grown // have
         slot[1] = {key: n * f for key, n in slot[1].items()}
         slot[0] = have = grown
-    add_into(slot[1], terms, num * (have // den))
+    return have // den
+
+
+def add_rational(slot, terms, num, den):
+    """slot += (num / den) * terms in place, for a packed sum slot kept over
+    the running lcm of the denominators added into it
+    (`denominator_factor`): `add_into` adds the integer multiple."""
+    have = slot[0]
+    # slot[1] is read after: denominator_factor may replace it
+    f = denominator_factor(slot, den) if have % den else have // den
+    add_into(slot[1], terms, num * f)
 
 
 def combine(like, pairs, den=1):
@@ -514,18 +524,6 @@ class Polynomial(SparseElement):
             base = base * base
             n >>= 1
         return out
-
-    def substitute_linear(self, images):
-        """Substitute each variable by a Polynomial (e.g. u1 -> u1 + u2)."""
-        def term(mono):
-            out = Polynomial.constant(1)
-            for name, e in mono:
-                img = images.get(name)
-                out = out * (Polynomial.variable(name) if img is None else img) ** e
-            return out
-
-        return combine(self, ((n, term(mono)) for mono, n in self.codes.items()),
-                       self.den)
 
     def partial(self, name):
         """Exact partial derivative with respect to one variable."""

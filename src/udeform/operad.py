@@ -52,8 +52,20 @@ def circ_B(u, i, v):
     cancel against another term's.
     """
     _check_slot(u, i, v)
-    B, n = u.parent, v.arity
-    products = {}
+    return u.substitute(i, _products(u.parent, v, {}), v.arity)
+
+
+def add_circ_B(acc, num, u, i, v, products):
+    """acc += num * circ_B(u, i, v) in place, for a packed sum acc
+    (`TensorElement.substitute_into`); `products` is the dict slot code ->
+    product that the call fills, so calls with one v may share it."""
+    _check_slot(u, i, v)
+    u.substitute_into(acc, num, i, _products(u.parent, v, products), v.arity)
+
+
+def _products(B, v, products):
+    """slot code -> Delta^(n-1)(its key) . v, memoized in `products`."""
+    n = v.arity
 
     def image(code):
         hit = products.get(code)
@@ -61,7 +73,7 @@ def circ_B(u, i, v):
             hit = products[code] = B.iterated_coproduct_code(code, n - 1) * v
         return hit
 
-    return u.substitute(i, image, n)
+    return image
 
 
 def circ_b(u, i, v):

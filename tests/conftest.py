@@ -658,6 +658,19 @@ def hand_cocycle_sides(s):
             coproduct_series(s, 2) * series_outer(one, s))
 
 
+def substitute_linear(poly, images):
+    """The Polynomial poly with each variable named in `images` substituted
+    by its Polynomial image (e.g. u1 -> u1 + u2)."""
+    def term(mono):
+        out = Polynomial.constant(1)
+        for name, e in mono:
+            img = images.get(name)
+            out = out * (Polynomial.variable(name) if img is None else img) ** e
+        return out
+
+    return combine(poly, ((n, term(mono)) for mono, n in poly.codes.items()), poly.den)
+
+
 def cocycle_sides(s):
     """F o_1 F and F o_2 F for an arity-2 tensor series F, each built in
     full: the two sides of (d1), (Delta@id)(F) (F@1) and (id@Delta)(F) (1@F).

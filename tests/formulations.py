@@ -28,6 +28,8 @@ from udeform.twist import (
     UDF, TensorSeries, add_series_identity, first_failing_order, tensor_series,
 )
 
+from conftest import substitute_linear
+
 
 # ---------------------------------------------------------------------------
 # the additive picture and rescaling
@@ -201,7 +203,7 @@ def check_functional_equation(F, names=("u1", "u2", "u3")):
     zero = Polynomial()
 
     def sub(poly, img1, img2):
-        return poly.substitute_linear({u1: img1, u2: img2})
+        return substitute_linear(poly, {u1: img1, u2: img2})
 
     lhs = F.map_coeffs(lambda p: sub(p, v1 + v2, v3)) * F
     rhs = F.map_coeffs(lambda p: sub(p, v1, v2 + v3)) * F.map_coeffs(

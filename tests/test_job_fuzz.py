@@ -1,12 +1,15 @@
 """Mutated job documents never crash the CLI.
 
-Each example takes one of the shipped fixtures (`emit_example`) and applies
-one to three mutations: replace the value at a random path, delete a key,
-rename a key, or replace the whole document with something that is no
-object.  Replacement values are JSON values of every type; integers stay
-in 0..3, since a large order or cutoff makes a valid job slow, not wrong.
-Every mutated document goes through `cli.main` as a job file and must exit
-0, 1 or 2 with no exception escaping, and a second run must print the same
+Each example takes one of the shipped fixtures (`emit_example`) and either
+applies one to three mutations (`mutated_jobs`): replace the value at a
+random path, delete a key, rename a key, or replace the whole document with
+something that is no object; or replaces one to three leaves by values of
+their own JSON type (`retyped_leaves`), so that more documents pass the
+schema and reach a handler.  About half the examples come from each.
+Replacement values are JSON values of every type; integers stay in 0..3,
+since a large order or cutoff makes a valid job slow, not wrong.  Every
+mutated document goes through `cli.main` as a job file and must exit 0, 1
+or 2 with no exception escaping, and a second run must print the same
 bytes.  The examples are derandomized, so a failure reproduces.
 """
 
@@ -18,7 +21,7 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from udeform.cli import main
+from udeform import cli
 from udeform.fixtures import FIXTURES, emit_example
 
 SCALARS = st.one_of(
@@ -80,15 +83,53 @@ def mutated_jobs(draw):
     return doc
 
 
+def _schema_strings(schema):
+    """Every string an `enum` or `const` of the schema names."""
+    if isinstance(schema, dict):
+        for key, value in schema.items():
+            if key == "enum":
+                yield from value
+            elif key == "const":
+                yield value
+            else:
+                yield from _schema_strings(value)
+    elif isinstance(schema, list):
+        for value in schema:
+            yield from _schema_strings(value)
+
+
+SAME_TYPE = {
+    str: st.one_of(st.text(max_size=6),
+                   st.sampled_from(sorted(set(_schema_strings(cli._JOBSPEC_SCHEMA))))),
+    int: st.integers(min_value=0, max_value=3),
+    float: st.floats(),
+    bool: st.booleans(),
+    type(None): st.none(),
+}
+
+
+@st.composite
+def retyped_leaves(draw):
+    """A fixture with one to three leaves replaced by values of their own
+    JSON type: enum names switch the `if` branches, and 0 falls below a
+    `minimum` of 1."""
+    doc = emit_example(draw(st.sampled_from(sorted(FIXTURES))))
+    leaves = [p for p in _paths(doc) if not isinstance(_parent(doc, p)[p[-1]], (dict, list))]
+    for path in draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=3)):
+        parent = _parent(doc, path)
+        parent[path[-1]] = draw(SAME_TYPE[type(parent[path[-1]])])
+    return doc
+
+
 def _run(path):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["run", "--job", path, "--format", "json"])
+        code = cli.main(["run", "--job", path, "--format", "json"])
     return code, out.getvalue()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(mutated_jobs())
+@given(st.one_of(mutated_jobs(), retyped_leaves()))
 def test_mutated_job_exits_cleanly_and_deterministically(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "job.json")

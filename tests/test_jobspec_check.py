@@ -16,14 +16,14 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from udeform import cli
 from udeform.fixtures import FIXTURES, emit_example
 
 from test_cli import _subprocess_env
 from test_fixture_bytes import PINNED
-from test_job_fuzz import _parent, _paths, mutated_jobs
+from test_job_fuzz import _parent, mutated_jobs, retyped_leaves
 
 
 def _fast_verdict(doc):
@@ -41,44 +41,6 @@ def _jsonschema_verdict(doc):
 @given(mutated_jobs())
 def test_fast_check_agrees_on_mutated_jobs(doc):
     assert _fast_verdict(doc) == _jsonschema_verdict(doc)
-
-
-def _schema_strings(schema):
-    """Every string an `enum` or `const` of the schema names."""
-    if isinstance(schema, dict):
-        for key, value in schema.items():
-            if key == "enum":
-                yield from value
-            elif key == "const":
-                yield value
-            else:
-                yield from _schema_strings(value)
-    elif isinstance(schema, list):
-        for value in schema:
-            yield from _schema_strings(value)
-
-
-SAME_TYPE = {
-    str: st.one_of(st.text(max_size=6),
-                   st.sampled_from(sorted(set(_schema_strings(cli._JOBSPEC_SCHEMA))))),
-    int: st.integers(min_value=0, max_value=3),
-    float: st.floats(),
-    bool: st.booleans(),
-    type(None): st.none(),
-}
-
-
-@st.composite
-def retyped_leaves(draw):
-    """A fixture with one to three leaves replaced by values of their own
-    JSON type: enum names switch the `if` branches, and 0 falls below a
-    `minimum` of 1."""
-    doc = emit_example(draw(st.sampled_from(sorted(FIXTURES))))
-    leaves = [p for p in _paths(doc) if not isinstance(_parent(doc, p)[p[-1]], (dict, list))]
-    for path in draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=3)):
-        parent = _parent(doc, path)
-        parent[path[-1]] = draw(SAME_TYPE[type(parent[path[-1]])])
-    return doc
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -20,6 +20,8 @@ from udeform.kernel import (
 )
 from udeform.linalg import Echelon, ForwardSpan, ReducedEchelon, kernel_basis, solve
 
+from conftest import substitute_linear
+
 
 def S(values, order):
     """The series of the given Fraction coefficients, zero-padded to order."""
@@ -244,7 +246,8 @@ class TestPolynomial:
     def test_substitute_linear(self):
         # f(u1, u2) = u1*u2 composed with u1 -> u1 + u2, u2 -> u3
         f = Polynomial.variable("u1") * Polynomial.variable("u2")
-        g = f.substitute_linear(
+        g = substitute_linear(
+            f,
             {
                 "u1": Polynomial.variable("u1") + Polynomial.variable("u2"),
                 "u2": Polynomial.variable("u3"),

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from udeform.kernel import Monomial, Polynomial, QQ, TruncSeries
 from udeform.bialgebra import BialgebraSpec, CutoffError, construct_bialgebra
-from udeform.operad import circ_B
+from udeform.operad import add_circ_B, circ_B
 from udeform.reports import CheckReport
 from udeform import twist
 from udeform.twist import (
@@ -510,28 +510,67 @@ def _exp_perturbations(draw):
     return TruncSeries(coeffs)
 
 
+def _parts_per_order(s):
+    """{t-order: number of grade parts} over the nonzero coefficients of s,
+    and whether the series holds more than one grade."""
+    graded = {k: twist._graded(c) for k, c in enumerate(s.coeffs) if c}
+    grades = {g for parts in graded.values() for g, _ in parts}
+    return {k: len(parts) for k, parts in graded.items()}, len(grades) > 1
+
+
+def _pairs(count, k):
+    return sum(n * count[k - i] for i, n in count.items() if k - i in count)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_exp_perturbations())
 def test_orderwise_d1_matches_both_sides_built_in_full(s):
     want = CheckReport("twisting element")
     reference_series_identity(want, "(d1) cocycle identity", *cocycle_sides(s))
     want = want.entries[0]
-    # the t-order of every composition check_twisting forms
+    # the t-order of every composition check_twisting forms, in the grade
+    # blocks and in the unsplit route
     slot = {id(c): k for k, c in enumerate(s.coeffs) if c}
-    orders = []
+    blocks, whole = [], []
+    graded = twist._graded
+
+    def split(c):
+        parts = graded(c)
+        slot.update((id(part), slot[id(c)]) for _, part in parts)
+        return parts
+
+    def block_counted(acc, num, u, i, v, products):
+        blocks.append(slot[id(u)] + slot[id(v)])
+        return add_circ_B(acc, num, u, i, v, products)
 
     def counted(u, i, v):
-        orders.append(slot[id(u)] + slot[id(v)])
+        whole.append(slot[id(u)] + slot[id(v)])
         return circ_B(u, i, v)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(twist, "_graded", split)
+        mp.setattr(twist, "add_circ_B", block_counted)
         mp.setattr(twist, "circ_B", counted)
         got = check_twisting(TwistingElement(s), counital=False).entries[0]
     assert (got.ok, got.witness) == (want.ok, want.witness)
     last = s.order if got.ok else got.witness["first_failing_order"]
-    assert max(orders) == last
-    pairs = sum(1 for i in slot.values() for j in slot.values() if i + j <= last)
-    assert len(orders) == 2 * pairs
+    assert max(blocks + whole) == last
+    parts, split_up = _parts_per_order(s)
+    ones = dict.fromkeys(parts, 1)
+    if not split_up:
+        # one grade: the unsplit route decides every order
+        assert not blocks
+        assert len(whole) == 2 * sum(_pairs(ones, k) for k in range(last + 1))
+        return
+    # every block of the orders below `last`; at a failing order, the blocks
+    # up to the first nonzero one, then that order unsplit for its witness
+    for k in range(last):
+        assert blocks.count(k) == 2 * _pairs(parts, k)
+    if got.ok:
+        assert blocks.count(last) == 2 * _pairs(parts, last) and not whole
+    else:
+        assert 2 <= blocks.count(last) <= 2 * _pairs(parts, last)
+        assert whole == [last] * (2 * _pairs(ones, last))
 
 
 def test_d1_holds_one_order_not_both_sides(B3):
@@ -557,6 +596,158 @@ def test_d1_holds_one_order_not_both_sides(B3):
         tracemalloc.stop()
     assert sides[0] == sides[1]
     assert check_peak < held
+
+
+def test_d1_blocks_hold_at_most_half_the_unsplit_peak():
+    # the traced peak of check_twisting, which decides (d1) one grade block
+    # at a time, against the unsplit order-by-order route on the same F, on
+    # 3 generators at order 7; relative, so it holds on any machine
+    B = construct_bialgebra(BialgebraSpec("polynomial-primitive", ["p1", "p2", "p3"]), 7)
+    gens = B.spec.generators
+    r = sum(
+        (B.generator(a).outer(B.generator(b)) - B.generator(b).outer(B.generator(a))
+         for i, a in enumerate(gens) for b in gens[i + 1:]),
+        B.zero(2),
+    )
+    s = make_exp_udf(r.scale(QQ(1, 2)), order=7).series
+    peaks = []
+    tracemalloc.start()
+    try:
+        for decide in (
+            lambda: check_twisting(TwistingElement(s), counital=False).passed,
+            lambda: twist.first_failing_difference(7, [(twist._cocycle_parts, s, s)]) is None,
+        ):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert decide()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert 2 * peaks[0] <= peaks[1]
+
+
+# ---------------------------------------------------------------------------
+# (d1) in grade blocks: the grade, and the block route against both sides
+# ---------------------------------------------------------------------------
+
+def _graded_bialgebras():
+    """Both graded kinds at cutoff 4, and the kinds that stay at grade 0."""
+    return [
+        construct_bialgebra(BialgebraSpec(*args, **kwargs), 4)
+        for args, kwargs in (
+            (("polynomial-primitive", ["p1", "p2", "p3"]), {}),
+            (("tensor-primitive", ["x", "y"]), {}),
+            (("matrix-coordinate",), {}),
+            (("monoid", ["a", "b"]), {}),
+            (("monoid",), {"monoid_table": IDEMPOTENT_TABLE}),
+        )
+    ]
+
+
+GRADED_BIALGEBRAS = _graded_bialgebras()
+
+
+@st.composite
+def _key_pairs(draw):
+    B = draw(st.sampled_from(GRADED_BIALGEBRAS))
+    keys = B.basis_keys(B.cutoff)
+    k1 = draw(st.sampled_from(keys))
+    k2 = draw(st.sampled_from([k for k in keys if B.degree(k1) + B.degree(k) <= B.cutoff]))
+    return B, k1, k2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_key_pairs())
+def test_grade_adds_across_products_and_coproduct_terms(case):
+    B, k1, k2 = case
+    slot, grade = B.codec.slot, B.grade
+    assert grade(slot(B.product_single(k1, k2))) == grade(slot(k1)) + grade(slot(k2))
+    for (left, right) in B.coproduct_key(k1):
+        assert grade(slot(left)) + grade(slot(right)) == grade(slot(k1))
+    if B.spec.kind not in ("polynomial-primitive", "tensor-primitive"):
+        assert grade(slot(k1)) == 0
+
+
+def test_grade_reads_the_first_generator():
+    P, T = GRADED_BIALGEBRAS[:2]
+    p1, p2 = P.generator("p1"), P.generator("p2")
+    (code,) = (p1 * p1 * p2).codes
+    assert P.grade(code) == 2
+    (code,) = T.tensor(1, {(T.parse_key("x*y*x"),): QQ(1)}).codes
+    assert T.grade(code) == 2
+
+
+def _cutoff_bases():
+    """(B, F) mod t^4 at cutoff 3, so that products of a perturbed
+    coefficient may pass the cutoff: the trivial twist and exp(t r) on
+    polynomial-primitive, and on tensor-primitive the trivial twist, the
+    twist exp(t x@x) and the non-twist exp(t r)."""
+    P = construct_bialgebra(BialgebraSpec("polynomial-primitive", ["p1", "p2"]), 3)
+    T = construct_bialgebra(BialgebraSpec("tensor-primitive", ["x", "y"]), 3)
+    x, y = T.generator("x"), T.generator("y")
+    bases = [
+        (P, P.zero(2)),
+        (P, antisym(P).scale(QQ(1, 2))),
+        (T, T.zero(2)),
+        (T, x.outer(x)),
+        (T, x.outer(y) - y.outer(x)),
+    ]
+    return [(B, series_from_orders(B, 2, 3, {1: r}).exp()) for B, r in bases]
+
+
+CUTOFF_BASES = _cutoff_bases()
+
+
+@st.composite
+def _cutoff_perturbations(draw):
+    # X = c (Delta g - g@1 - 1@g) plus a few random terms, added at a random
+    # order k: the first part adds nothing to (d1) at order k, so a check
+    # may pass k and form X o_i X or X o_i F_j past the cutoff above it
+    B, s = draw(st.sampled_from(CUTOFF_BASES))
+    keys = B.basis_keys(2)
+    scalars = st.sampled_from([QQ(1), QQ(-1), QQ(2), QQ(1, 2), QQ(-3, 4)])
+    g, one = B.element({draw(st.sampled_from(B.basis_keys(3))): QQ(1)}), B.one(1)
+    X = (g.apply_coproduct(1) - g.outer(one) - one.outer(g)).scale(draw(scalars))
+    X = X + B.tensor(2, draw(st.dictionaries(
+        st.tuples(st.sampled_from(keys), st.sampled_from(keys)), scalars, max_size=3,
+    )))
+    coeffs = list(s.coeffs)
+    k = draw(st.integers(1, s.order))
+    coeffs[k] = coeffs[k] + X
+    return TruncSeries(coeffs)
+
+
+def _outcome(decide):
+    """(ok, witness) of the (d1) entry `decide` returns, or the text of the
+    CutoffError it raises."""
+    try:
+        entry = decide()
+    except CutoffError as exc:
+        return "CutoffError: %s" % exc
+    return entry.ok, entry.witness
+
+
+def _entry(add, *args):
+    report = CheckReport("twisting element")
+    add(report, "(d1) cocycle identity", *args)
+    return report.entries[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cutoff_perturbations())
+def test_d1_blocks_match_both_sides_and_the_unsplit_route(s):
+    got = _outcome(lambda: check_twisting(TwistingElement(s), counital=False).entries[0])
+    # the unsplit order-by-order route, byte for byte, CutoffError text included
+    assert got == _outcome(lambda: _entry(
+        twist.add_series_identity, s.order, [(twist._cocycle_parts, s, s)]))
+    # both sides built in full: the same verdict and witness; where they
+    # pass the cutoff, the orderwise check forms the same product at that
+    # order, so it raises there too unless it failed below
+    want = _outcome(lambda: _entry(reference_series_identity, *cocycle_sides(s)))
+    if isinstance(want, str):
+        assert isinstance(got, str) or not got[0]
+    else:
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
