@@ -33,6 +33,18 @@ def _twist3(order):
     return lambda: jobs.Job(name, jobs.twist_job(["p1", "p2", "p3"], order), "twist")
 
 
+def _ternary(name, generators, leaves, symmetric):
+    """A ternary bench job at order 4 with the bialgebra's cutoff left to
+    the order, so that pass_udf decides (d1) at orders 1 to 4."""
+    def build():
+        doc = jobs.ternary_job(generators, leaves, symmetric)
+        del doc["inputs"]["bialgebra"]["degree_cutoff"]
+        doc["parameters"]["order"] = 4
+        return jobs.Job(name, doc, "ternary", generators=len(generators),
+                        leaves=leaves, symmetric=symmetric)
+    return build
+
+
 RUNGS = {
     "tensor-D8": lambda: jobs.Job(
         "tensor-D8", jobs.cobar_job("tensor-primitive", ["x", "y"], 8),
@@ -52,6 +64,8 @@ RUNGS = {
     "twist3-N10": _twist3(10),
     "twist3-N11": _twist3(11),
     "twist3-N12": _twist3(12),
+    "ternary-planar5-N4": _ternary("ternary-planar5-N4", ["p", "q"], 5, False),
+    "ternary-sym7-N4": _ternary("ternary-sym7-N4", ["p", "q", "r"], 7, True),
 }
 
 

@@ -55,7 +55,7 @@ from .twist import (
     GaugeElement,
     TensorSeries,
     add_series_identity,
-    first_failing_difference,
+    cocycle_failure,
     first_failing_order,
     gauge_transform,
     series_circ,
@@ -431,17 +431,14 @@ def pass_udf(F):
     """The induced ternary twist H = F o_1 F, cross-checked against F o_2 F.
 
     The two composites agree exactly when F satisfies the cocycle identity,
-    so their equality is asserted here, one t-order at a time: H is built
-    in full, F o_2 F never is.
+    so their equality is asserted here through `twist.cocycle_failure`,
+    once H is built in full: F o_2 F never is.
     """
     if not isinstance(F, UDF):
         raise ValueError("the ternary twist is induced by a UDF")
     s = F.series
     h1 = series_circ(s, 1, s)
-    failing = first_failing_difference(F.order, [
-        (lambda h: ((1, h),), h1),
-        (lambda x, y: ((-1, circ_B(x, 2, y)),), s, s),
-    ])
+    failing = cocycle_failure(s)
     if failing is not None:
         raise ValueError(
             "F o_1 F != F o_2 F at order %d; F is not a twisting element" % failing[0]

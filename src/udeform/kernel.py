@@ -646,19 +646,6 @@ class TruncSeries:
             out = out + power.scale(QQ(1, factorial))
         return out
 
-    def log(self):
-        """Sum (-1)^(k+1) (y-1)^k / k for y with constant term 1."""
-        one = _one_like(self.coeffs[0])
-        if not self.coeffs[0] == one:
-            raise ValueError("log needs constant term 1")
-        u = self - TruncSeries.constant(one, self.order)
-        out = TruncSeries.constant(one - one, self.order)
-        power = TruncSeries.constant(one, self.order)
-        for k in range(1, self.order + 1):
-            power = power * u
-            out = out + power.scale(QQ((-1) ** (k + 1), k))
-        return out
-
     def inverse(self):
         """Multiplicative inverse; constant term must be 1 or a nonzero scalar."""
         one = _one_like(self.coeffs[0])

@@ -26,26 +26,25 @@ The check stops at the first failing order, and its witness is the
 difference there, the same tensor as the t^k coefficient of the full
 lhs - rhs.
 
-(d1) is first decided one grade block at a time, which bounds its memory
-by the largest block rather than by a whole order.  On the two primitively
-generated kinds the grade of a key (`Bialgebra.grade`, the exponent or
-letter count of the first generator) is added by the key product and by
-every term of Delta, so with F_i^a the grade-a part of F_i, both F_i^a o_1
-F_j^b and F_i^a o_2 F_j^b lie in grade a + b.  The t^k coefficient of
-F o_1 F - F o_2 F is then the direct sum over d of its blocks, the sums of
-F_i^a o_1 F_j^b - F_i^a o_2 F_j^b over i + j = k and a + b = d, and it
-vanishes exactly when every block does.  An order with a nonzero block, or
-with a product past the cutoff, is redone unsplit, so the witness and any
-CutoffError are the unsplit route's.  matrix-coordinate (Delta(a) = a@a +
-b@c, which no exponent survives) and the monoid kinds (Delta(m) = m@m)
-keep grade 0: one block per order, decided by the unsplit route.
+(d1) is decided one grade block at a time (`cocycle_failure`), which
+bounds its memory by the largest block rather than by a whole order.  On the
+two primitively generated kinds the grade of a key (`Bialgebra.grade`, the
+exponent or letter count of the first generator) is added by the key product
+and by every term of Delta, so with F_i^a the grade-a part of F_i, both
+F_i^a o_1 F_j^b and F_i^a o_2 F_j^b lie in grade a + b.  The t^k coefficient
+of F o_1 F - F o_2 F is then the direct sum over d of its blocks, the sums
+of F_i^a o_1 F_j^b - F_i^a o_2 F_j^b over i + j = k and a + b = d: it
+vanishes exactly when every block does, and at a failing order the sum of
+its blocks is the witness.  matrix-coordinate (Delta(a) = a@a + b@c, which
+no exponent survives) and the monoid kinds (Delta(m) = m@m) keep grade 0:
+one block per order.
 
 A UDF is a twisting element of the shape 1@1 + (ideal part).
 """
 
 from __future__ import annotations
 
-from .bialgebra import CutoffError, TensorElement
+from .bialgebra import TensorElement
 from .kernel import (
     TruncSeries, add_rational, series_multilinear, slot_combinations, slot_supports,
 )
@@ -195,11 +194,10 @@ class GaugeElement(TensorSeries):
 # the checkers
 # ---------------------------------------------------------------------------
 
-def first_failing_difference(order, terms, start=0):
-    """(k, D) for the first t-order k, start <= k <= order, at which lhs -
-    rhs has a nonzero coefficient D, or None: the identity lhs = rhs between
-    tensor series decided one order at a time, the orders below `start`
-    taken as already decided.
+def first_failing_difference(order, terms):
+    """(k, D) for the first t-order k at which lhs - rhs has a nonzero
+    coefficient D, or None: the identity lhs = rhs between tensor series
+    decided one order at a time.
 
     lhs - rhs is given as `terms`, each (parts, *series) with the series of
     one order: its t^k coefficient is, over the tuples of nonzero slots
@@ -217,7 +215,7 @@ def first_failing_difference(order, terms, start=0):
         if any(s.order != order for s in series):
             raise ValueError("truncation orders differ")
         supports.append((parts, slot_supports(series)))
-    for k in range(start, order + 1):
+    for k in range(order + 1):
         slot, mate = [1, {}], None
         for parts, support in supports:
             for combo in slot_combinations(support, k):
@@ -235,11 +233,10 @@ def first_failing_difference(order, terms, start=0):
     return None
 
 
-def add_series_identity(report, label, order, terms, start=0):
-    """Add the entry lhs = rhs, given as `terms` (`first_failing_difference`
-    from order `start`), to `report`; a failure names the first failing
-    t-order and the difference there."""
-    failing = first_failing_difference(order, terms, start)
+def _add_failure(report, label, failing):
+    """Add the entry `label` to `report`: it holds when `failing` is None,
+    and otherwise names the first failing t-order k and the difference D
+    there, for failing = (k, D)."""
     report.add(
         label,
         failing is None,
@@ -250,12 +247,11 @@ def add_series_identity(report, label, order, terms, start=0):
     )
 
 
-def _cocycle_parts(x, y):
-    """F_i o_1 F_j, then minus F_i o_2 F_j: both sides of (d1) on one pair
-    of slots, the second formed once the first is added, so that the two
-    cancel as they go."""
-    yield 1, circ_B(x, 1, y)
-    yield -1, circ_B(x, 2, y)
+def add_series_identity(report, label, order, terms):
+    """Add the entry lhs = rhs, given as `terms` (`first_failing_difference`),
+    to `report`; a failure names the first failing t-order and the
+    difference there."""
+    _add_failure(report, label, first_failing_difference(order, terms))
 
 
 def _graded(c):
@@ -271,25 +267,23 @@ def _graded(c):
     return [(g, c._like(parts[g], c.den)) for g in sorted(parts)]
 
 
-def _first_open_order(s):
-    """The first t-order of the arity-2 series s at which (d1) is not shown
-    to hold one grade block at a time; s.order + 1 when every block of
-    every order vanishes.
+def cocycle_failure(s):
+    """(k, D) for the first t-order k at which the arity-2 series s fails
+    (d1), D the t^k coefficient of F o_1 F - F o_2 F, or None when (d1)
+    holds through s.order.
 
-    The t^k coefficient of F o_1 F - F o_2 F is, over the pairs of grade
-    parts (F_i^alpha, F_j^beta) with i + j = k, the sum of F_i^alpha o_1
-    F_j^beta - F_i^alpha o_2 F_j^beta, which lies in grade alpha + beta:
-    each block of pairs with one alpha + beta is added into its own packed
-    sum, tested and dropped.  The products Delta(key) . F_j^beta are shared
-    by the blocks of one order, and dropped after the last block that uses
-    them.  An order with a nonzero block, or one whose products pass the
-    cutoff, is left to the unsplit route, as is the whole series when its
-    terms share one grade: there the split has one block per order and
-    saves nothing.
+    The t^k coefficient is, over the pairs of grade parts (F_i^alpha,
+    F_j^beta) with i + j = k, the sum of F_i^alpha o_1 F_j^beta - F_i^alpha
+    o_2 F_j^beta, which lies in grade alpha + beta: each block of pairs
+    with one alpha + beta is added into its own packed sum, tested and
+    dropped, a nonzero one after it is added into the witness sum of its
+    order.  The blocks share no grade, so that sum is the t^k coefficient
+    itself.  Every block of an order is formed before the order is judged,
+    so a product past the cutoff anywhere in it raises CutoffError.  The
+    products Delta(key) . F_j^beta are shared by the blocks of one order,
+    and dropped after the last block that uses them.
     """
     supports = {i: _graded(c) for i, c in enumerate(s.coeffs) if c}
-    if len({g for parts in supports.values() for g, _ in parts}) < 2:
-        return 0
     for k in range(s.order + 1):
         blocks, last = {}, {}
         for i, xs in supports.items():
@@ -297,21 +291,20 @@ def _first_open_order(s):
                 last.setdefault(xs[-1][0] + beta, []).append((k - i, beta))
                 for alpha, x in xs:
                     blocks.setdefault(alpha + beta, []).append((x, (k - i, beta), y))
-        products = {}
-        try:
-            for delta in sorted(blocks):
-                acc = [1, {}]
-                for x, part, y in blocks[delta]:
-                    shared = products.setdefault(part, {})
-                    add_circ_B(acc, 1, x, 1, y, shared)
-                    add_circ_B(acc, -1, x, 2, y, shared)
-                if acc[1]:
-                    return k
-                for part in last.get(delta, ()):
-                    del products[part]
-        except CutoffError:
-            return k
-    return s.order + 1
+        products, witness = {}, [1, {}]
+        for delta in sorted(blocks):
+            acc = [1, {}]
+            for x, part, y in blocks[delta]:
+                shared = products.setdefault(part, {})
+                add_circ_B(acc, 1, x, 1, y, shared)
+                add_circ_B(acc, -1, x, 2, y, shared)
+            if acc[1]:
+                add_rational(witness, acc[1], 1, acc[0])
+            for part in last.get(delta, ()):
+                del products[part]
+        if witness[1]:
+            return k, s.coeffs[0]._like(witness[1], witness[0], 3)
+    return None
 
 
 def check_twisting(F, counital=True, symmetric=False):
@@ -319,10 +312,9 @@ def check_twisting(F, counital=True, symmetric=False):
 
     Works order by order in t and stops at the first failing order; the
     witness names that order and the offending difference tensor.  (d1) is
-    decided one grade block at a time up to the first order that a block
-    does not settle (`_first_open_order`), and from there by the unsplit
-    route, so the report is the same; over matrix-coordinate and the monoid
-    kinds, which stay at grade 0, the unsplit route decides every order.
+    decided one grade block at a time (`cocycle_failure`); over
+    matrix-coordinate and the monoid kinds, which stay at grade 0, each
+    order is one block.
     """
     if isinstance(F, TensorElement):
         F = TwistingElement(tensor_series(F))
@@ -330,8 +322,7 @@ def check_twisting(F, counital=True, symmetric=False):
     s = F.series
     report = CheckReport("twisting element over %s" % B.spec.kind)
 
-    add_series_identity(report, "(d1) cocycle identity", F.order,
-                        [(_cocycle_parts, s, s)], start=_first_open_order(s))
+    _add_failure(report, "(d1) cocycle identity", cocycle_failure(s))
 
     if counital:
         B.require_counit()

@@ -7,12 +7,13 @@ from pathlib import Path
 import pytest
 
 from udeform.kernel import (
-    QQ, Polynomial, SparseElement, TruncSeries, add_into, as_scalar,
+    QQ, Polynomial, SparseElement, TruncSeries, _one_like, add_into, as_scalar,
     bounded_product, combine, monomials, pack,
 )
 from udeform.bialgebra import BialgebraSpec, construct_bialgebra
 from udeform.reports import CheckReport, first_witness
 from udeform.twist import first_failing_order, make_exp_udf, series_circ, series_outer
+from udeform.operad import circ_B
 from udeform.deform import (
     FiniteDimensionalAlgebra, HochschildCochain, PolynomialOperator1Cochain,
     PolynomialTruncatedAlgebra, StarProduct, action_from_derivations,
@@ -671,11 +672,35 @@ def substitute_linear(poly, images):
     return combine(poly, ((n, term(mono)) for mono, n in poly.codes.items()), poly.den)
 
 
+def series_log(s):
+    """Sum (-1)^(k+1) (y-1)^k / k for y with constant term 1."""
+    one = _one_like(s.coeffs[0])
+    if not s.coeffs[0] == one:
+        raise ValueError("log needs constant term 1")
+    u = s - TruncSeries.constant(one, s.order)
+    out = TruncSeries.constant(one - one, s.order)
+    power = TruncSeries.constant(one, s.order)
+    for k in range(1, s.order + 1):
+        power = power * u
+        out = out + power.scale(QQ((-1) ** (k + 1), k))
+    return out
+
+
 def cocycle_sides(s):
     """F o_1 F and F o_2 F for an arity-2 tensor series F, each built in
     full: the two sides of (d1), (Delta@id)(F) (F@1) and (id@Delta)(F) (1@F).
     The reference the library's order-by-order (d1) check is compared with."""
     return series_circ(s, 1, s), series_circ(s, 2, s)
+
+
+def cocycle_parts(x, y):
+    """F_i o_1 F_j, then minus F_i o_2 F_j: both sides of (d1) on one pair
+    of slots, the second formed once the first is added, so that the two
+    cancel as they go.  As the parts of `twist.first_failing_difference`
+    they decide (d1) one whole t-order at a time: the unsplit reference of
+    `twist.cocycle_failure`, which decides it one grade block at a time."""
+    yield 1, circ_B(x, 1, y)
+    yield -1, circ_B(x, 2, y)
 
 
 def reference_series_identity(report, label, lhs, rhs):

@@ -28,7 +28,7 @@ from udeform.twist import (
     UDF, TensorSeries, add_series_identity, first_failing_order, tensor_series,
 )
 
-from conftest import substitute_linear
+from conftest import series_log, substitute_linear
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def to_additive(F):
     if not isinstance(F, UDF):
         raise ValueError("the logarithm is taken of a UDF")
     _require_log_trick(F.parent, F.order)
-    f = AdditiveTwist(F.series.log())
+    f = AdditiveTwist(series_log(F.series))
     mult_ok = F.check(counital=False).passed
     add_ok = additive_twist_equation(f).passed
     if mult_ok != add_ok:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import pathlib
@@ -315,6 +316,31 @@ def test_non_twist_fails_d1_at_order_two():
         "witness": {"first_failing_order": 2, "difference": "2*p1@p1@1 + p1^2@1@1"},
     }]
     assert code == 1
+
+
+def test_failing_d1_witness_bytes_are_pinned():
+    # F = 1@1 + t (p1@p2 + p2@p3) mod t^4, exp(t r) cut after its t^1 part:
+    # (d1) fails at order 2 in the grade blocks 0, 1 and 2 (the exponent of
+    # p1), and the witness is their sum.  The report bytes are pinned as in
+    # test_fixture_bytes.
+    job = {
+        "command": "verify-twist",
+        "inputs": {
+            "bialgebra": {"kind": "polynomial-primitive",
+                          "generators": ["p1", "p2", "p3"]},
+            "udf": {"orders": [
+                [{"coeff": "1", "slots": ["1", "1"]}],
+                [{"coeff": "1", "slots": ["p1", "p2"]},
+                 {"coeff": "1", "slots": ["p2", "p3"]}],
+            ]},
+        },
+        "parameters": {"order": 3},
+        "expect": {"twist": False},
+    }
+    report, code = run(job)
+    text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == (
+        0, "7459af5b76d349e6b69e4a1e98792a93e633bcd644ecd8168c7975aea02616fc")
 
 
 def test_product_table_text_alignment(tmp_path):

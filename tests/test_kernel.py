@@ -20,7 +20,7 @@ from udeform.kernel import (
 )
 from udeform.linalg import Echelon, ForwardSpan, ReducedEchelon, kernel_basis, solve
 
-from conftest import substitute_linear
+from conftest import series_log, substitute_linear
 
 
 def S(values, order):
@@ -61,18 +61,18 @@ class TestExpLogInv:
             S([1, 1], 2).exp()
 
     def test_log_one_plus_t(self):
-        assert S([1, 1], 3).log() == S([0, 1, QQ(-1, 2), QQ(1, 3)], 3)
+        assert series_log(S([1, 1], 3)) == S([0, 1, QQ(-1, 2), QQ(1, 3)], 3)
 
     def test_log_one(self):
-        assert S([1], 4).log() == S([0], 4)
+        assert series_log(S([1], 4)) == S([0], 4)
 
     def test_log_exp_roundtrip(self):
         x = S([0, 1, 2], 4)
-        assert x.exp().log() == x
+        assert series_log(x.exp()) == x
 
     def test_log_needs_unit_constant(self):
         with pytest.raises(ValueError):
-            S([2, 1], 2).log()
+            series_log(S([2, 1], 2))
 
     def test_inv_one_plus_t(self):
         assert S([1, 1], 2).inverse() == S([1, -1, 1], 2)
@@ -119,9 +119,9 @@ def test_ring_axioms(triple):
 ))
 def test_exp_log_inverse_pair(tail):
     x = TruncSeries([QQ(0)] + tail)
-    assert x.exp().log() == x
+    assert series_log(x.exp()) == x
     y = x.exp()
-    assert y.log().exp() == y
+    assert series_log(y).exp() == y
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,19 +1,25 @@
-"""Every name the package exports is used by the library itself.
+"""Every name the package defines is used by the library itself.
 
-A static check: each name `udeform/__init__.py` imports from a submodule
+Static checks.  Each name `udeform/__init__.py` imports from a submodule
 must be referenced in some other module of the package, outside the name's
-own definition.  A name only the tests call belongs with the tests (as
-`tests/formulations.py` and `tests/conftest.py` hold the second routes and
-reference checks), not in the library.
+own definition.  Each module-level function and class method, dunders
+aside, must be named in some other definition of the package, unless
+`bench/tracer.py` wraps it (its `TARGETS`).  A name only the tests call
+belongs with the tests (as `tests/formulations.py` and `tests/conftest.py`
+hold the second routes and reference checks), not in the library.
 
-Its limit: a reference counts wherever it stands, so a name reached only
-from library code that no job reaches would still pass.
+Their limit: a reference counts wherever it stands, and a method counts as
+named wherever any attribute of its name is read, so a name reached only
+from library code that no job reaches, or one that shares its name with a
+used method, would still pass.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "udeform"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "udeform"
 
 
 def _exports():
@@ -22,6 +28,22 @@ def _exports():
         alias.asname or alias.name
         for node in tree.body if isinstance(node, ast.ImportFrom)
         for alias in node.names
+    }
+
+
+def _modules():
+    """(module name, syntax tree) for every submodule of the package."""
+    return [
+        ("udeform." + path.stem, ast.parse(path.read_text()))
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+    ]
+
+
+def _names(node):
+    """Names read in `node`, bare or as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
     }
 
 
@@ -43,10 +65,55 @@ def _references(tree):
     return found
 
 
+def _definitions(module, tree):
+    """((module, qualname), node) for each module-level function and class
+    method, and (None, node) for every other statement of the module or of
+    a class body."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield (module, node.name), node
+        elif isinstance(node, ast.ClassDef):
+            for part in node.bases + node.decorator_list:
+                yield None, part
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield (module, "%s.%s" % (node.name, sub.name)), sub
+                else:
+                    yield None, sub
+        else:
+            yield None, node
+
+
+def _trace_targets():
+    """(module, qualname) of every method `bench/tracer.py` wraps."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {(module, qualname) for _, module, qualname, _ in tracer.TARGETS}
+
+
 def test_every_export_is_referenced_by_another_library_module():
     referenced = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != "__init__.py":
-            referenced |= _references(ast.parse(path.read_text()))
+    for _, tree in _modules():
+        referenced |= _references(tree)
     unused = sorted(_exports() - referenced)
+    assert not unused, unused
+
+
+def test_every_function_and_method_is_named_by_another_definition(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))  # tracer imports its sibling oracles
+    exempt = _trace_targets()
+    units = [
+        (key, node, _names(node))
+        for module, tree in _modules() for key, node in _definitions(module, tree)
+    ]
+    unused = []
+    for key, node, _ in units:
+        if key is None or key in exempt:
+            continue
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if not any(name in names for other, _, names in units if other != key):
+            unused.append("%s.%s" % key)
     assert not unused, unused

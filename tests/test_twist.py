@@ -22,8 +22,8 @@ from udeform.twist import (
 )
 
 from conftest import (
-    IDEMPOTENT_TABLE, antisym, cocycle_sides, coproduct_series, hand_cocycle_sides,
-    reference_series_identity,
+    IDEMPOTENT_TABLE, antisym, cocycle_parts, cocycle_sides, coproduct_series,
+    hand_cocycle_sides, reference_series_identity,
 )
 from formulations import (
     AdditiveTwist,
@@ -511,11 +511,8 @@ def _exp_perturbations(draw):
 
 
 def _parts_per_order(s):
-    """{t-order: number of grade parts} over the nonzero coefficients of s,
-    and whether the series holds more than one grade."""
-    graded = {k: twist._graded(c) for k, c in enumerate(s.coeffs) if c}
-    grades = {g for parts in graded.values() for g, _ in parts}
-    return {k: len(parts) for k, parts in graded.items()}, len(grades) > 1
+    """{t-order: number of grade parts} over the nonzero coefficients of s."""
+    return {k: len(twist._graded(c)) for k, c in enumerate(s.coeffs) if c}
 
 
 def _pairs(count, k):
@@ -529,7 +526,7 @@ def test_orderwise_d1_matches_both_sides_built_in_full(s):
     reference_series_identity(want, "(d1) cocycle identity", *cocycle_sides(s))
     want = want.entries[0]
     # the t-order of every composition check_twisting forms, in the grade
-    # blocks and in the unsplit route
+    # blocks and through circ_B
     slot = {id(c): k for k, c in enumerate(s.coeffs) if c}
     blocks, whole = [], []
     graded = twist._graded
@@ -554,23 +551,12 @@ def test_orderwise_d1_matches_both_sides_built_in_full(s):
         got = check_twisting(TwistingElement(s), counital=False).entries[0]
     assert (got.ok, got.witness) == (want.ok, want.witness)
     last = s.order if got.ok else got.witness["first_failing_order"]
-    assert max(blocks + whole) == last
-    parts, split_up = _parts_per_order(s)
-    ones = dict.fromkeys(parts, 1)
-    if not split_up:
-        # one grade: the unsplit route decides every order
-        assert not blocks
-        assert len(whole) == 2 * sum(_pairs(ones, k) for k in range(last + 1))
-        return
-    # every block of the orders below `last`; at a failing order, the blocks
-    # up to the first nonzero one, then that order unsplit for its witness
-    for k in range(last):
+    # every block of every order up to `last`, the failing one included,
+    # and nothing else
+    parts = _parts_per_order(s)
+    for k in range(last + 1):
         assert blocks.count(k) == 2 * _pairs(parts, k)
-    if got.ok:
-        assert blocks.count(last) == 2 * _pairs(parts, last) and not whole
-    else:
-        assert 2 <= blocks.count(last) <= 2 * _pairs(parts, last)
-        assert whole == [last] * (2 * _pairs(ones, last))
+    assert max(blocks) == last and not whole
 
 
 def test_d1_holds_one_order_not_both_sides(B3):
@@ -615,7 +601,7 @@ def test_d1_blocks_hold_at_most_half_the_unsplit_peak():
     try:
         for decide in (
             lambda: check_twisting(TwistingElement(s), counital=False).passed,
-            lambda: twist.first_failing_difference(7, [(twist._cocycle_parts, s, s)]) is None,
+            lambda: twist.first_failing_difference(7, [(cocycle_parts, s, s)]) is None,
         ):
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -739,7 +725,7 @@ def test_d1_blocks_match_both_sides_and_the_unsplit_route(s):
     got = _outcome(lambda: check_twisting(TwistingElement(s), counital=False).entries[0])
     # the unsplit order-by-order route, byte for byte, CutoffError text included
     assert got == _outcome(lambda: _entry(
-        twist.add_series_identity, s.order, [(twist._cocycle_parts, s, s)]))
+        twist.add_series_identity, s.order, [(cocycle_parts, s, s)]))
     # both sides built in full: the same verdict and witness; where they
     # pass the cutoff, the orderwise check forms the same product at that
     # order, so it raises there too unless it failed below
